@@ -1,5 +1,7 @@
 #include "core/dfls.hpp"
 
+#include "util/assert.hpp"
+
 namespace dynvote {
 
 Dfls::Dfls(ProcessId self, const View& initial_view)
@@ -11,6 +13,7 @@ void Dfls::view_changed(const View& view) {
   // Interrupted before the GC round completed: the ambiguous sessions stay.
   gc_pending_ = false;
   gc_received_.clear();
+  gc_count_ = 0;
   YkdFamilyBase::view_changed(view);
 }
 
@@ -20,6 +23,7 @@ void Dfls::on_primary_formed() {
   gc_pending_ = true;
   gc_number_ = last_primary_.number;
   gc_received_.clear();
+  gc_count_ = 0;
 
   auto gc = std::make_shared<GcRoundPayload>();
   gc->formed_number = gc_number_;
@@ -36,6 +40,7 @@ void Dfls::load_extra(Decoder& dec) {
   gc_pending_ = dec.get_bool();
   gc_number_ = dec.get_varint();
   gc_received_ = ProcessSet::decode(dec);
+  gc_count_ = gc_received_.count();
 }
 
 void Dfls::handle_extra_payload(const ProtocolPayload& payload,
@@ -43,8 +48,13 @@ void Dfls::handle_extra_payload(const ProtocolPayload& payload,
   if (payload.type() != PayloadType::kGcRound || !gc_pending_) return;
   const auto& gc = static_cast<const GcRoundPayload&>(payload);
   if (gc.formed_number != gc_number_) return;
+  // The base admitted only this view's traffic, so senders are members and
+  // counting distinct ones up to the view size is the set equality.
+  DV_ASSERT_MSG(current_view().members.contains(sender),
+                "GC round from a non-member of the current view");
+  if (gc_received_.contains(sender)) return;
   gc_received_.insert(sender);
-  if (gc_received_ == current_view().members) {
+  if (++gc_count_ == view_size()) {
     if (!ambiguous_.empty()) note_state_mutated();
     ambiguous_.clear();
     gc_pending_ = false;

@@ -30,6 +30,7 @@ class Dfls final : public YkdFamilyBase {
   bool gc_pending_ = false;
   SessionNumber gc_number_ = 0;
   ProcessSet gc_received_;
+  std::size_t gc_count_ = 0;  // dvlint: transient(derived from gc_received_)
 };
 
 }  // namespace dynvote

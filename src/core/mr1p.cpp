@@ -20,13 +20,26 @@ Mr1pVerdict echo_verdict(Mr1pStatus status) {
   return Mr1pVerdict::kStatusTryFail;
 }
 
+/// Add `sender` to `senders`, counting it the first time.  Only members send
+/// traffic stamped with the current view's id, so the count reaches the view
+/// size exactly when `senders` equals the membership.
+void count_sender(const ProcessSet& members, ProcessSet& senders,
+                  std::size_t& count, ProcessId sender) {
+  DV_ASSERT_MSG(members.contains(sender),
+                "MR1p traffic from a non-member of the current view");
+  if (senders.contains(sender)) return;
+  senders.insert(sender);
+  ++count;
+}
+
 }  // namespace
 
 Mr1p::Mr1p(ProcessId self, const View& initial_view, Mr1pOptions options)
     : PrimaryComponentAlgorithm(self, initial_view),
       options_(options),
       cur_primary_{0, initial_view.members},
-      current_view_(initial_view) {
+      current_view_(initial_view),
+      view_size_(initial_view.members.count()) {
   const std::size_t universe = initial_view.members.universe_size();
   formed_views_.push_back(cur_primary_);
   echo_senders_ = ProcessSet(universe);
@@ -48,6 +61,7 @@ void Mr1p::stage(std::shared_ptr<ProtocolPayload> payload) {
 void Mr1p::view_changed(const View& view) {
   DV_REQUIRE(view.members.contains(self_), "installed a view without self");
   current_view_ = view;
+  view_size_ = view.members.count();
   in_primary_ = false;
   outbox_.clear();
   outbox_head_ = 0;
@@ -59,6 +73,8 @@ void Mr1p::view_changed(const View& view) {
   tryfail_callers_.clear();
   propose_received_.clear();
   attempt_received_.clear();
+  propose_count_ = 0;
+  attempt_count_ = 0;
   attempt_sent_ = false;
   tried_new_ = false;
 
@@ -272,13 +288,14 @@ void Mr1p::handle_resolve(const Mr1pResolvePayload& payload, ProcessId sender) {
 }
 
 void Mr1p::handle_propose(const Mr1pProposePayload& payload, ProcessId sender) {
-  if (payload.proposal != view_session()) return;
-  propose_received_.insert(sender);
+  if (!is_view_session(payload.proposal)) return;
+  count_sender(current_view_.members, propose_received_, propose_count_,
+               sender);
   // "Upon receipt of <V,1> from all members of V": move to the attempt
   // stage -- but only if we proposed V ourselves (we are pending on it).
   if (attempt_sent_) return;
   if (!pending_.has_value() || *pending_ != payload.proposal) return;
-  if (propose_received_ == current_view_.members) {
+  if (propose_count_ == view_size_) {
     status_ = Mr1pStatus::kAttempt;
     num_ = 2;
     attempt_sent_ = true;
@@ -290,12 +307,13 @@ void Mr1p::handle_propose(const Mr1pProposePayload& payload, ProcessId sender) {
 }
 
 void Mr1p::handle_attempt(const Mr1pAttemptPayload& payload, ProcessId sender) {
-  if (payload.proposal != view_session()) return;
-  attempt_received_.insert(sender);
+  if (!is_view_session(payload.proposal)) return;
+  count_sender(current_view_.members, attempt_received_, attempt_count_,
+               sender);
   if (in_primary_) return;
   // "Declare the new view to be a primary component when a majority of the
   // processes in it have sent a message in step 5."
-  if (is_majority_of(attempt_received_, current_view_.members)) {
+  if (2 * attempt_count_ > view_size_) {
     record_formed(payload.proposal);
     cur_primary_ = payload.proposal;
     in_primary_ = true;
@@ -425,6 +443,9 @@ void Mr1p::load(Decoder& dec) {
   attempt_received_ = ProcessSet::decode(dec);
   attempt_sent_ = dec.get_bool();
   tried_new_ = dec.get_bool();
+  view_size_ = current_view_.members.count();
+  propose_count_ = propose_received_.count();
+  attempt_count_ = attempt_received_.count();
 }
 
 AlgorithmDebugInfo Mr1p::debug_info() const {

@@ -95,6 +95,10 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   bool knows_formed(const Session& session) const;
   /// The session this view would become if declared primary.
   Session view_session() const;
+  /// Is `s` view_session()?  Compared in place, without building one.
+  bool is_view_session(const Session& s) const {
+    return s.number == current_view_.id && s.members == current_view_.members;
+  }
 
   // --- persistent state (thesis §3.2.4) ---
   Mr1pOptions options_;  // dvlint: transient(constructor configuration)
@@ -125,6 +129,13 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   ProcessSet tryfail_callers_;
   ProcessSet propose_received_;
   ProcessSet attempt_received_;
+  /// Sizes of the view and of the two sender sets above, so the per-delivery
+  /// "all" and "majority" tests are compares.
+  std::size_t view_size_ = 0;  // dvlint: transient(derived from current_view_)
+  std::size_t
+      propose_count_ = 0;  // dvlint: transient(derived from propose_received_)
+  std::size_t
+      attempt_count_ = 0;  // dvlint: transient(derived from attempt_received_)
   bool attempt_sent_ = false;
   bool tried_new_ = false;
   /// Single-slot payload reuse, valid only while we hold the sole

@@ -6,11 +6,11 @@ OnePending::OnePending(ProcessId self, const View& initial_view)
     : YkdFamilyBase(self, initial_view, PruneMode::kFull) {}
 
 bool OnePending::allow_attempt(const CombinedKnowledge& /*knowledge*/,
-                               const StateMap& states) {
+                               const StateMap& states) const {
   // The group may attempt only if no member is left with a pending session
-  // after resolution.  Every member evaluates this on the identical
-  // combined state, so the answer is the same everywhere (formation needs
-  // an attempt from everyone, so a split answer could never form anyway).
+  // after resolution.  The answer depends only on the identical combined
+  // state, so it is the same everywhere and is evaluated once per view as
+  // part of the shared verdict (the base marks every member blocked).
   //
   // A member m's session S counts as resolved when either
   //  * a formed session containing m with a higher number exists (m will
@@ -41,7 +41,6 @@ bool OnePending::allow_attempt(const CombinedKnowledge& /*knowledge*/,
     for (const Session& s : state->ambiguous) {
       if (s.number <= best.number) continue;               // will be adopted past S
       if (provably_unformed(s, states)) continue;          // witnessed dead
-      blocked_ = true;
       return false;  // m is still pending on S: the group blocks
     }
   }

@@ -23,7 +23,7 @@ class OnePending final : public YkdFamilyBase {
 
  protected:
   bool allow_attempt(const CombinedKnowledge& knowledge,
-                     const StateMap& states) override;
+                     const StateMap& states) const override;
 };
 
 }  // namespace dynvote

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <typeinfo>
 #include <vector>
 
 #include "core/session.hpp"
@@ -53,6 +54,26 @@ struct ProtocolPayload {
 
 using PayloadPtr = std::shared_ptr<const ProtocolPayload>;
 
+/// The self-independent half of a YKD-family exchange completion: COMPUTE,
+/// DECIDE and the variant's allow_attempt, evaluated on one view's round-1
+/// states (YkdFamilyBase::evaluate_exchange).  Every member of the view
+/// would compute the same verdict, so it is cached on a payload they all
+/// hold; see StateExchangePayload::verdict_memo.
+struct ExchangeVerdict {
+  /// Cache key: the view, and the algorithm variant as its dynamic type
+  /// plus whether it filters constraints.  variant == nullptr: empty.
+  ViewId view_id = 0;
+  const std::type_info* variant = nullptr;
+  bool filtered = false;
+
+  SessionNumber max_session = 0;
+  SessionNumber max_primary_number = 0;
+  /// DECIDE and allow_attempt both passed: the view attempts a primary.
+  bool attempt = false;
+  /// DECIDE passed but allow_attempt refused (1-pending's blocking).
+  bool blocked = false;
+};
+
 /// Round 1 of YKD / unoptimized YKD / DFLS / 1-pending: "the processes
 /// exchange all of their internal state -- sending each other their
 /// ambiguous sessions, last primary components, and so on" (thesis §3.1).
@@ -63,6 +84,13 @@ struct StateExchangePayload final : ProtocolPayload {
   /// lastFormed(q) for q = 0..universe-1: the last primary the sender formed
   /// that included q.  Indexed by process id over the initial universe.
   std::vector<Session> last_formed;
+  /// Verdict memo, used on the view's lowest member's payload: the first
+  /// member to complete the view with this very object in its table fills
+  /// it, the others read it.  In-process only -- never encoded, so a
+  /// decoded copy starts empty and its holder computes the verdict itself;
+  /// the sender clears it whenever it stages the payload again.
+  mutable ExchangeVerdict
+      verdict_memo;  // dvlint: transient(in-process verdict cache)
 
   PayloadType type() const override { return PayloadType::kStateExchange; }
   void encode_body(Encoder& enc) const override;

@@ -12,8 +12,8 @@
 // protocol round never touches the allocator.  Larger universes spill to a
 // heap vector.  Invariant: exactly one representation is active -- when the
 // set is inline the spill vector is empty and any unused inline words are
-// zero; when spilled the inline words are all zero -- so the defaulted
-// equality is structural equality and the wire format, `compare` and `hash`
+// zero; when spilled the inline words are all zero -- so equality is a
+// compare of the active words and the wire format, `compare` and `hash`
 // are byte-identical to the old always-heap layout.
 #pragma once
 
@@ -43,10 +43,21 @@ class ProcessSet {
   explicit ProcessSet(std::size_t universe_size);
   ProcessSet(std::size_t universe_size, std::initializer_list<ProcessId> ids);
 
-  ProcessSet(const ProcessSet&) = default;
-  ProcessSet& operator=(const ProcessSet&) = default;
+  /// Copies touch the spill vector only when a side is spilled, so the
+  /// inline sets the round loop copies (sessions, views) are word copies.
+  ProcessSet(const ProcessSet& other)
+      : universe_size_(other.universe_size_),
+        inline_words_(other.inline_words_) {
+    if (other.spilled()) spill_ = other.spill_;
+  }
+  ProcessSet& operator=(const ProcessSet& other) {
+    universe_size_ = other.universe_size_;
+    inline_words_ = other.inline_words_;
+    if (other.spilled() || !spill_.empty()) spill_ = other.spill_;
+    return *this;
+  }
   /// Moves leave the source in the default (universe-0) state, preserving
-  /// the representation invariant the defaulted equality relies on.
+  /// the representation invariant equality relies on.
   ProcessSet(ProcessSet&& other) noexcept
       : universe_size_(other.universe_size_),
         inline_words_(other.inline_words_),
@@ -129,7 +140,19 @@ class ProcessSet {
     }
   }
 
-  bool operator==(const ProcessSet& other) const = default;
+  /// Structural equality.  The representation invariant (see the header
+  /// comment) makes "same universe, same words" exactly the member-wise
+  /// comparison.  Inline: the round loop compares sessions and attempt
+  /// proposals on every delivery.
+  bool operator==(const ProcessSet& other) const {
+    if (universe_size_ != other.universe_size_) return false;
+    const std::uint64_t* a = word_data();
+    const std::uint64_t* b = other.word_data();
+    for (std::size_t w = 0; w < word_count(); ++w) {
+      if (a[w] != b[w]) return false;
+    }
+    return true;
+  }
 
   /// Three-way comparison giving an arbitrary but fixed total order over
   /// sets of the same universe (used to break session-number ties the same
@@ -172,11 +195,16 @@ class ProcessSet {
 
   std::size_t word_count() const { return words_for(universe_size_); }
 
+  /// The universe alone decides the representation (see the header
+  /// comment), and testing it spares the hot accessors a load of the
+  /// spill vector's bounds.
+  bool spilled() const { return word_count() > kInlineWords; }
+
   const std::uint64_t* word_data() const {
-    return spill_.empty() ? inline_words_.data() : spill_.data();
+    return spilled() ? spill_.data() : inline_words_.data();
   }
   std::uint64_t* word_data() {
-    return spill_.empty() ? inline_words_.data() : spill_.data();
+    return spilled() ? spill_.data() : inline_words_.data();
   }
 
   void check_id(ProcessId id) const {

@@ -1,6 +1,7 @@
 #include "core/ykd_family.hpp"
 
 #include <algorithm>
+#include <typeinfo>
 
 #include "core/quorum.hpp"
 #include "util/assert.hpp"
@@ -18,6 +19,7 @@ YkdFamilyBase::YkdFamilyBase(ProcessId self, const View& initial_view,
   last_primary_ = genesis;
   last_formed_.assign(universe, genesis);
   current_view_ = initial_view;
+  view_size_ = initial_view.members.count();
   attempts_received_ = ProcessSet(universe);
   states_.reset_universe(universe);
 }
@@ -25,11 +27,13 @@ YkdFamilyBase::YkdFamilyBase(ProcessId self, const View& initial_view,
 void YkdFamilyBase::view_changed(const View& view) {
   DV_REQUIRE(view.members.contains(self_), "installed a view without self");
   current_view_ = view;
+  view_size_ = view.members.count();
   in_primary_ = false;
   blocked_ = false;
   stage_ = Stage::kExchanging;
   states_.clear();
   attempts_received_.clear();
+  attempts_count_ = 0;
   outbox_.clear();  // anything staged for the old view is stale
   outbox_head_ = 0;
 
@@ -51,6 +55,10 @@ void YkdFamilyBase::view_changed(const View& view) {
     state_pool_->last_formed = last_formed_;
     state_pool_version_ = state_version_;
   }
+  // We hold the only reference here, so nobody still reads the previous
+  // view's verdict; clearing it matters because a world restored from a
+  // snapshot replays view ids, and a kept memo could match one of them.
+  state_pool_->verdict_memo = {};
   stage(state_pool_);
 }
 
@@ -75,17 +83,20 @@ Message YkdFamilyBase::incoming_message(Message message, ProcessId sender) {
                     "state from a non-member of the current view");
       states_.set(sender, std::static_pointer_cast<const StateExchangePayload>(
                               std::move(payload)));
-      if (states_.size() == current_view_.members.count()) {
-        on_exchange_complete();
-      }
+      if (states_.size() == view_size_) on_exchange_complete();
       break;
     }
     case PayloadType::kAttempt: {
       if (stage_ != Stage::kAttempting) break;
       const auto& attempt = static_cast<const AttemptPayload&>(*payload);
       if (attempt.proposal != proposed_) break;
+      // Senders are members (the payload carries this view's id), so the
+      // count of distinct ones reaches the view size exactly at set equality.
+      DV_ASSERT_MSG(current_view_.members.contains(sender),
+                    "attempt from a non-member of the current view");
+      if (attempts_received_.contains(sender)) break;
       attempts_received_.insert(sender);
-      if (attempts_received_ == current_view_.members) form_primary();
+      if (++attempts_count_ == view_size_) form_primary();
       break;
     }
     default:
@@ -107,7 +118,7 @@ std::optional<Message> YkdFamilyBase::outgoing_message_poll(const Message& app) 
 }
 
 bool YkdFamilyBase::allow_attempt(const CombinedKnowledge& /*knowledge*/,
-                                  const StateMap& /*states*/) {
+                                  const StateMap& /*states*/) const {
   return true;
 }
 
@@ -119,7 +130,7 @@ void YkdFamilyBase::handle_extra_payload(const ProtocolPayload& payload,
                << static_cast<int>(payload.type()) << " at process " << self_);
 }
 
-const CombinedKnowledge& YkdFamilyBase::compute_combined() {
+const CombinedKnowledge& YkdFamilyBase::compute_combined() const {
   CombinedKnowledge& k = combined_scratch_;
   k.max_session = 0;
   k.max_primary = Session{0, initial_view_.members};
@@ -170,8 +181,44 @@ bool YkdFamilyBase::provably_unformed(const Session& s,
   return unformed;
 }
 
-void YkdFamilyBase::on_exchange_complete() {
+ExchangeVerdict YkdFamilyBase::shared_verdict() const {
+  // Every member completing this view holds a state from the view's lowest
+  // member; when delivery shared that object, so does the memo on it.
+  const StateExchangePayload* anchor =
+      states_.get(current_view_.members.lowest());
+  DV_ASSERT_MSG(anchor != nullptr, "complete exchange lacks the lowest member");
+  ExchangeVerdict& memo = anchor->verdict_memo;
+  const bool hit = memo.variant != nullptr &&
+                   memo.view_id == current_view_.id &&
+                   *memo.variant == typeid(*this) &&
+                   memo.filtered == filter_constraints_;
+  if (!hit) memo = evaluate_exchange();
+  return memo;
+}
+
+ExchangeVerdict YkdFamilyBase::evaluate_exchange() const {
   const CombinedKnowledge& knowledge = compute_combined();
+  ExchangeVerdict verdict;
+  verdict.view_id = current_view_.id;
+  verdict.variant = &typeid(*this);
+  verdict.filtered = filter_constraints_;
+  verdict.max_session = knowledge.max_session;
+  verdict.max_primary_number = knowledge.max_primary.number;
+
+  // DECIDE (Figure 3-4): the new view must be a subquorum of maxPrimary and
+  // of every constraint session.
+  bool decide = is_subquorum(current_view_.members, knowledge.max_primary.members);
+  for (const Session& s : knowledge.constraints) {
+    if (!decide) break;
+    decide = is_subquorum(current_view_.members, s.members);
+  }
+  verdict.blocked = decide && !allow_attempt(knowledge, states_);
+  verdict.attempt = decide && !verdict.blocked;
+  return verdict;
+}
+
+void YkdFamilyBase::on_exchange_complete() {
+  const ExchangeVerdict verdict = shared_verdict();
 
   // RESOLVE / ACCEPT: adopt the highest-numbered formed session containing
   // this process.  If q formed (or adopted) a session F with self in it,
@@ -207,7 +254,7 @@ void YkdFamilyBase::on_exchange_complete() {
       break;
     case PruneMode::kGlobalSuperseded:
       pruned = std::erase_if(ambiguous_, [&](const Session& s) {
-        return s.number <= knowledge.max_primary.number;
+        return s.number <= verdict.max_primary_number;
       });
       break;
     case PruneMode::kUnformedOnly:
@@ -218,30 +265,20 @@ void YkdFamilyBase::on_exchange_complete() {
   }
   if (pruned != 0) note_state_mutated();
 
-  // DECIDE (Figure 3-4): the new view must be a subquorum of maxPrimary and
-  // of every constraint session.
-  bool decide = is_subquorum(current_view_.members, knowledge.max_primary.members);
-  for (const Session& s : knowledge.constraints) {
-    if (!decide) break;
-    decide = decide && is_subquorum(current_view_.members, s.members);
-  }
-  if (decide && !allow_attempt(knowledge, states_)) {
-    blocked_ = true;
-    decide = false;
-  }
-
+  blocked_ = verdict.blocked;
   states_.clear();
-  if (!decide) {
+  if (!verdict.attempt) {
     stage_ = Stage::kIdle;
     return;
   }
 
-  session_number_ = knowledge.max_session + 1;
+  session_number_ = verdict.max_session + 1;
   proposed_ = Session{session_number_, current_view_.members};
   ambiguous_.push_back(proposed_);
   note_state_mutated();
   stage_ = Stage::kAttempting;
   attempts_received_.clear();
+  attempts_count_ = 0;
 
   // Reuse the previous attempt payload once its last outside reference
   // (the network's copy from the previous round 2) is gone.
@@ -353,6 +390,8 @@ void YkdFamilyBase::load(Decoder& dec) {
 
   attempts_received_ = ProcessSet::decode(dec);
   proposed_ = Session::decode(dec);
+  view_size_ = current_view_.members.count();
+  attempts_count_ = attempts_received_.count();
   const std::uint64_t staged = dec.get_varint();
   if (staged > 1'000'000) throw DecodeError("implausible outbox length");
   outbox_.clear();

@@ -30,6 +30,17 @@
 //
 // -- so pruning a process's *stored* list (which only removes sessions that
 // this filter would drop anyway) cannot change any decision.
+//
+// Evaluated once per view.  COMPUTE, DECIDE and allow_attempt read only the
+// view, the received states and the variant -- never `self` -- so they form
+// a pure verdict (evaluate_exchange) that every member would compute alike.
+// The first member to complete the view caches it on the lowest member's
+// round-1 payload, which every member completing the view holds when
+// delivery shares one object (the simulated GCS); the rest reuse it and run
+// only the per-process ACCEPT and prune steps.  A member holding a private
+// copy of that payload (a real transport, a restored snapshot) finds no
+// memo and computes the same verdict itself.  DESIGN.md §4d has the
+// soundness argument.
 #pragma once
 
 #include <cstdint>
@@ -187,13 +198,13 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   YkdFamilyBase(ProcessId self, const View& initial_view, PruneMode prune_mode,
                 bool filter_constraints = true);
 
-  /// May this process start a new attempt given the combined knowledge?
+  /// May the view start a new attempt given the combined knowledge?
   /// 1-pending overrides this to refuse while any member has an unresolved
-  /// pending session.  Must be a deterministic function of the arguments:
-  /// every member evaluates it on identical inputs and formation requires
-  /// everyone to reach the same answer.
+  /// pending session.  Must be a deterministic function of the arguments
+  /// and the current view, never of `self`: it is part of the view's
+  /// shared verdict, evaluated by whichever member completes first.
   virtual bool allow_attempt(const CombinedKnowledge& knowledge,
-                             const StateMap& states);
+                             const StateMap& states) const;
 
   /// Called when a primary component has just been formed (lastPrimary and
   /// lastFormed already updated).  The default deletes all ambiguous
@@ -215,6 +226,9 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   virtual void load_extra(Decoder& dec);
 
   const View& current_view() const { return current_view_; }
+  /// current_view().members.count(), cached at every view change so the
+  /// per-delivery "has everyone answered?" tests are a compare.
+  std::size_t view_size() const { return view_size_; }
 
   /// Is there combined-state proof that S was never formed by any member?
   bool provably_unformed(const Session& s, const StateMap& states) const;
@@ -242,10 +256,17 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   enum class Stage { kIdle, kExchanging, kAttempting };
 
   void on_exchange_complete();
+  /// The completed exchange's verdict: the memo on the lowest member's
+  /// payload when it holds this view and variant, else evaluated here and
+  /// stored there.
+  ExchangeVerdict shared_verdict() const;
+  /// COMPUTE, DECIDE and allow_attempt over states_: a pure function of
+  /// (current view, states_, variant).  Reads no per-process state.
+  ExchangeVerdict evaluate_exchange() const;
   void form_primary();
   /// Fills combined_scratch_ from states_ and returns a reference to it, so
   /// the constraint vector's capacity is reused across exchanges.
-  const CombinedKnowledge& compute_combined();
+  const CombinedKnowledge& compute_combined() const;
 
   PruneMode prune_mode_;     // dvlint: transient(constructor configuration)
   bool filter_constraints_;  // dvlint: transient(constructor configuration)
@@ -253,6 +274,9 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   StateMap states_;
   ProcessSet attempts_received_;
   Session proposed_;
+  std::size_t view_size_ = 0;  // dvlint: transient(derived from current_view_)
+  std::size_t
+      attempts_count_ = 0;  // dvlint: transient(derived from attempts_received_)
   /// Staged payloads are appended and consumed front-to-back via
   /// outbox_head_; a vector + cursor (instead of a deque) keeps its storage
   /// flat and its capacity alive across view changes, so steady-state
@@ -279,7 +303,7 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   /// Single-slot reuse of the round-2 attempt payload, same contract.
   std::shared_ptr<AttemptPayload>
       attempt_pool_;  // dvlint: transient(allocator cache, never read back)
-  CombinedKnowledge
+  mutable CombinedKnowledge
       combined_scratch_;  // dvlint: transient(rebuilt by every exchange)
 };
 

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <deque>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -47,15 +48,15 @@ std::uint64_t shard_size_for(std::uint64_t runs, std::size_t jobs,
   return std::max(floor, target);
 }
 
-/// Steady-state allocation rate of the round loop for this case's
-/// algorithm at its process count.  A probe world is warmed through a few
-/// partition/merge cycles (so every pooled buffer reaches capacity), then
-/// only the step_round sections of further cycles are measured -- the same
-/// slice of work BM_ProtocolRound times.  Needs the counting allocator
-/// (dv_alloc_hook) linked into the binary; returns a negative sentinel
-/// when it is not, or when the case cannot partition.
+}  // namespace
+
+// A probe world is warmed through a few partition/merge cycles (so every
+// pooled buffer reaches capacity), then only the step_round sections of
+// further cycles are measured -- the same slice of work BM_ProtocolRound
+// times.
 double probe_steady_allocs_per_round(const CaseSpec& cs) {
   if (!alloc_hook_linked() || cs.processes < 2) return -1.0;
+  DV_OBS_INC("runner.alloc_probes");
 
   Gcs gcs = cs.algorithm_factory != nullptr
                 ? Gcs(cs.algorithm_factory, cs.processes)
@@ -87,6 +88,8 @@ double probe_steady_allocs_per_round(const CaseSpec& cs) {
   return static_cast<double>(measured_allocs) /
          static_cast<double>(measured_rounds);
 }
+
+namespace {
 
 /// Spill-arena telemetry scoped to this sweep: the monotone counters are
 /// deltas against the sweep-start snapshot, the byte gauges stay absolute
@@ -271,6 +274,26 @@ SweepResult run_sweep(const SweepSpec& spec) {
   std::mutex progress_mutex;
   std::size_t cases_done = 0;
 
+  // The probe world is a function of (algorithm, processes) alone, so each
+  // pair is probed once per sweep.  A factory case's algorithm has no such
+  // key and is probed per case.  The lock is held across the probe, so
+  // concurrent finishers of one pair wait for its single probe.
+  std::mutex probe_mutex;
+  std::map<std::pair<AlgorithmKind, std::size_t>, double>
+      probed;  // dvlint: guarded_by(probe_mutex)
+  const auto steady_allocs_per_round = [&](const CaseSpec& cs) {
+    if (cs.algorithm_factory != nullptr) {
+      return probe_steady_allocs_per_round(cs);
+    }
+    std::lock_guard<std::mutex> lock(probe_mutex);
+    const auto key = std::make_pair(cs.algorithm, cs.processes);
+    auto it = probed.find(key);
+    if (it == probed.end()) {
+      it = probed.emplace(key, probe_steady_allocs_per_round(cs)).first;
+    }
+    return it->second;
+  };
+
   // Called with the scheduler lock NOT held (single-job path) or held only
   // by the finishing worker's bookkeeping; partials are complete by then,
   // so the finishing worker has exclusive access to the whole CaseState.
@@ -306,8 +329,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
           static_cast<double>(outcome.result.total_deliveries) /
           outcome.compute_seconds;
     }
-    outcome.steady_allocs_per_round =
-        probe_steady_allocs_per_round(outcome.spec);
+    outcome.steady_allocs_per_round = steady_allocs_per_round(outcome.spec);
     outcome.batch = state.batch;
 
     CaseTelemetry telemetry;

@@ -75,9 +75,10 @@ struct CaseOutcome {
   double rounds_per_sec = 0.0;
   double deliveries_per_sec = 0.0;
   /// Steady-state heap allocations per message round, measured by a small
-  /// warmed-up probe world after the case finishes.  Requires the counting
-  /// allocator (dv_alloc_hook) to be linked into the binary; negative when
-  /// it is not (the manifest then omits the field).
+  /// warmed-up probe world (probe_steady_allocs_per_round) once per
+  /// (algorithm, processes) per sweep, or per case for factory cases.
+  /// Requires the counting allocator (dv_alloc_hook) to be linked into the
+  /// binary; negative when it is not (the manifest then omits the field).
   double steady_allocs_per_round = -1.0;
   /// Result-producing work units this case was executed as (1 = serial).
   std::size_t shards = 0;
@@ -175,6 +176,15 @@ std::vector<SweepCase> availability_grid(
     const std::vector<AlgorithmKind>& algorithms,
     const std::vector<double>& rates, std::size_t changes, RunMode mode,
     std::uint64_t runs, std::uint64_t base_seed, std::size_t processes = 64);
+
+/// Steady-state heap allocations per message round of `cs`'s algorithm at
+/// its process count, measured on a warmed-up probe world: the value behind
+/// CaseOutcome::steady_allocs_per_round, which run_sweep probes once per
+/// (algorithm, processes) and per case for factory cases.  Each call builds
+/// a probe world and counts `runner.alloc_probes`.  Negative when the
+/// counting allocator (dv_alloc_hook) is not linked into the binary or the
+/// case cannot partition.
+double probe_steady_allocs_per_round(const CaseSpec& cs);
 
 /// Human-readable case coordinates for progress lines and error messages,
 /// e.g. "ykd p=64 c=6 r=4 cascading".

@@ -17,28 +17,39 @@ namespace {
   return true;
 }();
 
-void* counted_alloc(std::size_t size) {
+/// Counted malloc; nullptr when memory is exhausted.
+void* counted_alloc_or_null(std::size_t size) noexcept {
   dynvote::alloc_detail::count_allocation();
-  if (size == 0) size = 1;
-  void* p = std::malloc(size);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_aligned_alloc_or_null(std::size_t size,
+                                    std::size_t align) noexcept {
+  dynvote::alloc_detail::count_allocation();
+  if (align < sizeof(void*)) align = sizeof(void*);
+  void* p = nullptr;
+  if (posix_memalign(&p, align, size == 0 ? 1 : size) != 0) return nullptr;
+  return p;
+}
+
+void* counted_alloc(std::size_t size) {
+  void* p = counted_alloc_or_null(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t align) {
-  dynvote::alloc_detail::count_allocation();
-  if (align < sizeof(void*)) align = sizeof(void*);
-  void* p = nullptr;
-  if (posix_memalign(&p, align, size == 0 ? 1 : size) != 0) {
-    throw std::bad_alloc();
-  }
+  void* p = counted_aligned_alloc_or_null(size, align);
+  if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
 }  // namespace
 
-// The nothrow and placement forms are not replaced: the standard library's
-// defaults forward to these, so every counted path stays counted.
+// Every allocating form is replaced, the nothrow ones included: a sanitizer
+// runtime supplies its own nothrow forms, whose blocks the free()-based
+// deletes below would release with an alloc/dealloc mismatch.  Placement
+// forms allocate nothing.
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
@@ -46,6 +57,20 @@ void* operator new(std::size_t size, std::align_val_t align) {
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_aligned_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc_or_null(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc_or_null(size);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc_or_null(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc_or_null(size, static_cast<std::size_t>(align));
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
@@ -58,5 +83,16 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }

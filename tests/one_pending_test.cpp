@@ -36,10 +36,15 @@ TEST(OnePending, BlocksWhereYkdPipelines) {
   Gcs ykd = blocked_gcs(AlgorithmKind::kYkd);
   EXPECT_TRUE(all_in_primary(ykd, ProcessSet(5, {0, 1, 2, 3})));
 
+  // The refusal is part of the view's shared verdict, which whichever member
+  // completes the exchange first computes; every member must record it.
   Gcs op = blocked_gcs(AlgorithmKind::kOnePending);
-  EXPECT_FALSE(op.algorithm(0).in_primary());
-  EXPECT_TRUE(op.algorithm(0).debug_info().blocked);
-  EXPECT_EQ(op.algorithm(0).debug_info().ambiguous_count, 1u);
+  ProcessSet(5, {0, 1, 2, 3}).for_each([&](ProcessId p) {
+    SCOPED_TRACE(p);
+    EXPECT_FALSE(op.algorithm(p).in_primary());
+    EXPECT_TRUE(op.algorithm(p).debug_info().blocked);
+    EXPECT_EQ(op.algorithm(p).debug_info().ambiguous_count, 1u);
+  });
 }
 
 TEST(OnePending, ResolvesWhenTheLastMemberReturns) {

@@ -10,6 +10,7 @@
 #include "runner/artifact.hpp"
 #include "runner/sweep.hpp"
 #include "runner/thread_pool.hpp"
+#include "util/alloc_stats.hpp"
 
 namespace dynvote {
 namespace {
@@ -279,6 +280,53 @@ TEST(Sweep, WorkStealingDrainsTheSlowCase) {
   for (const CaseOutcome& outcome : swept.cases) {
     SCOPED_TRACE(outcome.algorithm);
     expect_identical(outcome.result, run_case(outcome.spec));
+  }
+}
+
+std::uint64_t counter_value(const obs::MetricsSnapshot& metrics,
+                            const std::string& name) {
+  for (const auto& [counter, value] : metrics.counters) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
+// The allocation probe's world depends only on (algorithm, processes), so a
+// sweep probes each distinct pair once -- the 8 built-in cases here span 3
+// pairs -- and every case reports exactly what a standalone probe does.
+// Factory cases have no such key and are probed one by one.
+TEST(Sweep, AllocationProbeRunsOncePerAlgorithmAndProcessCount) {
+  ASSERT_TRUE(alloc_hook_linked()) << "runner_test links dv_alloc_hook";
+  SweepSpec sweep;
+  sweep.jobs = 3;
+  NullProgress quiet;
+  sweep.progress = &quiet;
+  sweep.cases = availability_grid(
+      {AlgorithmKind::kYkd, AlgorithmKind::kOnePending}, {0.0, 2.0, 4.0}, 2,
+      RunMode::kFreshStart, 4, 777, 12);
+  for (SweepCase& c : availability_grid({AlgorithmKind::kYkd}, {0.0, 2.0}, 2,
+                                        RunMode::kFreshStart, 4, 777, 16)) {
+    sweep.cases.push_back(std::move(c));
+  }
+  for (int i = 0; i < 2; ++i) {
+    SweepCase c;
+    c.algorithm = "custom-dfls";
+    c.spec = small_case(AlgorithmKind::kSimpleMajority, RunMode::kFreshStart);
+    c.spec.runs = 4;
+    c.spec.algorithm_factory = [](ProcessId self, const View& initial) {
+      return make_algorithm(AlgorithmKind::kDfls, self, initial);
+    };
+    sweep.cases.push_back(std::move(c));
+  }
+  ASSERT_EQ(sweep.cases.size(), 10u);
+
+  const SweepResult swept = run_sweep(sweep);
+  EXPECT_EQ(counter_value(swept.metrics, "runner.alloc_probes"), 3u + 2u);
+  for (const CaseOutcome& outcome : swept.cases) {
+    SCOPED_TRACE(outcome.algorithm);
+    EXPECT_GE(outcome.steady_allocs_per_round, 0.0);
+    EXPECT_EQ(outcome.steady_allocs_per_round,
+              probe_steady_allocs_per_round(outcome.spec));
   }
 }
 

@@ -5,7 +5,10 @@
 // snapshots are rejected with DecodeError, never misread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/experiment.hpp"
@@ -294,6 +297,221 @@ TEST(Snapshot, FaultModelMismatchIsRejected) {
 
   Simulation geometric(small_config(AlgorithmKind::kYkd));
   EXPECT_THROW(restore_snapshot(geometric, bytes), DecodeError);
+}
+
+// The algorithms that evaluate a view's exchange once and share the verdict
+// through the lowest member's round-1 payload (core/ykd_family.hpp).
+constexpr AlgorithmKind kSharedVerdictKinds[] = {
+    AlgorithmKind::kYkd, AlgorithmKind::kYkdUnoptimized, AlgorithmKind::kDfls,
+    AlgorithmKind::kOnePending};
+
+/// A config whose runs interrupt formation attempts often enough to leave
+/// ambiguous sessions behind.
+SimulationConfig turbulent_config(AlgorithmKind kind) {
+  SimulationConfig config = small_config(kind);
+  config.changes_per_run = 12;
+  config.mean_rounds_between_changes = 1.0;
+  return config;
+}
+
+/// Some process holds an ambiguous session and the processes disagree on
+/// the last primary: a view's members then bring different histories to
+/// its exchange.
+bool has_divergent_history(const Simulation& sim) {
+  const Gcs& gcs = sim.gcs();
+  bool ambiguous = false;
+  bool disagree = false;
+  for (ProcessId p = 0; p < gcs.process_count(); ++p) {
+    ambiguous = ambiguous || gcs.algorithm(p).debug_info().ambiguous_count > 0;
+    disagree = disagree || gcs.algorithm(p).last_primary_session() !=
+                               gcs.algorithm(0).last_primary_session();
+  }
+  return ambiguous && disagree;
+}
+
+/// Step `sim` one event at a time, over at most 20 runs, until it is
+/// mid-exchange -- the round after a connectivity change, with the new
+/// views' states in flight -- with a divergent history.
+bool advance_to_divergent_exchange(Simulation& sim) {
+  for (int run = 0; run < 20; ++run) {
+    bool after_change = false;
+    for (;;) {
+      const std::uint64_t changes_before = sim.total_changes();
+      if (sim.run_events(1).has_value()) break;
+      const bool was_change = sim.total_changes() != changes_before;
+      if (after_change && !was_change && !sim.gcs().network_idle() &&
+          has_divergent_history(sim)) {
+        return true;
+      }
+      after_change = was_change;
+    }
+  }
+  return false;
+}
+
+// Sharing a view's verdict never changes results.  In the simulated GCS
+// every member completing a view holds the same payload objects, so the
+// first to complete computes the verdict and the rest reuse it.  A world
+// restored from a snapshot holds only freshly decoded payloads, with no
+// verdict attached to any of them.  Restored mid-exchange, with an
+// ambiguous session pending and the processes disagreeing on the last
+// primary, it must stay byte-identical to the world that was never
+// interrupted after every event, to the end of the next run.
+TEST(Snapshot, RestoredMidExchangeMatchesSharedVerdictsEveryEvent) {
+  for (AlgorithmKind kind : kSharedVerdictKinds) {
+    SCOPED_TRACE(to_string(kind));
+    const SimulationConfig config = turbulent_config(kind);
+    Simulation uninterrupted(config);
+    ASSERT_TRUE(advance_to_divergent_exchange(uninterrupted));
+
+    Simulation restored(config);
+    restore_snapshot(restored, save_snapshot(uninterrupted));
+    for (int run = 0; run < 2; ++run) {
+      std::size_t events = 0;
+      for (;;) {
+        const auto expected = uninterrupted.run_events(1);
+        const auto actual = restored.run_events(1);
+        ++events;
+        ASSERT_EQ(save_snapshot(restored), save_snapshot(uninterrupted))
+            << "diverged at event " << events << " of run " << run;
+        ASSERT_EQ(actual, expected);
+        if (expected.has_value()) break;
+      }
+    }
+  }
+}
+
+// The other side of the same argument: a member holding private copies of
+// the view's states -- what a real transport delivers, one decoded copy per
+// recipient -- finds no shared verdict and computes its own, which must
+// equal the shared one.  From a world with pending sessions and divergent
+// histories, views -- each current component, each union of two, and
+// random memberships -- run one more exchange by hand in two copies of the
+// world: one delivers every state as a single shared object, the other as
+// a decoded copy per recipient.  Every member's state must match after
+// every round.
+TEST(Snapshot, PrivatePayloadCopiesDecideLikeSharedOnes) {
+  using World = std::vector<std::unique_ptr<PrimaryComponentAlgorithm>>;
+  for (AlgorithmKind kind : kSharedVerdictKinds) {
+    SCOPED_TRACE(to_string(kind));
+    const SimulationConfig config = turbulent_config(kind);
+    Simulation history(config);
+    ASSERT_TRUE(advance_to_divergent_exchange(history));
+
+    const Gcs& gcs = history.gcs();
+    const View initial{1, ProcessSet::full(config.processes)};
+    const auto clone = [&]() {
+      World world;
+      for (ProcessId p = 0; p < config.processes; ++p) {
+        Encoder enc;
+        gcs.algorithm(p).save(enc);
+        const std::vector<std::byte> bytes = enc.take();
+        Decoder dec(bytes);
+        world.push_back(make_algorithm(kind, p, initial));
+        world.back()->load(dec);
+      }
+      return world;
+    };
+    // One message round among `members`: every poll, then every delivery.
+    const auto round = [](World& world, const ProcessSet& members,
+                          bool private_copies) {
+      std::vector<std::pair<ProcessId, Message>> sent;
+      members.for_each([&](ProcessId p) {
+        if (auto out = world[p]->outgoing_message_poll(Message::empty())) {
+          sent.emplace_back(p, std::move(*out));
+        }
+      });
+      for (const auto& [sender, message] : sent) {
+        members.for_each([&](ProcessId r) {
+          (void)world[r]->incoming_message(
+              private_copies ? Message::parse(message.serialize()) : message,
+              sender);
+        });
+      }
+      return !sent.empty();
+    };
+
+    const std::vector<ProcessSet>& components = gcs.topology().components();
+    std::vector<ProcessSet> views = components;
+    for (std::size_t i = 0; i < components.size(); ++i) {
+      for (std::size_t j = i + 1; j < components.size(); ++j) {
+        views.push_back(components[i].united_with(components[j]));
+      }
+    }
+    // Plus arbitrary memberships, so some view is a subquorum of one
+    // member's history but not of another's.
+    Rng pick(mix_seed(0x5AEEDu, static_cast<std::uint64_t>(kind)));
+    while (views.size() < components.size() + 48) {
+      ProcessSet members(config.processes);
+      for (ProcessId p = 0; p < config.processes; ++p) {
+        if (pick.chance(0.4)) members.insert(p);
+      }
+      if (!members.empty()) views.push_back(std::move(members));
+    }
+    ViewId next_id = 0;
+    for (ProcessId p = 0; p < config.processes; ++p) {
+      next_id = std::max(next_id, gcs.view_of(p).id + 1);
+    }
+    for (const ProcessSet& members : views) {
+      SCOPED_TRACE("view " + members.to_string());
+      World shared = clone();
+      World copied = clone();
+      const View view{next_id, members};
+      members.for_each([&](ProcessId p) {
+        shared[p]->view_changed(view);
+        copied[p]->view_changed(view);
+      });
+      for (int r = 0; r < 8; ++r) {
+        SCOPED_TRACE("round " + std::to_string(r));
+        const bool active = round(shared, members, false);
+        EXPECT_EQ(round(copied, members, true), active);
+        std::vector<ProcessId> diverged;
+        members.for_each([&](ProcessId p) {
+          Encoder a;
+          Encoder b;
+          shared[p]->save(a);
+          copied[p]->save(b);
+          if (a.take() != b.take()) diverged.push_back(p);
+        });
+        EXPECT_EQ(diverged, std::vector<ProcessId>{});
+        if (!active) break;
+      }
+    }
+  }
+}
+
+// A restored world replays view ids.  A verdict cached in a timeline the
+// restore discarded must not be reused when its view id comes back naming
+// other members: here id k first names the majority {0..5}, which forms,
+// and after the rewind names the minority {0,1}, which must not.
+TEST(Snapshot, RewoundGcsNeverReusesADiscardedVerdict) {
+  for (AlgorithmKind kind : kSharedVerdictKinds) {
+    SCOPED_TRACE(to_string(kind));
+    Gcs rewound(kind, 8);
+    Encoder enc;
+    rewound.save(enc);
+    const std::vector<std::byte> bytes = enc.take();
+    rewound.apply_partition(0, ProcessSet(8, {6, 7}));
+    while (rewound.step_round()) {
+    }
+    ASSERT_TRUE(rewound.algorithm(0).in_primary());
+
+    Gcs fresh(kind, 8);
+    for (Gcs* gcs : {&rewound, &fresh}) {
+      Decoder dec(bytes);
+      gcs->load(dec);
+      dec.finish();
+      gcs->apply_partition(0, ProcessSet(8, {2, 3, 4, 5, 6, 7}));
+      while (gcs->step_round()) {
+      }
+    }
+    EXPECT_FALSE(rewound.algorithm(0).in_primary());
+    Encoder a;
+    Encoder b;
+    rewound.save(a);
+    fresh.save(b);
+    EXPECT_EQ(a.take(), b.take());
+  }
 }
 
 // The experiment layer built on snapshots: a cascading case cut into scout
