@@ -7,6 +7,7 @@
 //   scenario_explorer --algorithm ykd --changes 12 --rate 2 --runs 500
 //   scenario_explorer --algorithm mr1p --mode cascading --changes 6 --rate 1
 //   scenario_explorer --all --changes 6 --rate 4        (compare everyone)
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include "runner/sweep.hpp"
 #include "sim/table.hpp"
+#include "util/env.hpp"
 
 using namespace dynvote;
 
@@ -51,12 +53,23 @@ int main(int argc, char** argv) {
   bool run_all = false;
   std::size_t jobs = 0;  // 0 = DV_JOBS / hardware default
 
-  try {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::string {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
+    };
+    // Numeric values must be wholly a number of the flag's kind: "1e3",
+    // "-1" or "abc" for --runs is a usage error, not 1, 2^64-1 or 0.
+    const auto next_u64 = [&]() -> std::uint64_t {
+      const auto value = parse_u64(next());
+      if (!value.has_value()) usage(argv[0]);
+      return *value;
+    };
+    const auto next_double = [&]() -> double {
+      const auto value = parse_double(next());
+      if (!value.has_value()) usage(argv[0]);
+      return *value;
     };
     if (arg == "--algorithm") {
       const auto kind = algorithm_kind_from_string(next());
@@ -65,13 +78,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--all") {
       run_all = true;
     } else if (arg == "--processes") {
-      spec.processes = std::stoul(next());
+      spec.processes = next_u64();
     } else if (arg == "--changes") {
-      spec.changes = std::stoul(next());
+      spec.changes = next_u64();
     } else if (arg == "--rate") {
-      spec.mean_rounds = std::stod(next());
+      spec.mean_rounds = next_double();
     } else if (arg == "--runs") {
-      spec.runs = std::stoull(next());
+      spec.runs = next_u64();
     } else if (arg == "--mode") {
       const std::string mode = next();
       if (mode == "fresh") {
@@ -82,19 +95,14 @@ int main(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (arg == "--seed") {
-      spec.base_seed = std::stoull(next());
+      spec.base_seed = next_u64();
     } else if (arg == "--crash-fraction") {
-      spec.crash_fraction = std::stod(next());
+      spec.crash_fraction = next_double();
     } else if (arg == "--jobs") {
-      jobs = std::stoul(next());
+      jobs = next_u64();
     } else {
       usage(argv[0]);
     }
-  }
-  } catch (const std::invalid_argument&) {
-    usage(argv[0]);  // non-numeric value for a numeric flag
-  } catch (const std::out_of_range&) {
-    usage(argv[0]);
   }
 
   std::vector<AlgorithmKind> kinds =

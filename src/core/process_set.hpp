@@ -182,9 +182,6 @@ class ProcessSet {
   std::size_t hash() const;
 
  private:
-  /// SoA batch storage copies raw words in and out of lanes.
-  friend class ProcessSetBatch;
-
   /// Universes of up to kInlineWords * 64 ids are stored without heap
   /// allocation.
   static constexpr std::size_t kInlineWords = 2;

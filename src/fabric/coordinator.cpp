@@ -55,13 +55,9 @@ struct Unit {
   enum class State { kPending, kLeased, kDone };
 
   std::size_t case_index = 0;
-  /// Local-only: replay a cascading case emitting shard checkpoints.
-  bool scout = false;
-  /// Cascading shards: index into the case's checkpoint vector, or
-  /// SIZE_MAX for "start from scratch".
-  std::size_t checkpoint_index = SIZE_MAX;
   std::uint64_t first_run = 0;
   std::uint64_t run_count = 0;
+  /// A whole cascading case, started fresh wherever it runs.
   bool cascading = false;
   State state = State::kPending;
   std::size_t holder = kNoHolder;
@@ -75,13 +71,9 @@ struct CasePartial {
 };
 
 struct CaseProgress {
-  std::vector<std::uint64_t> boundaries;
-  std::uint64_t cascade_shard_size = 0;
-  std::vector<CascadeCheckpoint> checkpoints;
   std::vector<CasePartial> partials;
   double compute_seconds = 0.0;
   std::uint64_t finished_runs = 0;
-  bool scout_pending = false;
   bool done = false;
   std::size_t steals = 0;
   std::size_t last_holder = kNoHolder;
@@ -131,10 +123,9 @@ struct Coordinator::Impl {
   std::condition_variable drained;
   std::deque<Unit> units;               // dvlint: guarded_by(mutex)
   std::deque<std::size_t> pending;      // dvlint: guarded_by(mutex)
-  std::deque<std::size_t> scout_queue;  // dvlint: guarded_by(mutex)
   // `case_progress` is deliberately unannotated: a case's slot is touched
-  // unlocked by its exclusive holder (scout/finalize) -- the exclusivity
-  // argument lives at those sites, not in a lock.
+  // unlocked by its exclusive holder (finalize) -- the exclusivity
+  // argument lives at that site, not in a lock.
   std::vector<CaseProgress> case_progress;
   std::size_t cases_done = 0;           // dvlint: guarded_by(mutex)
   bool all_done = false;                // dvlint: guarded_by(mutex)
@@ -190,36 +181,17 @@ struct Coordinator::Impl {
     const std::size_t split_hint = std::max<std::size_t>(4, local_jobs);
     for (std::size_t i = 0; i < case_count; ++i) {
       const CaseSpec& cs = spec.cases[i].spec;
-      CaseProgress& cp = case_progress[i];
-      if (cs.runs == 0) {
-        push_unit(Unit{i, false, SIZE_MAX, 0, 0, false});
+      const bool cascading = cs.mode == RunMode::kCascading;
+      if (cascading || cs.runs == 0) {
+        // A cascading case threads one world through every run, so it
+        // travels (or runs locally) as one whole unit.
+        push_unit(Unit{i, 0, cs.runs, cascading});
         continue;
       }
       const std::uint64_t size =
           shard_size_for(cs.runs, split_hint, spec.min_shard_runs);
-      if (cs.mode == RunMode::kFreshStart) {
-        for (std::uint64_t first = 0; first < cs.runs; first += size) {
-          push_unit(Unit{i, false, SIZE_MAX, first,
-                         std::min(size, cs.runs - first), false});
-        }
-        continue;
-      }
-      // Cascading: shard through scout checkpoints when the case is big
-      // enough, the shards re-measure something the scout skips, and
-      // there is a local thread to run the scout on.  Otherwise the case
-      // travels (or runs locally) as one whole unit.
-      const bool instrumented = cs.check_invariants || cs.measure_wire_sizes;
-      if (size < cs.runs && instrumented && local_jobs > 0) {
-        cp.cascade_shard_size = size;
-        for (std::uint64_t b = size; b < cs.runs; b += size) {
-          cp.boundaries.push_back(b);
-        }
-        cp.scout_pending = true;
-        Unit scout{i, true, SIZE_MAX, 0, 0, true};
-        units.push_back(scout);
-        scout_queue.push_back(units.size() - 1);
-      } else {
-        push_unit(Unit{i, false, SIZE_MAX, 0, cs.runs, true});
+      for (std::uint64_t first = 0; first < cs.runs; first += size) {
+        push_unit(Unit{i, first, std::min(size, cs.runs - first), false});
       }
     }
   }
@@ -268,7 +240,7 @@ struct Coordinator::Impl {
       cp.compute_seconds += compute_seconds;
       cp.finished_runs += unit.run_count;
       const CaseSpec& cs = spec.cases[unit.case_index].spec;
-      if (!cp.done && !cp.scout_pending && cp.finished_runs >= cs.runs) {
+      if (!cp.done && cp.finished_runs >= cs.runs) {
         cp.done = true;
         finalize = true;
         finalize_index = unit.case_index;
@@ -334,8 +306,8 @@ struct Coordinator::Impl {
                               spec.cases.size());
   }
 
-  /// Build the lease frame for `unit_id` (scheduler lock held).  Cascade
-  /// shards carry a copy of their checkpoint snapshot.
+  /// Build the lease frame for `unit_id` (scheduler lock held).  No lease
+  /// carries a snapshot: a cascading unit is a whole case, started fresh.
   LeaseFrame lease_for_locked(std::size_t unit_id) {  // dvlint: requires_lock(mutex)
     const Unit& unit = units[unit_id];
     LeaseFrame lease;
@@ -344,11 +316,6 @@ struct Coordinator::Impl {
     lease.first_run = unit.first_run;
     lease.run_count = unit.run_count;
     lease.cascading = unit.cascading;
-    if (unit.cascading && unit.checkpoint_index != SIZE_MAX) {
-      lease.snapshot =
-          case_progress[unit.case_index].checkpoints[unit.checkpoint_index]
-              .bytes;
-    }
     return lease;
   }
 
@@ -602,23 +569,18 @@ struct Coordinator::Impl {
     disconnect(conn);
   }
 
-  /// Claim the next unit for a local executor.  Scouts first (they gate
-  /// cascade shards and only locals can run them), then the shared queue.
+  /// Claim the next unit from the shared queue for a local executor.
   // dvlint: requires_lock(mutex)
   bool claim_local(std::unique_lock<std::mutex>& lock, std::size_t holder,
                    std::size_t& out_unit) {
     for (;;) {
       if (all_done || aborting) return false;
-      if (!scout_queue.empty()) {
-        out_unit = scout_queue.front();
-        scout_queue.pop_front();
-      } else if (!pending.empty()) {
-        out_unit = pending.front();
-        pending.pop_front();
-      } else {
+      if (pending.empty()) {
         local_work.wait(lock);
         continue;
       }
+      out_unit = pending.front();
+      pending.pop_front();
       Unit& unit = units[out_unit];
       // Same lazy delete as grant(): skip ids whose unit a straggler
       // result already completed while they waited in the queue.
@@ -640,48 +602,9 @@ struct Coordinator::Impl {
       lock.unlock();
       const auto start = Clock::now();
 
-      if (unit.scout) {
-        std::vector<CascadeCheckpoint> checkpoints =
-            scout_cascading_case(cs, case_progress[unit.case_index].boundaries);
-        const double seconds = seconds_since(start);
-        lock.lock();
-        CaseProgress& cp = case_progress[unit.case_index];
-        cp.compute_seconds += seconds;
-        local_busy_seconds += seconds;
-        cp.checkpoints = std::move(checkpoints);
-        cp.scout_pending = false;
-        units[unit_id].state = Unit::State::kDone;
-        ++local_units_done;
-        // First shard starts from scratch; shard k resumes checkpoint
-        // k-1.  These are remote-eligible: the snapshots travel inside
-        // lease frames.
-        push_unit(Unit{unit.case_index, false, SIZE_MAX, 0,
-                       std::min(cp.cascade_shard_size, cs.runs), true});
-        for (std::size_t k = 0; k < cp.checkpoints.size(); ++k) {
-          const std::uint64_t first = cp.checkpoints[k].first_run;
-          push_unit(Unit{unit.case_index, false, k, first,
-                         std::min(cp.cascade_shard_size, cs.runs - first),
-                         true});
-        }
-        local_work.notify_all();
-        lock.unlock();
-        pump_grants();
-        lock.lock();
-        continue;
-      }
-
-      CaseResult shard;
-      if (unit.cascading) {
-        static const CascadeCheckpoint kScratch{};
-        const CascadeCheckpoint& from =
-            unit.checkpoint_index == SIZE_MAX
-                ? kScratch
-                : case_progress[unit.case_index]
-                      .checkpoints[unit.checkpoint_index];
-        shard = run_cascading_shard(cs, from, unit.run_count);
-      } else {
-        shard = run_case_shard(cs, unit.first_run, unit.run_count);
-      }
+      CaseResult shard =
+          unit.cascading ? run_case(cs)
+                         : run_case_shard(cs, unit.first_run, unit.run_count);
       const double seconds = seconds_since(start);
       {
         std::lock_guard<std::mutex> stats_lock(mutex);

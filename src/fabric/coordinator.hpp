@@ -19,10 +19,10 @@
 //  * duplicate results are safe by construction: shards are deterministic,
 //    so the first accepted result for a unit id is as good as any other.
 //
-// Cascading cases are scouted by the coordinator's local executors (the
-// scout snapshots then travel to workers inside lease frames); when the
-// coordinator runs with zero local threads, cascading cases are dispatched
-// as whole-case units instead.
+// A cascading case threads one world through all its runs, so it is one
+// whole-case unit, leased to a worker or run locally like any other; its
+// lease carries no snapshot, so the case starts fresh wherever it runs and
+// the invariant checker sees its whole history.
 #pragma once
 
 #include <cstdint>

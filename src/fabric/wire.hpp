@@ -16,8 +16,9 @@
 //              announces its capabilities (slots, build); the coordinator
 //              replies with the sweep's case table and timing contract
 //              (lease deadline, wanted heartbeat cadence).
-//   lease      coordinator -> worker: one work unit.  Cascading units
-//              carry the scout snapshot that seeds the shard's world.
+//   lease      coordinator -> worker: one work unit.  A cascading unit
+//              may carry a snapshot that seeds its world; without one it
+//              starts fresh (this coordinator leases cascading cases whole).
 //   result     worker -> coordinator: the unit's CaseResult, lossless.
 //   heartbeat  worker -> coordinator: liveness (silence past the timeout
 //              is how a dead worker is detected and its units re-issued).
@@ -112,8 +113,9 @@ struct LeaseFrame {
   std::uint64_t case_index = 0;
   std::uint64_t first_run = 0;
   std::uint64_t run_count = 0;
-  /// Cascading units restore `snapshot` before running; fresh-start units
-  /// ship empty bytes and seed purely from the case coordinates.
+  /// Cascading units restore `snapshot`, when present, before running;
+  /// fresh-start units ship empty bytes and seed purely from the case
+  /// coordinates.
   bool cascading = false;
   std::vector<std::byte> snapshot;
 

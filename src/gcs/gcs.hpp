@@ -151,15 +151,6 @@ class Gcs {
   /// (The invariant checker guarantees per-component agreement.)
   bool has_primary() const;
 
-  /// Replace the delivery-coin stream with a fresh one seeded by `seed`.
-  /// Used when a run adopts a shared prefix snapshot: the snapshot predates
-  /// the first delivery draw (pre-fault rounds never touch the coin), so
-  /// re-seeding with the adopting run's own derived stream makes its
-  /// subsequent draws bit-identical to a run that never adopted.  Callers
-  /// pass a child_seed()-derived value.
-  // dvlint: raw-seed(caller passes its child_seed(seed, kDeliveryStreamTag))
-  void reseed_delivery(std::uint64_t seed) { delivery_rng_ = Rng(seed); }
-
   /// Serialize the full mutable state: topology, in-flight messages, the
   /// delivery RNG, every algorithm instance (as a length-prefixed blob so
   /// framing survives algorithm changes), installed views, wire counters,

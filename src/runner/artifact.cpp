@@ -110,31 +110,6 @@ void case_json(JsonWriter& json, const CaseOutcome& outcome,
     }
     json.key("shards").value(static_cast<std::uint64_t>(outcome.shards));
     json.key("steals").value(static_cast<std::uint64_t>(outcome.steals));
-    // Batched-engine telemetry (fresh-start cases only).  Strictly
-    // volatile: batching is proven fingerprint-invisible, so none of this
-    // may enter the results document.
-    if (outcome.batch.runs > 0) {
-      const BatchTelemetry& batch = outcome.batch;
-      json.key("batch").begin_object();
-      json.key("batch_width").value(batch.batch_width);
-      json.key("prefix_hits").value(batch.prefix_hits);
-      json.key("prefix_misses").value(batch.prefix_misses);
-      const std::uint64_t started = batch.prefix_hits + batch.prefix_misses;
-      json.key("prefix_hit_rate")
-          .value(started == 0 ? 0.0
-                              : static_cast<double>(batch.prefix_hits) /
-                                    static_cast<double>(started));
-      json.key("prefix_rounds_adopted").value(batch.prefix_rounds_adopted);
-      json.key("ff_rounds_skipped").value(batch.ff_rounds_skipped);
-      const std::uint64_t population =
-          batch.runs * static_cast<std::uint64_t>(spec.processes);
-      json.key("mean_end_component_fraction")
-          .value(population == 0
-                     ? 0.0
-                     : static_cast<double>(batch.end_component_members) /
-                           static_cast<double>(population));
-      json.end_object();
-    }
   }
   json.end_object();
 }

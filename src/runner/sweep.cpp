@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <fstream>
 #include <map>
@@ -36,16 +35,6 @@ constexpr std::uint64_t kAutoShardFloor = 32;
 
 std::uint64_t shard_floor(std::uint64_t min_shard_runs) {
   return min_shard_runs == 0 ? kAutoShardFloor : min_shard_runs;
-}
-
-/// Shard sizing: enough shards to keep every worker busy with a few
-/// helpings per case, but never below the configured floor -- boundaries
-/// are a pure performance knob, results are identical for any split.
-std::uint64_t shard_size_for(std::uint64_t runs, std::size_t jobs,
-                             std::uint64_t min_shard_runs) {
-  const std::uint64_t floor = shard_floor(min_shard_runs);
-  const std::uint64_t target = runs / (static_cast<std::uint64_t>(jobs) * 4);
-  return std::max(floor, target);
 }
 
 }  // namespace
@@ -198,26 +187,11 @@ std::vector<SweepCase> availability_grid(
 
 namespace {
 
-/// A discrete unit of worker execution.  Fresh-start run chunks are NOT
-/// represented here -- they are claimed dynamically from per-case cursors,
-/// so chunk sizes adapt to how much work is left.
+/// A contiguous run range of one case claimed by a worker: a whole case
+/// (cascading, or no runs) from the unit queue, or a chunk of a fresh-start
+/// case claimed from its cursor.
 struct WorkUnit {
-  enum class Kind {
-    /// Unchecked replay of a cascading case emitting shard checkpoints.
-    kScout,
-    /// One checked run range of a cascading case (restored from its
-    /// checkpoint; the first shard starts fresh).
-    kCascadeShard,
-    /// An entire case executed serially (cascading cases too small to be
-    /// worth scouting).
-    kWholeCase,
-  };
-
-  Kind kind = Kind::kWholeCase;
   std::size_t case_index = 0;
-  /// kCascadeShard: index into the case's checkpoint vector, or SIZE_MAX
-  /// for the fresh first shard.
-  std::size_t checkpoint_index = 0;
   std::uint64_t first_run = 0;
   std::uint64_t run_count = 0;
 };
@@ -235,17 +209,10 @@ struct CaseState {
   /// Fresh-start parallel case: next unclaimed run index.
   std::uint64_t next_fresh_run = 0;  // dvlint: guarded_by(scheduler_mutex)
   bool fresh_parallel = false;
-  /// Cascading pipeline: shard boundaries the scout must checkpoint at.
-  /// boundaries/checkpoints/partials/compute_seconds are deliberately
-  /// unannotated: the serial path and finish_case touch them with the case
-  /// complete (no other worker can), not under the scheduler lock.
-  std::vector<std::uint64_t> boundaries;
-  std::uint64_t cascade_shard_size = 0;
-  std::vector<CascadeCheckpoint> checkpoints;
+  /// partials/compute_seconds are deliberately unannotated: the serial path
+  /// and finish_case touch them with the case complete (no other worker
+  /// can), not under the scheduler lock.
   std::vector<ShardPartial> partials;
-  /// Batched-engine telemetry summed over fresh-start shards; merged under
-  /// the scheduler lock alongside the partials.
-  BatchTelemetry batch;
   double compute_seconds = 0.0;
   std::uint64_t finished_runs = 0;   // dvlint: guarded_by(scheduler_mutex)
   std::size_t steals = 0;            // dvlint: guarded_by(scheduler_mutex)
@@ -330,7 +297,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
           outcome.compute_seconds;
     }
     outcome.steady_allocs_per_round = steady_allocs_per_round(outcome.spec);
-    outcome.batch = state.batch;
 
     CaseTelemetry telemetry;
     telemetry.label = case_label(spec.cases[case_index]);
@@ -357,11 +323,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
         if (obs::trace_enabled()) {
           span.emplace(case_label(spec.cases[i]), 0, spec.cases[i].spec.runs);
         }
-        const CaseSpec& cs = spec.cases[i].spec;
-        state.partials.push_back(ShardPartial{
-            0, cs.mode == RunMode::kFreshStart
-                   ? run_case_shard(cs, 0, cs.runs, &state.batch)
-                   : run_case(cs)});
+        state.partials.push_back(ShardPartial{0, run_case(spec.cases[i].spec)});
       }
       state.compute_seconds = seconds_since(start);
       DV_OBS_INC("runner.units");
@@ -382,16 +344,15 @@ SweepResult run_sweep(const SweepSpec& spec) {
 
   // --- Parallel path: a work-stealing scheduler. ---
   //
-  // Discrete units (scouts, whole cases, checkpoint-ready cascade shards)
-  // live in a shared deque; fresh-start runs are claimed as dynamically
-  // sized chunks straight from per-case cursors.  Any idle worker takes
-  // whatever is available, so a case started by one worker is finished by
-  // others (the steal counters record exactly that).
+  // Whole-case units (every cascading case, which threads one world through
+  // all its runs) live in a shared deque and go first; fresh-start runs are
+  // claimed as dynamically sized chunks straight from per-case cursors.
+  // Any idle worker takes whatever is available, so a fresh-start case
+  // started by one worker is finished by others (the steal counters record
+  // exactly that).
   std::mutex scheduler_mutex;
-  std::condition_variable work_available;
   std::deque<WorkUnit> unit_queue;  // dvlint: guarded_by(scheduler_mutex)
   std::vector<CaseState> states(case_count);
-  std::size_t active_scouts = 0;    // dvlint: guarded_by(scheduler_mutex)
   bool aborting = false;            // dvlint: guarded_by(scheduler_mutex)
 
   {
@@ -399,119 +360,63 @@ SweepResult run_sweep(const SweepSpec& spec) {
     std::lock_guard<std::mutex> lock(scheduler_mutex);
     for (std::size_t i = 0; i < case_count; ++i) {
       const CaseSpec& cs = spec.cases[i].spec;
-      CaseState& state = states[i];
-      if (cs.runs == 0) {
-        unit_queue.push_back(WorkUnit{WorkUnit::Kind::kWholeCase, i, 0, 0, 0});
-        continue;
-      }
-      if (cs.mode == RunMode::kFreshStart) {
-        state.fresh_parallel = true;
-        continue;
-      }
-      // Cascading: shard through scout checkpoints when the case is big
-      // enough to split and the shards actually measure something the scout
-      // skips (with all observability off, re-running what the scout
-      // already simulated would only add work).
-      const std::uint64_t size =
-          shard_size_for(cs.runs, jobs, spec.min_shard_runs);
-      const bool instrumented = cs.check_invariants || cs.measure_wire_sizes;
-      if (size < cs.runs && instrumented) {
-        state.cascade_shard_size = size;
-        for (std::uint64_t b = size; b < cs.runs; b += size) {
-          state.boundaries.push_back(b);
-        }
-        unit_queue.push_back(WorkUnit{WorkUnit::Kind::kScout, i, 0, 0, 0});
-        ++active_scouts;
+      if (cs.mode == RunMode::kFreshStart && cs.runs > 0) {
+        states[i].fresh_parallel = true;
       } else {
-        unit_queue.push_back(
-            WorkUnit{WorkUnit::Kind::kWholeCase, i, 0, 0, cs.runs});
+        unit_queue.push_back(WorkUnit{i, 0, cs.runs});
       }
     }
   }
 
+  // No whole case left: steal a chunk of fresh-start runs.  Chunks shrink
+  // as a case drains so stragglers stay balanced.
+  const auto claim_fresh_chunk =  // dvlint: requires_lock(scheduler_mutex)
+      [&](WorkUnit& out) -> bool {
+    for (std::size_t i = 0; i < case_count; ++i) {
+      CaseState& state = states[i];
+      const std::uint64_t runs = spec.cases[i].spec.runs;
+      if (!state.fresh_parallel || state.next_fresh_run >= runs) continue;
+      const std::uint64_t remaining = runs - state.next_fresh_run;
+      const std::uint64_t chunk = std::min(
+          remaining,
+          std::max(shard_floor(spec.min_shard_runs),
+                   remaining / (static_cast<std::uint64_t>(jobs) * 2)));
+      out = WorkUnit{i, state.next_fresh_run, chunk};
+      state.next_fresh_run += chunk;
+      return true;
+    }
+    return false;
+  };
+
   // Claim the next unit for `worker`.  Returns false when the sweep has no
   // work left (or is aborting).  Lock is held throughout.
   const auto try_claim =  // dvlint: requires_lock(scheduler_mutex)
-      [&](std::size_t worker, std::unique_lock<std::mutex>& lock,
-          WorkUnit& out) -> bool {
-    for (;;) {
-      if (aborting) return false;
-      if (!unit_queue.empty()) {
-        out = unit_queue.front();
-        unit_queue.pop_front();
-        CaseState& state = states[out.case_index];
-        if (state.last_worker != SIZE_MAX && state.last_worker != worker) {
-          ++state.steals;
-          DV_OBS_INC("runner.steals");
-        }
-        state.last_worker = worker;
-        return true;
-      }
-      // No discrete unit: steal a chunk of fresh-start runs.  Chunks
-      // shrink as a case drains so stragglers stay balanced.
-      for (std::size_t i = 0; i < case_count; ++i) {
-        CaseState& state = states[i];
-        const CaseSpec& cs = spec.cases[i].spec;
-        if (!state.fresh_parallel || state.next_fresh_run >= cs.runs) continue;
-        const std::uint64_t remaining = cs.runs - state.next_fresh_run;
-        const std::uint64_t chunk = std::min(
-            remaining,
-            std::max(shard_floor(spec.min_shard_runs),
-                     remaining / (static_cast<std::uint64_t>(jobs) * 2)));
-        out = WorkUnit{WorkUnit::Kind::kWholeCase, i, 0, state.next_fresh_run,
-                       chunk};
-        state.next_fresh_run += chunk;
-        if (state.last_worker != SIZE_MAX && state.last_worker != worker) {
-          ++state.steals;
-          DV_OBS_INC("runner.steals");
-        }
-        state.last_worker = worker;
-        return true;
-      }
-      // Nothing claimable right now; scouts still running will publish
-      // more shards, so wait for them.  Otherwise the sweep is drained.
-      if (active_scouts == 0) return false;
-      work_available.wait(lock);
+      [&](std::size_t worker, WorkUnit& out) -> bool {
+    if (aborting) return false;
+    if (!unit_queue.empty()) {
+      out = unit_queue.front();
+      unit_queue.pop_front();
+    } else if (!claim_fresh_chunk(out)) {
+      return false;
     }
+    CaseState& state = states[out.case_index];
+    if (state.last_worker != SIZE_MAX && state.last_worker != worker) {
+      ++state.steals;
+      DV_OBS_INC("runner.steals");
+    }
+    state.last_worker = worker;
+    return true;
   };
 
   const auto worker_loop = [&](std::size_t worker) {
     std::unique_lock<std::mutex> lock(scheduler_mutex);
     WorkUnit unit;
-    while (try_claim(worker, lock, unit)) {
+    while (try_claim(worker, unit)) {
       lock.unlock();
       const std::size_t i = unit.case_index;
       const CaseSpec& cs = spec.cases[i].spec;
       const auto start = Clock::now();
-
-      if (unit.kind == WorkUnit::Kind::kScout) {
-        std::vector<CascadeCheckpoint> checkpoints;
-        {
-          DV_TRACE_SPAN("scout", i, cs.runs);
-          checkpoints = scout_cascading_case(cs, states[i].boundaries);
-        }
-        const double seconds = seconds_since(start);
-        lock.lock();
-        CaseState& state = states[i];
-        state.compute_seconds += seconds;
-        state.checkpoints = std::move(checkpoints);
-        // First shard starts fresh; shard k resumes checkpoint k-1.
-        unit_queue.push_back(WorkUnit{WorkUnit::Kind::kCascadeShard, i,
-                                      SIZE_MAX, 0, state.cascade_shard_size});
-        for (std::size_t k = 0; k < state.checkpoints.size(); ++k) {
-          const std::uint64_t first = state.checkpoints[k].first_run;
-          const std::uint64_t count =
-              std::min(state.cascade_shard_size, cs.runs - first);
-          unit_queue.push_back(
-              WorkUnit{WorkUnit::Kind::kCascadeShard, i, k, first, count});
-        }
-        --active_scouts;
-        work_available.notify_all();
-        continue;  // lock stays held for the next claim
-      }
-
       CaseResult partial;
-      BatchTelemetry unit_batch;
       {
         // Case-labeled shard span (materialized only when tracing is
         // armed); the run spans emitted by the experiment layer nest
@@ -521,19 +426,9 @@ SweepResult run_sweep(const SweepSpec& spec) {
           span.emplace(case_label(spec.cases[i]), unit.first_run,
                        unit.run_count);
         }
-        if (unit.kind == WorkUnit::Kind::kCascadeShard) {
-          static const CascadeCheckpoint kFromScratch{};
-          const CascadeCheckpoint& from =
-              unit.checkpoint_index == SIZE_MAX
-                  ? kFromScratch
-                  : states[i].checkpoints[unit.checkpoint_index];
-          partial = run_cascading_shard(cs, from, unit.run_count);
-        } else if (cs.mode == RunMode::kFreshStart) {
-          partial =
-              run_case_shard(cs, unit.first_run, unit.run_count, &unit_batch);
-        } else {
-          partial = run_case(cs);
-        }
+        partial = states[i].fresh_parallel
+                      ? run_case_shard(cs, unit.first_run, unit.run_count)
+                      : run_case(cs);
       }
       const double seconds = seconds_since(start);
       DV_OBS_INC("runner.units");
@@ -542,7 +437,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
       lock.lock();
       CaseState& state = states[i];
       state.compute_seconds += seconds;
-      state.batch.merge(unit_batch);
       state.partials.push_back(ShardPartial{unit.first_run, std::move(partial)});
       state.finished_runs += unit.run_count;
       if (state.finished_runs == cs.runs) {
@@ -565,7 +459,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
             std::lock_guard<std::mutex> lock(scheduler_mutex);
             aborting = true;
           }
-          work_available.notify_all();
           throw;
         }
       });

@@ -10,14 +10,12 @@
 // vector, same histograms, same counters (the test suite asserts this for
 // every algorithm and both modes).
 //
-// Cascading cases thread one simulated world through all their runs, which
-// used to force them serial within a case.  They now pipeline through
-// simulation snapshots (sim/snapshot.hpp): a scout worker replays the
-// case's trajectory with invariant checking and wire measurement off --
-// neither affects the trajectory -- emitting a checkpoint at each shard
-// boundary, and other workers restore those checkpoints and re-run the
-// shards fully instrumented, in parallel.  Shard merges are bit-identical
-// to the serial path here too.
+// Cascading cases thread one simulated world through all their runs, so
+// each runs whole on one worker, simulated exactly once, with the invariant
+// checker seeing its whole history; sweeps parallelize across such cases.
+// Splitting one would need an unchecked replay to reach each cut (about
+// 1.8x the CPU for every replayed run) and would restart the checker's
+// primary chain at every cut (DESIGN.md section 4c).
 //
 // DV_JOBS controls the worker count (default: hardware concurrency); every
 // sweep with a name also writes a versioned JSON manifest, see artifact.hpp.
@@ -29,7 +27,6 @@
 
 #include "obs/metrics.hpp"
 #include "runner/progress.hpp"
-#include "sim/batch_driver.hpp"
 #include "sim/experiment.hpp"
 #include "util/spill_arena.hpp"
 
@@ -51,10 +48,10 @@ struct SweepSpec {
   std::vector<SweepCase> cases;
   /// Worker threads; 0 means DV_JOBS, falling back to hardware concurrency.
   std::size_t jobs = 0;
-  /// Smallest shard a case is split into -- honored for fresh-start chunks
-  /// AND cascading snapshot shards.  0 = auto (currently 32).  Shard
-  /// boundaries never affect results (merge is exact); this only bounds
-  /// scheduling and scout overhead for tiny cases.
+  /// Smallest chunk a fresh-start case is split into (cascading cases are
+  /// never split).  0 = auto (currently 32).  Chunk boundaries never affect
+  /// results (merge is exact); this only bounds scheduling overhead for
+  /// tiny cases.
   std::uint64_t min_shard_runs = 0;
   /// Progress feed; nullptr = default_progress_sink() (stderr, silenced
   /// by DV_PROGRESS=0).
@@ -66,8 +63,8 @@ struct CaseOutcome {
   std::string algorithm;
   CaseSpec spec;
   CaseResult result;
-  /// Summed worker time over this case's shards -- including any scout
-  /// replay -- i.e. its cost, regardless of how many workers shared it.
+  /// Summed worker time over this case's shards, i.e. its cost, regardless
+  /// of how many workers shared it.
   double compute_seconds = 0.0;
   double runs_per_sec = 0.0;
   /// Simulation throughput over the same compute time: message rounds and
@@ -85,12 +82,6 @@ struct CaseOutcome {
   /// Times a unit of this case was claimed by a different worker than the
   /// previous one -- scheduling telemetry, never part of the results.
   std::size_t steals = 0;
-  /// Batched-engine telemetry summed over this case's fresh-start shards
-  /// (sim/batch_driver.hpp): lockstep width, prefix-sharing hit counts,
-  /// fast-forwarded rounds.  `batch.runs == 0` for cascading cases, which
-  /// never batch.  Volatile: rendered in the manifest's volatile block
-  /// only, never part of the results fingerprint.
-  BatchTelemetry batch;
 };
 
 /// Per-connection telemetry from one fabric worker (src/fabric).  Declared

@@ -4,7 +4,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/prefix.hpp"
 #include "util/assert.hpp"
 #include "util/codec.hpp"
 #include "util/logging.hpp"
@@ -48,8 +47,7 @@ void Simulation::apply_next_fault() {
   if (config_.check_invariants) checker_.check(gcs_);
   // A fault installs views, and view_changed stages protocol traffic that
   // only surfaces at the next round's poll -- the system must be presumed
-  // active until a full round proves otherwise, or the quiet-gap
-  // fast-forward would skip the post-fault exchange.
+  // active until a full round proves otherwise.
   last_round_active_ = true;
 }
 
@@ -93,23 +91,6 @@ bool Simulation::step_event() {
       progress_.gap_drawn = true;
     }
     if (progress_.gap_remaining > 0) {
-      if (config_.fast_forward_quiet_gaps && !last_round_active_) {
-        // Quiescence is absorbing until the next fault: nothing is in
-        // flight and nobody staged a send, so every remaining gap round
-        // would deliver nothing, send nothing, and leave the state
-        // untouched -- only the round counters and the (idempotent)
-        // invariant check would move, and they move deterministically.
-        // Advance them arithmetically instead of spinning the loop.  The
-        // state was already checked when it went quiet, so note_rechecks
-        // is exact accounting.
-        const std::size_t skip = progress_.gap_remaining;
-        result.rounds_executed += skip;
-        if (gcs_.has_primary()) result.rounds_with_primary += skip;
-        if (config_.check_invariants) checker_.note_rechecks(skip);
-        fast_forwarded_rounds_ += skip;
-        progress_.gap_remaining = 0;
-        return false;
-      }
       --progress_.gap_remaining;
       count_round(result);
       return false;
@@ -164,78 +145,6 @@ std::optional<RunResult> Simulation::run_events(std::size_t max_events) {
     }
   }
   return std::nullopt;
-}
-
-bool Simulation::advance_prefix_round() {
-  DV_REQUIRE(!progress_.active,
-             "prefix rounds cannot interleave with an active run");
-  step_round();
-  return last_round_active_;
-}
-
-void Simulation::save_prefix_node(Encoder& enc) const {
-  // The GCS travels as a length-prefixed blob so the adopting side can
-  // hand it to Gcs::load in isolation; the fault model and run progress
-  // are deliberately excluded (each adopting run keeps its own).
-  Encoder gcs_state;
-  gcs_.save(gcs_state);
-  enc.put_bytes(gcs_state.take());
-  checker_.save(enc);
-  enc.put_bool(last_round_active_);
-}
-
-std::size_t Simulation::begin_run_with_prefix(const PrefixCache& prefix) {
-  DV_REQUIRE(!progress_.active && total_changes_ == 0,
-             "prefix adoption requires a freshly constructed simulation");
-  progress_ = RunProgress{};
-  progress_.active = true;
-  progress_.partial.observer_ambiguous_at_changes.reserve(
-      config_.changes_per_run);
-  if (config_.changes_per_run == 0) {
-    progress_.phase = RunProgress::Phase::kStabilizing;
-    return 0;
-  }
-  // A dry schedule stabilizes immediately; leave that to step_event, which
-  // makes the same test first.
-  if (model_->exhausted()) return 0;
-  // The single model draw the adopted rounds would have made.
-  progress_.gap_remaining = model_->next_gap();
-  progress_.gap_drawn = true;
-  const std::size_t adopt = std::min(progress_.gap_remaining, prefix.depth());
-  if (adopt == 0) return 0;
-  const PrefixCache::Node& node = prefix.node(adopt);
-  if (node.bytes.empty()) {
-    // The cached state is byte-identical to this simulation's fresh state,
-    // so adoption is pure arithmetic.  One real check writes the checker
-    // history the adopted rounds would have written (check() is
-    // idempotent); the remaining adopt-1 checks are counter bumps.
-    if (config_.check_invariants) {
-      checker_.check(gcs_);
-      checker_.note_rechecks(adopt - 1);
-    }
-  } else {
-    Decoder dec(node.bytes);
-    const std::vector<std::byte> gcs_blob = dec.get_bytes();
-    Decoder gcs_state(gcs_blob);
-    gcs_.load(gcs_state);
-    gcs_state.finish();
-    checker_.load(dec);
-    (void)dec.get_bool();  // the node's quiescence flag, applied below
-    dec.finish();
-    // The snapshot carries the spine's delivery stream.  The adopted state
-    // predates the first coin flip, so starting this run's own stream
-    // fresh here reproduces its draws bit-exactly.
-    gcs_.reseed_delivery(child_seed(config_.seed, kDeliveryStreamTag));
-  }
-  last_round_active_ = node.last_round_active;
-  progress_.partial.rounds_executed = adopt;
-  progress_.partial.rounds_with_primary = node.rounds_with_primary;
-  progress_.gap_remaining -= adopt;
-  // Re-arm the observability edge detectors, as load() does.
-  had_primary_ = node.has_primary;
-  last_ambiguous_ =
-      gcs_.algorithm(config_.observer).debug_info().ambiguous_count;
-  return adopt;
 }
 
 RunResult Simulation::run_once() {

@@ -24,8 +24,6 @@
 
 namespace dynvote {
 
-class PrefixCache;
-
 struct SimulationConfig {
   AlgorithmKind algorithm = AlgorithmKind::kYkd;
   /// When set, overrides `algorithm`: instances come from this factory
@@ -57,15 +55,6 @@ struct SimulationConfig {
   /// The process whose ambiguous-session counts are sampled (thesis: "the
   /// statistics were collected by one of the processes").
   ProcessId observer = 0;
-  /// Fast-forward fault gaps once the system is quiescent.  A round with no
-  /// delivery and no send leaves the GCS (and therefore every later quiet
-  /// round) bit-identical -- only the round counters and the invariant
-  /// checker's check count move, and those move deterministically.  With
-  /// this flag the driver advances them arithmetically instead of spinning
-  /// the message loop, producing bit-identical RunResults in a fraction of
-  /// the wall time.  Off by default so the legacy event-for-event loop
-  /// remains available as a control (DV_BATCH=1).
-  bool fast_forward_quiet_gaps = false;
 };
 
 struct RunResult {
@@ -131,32 +120,6 @@ class Simulation {
   /// True while a run started by run_events is paused mid-run.
   bool run_in_progress() const { return progress_.active; }
 
-  /// Begin this simulation's first run by adopting a node from a shared
-  /// prefix cache instead of re-simulating the pre-fault rounds.  Draws the
-  /// run's first gap (the one model draw those rounds would have made),
-  /// restores the cached state for min(gap, cache depth) rounds, and leaves
-  /// the run active for run_events()/run_once() to continue.  Requires a
-  /// freshly constructed simulation whose config matches the cache's; the
-  /// produced RunResult is bit-identical to a plain run.  Returns the
-  /// number of rounds adopted from the cache (0 = no adoption: zero gap, an
-  /// exhausted schedule, or changes_per_run == 0).
-  std::size_t begin_run_with_prefix(const PrefixCache& prefix);
-
-  /// One raw message round plus the invariant check, outside any run.
-  /// Returns true if the round was active (any delivery or send).  Used by
-  /// the prefix spine builder only: the pre-fault rounds draw no RNG, so a
-  /// single spine simulation can stand in for every run of a case.
-  bool advance_prefix_round();
-
-  /// Serialize exactly the state a prefix node must carry: the GCS, the
-  /// checker history, and the quiescence flag.  The fault model and run
-  /// progress are deliberately excluded -- each adopting run keeps its own.
-  void save_prefix_node(Encoder& enc) const;
-
-  /// Rounds skipped by the quiet-gap fast-forward so far (telemetry only;
-  /// the skipped rounds are still counted in RunResult::rounds_executed).
-  std::uint64_t fast_forwarded_rounds() const { return fast_forwarded_rounds_; }
-
   const SimulationConfig& config() const { return config_; }
   const Gcs& gcs() const { return gcs_; }
   Gcs& gcs() { return gcs_; }
@@ -194,8 +157,6 @@ class Simulation {
   // load, never results-affecting.
   bool had_primary_ = true;  // dvlint: transient(recomputed from gcs on load)
   std::size_t last_ambiguous_ = 0;  // dvlint: transient(trace edge detector)
-  // Telemetry only: every skipped round is still counted in the RunResult.
-  std::uint64_t fast_forwarded_rounds_ = 0;  // dvlint: transient(telemetry)
 };
 
 }  // namespace dynvote

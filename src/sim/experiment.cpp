@@ -1,12 +1,10 @@
 #include "sim/experiment.hpp"
 
 #include <bit>
-#include <memory>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/batch_driver.hpp"
 #include "sim/driver.hpp"
 #include "sim/snapshot.hpp"
 #include "util/assert.hpp"
@@ -107,78 +105,28 @@ std::uint64_t shard_seed(const CaseSpec& spec, std::uint64_t run_index) {
                   rate_key(spec.mean_rounds), run_index);
 }
 
-/// DV_BATCH: lanes the batched engine advances in lockstep.  1 selects the
-/// legacy one-run-at-a-time loop (the bit-identity control); the default 8
-/// keeps the reorder buffer and the SoA batch lanes small while hiding the
-/// per-run setup cost.
-std::size_t batch_width_from_env() {
-  const std::uint64_t width = env_u64("DV_BATCH", 8);
-  if (width <= 1) return 1;
-  return static_cast<std::size_t>(width > 64 ? 64 : width);
-}
-
 }  // namespace
 
 CaseResult run_case_shard(const CaseSpec& spec, std::uint64_t first_run,
-                          std::uint64_t count, BatchTelemetry* telemetry) {
+                          std::uint64_t count) {
   DV_REQUIRE(spec.mode == RunMode::kFreshStart,
              "only fresh-start cases shard; cascading runs share one world");
-  const std::size_t width = batch_width_from_env();
   CaseResult result;
   result.success_per_run.reserve(count);
-
-  if (width <= 1) {
-    // The legacy event-for-event loop, kept verbatim as the control the
-    // batch-parity checks compare against.
-    for (std::uint64_t i = first_run; i < first_run + count; ++i) {
-      Simulation sim(config_for(spec, shard_seed(spec, i)));
-      RunResult run;
-      {
-        DV_TRACE_SPAN("run", i, spec.processes);
-        run = sim.run_once();
-      }
-      note_run_observed(spec, i, run);
-      result.record(std::move(run));
-      WireStats prev_wire;
-      std::uint64_t prev_checks = 0;
-      std::uint64_t prev_deliveries = 0;
-      fold_run_counters(result, sim, prev_wire, prev_checks, prev_deliveries);
+  for (std::uint64_t i = first_run; i < first_run + count; ++i) {
+    Simulation sim(config_for(spec, shard_seed(spec, i)));
+    RunResult run;
+    {
+      DV_TRACE_SPAN("run", i, spec.processes);
+      run = sim.run_once();
     }
-    if (telemetry) {
-      BatchTelemetry serial;
-      serial.batch_width = 1;
-      serial.runs = count;
-      telemetry->merge(serial);
-    }
-    return result;
+    note_run_observed(spec, i, run);
+    result.record(std::move(run));
+    WireStats prev_wire;
+    std::uint64_t prev_checks = 0;
+    std::uint64_t prev_deliveries = 0;
+    fold_run_counters(result, sim, prev_wire, prev_checks, prev_deliveries);
   }
-
-  // Batched engine: one shared prefix spine per shard, K lanes in
-  // lockstep, results retired in run order so the aggregation below is
-  // fold-for-fold the serial loop.
-  SimulationConfig spine_config = config_for(spec, shard_seed(spec, first_run));
-  spine_config.fast_forward_quiet_gaps = true;
-  const PrefixCache prefix(spine_config);
-
-  const auto make_simulation = [&](std::uint64_t run_index) {
-    SimulationConfig config = config_for(spec, shard_seed(spec, run_index));
-    config.fast_forward_quiet_gaps = true;
-    return std::make_unique<Simulation>(config);
-  };
-  const auto retire = [&](const BatchDriver::RunRecord& record) {
-    note_run_observed(spec, record.run_index, record.result);
-    result.record(record.result);
-    // Fresh-start runs fold against zero baselines, so the record's
-    // cumulative counters ARE the per-run deltas (fold_run_counters with
-    // zero prevs, inlined).
-    result.wire.merge(record.wire);
-    result.invariant_checks += record.invariant_checks;
-    result.total_deliveries += record.deliveries;
-    DV_OBS_ADD("sim.deliveries", record.deliveries);
-  };
-  const BatchTelemetry shard_telemetry = BatchDriver::run(
-      first_run, count, width, prefix, make_simulation, retire);
-  if (telemetry) telemetry->merge(shard_telemetry);
   return result;
 }
 

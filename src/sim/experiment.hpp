@@ -16,8 +16,6 @@
 
 namespace dynvote {
 
-struct BatchTelemetry;
-
 enum class RunMode {
   /// Each run begins brand-new in the original state (Figures 4-1..4-3).
   kFreshStart,
@@ -57,16 +55,8 @@ CaseResult run_case(const CaseSpec& spec);
 /// `CaseResult::merge`-ing them in index order is bit-identical to the
 /// serial `run_case` -- this is the unit the parallel sweep runner fans
 /// out.  `spec.runs` is ignored in favor of the explicit range.
-///
-/// DV_BATCH (default 8) selects the engine: width 1 is the legacy
-/// one-run-at-a-time event loop; width K > 1 advances K runs in lockstep
-/// through the batched engine (sim/batch_driver.hpp) with prefix sharing
-/// and quiet-gap fast-forwarding.  The returned CaseResult is bit-identical
-/// either way.  When `telemetry` is non-null the shard's BatchTelemetry is
-/// merged into it (volatile: never part of the results).
 CaseResult run_case_shard(const CaseSpec& spec, std::uint64_t first_run,
-                          std::uint64_t count,
-                          BatchTelemetry* telemetry = nullptr);
+                          std::uint64_t count);
 
 /// A resumption point inside a cascading case: the simulation state after
 /// runs [0, first_run) completed, as versioned snapshot bytes
@@ -84,8 +74,10 @@ struct CascadeCheckpoint {
 /// `boundaries` must be strictly increasing, non-empty, and start above 0.
 /// The returned checkpoints restore into fully-instrumented simulations
 /// (the snapshot envelope's config hash deliberately excludes the
-/// observability flags), which is what lets one cascading case's runs be
-/// re-simulated in parallel shards with full checking.
+/// observability flags).  They carry no checker history, so a shard
+/// restored from one checks the primary chain afresh from its first run;
+/// the sweep runner therefore never splits a cascading case, and the scout
+/// serves tools that cut one into restorable pieces.
 std::vector<CascadeCheckpoint> scout_cascading_case(
     const CaseSpec& spec, const std::vector<std::uint64_t>& boundaries);
 

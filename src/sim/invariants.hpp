@@ -45,14 +45,6 @@ class InvariantChecker {
 
   std::uint64_t checks_performed() const { return checks_; }
 
-  /// Account `n` further checks of a state that was already checked and has
-  /// not changed since.  check() is idempotent on identical GCS state (the
-  /// history writes re-store the same values), so re-running it would move
-  /// nothing but the counter -- the prefix fast-forward uses this to skip
-  /// quiescent rounds while keeping `checks_performed` bit-identical to a
-  /// run that executed them.
-  void note_rechecks(std::uint64_t n) { checks_ += n; }
-
   void save(Encoder& enc) const;
   void load(Decoder& dec);
 

@@ -24,6 +24,46 @@ void warn_out_of_range(const char* name, const std::string& raw,
                                        << "\"; using " << fallback_text);
 }
 
+/// Why a strict parse rejected its text: a syntax error, or a number the
+/// target type cannot hold (the env knobs warn differently for each).
+enum class Parse { kOk, kMalformed, kOutOfRange };
+
+Parse strict_u64(const std::string& text, std::uint64_t& out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0') return Parse::kMalformed;
+  // A negative number parses (strtoull wraps it) and an over-wide one
+  // saturates with ERANGE; both are values an unsigned cannot hold, not
+  // syntax errors.  strtoull skips leading whitespace before the sign, so
+  // scan past it the same way before looking for '-'.
+  const char* first = text.c_str();
+  while (std::isspace(static_cast<unsigned char>(*first)) != 0) ++first;
+  if (*first == '-' || errno == ERANGE) return Parse::kOutOfRange;
+  out = static_cast<std::uint64_t>(value);
+  return Parse::kOk;
+}
+
+Parse strict_double(const std::string& text, double& out) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0') return Parse::kMalformed;
+  // Overflow to +/-inf (and an inf or nan literal) is out-of-range;
+  // gradual underflow toward zero is a representable (if imprecise) value.
+  if (!std::isfinite(value)) return Parse::kOutOfRange;
+  out = value;
+  return Parse::kOk;
+}
+
+void warn_rejected(Parse status, const char* name, const std::string& raw,
+                   const std::string& fallback_text) {
+  if (status == Parse::kMalformed) {
+    warn_malformed(name, raw, fallback_text);
+  } else {
+    warn_out_of_range(name, raw, fallback_text);
+  }
+}
+
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
@@ -38,47 +78,36 @@ std::optional<std::string> env_string(const char* name) {
   return std::string(raw);
 }
 
+std::optional<std::uint64_t> parse_u64(const std::string& text) {
+  std::uint64_t value = 0;
+  if (strict_u64(text, value) != Parse::kOk) return std::nullopt;
+  return value;
+}
+
+std::optional<double> parse_double(const std::string& text) {
+  double value = 0.0;
+  if (strict_double(text, value) != Parse::kOk) return std::nullopt;
+  return value;
+}
+
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const auto raw = env_string(name);
   if (!raw.has_value()) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(raw->c_str(), &end, 10);
-  if (end == raw->c_str() || *end != '\0') {
-    warn_malformed(name, *raw, std::to_string(fallback));
-    return fallback;
-  }
-  // A negative number parses (strtoull wraps it) and an over-wide one
-  // saturates with ERANGE; both are values the variable cannot hold, not
-  // syntax errors -- surface them as out-of-range instead of applying a
-  // silently wrapped/clamped number.  strtoull skips leading whitespace
-  // before the sign, so scan past it the same way before looking for '-'.
-  const char* first = raw->c_str();
-  while (std::isspace(static_cast<unsigned char>(*first)) != 0) ++first;
-  if (*first == '-' || errno == ERANGE) {
-    warn_out_of_range(name, *raw, std::to_string(fallback));
-    return fallback;
-  }
-  return static_cast<std::uint64_t>(value);
+  std::uint64_t value = 0;
+  const Parse status = strict_u64(*raw, value);
+  if (status == Parse::kOk) return value;
+  warn_rejected(status, name, *raw, std::to_string(fallback));
+  return fallback;
 }
 
 double env_double(const char* name, double fallback) {
   const auto raw = env_string(name);
   if (!raw.has_value()) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(raw->c_str(), &end);
-  if (end == raw->c_str() || *end != '\0') {
-    warn_malformed(name, *raw, std::to_string(fallback));
-    return fallback;
-  }
-  // Overflow to +/-inf is out-of-range; gradual underflow toward zero is
-  // a representable (if imprecise) value and passes through.
-  if (errno == ERANGE && std::isinf(value)) {
-    warn_out_of_range(name, *raw, std::to_string(fallback));
-    return fallback;
-  }
-  return value;
+  double value = 0.0;
+  const Parse status = strict_double(*raw, value);
+  if (status == Parse::kOk) return value;
+  warn_rejected(status, name, *raw, std::to_string(fallback));
+  return fallback;
 }
 
 bool env_flag(const char* name, bool fallback) {

@@ -13,6 +13,18 @@
 
 namespace dynvote {
 
+/// Strict unsigned parse: the whole of `text` must be a decimal integer
+/// (leading whitespace and a '+' are accepted, as strtoull does) that fits
+/// in 64 bits.  Trailing characters ("1e3", "12x4"), a '-' sign (which
+/// strtoull would silently wrap) and overflow give nullopt.  The DV_* knobs
+/// and the command-line tools' numeric flags all parse through this.
+std::optional<std::uint64_t> parse_u64(const std::string& text);
+
+/// Strict floating-point parse: the whole of `text` must be a number that
+/// is finite as a double.  Trailing characters, inf/nan and overflow give
+/// nullopt; gradual underflow toward zero is a value and passes.
+std::optional<double> parse_double(const std::string& text);
+
 /// Raw lookup: the variable's value, or nullopt when unset/empty.
 std::optional<std::string> env_string(const char* name);
 

@@ -1,13 +1,44 @@
 // Shared DV_* environment parsing: well-formed values apply, malformed
 // values fall back (with a warning) instead of being silently ignored.
+// The strict number parsers underneath are shared with the command-line
+// tools' numeric flags.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 
 #include "util/env.hpp"
 
 namespace dynvote {
 namespace {
+
+TEST(ParseNumber, U64TakesOnlyAWholeUnsignedNumber) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("400"), 400u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_u64(" 7"), 7u);  // leading whitespace, as strtoull skips
+  EXPECT_EQ(parse_u64("+7"), 7u);
+  // "1e3" is not 1, "-1" is not 2^64-1, and "abc" is not 0.
+  for (const char* bad : {"", " ", "abc", "1e3", "12x4", "7 ", "0x10", "2,3",
+                          "-1", " -5", "-0", "18446744073709551616",
+                          "99999999999999999999999999"}) {
+    EXPECT_FALSE(parse_u64(bad).has_value()) << '"' << bad << '"';
+  }
+}
+
+TEST(ParseNumber, DoubleTakesOnlyAWholeFiniteNumber) {
+  EXPECT_EQ(parse_double("2"), 2.0);
+  EXPECT_EQ(parse_double("-0.25"), -0.25);
+  EXPECT_EQ(parse_double("1e3"), 1000.0);
+  // Gradual underflow is a representable value.
+  const auto tiny = parse_double("1e-320");
+  ASSERT_TRUE(tiny.has_value());
+  EXPECT_GT(*tiny, 0.0);
+  for (const char* bad : {"", "x", "2.5qq", "2,x", "4 ", "1e999", "-1e999",
+                          "inf", "-inf", "nan"}) {
+    EXPECT_FALSE(parse_double(bad).has_value()) << '"' << bad << '"';
+  }
+}
 
 class EnvTest : public ::testing::Test {
  protected:

@@ -55,7 +55,7 @@ CaseSpec small_case(RunMode mode, AlgorithmKind kind = AlgorithmKind::kYkd) {
 
 SweepSpec small_sweep() {
   SweepSpec spec;
-  spec.min_shard_runs = 8;  // force several shards per case
+  spec.min_shard_runs = 8;  // force several shards per fresh-start case
   SweepCase fresh;
   fresh.spec = small_case(RunMode::kFreshStart);
   spec.cases.push_back(fresh);
@@ -65,6 +65,15 @@ SweepSpec small_sweep() {
   SweepCase other;
   other.spec = small_case(RunMode::kFreshStart, AlgorithmKind::kOnePending);
   spec.cases.push_back(other);
+  return spec;
+}
+
+/// small_sweep() with enough work that a coordinator's one local thread
+/// cannot drain it alone before remote workers finish their handshake, for
+/// tests that need the workers to receive leases.
+SweepSpec shared_pool_sweep() {
+  SweepSpec spec = small_sweep();
+  for (SweepCase& c : spec.cases) c.spec.runs *= 8;
   return spec;
 }
 
@@ -151,20 +160,20 @@ TEST(FabricWire, HeartbeatStealShutdownRoundTrip) {
   HeartbeatFrame beat;
   beat.inflight = 3;
   beat.busy_seconds = 2.5;
-  const auto& got_beat =
+  const HeartbeatFrame got_beat =
       std::get<HeartbeatFrame>(decode_frame(encode_frame(Frame{beat})));
   EXPECT_EQ(got_beat.inflight, 3u);
   EXPECT_EQ(got_beat.busy_seconds, 2.5);
 
   StealFrame steal;
   steal.want = 6;
-  const auto& got_steal =
+  const StealFrame got_steal =
       std::get<StealFrame>(decode_frame(encode_frame(Frame{steal})));
   EXPECT_EQ(got_steal.want, 6u);
 
   ShutdownFrame bye;
   bye.reason = "sweep drained";
-  const auto& got_bye =
+  const ShutdownFrame got_bye =
       std::get<ShutdownFrame>(decode_frame(encode_frame(Frame{bye})));
   EXPECT_EQ(got_bye.reason, "sweep drained");
 }
@@ -176,13 +185,13 @@ TEST(FabricWire, HeartbeatBusySecondsIsVersionGated) {
 
   // A v1 peer neither writes nor reads the v2 field.
   const std::vector<std::byte> v1 = encode_frame(Frame{beat}, 1);
-  const auto& from_v1 = std::get<HeartbeatFrame>(decode_frame(v1));
+  const HeartbeatFrame from_v1 = std::get<HeartbeatFrame>(decode_frame(v1));
   EXPECT_EQ(from_v1.inflight, 2u);
   EXPECT_EQ(from_v1.busy_seconds, 0.0);
 
   const std::vector<std::byte> v2 = encode_frame(Frame{beat}, 2);
   EXPECT_GT(v2.size(), v1.size());
-  const auto& from_v2 = std::get<HeartbeatFrame>(decode_frame(v2));
+  const HeartbeatFrame from_v2 = std::get<HeartbeatFrame>(decode_frame(v2));
   EXPECT_EQ(from_v2.busy_seconds, 9.75);
 }
 
@@ -317,7 +326,7 @@ class WorkerThread {
 };
 
 TEST(FabricSystem, TwoWorkerSweepMatchesInProcessFingerprint) {
-  SweepSpec spec = small_sweep();
+  SweepSpec spec = shared_pool_sweep();
   NullProgress quiet;
   spec.progress = &quiet;
 
@@ -326,7 +335,7 @@ TEST(FabricSystem, TwoWorkerSweepMatchesInProcessFingerprint) {
   const SweepResult expected = run_sweep(serial);
 
   CoordinatorOptions options;
-  options.local_jobs = 1;  // scouts cascading cases; shares the unit pool
+  options.local_jobs = 1;  // shares the unit pool with the workers
   options.heartbeat_ms = 100;
   Coordinator coordinator(spec, options);
 
@@ -346,6 +355,9 @@ TEST(FabricSystem, TwoWorkerSweepMatchesInProcessFingerprint) {
             manifest_results_json(spec, expected));
   EXPECT_EQ(results_fingerprint(spec, distributed),
             results_fingerprint(spec, expected));
+  // The cascading case is leased whole, like the in-process runner runs it.
+  EXPECT_EQ(distributed.cases[1].shards, 1u);
+  EXPECT_GT(distributed.cases[0].shards, 1u);
 
   EXPECT_TRUE(distributed.fabric.used);
   EXPECT_EQ(distributed.fabric.workers_connected, 2u);
@@ -371,7 +383,7 @@ TEST(FabricSystem, TwoWorkerSweepMatchesInProcessFingerprint) {
 }
 
 TEST(FabricSystem, SilentWorkerDeathTriggersReissueWithIdenticalResults) {
-  SweepSpec spec = small_sweep();
+  SweepSpec spec = shared_pool_sweep();
   NullProgress quiet;
   spec.progress = &quiet;
 

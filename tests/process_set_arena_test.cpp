@@ -1,6 +1,7 @@
 // ProcessSet's spill path under the freelist arena, probed exactly at the
 // SBO boundary: N=128 is the last inline universe, N=129 the first spilled
-// one, and N=256/257 the two-words-past cases the batched engine sweeps.
+// one, and N=256/257 the two-words-past cases the zero-alloc guarantee
+// ends at.
 // Verifies the set algebra and the wire format are representation-blind,
 // that warmed-up spill churn performs zero heap allocations (the counting
 // allocator is linked), and reports the arena's peak-bytes high-water mark.

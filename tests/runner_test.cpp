@@ -218,19 +218,29 @@ TEST(Sweep, SevenFigureSweepsIdenticalManifestsAcrossJobs) {
   }
 }
 
-// The min_shard_runs knob is honored in BOTH modes (it used to be silently
-// ignored for cascading cases): with runs=40, jobs=4 and a floor of 8 a
-// case executes as five 8-run shards; a floor above the run count keeps
-// the case whole.  Either way the merged result is the serial one.
-TEST(Sweep, MinShardRunsHonoredForBothModes) {
+std::uint64_t counter_value(const obs::MetricsSnapshot& metrics,
+                            const std::string& name) {
+  for (const auto& [counter, value] : metrics.counters) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
+// The min_shard_runs knob bounds fresh-start chunks: with runs=40, jobs=4
+// and a floor of 8 a fresh-start case executes as five 8-run shards, and a
+// floor above the run count keeps it whole.  A cascading case is never
+// split, whatever the floor.  Either way the merged result is the serial
+// one.
+TEST(Sweep, MinShardRunsSplitsFreshStartCasesOnly) {
   for (RunMode mode : {RunMode::kFreshStart, RunMode::kCascading}) {
     SweepCase c;
     c.spec = small_case(AlgorithmKind::kYkd, mode);
     c.spec.measure_wire_sizes = true;
     const CaseResult serial = run_case(c.spec);
+    const std::size_t split = mode == RunMode::kFreshStart ? 5 : 1;
 
     for (const auto& [min_shard, want_shards] :
-         {std::pair<std::uint64_t, std::size_t>{8, 5},
+         {std::pair<std::uint64_t, std::size_t>{8, split},
           std::pair<std::uint64_t, std::size_t>{100, 1}}) {
       SCOPED_TRACE(std::string(to_string(mode)) + " min_shard=" +
                    std::to_string(min_shard));
@@ -245,6 +255,32 @@ TEST(Sweep, MinShardRunsHonoredForBothModes) {
       expect_identical(swept.cases[0].result, serial);
     }
   }
+}
+
+// A cascading case threads one world through all its runs, so even a case
+// big enough to split four ways on four workers runs whole: one shard, and
+// the sweep simulates each of its rounds exactly once -- no replay adds
+// rounds of its own to the sweep's round counter.
+TEST(Sweep, CascadingCaseSimulatesEachRoundOnce) {
+  constexpr std::uint64_t kMinShard = 8;
+  SweepCase c;
+  c.spec = small_case(AlgorithmKind::kYkd, RunMode::kCascading);
+  c.spec.runs = 4 * kMinShard;
+  SweepSpec sweep;
+  sweep.jobs = 4;
+  sweep.min_shard_runs = kMinShard;
+  NullProgress quiet;
+  sweep.progress = &quiet;
+  sweep.cases = {c};
+
+  const SweepResult swept = run_sweep(sweep);
+  ASSERT_EQ(swept.cases.size(), 1u);
+  const CaseOutcome& outcome = swept.cases[0];
+  EXPECT_EQ(outcome.shards, 1u);
+  EXPECT_GT(outcome.result.total_rounds, 0u);
+  EXPECT_EQ(counter_value(swept.metrics, "sim.rounds"),
+            outcome.result.total_rounds);
+  expect_identical(outcome.result, run_case(c.spec));
 }
 
 // Work stealing: pin one case that dwarfs the rest and force tiny shards;
@@ -281,14 +317,6 @@ TEST(Sweep, WorkStealingDrainsTheSlowCase) {
     SCOPED_TRACE(outcome.algorithm);
     expect_identical(outcome.result, run_case(outcome.spec));
   }
-}
-
-std::uint64_t counter_value(const obs::MetricsSnapshot& metrics,
-                            const std::string& name) {
-  for (const auto& [counter, value] : metrics.counters) {
-    if (counter == name) return value;
-  }
-  return 0;
 }
 
 // The allocation probe's world depends only on (algorithm, processes), so a

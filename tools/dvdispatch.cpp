@@ -35,12 +35,18 @@
 //                      (coordinator/local roles; equivalent to DV_TRACE=1
 //                      with DV_TRACE_OUT=FILE -- analyze with dvtrace)
 //
+// Numeric values are parsed strictly: a value that is not wholly a number
+// the option can hold ("abc", "-5", "1e3", "2,x" in a list) is a usage
+// error.
+//
 // Exit codes: 0 success/clean shutdown, 2 usage or connection failure,
 // 3 worker died via --die-after-units (a test hook, not an error).
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -75,6 +81,35 @@ std::vector<std::string> split_commas(const std::string& value) {
     begin = comma + 1;
   }
   return parts;
+}
+
+/// Parse a numeric option's value into `out`; false (after naming the
+/// option and the bad value) when the value is missing or not a whole
+/// number `out` can hold.
+template <typename Unsigned>
+bool read_uint(const std::string& option, const char* text, Unsigned& out) {
+  if (text == nullptr) return false;
+  const std::optional<std::uint64_t> value = parse_u64(text);
+  if (!value.has_value() || *value > std::numeric_limits<Unsigned>::max()) {
+    std::cerr << "dvdispatch: " << option << " needs a whole number up to "
+              << std::numeric_limits<Unsigned>::max() << ", got '" << text
+              << "'\n";
+    return false;
+  }
+  out = static_cast<Unsigned>(*value);
+  return true;
+}
+
+bool read_double(const std::string& option, const char* text, double& out) {
+  if (text == nullptr) return false;
+  const std::optional<double> value = parse_double(text);
+  if (!value.has_value()) {
+    std::cerr << "dvdispatch: " << option << " needs a finite number, got '"
+              << text << "'\n";
+    return false;
+  }
+  out = *value;
+  return true;
 }
 
 struct Cli {
@@ -117,20 +152,15 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
       cli.role = Cli::Role::kWorker;
       cli.worker_target = value;
     } else if (arg == "--port") {
-      if ((value = need_value(i)) == nullptr) return false;
-      cli.port = static_cast<std::uint16_t>(std::strtoul(value, nullptr, 10));
+      if (!read_uint(arg, need_value(i), cli.port)) return false;
     } else if (arg == "--local-jobs") {
-      if ((value = need_value(i)) == nullptr) return false;
-      cli.local_jobs = std::strtoull(value, nullptr, 10);
+      if (!read_uint(arg, need_value(i), cli.local_jobs)) return false;
     } else if (arg == "--lease-ms") {
-      if ((value = need_value(i)) == nullptr) return false;
-      cli.lease_ms = std::strtoull(value, nullptr, 10);
+      if (!read_uint(arg, need_value(i), cli.lease_ms)) return false;
     } else if (arg == "--slots") {
-      if ((value = need_value(i)) == nullptr) return false;
-      cli.slots = std::strtoull(value, nullptr, 10);
+      if (!read_uint(arg, need_value(i), cli.slots)) return false;
     } else if (arg == "--die-after-units") {
-      if ((value = need_value(i)) == nullptr) return false;
-      cli.die_after_units = std::strtoull(value, nullptr, 10);
+      if (!read_uint(arg, need_value(i), cli.die_after_units)) return false;
     } else if (arg == "--name") {
       if ((value = need_value(i)) == nullptr) return false;
       cli.name = value;
@@ -148,21 +178,18 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
       if ((value = need_value(i)) == nullptr) return false;
       cli.rates.clear();
       for (const std::string& part : split_commas(value)) {
-        cli.rates.push_back(std::strtod(part.c_str(), nullptr));
+        if (!read_double(arg, part.c_str(), cli.rates.emplace_back())) {
+          return false;
+        }
       }
     } else if (arg == "--changes") {
-      if ((value = need_value(i)) == nullptr) return false;
-      cli.changes = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
+      if (!read_uint(arg, need_value(i), cli.changes)) return false;
     } else if (arg == "--processes") {
-      if ((value = need_value(i)) == nullptr) return false;
-      cli.processes =
-          static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
+      if (!read_uint(arg, need_value(i), cli.processes)) return false;
     } else if (arg == "--runs") {
-      if ((value = need_value(i)) == nullptr) return false;
-      cli.runs = std::strtoull(value, nullptr, 10);
+      if (!read_uint(arg, need_value(i), cli.runs)) return false;
     } else if (arg == "--seed") {
-      if ((value = need_value(i)) == nullptr) return false;
-      cli.seed = std::strtoull(value, nullptr, 10);
+      if (!read_uint(arg, need_value(i), cli.seed)) return false;
     } else if (arg == "--mode") {
       if ((value = need_value(i)) == nullptr) return false;
       const std::string mode = value;
@@ -173,8 +200,7 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
         return false;
       }
     } else if (arg == "--min-shard-runs") {
-      if ((value = need_value(i)) == nullptr) return false;
-      cli.min_shard_runs = std::strtoull(value, nullptr, 10);
+      if (!read_uint(arg, need_value(i), cli.min_shard_runs)) return false;
     } else if (arg == "--model") {
       if ((value = need_value(i)) == nullptr) return false;
       const auto kind = fault_model_kind_from_string(value);
@@ -184,14 +210,18 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
       }
       cli.fault_model.kind = *kind;
     } else if (arg == "--wake-bias") {
-      if ((value = need_value(i)) == nullptr) return false;
-      cli.fault_model.wake_bias = std::strtod(value, nullptr);
+      if (!read_double(arg, need_value(i), cli.fault_model.wake_bias)) {
+        return false;
+      }
     } else if (arg == "--repair-capacity") {
-      if ((value = need_value(i)) == nullptr) return false;
-      cli.fault_model.repair_capacity = std::strtoull(value, nullptr, 10);
+      if (!read_uint(arg, need_value(i), cli.fault_model.repair_capacity)) {
+        return false;
+      }
     } else if (arg == "--repair-mean") {
-      if ((value = need_value(i)) == nullptr) return false;
-      cli.fault_model.repair_mean_rounds = std::strtod(value, nullptr);
+      if (!read_double(arg, need_value(i),
+                       cli.fault_model.repair_mean_rounds)) {
+        return false;
+      }
     } else if (arg == "--trace") {
       if ((value = need_value(i)) == nullptr) return false;
       std::ifstream in(value, std::ios::binary);
@@ -289,15 +319,15 @@ int run_coordinator(const Cli& cli) {
 }
 
 int run_worker_role(const Cli& cli) {
+  fabric::WorkerOptions options;
   const std::size_t colon = cli.worker_target.rfind(':');
-  if (colon == std::string::npos) {
+  if (colon == std::string::npos ||
+      !read_uint("--worker", cli.worker_target.c_str() + colon + 1,
+                 options.port)) {
     std::cerr << "dvdispatch: --worker expects HOST:PORT\n";
     return 2;
   }
-  fabric::WorkerOptions options;
   options.host = cli.worker_target.substr(0, colon);
-  options.port = static_cast<std::uint16_t>(
-      std::strtoul(cli.worker_target.c_str() + colon + 1, nullptr, 10));
   if (options.port == 0) {
     options.port =
         static_cast<std::uint16_t>(env_u64("DV_FABRIC_PORT", 7717));

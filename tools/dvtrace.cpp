@@ -93,7 +93,7 @@ std::string algorithm_of(std::string_view label) {
 }
 
 /// Case labels contain spaces ("ykd p=64 c=6 r=4 fresh"); structural span
-/// names ("run", "scout", "case", ...) do not carry coordinates.  A span
+/// names ("run", "case", ...) do not carry coordinates.  A span
 /// whose name contains "p=" is a case span.
 bool is_case_label(std::string_view name) {
   return name.find("p=") != std::string_view::npos;
