@@ -1,28 +1,27 @@
 // The sweep fabric coordinator.
 //
-// Owns a sweep end to end: binds a TCP port, splits every case into work
-// units up front (the same split policy for any worker population, since
-// shard boundaries never affect merged results), leases units to workers
-// that connect, and merges their shard results in run order -- producing
-// the exact `results_fingerprint` a single-process `run_sweep` of the same
-// spec produces.  Local executor threads share the unit pool with remote
-// workers, so with no workers connected a coordinator behaves like a plain
-// in-process sweep; with workers, placement is just scheduling.
+// Owns a sweep end to end: binds a TCP port, leases work units to workers
+// that connect, and runs units on executor threads of its own.  Every
+// scheduling decision -- the split, claims, first-result-wins acceptance,
+// the run-order merge -- lives in the runner's UnitBoard (runner/sweep.hpp),
+// the same board run_sweep drains, so a coordinator produces the exact
+// `results_fingerprint` a single-process `run_sweep` of the same spec
+// produces.  With no workers connected it behaves like a plain in-process
+// sweep; with workers, placement is just scheduling.
 //
-// Robustness is first-class:
+// What the coordinator adds is remote leasing, and robustness is
+// first-class:
 //  * every remote lease carries a deadline; a unit not returned in time is
 //    re-issued to whoever asks next (the straggler's late result, should
 //    it still arrive, is dropped idempotently by unit id);
 //  * workers must heartbeat; a connection silent past the heartbeat
 //    timeout -- or one that errors or closes mid-sweep -- is declared
 //    dead and its leased units re-issued;
-//  * duplicate results are safe by construction: shards are deterministic,
-//    so the first accepted result for a unit id is as good as any other.
-//
-// A cascading case threads one world through all its runs, so it is one
-// whole-case unit, leased to a worker or run locally like any other; its
-// lease carries no snapshot, so the case starts fresh wherever it runs and
-// the invariant checker sees its whole history.
+//  * duplicate results are safe by construction: units are deterministic,
+//    so the first accepted result for a unit id is as good as any other;
+//  * a unit that throws fails the sweep, whether it ran on an executor
+//    thread or on a worker (which reports the error in its result frame):
+//    run() drains the connections and rethrows.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +55,8 @@ std::uint64_t lease_ms_from_env(std::uint64_t fallback);
 
 class Coordinator {
  public:
-  /// Binds the listener (so `port()` is valid immediately) and prepares
-  /// the unit tables.  Throws std::invalid_argument if any case carries a
+  /// Binds the listener (so `port()` is valid immediately) and splits the
+  /// sweep into units.  Throws std::invalid_argument if any case carries a
   /// custom algorithm_factory -- those cannot travel -- and SocketError if
   /// the port cannot be bound.
   Coordinator(SweepSpec spec, CoordinatorOptions options);
@@ -71,7 +70,9 @@ class Coordinator {
   /// Execute the sweep to completion: accept workers, lease units, run
   /// units locally, survive worker deaths, then drain, send shutdown to
   /// every live worker, and write the manifest (when the spec is named).
-  /// Blocks; call once.
+  /// After the drain, a unit that threw on an executor thread rethrows its
+  /// exception, and one a worker reported failed throws
+  /// std::runtime_error with its message.  Blocks; call once.
   SweepResult run();
 
  private:

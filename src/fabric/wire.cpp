@@ -43,7 +43,7 @@ FaultModelKind fault_model_from_wire(std::uint8_t raw) {
 
 }  // namespace
 
-void CaseDescriptor::encode_body(Encoder& enc, std::uint64_t version) const {
+void CaseDescriptor::encode_body(Encoder& enc) const {
   if (spec.algorithm_factory) {
     // A std::function cannot travel; the coordinator refuses such sweeps
     // before any worker connects rather than silently running the wrong
@@ -52,13 +52,6 @@ void CaseDescriptor::encode_body(Encoder& enc, std::uint64_t version) const {
         "case '" + label +
         "' uses a custom algorithm factory and cannot be dispatched "
         "to remote workers");
-  }
-  if (version < 3 && spec.fault_model.kind != FaultModelKind::kGeometric) {
-    // A pre-v3 peer would silently run the geometric model instead.
-    throw std::invalid_argument(
-        "case '" + label + "' uses the " +
-        std::string(to_string(spec.fault_model.kind)) +
-        " fault model, which needs wire protocol v3");
   }
   enc.put_string(label);
   enc.put_u8(static_cast<std::uint8_t>(spec.algorithm));
@@ -71,16 +64,14 @@ void CaseDescriptor::encode_body(Encoder& enc, std::uint64_t version) const {
   enc.put_varint(spec.base_seed);
   enc.put_bool(spec.measure_wire_sizes);
   enc.put_bool(spec.check_invariants);
-  if (version >= 3) {
-    enc.put_u8(static_cast<std::uint8_t>(spec.fault_model.kind));
-    put_double(enc, spec.fault_model.wake_bias);
-    enc.put_varint(spec.fault_model.repair_capacity);
-    put_double(enc, spec.fault_model.repair_mean_rounds);
-    enc.put_string(spec.fault_model.trace_json);
-  }
+  enc.put_u8(static_cast<std::uint8_t>(spec.fault_model.kind));
+  put_double(enc, spec.fault_model.wake_bias);
+  enc.put_varint(spec.fault_model.repair_capacity);
+  put_double(enc, spec.fault_model.repair_mean_rounds);
+  enc.put_string(spec.fault_model.trace_json);
 }
 
-void CaseDescriptor::decode_body(Decoder& dec, std::uint64_t version) {
+void CaseDescriptor::decode_body(Decoder& dec) {
   label = dec.get_string();
   spec.algorithm = algorithm_from_wire(dec.get_u8());
   spec.algorithm_factory = nullptr;
@@ -93,18 +84,14 @@ void CaseDescriptor::decode_body(Decoder& dec, std::uint64_t version) {
   spec.base_seed = dec.get_varint();
   spec.measure_wire_sizes = dec.get_bool();
   spec.check_invariants = dec.get_bool();
-  if (version >= 3) {
-    spec.fault_model.kind = fault_model_from_wire(dec.get_u8());
-    spec.fault_model.wake_bias = get_double(dec);
-    spec.fault_model.repair_capacity = dec.get_varint();
-    spec.fault_model.repair_mean_rounds = get_double(dec);
-    spec.fault_model.trace_json = dec.get_string();
-  } else {
-    spec.fault_model = FaultModelParams{};
-  }
+  spec.fault_model.kind = fault_model_from_wire(dec.get_u8());
+  spec.fault_model.wake_bias = get_double(dec);
+  spec.fault_model.repair_capacity = dec.get_varint();
+  spec.fault_model.repair_mean_rounds = get_double(dec);
+  spec.fault_model.trace_json = dec.get_string();
 }
 
-void HelloFrame::encode_body(Encoder& enc, std::uint64_t version) const {
+void HelloFrame::encode_body(Encoder& enc) const {
   enc.put_bool(coordinator);
   enc.put_string(schema);
   enc.put_string(build);
@@ -112,10 +99,10 @@ void HelloFrame::encode_body(Encoder& enc, std::uint64_t version) const {
   enc.put_varint(lease_ms);
   enc.put_varint(heartbeat_ms);
   enc.put_varint(cases.size());
-  for (const CaseDescriptor& c : cases) c.encode_body(enc, version);
+  for (const CaseDescriptor& c : cases) c.encode_body(enc);
 }
 
-void HelloFrame::decode_body(Decoder& dec, std::uint64_t version) {
+void HelloFrame::decode_body(Decoder& dec) {
   coordinator = dec.get_bool();
   schema = dec.get_string();
   build = dec.get_string();
@@ -131,80 +118,59 @@ void HelloFrame::decode_body(Decoder& dec, std::uint64_t version) {
   cases.clear();
   cases.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    cases.emplace_back().decode_body(dec, version);
+    cases.emplace_back().decode_body(dec);
   }
 }
 
-void LeaseFrame::encode_body(Encoder& enc, std::uint64_t /*version*/) const {
+void LeaseFrame::encode_body(Encoder& enc) const {
   enc.put_varint(unit_id);
   enc.put_varint(case_index);
   enc.put_varint(first_run);
   enc.put_varint(run_count);
-  enc.put_bool(cascading);
-  enc.put_bytes(snapshot);
 }
 
-void LeaseFrame::decode_body(Decoder& dec, std::uint64_t /*version*/) {
+void LeaseFrame::decode_body(Decoder& dec) {
   unit_id = dec.get_varint();
   case_index = dec.get_varint();
   first_run = dec.get_varint();
   run_count = dec.get_varint();
-  cascading = dec.get_bool();
-  snapshot = dec.get_bytes();
 }
 
-void ResultFrame::encode_body(Encoder& enc, std::uint64_t /*version*/) const {
+void ResultFrame::encode_body(Encoder& enc) const {
   enc.put_varint(unit_id);
   put_double(enc, compute_seconds);
+  enc.put_string(error);
   result.encode_body(enc);
 }
 
-void ResultFrame::decode_body(Decoder& dec, std::uint64_t /*version*/) {
+void ResultFrame::decode_body(Decoder& dec) {
   unit_id = dec.get_varint();
   compute_seconds = get_double(dec);
+  error = dec.get_string();
   result.decode_body(dec);
 }
 
-void HeartbeatFrame::encode_body(Encoder& enc, std::uint64_t version) const {
+void HeartbeatFrame::encode_body(Encoder& enc) const {
   enc.put_varint(inflight);
-  if (version >= 2) {
-    put_double(enc, busy_seconds);
-  }
-  if (version >= 4) {
-    metrics.encode_body(enc);
-  }
+  put_double(enc, busy_seconds);
+  metrics.encode_body(enc);
 }
 
-void HeartbeatFrame::decode_body(Decoder& dec, std::uint64_t version) {
+void HeartbeatFrame::decode_body(Decoder& dec) {
   inflight = dec.get_varint();
-  if (version >= 2) {
-    busy_seconds = get_double(dec);
-  } else {
-    busy_seconds = 0.0;
-  }
-  if (version >= 4) {
-    metrics = obs::MetricsSnapshot::decode_body(dec);
-  } else {
-    metrics = obs::MetricsSnapshot{};
-  }
+  busy_seconds = get_double(dec);
+  metrics = obs::MetricsSnapshot::decode_body(dec);
 }
 
-void StealFrame::encode_body(Encoder& enc, std::uint64_t /*version*/) const {
-  enc.put_varint(want);
-}
+void StealFrame::encode_body(Encoder& enc) const { enc.put_varint(want); }
 
-void StealFrame::decode_body(Decoder& dec, std::uint64_t /*version*/) {
-  want = dec.get_varint();
-}
+void StealFrame::decode_body(Decoder& dec) { want = dec.get_varint(); }
 
-void ShutdownFrame::encode_body(Encoder& enc,
-                                std::uint64_t /*version*/) const {
+void ShutdownFrame::encode_body(Encoder& enc) const {
   enc.put_string(reason);
 }
 
-void ShutdownFrame::decode_body(Decoder& dec, std::uint64_t /*version*/) {
-  reason = dec.get_string();
-}
+void ShutdownFrame::decode_body(Decoder& dec) { reason = dec.get_string(); }
 
 FrameType frame_type(const Frame& frame) {
   return std::visit(
@@ -238,21 +204,20 @@ std::string_view to_string(FrameType type) {
   return "unknown";
 }
 
-std::vector<std::byte> encode_frame(const Frame& frame,
-                                    std::uint64_t version) {
+std::vector<std::byte> encode_frame(const Frame& frame) {
   Encoder enc;
-  enc.put_varint(version);
+  enc.put_varint(kFrameVersion);
   enc.put_u8(static_cast<std::uint8_t>(frame_type(frame)));
-  std::visit([&](const auto& f) { f.encode_body(enc, version); }, frame);
+  std::visit([&](const auto& f) { f.encode_body(enc); }, frame);
   return enc.take();
 }
 
 Frame decode_frame(std::span<const std::byte> payload) {
   Decoder dec(payload, kMaxFrameBytes);
   const std::uint64_t version = dec.get_varint();
-  if (version == 0 || version > kFrameVersion) {
+  if (version != kFrameVersion) {
     throw DecodeError("frame envelope version " + std::to_string(version) +
-                      " is not supported by this build (speaks up to " +
+                      " is not supported by this build (speaks " +
                       std::to_string(kFrameVersion) + ")");
   }
   const std::uint8_t type = dec.get_u8();
@@ -267,19 +232,9 @@ Frame decode_frame(std::span<const std::byte> payload) {
     default:
       throw DecodeError("unknown frame type " + std::to_string(type));
   }
-  std::visit([&](auto& f) { f.decode_body(dec, version); }, frame);
+  std::visit([&](auto& f) { f.decode_body(dec); }, frame);
   dec.finish();
   return frame;
-}
-
-CaseResult execute_unit(const CaseSpec& spec, const LeaseFrame& lease) {
-  if (!lease.cascading) {
-    return run_case_shard(spec, lease.first_run, lease.run_count);
-  }
-  CascadeCheckpoint checkpoint;
-  checkpoint.first_run = lease.first_run;
-  checkpoint.bytes = lease.snapshot;
-  return run_cascading_shard(spec, checkpoint, lease.run_count);
 }
 
 }  // namespace dynvote::fabric

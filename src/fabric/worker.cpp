@@ -3,6 +3,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -17,12 +18,6 @@
 namespace dynvote::fabric {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 enum class SessionEnd {
   kShutdown,  // coordinator said goodbye
@@ -41,7 +36,7 @@ struct WorkerSession {
   std::mutex mutex;
   std::condition_variable work;
   std::deque<LeaseFrame> leases;         // dvlint: guarded_by(mutex)
-  std::vector<CaseDescriptor> cases;     // dvlint: guarded_by(mutex)
+  std::vector<SweepCase> cases;          // dvlint: guarded_by(mutex)
   std::size_t executing = 0;             // dvlint: guarded_by(mutex)
   std::uint64_t results_sent = 0;        // dvlint: guarded_by(mutex)
   double busy_seconds = 0.0;             // dvlint: guarded_by(mutex)
@@ -83,18 +78,22 @@ void executor_loop(WorkerSession& session, const WorkerOptions& options) {
     LeaseFrame lease = std::move(session.leases.front());
     session.leases.pop_front();
     if (lease.case_index >= session.cases.size()) continue;  // corrupt id
-    const CaseSpec spec = session.cases[lease.case_index].spec;
+    const SweepCase sweep_case = session.cases[lease.case_index];
     ++session.executing;
     lock.unlock();
 
-    const auto start = Clock::now();
-    CaseResult shard = execute_unit(spec, lease);
-    const double seconds = seconds_since(start);
-
     ResultFrame result;
     result.unit_id = lease.unit_id;
-    result.compute_seconds = seconds;
-    result.result = std::move(shard);
+    try {
+      UnitRun run = run_unit(sweep_case, lease.first_run, lease.run_count);
+      result.compute_seconds = run.seconds;
+      result.result = std::move(run.result);
+    } catch (const std::exception& e) {
+      // Reported, not rethrown: the coordinator fails the sweep, and this
+      // worker stays up to take its shutdown.
+      result.error = *e.what() != '\0' ? e.what() : "unit failed";
+    }
+    const double seconds = result.compute_seconds;
     send_or_lose(session, Frame{std::move(result)});
 
     lock.lock();
@@ -123,8 +122,7 @@ void heartbeat_loop(WorkerSession& session, std::uint64_t heartbeat_ms) {
       beat.busy_seconds = session.busy_seconds;
     }
     // Cumulative process-wide metrics; the coordinator keeps the latest
-    // snapshot per connection (v4+ peers only -- encode_frame drops the
-    // field for older envelopes).  Taken outside the session lock.
+    // snapshot per connection.  Taken outside the session lock.
     beat.metrics = obs::snapshot_metrics();
     send_or_lose(session, Frame{beat});
   }
@@ -162,7 +160,10 @@ SessionEnd run_session(Socket socket, const WorkerOptions& options,
     {
       // No executor thread exists yet; locked so guarded-by stays honest.
       std::lock_guard<std::mutex> lock(session.mutex);
-      session.cases = std::move(coord->cases);
+      for (CaseDescriptor& desc : coord->cases) {
+        session.cases.push_back(
+            SweepCase{std::move(desc.label), std::move(desc.spec)});
+      }
     }
     const std::uint64_t heartbeat_ms =
         coord->heartbeat_ms != 0 ? coord->heartbeat_ms : 1000;

@@ -2,7 +2,8 @@
 //
 // Connects to a coordinator (fabric/coordinator.hpp), announces its slot
 // count, and executes leased work units on that many threads, streaming
-// each unit's CaseResult back as it completes.  A heartbeat thread keeps
+// each unit's CaseResult back as it completes -- or, when the unit throws,
+// the error, which fails the coordinator's sweep.  A heartbeat thread keeps
 // the coordinator's death detector fed; when the worker sits idle it
 // politely asks for work (steal frames) instead of busy-polling.
 //

@@ -504,8 +504,8 @@ void check_determinism(const std::vector<ParsedFile>& files,
 // ---------------------------------------------------------------------------
 // Check 5: atomic counters read inside stats folds
 //
-// Sharded sweeps fold per-shard counters after the worker pool joins; by
-// that point every counter the fold reads is a plain value.  A merge/fold
+// Sharded sweeps fold per-shard counters once every shard of the case is
+// in; by that point every counter the fold reads is a plain value.  A merge/fold
 // body reading a std::atomic field suggests the fold runs concurrently with
 // the counter's writers -- exactly the cross-shard race the barrier exists
 // to rule out -- or that a counter which never needed atomicity is paying

@@ -16,8 +16,8 @@
 // Metrics are observational only.  Nothing in this layer may feed back
 // into simulation state or RNG streams; the dvlint `trace-purity` check
 // enforces that emission sites stay side-effect free.  Snapshots travel in
-// the volatile `observability` manifest block and (wire v4) on fabric
-// heartbeats -- never in the fingerprinted results document.
+// the volatile `observability` manifest block and on fabric heartbeats --
+// never in the fingerprinted results document.
 #pragma once
 
 #include <array>
@@ -75,9 +75,9 @@ struct MetricsSnapshot {
   /// snapshot to one sweep.
   MetricsSnapshot delta_since(const MetricsSnapshot& base) const;
 
-  /// Wire body for fabric heartbeats (frame version >= 4).  Decoding
-  /// normalizes ordering and bounds every count by the decoder's
-  /// remaining bytes; malformed input throws DecodeError.
+  /// Wire body for fabric heartbeat frames.  Decoding normalizes ordering
+  /// and bounds every count by the decoder's remaining bytes; malformed
+  /// input throws DecodeError.
   void encode_body(Encoder& enc) const;
   static MetricsSnapshot decode_body(Decoder& dec);
 };

@@ -1,19 +1,14 @@
 #include "runner/sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <deque>
+#include <exception>
 #include <fstream>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "gcs/gcs.hpp"
 #include "obs/trace.hpp"
 #include "runner/artifact.hpp"
-#include "runner/thread_pool.hpp"
 #include "sim/table.hpp"
 #include "util/alloc_stats.hpp"
 #include "util/assert.hpp"
@@ -28,13 +23,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// The floor SweepSpec::min_shard_runs == 0 resolves to.
-constexpr std::uint64_t kAutoShardFloor = 32;
-
-std::uint64_t shard_floor(std::uint64_t min_shard_runs) {
-  return min_shard_runs == 0 ? kAutoShardFloor : min_shard_runs;
 }
 
 }  // namespace
@@ -91,8 +79,6 @@ SpillArenaStats arena_delta_since(const SpillArenaStats& base) {
   return now;
 }
 
-}  // namespace
-
 /// Arm the trace recorder when DV_TRACE asks for it.  Idempotent: tracing
 /// armed earlier (by dvdispatch --trace-out or a test) stays armed with
 /// its ring sizing.
@@ -124,6 +110,8 @@ std::string drain_trace_to_artifact(const std::string& sweep_name) {
   const std::string stem = sweep_name.empty() ? "sweep" : sweep_name;
   return write_artifact_bytes("TRACE_" + stem + ".events", bytes);
 }
+
+}  // namespace
 
 std::size_t jobs_from_env() {
   const unsigned hardware = std::thread::hardware_concurrency();
@@ -185,299 +173,251 @@ std::vector<SweepCase> availability_grid(
   return cases;
 }
 
-namespace {
-
-/// A contiguous run range of one case claimed by a worker: a whole case
-/// (cascading, or no runs) from the unit queue, or a chunk of a fresh-start
-/// case claimed from its cursor.
-struct WorkUnit {
-  std::size_t case_index = 0;
-  std::uint64_t first_run = 0;
-  std::uint64_t run_count = 0;
-};
-
-/// One finished contiguous run range, keyed by its first run index so the
-/// case merge can sort into run order regardless of completion order.
-struct ShardPartial {
-  std::uint64_t first_run = 0;
-  CaseResult result;
-};
-
-/// Mutable per-case scheduler state; all fields are guarded by the
-/// scheduler mutex except where noted.
-struct CaseState {
-  /// Fresh-start parallel case: next unclaimed run index.
-  std::uint64_t next_fresh_run = 0;  // dvlint: guarded_by(scheduler_mutex)
-  bool fresh_parallel = false;
-  /// partials/compute_seconds are deliberately unannotated: the serial path
-  /// and finish_case touch them with the case complete (no other worker
-  /// can), not under the scheduler lock.
-  std::vector<ShardPartial> partials;
-  double compute_seconds = 0.0;
-  std::uint64_t finished_runs = 0;   // dvlint: guarded_by(scheduler_mutex)
-  std::size_t steals = 0;            // dvlint: guarded_by(scheduler_mutex)
-  /// Last worker that claimed a unit of this case; SIZE_MAX = none yet.
-  std::size_t last_worker = SIZE_MAX;  // dvlint: guarded_by(scheduler_mutex)
-};
-
-}  // namespace
-
-SweepResult run_sweep(const SweepSpec& spec) {
-  const auto sweep_start = Clock::now();
-  maybe_enable_trace_from_env();
-  // Metrics are process-cumulative; the delta scopes the manifest's
-  // observability block to this sweep.
-  const obs::MetricsSnapshot metrics_base = obs::snapshot_metrics();
-  const SpillArenaStats arena_base = spill_arena_merged_stats();
-  const std::size_t jobs = spec.jobs != 0 ? spec.jobs : jobs_from_env();
-  ProgressSink& progress =
-      spec.progress != nullptr ? *spec.progress : default_progress_sink();
-
-  const std::size_t case_count = spec.cases.size();
-  SweepResult result;
-  result.jobs = jobs;
-  result.cases.resize(case_count);
-
-  std::mutex progress_mutex;
-  std::size_t cases_done = 0;
-
-  // The probe world is a function of (algorithm, processes) alone, so each
-  // pair is probed once per sweep.  A factory case's algorithm has no such
-  // key and is probed per case.  The lock is held across the probe, so
-  // concurrent finishers of one pair wait for its single probe.
-  std::mutex probe_mutex;
-  std::map<std::pair<AlgorithmKind, std::size_t>, double>
-      probed;  // dvlint: guarded_by(probe_mutex)
-  const auto steady_allocs_per_round = [&](const CaseSpec& cs) {
-    if (cs.algorithm_factory != nullptr) {
-      return probe_steady_allocs_per_round(cs);
-    }
-    std::lock_guard<std::mutex> lock(probe_mutex);
-    const auto key = std::make_pair(cs.algorithm, cs.processes);
-    auto it = probed.find(key);
-    if (it == probed.end()) {
-      it = probed.emplace(key, probe_steady_allocs_per_round(cs)).first;
-    }
-    return it->second;
-  };
-
-  // Called with the scheduler lock NOT held (single-job path) or held only
-  // by the finishing worker's bookkeeping; partials are complete by then,
-  // so the finishing worker has exclusive access to the whole CaseState.
-  const auto finish_case =  // dvlint: ignore(guarded-by)
-      [&](std::size_t case_index, CaseState& state) {
-    CaseOutcome& outcome = result.cases[case_index];
-    outcome.algorithm = spec.cases[case_index].algorithm.empty()
-                            ? to_string(spec.cases[case_index].spec.algorithm)
-                            : spec.cases[case_index].algorithm;
-    outcome.spec = spec.cases[case_index].spec;
-
-    // Merge shard results in run order -- completion order is scheduling
-    // noise, run order is the deterministic serial order.
-    std::sort(state.partials.begin(), state.partials.end(),
-              [](const ShardPartial& a, const ShardPartial& b) {
-                return a.first_run < b.first_run;
-              });
-    outcome.shards = state.partials.size();
-    outcome.steals = state.steals;
-    if (!state.partials.empty()) {
-      outcome.result = std::move(state.partials[0].result);
-      for (std::size_t s = 1; s < state.partials.size(); ++s) {
-        outcome.result.merge(state.partials[s].result);
-      }
-    }
-    outcome.compute_seconds = state.compute_seconds;
-    if (outcome.compute_seconds > 0.0) {
-      outcome.runs_per_sec =
-          static_cast<double>(outcome.result.runs) / outcome.compute_seconds;
-      outcome.rounds_per_sec = static_cast<double>(outcome.result.total_rounds) /
-                               outcome.compute_seconds;
-      outcome.deliveries_per_sec =
-          static_cast<double>(outcome.result.total_deliveries) /
-          outcome.compute_seconds;
-    }
-    outcome.steady_allocs_per_round = steady_allocs_per_round(outcome.spec);
-
-    CaseTelemetry telemetry;
-    telemetry.label = case_label(spec.cases[case_index]);
-    telemetry.runs = outcome.result.runs;
-    telemetry.compute_seconds = outcome.compute_seconds;
-    telemetry.runs_per_sec = outcome.runs_per_sec;
-    telemetry.invariant_checks = outcome.result.invariant_checks;
-    telemetry.availability_percent = outcome.result.availability_percent();
-
-    std::lock_guard<std::mutex> lock(progress_mutex);
-    progress.case_done(telemetry, ++cases_done, case_count);
-  };
-
-  if (jobs <= 1 || case_count == 0) {
-    // Serial path: every case is one unit, in order.
-    for (std::size_t i = 0; i < case_count; ++i) {
-      CaseState state;
-      const auto start = Clock::now();
-      {
-        // The shard span carries the case label so dvtrace can group the
-        // run events underneath it; the label is only materialized when
-        // tracing is armed.
-        std::optional<obs::TraceSpan> span;
-        if (obs::trace_enabled()) {
-          span.emplace(case_label(spec.cases[i]), 0, spec.cases[i].spec.runs);
-        }
-        state.partials.push_back(ShardPartial{0, run_case(spec.cases[i].spec)});
-      }
-      state.compute_seconds = seconds_since(start);
-      DV_OBS_INC("runner.units");
-      DV_OBS_RECORD("runner.shard_ms", state.compute_seconds * 1000.0);
-      finish_case(i, state);
-    }
-    result.wall_seconds = seconds_since(sweep_start);
-    progress.sweep_done(spec.name.empty() ? "(unnamed sweep)" : spec.name,
-                        case_count, result.wall_seconds);
-    result.metrics = obs::snapshot_metrics().delta_since(metrics_base);
-    result.arena = arena_delta_since(arena_base);
-    result.trace_path = drain_trace_to_artifact(spec.name);
-    if (!spec.name.empty()) {
-      result.artifact_path = write_manifest(spec, result);
-    }
-    return result;
-  }
-
-  // --- Parallel path: a work-stealing scheduler. ---
-  //
-  // Whole-case units (every cascading case, which threads one world through
-  // all its runs) live in a shared deque and go first; fresh-start runs are
-  // claimed as dynamically sized chunks straight from per-case cursors.
-  // Any idle worker takes whatever is available, so a fresh-start case
-  // started by one worker is finished by others (the steal counters record
-  // exactly that).
-  std::mutex scheduler_mutex;
-  std::deque<WorkUnit> unit_queue;  // dvlint: guarded_by(scheduler_mutex)
-  std::vector<CaseState> states(case_count);
-  bool aborting = false;            // dvlint: guarded_by(scheduler_mutex)
-
+UnitRun run_unit(const SweepCase& sweep_case, std::uint64_t first_run,
+                 std::uint64_t run_count) {
+  const auto start = Clock::now();
+  UnitRun run;
   {
-    // No worker thread exists yet; locked to keep guarded-by checkable.
-    std::lock_guard<std::mutex> lock(scheduler_mutex);
-    for (std::size_t i = 0; i < case_count; ++i) {
-      const CaseSpec& cs = spec.cases[i].spec;
-      if (cs.mode == RunMode::kFreshStart && cs.runs > 0) {
-        states[i].fresh_parallel = true;
-      } else {
-        unit_queue.push_back(WorkUnit{i, 0, cs.runs});
-      }
+    // The span carries the case label so dvtrace can group the run events
+    // underneath it; the label is only materialized when tracing is armed.
+    std::optional<obs::TraceSpan> span;
+    if (obs::trace_enabled()) {
+      span.emplace(case_label(sweep_case), first_run, run_count);
+    }
+    run.result = run_case_shard(sweep_case.spec, first_run, run_count);
+  }
+  run.seconds = seconds_since(start);
+  DV_OBS_INC("runner.units");
+  DV_OBS_RECORD("runner.shard_ms", run.seconds * 1000.0);
+  return run;
+}
+
+UnitBoard::UnitBoard(const SweepSpec& spec, std::size_t workers)
+    : spec_(spec),
+      progress_(spec.progress != nullptr ? *spec.progress
+                                         : default_progress_sink()),
+      cases_(spec.cases.size()),
+      outcomes_(spec.cases.size()) {
+  const auto whole = [](const CaseSpec& cs) {
+    return cs.mode == RunMode::kCascading || cs.runs == 0;
+  };
+  for (std::size_t i = 0; i < spec.cases.size(); ++i) {
+    const CaseSpec& cs = spec.cases[i].spec;
+    if (whole(cs)) units_.push_back(SweepUnit{i, 0, cs.runs});
+  }
+  // Chunks several times smaller than a worker's fair share of a case keep
+  // stragglers balanced; the floor bounds the per-unit overhead.  Dividing
+  // twice is runs / (4 * workers) without overflowing on a huge DV_JOBS.
+  const std::uint64_t floor =
+      spec.min_shard_runs == 0 ? kAutoShardFloor : spec.min_shard_runs;
+  const std::uint64_t share = std::max<std::uint64_t>(4, workers);
+  for (std::size_t i = 0; i < spec.cases.size(); ++i) {
+    const CaseSpec& cs = spec.cases[i].spec;
+    if (whole(cs)) continue;
+    const std::uint64_t size = std::max(floor, cs.runs / share / 4);
+    for (std::uint64_t first = 0; first < cs.runs; first += size) {
+      units_.push_back(SweepUnit{i, first, std::min(size, cs.runs - first)});
     }
   }
+  state_.resize(units_.size());
+  for (std::size_t id = 0; id < units_.size(); ++id) pending_.push_back(id);
+}
 
-  // No whole case left: steal a chunk of fresh-start runs.  Chunks shrink
-  // as a case drains so stragglers stay balanced.
-  const auto claim_fresh_chunk =  // dvlint: requires_lock(scheduler_mutex)
-      [&](WorkUnit& out) -> bool {
-    for (std::size_t i = 0; i < case_count; ++i) {
-      CaseState& state = states[i];
-      const std::uint64_t runs = spec.cases[i].spec.runs;
-      if (!state.fresh_parallel || state.next_fresh_run >= runs) continue;
-      const std::uint64_t remaining = runs - state.next_fresh_run;
-      const std::uint64_t chunk = std::min(
-          remaining,
-          std::max(shard_floor(spec.min_shard_runs),
-                   remaining / (static_cast<std::uint64_t>(jobs) * 2)));
-      out = WorkUnit{i, state.next_fresh_run, chunk};
-      state.next_fresh_run += chunk;
-      return true;
-    }
-    return false;
-  };
-
-  // Claim the next unit for `worker`.  Returns false when the sweep has no
-  // work left (or is aborting).  Lock is held throughout.
-  const auto try_claim =  // dvlint: requires_lock(scheduler_mutex)
-      [&](std::size_t worker, WorkUnit& out) -> bool {
-    if (aborting) return false;
-    if (!unit_queue.empty()) {
-      out = unit_queue.front();
-      unit_queue.pop_front();
-    } else if (!claim_fresh_chunk(out)) {
-      return false;
-    }
-    CaseState& state = states[out.case_index];
-    if (state.last_worker != SIZE_MAX && state.last_worker != worker) {
+std::optional<std::size_t> UnitBoard::claim(std::size_t holder) {
+  while (!pending_.empty()) {
+    const std::size_t id = pending_.front();
+    pending_.pop_front();
+    // Lazy delete: a straggler's result can finish a unit while its
+    // re-queued id still waits here; leasing that copy would execute and
+    // merge the unit twice.
+    if (state_[id].done) continue;
+    state_[id].holder = holder;
+    CaseState& state = cases_[units_[id].case_index];
+    if (state.last_holder != kNoHolder && state.last_holder != holder) {
       ++state.steals;
       DV_OBS_INC("runner.steals");
     }
-    state.last_worker = worker;
-    return true;
-  };
-
-  const auto worker_loop = [&](std::size_t worker) {
-    std::unique_lock<std::mutex> lock(scheduler_mutex);
-    WorkUnit unit;
-    while (try_claim(worker, unit)) {
-      lock.unlock();
-      const std::size_t i = unit.case_index;
-      const CaseSpec& cs = spec.cases[i].spec;
-      const auto start = Clock::now();
-      CaseResult partial;
-      {
-        // Case-labeled shard span (materialized only when tracing is
-        // armed); the run spans emitted by the experiment layer nest
-        // underneath it on this thread's timeline.
-        std::optional<obs::TraceSpan> span;
-        if (obs::trace_enabled()) {
-          span.emplace(case_label(spec.cases[i]), unit.first_run,
-                       unit.run_count);
-        }
-        partial = states[i].fresh_parallel
-                      ? run_case_shard(cs, unit.first_run, unit.run_count)
-                      : run_case(cs);
-      }
-      const double seconds = seconds_since(start);
-      DV_OBS_INC("runner.units");
-      DV_OBS_RECORD("runner.shard_ms", seconds * 1000.0);
-
-      lock.lock();
-      CaseState& state = states[i];
-      state.compute_seconds += seconds;
-      state.partials.push_back(ShardPartial{unit.first_run, std::move(partial)});
-      state.finished_runs += unit.run_count;
-      if (state.finished_runs == cs.runs) {
-        // All runs accounted for; no other worker can touch this case.
-        lock.unlock();
-        finish_case(i, state);
-        lock.lock();
-      }
-    }
-  };
-
-  {
-    ThreadPool pool(jobs);
-    for (std::size_t w = 0; w < jobs; ++w) {
-      pool.submit([&, w] {
-        try {
-          worker_loop(w);
-        } catch (...) {
-          {
-            std::lock_guard<std::mutex> lock(scheduler_mutex);
-            aborting = true;
-          }
-          throw;
-        }
-      });
-    }
-    pool.wait_idle();
+    state.last_holder = holder;
+    return id;
   }
+  return std::nullopt;
+}
 
-  result.wall_seconds = seconds_since(sweep_start);
-  progress.sweep_done(spec.name.empty() ? "(unnamed sweep)" : spec.name,
-                      case_count, result.wall_seconds);
+void UnitBoard::requeue(std::size_t id) {
+  DV_REQUIRE(!state_[id].done && state_[id].holder != kNoHolder,
+             "only a claimed, unfinished unit can be re-queued");
+  state_[id].holder = kNoHolder;
+  pending_.push_back(id);
+}
 
-  // The pool is joined: worker shards are retired and their rings are
-  // quiescent, so both folds below are race-free and complete.
-  result.metrics = obs::snapshot_metrics().delta_since(metrics_base);
-  result.arena = arena_delta_since(arena_base);
+UnitBoard::Accept UnitBoard::accept(std::size_t id, CaseResult&& result,
+                                    double seconds) {
+  if (state_[id].done) return Accept::kDuplicate;
+  state_[id].done = true;
+  state_[id].holder = kNoHolder;
+  const SweepUnit& unit = units_[id];
+  CaseState& state = cases_[unit.case_index];
+  state.partials.push_back(Partial{unit.first_run, std::move(result)});
+  state.compute_seconds += seconds;
+  state.finished_runs += unit.run_count;
+  if (state.finished_runs < spec_.cases[unit.case_index].spec.runs) {
+    return Accept::kStored;
+  }
+  ++cases_done_;
+  return Accept::kCaseComplete;
+}
+
+// The probe world is a function of (algorithm, processes) alone, so each
+// pair is probed once per sweep.  A factory case's algorithm has no such
+// key and is probed per case.  The lock is held across the probe, so
+// concurrent finishers of one pair wait for its single probe.
+double UnitBoard::steady_allocs_per_round(const CaseSpec& cs) {
+  if (cs.algorithm_factory != nullptr) {
+    return probe_steady_allocs_per_round(cs);
+  }
+  std::lock_guard<std::mutex> lock(probe_mutex_);
+  const auto key = std::make_pair(cs.algorithm, cs.processes);
+  auto it = probed_.find(key);
+  if (it == probed_.end()) {
+    it = probed_.emplace(key, probe_steady_allocs_per_round(cs)).first;
+  }
+  return it->second;
+}
+
+void UnitBoard::finish_case(std::size_t case_index) {
+  CaseState& state = cases_[case_index];
+  const SweepCase& sweep_case = spec_.cases[case_index];
+  CaseOutcome& outcome = outcomes_[case_index];
+  outcome.algorithm = sweep_case.algorithm.empty()
+                          ? to_string(sweep_case.spec.algorithm)
+                          : sweep_case.algorithm;
+  outcome.spec = sweep_case.spec;
+
+  // Merge in run order -- completion order is scheduling noise, run order
+  // is the deterministic serial order.
+  std::sort(state.partials.begin(), state.partials.end(),
+            [](const Partial& a, const Partial& b) {
+              return a.first_run < b.first_run;
+            });
+  outcome.shards = state.partials.size();
+  outcome.steals = state.steals;
+  outcome.result = std::move(state.partials[0].result);
+  for (std::size_t s = 1; s < state.partials.size(); ++s) {
+    outcome.result.merge(state.partials[s].result);
+  }
+  state.partials = {};
+  outcome.compute_seconds = state.compute_seconds;
+  if (outcome.compute_seconds > 0.0) {
+    outcome.runs_per_sec =
+        static_cast<double>(outcome.result.runs) / outcome.compute_seconds;
+    outcome.rounds_per_sec = static_cast<double>(outcome.result.total_rounds) /
+                             outcome.compute_seconds;
+    outcome.deliveries_per_sec =
+        static_cast<double>(outcome.result.total_deliveries) /
+        outcome.compute_seconds;
+  }
+  outcome.steady_allocs_per_round = steady_allocs_per_round(outcome.spec);
+
+  CaseTelemetry telemetry;
+  telemetry.label = case_label(sweep_case);
+  telemetry.runs = outcome.result.runs;
+  telemetry.compute_seconds = outcome.compute_seconds;
+  telemetry.runs_per_sec = outcome.runs_per_sec;
+  telemetry.invariant_checks = outcome.result.invariant_checks;
+  telemetry.availability_percent = outcome.result.availability_percent();
+
+  std::lock_guard<std::mutex> lock(progress_mutex_);
+  progress_.case_done(telemetry, ++cases_reported_, spec_.cases.size());
+}
+
+SweepBaseline begin_sweep() {
+  SweepBaseline baseline;
+  baseline.start = Clock::now();
+  maybe_enable_trace_from_env();
+  // Metrics are process-cumulative; the delta scopes the manifest's
+  // observability block to this sweep.
+  baseline.metrics = obs::snapshot_metrics();
+  baseline.arena = spill_arena_merged_stats();
+  return baseline;
+}
+
+void end_sweep(const SweepSpec& spec, const SweepBaseline& baseline,
+               SweepResult& result) {
+  result.wall_seconds = seconds_since(baseline.start);
+  // The unit-running threads have stopped: their metric shards are
+  // retired and their trace rings quiescent, so the folds are complete.
+  result.metrics.merge(obs::snapshot_metrics().delta_since(baseline.metrics));
+  result.arena = arena_delta_since(baseline.arena);
   result.trace_path = drain_trace_to_artifact(spec.name);
+  ProgressSink& progress =
+      spec.progress != nullptr ? *spec.progress : default_progress_sink();
+  progress.sweep_done(spec.name.empty() ? "(unnamed sweep)" : spec.name,
+                      spec.cases.size(), result.wall_seconds);
   if (!spec.name.empty()) {
     result.artifact_path = write_manifest(spec, result);
   }
+}
+
+SweepResult run_sweep(const SweepSpec& spec) {
+  const SweepBaseline baseline = begin_sweep();
+  const std::size_t jobs = spec.jobs != 0 ? spec.jobs : jobs_from_env();
+
+  std::mutex mutex;
+  UnitBoard board(spec, jobs);  // dvlint: guarded_by(mutex)
+  std::exception_ptr failure;   // dvlint: guarded_by(mutex)
+
+  const auto work = [&](std::size_t worker) {
+    try {
+      for (;;) {
+        std::optional<std::size_t> id;
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          if (failure) return;
+          id = board.claim(worker);
+        }
+        if (!id.has_value()) return;
+        // Unit ranges are immutable once the board is built.
+        const SweepUnit& unit = board.unit(*id);  // dvlint: ignore(guarded-by)
+        UnitRun run = run_unit(spec.cases[unit.case_index], unit.first_run,
+                               unit.run_count);
+        bool complete = false;
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          complete = board.accept(*id, std::move(run.result), run.seconds) ==
+                     UnitBoard::Accept::kCaseComplete;
+        }
+        // The case's last unit is in, so no other worker touches it again.
+        if (complete) {
+          board.finish_case(unit.case_index);  // dvlint: ignore(guarded-by)
+        }
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!failure) failure = std::current_exception();
+    }
+  };
+
+  std::vector<std::thread> helpers;
+  try {
+    for (std::size_t w = 1; w < jobs; ++w) helpers.emplace_back(work, w);
+  } catch (...) {
+    // A thread that fails to start fails the sweep; the helpers already
+    // running see the failure and stop, so they can still be joined.
+    std::lock_guard<std::mutex> lock(mutex);
+    if (!failure) failure = std::current_exception();
+  }
+  work(0);
+  for (std::thread& t : helpers) t.join();
+
+  SweepResult result;
+  result.jobs = jobs;
+  {
+    // Every worker has stopped; locked so guarded-by stays checkable.
+    std::lock_guard<std::mutex> lock(mutex);
+    if (failure) std::rethrow_exception(failure);
+    result.cases = board.take_outcomes();
+  }
+  end_sweep(spec, baseline, result);
   return result;
 }
 

@@ -109,8 +109,11 @@ std::uint64_t shard_seed(const CaseSpec& spec, std::uint64_t run_index) {
 
 CaseResult run_case_shard(const CaseSpec& spec, std::uint64_t first_run,
                           std::uint64_t count) {
-  DV_REQUIRE(spec.mode == RunMode::kFreshStart,
-             "only fresh-start cases shard; cascading runs share one world");
+  if (spec.mode == RunMode::kCascading) {
+    DV_REQUIRE(first_run == 0 && count == spec.runs,
+               "only fresh-start cases shard; cascading runs share one world");
+    return run_cascading_shard(spec, CascadeCheckpoint{}, count);
+  }
   CaseResult result;
   result.success_per_run.reserve(count);
   for (std::uint64_t i = first_run; i < first_run + count; ++i) {
@@ -200,10 +203,7 @@ CaseResult run_cascading_shard(const CaseSpec& spec,
 }
 
 CaseResult run_case(const CaseSpec& spec) {
-  if (spec.mode == RunMode::kFreshStart) {
-    return run_case_shard(spec, 0, spec.runs);
-  }
-  return run_cascading_shard(spec, CascadeCheckpoint{}, spec.runs);
+  return run_case_shard(spec, 0, spec.runs);
 }
 
 std::vector<double> standard_rate_sweep() {

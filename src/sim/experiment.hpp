@@ -50,11 +50,13 @@ struct CaseSpec {
 CaseResult run_case(const CaseSpec& spec);
 
 /// Simulate the contiguous run-index range [first_run, first_run + count)
-/// of a *fresh-start* case.  Seeding is a pure function of the case
-/// coordinates and the absolute run index, so shards are independent and
+/// of a case -- the unit the sweep schedulers hand out.  A fresh-start
+/// case's seeding is a pure function of the case coordinates and the
+/// absolute run index, so its shards are independent and
 /// `CaseResult::merge`-ing them in index order is bit-identical to the
-/// serial `run_case` -- this is the unit the parallel sweep runner fans
-/// out.  `spec.runs` is ignored in favor of the explicit range.
+/// serial `run_case`.  A cascading case threads one world through all its
+/// runs, so it only runs whole: `first_run` must be 0 and `count` must be
+/// `spec.runs`.
 CaseResult run_case_shard(const CaseSpec& spec, std::uint64_t first_run,
                           std::uint64_t count);
 

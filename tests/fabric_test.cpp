@@ -1,14 +1,15 @@
 // Tests for the multi-host sweep fabric (src/fabric/).
 //
-// Protocol layer: every frame type round-trips losslessly, the envelope
-// version gates post-v1 fields in both directions, and malformed payloads
-// fail as DecodeError instead of reaching an allocator.
+// Protocol layer: every frame type round-trips losslessly, a foreign
+// envelope version is refused, and malformed payloads fail as DecodeError
+// instead of reaching an allocator.
 //
 // System layer, all over loopback sockets: a coordinator plus two workers
 // produces byte-identical deterministic results to the in-process
 // `run_sweep`; a worker that falls silent mid-unit is detected and its
 // units re-issued without changing results; duplicate (late straggler)
-// results are dropped idempotently.
+// results are dropped idempotently; a unit that throws on a worker fails
+// the sweep.
 #include "fabric/coordinator.hpp"
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "fabric/wire.hpp"
 #include "fabric/worker.hpp"
 #include "gtest/gtest.h"
+#include "obs/metrics.hpp"
 #include "runner/artifact.hpp"
 #include "runner/progress.hpp"
 #include "runner/sweep.hpp"
@@ -122,8 +125,6 @@ TEST(FabricWire, LeaseRoundTrip) {
   lease.case_index = 3;
   lease.first_run = 96;
   lease.run_count = 32;
-  lease.cascading = true;
-  lease.snapshot = {std::byte{0xDE}, std::byte{0xAD}, std::byte{0xBE}};
 
   const Frame decoded = decode_frame(encode_frame(Frame{lease}));
   const auto& got = std::get<LeaseFrame>(decoded);
@@ -131,8 +132,6 @@ TEST(FabricWire, LeaseRoundTrip) {
   EXPECT_EQ(got.case_index, 3u);
   EXPECT_EQ(got.first_run, 96u);
   EXPECT_EQ(got.run_count, 32u);
-  EXPECT_TRUE(got.cascading);
-  EXPECT_EQ(got.snapshot, lease.snapshot);
 }
 
 TEST(FabricWire, ResultRoundTripIsLossless) {
@@ -148,22 +147,34 @@ TEST(FabricWire, ResultRoundTripIsLossless) {
   const auto& got = std::get<ResultFrame>(decoded);
   EXPECT_EQ(got.unit_id, 9u);
   EXPECT_EQ(got.compute_seconds, 1.25);
+  EXPECT_TRUE(got.error.empty());
   // Bit-exact equality of the full statistics payload.
   EXPECT_EQ(encode_result_body(got.result),
             encode_result_body(frame.result));
   EXPECT_EQ(got.result.success_per_run, frame.result.success_per_run);
   EXPECT_EQ(got.result.wire.max_message_bytes,
             frame.result.wire.max_message_bytes);
+
+  ResultFrame failed;
+  failed.unit_id = 4;
+  failed.error = "temporally disjoint primaries";
+  const Frame failed_decoded = decode_frame(encode_frame(Frame{failed}));
+  EXPECT_EQ(std::get<ResultFrame>(failed_decoded).error,
+            "temporally disjoint primaries");
 }
 
 TEST(FabricWire, HeartbeatStealShutdownRoundTrip) {
   HeartbeatFrame beat;
   beat.inflight = 3;
   beat.busy_seconds = 2.5;
+  beat.metrics.counters = {{"sim.rounds", 42}};
+  beat.metrics.gauges = {{"runner.jobs", 8}};
   const HeartbeatFrame got_beat =
       std::get<HeartbeatFrame>(decode_frame(encode_frame(Frame{beat})));
   EXPECT_EQ(got_beat.inflight, 3u);
   EXPECT_EQ(got_beat.busy_seconds, 2.5);
+  EXPECT_EQ(got_beat.metrics.counters, beat.metrics.counters);
+  EXPECT_EQ(got_beat.metrics.gauges, beat.metrics.gauges);
 
   StealFrame steal;
   steal.want = 6;
@@ -176,51 +187,6 @@ TEST(FabricWire, HeartbeatStealShutdownRoundTrip) {
   const ShutdownFrame got_bye =
       std::get<ShutdownFrame>(decode_frame(encode_frame(Frame{bye})));
   EXPECT_EQ(got_bye.reason, "sweep drained");
-}
-
-TEST(FabricWire, HeartbeatBusySecondsIsVersionGated) {
-  HeartbeatFrame beat;
-  beat.inflight = 2;
-  beat.busy_seconds = 9.75;
-
-  // A v1 peer neither writes nor reads the v2 field.
-  const std::vector<std::byte> v1 = encode_frame(Frame{beat}, 1);
-  const HeartbeatFrame from_v1 = std::get<HeartbeatFrame>(decode_frame(v1));
-  EXPECT_EQ(from_v1.inflight, 2u);
-  EXPECT_EQ(from_v1.busy_seconds, 0.0);
-
-  const std::vector<std::byte> v2 = encode_frame(Frame{beat}, 2);
-  EXPECT_GT(v2.size(), v1.size());
-  const HeartbeatFrame from_v2 = std::get<HeartbeatFrame>(decode_frame(v2));
-  EXPECT_EQ(from_v2.busy_seconds, 9.75);
-}
-
-TEST(FabricWire, HeartbeatMetricsAreVersionGated) {
-  HeartbeatFrame beat;
-  beat.inflight = 1;
-  beat.busy_seconds = 0.5;
-  beat.metrics.counters = {{"sim.rounds", 42}};
-  beat.metrics.gauges = {{"runner.jobs", 8}};
-
-  // A v3 peer neither writes nor reads the v4 metrics block.
-  const std::vector<std::byte> v3 = encode_frame(Frame{beat}, 3);
-  const Frame v3_frame = decode_frame(v3);
-  const auto& from_v3 = std::get<HeartbeatFrame>(v3_frame);
-  EXPECT_EQ(from_v3.busy_seconds, 0.5);
-  EXPECT_TRUE(from_v3.metrics.empty());
-
-  // The current version carries it, fully and in canonical order.
-  const std::vector<std::byte> v4 = encode_frame(Frame{beat}, 4);
-  EXPECT_GT(v4.size(), v3.size());
-  const Frame v4_frame = decode_frame(v4);
-  const auto& from_v4 = std::get<HeartbeatFrame>(v4_frame);
-  EXPECT_EQ(from_v4.metrics.counters, beat.metrics.counters);
-  EXPECT_EQ(from_v4.metrics.gauges, beat.metrics.gauges);
-
-  // The default version is the current one.
-  const Frame default_frame = decode_frame(encode_frame(Frame{beat}));
-  const auto& from_default = std::get<HeartbeatFrame>(default_frame);
-  EXPECT_EQ(from_default.metrics.counters, beat.metrics.counters);
 }
 
 TEST(FabricWire, MalformedFramesThrowDecodeError) {
@@ -241,24 +207,23 @@ TEST(FabricWire, MalformedFramesThrowDecodeError) {
   unknown_type.put_u8(99);
   EXPECT_THROW((void)decode_frame(unknown_type.bytes()), DecodeError);
 
-  // Envelope newer than this build.
-  Encoder future;
-  future.put_varint(kFrameVersion + 1);
-  future.put_u8(static_cast<std::uint8_t>(FrameType::kSteal));
-  future.put_varint(1);
-  EXPECT_THROW((void)decode_frame(future.bytes()), DecodeError);
+  // An envelope from an older or a newer build: every body field is read
+  // unconditionally, so only this build's version decodes.
+  for (const std::uint64_t version : {kFrameVersion - 1, kFrameVersion + 1}) {
+    Encoder foreign;
+    foreign.put_varint(version);
+    foreign.put_u8(static_cast<std::uint8_t>(FrameType::kSteal));
+    foreign.put_varint(1);
+    EXPECT_THROW((void)decode_frame(foreign.bytes()), DecodeError)
+        << "version=" << version;
+  }
 
-  // A lease whose snapshot length prefix claims more than the frame cap:
+  // A shutdown whose reason length prefix claims more than the frame cap:
   // must fail before any allocation.
   Encoder huge;
   huge.put_varint(kFrameVersion);
-  huge.put_u8(static_cast<std::uint8_t>(FrameType::kLease));
-  huge.put_varint(1);   // unit
-  huge.put_varint(0);   // case
-  huge.put_varint(0);   // first_run
-  huge.put_varint(8);   // run_count
-  huge.put_u8(1);       // cascading
-  huge.put_varint(std::uint64_t{1} << 62);  // snapshot "length"
+  huge.put_u8(static_cast<std::uint8_t>(FrameType::kShutdown));
+  huge.put_varint(std::uint64_t{1} << 62);  // reason "length"
   EXPECT_THROW((void)decode_frame(huge.bytes()), DecodeError);
 
   // An invalid algorithm kind inside a case descriptor.
@@ -285,7 +250,7 @@ TEST(FabricWire, FactoryCasesAreRejectedBeforeDispatch) {
     return make_algorithm(AlgorithmKind::kYkd, self, initial);
   };
   Encoder enc;
-  EXPECT_THROW(desc.encode_body(enc, kFrameVersion), std::invalid_argument);
+  EXPECT_THROW(desc.encode_body(enc), std::invalid_argument);
 
   SweepSpec sweep;
   SweepCase c;
@@ -453,8 +418,8 @@ TEST(FabricSystem, DuplicateLateResultsAreDropped) {
       if (const LeaseFrame* lease = std::get_if<LeaseFrame>(&incoming)) {
         ResultFrame result;
         result.unit_id = lease->unit_id;
-        result.result =
-            execute_unit(coord.cases[lease->case_index].spec, *lease);
+        result.result = run_case_shard(coord.cases[lease->case_index].spec,
+                                       lease->first_run, lease->run_count);
         const std::vector<std::byte> frame =
             encode_frame(Frame{result});
         socket.send_frame(frame);
@@ -541,8 +506,8 @@ TEST(FabricSystem, StragglerResultDoesNotDoubleMergeReissuedUnit) {
         }
         ResultFrame result;
         result.unit_id = lease->unit_id;
-        result.result =
-            execute_unit(coord.cases[lease->case_index].spec, *lease);
+        result.result = run_case_shard(coord.cases[lease->case_index].spec,
+                                       lease->first_run, lease->run_count);
         try {
           socket.send_frame(encode_frame(Frame{result}));
         } catch (const SocketError&) {
@@ -607,8 +572,19 @@ TEST(FabricSystem, PreHandshakeFailuresExhaustConnectBudget) {
   EXPECT_EQ(exit_code, WorkerExit::kConnectFailed);
 }
 
+std::uint64_t counter_value(const obs::MetricsSnapshot& metrics,
+                            const std::string& name) {
+  for (const auto& [counter, value] : metrics.counters) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
+// Both schedulers drain the same unit board: at the same worker count they
+// split every case identically, and every unit runs through run_unit.
 TEST(FabricSystem, CoordinatorAloneBehavesLikeRunSweep) {
-  SweepSpec spec = small_sweep();
+  SweepSpec spec = shared_pool_sweep();
+  spec.jobs = 2;
   NullProgress quiet;
   spec.progress = &quiet;
 
@@ -622,6 +598,45 @@ TEST(FabricSystem, CoordinatorAloneBehavesLikeRunSweep) {
   EXPECT_EQ(manifest_results_json(spec, alone),
             manifest_results_json(spec, expected));
   EXPECT_EQ(alone.fabric.workers_connected, 0u);
+  ASSERT_EQ(alone.cases.size(), expected.cases.size());
+  std::uint64_t shards = 0;
+  for (std::size_t i = 0; i < alone.cases.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(alone.cases[i].shards, expected.cases[i].shards);
+    shards += expected.cases[i].shards;
+  }
+  EXPECT_EQ(counter_value(expected.metrics, "runner.units"), shards);
+  EXPECT_EQ(counter_value(alone.metrics, "runner.units"), shards);
+}
+
+// A unit that throws on a remote worker fails the sweep exactly as it does
+// in-process: the worker reports the error and stays up, and the
+// coordinator drains, sends it shutdown, and throws.  A trace-model case
+// whose trace does not parse throws DecodeError as its simulation is
+// built, whatever the algorithm.
+TEST(FabricSystem, RemoteUnitFailureFailsTheSweep) {
+  SweepSpec spec;
+  SweepCase broken;
+  broken.spec = small_case(RunMode::kFreshStart);
+  broken.spec.fault_model.kind = FaultModelKind::kTrace;
+  broken.spec.fault_model.trace_json = "not a trace";
+  spec.cases.push_back(broken);
+  NullProgress quiet;
+  spec.progress = &quiet;
+
+  EXPECT_THROW((void)run_sweep(spec), DecodeError);
+
+  CoordinatorOptions options;
+  options.local_jobs = 0;  // dispatch-only: the unit can only fail remotely
+  options.heartbeat_ms = 100;
+  Coordinator coordinator(spec, options);
+  WorkerOptions worker;
+  worker.port = coordinator.port();
+  worker.slots = 1;
+  WorkerThread only(worker);
+
+  EXPECT_THROW((void)coordinator.run(), std::runtime_error);
+  EXPECT_EQ(only.exit_code(), WorkerExit::kShutdown);
 }
 
 }  // namespace

@@ -1,15 +1,16 @@
-// The parallel sweep engine: bit-identity with the serial path for every
-// algorithm and both modes, shard-merge exactness, the thread pool, and
-// the progress hook.
+// The sweep scheduler: bit-identity with the serial path for every
+// algorithm and both modes, shard-merge exactness, failure propagation,
+// and the progress hook.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "runner/artifact.hpp"
 #include "runner/sweep.hpp"
-#include "runner/thread_pool.hpp"
 #include "util/alloc_stats.hpp"
 
 namespace dynvote {
@@ -367,33 +368,56 @@ TEST(Sweep, JobsFromEnvRespectsOverride) {
   EXPECT_GE(jobs_from_env(), 1u);
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  std::atomic<int> counter{0};
-  ThreadPool pool(4);
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-  // The pool stays usable after a wait.
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 101);
+// The board splits a sweep once: whole-case units (cascading or zero-run
+// cases) first, then fresh-start chunks of max(floor, runs / (4 * max(4,
+// workers))) -- also for a worker count whose product would overflow.
+TEST(UnitBoard, SplitsWholeCasesFirstThenFreshChunks) {
+  SweepSpec sweep;
+  sweep.cases = availability_grid({AlgorithmKind::kYkd}, {2.0}, 4,
+                                  RunMode::kFreshStart, 200, 777, 16);
+  sweep.cases.push_back(sweep.cases[0]);
+  sweep.cases[1].spec.mode = RunMode::kCascading;
+  sweep.cases.push_back(sweep.cases[0]);
+  sweep.cases[2].spec.runs = 0;
+
+  const UnitBoard four(sweep, 4);  // 200 / 16 = 12 runs, below the floor
+  ASSERT_EQ(four.unit_count(), 2u + 7u);
+  EXPECT_EQ(four.unit(0).case_index, 1u);
+  EXPECT_EQ(four.unit(0).run_count, 200u);
+  EXPECT_EQ(four.unit(1).case_index, 2u);
+  EXPECT_EQ(four.unit(2).case_index, 0u);
+  EXPECT_EQ(four.unit(2).run_count, kAutoShardFloor);
+  EXPECT_EQ(four.unit(8).first_run, 192u);
+  EXPECT_EQ(four.unit(8).run_count, 8u);
+
+  sweep.min_shard_runs = 1;
+  EXPECT_EQ(UnitBoard(sweep, 4).unit(2).run_count, 12u);
+  EXPECT_EQ(UnitBoard(sweep, 8).unit(2).run_count, 6u);
+  EXPECT_EQ(UnitBoard(sweep, std::size_t{1} << 62).unit(2).run_count, 1u);
 }
 
-TEST(ThreadPool, RethrowsTheFirstTaskError) {
-  std::atomic<int> counter{0};
-  ThreadPool pool(2);
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&counter, i] {
-      if (i == 3) throw std::runtime_error("shard failed");
-      counter.fetch_add(1);
-    });
+// A unit that throws fails the whole sweep: further claims stop and the
+// first exception reaches the caller once every worker has stopped, on a
+// one-job sweep (the calling thread alone) and a four-job one alike.
+TEST(Sweep, WorkerExceptionFailsTheSweep) {
+  for (std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    SweepSpec sweep;
+    sweep.jobs = jobs;
+    NullProgress quiet;
+    sweep.progress = &quiet;
+    sweep.cases = availability_grid({AlgorithmKind::kYkd}, {0.0, 2.0}, 4,
+                                    RunMode::kFreshStart, 8, 777, 12);
+    SweepCase broken;
+    broken.algorithm = "broken";
+    broken.spec = small_case(AlgorithmKind::kYkd, RunMode::kFreshStart);
+    broken.spec.algorithm_factory = [](ProcessId, const View&)
+        -> std::unique_ptr<PrimaryComponentAlgorithm> {
+      throw std::runtime_error("factory failed");
+    };
+    sweep.cases.push_back(std::move(broken));
+    EXPECT_THROW((void)run_sweep(sweep), std::runtime_error);
   }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(counter.load(), 9);
-  // The error is consumed; the next wait succeeds.
-  pool.wait_idle();
 }
 
 }  // namespace

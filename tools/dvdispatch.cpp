@@ -10,9 +10,10 @@
 // units to any worker that connects; --local runs the identical sweep
 // entirely in-process through the ordinary runner.  Because shard merge is
 // bit-identical, both paths stamp the same results_fingerprint into their
-// manifests -- CI starts a coordinator plus workers (killing one
-// mid-sweep), runs --local, and requires `bench_diff` to find the two
-// manifests identical.
+// manifests -- CI starts a dispatch-only coordinator plus workers (one of
+// which dies holding leases), runs --local, and requires `bench_diff` to
+// find the two manifests identical.  Every role must come from the same
+// build: peers of different wire versions refuse each other's frames.
 //
 // Sweep options (same sweep on every path):
 //   --name NAME        artifact stem (default "fabric_sweep")
@@ -25,8 +26,7 @@
 //   --mode M           fresh | cascading | both (default both)
 //   --min-shard-runs N smallest shard (default auto)
 //   --model M          fault model: geometric | sleepy | repairable | trace
-//                      (default geometric; non-geometric sweeps need wire
-//                      protocol v3 on every fabric peer)
+//                      (default geometric)
 //   --wake-bias X      sleepy: probability a change is a wake (default 0.5)
 //   --repair-capacity N  repairable: concurrent repair slots (default 1)
 //   --repair-mean X    repairable: mean repair service rounds (default 8)
@@ -39,8 +39,10 @@
 // the option can hold ("abc", "-5", "1e3", "2,x" in a list) is a usage
 // error.
 //
-// Exit codes: 0 success/clean shutdown, 2 usage or connection failure,
-// 3 worker died via --die-after-units (a test hook, not an error).
+// Exit codes: 0 success/clean shutdown, 2 usage or connection failure or
+// a failed sweep (a unit that throws, on the coordinator, a worker or
+// --local, fails the sweep with its message), 3 worker died via
+// --die-after-units (a test hook, not an error).
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
