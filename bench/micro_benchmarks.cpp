@@ -2,24 +2,15 @@
 // simulation -- codec throughput, quorum math, a full protocol round, and
 // whole simulated runs per algorithm (the unit of the availability study).
 //
-// Instead of BENCHMARK_MAIN(), a custom main records every run and writes
-// a "dynvote.microbench.v1" manifest (MICRO_bench.json) next to the sweep
-// manifests, so per-operation timings ride the same artifact pipeline and
-// tools/bench_diff can compare them across commits.
+// google-benchmark's own flags record the runs: --benchmark_out=FILE
+// --benchmark_out_format=json writes every timing and counter.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <ctime>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "core/payload.hpp"
 #include "core/quorum.hpp"
 #include "obs/trace.hpp"
-#include "runner/artifact.hpp"
-#include "util/json.hpp"
 #include "sim/driver.hpp"
 #include "util/alloc_stats.hpp"
 #include "util/rng.hpp"
@@ -177,89 +168,7 @@ BENCHMARK(BM_TraceEvent)
     ->Arg(1)  // armed: the DV_TRACE=1 cost
     ->Unit(benchmark::kNanosecond);
 
-/// Collects every iteration-level run while still printing the normal
-/// console table, so one pass feeds both the terminal and the manifest.
-class ManifestCollector : public benchmark::ConsoleReporter {
- public:
-  struct Entry {
-    std::string name;
-    std::int64_t iterations = 0;
-    double real_ns = 0.0;  // per-iteration wall time
-    double cpu_ns = 0.0;   // per-iteration CPU time
-    std::vector<std::pair<std::string, double>> counters;
-  };
-
-  const std::vector<Entry>& entries() const { return entries_; }
-
- protected:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      Entry entry;
-      entry.name = run.benchmark_name();
-      entry.iterations = run.iterations;
-      const double iters =
-          run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
-      // Accumulated times are in seconds regardless of the display unit.
-      entry.real_ns = run.real_accumulated_time / iters * 1e9;
-      entry.cpu_ns = run.cpu_accumulated_time / iters * 1e9;
-      for (const auto& [counter_name, counter] : run.counters) {
-        entry.counters.emplace_back(counter_name, counter.value);
-      }
-      entries_.push_back(std::move(entry));
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
- private:
-  std::vector<Entry> entries_;
-};
-
-std::string microbench_manifest_json(
-    const std::vector<ManifestCollector::Entry>& entries) {
-  JsonWriter json;
-  json.begin_object();
-  json.key("schema").value("dynvote.microbench.v1");
-  json.key("created_unix")
-      .value(static_cast<std::int64_t>(
-          std::time(nullptr)));  // dvlint: ignore(determinism)
-  json.key("git_describe").value(artifact_git_describe());
-  json.key("alloc_hook_linked").value(alloc_hook_linked());
-  json.key("benchmarks").begin_array();
-  for (const ManifestCollector::Entry& entry : entries) {
-    json.begin_object();
-    json.key("name").value(entry.name);
-    json.key("iterations").value(static_cast<std::int64_t>(entry.iterations));
-    json.key("real_ns").value(entry.real_ns);
-    json.key("cpu_ns").value(entry.cpu_ns);
-    if (!entry.counters.empty()) {
-      json.key("counters").begin_object();
-      for (const auto& [name, value] : entry.counters) {
-        json.key(name).value(value);
-      }
-      json.end_object();
-    }
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-  return json.str();
-}
-
 }  // namespace
 }  // namespace dynvote
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  dynvote::ManifestCollector reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  const std::string path = dynvote::write_artifact_document(
-      "MICRO_bench.json",
-      dynvote::microbench_manifest_json(reporter.entries()));
-  if (!path.empty()) {
-    std::fprintf(stderr, "microbench manifest: %s\n", path.c_str());
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

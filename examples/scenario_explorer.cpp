@@ -9,6 +9,7 @@
 //   scenario_explorer --all --changes 6 --rate 4        (compare everyone)
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -38,11 +39,6 @@ namespace {
       << "  --jobs N           worker threads (default: DV_JOBS, else all\n"
       << "                     hardware threads)\n";
   std::exit(2);
-}
-
-std::string row_label(const CaseResult& r, AlgorithmKind kind) {
-  (void)r;
-  return std::string(to_string(kind));
 }
 
 }  // namespace
@@ -118,7 +114,16 @@ int main(int argc, char** argv) {
     one.spec.algorithm = kind;
     sweep.cases.push_back(std::move(one));
   }
-  const SweepResult swept = run_sweep(sweep);
+  // A case the simulator rejects (too few processes, a negative rate) or
+  // an invariant violation ends the sweep with an exception: report it
+  // and fail, rather than abort.
+  SweepResult swept;
+  try {
+    swept = run_sweep(sweep);
+  } catch (const std::exception& e) {
+    std::cerr << "scenario_explorer: " << e.what() << "\n";
+    return 2;
+  }
 
   std::cout << "processes=" << spec.processes << " changes=" << spec.changes
             << " rate=" << spec.mean_rounds << " runs=" << spec.runs
@@ -130,14 +135,16 @@ int main(int argc, char** argv) {
   for (std::size_t k = 0; k < kinds.size(); ++k) {
     const CaseResult& result = swept.cases[k].result;
     table.add_row(
-        {row_label(result, kinds[k]),
+        {std::string(to_string(kinds[k])),
          format_double(result.availability_percent()),
          format_double(result.in_run_availability_percent()),
          format_double(result.stable.percent_nonzero()),
          std::to_string(result.stable.max_observed),
-         format_double(static_cast<double>(result.total_rounds) /
-                           static_cast<double>(result.runs),
-                       1)});
+         result.runs == 0
+             ? std::string("n/a")
+             : format_double(static_cast<double>(result.total_rounds) /
+                                 static_cast<double>(result.runs),
+                             1)});
   }
   table.print(std::cout);
   if (!swept.artifact_path.empty()) {

@@ -49,7 +49,7 @@ inline constexpr std::string_view kFabricSchema = "dynvote.fabric.v2";
 
 /// Envelope version stamped on every frame; decode_frame refuses any
 /// other.  Any change to a frame body bumps it.
-inline constexpr std::uint64_t kFrameVersion = 5;
+inline constexpr std::uint64_t kFrameVersion = 6;
 
 /// Hard cap on one frame's payload, enforced on both the socket read of
 /// the length prefix and the codec's per-item decode cap.  Far above any

@@ -1110,9 +1110,9 @@ void check_bounded_decode(const std::vector<ParsedFile>& files,
 // directories for randomness identifiers, assignment and increment
 // operators, and the container/handle mutators a pure read never needs.
 
-constexpr std::array<std::string_view, 6> kEmissionMacros = {
-    "DV_OBS_INC",     "DV_OBS_ADD",    "DV_OBS_SET",
-    "DV_OBS_RECORD",  "DV_TRACE_SPAN", "DV_TRACE_INSTANT"};
+constexpr std::array<std::string_view, 5> kEmissionMacros = {
+    "DV_OBS_INC", "DV_OBS_ADD", "DV_OBS_RECORD", "DV_TRACE_SPAN",
+    "DV_TRACE_INSTANT"};
 
 constexpr std::array<std::string_view, 8> kTraceRngTokens = {
     "rng",  "rng_",          "child_seed", "rand",

@@ -13,13 +13,13 @@ namespace dynvote {
 namespace obs {
 namespace {
 
-/// Total atomic cells available across all metrics.  A counter or gauge
-/// takes one cell, a histogram takes kHistogramBuckets + 1 (the extra is
+/// Total atomic cells available across all metrics.  A counter takes one
+/// cell, a histogram takes kHistogramBuckets + 1 (the extra is
 /// the running sum).  Cell 0 is the overflow sink: registrations past the
 /// capacity land there (with a one-time warning) instead of failing.
 constexpr std::uint32_t kMaxCells = 4096;
 
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
+enum class MetricKind : std::uint8_t { kCounter, kHistogram };
 
 constexpr std::uint32_t width_of(MetricKind kind) {
   return kind == MetricKind::kHistogram
@@ -55,21 +55,11 @@ Registry& registry() {
   return *instance;
 }
 
-/// Fold one exited thread's shard into the retired accumulator,
-/// kind-aware: gauges take the max, everything else adds.
+/// Fold one exited thread's shard into the retired accumulator.
 void retire_shard_locked(Registry& r,
                          const Shard& shard) {  // dvlint: requires_lock(mutex)
-  for (const Def& def : r.defs) {
-    const std::uint32_t width = width_of(def.kind);
-    for (std::uint32_t i = 0; i < width; ++i) {
-      const std::uint64_t v =
-          shard.cells[def.cell + i].load(std::memory_order_relaxed);
-      if (def.kind == MetricKind::kGauge) {
-        r.retired[def.cell + i] = std::max(r.retired[def.cell + i], v);
-      } else {
-        r.retired[def.cell + i] += v;
-      }
-    }
+  for (std::uint32_t cell = 0; cell < r.next_cell; ++cell) {
+    r.retired[cell] += shard.cells[cell].load(std::memory_order_relaxed);
   }
 }
 
@@ -130,12 +120,11 @@ std::uint32_t register_metric(const char* name, MetricKind kind) {
 }
 
 /// Sum of retired + live values for one cell; caller holds the mutex.
-std::uint64_t fold_cell_locked(const Registry& r, std::uint32_t cell,
-                               MetricKind kind) {  // dvlint: requires_lock(mutex)
+std::uint64_t fold_cell_locked(const Registry& r,
+                               std::uint32_t cell) {  // dvlint: requires_lock(mutex)
   std::uint64_t value = r.retired[cell];
   for (const Shard* shard : r.live) {
-    const std::uint64_t v = shard->cells[cell].load(std::memory_order_relaxed);
-    value = kind == MetricKind::kGauge ? std::max(value, v) : value + v;
+    value += shard->cells[cell].load(std::memory_order_relaxed);
   }
   return value;
 }
@@ -145,8 +134,8 @@ const std::string& name_of(const std::pair<std::string, std::uint64_t>& p) {
 }
 const std::string& name_of(const HistogramSnapshot& h) { return h.name; }
 
-/// Sort by name and fold adjacent duplicates kind-aware.  Applied after
-/// merge and decode so equality is structural.
+/// Sort by name and fold adjacent duplicates.  Applied after merge and
+/// decode so equality is structural.
 template <typename T, typename Fold>
 void normalize_vector(std::vector<T>& items, Fold fold) {
   std::stable_sort(items.begin(), items.end(),
@@ -166,9 +155,6 @@ void normalize_vector(std::vector<T>& items, Fold fold) {
 void normalize(MetricsSnapshot& snap) {
   normalize_vector(snap.counters,
                    [](auto& into, const auto& from) { into.second += from.second; });
-  normalize_vector(snap.gauges, [](auto& into, const auto& from) {
-    into.second = std::max(into.second, from.second);
-  });
   normalize_vector(snap.histograms,
                    [](HistogramSnapshot& into, const HistogramSnapshot& from) {
                      for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
@@ -196,12 +182,11 @@ std::uint64_t HistogramSnapshot::count() const {
 }
 
 bool MetricsSnapshot::empty() const {
-  return counters.empty() && gauges.empty() && histograms.empty();
+  return counters.empty() && histograms.empty();
 }
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   counters.insert(counters.end(), other.counters.begin(), other.counters.end());
-  gauges.insert(gauges.end(), other.gauges.begin(), other.gauges.end());
   histograms.insert(histograms.end(), other.histograms.begin(),
                     other.histograms.end());
   normalize(*this);
@@ -225,7 +210,6 @@ MetricsSnapshot MetricsSnapshot::delta_since(const MetricsSnapshot& base) const 
     const std::uint64_t d = value > before ? value - before : 0;
     if (d > 0) delta.counters.emplace_back(name, d);
   }
-  delta.gauges = gauges;
   for (const HistogramSnapshot& h : histograms) {
     const HistogramSnapshot* before = nullptr;
     for (const HistogramSnapshot& b : base.histograms) {
@@ -255,11 +239,6 @@ MetricsSnapshot MetricsSnapshot::delta_since(const MetricsSnapshot& base) const 
 void MetricsSnapshot::encode_body(Encoder& enc) const {
   enc.put_varint(counters.size());
   for (const auto& [name, value] : counters) {
-    enc.put_string(name);
-    enc.put_varint(value);
-  }
-  enc.put_varint(gauges.size());
-  for (const auto& [name, value] : gauges) {
     enc.put_string(name);
     enc.put_varint(value);
   }
@@ -300,13 +279,6 @@ MetricsSnapshot MetricsSnapshot::decode_body(Decoder& dec) {
     const std::uint64_t value = dec.get_varint();
     snap.counters.emplace_back(std::move(name), value);
   }
-  const std::size_t n_gauges = checked_count("gauge");
-  snap.gauges.reserve(n_gauges);
-  for (std::size_t i = 0; i < n_gauges; ++i) {
-    std::string name = dec.get_string();
-    const std::uint64_t value = dec.get_varint();
-    snap.gauges.emplace_back(std::move(name), value);
-  }
   const std::size_t n_histograms = checked_count("histogram");
   snap.histograms.reserve(n_histograms);
   for (std::size_t i = 0; i < n_histograms; ++i) {
@@ -334,13 +306,6 @@ void Counter::inc(std::uint64_t delta) {
   tls_cells()[cell_].fetch_add(delta, std::memory_order_relaxed);
 }
 
-Gauge::Gauge(const char* name)
-    : cell_(register_metric(name, MetricKind::kGauge)) {}
-
-void Gauge::set(std::uint64_t value) {
-  tls_cells()[cell_].store(value, std::memory_order_relaxed);
-}
-
 Histogram::Histogram(const char* name)
     : cell_(register_metric(name, MetricKind::kHistogram)) {}
 
@@ -357,23 +322,17 @@ MetricsSnapshot snapshot_metrics() {
   for (const Def& def : r.defs) {
     switch (def.kind) {
       case MetricKind::kCounter:
-        snap.counters.emplace_back(def.name,
-                                   fold_cell_locked(r, def.cell, def.kind));
-        break;
-      case MetricKind::kGauge:
-        snap.gauges.emplace_back(def.name,
-                                 fold_cell_locked(r, def.cell, def.kind));
+        snap.counters.emplace_back(def.name, fold_cell_locked(r, def.cell));
         break;
       case MetricKind::kHistogram: {
         HistogramSnapshot h;
         h.name = def.name;
         for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-          h.buckets[b] = fold_cell_locked(
-              r, def.cell + static_cast<std::uint32_t>(b), def.kind);
+          h.buckets[b] =
+              fold_cell_locked(r, def.cell + static_cast<std::uint32_t>(b));
         }
         h.sum = fold_cell_locked(
-            r, def.cell + static_cast<std::uint32_t>(kHistogramBuckets),
-            def.kind);
+            r, def.cell + static_cast<std::uint32_t>(kHistogramBuckets));
         snap.histograms.push_back(std::move(h));
         break;
       }

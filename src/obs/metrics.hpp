@@ -1,4 +1,4 @@
-// Lock-free per-thread metrics registry: counters, gauges and power-of-two
+// Lock-free per-thread metrics registry: counters and power-of-two
 // histograms, with a deterministic merge.
 //
 // The simulator's availability numbers are aggregate outcomes; the metrics
@@ -57,12 +57,10 @@ struct HistogramSnapshot {
 
 /// Point-in-time fold of every registered metric across every thread.
 /// Vectors are sorted by name; `merge` is associative and commutative
-/// (counters and histogram buckets add, gauges take the max), so folding
-/// snapshots from any number of shards in any order yields identical
-/// bytes.
+/// (counters and histogram buckets add), so folding snapshots from any
+/// number of shards in any order yields identical bytes.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, std::uint64_t>> gauges;
   std::vector<HistogramSnapshot> histograms;
 
   bool empty() const;
@@ -70,9 +68,8 @@ struct MetricsSnapshot {
   /// Fold `other` into this snapshot (union by name).
   void merge(const MetricsSnapshot& other);
 
-  /// Counters and histograms as the increase over `base` (clamped at 0);
-  /// gauges keep their current value.  Lets a long-lived process scope a
-  /// snapshot to one sweep.
+  /// Counters and histograms as the increase over `base` (clamped at 0).
+  /// Lets a long-lived process scope a snapshot to one sweep.
   MetricsSnapshot delta_since(const MetricsSnapshot& base) const;
 
   /// Wire body for fabric heartbeat frames.  Decoding normalizes ordering
@@ -90,16 +87,6 @@ class Counter {
  public:
   explicit Counter(const char* name);
   void inc(std::uint64_t delta = 1);
-
- private:
-  std::uint32_t cell_;
-};
-
-/// Last-written value; cross-thread and cross-worker folds take the max.
-class Gauge {
- public:
-  explicit Gauge(const char* name);
-  void set(std::uint64_t value);
 
  private:
   std::uint32_t cell_;
@@ -136,11 +123,6 @@ MetricsSnapshot snapshot_metrics();
     dv_obs_counter_.inc(static_cast<std::uint64_t>(delta));                  \
   } while (false)
 #define DV_OBS_INC(name_literal) DV_OBS_ADD(name_literal, 1)
-#define DV_OBS_SET(name_literal, value)                                      \
-  do {                                                                       \
-    static ::dynvote::obs::Gauge dv_obs_gauge_{name_literal};                \
-    dv_obs_gauge_.set(static_cast<std::uint64_t>(value));                    \
-  } while (false)
 #define DV_OBS_RECORD(name_literal, value)                                   \
   do {                                                                       \
     static ::dynvote::obs::Histogram dv_obs_histogram_{name_literal};        \
@@ -153,10 +135,6 @@ MetricsSnapshot snapshot_metrics();
   } while (false)
 #define DV_OBS_INC(name_literal) \
   do {                           \
-  } while (false)
-#define DV_OBS_SET(name_literal, value) \
-  do {                                  \
-    (void)sizeof(value);                \
   } while (false)
 #define DV_OBS_RECORD(name_literal, value) \
   do {                                     \

@@ -53,8 +53,8 @@ void case_json(JsonWriter& json, const CaseOutcome& outcome,
   // Model-scoped fingerprints: the block names the fault model and its
   // parameters, and it is part of the results document -- a sleepy sweep
   // can never fingerprint-match a geometric one.  Geometric cases omit the
-  // block entirely (same discipline as steady_allocs_per_round) so every
-  // pre-existing baseline fingerprint is preserved bit-for-bit.
+  // block entirely, so every pre-existing baseline fingerprint is
+  // preserved bit-for-bit.
   if (spec.fault_model.kind != FaultModelKind::kGeometric) {
     const FaultModelParams& model = spec.fault_model;
     json.key("fault_model").begin_object();
@@ -97,17 +97,10 @@ void case_json(JsonWriter& json, const CaseOutcome& outcome,
   json.key("total_changes").value(r.total_changes);
   if (include_volatile) {
     json.key("compute_seconds").value(outcome.compute_seconds);
-    json.key("runs_per_sec").value(outcome.runs_per_sec);
-    json.key("rounds_per_sec").value(outcome.rounds_per_sec);
     // total_deliveries is deterministic, but it lives in the volatile
-    // block with its rate: adding it to the results document would move
-    // every pre-existing fingerprint for unchanged simulation results.
+    // block: adding it to the results document would move every
+    // pre-existing fingerprint for unchanged simulation results.
     json.key("total_deliveries").value(r.total_deliveries);
-    json.key("deliveries_per_sec").value(outcome.deliveries_per_sec);
-    if (outcome.steady_allocs_per_round >= 0.0) {
-      json.key("steady_allocs_per_round")
-          .value(outcome.steady_allocs_per_round);
-    }
     json.key("shards").value(static_cast<std::uint64_t>(outcome.shards));
     json.key("steals").value(static_cast<std::uint64_t>(outcome.steals));
   }
@@ -148,11 +141,7 @@ std::string manifest_results_json(const SweepSpec& spec,
 
 std::string results_fingerprint(const SweepSpec& spec,
                                 const SweepResult& result) {
-  const std::uint64_t hash = fnv1a(manifest_results_json(spec, result));
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(hash));
-  return std::string(buf);
+  return hex16(fnv1a(manifest_results_json(spec, result)));
 }
 
 std::string manifest_json(const SweepSpec& spec, const SweepResult& result) {
@@ -180,9 +169,9 @@ std::string manifest_json(const SweepSpec& spec, const SweepResult& result) {
     case_json(json, outcome, /*include_volatile=*/true);
   }
   json.end_array();
-  // Observability metrics (src/obs): counters, gauges and histograms
-  // recorded during this sweep, aggregated across local threads and --
-  // for distributed sweeps -- remote workers' heartbeat snapshots.  Like
+  // Observability metrics (src/obs): counters and histograms recorded
+  // during this sweep, aggregated across local threads and -- for
+  // distributed sweeps -- remote workers' heartbeat snapshots.  Like
   // the fabric block, strictly volatile telemetry: never part of the
   // results document, so tracing/metrics can never move a fingerprint.
   if (!result.metrics.empty()) {
@@ -190,9 +179,6 @@ std::string manifest_json(const SweepSpec& spec, const SweepResult& result) {
     json.key("observability").begin_object();
     json.key("counters").begin_object();
     for (const auto& [name, value] : m.counters) json.key(name).value(value);
-    json.end_object();
-    json.key("gauges").begin_object();
-    for (const auto& [name, value] : m.gauges) json.key(name).value(value);
     json.end_object();
     json.key("histograms").begin_array();
     for (const obs::HistogramSnapshot& h : m.histograms) {
@@ -260,9 +246,12 @@ std::string manifest_json(const SweepSpec& spec, const SweepResult& result) {
   return json.str();
 }
 
-std::string write_artifact_document(const std::string& filename,
-                                    const std::string& document) {
-  std::string dir = env_string("DV_ARTIFACT_DIR").value_or("artifacts");
+namespace {
+
+/// `<artifact dir>/<filename>`, creating the directory on demand; "" when
+/// DV_ARTIFACT_DIR disables artifacts or the directory cannot be created.
+std::string artifact_path(const std::string& filename) {
+  const std::string dir = env_string("DV_ARTIFACT_DIR").value_or("artifacts");
   if (dir == "none" || dir == "off" || dir == "0") return "";
 
   std::error_code ec;
@@ -271,34 +260,15 @@ std::string write_artifact_document(const std::string& filename,
     DV_LOG_WARN("cannot create artifact dir " << dir << ": " << ec.message());
     return "";
   }
-
-  const std::string path = dir + "/" + filename;
-  std::ofstream out(path);
-  if (!out) {
-    DV_LOG_WARN("cannot write artifact " << path);
-    return "";
-  }
-  out << document << '\n';
-  if (!out.good()) {
-    DV_LOG_WARN("short write on artifact " << path);
-    return "";
-  }
-  return path;
+  return dir + "/" + filename;
 }
+
+}  // namespace
 
 std::string write_artifact_bytes(const std::string& filename,
                                  const std::vector<std::byte>& bytes) {
-  std::string dir = env_string("DV_ARTIFACT_DIR").value_or("artifacts");
-  if (dir == "none" || dir == "off" || dir == "0") return "";
-
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    DV_LOG_WARN("cannot create artifact dir " << dir << ": " << ec.message());
-    return "";
-  }
-
-  const std::string path = dir + "/" + filename;
+  const std::string path = artifact_path(filename);
+  if (path.empty()) return "";
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out ||
       !out.write(reinterpret_cast<const char*>(bytes.data()),
@@ -310,8 +280,15 @@ std::string write_artifact_bytes(const std::string& filename,
 }
 
 std::string write_manifest(const SweepSpec& spec, const SweepResult& result) {
-  return write_artifact_document("BENCH_" + spec.name + ".json",
-                                 manifest_json(spec, result));
+  const std::string path = artifact_path("BENCH_" + spec.name + ".json");
+  if (path.empty()) return "";
+  std::ofstream out(path);
+  out << manifest_json(spec, result) << '\n';
+  if (!out.good()) {
+    DV_LOG_WARN("cannot write artifact " << path);
+    return "";
+  }
+  return path;
 }
 
 const char* artifact_git_describe() { return DV_GIT_DESCRIBE; }

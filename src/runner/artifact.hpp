@@ -1,13 +1,14 @@
 // Versioned JSON run artifacts ("manifests") for sweeps.
 //
 // One manifest per sweep, written next to the CSV/stdout outputs the
-// benches already produce: the full configuration (cases, seeds, runs),
-// provenance (schema version, git describe, creation time, DV_JOBS), and
-// per-case measurements -- availability, in-run availability, ambiguity
-// histograms, wire stats, invariant-check counts, wall/compute time and
-// runs/sec.  This is the machine-readable perf/availability trajectory of
-// the repo: comparing two manifests of the same sweep across commits shows
-// both statistical drift and speed drift.
+// benches already produce.  A manifest records results: the full
+// configuration (cases, seeds, runs), provenance (schema version, git
+// describe, creation time, DV_JOBS) and per-case measurements --
+// availability, in-run availability, ambiguity histograms, wire stats and
+// invariant-check counts -- plus the sweep's scheduling and timing
+// telemetry.  Speed is the sweep benchmark's job (perfbench/), which
+// compares two builds on one host; timings recorded on different machines
+// are not comparable, so nothing gates on a manifest's.
 //
 // Layout (schema "dynvote.sweep.v3"):
 //   {
@@ -16,25 +17,24 @@
 //     "jobs": N, "wall_seconds": ..., "total_runs": ...,
 //     "results_fingerprint": "<hex>",
 //     "cases": [ { "algorithm": "...", "processes": ..., "changes": ...,
-//                  "rate": ..., "crash_fraction": ..., "mode": "...",
-//                  "base_seed": ..., "runs": ..., "successes": ...,
-//                  "availability_percent": ...,
+//                  "rate": ..., "crash_fraction": ...,
+//                  "fault_model": {"model": "...", ...},  <- non-geometric
+//                                                            cases only
+//                  "mode": "...", "base_seed": ..., "runs": ...,
+//                  "successes": ..., "availability_percent": ...,
 //                  "in_run_availability_percent": ...,
 //                  "stable_histogram": {"buckets": [..], "samples": ..,
 //                                       "max_observed": ..},
 //                  "in_progress_histogram": {...},
-//                  "wire": {"messages_sent": .., "max_message_bytes": ..,
+//                  "wire": {"messages_sent": ..,
+//                           "protocol_messages_sent": ..,
+//                           "max_message_bytes": ..,
 //                           "total_message_bytes": ..},
 //                  "invariant_checks": .., "total_rounds": ..,
 //                  "total_changes": .., "compute_seconds": ..,
-//                  "runs_per_sec": .., "rounds_per_sec": ..,
-//                  "total_deliveries": .., "deliveries_per_sec": ..,
-//                  "steady_allocs_per_round": ..,   <- only when the
-//                                counting allocator is linked (see
-//                                util/alloc_stats.hpp)
-//                  "shards": .., "steals": .. }, ... ],
+//                  "total_deliveries": .., "shards": .., "steals": .. },
+//                ... ],
 //     "observability": { "counters": {name: value, ...},
-//                        "gauges": {name: value, ...},
 //                        "histograms": [ { "name": "...", "count": ..,
 //                                          "sum": ..,
 //                                          "buckets": [[pow2_index, n],..]
@@ -42,6 +42,9 @@
 //                          <- src/obs metrics recorded during the sweep
 //                             (local threads + aggregated fabric workers);
 //                             volatile telemetry, never fingerprinted
+//     "arena": { "allocs": .., "freelist_hits": .., "chunk_bytes": ..,
+//                "live_bytes": .., "peak_bytes": .. }
+//                          <- only when the spill arena was used (N > 128)
 //     "fabric": { "units_issued": .., "units_reissued": ..,
 //                 "units_stolen": .., "duplicate_results": ..,
 //                 "workers_connected": .., "workers_died": ..,
@@ -52,20 +55,16 @@
 //                             scheduling telemetry, never fingerprinted
 //   }
 //
-// v3 adds the perf telemetry block (rounds_per_sec, total_deliveries,
-// deliveries_per_sec, steady_allocs_per_round) to each case.
-//
 // Everything timing- or scheduling-flavored (created_unix, git_describe,
-// jobs, wall_seconds, compute_seconds, the per-sec rates, allocation
-// telemetry, shards, steals) is legitimately volatile between reruns.  The
-// deterministic remainder is exposed separately as `manifest_results_json`,
-// whose bytes must be identical for any DV_JOBS / shard sizing /
-// scheduling, and whose hash is stamped into the full manifest as
-// "results_fingerprint" so two manifests can be compared for statistical
-// drift at a glance.  That results document is pinned to its own schema
-// string ("dynvote.sweep.v2", the layout it has had since v2) precisely so
-// a manifest-layout bump like v3 -- which only adds volatile telemetry --
-// cannot move the fingerprint of unchanged simulation results.
+// jobs, wall_seconds, compute_seconds, shards, steals and the
+// observability, arena and fabric blocks) is legitimately volatile between
+// reruns.  The deterministic remainder is exposed separately as
+// `manifest_results_json`, whose bytes must be identical for any DV_JOBS /
+// shard sizing / scheduling, and whose hash is stamped into the full
+// manifest as "results_fingerprint" so two manifests can be compared for
+// statistical drift at a glance.  That results document is pinned to its
+// own schema string ("dynvote.sweep.v2") so that a change to the volatile
+// fields cannot move the fingerprint of unchanged simulation results.
 #pragma once
 
 #include <cstddef>
@@ -106,18 +105,10 @@ std::string results_fingerprint(const SweepSpec& spec,
 /// never discarded because a disk write failed.
 std::string write_manifest(const SweepSpec& spec, const SweepResult& result);
 
-/// Write `document` (a newline is appended) to `<artifact dir>/<filename>`
-/// under the same DV_ARTIFACT_DIR discipline as `write_manifest`.  Returns
-/// the path written, or "" when artifacts are disabled or the write
-/// failed (failures warn, they never throw).  Other emitters -- the
-/// microbenchmark manifest, notably -- share this so every artifact obeys
-/// the one environment knob.
-std::string write_artifact_document(const std::string& filename,
-                                    const std::string& document);
-
-/// Binary sibling of `write_artifact_document` (no trailing newline):
-/// writes `bytes` to `<artifact dir>/<filename>` under the same
-/// DV_ARTIFACT_DIR discipline.  Used for dynvote.events.v1 trace files.
+/// Write `bytes` to `<artifact dir>/<filename>` under the same
+/// DV_ARTIFACT_DIR discipline as `write_manifest`, returning the path
+/// written or "" (failures warn, they never throw).  Used for
+/// dynvote.events.v1 trace files.
 std::string write_artifact_bytes(const std::string& filename,
                                  const std::vector<std::byte>& bytes);
 

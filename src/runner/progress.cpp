@@ -28,7 +28,7 @@ void StreamProgress::sweep_done(const std::string& sweep_name,
 ProgressSink& default_progress_sink() {
   static NullProgress null_sink;
   static StreamProgress stderr_sink(std::cerr);
-  if (!env_flag("DV_PROGRESS", true)) return null_sink;
+  if (!env_bool("DV_PROGRESS", true)) return null_sink;
   return stderr_sink;
 }
 

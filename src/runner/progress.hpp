@@ -2,9 +2,10 @@
 //
 // The runner reports every finished case through a ProgressSink: what the
 // case was, how long its shards took, the runs/sec they achieved, and how
-// many invariant checks the safety checker executed.  The same numbers go
-// into the sweep's JSON manifest, so the live feed and the recorded
-// artifact can never disagree.
+// many invariant checks the safety checker executed.  The sweep's JSON
+// manifest records the same runs, compute seconds and checks (runs/sec is
+// their ratio), so the live feed and the recorded artifact can never
+// disagree.
 #pragma once
 
 #include <cstdint>

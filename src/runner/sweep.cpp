@@ -6,11 +6,9 @@
 #include <sstream>
 #include <thread>
 
-#include "gcs/gcs.hpp"
 #include "obs/trace.hpp"
 #include "runner/artifact.hpp"
 #include "sim/table.hpp"
-#include "util/alloc_stats.hpp"
 #include "util/assert.hpp"
 #include "util/env.hpp"
 #include "util/logging.hpp"
@@ -24,49 +22,6 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
-
-}  // namespace
-
-// A probe world is warmed through a few partition/merge cycles (so every
-// pooled buffer reaches capacity), then only the step_round sections of
-// further cycles are measured -- the same slice of work BM_ProtocolRound
-// times.
-double probe_steady_allocs_per_round(const CaseSpec& cs) {
-  if (!alloc_hook_linked() || cs.processes < 2) return -1.0;
-  DV_OBS_INC("runner.alloc_probes");
-
-  Gcs gcs = cs.algorithm_factory != nullptr
-                ? Gcs(cs.algorithm_factory, cs.processes)
-                : Gcs(cs.algorithm, cs.processes);
-  ProcessSet lower_half(cs.processes);
-  for (ProcessId p = 0; p < cs.processes / 2; ++p) lower_half.insert(p);
-
-  std::uint64_t measured_allocs = 0;
-  std::uint64_t measured_rounds = 0;
-  const auto settle = [&](bool measure) {
-    const std::uint64_t before = thread_allocations();
-    std::uint64_t rounds = 0;
-    while (gcs.step_round() && rounds < 1000) ++rounds;
-    if (measure) {
-      measured_allocs += thread_allocations() - before;
-      measured_rounds += rounds;
-    }
-  };
-  constexpr int kWarmupCycles = 8;
-  constexpr int kMeasuredCycles = 4;
-  for (int cycle = 0; cycle < kWarmupCycles + kMeasuredCycles; ++cycle) {
-    const bool measure = cycle >= kWarmupCycles;
-    gcs.apply_partition(0, lower_half);
-    settle(measure);
-    gcs.apply_merge(0, 1);
-    settle(measure);
-  }
-  if (measured_rounds == 0) return -1.0;
-  return static_cast<double>(measured_allocs) /
-         static_cast<double>(measured_rounds);
-}
-
-namespace {
 
 /// Spill-arena telemetry scoped to this sweep: the monotone counters are
 /// deltas against the sweep-start snapshot, the byte gauges stay absolute
@@ -267,23 +222,6 @@ UnitBoard::Accept UnitBoard::accept(std::size_t id, CaseResult&& result,
   return Accept::kCaseComplete;
 }
 
-// The probe world is a function of (algorithm, processes) alone, so each
-// pair is probed once per sweep.  A factory case's algorithm has no such
-// key and is probed per case.  The lock is held across the probe, so
-// concurrent finishers of one pair wait for its single probe.
-double UnitBoard::steady_allocs_per_round(const CaseSpec& cs) {
-  if (cs.algorithm_factory != nullptr) {
-    return probe_steady_allocs_per_round(cs);
-  }
-  std::lock_guard<std::mutex> lock(probe_mutex_);
-  const auto key = std::make_pair(cs.algorithm, cs.processes);
-  auto it = probed_.find(key);
-  if (it == probed_.end()) {
-    it = probed_.emplace(key, probe_steady_allocs_per_round(cs)).first;
-  }
-  return it->second;
-}
-
 void UnitBoard::finish_case(std::size_t case_index) {
   CaseState& state = cases_[case_index];
   const SweepCase& sweep_case = spec_.cases[case_index];
@@ -307,22 +245,15 @@ void UnitBoard::finish_case(std::size_t case_index) {
   }
   state.partials = {};
   outcome.compute_seconds = state.compute_seconds;
-  if (outcome.compute_seconds > 0.0) {
-    outcome.runs_per_sec =
-        static_cast<double>(outcome.result.runs) / outcome.compute_seconds;
-    outcome.rounds_per_sec = static_cast<double>(outcome.result.total_rounds) /
-                             outcome.compute_seconds;
-    outcome.deliveries_per_sec =
-        static_cast<double>(outcome.result.total_deliveries) /
-        outcome.compute_seconds;
-  }
-  outcome.steady_allocs_per_round = steady_allocs_per_round(outcome.spec);
 
   CaseTelemetry telemetry;
   telemetry.label = case_label(sweep_case);
   telemetry.runs = outcome.result.runs;
   telemetry.compute_seconds = outcome.compute_seconds;
-  telemetry.runs_per_sec = outcome.runs_per_sec;
+  if (outcome.compute_seconds > 0.0) {
+    telemetry.runs_per_sec =
+        static_cast<double>(outcome.result.runs) / outcome.compute_seconds;
+  }
   telemetry.invariant_checks = outcome.result.invariant_checks;
   telemetry.availability_percent = outcome.result.availability_percent();
 

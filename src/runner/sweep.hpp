@@ -31,7 +31,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -79,17 +78,6 @@ struct CaseOutcome {
   /// Summed worker time over this case's shards, i.e. its cost, regardless
   /// of how many workers shared it.
   double compute_seconds = 0.0;
-  double runs_per_sec = 0.0;
-  /// Simulation throughput over the same compute time: message rounds and
-  /// (message, recipient) deliveries executed per second.
-  double rounds_per_sec = 0.0;
-  double deliveries_per_sec = 0.0;
-  /// Steady-state heap allocations per message round, measured by a small
-  /// warmed-up probe world (probe_steady_allocs_per_round) once per
-  /// (algorithm, processes) per sweep, or per case for factory cases.
-  /// Requires the counting allocator (dv_alloc_hook) to be linked into the
-  /// binary; negative when it is not (the manifest then omits the field).
-  double steady_allocs_per_round = -1.0;
   /// Result-producing work units this case was executed as (1 = serial).
   std::size_t shards = 0;
   /// Times a unit of this case was claimed by a different worker than the
@@ -201,8 +189,8 @@ UnitRun run_unit(const SweepCase& sweep_case, std::uint64_t first_run,
 /// holder, accept and all_done with one mutex of its own.  unit() reads
 /// immutable data and needs no lock.  finish_case runs outside the owner's
 /// lock, on the thread whose accept completed the case -- no other thread
-/// touches that case again -- and serializes only the probe memo and the
-/// progress report, each under a mutex of the board's.
+/// touches that case again -- and serializes only the progress report,
+/// under a mutex of the board's.
 class UnitBoard {
  public:
   static constexpr std::size_t kNoHolder = SIZE_MAX;
@@ -246,8 +234,7 @@ class UnitBoard {
   bool all_done() const { return cases_done_ == spec_.cases.size(); }
 
   /// Merge a completed case's partial results in run order, fill its
-  /// CaseOutcome (rates and the steady-alloc probe, memoized per
-  /// (algorithm, processes)) and report it to the progress sink.
+  /// CaseOutcome and report it to the progress sink.
   void finish_case(std::size_t case_index);
 
   /// The outcomes, in case order, once every case is finished.
@@ -270,8 +257,6 @@ class UnitBoard {
     std::size_t last_holder = kNoHolder;
   };
 
-  double steady_allocs_per_round(const CaseSpec& cs);
-
   const SweepSpec& spec_;
   ProgressSink& progress_;
   std::vector<SweepUnit> units_;
@@ -281,9 +266,6 @@ class UnitBoard {
   std::size_t cases_done_ = 0;
   std::vector<CaseOutcome> outcomes_;
 
-  std::mutex probe_mutex_;
-  std::map<std::pair<AlgorithmKind, std::size_t>, double>
-      probed_;  // dvlint: guarded_by(probe_mutex_)
   std::mutex progress_mutex_;
   std::size_t cases_reported_ = 0;  // dvlint: guarded_by(progress_mutex_)
 };
@@ -314,15 +296,6 @@ std::vector<SweepCase> availability_grid(
     const std::vector<AlgorithmKind>& algorithms,
     const std::vector<double>& rates, std::size_t changes, RunMode mode,
     std::uint64_t runs, std::uint64_t base_seed, std::size_t processes = 64);
-
-/// Steady-state heap allocations per message round of `cs`'s algorithm at
-/// its process count, measured on a warmed-up probe world: the value behind
-/// CaseOutcome::steady_allocs_per_round, which run_sweep probes once per
-/// (algorithm, processes) and per case for factory cases.  Each call builds
-/// a probe world and counts `runner.alloc_probes`.  Negative when the
-/// counting allocator (dv_alloc_hook) is not linked into the binary or the
-/// case cannot partition.
-double probe_steady_allocs_per_round(const CaseSpec& cs);
 
 /// Human-readable case coordinates for progress lines and error messages,
 /// e.g. "ykd p=64 c=6 r=4 cascading".

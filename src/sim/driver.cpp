@@ -67,7 +67,6 @@ void Simulation::count_round(RunResult& result) {
 
 void Simulation::note_ambiguity_sample(std::size_t ambiguous_count) {
   if (ambiguous_count < last_ambiguous_) {
-    DV_OBS_ADD("sim.sessions_resolved", last_ambiguous_ - ambiguous_count);
     DV_TRACE_INSTANT("session_resolved", last_ambiguous_ - ambiguous_count,
                      ambiguous_count);
   }

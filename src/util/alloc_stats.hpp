@@ -6,11 +6,11 @@
 // counting allocator is linked into the binary.  The allocator lives in the
 // separate `dv_alloc_hook` object library, which replaces the global
 // operator new/delete; binaries that want real numbers (the allocation
-// regression test, the bench binaries that emit perf telemetry) link it,
+// regression test, the microbenchmarks, the sweep benchmark) link it,
 // everything else pays nothing.
 //
-// Counting is per-thread so the parallel sweep runner can measure one
-// case's probe without interference from sibling workers.
+// Counting is per-thread, so a section measured on one thread never counts
+// what other threads allocate meanwhile.
 #pragma once
 
 #include <cstdint>

@@ -44,26 +44,6 @@ Parse strict_u64(const std::string& text, std::uint64_t& out) {
   return Parse::kOk;
 }
 
-Parse strict_double(const std::string& text, double& out) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') return Parse::kMalformed;
-  // Overflow to +/-inf (and an inf or nan literal) is out-of-range;
-  // gradual underflow toward zero is a representable (if imprecise) value.
-  if (!std::isfinite(value)) return Parse::kOutOfRange;
-  out = value;
-  return Parse::kOk;
-}
-
-void warn_rejected(Parse status, const char* name, const std::string& raw,
-                   const std::string& fallback_text) {
-  if (status == Parse::kMalformed) {
-    warn_malformed(name, raw, fallback_text);
-  } else {
-    warn_out_of_range(name, raw, fallback_text);
-  }
-}
-
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
@@ -85,8 +65,12 @@ std::optional<std::uint64_t> parse_u64(const std::string& text) {
 }
 
 std::optional<double> parse_double(const std::string& text) {
-  double value = 0.0;
-  if (strict_double(text, value) != Parse::kOk) return std::nullopt;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0') return std::nullopt;
+  // Overflow to +/-inf (and an inf or nan literal) is rejected; gradual
+  // underflow toward zero is a representable (if imprecise) value.
+  if (!std::isfinite(value)) return std::nullopt;
   return value;
 }
 
@@ -96,27 +80,11 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   std::uint64_t value = 0;
   const Parse status = strict_u64(*raw, value);
   if (status == Parse::kOk) return value;
-  warn_rejected(status, name, *raw, std::to_string(fallback));
-  return fallback;
-}
-
-double env_double(const char* name, double fallback) {
-  const auto raw = env_string(name);
-  if (!raw.has_value()) return fallback;
-  double value = 0.0;
-  const Parse status = strict_double(*raw, value);
-  if (status == Parse::kOk) return value;
-  warn_rejected(status, name, *raw, std::to_string(fallback));
-  return fallback;
-}
-
-bool env_flag(const char* name, bool fallback) {
-  const auto raw = env_string(name);
-  if (!raw.has_value()) return fallback;
-  const std::string v = lower(*raw);
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  warn_malformed(name, *raw, fallback ? "true" : "false");
+  if (status == Parse::kMalformed) {
+    warn_malformed(name, *raw, std::to_string(fallback));
+  } else {
+    warn_out_of_range(name, *raw, std::to_string(fallback));
+  }
   return fallback;
 }
 

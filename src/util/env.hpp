@@ -32,18 +32,11 @@ std::optional<std::string> env_string(const char* name);
 /// warn and return `fallback`.
 std::uint64_t env_u64(const char* name, std::uint64_t fallback);
 
-/// Floating-point knob.  Malformed values warn and return `fallback`.
-double env_double(const char* name, double fallback);
-
-/// Boolean knob: "1"/"true"/"yes"/"on" -> true, "0"/"false"/"no"/"off" ->
-/// false (case-insensitive).  Malformed values warn and return `fallback`.
-bool env_flag(const char* name, bool fallback);
-
-/// Boolean knob with env_u64's out-of-range discipline on top of
-/// env_flag's word forms: numeric values other than 0/1 (DV_TRACE=2,
-/// DV_TRACE=-1) are values a boolean cannot hold and warn as
-/// out-of-range, while non-numeric garbage warns as malformed.  Both
-/// return `fallback`.
+/// Boolean knob (DV_TRACE, DV_PROGRESS): "1"/"true"/"yes"/"on" -> true,
+/// "0"/"false"/"no"/"off" -> false (case-insensitive).  Numeric values
+/// other than 0/1 (DV_TRACE=2, DV_TRACE=-1) are values a boolean cannot
+/// hold and warn as out-of-range, as env_u64 does; non-numeric garbage
+/// warns as malformed.  Both return `fallback`.
 bool env_bool(const char* name, bool fallback);
 
 }  // namespace dynvote

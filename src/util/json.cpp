@@ -156,154 +156,8 @@ const std::string& JsonWriter::str() const {
 }
 
 // ---------------------------------------------------------------------------
-// Validator: a recursive-descent pass over one document.
-
-namespace {
-
-struct Parser {
-  std::string_view text;
-  std::size_t pos = 0;
-  int depth = 0;
-  static constexpr int kMaxDepth = 256;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-            text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-
-  bool eat(char c) {
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  bool literal(std::string_view word) {
-    if (text.substr(pos, word.size()) != word) return false;
-    pos += word.size();
-    return true;
-  }
-
-  bool string() {
-    if (!eat('"')) return false;
-    while (pos < text.size()) {
-      const char c = text[pos++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        if (pos >= text.size()) return false;
-        const char esc = text[pos++];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (pos >= text.size() || !std::isxdigit(static_cast<unsigned char>(text[pos]))) {
-              return false;
-            }
-            ++pos;
-          }
-        } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                   esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          return false;
-        }
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool digits() {
-    const std::size_t start = pos;
-    while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) ++pos;
-    return pos > start;
-  }
-
-  bool number() {
-    eat('-');
-    if (eat('0')) {
-      // leading zero must not be followed by more digits
-      if (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) return false;
-    } else if (!digits()) {
-      return false;
-    }
-    if (eat('.') && !digits()) return false;
-    if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
-      ++pos;
-      if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) ++pos;
-      if (!digits()) return false;
-    }
-    return true;
-  }
-
-  bool value() {
-    if (++depth > kMaxDepth) return false;
-    skip_ws();
-    bool ok = false;
-    if (pos >= text.size()) {
-      ok = false;
-    } else if (text[pos] == '{') {
-      ++pos;
-      skip_ws();
-      if (eat('}')) {
-        ok = true;
-      } else {
-        for (;;) {
-          skip_ws();
-          if (!string()) { ok = false; break; }
-          skip_ws();
-          if (!eat(':')) { ok = false; break; }
-          if (!value()) { ok = false; break; }
-          skip_ws();
-          if (eat(',')) continue;
-          ok = eat('}');
-          break;
-        }
-      }
-    } else if (text[pos] == '[') {
-      ++pos;
-      skip_ws();
-      if (eat(']')) {
-        ok = true;
-      } else {
-        for (;;) {
-          if (!value()) { ok = false; break; }
-          skip_ws();
-          if (eat(',')) continue;
-          ok = eat(']');
-          break;
-        }
-      }
-    } else if (text[pos] == '"') {
-      ok = string();
-    } else if (text[pos] == 't') {
-      ok = literal("true");
-    } else if (text[pos] == 'f') {
-      ok = literal("false");
-    } else if (text[pos] == 'n') {
-      ok = literal("null");
-    } else {
-      ok = number();
-    }
-    --depth;
-    return ok;
-  }
-};
-
-}  // namespace
-
-bool json_is_valid(std::string_view document) {
-  Parser parser{document};
-  if (!parser.value()) return false;
-  parser.skip_ws();
-  return parser.pos == document.size();
-}
-
-// ---------------------------------------------------------------------------
-// DOM parser: the same grammar as the validator, but constructing values.
-// Kept separate rather than templated over the validator -- the two passes
-// are each ~80 lines and diverge in what they carry (the DOM decodes
-// escapes and numbers; the validator only scans).
+// JsonValue and its parser, a strict recursive-descent pass over one
+// RFC-8259 document.
 
 bool JsonValue::as_bool() const {
   DV_REQUIRE(kind_ == Kind::kBool, "JsonValue is not a bool");
@@ -443,7 +297,7 @@ struct JsonDomParser {
           std::uint32_t unit = 0;
           if (!hex4(unit)) return false;
           // Combine a high+low surrogate pair when one follows; a lone
-          // surrogate is kept as-is (matching the validator's leniency).
+          // surrogate is kept as-is rather than rejected.
           if (unit >= 0xD800 && unit <= 0xDBFF &&
               text.substr(pos, 2) == "\\u") {
             const std::size_t saved = pos;

@@ -1,5 +1,5 @@
-// Dependency-free JSON emission (and a small validator) for the sweep
-// runner's artifacts.
+// Dependency-free JSON emission and parsing for the sweep runner's
+// artifacts.
 //
 // The writer is a streaming, comma-managing serializer: callers nest
 // begin_object/begin_array and key/value calls and get syntactically valid
@@ -49,10 +49,6 @@ class JsonWriter {
 
 /// Escape `text` as a JSON string literal, including the quotes.
 std::string json_quote(std::string_view text);
-
-/// Strict structural validation of one JSON document (used by tests to
-/// check emitted manifests without an external parser).
-bool json_is_valid(std::string_view document);
 
 namespace detail {
 struct JsonDomParser;
@@ -104,7 +100,7 @@ class JsonValue {
   std::vector<Member> members_;
 };
 
-/// Parse one complete document (same strict grammar as `json_is_valid`);
+/// Parse one complete document under the strict RFC-8259 grammar;
 /// std::nullopt on malformed input or trailing garbage.
 std::optional<JsonValue> json_parse(std::string_view document);
 

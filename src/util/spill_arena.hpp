@@ -5,10 +5,11 @@
 // / intersected_with / minus in the quorum rules builds one.  The arena
 // turns each allocate/deallocate into a size-class freelist pop/push --
 // blocks come from bump-allocated chunks and are never returned to the
-// general heap until thread exit -- so once the freelists are warm the
-// steady-state round loop performs zero heap allocations at any N.  This is
-// what extends the PR-4 zero-alloc guarantee past the SBO boundary
-// (alloc_regression_test gates it at N=256).
+// general heap until thread exit -- so once the freelists are warm, spills
+// add no heap allocations to the steady-state round loop at any N.  This is
+// what keeps the rounds of YKD, unoptimized YKD and 1-pending allocation-free
+// past the SBO boundary (alloc_regression_test fences every algorithm at
+// N=256).
 //
 // The arena is deliberately per-thread (sweep workers never share
 // ProcessSet storage), so no lock is ever taken on the allocation path; a

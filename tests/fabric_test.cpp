@@ -168,13 +168,21 @@ TEST(FabricWire, HeartbeatStealShutdownRoundTrip) {
   beat.inflight = 3;
   beat.busy_seconds = 2.5;
   beat.metrics.counters = {{"sim.rounds", 42}};
-  beat.metrics.gauges = {{"runner.jobs", 8}};
+  obs::HistogramSnapshot shard_ms;
+  shard_ms.name = "runner.shard_ms";
+  shard_ms.buckets[obs::bucket_for(12)] = 2;
+  shard_ms.buckets[obs::bucket_for(0)] = 1;
+  shard_ms.sum = 24;
+  beat.metrics.histograms = {shard_ms};
   const HeartbeatFrame got_beat =
       std::get<HeartbeatFrame>(decode_frame(encode_frame(Frame{beat})));
   EXPECT_EQ(got_beat.inflight, 3u);
   EXPECT_EQ(got_beat.busy_seconds, 2.5);
   EXPECT_EQ(got_beat.metrics.counters, beat.metrics.counters);
-  EXPECT_EQ(got_beat.metrics.gauges, beat.metrics.gauges);
+  ASSERT_EQ(got_beat.metrics.histograms.size(), 1u);
+  EXPECT_EQ(got_beat.metrics.histograms[0].name, "runner.shard_ms");
+  EXPECT_EQ(got_beat.metrics.histograms[0].buckets, shard_ms.buckets);
+  EXPECT_EQ(got_beat.metrics.histograms[0].sum, 24u);
 
   StealFrame steal;
   steal.want = 6;

@@ -19,11 +19,9 @@ namespace {
 
 MetricsSnapshot snap(
     std::vector<std::pair<std::string, std::uint64_t>> counters,
-    std::vector<std::pair<std::string, std::uint64_t>> gauges = {},
     std::vector<HistogramSnapshot> histograms = {}) {
   MetricsSnapshot s;
   s.counters = std::move(counters);
-  s.gauges = std::move(gauges);
   s.histograms = std::move(histograms);
   return s;
 }
@@ -79,23 +77,20 @@ TEST(Buckets, BitWidthLayout) {
   }
 }
 
-TEST(SnapshotMerge, CountersAddGaugesMax) {
-  MetricsSnapshot a = snap({{"x", 3}, {"y", 1}}, {{"g", 7}});
-  const MetricsSnapshot b = snap({{"x", 2}, {"z", 5}}, {{"g", 4}, {"h", 9}});
+TEST(SnapshotMerge, CountersAdd) {
+  MetricsSnapshot a = snap({{"x", 3}, {"y", 1}});
+  const MetricsSnapshot b = snap({{"x", 2}, {"z", 5}});
   a.merge(b);
   EXPECT_EQ(a.counters,
             (std::vector<std::pair<std::string, std::uint64_t>>{
                 {"x", 5}, {"y", 1}, {"z", 5}}));
-  EXPECT_EQ(a.gauges,
-            (std::vector<std::pair<std::string, std::uint64_t>>{
-                {"g", 7}, {"h", 9}}));
 }
 
 TEST(SnapshotMerge, HistogramMergeIsAssociativeAndCommutative) {
-  const MetricsSnapshot a = snap({}, {}, {hist("lat", {1, 2, 3, 100})});
-  const MetricsSnapshot b = snap({}, {}, {hist("lat", {7, 7, 900})});
+  const MetricsSnapshot a = snap({}, {hist("lat", {1, 2, 3, 100})});
+  const MetricsSnapshot b = snap({}, {hist("lat", {7, 7, 900})});
   const MetricsSnapshot c =
-      snap({}, {}, {hist("lat", {0, 5}), hist("other", {42})});
+      snap({}, {hist("lat", {0, 5}), hist("other", {42})});
 
   // Commutativity: a+b == b+a.
   MetricsSnapshot ab = a;
@@ -123,8 +118,7 @@ TEST(SnapshotMerge, HistogramMergeIsAssociativeAndCommutative) {
 }
 
 TEST(SnapshotMerge, EmptyIsIdentity) {
-  const MetricsSnapshot a =
-      snap({{"x", 3}}, {{"g", 2}}, {hist("lat", {4, 9})});
+  const MetricsSnapshot a = snap({{"x", 3}}, {hist("lat", {4, 9})});
   MetricsSnapshot left;
   left.merge(a);
   EXPECT_TRUE(same_bytes(left, a));
@@ -135,18 +129,15 @@ TEST(SnapshotMerge, EmptyIsIdentity) {
   EXPECT_FALSE(a.empty());
 }
 
-TEST(SnapshotDelta, CountersSubtractGaugesKeepCurrent) {
+TEST(SnapshotDelta, CountersAndHistogramsSubtract) {
   const MetricsSnapshot base =
-      snap({{"x", 3}, {"gone", 9}}, {{"g", 4}}, {hist("lat", {1, 1})});
+      snap({{"x", 3}, {"gone", 9}}, {hist("lat", {1, 1})});
   const MetricsSnapshot now =
-      snap({{"x", 10}, {"new", 2}, {"gone", 9}}, {{"g", 2}},
-           {hist("lat", {1, 1, 8})});
+      snap({{"x", 10}, {"new", 2}, {"gone", 9}}, {hist("lat", {1, 1, 8})});
   const MetricsSnapshot delta = now.delta_since(base);
   EXPECT_EQ(delta.counters,
             (std::vector<std::pair<std::string, std::uint64_t>>{
                 {"new", 2}, {"x", 7}}));
-  EXPECT_EQ(delta.gauges,
-            (std::vector<std::pair<std::string, std::uint64_t>>{{"g", 2}}));
   ASSERT_EQ(delta.histograms.size(), 1u);
   EXPECT_EQ(delta.histograms[0].count(), 1u);
   EXPECT_EQ(delta.histograms[0].sum, 8u);
@@ -154,13 +145,12 @@ TEST(SnapshotDelta, CountersSubtractGaugesKeepCurrent) {
 
 TEST(SnapshotWire, RoundTripsByteIdentically) {
   const MetricsSnapshot s =
-      snap({{"a", 1}, {"b", UINT64_MAX}}, {{"g", 123}},
+      snap({{"a", 1}, {"b", UINT64_MAX}},
            {hist("lat", {0, 1, 5, 1u << 20}), hist("rt", {})});
   const std::vector<std::byte> bytes = encode(s);
   const MetricsSnapshot back = decode(bytes);
   EXPECT_EQ(encode(back), bytes);
   EXPECT_EQ(back.counters, s.counters);
-  EXPECT_EQ(back.gauges, s.gauges);
 }
 
 TEST(SnapshotWire, DecodeNormalizesUnsortedInput) {
@@ -173,7 +163,6 @@ TEST(SnapshotWire, DecodeNormalizesUnsortedInput) {
   enc.put_varint(1);
   enc.put_string("aa");
   enc.put_varint(2);
-  enc.put_varint(0);  // gauges
   enc.put_varint(0);  // histograms
   const std::vector<std::byte> bytes = enc.take();
   Decoder dec(bytes);
@@ -197,7 +186,6 @@ TEST(SnapshotWire, HostileCountsThrowBeforeAllocating) {
     // Histogram bucket index out of range.
     Encoder enc;
     enc.put_varint(0);  // counters
-    enc.put_varint(0);  // gauges
     enc.put_varint(1);  // one histogram
     enc.put_string("h");
     enc.put_varint(0);              // sum
@@ -219,15 +207,13 @@ TEST(SnapshotWire, HostileCountsThrowBeforeAllocating) {
   }
 }
 
-TEST(LiveRegistry, CountersGaugesHistogramsFold) {
+TEST(LiveRegistry, CountersAndHistogramsFold) {
   const MetricsSnapshot before = snapshot_metrics();
 
   static Counter counter("obs_test.counter");
-  static Gauge gauge("obs_test.gauge");
   static Histogram histogram("obs_test.hist");
   counter.inc();
   counter.inc(4);
-  gauge.set(17);
   histogram.record(3);
   histogram.record(300);
 
@@ -236,22 +222,15 @@ TEST(LiveRegistry, CountersGaugesHistogramsFold) {
   std::thread t([] {
     static Counter same_name("obs_test.counter");
     same_name.inc(10);
-    static Gauge g2("obs_test.gauge");
-    g2.set(9);  // lower than the main thread's 17: max keeps 17
   });
   t.join();
 
   const MetricsSnapshot delta = snapshot_metrics().delta_since(before);
   std::uint64_t counter_value = 0;
-  std::uint64_t gauge_value = 0;
   for (const auto& [name, value] : delta.counters) {
     if (name == "obs_test.counter") counter_value = value;
   }
-  for (const auto& [name, value] : delta.gauges) {
-    if (name == "obs_test.gauge") gauge_value = value;
-  }
   EXPECT_EQ(counter_value, 15u);
-  EXPECT_EQ(gauge_value, 17u);
   bool found_hist = false;
   for (const HistogramSnapshot& h : delta.histograms) {
     if (h.name != "obs_test.hist") continue;
