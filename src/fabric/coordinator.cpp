@@ -14,7 +14,6 @@
 
 #include "fabric/socket.hpp"
 #include "fabric/wire.hpp"
-#include "obs/metrics.hpp"
 #include "runner/artifact.hpp"
 #include "runner/sweep.hpp"
 #include "util/env.hpp"
@@ -45,10 +44,6 @@ struct Connection {
   std::uint64_t units_done = 0;     // dvlint: guarded_by(mutex)
   double busy_results = 0.0;        // dvlint: guarded_by(mutex)
   double busy_reported = 0.0;       // dvlint: guarded_by(mutex)
-  /// Latest cumulative metrics snapshot from this worker's heartbeats.
-  obs::MetricsSnapshot metrics;     // dvlint: guarded_by(mutex)
-  /// When the previous heartbeat arrived; zero time_point = none yet.
-  Clock::time_point last_heartbeat{};  // dvlint: guarded_by(mutex)
   bool registered = false;          // dvlint: guarded_by(mutex)
   bool dead = false;                // dvlint: guarded_by(mutex)
 };
@@ -120,17 +115,13 @@ struct Coordinator::Impl {
   // dvlint: requires_lock(mutex)
   std::optional<std::size_t> claim_locked(std::size_t holder) {
     const std::optional<std::size_t> id = board.claim(holder);
-    if (id.has_value()) {
-      ++telemetry.units_issued;
-      DV_OBS_INC("fabric.units_issued");
-    }
+    if (id.has_value()) ++telemetry.units_issued;
     return id;
   }
 
   void reissue_locked(std::size_t unit_id) {  // dvlint: requires_lock(mutex)
     board.requeue(unit_id);
     ++telemetry.units_reissued;
-    DV_OBS_INC("fabric.units_reissued");
   }
 
   /// Accept one unit's result; the board keeps the first and drops late
@@ -145,7 +136,6 @@ struct Coordinator::Impl {
           board.accept(unit_id, std::move(shard), compute_seconds);
       if (accepted == UnitBoard::Accept::kDuplicate) {
         ++telemetry.duplicate_results;
-        DV_OBS_INC("fabric.duplicate_results");
       }
       if (accepted != UnitBoard::Accept::kCaseComplete) return;
       finished_case = board.unit(unit_id).case_index;
@@ -375,20 +365,8 @@ struct Coordinator::Impl {
           grant(conn, 1);
         } else if (const HeartbeatFrame* hb =
                        std::get_if<HeartbeatFrame>(&incoming)) {
-          const auto now = Clock::now();
           std::lock_guard<std::mutex> lock(mutex);
           conn->busy_reported = hb->busy_seconds;
-          if (!hb->metrics.empty()) conn->metrics = hb->metrics;
-          // Inter-heartbeat gap: the live proxy for worker link latency
-          // and scheduler stalls (cadence is the contracted heartbeat_ms).
-          if (conn->last_heartbeat != Clock::time_point{}) {
-            const double gap_ms =
-                std::chrono::duration<double, std::milli>(
-                    now - conn->last_heartbeat)
-                    .count();
-            DV_OBS_RECORD("fabric.heartbeat_gap_ms", gap_ms);
-          }
-          conn->last_heartbeat = now;
         } else if (const StealFrame* steal =
                        std::get_if<StealFrame>(&incoming)) {
           {
@@ -435,7 +413,7 @@ struct Coordinator::Impl {
   }
 
   SweepResult run() {
-    const SweepBaseline baseline = begin_sweep();
+    const Clock::time_point start = begin_sweep();
 
     std::thread acceptor([this] { accept_loop(); });
     std::vector<std::thread> executors;
@@ -503,13 +481,8 @@ struct Coordinator::Impl {
         telemetry.workers.insert(telemetry.workers.begin(), std::move(local));
       }
       result.fabric = telemetry;
-      // The latest cumulative snapshot each worker shipped in its
-      // heartbeats; end_sweep adds this process's own delta.
-      for (const auto& conn : connections) {
-        result.metrics.merge(conn->metrics);
-      }
     }
-    end_sweep(spec, baseline, result);
+    end_sweep(spec, start, result);
     return result;
   }
 };

@@ -151,15 +151,11 @@ void ResultFrame::decode_body(Decoder& dec) {
 }
 
 void HeartbeatFrame::encode_body(Encoder& enc) const {
-  enc.put_varint(inflight);
   put_double(enc, busy_seconds);
-  metrics.encode_body(enc);
 }
 
 void HeartbeatFrame::decode_body(Decoder& dec) {
-  inflight = dec.get_varint();
   busy_seconds = get_double(dec);
-  metrics = obs::MetricsSnapshot::decode_body(dec);
 }
 
 void StealFrame::encode_body(Encoder& enc) const { enc.put_varint(want); }

@@ -38,7 +38,6 @@
 #include <variant>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "sim/experiment.hpp"
 #include "util/codec.hpp"
 
@@ -49,7 +48,7 @@ inline constexpr std::string_view kFabricSchema = "dynvote.fabric.v2";
 
 /// Envelope version stamped on every frame; decode_frame refuses any
 /// other.  Any change to a frame body bumps it.
-inline constexpr std::uint64_t kFrameVersion = 6;
+inline constexpr std::uint64_t kFrameVersion = 7;
 
 /// Hard cap on one frame's payload, enforced on both the socket read of
 /// the length prefix and the codec's per-item decode cap.  Far above any
@@ -124,14 +123,8 @@ struct ResultFrame {
 };
 
 struct HeartbeatFrame {
-  /// Units currently executing on the worker.
-  std::uint64_t inflight = 0;
   /// Cumulative simulate time this connection, for utilization telemetry.
   double busy_seconds = 0.0;
-  /// Cumulative src/obs metrics snapshot of the worker process, so the
-  /// coordinator can aggregate live worker metrics.  Telemetry only,
-  /// never results.
-  obs::MetricsSnapshot metrics;
 
   void encode_body(Encoder& enc) const;
   void decode_body(Decoder& dec);

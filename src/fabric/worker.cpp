@@ -11,7 +11,6 @@
 
 #include "fabric/socket.hpp"
 #include "fabric/wire.hpp"
-#include "obs/metrics.hpp"
 #include "runner/artifact.hpp"
 #include "runner/sweep.hpp"
 
@@ -118,12 +117,8 @@ void heartbeat_loop(WorkerSession& session, std::uint64_t heartbeat_ms) {
       session.work.wait_for(lock, std::chrono::milliseconds(heartbeat_ms),
                             [&] { return session.ending; });
       if (session.ending) return;
-      beat.inflight = session.inflight_locked();
       beat.busy_seconds = session.busy_seconds;
     }
-    // Cumulative process-wide metrics; the coordinator keeps the latest
-    // snapshot per connection.  Taken outside the session lock.
-    beat.metrics = obs::snapshot_metrics();
     send_or_lose(session, Frame{beat});
   }
 }

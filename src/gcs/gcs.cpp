@@ -2,7 +2,6 @@
 
 #include <array>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/codec.hpp"
@@ -110,9 +109,6 @@ bool Gcs::step_round() {
 
 void Gcs::install_view(const ProcessSet& members) {
   const View view{next_view_id_++, members};
-  // Observational only (and outside step_round, so the zero-alloc
-  // steady-state probe never crosses this path).
-  DV_OBS_INC("gcs.views_installed");
   DV_TRACE_INSTANT("view_installed", view.id, members.count());
   members.for_each([&](ProcessId p) {
     installed_views_[p] = view;

@@ -39,9 +39,6 @@ constexpr CheckInfo kChecks[] = {
     {CheckId::kAtomicFold, "atomic-fold",
      "stats folds run after the merge barrier and must not read live "
      "std::atomic fields"},
-    {CheckId::kFormatMigration, "format-migration",
-     "fields written under an envelope-version gate must be read under one "
-     "too"},
     {CheckId::kGuardedBy, "guarded-by",
      "fields annotated guarded_by(<mutex>) may only be touched while a "
      "scope holds that mutex"},
@@ -56,8 +53,8 @@ constexpr CheckInfo kChecks[] = {
      "decode-side reserve()/resize() from a decoded count is bounded by "
      "the decoder's remaining bytes first"},
     {CheckId::kTracePurity, "trace-purity",
-     "DV_OBS_* / DV_TRACE_* emission arguments in result-affecting paths "
-     "must be pure reads: no RNG draws, no assignments or mutator calls"},
+     "DV_TRACE_* emission arguments in result-affecting paths must be pure "
+     "reads: no RNG draws, no assignments or mutator calls"},
 };
 
 }  // namespace
@@ -198,150 +195,6 @@ void check_snapshot_completeness(const std::vector<ParsedFile>& files,
                       "; serialize it or annotate it '// dvlint: "
                       "transient(reason)'";
           findings.push_back(std::move(f));
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Check 6: format migration discipline
-//
-// A field the save side writes only under an envelope-version gate
-// (`if (version >= N) { ... }`) was added to the format after v1.  The
-// load side must read it under a gate too: an ungated read consumes bytes
-// that older writers never produced, desynchronizing the stream for every
-// field that follows.  The `else` branch of a gate counts as gated --
-// defaulting the field for pre-gate writers is the correct migration shape.
-
-struct GatedRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-bool in_gated_range(const std::vector<GatedRange>& ranges,
-                    std::size_t offset) {
-  for (const GatedRange& r : ranges) {
-    if (offset >= r.begin && offset < r.end) return true;
-  }
-  return false;
-}
-
-/// Byte ranges of `body` inside `if (<condition naming a *version*
-/// identifier>) { ... } [else { ... }]` statements.  Braceless gates are
-/// not recognized (the repo style always braces); chained `else if` gates
-/// are picked up as their own `if`.
-std::vector<GatedRange> version_gated_ranges(std::string_view body) {
-  std::vector<GatedRange> ranges;
-  const std::vector<Token> tokens = tokenize(body);
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    if (tokens[i].text != "if" || i + 1 >= tokens.size() ||
-        tokens[i + 1].text != "(") {
-      continue;
-    }
-    // Walk the condition; a gate names the envelope version.
-    bool versioned = false;
-    int depth = 0;
-    std::size_t j = i + 1;
-    for (; j < tokens.size(); ++j) {
-      if (tokens[j].text == "(") ++depth;
-      if (tokens[j].text == ")" && --depth == 0) break;
-      if (tokens[j].is_ident() &&
-          tokens[j].text.find("version") != std::string_view::npos) {
-        versioned = true;
-      }
-    }
-    if (!versioned || j + 1 >= tokens.size() ||
-        tokens[j + 1].text != "{") {
-      continue;
-    }
-    const std::size_t open = tokens[j + 1].offset;
-    const std::size_t close = match_brace(body, open);
-    if (close == std::string_view::npos) continue;
-    ranges.push_back(GatedRange{open + 1, close});
-    // Fold a chained `else { ... }` into the gate.  (`else if` falls
-    // through to the next iteration as its own gate.)
-    std::size_t k = j + 2;
-    while (k < tokens.size() && tokens[k].offset <= close) ++k;
-    if (k < tokens.size() && tokens[k].text == "else" &&
-        k + 1 < tokens.size() && tokens[k + 1].text == "{") {
-      const std::size_t else_open = tokens[k + 1].offset;
-      const std::size_t else_close = match_brace(body, else_open);
-      if (else_close != std::string_view::npos) {
-        ranges.push_back(GatedRange{else_open + 1, else_close});
-      }
-    }
-  }
-  return ranges;
-}
-
-void check_format_migration(const std::vector<ParsedFile>& files,
-                            std::vector<Finding>& findings) {
-  for (const ParsedFile& pf : files) {
-    for (const ClassDecl& cls : pf.classes) {
-      if (cls.fields.empty()) continue;
-
-      std::vector<BodyRef> save_bodies;
-      std::vector<BodyRef> load_bodies;
-      for (std::string_view m : kSaveSideMethods) {
-        collect_bodies(files, cls.name, m, save_bodies);
-      }
-      for (std::string_view m : kLoadSideMethods) {
-        collect_bodies(files, cls.name, m, load_bodies);
-      }
-      if (save_bodies.empty() || load_bodies.empty()) continue;
-
-      // Fields whose save-side references all sit inside version gates --
-      // i.e. fields added to the format after v1.
-      std::set<std::string_view> gated_fields;
-      std::set<std::string_view> ungated_fields;
-      for (const BodyRef& ref : save_bodies) {
-        const std::string_view body =
-            std::string_view(ref.file->code)
-                .substr(ref.body.begin, ref.body.end - ref.body.begin);
-        const std::vector<GatedRange> gates = version_gated_ranges(body);
-        for (const Token& t : tokenize(body)) {
-          if (!t.is_ident()) continue;
-          if (in_gated_range(gates, t.offset)) {
-            gated_fields.insert(t.text);
-          } else {
-            ungated_fields.insert(t.text);
-          }
-        }
-      }
-
-      for (const FieldDecl& field : cls.fields) {
-        if (gated_fields.count(field.name) == 0 ||
-            ungated_fields.count(field.name) > 0) {
-          continue;
-        }
-        // A migration field: every load-side reference must be gated.
-        for (const BodyRef& ref : load_bodies) {
-          const std::string_view body =
-              std::string_view(ref.file->code)
-                  .substr(ref.body.begin, ref.body.end - ref.body.begin);
-          const std::vector<GatedRange> gates = version_gated_ranges(body);
-          for (const Token& t : tokenize(body)) {
-            if (!t.is_ident() || t.text != field.name) continue;
-            if (in_gated_range(gates, t.offset)) continue;
-            const std::size_t line =
-                ref.file->line_of(ref.body.begin + t.offset);
-            if (ignored(*ref.file, line, CheckId::kFormatMigration)) {
-              continue;
-            }
-            Finding f;
-            f.check = CheckId::kFormatMigration;
-            f.file = ref.file->rel_path;
-            f.line = line;
-            f.detail = field.name;
-            f.message =
-                "class " + cls.name + ": field '" + field.name +
-                "' is written only under an envelope-version gate but read "
-                "here unconditionally; older writers never produced these "
-                "bytes -- gate the read on the same version (an `else` "
-                "branch may default it)";
-            findings.push_back(std::move(f));
-          }
         }
       }
     }
@@ -604,7 +457,7 @@ void check_layering(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 7: guarded-by lock discipline
+// Check 6: guarded-by lock discipline
 //
 // Fields annotated `// dvlint: guarded_by(<mutex>)` (collected repo-wide,
 // so a header's annotation protects accesses in every .cpp) may only be
@@ -669,7 +522,7 @@ void check_guarded_by(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 8: protocol exhaustiveness
+// Check 7: protocol exhaustiveness
 //
 // Enums annotated `// dvlint: wire_enum` cross a serialization boundary:
 // every switch over one must name every enumerator, so adding a frame type
@@ -786,7 +639,7 @@ void check_protocol_exhaustiveness(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 9: RNG stream discipline
+// Check 8: RNG stream discipline
 //
 // Replayable, uncorrelated randomness rests on the child_seed registry in
 // util/rng.hpp: every derived stream takes a named k*StreamTag constant,
@@ -1004,7 +857,7 @@ void check_rng_stream(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 10: bounded decode
+// Check 9: bounded decode
 //
 // Generalizes the CaseResult::decode_body hardening: a decode path that
 // reserve()s or resize()s from a decoded count must first bound the count
@@ -1098,7 +951,7 @@ void check_bounded_decode(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 11: trace-purity
+// Check 10: trace-purity
 //
 // The fingerprint-parity guarantee (DV_TRACE=1 and DV_TRACE=0 produce
 // byte-identical results documents) holds only if observation never feeds
@@ -1106,13 +959,12 @@ void check_bounded_decode(const std::vector<ParsedFile>& files,
 // the hot path whether or not that discipline was intended, so any RNG
 // draw or mutation inside them changes results -- conditionally, when the
 // macro's own guard short-circuits, which is worse.  This check scans the
-// argument span of every DV_OBS_* / DV_TRACE_* site in result-affecting
-// directories for randomness identifiers, assignment and increment
-// operators, and the container/handle mutators a pure read never needs.
+// argument span of every DV_TRACE_* site in result-affecting directories
+// for randomness identifiers, assignment and increment operators, and the
+// container/handle mutators a pure read never needs.
 
-constexpr std::array<std::string_view, 5> kEmissionMacros = {
-    "DV_OBS_INC", "DV_OBS_ADD", "DV_OBS_RECORD", "DV_TRACE_SPAN",
-    "DV_TRACE_INSTANT"};
+constexpr std::array<std::string_view, 2> kEmissionMacros = {
+    "DV_TRACE_SPAN", "DV_TRACE_INSTANT"};
 
 constexpr std::array<std::string_view, 8> kTraceRngTokens = {
     "rng",  "rng_",          "child_seed", "rand",
@@ -1311,7 +1163,6 @@ LintReport run_lint(const LintOptions& options) {
   check_layering(parsed, findings);
   check_decode_throw(parsed, findings);
   check_atomic_fold(parsed, findings);
-  check_format_migration(parsed, findings);
   check_guarded_by(parsed, findings);
   check_protocol_exhaustiveness(parsed, findings);
   check_rng_stream(parsed, findings);

@@ -28,8 +28,8 @@
 //                          e.g. core including sim, sim including runner,
 //                          obs including core, or anything in src
 //                          including bench.  The observability layer sits
-//                          just above util so core/gcs/sim may emit
-//                          metrics and trace events, never the reverse.
+//                          just above util so core/gcs/sim may emit trace
+//                          events, never the reverse.
 //   decode-throw           a load-side body (load, load_extra, decode,
 //                          decode_body) uses DV_ASSERT/DV_REQUIRE instead
 //                          of throwing DecodeError: malformed snapshot
@@ -42,15 +42,6 @@
 //                          its writers.  Opt-out: `// dvlint:
 //                          ignore(atomic-fold)` where the caller
 //                          establishes the barrier.
-//   format-migration       a field the save side writes only under an
-//                          envelope-version gate (`if (version >= N)`) was
-//                          added to the format after v1, but a load-side
-//                          body reads it outside any such gate.  Older
-//                          writers never produced those bytes: the ungated
-//                          read desynchronizes the stream for every field
-//                          after it.  The `else` branch of a gate counts as
-//                          gated (defaulting the field for old writers is
-//                          the correct migration shape).
 //   guarded-by             a field or local annotated `// dvlint:
 //                          guarded_by(<mutex>)` is touched outside a scope
 //                          holding a lock_guard/unique_lock/scoped_lock on
@@ -77,10 +68,10 @@
 //                          decoded count without first bounding it by the
 //                          decoder's remaining bytes; a hostile length
 //                          prefix must fail fast, not allocate.
-//   trace-purity           an argument of a DV_OBS_* / DV_TRACE_* emission
-//                          macro in a result-affecting directory draws
-//                          randomness (rng, child_seed, ...) or mutates
-//                          state (assignment, ++/--, push_back/erase/...).
+//   trace-purity           an argument of a DV_TRACE_* emission macro in a
+//                          result-affecting directory draws randomness
+//                          (rng, child_seed, ...) or mutates state
+//                          (assignment, ++/--, push_back/erase/...).
 //                          Observation must be a pure read: an emission
 //                          site that perturbs the RNG stream or the world
 //                          changes results when tracing toggles, breaking
@@ -106,7 +97,6 @@ enum class CheckId {
   kLayering,
   kDecodeThrow,
   kAtomicFold,
-  kFormatMigration,
   kGuardedBy,
   kProtocolExhaustiveness,
   kRngStream,

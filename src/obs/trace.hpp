@@ -11,10 +11,10 @@
 // kept, so a runaway sweep degrades to a suffix trace instead of growing
 // without bound (capacity per thread via DV_TRACE_BUF).
 //
-// Like metrics, trace emission is observational only: sites must not call
-// RNG or mutate simulation state (dvlint `trace-purity`).  Timestamps come
-// from steady_clock relative to the enable instant; they are telemetry,
-// never inputs to the simulation.
+// Trace emission is observational only: sites must not call RNG or mutate
+// simulation state (dvlint `trace-purity`).  Timestamps come from
+// steady_clock relative to the enable instant; they are telemetry, never
+// inputs to the simulation.
 //
 // `trace_drain()` folds every ring into one time-sorted TraceFile.  It
 // must only run while emitting threads are quiescent (the sweep runner
@@ -121,12 +121,10 @@ class TraceSpan {
 }  // namespace obs
 }  // namespace dynvote
 
-// Emission macros.  Arguments must be pure reads (dvlint `trace-purity`);
-// -DDV_OBS_DISABLE compiles the sites out entirely.
+// Emission macros.  Arguments must be pure reads (dvlint `trace-purity`).
 #define DV_TRACE_CONCAT_INNER(a, b) a##b
 #define DV_TRACE_CONCAT(a, b) DV_TRACE_CONCAT_INNER(a, b)
 
-#ifndef DV_OBS_DISABLE
 #define DV_TRACE_INSTANT(name_literal, arg0, arg1)                          \
   do {                                                                      \
     if (::dynvote::obs::trace_enabled()) {                                  \
@@ -144,16 +142,3 @@ class TraceSpan {
     (name_expr), static_cast<std::uint64_t>(arg0),                 \
         static_cast<std::uint64_t>(arg1)                           \
   }
-#else
-#define DV_TRACE_INSTANT(name_literal, arg0, arg1) \
-  do {                                             \
-    (void)sizeof(arg0);                            \
-    (void)sizeof(arg1);                            \
-  } while (false)
-#define DV_TRACE_SPAN(name_expr, arg0, arg1) \
-  do {                                       \
-    (void)sizeof(name_expr);                 \
-    (void)sizeof(arg0);                      \
-    (void)sizeof(arg1);                      \
-  } while (false)
-#endif

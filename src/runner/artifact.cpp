@@ -169,52 +169,6 @@ std::string manifest_json(const SweepSpec& spec, const SweepResult& result) {
     case_json(json, outcome, /*include_volatile=*/true);
   }
   json.end_array();
-  // Observability metrics (src/obs): counters and histograms recorded
-  // during this sweep, aggregated across local threads and -- for
-  // distributed sweeps -- remote workers' heartbeat snapshots.  Like
-  // the fabric block, strictly volatile telemetry: never part of the
-  // results document, so tracing/metrics can never move a fingerprint.
-  if (!result.metrics.empty()) {
-    const obs::MetricsSnapshot& m = result.metrics;
-    json.key("observability").begin_object();
-    json.key("counters").begin_object();
-    for (const auto& [name, value] : m.counters) json.key(name).value(value);
-    json.end_object();
-    json.key("histograms").begin_array();
-    for (const obs::HistogramSnapshot& h : m.histograms) {
-      json.begin_object();
-      json.key("name").value(h.name);
-      json.key("count").value(h.count());
-      json.key("sum").value(h.sum);
-      // Sparse bucket list: [bucket index (std::bit_width), count].
-      json.key("buckets").begin_array();
-      for (std::size_t b = 0; b < obs::kHistogramBuckets; ++b) {
-        if (h.buckets[b] == 0) continue;
-        json.begin_array();
-        json.value(static_cast<std::uint64_t>(b));
-        json.value(h.buckets[b]);
-        json.end_array();
-      }
-      json.end_array();
-      json.end_object();
-    }
-    json.end_array();
-    json.end_object();
-  }
-  // Spill-arena telemetry (util/spill_arena.hpp): how hard the beyond-SBO
-  // ProcessSet path leaned on the freelist arena during this sweep.
-  // Volatile like the observability block; omitted when the arena was
-  // never touched (N <= 128 sweeps).
-  if (result.arena.allocs > 0 || result.arena.chunk_bytes > 0) {
-    const SpillArenaStats& arena = result.arena;
-    json.key("arena").begin_object();
-    json.key("allocs").value(arena.allocs);
-    json.key("freelist_hits").value(arena.freelist_hits);
-    json.key("chunk_bytes").value(arena.chunk_bytes);
-    json.key("live_bytes").value(arena.live_bytes);
-    json.key("peak_bytes").value(arena.peak_bytes);
-    json.end_object();
-  }
   // Fabric scheduling telemetry (multi-host sweeps only).  Volatile by
   // design: which worker ran which unit, re-issues after deaths, and
   // steal traffic can never affect the merged results, and keeping the

@@ -34,17 +34,6 @@
 //                  "total_changes": .., "compute_seconds": ..,
 //                  "total_deliveries": .., "shards": .., "steals": .. },
 //                ... ],
-//     "observability": { "counters": {name: value, ...},
-//                        "histograms": [ { "name": "...", "count": ..,
-//                                          "sum": ..,
-//                                          "buckets": [[pow2_index, n],..]
-//                                        }, ... ] }
-//                          <- src/obs metrics recorded during the sweep
-//                             (local threads + aggregated fabric workers);
-//                             volatile telemetry, never fingerprinted
-//     "arena": { "allocs": .., "freelist_hits": .., "chunk_bytes": ..,
-//                "live_bytes": .., "peak_bytes": .. }
-//                          <- only when the spill arena was used (N > 128)
 //     "fabric": { "units_issued": .., "units_reissued": ..,
 //                 "units_stolen": .., "duplicate_results": ..,
 //                 "workers_connected": .., "workers_died": ..,
@@ -56,15 +45,15 @@
 //   }
 //
 // Everything timing- or scheduling-flavored (created_unix, git_describe,
-// jobs, wall_seconds, compute_seconds, shards, steals and the
-// observability, arena and fabric blocks) is legitimately volatile between
-// reruns.  The deterministic remainder is exposed separately as
-// `manifest_results_json`, whose bytes must be identical for any DV_JOBS /
-// shard sizing / scheduling, and whose hash is stamped into the full
-// manifest as "results_fingerprint" so two manifests can be compared for
-// statistical drift at a glance.  That results document is pinned to its
-// own schema string ("dynvote.sweep.v2") so that a change to the volatile
-// fields cannot move the fingerprint of unchanged simulation results.
+// jobs, wall_seconds, compute_seconds, shards, steals and the fabric
+// block) is legitimately volatile between reruns.  The deterministic
+// remainder is exposed separately as `manifest_results_json`, whose bytes
+// must be identical for any DV_JOBS / shard sizing / scheduling, and whose
+// hash is stamped into the full manifest as "results_fingerprint" so two
+// manifests can be compared for statistical drift at a glance.  That
+// results document is pinned to its own schema string ("dynvote.sweep.v2")
+// so that a change to the volatile fields cannot move the fingerprint of
+// unchanged simulation results.
 #pragma once
 
 #include <cstddef>

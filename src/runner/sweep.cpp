@@ -23,17 +23,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Spill-arena telemetry scoped to this sweep: the monotone counters are
-/// deltas against the sweep-start snapshot, the byte gauges stay absolute
-/// (live/peak bytes are states, not flows).
-SpillArenaStats arena_delta_since(const SpillArenaStats& base) {
-  SpillArenaStats now = spill_arena_merged_stats();
-  now.allocs -= base.allocs;
-  now.freelist_hits -= base.freelist_hits;
-  now.chunk_bytes -= base.chunk_bytes;
-  return now;
-}
-
 /// Arm the trace recorder when DV_TRACE asks for it.  Idempotent: tracing
 /// armed earlier (by dvdispatch --trace-out or a test) stays armed with
 /// its ring sizing.
@@ -142,8 +131,6 @@ UnitRun run_unit(const SweepCase& sweep_case, std::uint64_t first_run,
     run.result = run_case_shard(sweep_case.spec, first_run, run_count);
   }
   run.seconds = seconds_since(start);
-  DV_OBS_INC("runner.units");
-  DV_OBS_RECORD("runner.shard_ms", run.seconds * 1000.0);
   return run;
 }
 
@@ -190,7 +177,6 @@ std::optional<std::size_t> UnitBoard::claim(std::size_t holder) {
     CaseState& state = cases_[units_[id].case_index];
     if (state.last_holder != kNoHolder && state.last_holder != holder) {
       ++state.steals;
-      DV_OBS_INC("runner.steals");
     }
     state.last_holder = holder;
     return id;
@@ -261,24 +247,17 @@ void UnitBoard::finish_case(std::size_t case_index) {
   progress_.case_done(telemetry, ++cases_reported_, spec_.cases.size());
 }
 
-SweepBaseline begin_sweep() {
-  SweepBaseline baseline;
-  baseline.start = Clock::now();
+Clock::time_point begin_sweep() {
+  const Clock::time_point start = Clock::now();
   maybe_enable_trace_from_env();
-  // Metrics are process-cumulative; the delta scopes the manifest's
-  // observability block to this sweep.
-  baseline.metrics = obs::snapshot_metrics();
-  baseline.arena = spill_arena_merged_stats();
-  return baseline;
+  return start;
 }
 
-void end_sweep(const SweepSpec& spec, const SweepBaseline& baseline,
+void end_sweep(const SweepSpec& spec, Clock::time_point start,
                SweepResult& result) {
-  result.wall_seconds = seconds_since(baseline.start);
-  // The unit-running threads have stopped: their metric shards are
-  // retired and their trace rings quiescent, so the folds are complete.
-  result.metrics.merge(obs::snapshot_metrics().delta_since(baseline.metrics));
-  result.arena = arena_delta_since(baseline.arena);
+  result.wall_seconds = seconds_since(start);
+  // The unit-running threads have stopped, so their trace rings are
+  // quiescent and the drain is complete.
   result.trace_path = drain_trace_to_artifact(spec.name);
   ProgressSink& progress =
       spec.progress != nullptr ? *spec.progress : default_progress_sink();
@@ -290,7 +269,7 @@ void end_sweep(const SweepSpec& spec, const SweepBaseline& baseline,
 }
 
 SweepResult run_sweep(const SweepSpec& spec) {
-  const SweepBaseline baseline = begin_sweep();
+  const Clock::time_point start = begin_sweep();
   const std::size_t jobs = spec.jobs != 0 ? spec.jobs : jobs_from_env();
 
   std::mutex mutex;
@@ -348,7 +327,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
     if (failure) std::rethrow_exception(failure);
     result.cases = board.take_outcomes();
   }
-  end_sweep(spec, baseline, result);
+  end_sweep(spec, start, result);
   return result;
 }
 

@@ -37,10 +37,8 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "runner/progress.hpp"
 #include "sim/experiment.hpp"
-#include "util/spill_arena.hpp"
 
 namespace dynvote {
 
@@ -131,14 +129,6 @@ struct SweepResult {
   /// Populated by fabric coordinators (fabric/coordinator.hpp); default
   /// (used == false) for in-process sweeps.
   FabricTelemetry fabric;
-  /// This sweep's metrics delta (src/obs), rendered into the manifest's
-  /// volatile `observability` block.  Fabric coordinators fold aggregated
-  /// worker snapshots in as well.  Never part of the results fingerprint.
-  obs::MetricsSnapshot metrics;
-  /// Spill-arena activity during this sweep, merged across worker threads
-  /// (util/spill_arena.hpp): counter fields are deltas scoped to the sweep,
-  /// byte gauges are end-of-sweep absolutes.  Volatile telemetry.
-  SpillArenaStats arena;
 };
 
 /// Execute the sweep across `jobs` workers -- the calling thread plus
@@ -169,10 +159,9 @@ struct UnitRun {
 };
 
 /// Execute one unit of `sweep_case` (run_case_shard, which also runs a
-/// cascading case whole) under a case-labeled trace span, recording
-/// `runner.units` and `runner.shard_ms`.  In-process workers, coordinator
-/// threads and remote fabric workers all execute units through here, so
-/// placement never shows in the results.
+/// cascading case whole) under a case-labeled trace span.  In-process
+/// workers, coordinator threads and remote fabric workers all execute
+/// units through here, so placement never shows in the results.
 UnitRun run_unit(const SweepCase& sweep_case, std::uint64_t first_run,
                  std::uint64_t run_count);
 
@@ -270,23 +259,15 @@ class UnitBoard {
   std::size_t cases_reported_ = 0;  // dvlint: guarded_by(progress_mutex_)
 };
 
-/// What a sweep's telemetry is measured against.
-struct SweepBaseline {
-  std::chrono::steady_clock::time_point start;
-  obs::MetricsSnapshot metrics;
-  SpillArenaStats arena;
-};
-
 /// The sweep prologue shared by run_sweep and the fabric coordinator: arm
-/// the trace recorder when DV_TRACE asks for it, then take the metrics and
-/// spill-arena baselines.
-SweepBaseline begin_sweep();
+/// the trace recorder when DV_TRACE asks for it and return the start time.
+std::chrono::steady_clock::time_point begin_sweep();
 
-/// The shared epilogue: wall time, this sweep's metric delta (merged into
-/// whatever `result.metrics` already holds) and arena delta, the trace
-/// drain, the progress sink's sweep_done and, when `spec.name` is set, the
-/// manifest.  Every thread that ran units must have stopped.
-void end_sweep(const SweepSpec& spec, const SweepBaseline& baseline,
+/// The shared epilogue: wall time since `start`, the trace drain, the
+/// progress sink's sweep_done and, when `spec.name` is set, the manifest.
+/// Every thread that ran units must have stopped.
+void end_sweep(const SweepSpec& spec,
+               std::chrono::steady_clock::time_point start,
                SweepResult& result);
 
 /// Build the standard availability grid -- every algorithm crossed with

@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/codec.hpp"
@@ -43,7 +42,6 @@ void Simulation::step_round() {
 void Simulation::apply_next_fault() {
   model_->apply_next(gcs_);
   ++total_changes_;
-  DV_OBS_INC("sim.changes_applied");
   if (config_.check_invariants) checker_.check(gcs_);
   // A fault installs views, and view_changed stages protocol traffic that
   // only surfaces at the next round's poll -- the system must be presumed
@@ -56,7 +54,6 @@ void Simulation::count_round(RunResult& result) {
   ++result.rounds_executed;
   const bool primary = gcs_.has_primary();
   if (primary) ++result.rounds_with_primary;
-  DV_OBS_INC("sim.rounds");
   // Edge-detect availability regained: the instant marks the round index
   // within the run and the change count so far.
   if (primary && !had_primary_) {

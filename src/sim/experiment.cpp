@@ -1,9 +1,7 @@
 #include "sim/experiment.hpp"
 
 #include <bit>
-#include <string>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/driver.hpp"
 #include "sim/snapshot.hpp"
@@ -57,39 +55,7 @@ void fold_run_counters(CaseResult& result, const Simulation& sim,
   prev_checks = sim.invariant_checks();
 
   result.total_deliveries += sim.gcs().deliveries() - prev_deliveries;
-  DV_OBS_ADD("sim.deliveries", sim.gcs().deliveries() - prev_deliveries);
   prev_deliveries = sim.gcs().deliveries();
-}
-
-/// Observability for one completed run: global run/availability counters
-/// plus a per-algorithm session-resolution counter derived from the
-/// observer's ambiguity samples (each drop between consecutive samples is
-/// that many sessions resolved).  Reads the finished RunResult only.
-void note_run_observed(const CaseSpec& spec, std::uint64_t run_index,
-                       const RunResult& run) {
-  DV_OBS_INC("sim.runs");
-  if (run.primary_at_end) DV_OBS_INC("sim.runs_with_primary");
-  std::uint64_t resolved = 0;
-  std::size_t prev = 0;
-  bool have_prev = false;
-  const auto sample = [&](std::size_t ambiguous) {
-    if (have_prev && ambiguous < prev) resolved += prev - ambiguous;
-    prev = ambiguous;
-    have_prev = true;
-  };
-  for (const std::size_t ambiguous : run.observer_ambiguous_at_changes) {
-    sample(ambiguous);
-  }
-  sample(run.observer_ambiguous_at_end);
-  if (resolved > 0) {
-    const std::string name =
-        std::string("sim.sessions_resolved.") +
-        (spec.algorithm_factory ? std::string("custom")
-                                : std::string(to_string(spec.algorithm)));
-    obs::Counter per_algorithm(name.c_str());
-    per_algorithm.inc(resolved);
-  }
-  DV_TRACE_INSTANT("run_complete", run_index, run.primary_at_end ? 1 : 0);
 }
 
 }  // namespace
@@ -123,7 +89,7 @@ CaseResult run_case_shard(const CaseSpec& spec, std::uint64_t first_run,
       DV_TRACE_SPAN("run", i, spec.processes);
       run = sim.run_once();
     }
-    note_run_observed(spec, i, run);
+    DV_TRACE_INSTANT("run_complete", i, run.primary_at_end ? 1 : 0);
     result.record(std::move(run));
     WireStats prev_wire;
     std::uint64_t prev_checks = 0;
@@ -195,7 +161,7 @@ CaseResult run_cascading_shard(const CaseSpec& spec,
       DV_TRACE_SPAN("run", run_index, spec.processes);
       run = sim.run_once();
     }
-    note_run_observed(spec, run_index, run);
+    DV_TRACE_INSTANT("run_complete", run_index, run.primary_at_end ? 1 : 0);
     result.record(std::move(run));
     fold_run_counters(result, sim, prev_wire, prev_checks, prev_deliveries);
   }

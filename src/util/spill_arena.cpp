@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <mutex>
 #include <new>
 #include <vector>
 
@@ -22,46 +21,18 @@ struct FreeBlock {
   FreeBlock* next;
 };
 
-/// Aggregates the totals of threads that have already exited, and tracks
-/// the live threads' stats blocks so merged_stats can walk them.
-struct Registry {
-  std::mutex mutex;
-  SpillArenaStats retired;
-  std::vector<const SpillArenaStats*> live;
-};
-
-Registry& registry() {
-  static Registry r;
-  return r;
-}
-
 class ThreadArena {
  public:
-  ThreadArena() {
-    std::lock_guard<std::mutex> lock(registry().mutex);
-    registry().live.push_back(&stats_);
-  }
-
   ~ThreadArena() {
-    {
-      std::lock_guard<std::mutex> lock(registry().mutex);
-      auto& live = registry().live;
-      live.erase(std::remove(live.begin(), live.end(), &stats_), live.end());
-      registry().retired += stats_;
-    }
     for (void* chunk : chunks_) ::operator delete(chunk);
   }
 
   void* allocate(std::size_t bytes) {
     const int cls = class_of(bytes);
     if (cls < 0) return ::operator new(bytes);  // oversize: pass through
-    ++stats_.allocs;
     const std::size_t block = std::size_t{1} << (kMinClassShift + cls);
-    stats_.live_bytes += block;
-    stats_.peak_bytes = std::max(stats_.peak_bytes, stats_.live_bytes);
     if (FreeBlock* head = freelists_[cls]) {
       freelists_[cls] = head->next;
-      ++stats_.freelist_hits;
       return head;
     }
     if (bump_remaining_ < block) refill();
@@ -77,14 +48,10 @@ class ThreadArena {
       ::operator delete(p);
       return;
     }
-    const std::size_t block = std::size_t{1} << (kMinClassShift + cls);
-    stats_.live_bytes -= block;
     auto* fb = static_cast<FreeBlock*>(p);
     fb->next = freelists_[cls];
     freelists_[cls] = fb;
   }
-
-  const SpillArenaStats& stats() const { return stats_; }
 
  private:
   /// Class index for a request, or -1 for oversize.
@@ -100,14 +67,12 @@ class ThreadArena {
     chunks_.push_back(chunk);
     bump_ = static_cast<std::byte*>(chunk);
     bump_remaining_ = kChunkBytes;
-    stats_.chunk_bytes += kChunkBytes;
   }
 
   FreeBlock* freelists_[kNumClasses] = {};
   std::byte* bump_ = nullptr;
   std::size_t bump_remaining_ = 0;
   std::vector<void*> chunks_;
-  SpillArenaStats stats_;
 };
 
 ThreadArena& thread_arena() {
@@ -123,16 +88,6 @@ void* spill_arena_allocate(std::size_t bytes) {
 
 void spill_arena_deallocate(void* p, std::size_t bytes) noexcept {
   thread_arena().deallocate(p, bytes);
-}
-
-SpillArenaStats spill_arena_thread_stats() { return thread_arena().stats(); }
-
-SpillArenaStats spill_arena_merged_stats() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  SpillArenaStats out = r.retired;
-  for (const SpillArenaStats* s : r.live) out += *s;
-  return out;
 }
 
 }  // namespace dynvote

@@ -18,7 +18,6 @@
 
 #include "core/process_set.hpp"
 #include "gcs/gcs.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/alloc_stats.hpp"
 
@@ -116,12 +115,12 @@ TEST(AllocRegression, QuiescentRoundsAreAllocationFree) {
   EXPECT_EQ(thread_allocations() - before, 0u);
 }
 
-/// The observability layer must not erode the guarantee: with tracing OFF
-/// (the default), instrumented steady-state rounds at n=64 stay at zero
-/// allocations -- the emission sites cost one relaxed load/add each, never
-/// a heap touch.  install_view carries DV_OBS_INC/DV_TRACE_INSTANT sites,
-/// so this variant counts the partition/merge applications too, not just
-/// the round loop.
+/// The trace recorder must not erode the guarantee: with tracing OFF (the
+/// default), instrumented steady-state rounds at n=64 stay at zero
+/// allocations -- a disarmed emission site costs one relaxed load and a
+/// branch, never a heap touch.  install_view carries a DV_TRACE_INSTANT
+/// site, so this variant counts the partition/merge applications too, not
+/// just the round loop.
 TEST(AllocRegression, TracingOffSteadyStateStaysAllocationFreeAtN64) {
   if (!alloc_hook_linked()) {
     GTEST_SKIP() << "dv_alloc_hook not linked; allocation counts unavailable";
@@ -132,8 +131,6 @@ TEST(AllocRegression, TracingOffSteadyStateStaysAllocationFreeAtN64) {
   ProcessSet lower_half(kProcesses);
   for (ProcessId p = 0; p < kProcesses / 2; ++p) lower_half.insert(p);
 
-  // Warm-up also interns the emission sites' metric names and allocates
-  // this thread's metrics shard -- one-time costs, by design.
   for (int cycle = 0; cycle < kWarmupCycles; ++cycle) {
     gcs.apply_partition(0, lower_half);
     settle(gcs, nullptr);
@@ -155,7 +152,7 @@ TEST(AllocRegression, TracingOffSteadyStateStaysAllocationFreeAtN64) {
   EXPECT_EQ(allocs, 0u)
       << "with tracing off, instrumented steady state allocated " << allocs
       << " times over " << rounds
-      << " rounds; DV_OBS_*/DV_TRACE_* sites must be free when disarmed";
+      << " rounds; DV_TRACE_* sites must be free when disarmed";
 }
 
 }  // namespace

@@ -4,8 +4,12 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <set>
+#include <span>
 #include <sstream>
 
+#include "obs/trace.hpp"
 #include "runner/artifact.hpp"
 #include "util/json.hpp"
 #include "runner/sweep.hpp"
@@ -179,6 +183,62 @@ TEST(Artifact, ManifestJsonCoversEveryCase) {
   EXPECT_NE(doc.find("\"algorithm\":\"ykd\""), std::string::npos);
   EXPECT_NE(doc.find("\"algorithm\":\"simple-majority\""), std::string::npos);
   EXPECT_NE(doc.find("\"mode\":\"fresh-start\""), std::string::npos);
+}
+
+// Tracing a sweep records its protocol events without moving a result:
+// the traced and untraced results documents are identical, and the events
+// file holds one run_complete per run and one case span per unit.
+TEST(Artifact, TracedSweepWritesEventsWithoutMovingResults) {
+  SweepSpec spec = tiny_sweep("traced_sweep");
+  const std::size_t fresh_cases = spec.cases.size();
+  for (std::size_t i = 0; i < fresh_cases; ++i) {
+    SweepCase twin = spec.cases[i];
+    twin.spec.mode = RunMode::kCascading;
+    spec.cases.push_back(std::move(twin));
+  }
+  const std::string dir = ::testing::TempDir() + "dynvote_traced_sweep";
+  ::setenv("DV_ARTIFACT_DIR", dir.c_str(), 1);
+  const SweepResult untraced = run_sweep(spec);
+  obs::trace_enable();
+  const SweepResult traced = run_sweep(spec);
+  obs::trace_disable();
+  ::unsetenv("DV_ARTIFACT_DIR");
+
+  EXPECT_TRUE(untraced.trace_path.empty());
+  EXPECT_EQ(manifest_results_json(spec, traced),
+            manifest_results_json(spec, untraced));
+  ASSERT_EQ(traced.trace_path, dir + "/TRACE_traced_sweep.events");
+  std::ifstream in(traced.trace_path, std::ios::binary);
+  const std::string raw((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  const obs::TraceFile file = obs::TraceFile::decode(
+      std::as_bytes(std::span<const char>(raw.data(), raw.size())));
+  EXPECT_EQ(file.dropped, 0u);
+
+  std::uint64_t runs = 0;
+  std::uint64_t units = 0;
+  for (const CaseOutcome& outcome : traced.cases) {
+    runs += outcome.result.runs;
+    units += outcome.shards;
+  }
+  std::set<std::string> case_labels;
+  for (const SweepCase& c : spec.cases) case_labels.insert(case_label(c));
+  std::uint64_t runs_completed = 0;
+  std::uint64_t case_spans = 0;
+  std::uint64_t views_installed = 0;
+  for (const obs::TraceEvent& event : file.events) {
+    const std::string& name = file.names[event.name_id];
+    if (event.kind == obs::EventKind::kBegin) {
+      case_spans += case_labels.count(name);
+    } else if (name == "run_complete") {
+      ++runs_completed;
+    } else if (name == "view_installed") {
+      ++views_installed;
+    }
+  }
+  EXPECT_EQ(runs_completed, runs);
+  EXPECT_EQ(case_spans, units);
+  EXPECT_GT(views_installed, 0u);
 }
 
 TEST(Artifact, DisabledDirectorySkipsWriting) {

@@ -1,13 +1,10 @@
-// Fixture: emission sites whose arguments are pure reads -- counters from
-// plain members, a span labeled from a const accessor -- plus one impure
-// argument silenced by the documented annotation.  dvlint must report
-// nothing here.
+// Fixture: emission sites whose arguments are pure reads -- plain members,
+// arithmetic on them, a const accessor -- plus one impure argument silenced
+// by the documented annotation.  dvlint must report nothing here.
 #pragma once
 
 #include <cstdint>
 
-#define DV_OBS_INC(name) (void)(name)
-#define DV_OBS_RECORD(name, value) (void)(value)
 #define DV_TRACE_INSTANT(name, a0, a1) (void)(a1)
 
 namespace fixture {
@@ -15,8 +12,8 @@ namespace fixture {
 class PureEmitter {
  public:
   void observe_round() {
-    DV_OBS_INC("sim.rounds");
-    DV_OBS_RECORD("sim.round_cost", rounds_ * 3);
+    DV_TRACE_INSTANT("round", rounds_, 0);
+    DV_TRACE_INSTANT("round_cost", rounds_ * 3, 0);
     DV_TRACE_INSTANT("view_installed", view_id(), rounds_ + 1);
     // The argument mutates, but the site documents why that is safe
     // here (fixture exercises the opt-out path).

@@ -106,20 +106,6 @@ TEST(LintFixtures, AtomicReadInsideFoldCaught) {
   EXPECT_EQ(report.suppressed, 0u);
 }
 
-TEST(LintFixtures, UngatedFormatMigrationCaught) {
-  const LintReport report = lint_fixture("format_migration");
-  EXPECT_EQ(report.files_scanned, 2u);
-  ASSERT_EQ(report.findings.size(), 1u) << render_text(report);
-  const Finding& f = report.findings[0];
-  EXPECT_EQ(f.check, CheckId::kFormatMigration);
-  EXPECT_EQ(f.file, "core/ungated_frame.hpp");
-  EXPECT_EQ(f.detail, "retries_");
-  EXPECT_NE(f.message.find("envelope-version gate"), std::string::npos);
-  // The correctly gated twin (gated_frame.hpp, same layout plus the gate
-  // and an else-default) must stay silent.
-  EXPECT_EQ(report.suppressed, 0u);
-}
-
 TEST(LintFixtures, GuardedByPairsCleanAndRacy) {
   const LintReport report = lint_fixture("guarded_by");
   EXPECT_EQ(report.files_scanned, 2u);
@@ -285,7 +271,7 @@ TEST(LintFixtures, MalformedSuppressionLinesThrowWithLineNumber) {
 }
 
 TEST(LintChecks, CatalogueRoundTripsAndCoversEveryCheck) {
-  ASSERT_EQ(all_checks().size(), 11u);
+  ASSERT_EQ(all_checks().size(), 10u);
   for (const CheckInfo& info : all_checks()) {
     EXPECT_EQ(to_string(info.id), info.name);
     const std::optional<CheckId> parsed = check_from_string(info.name);

@@ -3,18 +3,15 @@
 // one, and N=256/257 the two-words-past cases the zero-alloc guarantee
 // ends at.
 // Verifies the set algebra and the wire format are representation-blind,
-// that warmed-up spill churn performs zero heap allocations (the counting
-// allocator is linked), and reports the arena's peak-bytes high-water mark.
+// and that warmed-up spill churn performs zero heap allocations (the
+// counting allocator is linked).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <vector>
 
 #include "core/process_set.hpp"
 #include "util/alloc_stats.hpp"
 #include "util/codec.hpp"
-#include "util/spill_arena.hpp"
 
 namespace dynvote {
 namespace {
@@ -118,28 +115,6 @@ TEST(ProcessSetArena, WarmSpillChurnIsAllocationFree) {
   EXPECT_EQ(allocs, 0u)
       << "warmed-up spill-path algebra at N=" << kN << " allocated " << allocs
       << " times; the arena is supposed to absorb all spill churn";
-}
-
-TEST(ProcessSetArena, ReportsPeakBytes) {
-  constexpr std::size_t kN = 256;
-  std::vector<ProcessSet> held;
-  held.reserve(64);
-  for (int i = 0; i < 64; ++i) held.push_back(ProcessSet::full(kN));
-
-  const SpillArenaStats stats = spill_arena_thread_stats();
-  // 64 live spills of 4 words in 32-byte blocks, plus whatever the earlier
-  // tests left warm: the high-water mark must at least cover the live sets.
-  EXPECT_GE(stats.peak_bytes, held.size() * 32);
-  EXPECT_GE(stats.allocs, held.size());
-  EXPECT_GE(stats.live_bytes, held.size() * 32);
-  RecordProperty("spill_arena_peak_bytes", static_cast<int>(stats.peak_bytes));
-  RecordProperty("spill_arena_allocs", static_cast<int>(stats.allocs));
-  std::printf("spill arena: peak_bytes=%llu allocs=%llu freelist_hits=%llu "
-              "chunk_bytes=%llu\n",
-              static_cast<unsigned long long>(stats.peak_bytes),
-              static_cast<unsigned long long>(stats.allocs),
-              static_cast<unsigned long long>(stats.freelist_hits),
-              static_cast<unsigned long long>(stats.chunk_bytes));
 }
 
 }  // namespace

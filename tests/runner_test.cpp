@@ -217,14 +217,6 @@ TEST(Sweep, SevenFigureSweepsIdenticalManifestsAcrossJobs) {
   }
 }
 
-std::uint64_t counter_value(const obs::MetricsSnapshot& metrics,
-                            const std::string& name) {
-  for (const auto& [counter, value] : metrics.counters) {
-    if (counter == name) return value;
-  }
-  return 0;
-}
-
 // The min_shard_runs knob bounds fresh-start chunks: with runs=40, jobs=4
 // and a floor of 8 a fresh-start case executes as five 8-run shards, and a
 // floor above the run count keeps it whole.  A cascading case is never
@@ -258,13 +250,19 @@ TEST(Sweep, MinShardRunsSplitsFreshStartCasesOnly) {
 
 // A cascading case threads one world through all its runs, so even a case
 // big enough to split four ways on four workers runs whole: one shard, and
-// the sweep simulates each of its rounds exactly once -- no replay adds
-// rounds of its own to the sweep's round counter.
+// the sweep builds exactly one world for it -- `processes` algorithm
+// instances, with no replay world simulating its rounds a second time.
 TEST(Sweep, CascadingCaseSimulatesEachRoundOnce) {
   constexpr std::uint64_t kMinShard = 8;
+  std::atomic<std::uint64_t> instances{0};
   SweepCase c;
+  c.algorithm = "ykd";
   c.spec = small_case(AlgorithmKind::kYkd, RunMode::kCascading);
   c.spec.runs = 4 * kMinShard;
+  c.spec.algorithm_factory = [&instances](ProcessId self, const View& initial) {
+    ++instances;
+    return make_algorithm(AlgorithmKind::kYkd, self, initial);
+  };
   SweepSpec sweep;
   sweep.jobs = 4;
   sweep.min_shard_runs = kMinShard;
@@ -277,8 +275,7 @@ TEST(Sweep, CascadingCaseSimulatesEachRoundOnce) {
   const CaseOutcome& outcome = swept.cases[0];
   EXPECT_EQ(outcome.shards, 1u);
   EXPECT_GT(outcome.result.total_rounds, 0u);
-  EXPECT_EQ(counter_value(swept.metrics, "sim.rounds"),
-            outcome.result.total_rounds);
+  EXPECT_EQ(instances.load(), c.spec.processes);
   expect_identical(outcome.result, run_case(c.spec));
 }
 
