@@ -25,7 +25,7 @@ void Dfls::on_primary_formed() {
   gc_received_.clear();
   gc_count_ = 0;
 
-  auto gc = std::make_shared<GcRoundPayload>();
+  auto gc = make_payload<GcRoundPayload>();
   gc->formed_number = gc_number_;
   stage(std::move(gc));
 }

@@ -52,7 +52,7 @@ Session Mr1p::view_session() const {
   return Session{current_view_.id, current_view_.members};
 }
 
-void Mr1p::stage(std::shared_ptr<ProtocolPayload> payload) {
+void Mr1p::stage(PayloadRef<ProtocolPayload> payload) {
   DV_ASSERT(payload != nullptr);
   payload->view_id = current_view_.id;
   outbox_.push_back(std::move(payload));
@@ -82,7 +82,7 @@ void Mr1p::view_changed(const View& view) {
     // Rebuild the R1 payload in place once every holder from the previous
     // view change (recipients, the network) has dropped it.
     if (!pending_pool_ || pending_pool_.use_count() > 1) {
-      pending_pool_ = std::make_shared<Mr1pPendingPayload>();
+      pending_pool_ = make_payload<Mr1pPendingPayload>();
     }
     pending_pool_->has_pending = true;
     pending_pool_->pending = *pending_;
@@ -102,7 +102,7 @@ void Mr1p::try_new() {
     num_ = 1;
     status_ = Mr1pStatus::kSent;
 
-    auto propose = std::make_shared<Mr1pProposePayload>();
+    auto propose = make_payload<Mr1pProposePayload>();
     propose->proposal = proposal;
     stage(std::move(propose));
   } else {
@@ -147,9 +147,9 @@ std::optional<Message> Mr1p::outgoing_message_poll(const Message& app) {
   // previous batch has drained from the network and its recipients.
   if (!unanswered_queries_.empty()) {
     if (!reply_pool_ || reply_pool_.use_count() > 1) {
-      reply_pool_ = std::make_shared<Mr1pReplyPayload>();
+      reply_pool_ = make_payload<Mr1pReplyPayload>();
     }
-    const std::shared_ptr<Mr1pReplyPayload>& batch = reply_pool_;
+    const PayloadRef<Mr1pReplyPayload>& batch = reply_pool_;
     batch->replies.clear();
     for (const Session& about : unanswered_queries_) {
       Mr1pReplyItem item;
@@ -242,7 +242,7 @@ void Mr1p::maybe_resolve() {
         // Paxos-style completion of the possibly-formed session.
         num_ = best_echo_num_ + 1;
         resolve_sent_ = true;
-        auto resolve = std::make_shared<Mr1pResolvePayload>();
+        auto resolve = make_payload<Mr1pResolvePayload>();
         resolve->about = *pending_;
         resolve->call = Mr1pVerdict::kStatusAttempt;
         stage(std::move(resolve));
@@ -263,7 +263,7 @@ void Mr1p::maybe_resolve() {
   num_ = best_echo_num_ + 1;
   status_ = Mr1pStatus::kTryFail;
   resolve_sent_ = true;
-  auto resolve = std::make_shared<Mr1pResolvePayload>();
+  auto resolve = make_payload<Mr1pResolvePayload>();
   resolve->about = *pending_;
   resolve->call = Mr1pVerdict::kStatusTryFail;
   stage(std::move(resolve));
@@ -300,7 +300,7 @@ void Mr1p::handle_propose(const Mr1pProposePayload& payload, ProcessId sender) {
     num_ = 2;
     attempt_sent_ = true;
 
-    auto attempt = std::make_shared<Mr1pAttemptPayload>();
+    auto attempt = make_payload<Mr1pAttemptPayload>();
     attempt->proposal = payload.proposal;
     stage(std::move(attempt));
   }

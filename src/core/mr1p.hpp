@@ -37,7 +37,6 @@
 // again).
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -82,7 +81,7 @@ class Mr1p final : public PrimaryComponentAlgorithm {
 
  private:
   void try_new();
-  void stage(std::shared_ptr<ProtocolPayload> payload);
+  void stage(PayloadRef<ProtocolPayload> payload);
   void handle_pending(const Mr1pPendingPayload& payload, ProcessId sender);
   void handle_reply(const Mr1pReplyPayload& payload, ProcessId sender);
   void handle_resolve(const Mr1pResolvePayload& payload, ProcessId sender);
@@ -141,9 +140,9 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   /// Single-slot payload reuse, valid only while we hold the sole
   /// reference (single-threaded simulation; snapshots cover these by value
   /// wherever the payload is actually staged or in flight).
-  std::shared_ptr<Mr1pPendingPayload>
+  PayloadRef<Mr1pPendingPayload>
       pending_pool_;  // dvlint: transient(allocator cache, never read back)
-  std::shared_ptr<Mr1pReplyPayload>
+  PayloadRef<Mr1pReplyPayload>
       reply_pool_;  // dvlint: transient(allocator cache, never read back)
 };
 

@@ -46,8 +46,8 @@ void StateExchangePayload::encode_body(Encoder& enc) const {
   encode_session_vector(enc, last_formed);
 }
 
-std::shared_ptr<StateExchangePayload> StateExchangePayload::decode_body(Decoder& dec) {
-  auto p = std::make_shared<StateExchangePayload>();
+PayloadRef<StateExchangePayload> StateExchangePayload::decode_body(Decoder& dec) {
+  auto p = make_payload<StateExchangePayload>();
   p->session_number = dec.get_varint();
   p->last_primary = Session::decode(dec);
   p->ambiguous = decode_session_vector(dec);
@@ -57,8 +57,8 @@ std::shared_ptr<StateExchangePayload> StateExchangePayload::decode_body(Decoder&
 
 void AttemptPayload::encode_body(Encoder& enc) const { proposal.encode(enc); }
 
-std::shared_ptr<AttemptPayload> AttemptPayload::decode_body(Decoder& dec) {
-  auto p = std::make_shared<AttemptPayload>();
+PayloadRef<AttemptPayload> AttemptPayload::decode_body(Decoder& dec) {
+  auto p = make_payload<AttemptPayload>();
   p->proposal = Session::decode(dec);
   return p;
 }
@@ -67,8 +67,8 @@ void GcRoundPayload::encode_body(Encoder& enc) const {
   enc.put_varint(formed_number);
 }
 
-std::shared_ptr<GcRoundPayload> GcRoundPayload::decode_body(Decoder& dec) {
-  auto p = std::make_shared<GcRoundPayload>();
+PayloadRef<GcRoundPayload> GcRoundPayload::decode_body(Decoder& dec) {
+  auto p = make_payload<GcRoundPayload>();
   p->formed_number = dec.get_varint();
   return p;
 }
@@ -80,8 +80,8 @@ void Mr1pPendingPayload::encode_body(Encoder& enc) const {
   enc.put_u8(static_cast<std::uint8_t>(status));
 }
 
-std::shared_ptr<Mr1pPendingPayload> Mr1pPendingPayload::decode_body(Decoder& dec) {
-  auto p = std::make_shared<Mr1pPendingPayload>();
+PayloadRef<Mr1pPendingPayload> Mr1pPendingPayload::decode_body(Decoder& dec) {
+  auto p = make_payload<Mr1pPendingPayload>();
   p->has_pending = dec.get_bool();
   p->pending = Session::decode(dec);
   p->num = dec.get_varint();
@@ -98,8 +98,8 @@ void Mr1pReplyPayload::encode_body(Encoder& enc) const {
   }
 }
 
-std::shared_ptr<Mr1pReplyPayload> Mr1pReplyPayload::decode_body(Decoder& dec) {
-  auto p = std::make_shared<Mr1pReplyPayload>();
+PayloadRef<Mr1pReplyPayload> Mr1pReplyPayload::decode_body(Decoder& dec) {
+  auto p = make_payload<Mr1pReplyPayload>();
   const std::uint64_t n = dec.get_varint();
   if (n > 100'000 || n > dec.remaining()) {
     throw DecodeError("implausible reply count");
@@ -120,8 +120,8 @@ void Mr1pResolvePayload::encode_body(Encoder& enc) const {
   enc.put_u8(static_cast<std::uint8_t>(call));
 }
 
-std::shared_ptr<Mr1pResolvePayload> Mr1pResolvePayload::decode_body(Decoder& dec) {
-  auto p = std::make_shared<Mr1pResolvePayload>();
+PayloadRef<Mr1pResolvePayload> Mr1pResolvePayload::decode_body(Decoder& dec) {
+  auto p = make_payload<Mr1pResolvePayload>();
   p->about = Session::decode(dec);
   p->call = decode_verdict(dec);
   return p;
@@ -129,16 +129,16 @@ std::shared_ptr<Mr1pResolvePayload> Mr1pResolvePayload::decode_body(Decoder& dec
 
 void Mr1pProposePayload::encode_body(Encoder& enc) const { proposal.encode(enc); }
 
-std::shared_ptr<Mr1pProposePayload> Mr1pProposePayload::decode_body(Decoder& dec) {
-  auto p = std::make_shared<Mr1pProposePayload>();
+PayloadRef<Mr1pProposePayload> Mr1pProposePayload::decode_body(Decoder& dec) {
+  auto p = make_payload<Mr1pProposePayload>();
   p->proposal = Session::decode(dec);
   return p;
 }
 
 void Mr1pAttemptPayload::encode_body(Encoder& enc) const { proposal.encode(enc); }
 
-std::shared_ptr<Mr1pAttemptPayload> Mr1pAttemptPayload::decode_body(Decoder& dec) {
-  auto p = std::make_shared<Mr1pAttemptPayload>();
+PayloadRef<Mr1pAttemptPayload> Mr1pAttemptPayload::decode_body(Decoder& dec) {
+  auto p = make_payload<Mr1pAttemptPayload>();
   p->proposal = Session::decode(dec);
   return p;
 }
@@ -156,7 +156,7 @@ PayloadPtr decode_payload(std::span<const std::byte> bytes) {
   const auto raw_type = dec.get_u8();
   const ViewId view_id = dec.get_varint();
 
-  std::shared_ptr<ProtocolPayload> payload;
+  PayloadRef<ProtocolPayload> payload;
   switch (static_cast<PayloadType>(raw_type)) {
     case PayloadType::kStateExchange:
       payload = StateExchangePayload::decode_body(dec);

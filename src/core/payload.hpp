@@ -6,15 +6,18 @@
 // flush performed on a partition delivers old-view traffic, and protocol
 // state machines must never act on stale rounds).
 //
-// Payloads travel inside the simulator as shared pointers, but each one has
-// a binary wire form (type byte + view id + body) so message sizes can be
-// measured -- the thesis reports protocol state staying under ~2 KB at 64
-// processes -- and so the library can be bound to a real transport.
+// Payloads travel inside the simulator as counted references (PayloadRef),
+// but each one has a binary wire form (type byte + view id + body) so
+// message sizes can be measured -- the thesis reports protocol state
+// staying under ~2 KB at 64 processes -- and so the library can be bound to
+// a real transport.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <type_traits>
 #include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "core/session.hpp"
@@ -42,17 +45,132 @@ enum class PayloadType : std::uint8_t {
   kMr1pAttempt = 8,
 };
 
+template <typename T>
+class PayloadRef;
+
 /// Abstract piggybacked payload.
 struct ProtocolPayload {
   ViewId view_id = 0;
 
+  ProtocolPayload() = default;
+  /// A copy is a new object that nobody holds yet: it takes the view id,
+  /// never the holder count.
+  ProtocolPayload(const ProtocolPayload& other) : view_id(other.view_id) {}
+  ProtocolPayload& operator=(const ProtocolPayload& other) {
+    view_id = other.view_id;
+    return *this;
+  }
   virtual ~ProtocolPayload() = default;
   virtual PayloadType type() const = 0;
   /// Encode everything after the (type, view_id) envelope header.
   virtual void encode_body(Encoder& enc) const = 0;
+
+ private:
+  template <typename T>
+  friend class PayloadRef;
+
+  /// How many PayloadRefs hold this object.  A plain integer, not an
+  /// atomic: every holder belongs to the world that made the payload, and
+  /// a world runs on one thread at a time (DESIGN.md §4e).
+  mutable std::uint32_t refs_ = 0;  // dvlint: transient(holder count)
 };
 
-using PayloadPtr = std::shared_ptr<const ProtocolPayload>;
+/// An owning reference to a payload, counted in the payload itself.  It
+/// behaves like a std::shared_ptr without the atomic count: once a process
+/// has started a second thread, every shared_ptr copy is a lock-prefixed
+/// read-modify-write, and the simulated GCS copies a reference on every
+/// delivery.  Payloads never leave the world that made them -- snapshots
+/// and transports carry bytes (encode_payload / decode_payload) -- so the
+/// count never races.  Built by make_payload, narrowed by
+/// static_payload_cast.
+template <typename T>
+class PayloadRef {
+ public:
+  PayloadRef() = default;
+  PayloadRef(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  PayloadRef(const PayloadRef& other) : ptr_(other.ptr_) { retain(); }
+  PayloadRef(PayloadRef&& other) noexcept
+      : ptr_(std::exchange(other.ptr_, nullptr)) {}
+  /// Widening (derived to base, mutable to const), like shared_ptr's.
+  template <typename U>
+    requires std::is_convertible_v<U*, T*>
+  PayloadRef(const PayloadRef<U>& other)  // NOLINT(google-explicit-constructor)
+      : ptr_(other.ptr_) {
+    retain();
+  }
+  template <typename U>
+    requires std::is_convertible_v<U*, T*>
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  PayloadRef(PayloadRef<U>&& other) noexcept
+      : ptr_(std::exchange(other.ptr_, nullptr)) {}
+  ~PayloadRef() { drop(); }
+
+  PayloadRef& operator=(const PayloadRef& other) {
+    PayloadRef(other).swap(*this);
+    return *this;
+  }
+  PayloadRef& operator=(PayloadRef&& other) noexcept {
+    PayloadRef(std::move(other)).swap(*this);
+    return *this;
+  }
+
+  T* get() const { return ptr_; }
+  T& operator*() const { return *ptr_; }
+  T* operator->() const { return ptr_; }
+  explicit operator bool() const { return ptr_ != nullptr; }
+
+  /// References to the payload, 0 when empty.  1 proves this is its only
+  /// holder, which is when the payload pools rebuild one in place.
+  long use_count() const {
+    return ptr_ == nullptr ? 0 : static_cast<long>(base()->refs_);
+  }
+
+  void swap(PayloadRef& other) noexcept { std::swap(ptr_, other.ptr_); }
+
+  friend bool operator==(const PayloadRef& ref, std::nullptr_t) {
+    return ref.ptr_ == nullptr;
+  }
+
+ private:
+  template <typename U>
+  friend class PayloadRef;
+  template <typename U, typename... Args>
+  friend PayloadRef<U> make_payload(Args&&... args);
+  template <typename U, typename V>
+  friend PayloadRef<U> static_payload_cast(PayloadRef<V>&& ref);
+
+  const ProtocolPayload* base() const { return ptr_; }
+  void retain() const {
+    if (ptr_ != nullptr) ++base()->refs_;
+  }
+  void drop() {
+    static_assert(std::is_base_of_v<ProtocolPayload, std::remove_const_t<T>>);
+    if (ptr_ != nullptr && --base()->refs_ == 0) delete base();
+  }
+
+  T* ptr_ = nullptr;
+};
+
+/// A new payload, held by the returned reference alone.  One allocation,
+/// as std::make_shared made.
+template <typename T, typename... Args>
+PayloadRef<T> make_payload(Args&&... args) {
+  PayloadRef<T> ref;
+  ref.ptr_ = new T(std::forward<Args>(args)...);
+  ref.retain();
+  return ref;
+}
+
+/// Narrow `ref` to the payload type its type() names, moving its
+/// ownership (no count traffic).
+template <typename T, typename U>
+PayloadRef<T> static_payload_cast(PayloadRef<U>&& ref) {
+  PayloadRef<T> out;
+  out.ptr_ = static_cast<T*>(std::exchange(ref.ptr_, nullptr));
+  return out;
+}
+
+using PayloadPtr = PayloadRef<const ProtocolPayload>;
 
 /// The self-independent half of a YKD-family exchange completion: COMPUTE,
 /// DECIDE and the variant's allow_attempt, evaluated on one view's round-1
@@ -94,7 +212,7 @@ struct StateExchangePayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kStateExchange; }
   void encode_body(Encoder& enc) const override;
-  static std::shared_ptr<StateExchangePayload> decode_body(Decoder& dec);
+  static PayloadRef<StateExchangePayload> decode_body(Decoder& dec);
 };
 
 /// Round 2 of the YKD family: the sender commits to the proposed session.
@@ -103,7 +221,7 @@ struct AttemptPayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kAttempt; }
   void encode_body(Encoder& enc) const override;
-  static std::shared_ptr<AttemptPayload> decode_body(Decoder& dec);
+  static PayloadRef<AttemptPayload> decode_body(Decoder& dec);
 };
 
 /// DFLS's extra round: once received from every member of the formed
@@ -113,7 +231,7 @@ struct GcRoundPayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kGcRound; }
   void encode_body(Encoder& enc) const override;
-  static std::shared_ptr<GcRoundPayload> decode_body(Decoder& dec);
+  static PayloadRef<GcRoundPayload> decode_body(Decoder& dec);
 };
 
 /// Where an MR1p process stands in its attempt to form its pending view.
@@ -138,7 +256,7 @@ struct Mr1pPendingPayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kMr1pPending; }
   void encode_body(Encoder& enc) const override;
-  static std::shared_ptr<Mr1pPendingPayload> decode_body(Decoder& dec);
+  static PayloadRef<Mr1pPendingPayload> decode_body(Decoder& dec);
 };
 
 /// What a responder knows about a queried pending session.
@@ -170,7 +288,7 @@ struct Mr1pReplyPayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kMr1pReply; }
   void encode_body(Encoder& enc) const override;
-  static std::shared_ptr<Mr1pReplyPayload> decode_body(Decoder& dec);
+  static PayloadRef<Mr1pReplyPayload> decode_body(Decoder& dec);
 };
 
 /// MR1p round 3: the sender's call on how its pending session resolves.
@@ -180,7 +298,7 @@ struct Mr1pResolvePayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kMr1pResolve; }
   void encode_body(Encoder& enc) const override;
-  static std::shared_ptr<Mr1pResolvePayload> decode_body(Decoder& dec);
+  static PayloadRef<Mr1pResolvePayload> decode_body(Decoder& dec);
 };
 
 /// MR1p round 4: <V,1> -- request to declare the current view a primary.
@@ -189,7 +307,7 @@ struct Mr1pProposePayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kMr1pPropose; }
   void encode_body(Encoder& enc) const override;
-  static std::shared_ptr<Mr1pProposePayload> decode_body(Decoder& dec);
+  static PayloadRef<Mr1pProposePayload> decode_body(Decoder& dec);
 };
 
 /// MR1p round 5: <attempt,V>.
@@ -198,7 +316,7 @@ struct Mr1pAttemptPayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kMr1pAttempt; }
   void encode_body(Encoder& enc) const override;
-  static std::shared_ptr<Mr1pAttemptPayload> decode_body(Decoder& dec);
+  static PayloadRef<Mr1pAttemptPayload> decode_body(Decoder& dec);
 };
 
 /// Serialize a payload: type byte, view id, then the body.

@@ -126,7 +126,9 @@ class ProcessSet {
   /// Members in ascending id order.
   std::vector<ProcessId> members() const;
 
-  /// Invoke `fn(ProcessId)` for every member in ascending order.
+  /// Invoke `fn(ProcessId)` for every member in ascending order.  `fn` may
+  /// erase the member it is visiting: each word is read before its
+  /// members are visited.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     const std::uint64_t* words = word_data();

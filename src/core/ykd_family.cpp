@@ -47,7 +47,7 @@ void YkdFamilyBase::view_changed(const View& view) {
                           state_pool_version_ == state_version_;
   if (!pool_fresh) {
     if (!state_pool_ || state_pool_.use_count() > 1) {
-      state_pool_ = std::make_shared<StateExchangePayload>();
+      state_pool_ = make_payload<StateExchangePayload>();
     }
     state_pool_->session_number = session_number_;
     state_pool_->last_primary = last_primary_;
@@ -62,7 +62,7 @@ void YkdFamilyBase::view_changed(const View& view) {
   stage(state_pool_);
 }
 
-void YkdFamilyBase::stage(std::shared_ptr<ProtocolPayload> payload) {
+void YkdFamilyBase::stage(PayloadRef<ProtocolPayload> payload) {
   DV_ASSERT(payload != nullptr);
   payload->view_id = current_view_.id;
   outbox_.push_back(std::move(payload));
@@ -81,7 +81,7 @@ Message YkdFamilyBase::incoming_message(Message message, ProcessId sender) {
       if (stage_ != Stage::kExchanging) break;  // stale duplicate round
       DV_ASSERT_MSG(current_view_.members.contains(sender),
                     "state from a non-member of the current view");
-      states_.set(sender, std::static_pointer_cast<const StateExchangePayload>(
+      states_.set(sender, static_payload_cast<const StateExchangePayload>(
                               std::move(payload)));
       if (states_.size() == view_size_) on_exchange_complete();
       break;
@@ -283,7 +283,7 @@ void YkdFamilyBase::on_exchange_complete() {
   // Reuse the previous attempt payload once its last outside reference
   // (the network's copy from the previous round 2) is gone.
   if (!attempt_pool_ || attempt_pool_.use_count() > 1) {
-    attempt_pool_ = std::make_shared<AttemptPayload>();
+    attempt_pool_ = make_payload<AttemptPayload>();
   }
   attempt_pool_->proposal = proposed_;
   stage(attempt_pool_);
@@ -384,7 +384,7 @@ void YkdFamilyBase::load(Decoder& dec) {
     if (payload->type() != PayloadType::kStateExchange) {
       throw DecodeError("exchange map entry is not a state-exchange payload");
     }
-    states_.set(q, std::static_pointer_cast<const StateExchangePayload>(
+    states_.set(q, static_payload_cast<const StateExchangePayload>(
                        std::move(payload)));
   }
 

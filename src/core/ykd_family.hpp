@@ -44,7 +44,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/algorithm.hpp"
@@ -71,7 +70,7 @@ struct CombinedKnowledge {
 /// combined-knowledge folds and the snapshot writer require.
 class StateExchangeTable {
  public:
-  using Ptr = std::shared_ptr<const StateExchangePayload>;
+  using Ptr = PayloadRef<const StateExchangePayload>;
 
   /// Pair-shaped view of one occupied slot, so range-for call sites read
   /// like the map this replaced.
@@ -217,7 +216,7 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
 
   /// Queue a protocol payload for the next poll, stamping it with the
   /// current view id.
-  void stage(std::shared_ptr<ProtocolPayload> payload);
+  void stage(PayloadRef<ProtocolPayload> payload);
 
   /// Appended to / consumed from the checkpoint stream after the base
   /// state; variants with extra mutable fields (DFLS's GC round) override
@@ -290,7 +289,7 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   /// which use_count()==1 proves in this single-threaded simulation.  Pure
   /// allocator cache: the snapshot covers the payload by value wherever it
   /// is actually staged or received.
-  std::shared_ptr<StateExchangePayload>
+  PayloadRef<StateExchangePayload>
       state_pool_;  // dvlint: transient(allocator cache, never read back)
   /// Generation counter over the payload-mirrored persistent fields and the
   /// generation state_pool_ was filled at.  When they match and we are the
@@ -301,7 +300,7 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   std::uint64_t
       state_pool_version_ = 0;  // dvlint: transient(cache validity)
   /// Single-slot reuse of the round-2 attempt payload, same contract.
-  std::shared_ptr<AttemptPayload>
+  PayloadRef<AttemptPayload>
       attempt_pool_;  // dvlint: transient(allocator cache, never read back)
   mutable CombinedKnowledge
       combined_scratch_;  // dvlint: transient(rebuilt by every exchange)

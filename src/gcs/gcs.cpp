@@ -33,7 +33,8 @@ Gcs::Gcs(const AlgorithmFactory& factory, std::size_t processes,
          GcsOptions options)
     : options_(options), topology_(processes),
       // dvlint: raw-seed(driver already derives it with kDeliveryStreamTag)
-      delivery_rng_(options.delivery_seed), crashed_(processes) {
+      delivery_rng_(options.delivery_seed), crashed_(processes),
+      due_(ProcessSet::full(processes)) {
   DV_REQUIRE(processes >= 1, "need at least one process");
   const View initial{1, ProcessSet::full(processes)};
   algorithms_.reserve(processes);
@@ -46,6 +47,8 @@ Gcs::Gcs(const AlgorithmFactory& factory, std::size_t processes,
 
 PrimaryComponentAlgorithm& Gcs::algorithm(ProcessId id) {
   DV_REQUIRE(id < algorithms_.size(), "process id out of range");
+  due_.insert(id);
+  ++revision_;
   return *algorithms_[id];
 }
 
@@ -62,6 +65,7 @@ const View& Gcs::view_of(ProcessId id) const {
 void Gcs::deliver(ProcessId recipient, const Message& message,
                   ProcessId sender) {
   ++deliveries_;
+  due_.insert(recipient);
   // The application-side return value (the stripped message) is dropped:
   // the simulated application has no payload traffic of its own.
   (void)algorithms_[recipient]->incoming_message(message, sender);
@@ -91,11 +95,18 @@ bool Gcs::step_round() {
   // One empty application message serves every poll of the round (the
   // contract passes it by const reference).
   static const Message kEmptyApp = Message::empty();
+  std::size_t polls = 0;
   std::size_t sends = 0;
-  for (ProcessId p = 0; p < algorithms_.size(); ++p) {
-    if (crashed_.contains(p)) continue;
+  // Only processes with input since their last empty poll can have
+  // anything to say, in ascending id order as if everyone were polled.
+  due_.for_each([&](ProcessId p) {
+    if (crashed_.contains(p)) return;
+    ++polls;
     auto out = algorithms_[p]->outgoing_message_poll(kEmptyApp);
-    if (!out.has_value()) continue;
+    if (!out.has_value()) {
+      due_.erase(p);
+      return;
+    }
     record_send(*out);
     if (options_.serialize_on_wire) {
       *out = Message::parse(out->serialize());
@@ -103,7 +114,8 @@ bool Gcs::step_round() {
     const std::size_t comp = topology_.component_of(p);
     network_.send(p, topology_.component(comp), std::move(*out));
     ++sends;
-  }
+  });
+  if (deliveries + polls > 0) ++revision_;
   return deliveries + sends > 0;
 }
 
@@ -112,12 +124,14 @@ void Gcs::install_view(const ProcessSet& members) {
   DV_TRACE_INSTANT("view_installed", view.id, members.count());
   members.for_each([&](ProcessId p) {
     installed_views_[p] = view;
+    due_.insert(p);
     algorithms_[p]->view_changed(view);
   });
 }
 
 void Gcs::apply_partition(std::size_t component_index, const ProcessSet& moved,
                           Network::CrossDeliveryFn crosses) {
+  ++revision_;
   const ProcessSet component = topology_.component(component_index);
   const ProcessSet remainder = component.minus(moved);
   DV_REQUIRE(!moved.empty() && !remainder.empty(),
@@ -134,6 +148,7 @@ void Gcs::apply_partition(std::size_t component_index, const ProcessSet& moved,
 }
 
 void Gcs::apply_merge(std::size_t a, std::size_t b) {
+  ++revision_;
   const ProcessSet comp_a = topology_.component(a);
   const ProcessSet comp_b = topology_.component(b);
 
@@ -145,6 +160,9 @@ void Gcs::apply_merge(std::size_t a, std::size_t b) {
 }
 
 void Gcs::apply_crash(ProcessId p, Network::CrossDeliveryFn crosses) {
+  // Even a crash that installs no view (the process was already alone)
+  // changes the world: the crash set.
+  ++revision_;
   DV_REQUIRE(p < algorithms_.size(), "process id out of range");
   DV_REQUIRE(!crashed_.contains(p), "process is already crashed");
 
@@ -200,6 +218,7 @@ void Gcs::apply_wake(ProcessId p, ProcessId into) {
 }
 
 void Gcs::apply_recovery(ProcessId p) {
+  ++revision_;
   DV_REQUIRE(p < algorithms_.size(), "process id out of range");
   DV_REQUIRE(crashed_.contains(p), "process is not crashed");
   crashed_.erase(p);
@@ -235,12 +254,19 @@ void Gcs::save(Encoder& enc) const {
 }
 
 void Gcs::load(Decoder& dec) {
+  // Everything below may be replaced, even by a load that fails halfway,
+  // and which processes had input since their last empty poll is not
+  // saved: the world moves, and everyone is polled once.
+  ++revision_;
+  due_ = ProcessSet::full(algorithms_.size());
   Topology topo = Topology::decode(dec);
   if (topo.universe_size() != algorithms_.size()) {
     throw DecodeError("snapshot topology universe does not match this Gcs");
   }
   topology_ = std::move(topo);
-  network_ = Network::decode(dec);
+  // Every set the next round indexes the algorithm table with must be
+  // drawn over this Gcs's processes.
+  network_ = Network::decode(dec, algorithms_.size());
   std::array<std::uint64_t, 4> rng_state;
   for (std::uint64_t& word : rng_state) word = dec.get_u64_fixed();
   delivery_rng_.set_state(rng_state);
@@ -260,7 +286,12 @@ void Gcs::load(Decoder& dec) {
   if (view_count != installed_views_.size()) {
     throw DecodeError("snapshot view count does not match this Gcs");
   }
-  for (View& v : installed_views_) v = View::decode(dec);
+  for (View& v : installed_views_) {
+    v = View::decode(dec);
+    if (v.members.universe_size() != algorithms_.size()) {
+      throw DecodeError("snapshot view universe does not match this Gcs");
+    }
+  }
   next_view_id_ = static_cast<ViewId>(dec.get_varint());
 
   wire_stats_.messages_sent = dec.get_varint();

@@ -7,11 +7,15 @@
 // instances in one address space with a driver loop shuttling messages --
 // because the algorithms have no inherent communication ability.
 //
-// A *message round* is: deliver every in-flight multicast, then poll every
-// process once (offering an empty application message, per the interface
-// contract).  Multi-round protocols therefore take several rounds, and a
-// connectivity change injected between rounds interrupts them, which is
-// the phenomenon under study.
+// A *message round* is: deliver every in-flight multicast, then poll once
+// (offering an empty application message) every live process that has had
+// input -- a delivery or a view -- since its last empty poll.  That is the
+// interface contract of thesis Fig. 2-2 (core/algorithm.hpp): polls follow
+// a receipt or a view change, and an algorithm's state only changes on new
+// information, so a process whose last poll said nothing has nothing to
+// say until its next input.  Multi-round protocols therefore take several
+// rounds, and a connectivity change injected between rounds interrupts
+// them, which is the phenomenon under study.
 #pragma once
 
 #include <algorithm>
@@ -85,10 +89,23 @@ class Gcs {
 
   /// Total (message, recipient) deliveries made so far -- round deliveries
   /// and flush deliveries alike.  Cumulative like the wire counters; the
-  /// experiment layer folds per-run deltas for the deliveries/sec
-  /// telemetry.
+  /// experiment layer folds per-run deltas into
+  /// CaseResult::total_deliveries.
   std::uint64_t deliveries() const { return deliveries_; }
 
+  /// Names the world's current state: it moves whenever anything may have
+  /// changed an algorithm, a view or the crash set -- a round that
+  /// delivered or polled, every apply_*, load, and the non-const
+  /// algorithm() accessor -- and stays put across rounds that call no
+  /// algorithm.  Answers computed from the world (the invariant checker's
+  /// verdict, has_primary) hold while it does.  In-process only: never
+  /// saved, and it starts at 1 so that 0 names no state.
+  std::uint64_t revision() const { return revision_; }
+
+  /// Hands out process `id` for the caller to feed input (an application
+  /// message, say), so it counts as input: the process is due a poll at
+  /// the next round and the revision moves.  Reads go through the const
+  /// overload, which counts as nothing.
   PrimaryComponentAlgorithm& algorithm(ProcessId id);
   const PrimaryComponentAlgorithm& algorithm(ProcessId id) const;
 
@@ -96,7 +113,9 @@ class Gcs {
   const View& view_of(ProcessId id) const;
 
   /// Execute one message round.  Returns true if any delivery or send
-  /// happened (false = the system is quiescent).
+  /// happened (false = the system is quiescent).  A round with nothing in
+  /// flight and nobody due a poll calls no algorithm and leaves the
+  /// revision alone.
   bool step_round();
 
   /// Partition: `moved` splits away from component `component_index`.
@@ -156,7 +175,9 @@ class Gcs {
   /// framing survives algorithm changes), installed views, wire counters,
   /// and the crash set.  Constructor configuration (algorithm kind, process
   /// count, options) is NOT written; `load` restores into a Gcs built with
-  /// the same configuration, which the snapshot envelope enforces.
+  /// the same configuration, which the snapshot envelope enforces.  `load`
+  /// throws DecodeError on any set drawn over another universe, and makes
+  /// every process due a poll (the poll set and revision are not saved).
   void save(Encoder& enc) const;
   void load(Decoder& dec);
 
@@ -194,6 +215,11 @@ class Gcs {
   WireStats wire_stats_;
   std::uint64_t deliveries_ = 0;
   ProcessSet crashed_;
+  /// Processes with input since their last empty poll: the ones step_round
+  /// polls.  A process leaves when its poll returns nothing; one that sent
+  /// stays, since its outbox may hold more.
+  ProcessSet due_;  // dvlint: transient(everyone is due after load)
+  std::uint64_t revision_ = 1;  // dvlint: transient(in-process memo key)
 };
 
 }  // namespace dynvote

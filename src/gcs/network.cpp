@@ -65,7 +65,7 @@ void Network::encode(Encoder& enc) const {
   }
 }
 
-Network Network::decode(Decoder& dec) {
+Network Network::decode(Decoder& dec, std::size_t universe) {
   const std::uint64_t count = dec.get_varint();
   if (count > 1'000'000 || count > dec.remaining()) {
     throw DecodeError("implausible in-flight count");
@@ -75,6 +75,9 @@ Network Network::decode(Decoder& dec) {
   for (std::uint64_t i = 0; i < count; ++i) {
     const ProcessId sender = static_cast<ProcessId>(dec.get_varint());
     ProcessSet scope = ProcessSet::decode(dec);
+    if (scope.universe_size() != universe) {
+      throw DecodeError("in-flight multicast scope over another universe");
+    }
     if (!scope.contains(sender)) {
       throw DecodeError("in-flight multicast sender outside its scope");
     }

@@ -71,8 +71,9 @@ class Network {
   std::size_t in_flight_count() const { return in_flight_.size(); }
 
   void encode(Encoder& enc) const;
-  /// Throws DecodeError on a multicast whose sender is outside its scope.
-  static Network decode(Decoder& dec);
+  /// Throws DecodeError on a multicast whose scope is drawn over a universe
+  /// other than `universe`, or whose sender is outside its scope.
+  static Network decode(Decoder& dec, std::size_t universe);
 
  private:
   struct Multicast {

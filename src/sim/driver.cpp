@@ -52,7 +52,10 @@ void Simulation::apply_next_fault() {
 void Simulation::count_round(RunResult& result) {
   step_round();
   ++result.rounds_executed;
-  const bool primary = gcs_.has_primary();
+  const bool primary = gcs_.revision() == primary_revision_
+                           ? had_primary_
+                           : gcs_.has_primary();
+  primary_revision_ = gcs_.revision();
   if (primary) ++result.rounds_with_primary;
   // Edge-detect availability regained: the instant marks the round index
   // within the run and the change count so far.
@@ -91,8 +94,7 @@ bool Simulation::step_event() {
       count_round(result);
       return false;
     }
-    const std::size_t ambiguous_at_change =
-        gcs_.algorithm(config_.observer).debug_info().ambiguous_count;
+    const std::size_t ambiguous_at_change = observer_info().ambiguous_count;
     result.observer_ambiguous_at_changes.push_back(ambiguous_at_change);
     note_ambiguity_sample(ambiguous_at_change);
     apply_next_fault();
@@ -116,8 +118,7 @@ bool Simulation::step_event() {
   }
 
   result.primary_at_end = gcs_.has_primary();
-  const AlgorithmDebugInfo observer =
-      gcs_.algorithm(config_.observer).debug_info();
+  const AlgorithmDebugInfo observer = observer_info();
   result.observer_ambiguous_at_end = observer.ambiguous_count;
   result.observer_blocked_at_end = observer.blocked;
   note_ambiguity_sample(observer.ambiguous_count);
@@ -226,8 +227,8 @@ void Simulation::load(Decoder& dec) {
   // Re-arm the observability edge detectors from the restored state so a
   // resumed run emits the same transitions a never-paused one would.
   had_primary_ = gcs_.has_primary();
-  last_ambiguous_ =
-      gcs_.algorithm(config_.observer).debug_info().ambiguous_count;
+  primary_revision_ = gcs_.revision();
+  last_ambiguous_ = observer_info().ambiguous_count;
 
   progress_.active = dec.get_bool();
   const std::uint8_t raw_phase = dec.get_u8();

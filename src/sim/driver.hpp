@@ -144,6 +144,11 @@ class Simulation {
   /// Record an observer ambiguity sample; a drop since the previous sample
   /// means sessions were resolved (observability only).
   void note_ambiguity_sample(std::size_t ambiguous_count);
+  /// The observer's state, read through the const accessor: a read is not
+  /// input (Gcs::algorithm).
+  AlgorithmDebugInfo observer_info() const {
+    return gcs_.algorithm(config_.observer).debug_info();
+  }
 
   // Pinned by the snapshot envelope's config trajectory hash, not written.
   SimulationConfig config_;  // dvlint: transient(constructor configuration)
@@ -156,6 +161,9 @@ class Simulation {
   // Observability edge detectors; recomputed from the restored GCS on
   // load, never results-affecting.
   bool had_primary_ = true;  // dvlint: transient(recomputed from gcs on load)
+  /// The Gcs revision had_primary_ was read at (0: none).  While the world
+  /// keeps that revision, had_primary_ is still its has_primary().
+  std::uint64_t primary_revision_ = 0;  // dvlint: transient(memo key)
   std::size_t last_ambiguous_ = 0;  // dvlint: transient(trace edge detector)
 };
 

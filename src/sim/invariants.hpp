@@ -41,6 +41,11 @@ class InvariantChecker {
   ///     intersects the previously formed one (live quorum chain through
   ///     formedViews) and its session number never decreases -- so no two
   ///     temporally disjoint primaries can ever both form.
+  /// Every call counts, but a world that has not moved since it last passed
+  /// -- the same Gcs at the same revision() -- passes again without being
+  /// walked: the verdict and the history are functions of the world, and
+  /// a passing check leaves the history at a fixpoint for it (DESIGN.md
+  /// §4, "Invariants checked every step").
   void check(const Gcs& gcs);
 
   std::uint64_t checks_performed() const { return checks_; }
@@ -54,6 +59,10 @@ class InvariantChecker {
   /// observed yet.
   Session last_formed_primary_;
   std::uint64_t checks_ = 0;
+  /// The world the last passing check walked.  A checker's history belongs
+  /// to the one world it follows, so a match names that world unchanged.
+  const Gcs* verified_gcs_ = nullptr;  // dvlint: transient(memo key)
+  std::uint64_t verified_revision_ = 0;  // dvlint: transient(memo key)
 };
 
 }  // namespace dynvote

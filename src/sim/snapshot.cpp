@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <string>
+#include <utility>
 
 #include "util/codec.hpp"
 
@@ -69,7 +70,8 @@ void restore_snapshot(Simulation& sim, std::span<const std::byte> bytes) {
                       "\", expected \"" + std::string(kSnapshotSchema) + "\"");
   }
   const std::string algorithm = dec.get_string();
-  const std::string_view expected = sim.gcs().algorithm(0).name();
+  const std::string_view expected =
+      std::as_const(sim).gcs().algorithm(0).name();
   if (algorithm != expected) {
     throw DecodeError("snapshot is for algorithm \"" + algorithm +
                       "\", this simulation runs \"" + std::string(expected) +

@@ -58,8 +58,9 @@ struct CaseResult {
   /// Safety-checker executions across all runs (observability: confirms
   /// the invariant checker actually ran, and how hard).
   std::uint64_t invariant_checks = 0;
-  /// (message, recipient) deliveries across all runs -- the denominator-free
-  /// half of the deliveries/sec throughput telemetry in sweep manifests.
+  /// (message, recipient) deliveries across all runs, round and flush
+  /// alike: the unit the round loop is optimized around.  Deterministic,
+  /// but manifests write it outside the results fingerprint.
   std::uint64_t total_deliveries = 0;
 
   double availability_percent() const;

@@ -1,12 +1,21 @@
 // The algorithm-to-application contract (thesis §2.1), enforced uniformly
 // across every algorithm: payload stripping, app-data preservation,
 // event-driven quiescence (state changes only on new information), and
-// stale-view hygiene.
+// stale-view hygiene -- plus the premises the simulated GCS's
+// input-driven polls and unchanged-world memos rest on.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/algorithm.hpp"
 #include "gcs/gcs.hpp"
+#include "sim/driver.hpp"
 #include "sim_test_util.hpp"
+#include "util/codec.hpp"
 
 namespace dynvote {
 namespace {
@@ -41,7 +50,7 @@ TEST_P(AlgorithmContract, ConstructionRequiresMembership) {
 TEST_P(AlgorithmContract, IncomingStripsProtocolAndKeepsAppData) {
   const auto alg = fresh();
   Message m = Message::from_text("application bytes");
-  auto payload = std::make_shared<GcRoundPayload>();
+  auto payload = make_payload<GcRoundPayload>();
   payload->view_id = 1;
   m.protocol = payload;
 
@@ -96,21 +105,21 @@ TEST_P(AlgorithmContract, IgnoresPayloadsFromOtherViews) {
 
   // Feed it every payload type stamped with a stale view id; none may
   // disturb it (no crash, no primary, and its own round-1 send intact).
-  const auto feed = [&](std::shared_ptr<ProtocolPayload> p) {
+  const auto feed = [&](PayloadRef<ProtocolPayload> p) {
     p->view_id = 4;
     Message m;
     m.protocol = std::move(p);
     (void)alg->incoming_message(std::move(m), 1);
   };
-  auto state = std::make_shared<StateExchangePayload>();
+  auto state = make_payload<StateExchangePayload>();
   state->last_primary = Session{0, ProcessSet::full(4)};
   state->last_formed.assign(4, Session{0, ProcessSet::full(4)});
   feed(state);
-  feed(std::make_shared<AttemptPayload>());
-  feed(std::make_shared<GcRoundPayload>());
-  feed(std::make_shared<Mr1pPendingPayload>());
-  feed(std::make_shared<Mr1pProposePayload>());
-  feed(std::make_shared<Mr1pAttemptPayload>());
+  feed(make_payload<AttemptPayload>());
+  feed(make_payload<GcRoundPayload>());
+  feed(make_payload<Mr1pPendingPayload>());
+  feed(make_payload<Mr1pProposePayload>());
+  feed(make_payload<Mr1pAttemptPayload>());
 
   EXPECT_FALSE(alg->in_primary());
 }
@@ -122,6 +131,166 @@ TEST_P(AlgorithmContract, DebugInfoIsCoherent) {
   EXPECT_EQ(info.last_primary.members, ProcessSet::full(4));
   EXPECT_EQ(info.ambiguous_count, 0u);
   EXPECT_FALSE(info.blocked);
+}
+
+/// Forwards to a real algorithm and records whether it had input -- a view,
+/// a delivery or a restore -- since its last empty poll.
+class InputRecorder final : public PrimaryComponentAlgorithm {
+ public:
+  explicit InputRecorder(std::unique_ptr<PrimaryComponentAlgorithm> inner)
+      : PrimaryComponentAlgorithm(inner->self(), inner->initial_view()),
+        inner_(std::move(inner)) {}
+
+  void view_changed(const View& view) override {
+    note_input();
+    inner_->view_changed(view);
+  }
+  Message incoming_message(Message message, ProcessId sender) override {
+    note_input();
+    return inner_->incoming_message(std::move(message), sender);
+  }
+  std::optional<Message> outgoing_message_poll(const Message& app) override {
+    ++polls_;
+    std::optional<Message> out = inner_->outgoing_message_poll(app);
+    if (!out.has_value()) had_input_ = false;
+    return out;
+  }
+  bool in_primary() const override { return inner_->in_primary(); }
+  std::string_view name() const override { return inner_->name(); }
+  AlgorithmDebugInfo debug_info() const override {
+    return inner_->debug_info();
+  }
+  const Session& last_primary_session() const override {
+    return inner_->last_primary_session();
+  }
+  void save(Encoder& enc) const override { inner_->save(enc); }
+  void load(Decoder& dec) override {
+    note_input();
+    inner_->load(dec);
+  }
+
+  bool had_input() const { return had_input_; }
+  std::uint64_t inputs() const { return inputs_; }
+  std::uint64_t polls() const { return polls_; }
+  /// A poll the GCS never sees, which leaves the record alone.
+  std::optional<Message> probe() {
+    return inner_->outgoing_message_poll(Message::empty());
+  }
+  std::vector<std::byte> state() const {
+    Encoder enc;
+    inner_->save(enc);
+    return enc.take();
+  }
+
+ private:
+  void note_input() {
+    had_input_ = true;
+    ++inputs_;
+  }
+
+  std::unique_ptr<PrimaryComponentAlgorithm> inner_;
+  bool had_input_ = true;  // being built is the first input
+  std::uint64_t inputs_ = 0;
+  std::uint64_t polls_ = 0;
+};
+
+std::vector<std::byte> saved(const Gcs& gcs) {
+  Encoder enc;
+  gcs.save(enc);
+  return enc.take();
+}
+
+// The simulated GCS polls only processes with input since their last empty
+// poll, and the checker and has_primary reuse their answers while the
+// world's revision holds.  Both rest on premises checked here after every
+// event of cascading N=16 runs, under the geometric model (with and
+// without crashes) and the sleepy and repairable models, which crash,
+// sleep, wake and repair processes:
+//  * a process with no input since an empty poll has nothing to say: a
+//    direct poll returns nothing and leaves its state as it was, and no
+//    event changes its state until input arrives;
+//  * a round polls every live process that had input before its poll
+//    phase (a view, an earlier or a just-delivered message);
+//  * an event that leaves the revision alone leaves the world's snapshot
+//    bytes alone.
+TEST_P(AlgorithmContract, PollsFollowInputAndRevisionTracksTheWorld) {
+  struct Model {
+    const char* name;
+    FaultModelKind kind;
+    double crash_fraction;
+  };
+  constexpr Model kModels[] = {
+      {"geometric", FaultModelKind::kGeometric, 0.0},
+      {"geometric, 25% crashes", FaultModelKind::kGeometric, 0.25},
+      {"sleepy", FaultModelKind::kSleepy, 0.0},
+      {"repairable", FaultModelKind::kRepairable, 0.0},
+  };
+  constexpr std::size_t kProcesses = 16;
+  for (const Model& model : kModels) {
+    SCOPED_TRACE(model.name);
+    std::vector<InputRecorder*> recorders;
+    SimulationConfig config;
+    config.algorithm_factory = [&recorders, kind = GetParam()](
+                                   ProcessId self, const View& initial) {
+      auto recorder =
+          std::make_unique<InputRecorder>(make_algorithm(kind, self, initial));
+      recorders.push_back(recorder.get());
+      return recorder;
+    };
+    config.processes = kProcesses;
+    config.changes_per_run = 8;
+    config.mean_rounds_between_changes = 2.0;
+    config.crash_fraction = model.crash_fraction;
+    config.fault_model.kind = model.kind;
+    config.fault_model.repair_mean_rounds = 3.0;
+    config.seed = 20261017;
+    Simulation sim(config);
+    ASSERT_EQ(recorders.size(), kProcesses);
+    const Gcs& gcs = std::as_const(sim).gcs();
+
+    std::size_t events = 0;
+    for (int run = 0; run < 4; ++run) {
+      for (bool done = false; !done; ++events) {
+        SCOPED_TRACE("event " + std::to_string(events));
+        const std::uint64_t revision = gcs.revision();
+        const std::vector<std::byte> world = saved(gcs);
+        const std::uint64_t changes = sim.total_changes();
+        std::vector<std::uint64_t> inputs(kProcesses);
+        std::vector<std::uint64_t> polls(kProcesses);
+        std::vector<std::optional<std::vector<std::byte>>> quiet(kProcesses);
+        for (ProcessId p = 0; p < kProcesses; ++p) {
+          inputs[p] = recorders[p]->inputs();
+          polls[p] = recorders[p]->polls();
+          if (!recorders[p]->had_input()) quiet[p] = recorders[p]->state();
+        }
+
+        done = sim.run_events(1).has_value();
+        const bool round = sim.total_changes() == changes;
+
+        if (gcs.revision() == revision) {
+          EXPECT_EQ(saved(gcs), world) << "the revision stood still";
+        }
+        for (ProcessId p = 0; p < kProcesses; ++p) {
+          SCOPED_TRACE("process " + std::to_string(p));
+          InputRecorder& rec = *recorders[p];
+          if (quiet[p].has_value() && rec.inputs() == inputs[p]) {
+            EXPECT_EQ(rec.state(), *quiet[p]) << "changed with no input";
+          }
+          if (round && !gcs.is_crashed(p)) {
+            EXPECT_TRUE(rec.polls() > polls[p] || !rec.had_input())
+                << "had input but was not polled";
+          }
+          if (!rec.had_input()) {
+            const std::vector<std::byte> before = rec.state();
+            EXPECT_EQ(rec.probe(), std::nullopt);
+            EXPECT_EQ(rec.state(), before) << "a quiet poll changed state";
+          }
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+    EXPECT_EQ(sim.total_changes(), 4u * config.changes_per_run);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AlgorithmContract,

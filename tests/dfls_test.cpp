@@ -88,7 +88,7 @@ TEST(Dfls, GcRoundFromWrongFormationIsIgnored) {
   alg.view_changed(View{2, ProcessSet(3, {0, 1})});
 
   Message m;
-  auto gc = std::make_shared<GcRoundPayload>();
+  auto gc = make_payload<GcRoundPayload>();
   gc->view_id = 2;
   gc->formed_number = 999;  // no such formation
   m.protocol = gc;

@@ -2,9 +2,12 @@
 // execution, quiescence, and wire statistics.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "gcs/gcs.hpp"
 #include "sim_test_util.hpp"
 #include "util/assert.hpp"
+#include "util/codec.hpp"
 
 namespace dynvote {
 namespace {
@@ -61,6 +64,41 @@ TEST(Gcs, StepRoundReportsQuiescence) {
   settle(gcs);
   // ...until the protocol completes.
   EXPECT_FALSE(gcs.step_round());
+}
+
+// A round polls only processes with input since their last empty poll, so
+// the revision moves exactly when something may have changed the world.
+TEST(Gcs, RevisionMovesOnlyWhenTheWorldMay) {
+  Gcs gcs(AlgorithmKind::kYkd, 4);
+  std::uint64_t revision = gcs.revision();
+  EXPECT_FALSE(gcs.step_round());  // everyone is due once: polls, no sends
+  EXPECT_GT(gcs.revision(), revision);
+  revision = gcs.revision();
+  EXPECT_FALSE(gcs.step_round());  // nobody due, nothing in flight
+  EXPECT_EQ(gcs.revision(), revision);
+
+  (void)std::as_const(gcs).algorithm(0).in_primary();  // a read is no input
+  EXPECT_EQ(gcs.revision(), revision);
+  (void)gcs.algorithm(0);  // handing a process out counts as input
+  EXPECT_GT(gcs.revision(), revision);
+  revision = gcs.revision();
+  EXPECT_FALSE(gcs.step_round());  // so it is polled
+  EXPECT_GT(gcs.revision(), revision);
+
+  gcs.apply_crash(3);
+  settle(gcs);
+  gcs.apply_recovery(3);  // 3 is back, alone
+  revision = gcs.revision();
+  gcs.apply_crash(3);  // no view installed, but the crash set changed
+  EXPECT_GT(gcs.revision(), revision);
+
+  revision = gcs.revision();
+  Encoder enc;
+  gcs.save(enc);
+  const std::vector<std::byte> bytes = enc.take();
+  Decoder dec(bytes);
+  gcs.load(dec);
+  EXPECT_GT(gcs.revision(), revision);  // the revision itself is not saved
 }
 
 TEST(Gcs, YkdFormsPrimaryOnMajoritySideAfterTwoRounds) {

@@ -13,12 +13,12 @@ Session make_session(SessionNumber number, std::initializer_list<ProcessId> ids)
 }
 
 template <typename T>
-std::shared_ptr<const T> round_trip(const T& payload) {
+PayloadRef<const T> round_trip(const T& payload) {
   const auto bytes = encode_payload(payload);
-  const PayloadPtr decoded = decode_payload(bytes);
+  PayloadPtr decoded = decode_payload(bytes);
   EXPECT_EQ(decoded->type(), payload.type());
   EXPECT_EQ(decoded->view_id, payload.view_id);
-  return std::static_pointer_cast<const T>(decoded);
+  return static_payload_cast<const T>(std::move(decoded));
 }
 
 TEST(Payload, StateExchangeRoundTrip) {
@@ -143,9 +143,40 @@ TEST(Payload, StateSizeAt64ProcessesIsUnderTwoKilobytes) {
   EXPECT_LE(payload_wire_size(p), 2048u);
 }
 
+// PayloadRef counts holders in the payload itself.  The pools rebuild a
+// payload in place only at use_count() == 1, so the count must track every
+// copy, widening, narrowing and release exactly, and a copied payload
+// object must start with no holders of its own.
+TEST(PayloadRef, CountsEveryHolderAndCopiesStartUnheld) {
+  PayloadRef<AttemptPayload> original = make_payload<AttemptPayload>();
+  original->proposal = make_session(3, {0, 1});
+  EXPECT_EQ(original.use_count(), 1);
+
+  PayloadPtr widened = original;
+  EXPECT_EQ(original.use_count(), 2);
+  const PayloadRef<AttemptPayload> copy =
+      make_payload<AttemptPayload>(*original);
+  EXPECT_EQ(copy.use_count(), 1);
+  EXPECT_EQ(copy->proposal, original->proposal);
+  EXPECT_EQ(original.use_count(), 2);
+
+  PayloadRef<const AttemptPayload> narrowed =
+      static_payload_cast<const AttemptPayload>(std::move(widened));
+  EXPECT_EQ(widened, nullptr);
+  EXPECT_EQ(narrowed.get(), original.get());
+  EXPECT_EQ(original.use_count(), 2);
+
+  const PayloadRef<const AttemptPayload>& same = narrowed;
+  narrowed = same;  // self-assignment keeps the holder
+  EXPECT_EQ(original.use_count(), 2);
+  narrowed = nullptr;
+  EXPECT_EQ(narrowed.use_count(), 0);
+  EXPECT_EQ(original.use_count(), 1);
+}
+
 TEST(Message, SerializeParseRoundTrip) {
   Message m = Message::from_text("hello world");
-  auto att = std::make_shared<AttemptPayload>();
+  auto att = make_payload<AttemptPayload>();
   att->view_id = 12;
   att->proposal = make_session(3, {0, 1});
   m.protocol = att;
@@ -170,7 +201,7 @@ TEST(Message, EmptyMessageRoundTrip) {
 TEST(Message, WireSizeCountsAppAndProtocol) {
   Message m = Message::from_text("abc");
   EXPECT_EQ(m.wire_size(), 4u);  // 3 app bytes + presence byte
-  auto gc = std::make_shared<GcRoundPayload>();
+  auto gc = make_payload<GcRoundPayload>();
   m.protocol = gc;
   EXPECT_EQ(m.wire_size(), 4u + payload_wire_size(*gc));
 }

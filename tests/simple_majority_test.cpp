@@ -40,7 +40,7 @@ TEST(SimpleMajority, StripsForeignProtocolPayloads) {
   const View initial{1, ProcessSet::full(3)};
   SimpleMajority alg(0, initial);
   Message m = Message::from_text("data");
-  m.protocol = std::make_shared<GcRoundPayload>();
+  m.protocol = make_payload<GcRoundPayload>();
   const Message out = alg.incoming_message(std::move(m), 1);
   EXPECT_FALSE(out.has_protocol());
   EXPECT_EQ(out.app_data, Message::from_text("data").app_data);

@@ -299,6 +299,42 @@ TEST(Snapshot, FaultModelMismatchIsRejected) {
   EXPECT_THROW(restore_snapshot(geometric, bytes), DecodeError);
 }
 
+// A snapshot is external bytes.  An in-flight multicast scoped over a
+// larger universe than the Gcs has processes would make the next round
+// deliver to processes that do not exist, so load must refuse it.  The
+// bytes are a real save with its (idle) network section swapped for one
+// holding a multicast to {0, 150} of 200 processes.
+TEST(Snapshot, InFlightScopeOverAnotherUniverseIsRejected) {
+  const auto encoded = [](const auto& part) {
+    Encoder enc;
+    part.encode(enc);
+    return enc.take();
+  };
+  Gcs gcs(AlgorithmKind::kSimpleMajority, 4);
+  Encoder save;
+  gcs.save(save);
+  const std::vector<std::byte> real = save.take();
+  const std::vector<std::byte> topology = encoded(gcs.topology());
+  const std::vector<std::byte> idle = encoded(Network());
+  ASSERT_TRUE(std::equal(topology.begin(), topology.end(), real.begin()));
+  const auto network_at =
+      real.begin() + static_cast<std::ptrdiff_t>(topology.size());
+  ASSERT_TRUE(std::equal(idle.begin(), idle.end(), network_at));
+
+  Network hostile;
+  hostile.send(0, ProcessSet(200, {0, 150}), Message::empty());
+  const std::vector<std::byte> network = encoded(hostile);
+  std::vector<std::byte> bytes = topology;
+  bytes.insert(bytes.end(), network.begin(), network.end());
+  bytes.insert(bytes.end(),
+               network_at + static_cast<std::ptrdiff_t>(idle.size()),
+               real.end());
+
+  Gcs victim(AlgorithmKind::kSimpleMajority, 4);
+  Decoder dec(bytes);
+  EXPECT_THROW(victim.load(dec), DecodeError);
+}
+
 // The algorithms that evaluate a view's exchange once and share the verdict
 // through the lowest member's round-1 payload (core/ykd_family.hpp).
 constexpr AlgorithmKind kSharedVerdictKinds[] = {

@@ -183,7 +183,7 @@ TEST(Ykd, StaleViewPayloadsAreIgnored) {
   Ykd alg(0, initial);
   alg.view_changed(View{5, ProcessSet(3, {0, 1})});
 
-  auto stale = std::make_shared<StateExchangePayload>();
+  auto stale = make_payload<StateExchangePayload>();
   stale->view_id = 4;  // previous view
   stale->last_primary = Session{0, ProcessSet::full(3)};
   stale->last_formed.assign(3, Session{0, ProcessSet::full(3)});
