@@ -43,10 +43,10 @@ void BM_EncodeStatePayload(benchmark::State& state) {
 BENCHMARK(BM_EncodeStatePayload)->Arg(16)->Arg(64);
 
 void BM_DecodeStatePayload(benchmark::State& state) {
-  const auto encoded =
-      encode_payload(typical_state(static_cast<std::size_t>(state.range(0))));
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto encoded = encode_payload(typical_state(n));
   for (auto _ : state) {
-    const PayloadPtr decoded = decode_payload(encoded);
+    const PayloadPtr decoded = decode_payload(encoded, n);
     benchmark::DoNotOptimize(decoded.get());
   }
 }

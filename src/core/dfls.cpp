@@ -39,7 +39,7 @@ void Dfls::save_extra(Encoder& enc) const {
 void Dfls::load_extra(Decoder& dec) {
   gc_pending_ = dec.get_bool();
   gc_number_ = dec.get_varint();
-  gc_received_ = ProcessSet::decode(dec);
+  gc_received_ = ProcessSet::decode(dec, initial_view_.members.universe_size());
   gc_count_ = gc_received_.count();
 }
 

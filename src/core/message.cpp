@@ -29,13 +29,14 @@ std::vector<std::byte> Message::serialize() const {
   return enc.take();
 }
 
-Message Message::parse(std::span<const std::byte> bytes) {
+Message Message::parse(std::span<const std::byte> bytes,
+                       std::size_t universe) {
   Decoder dec(bytes);
   Message m;
   m.app_data = dec.get_bytes();
   if (dec.get_bool()) {
     const auto payload_bytes = dec.get_bytes();
-    m.protocol = decode_payload(payload_bytes);
+    m.protocol = decode_payload(payload_bytes, universe);
   }
   dec.finish();
   return m;

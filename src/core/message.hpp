@@ -33,9 +33,10 @@ struct Message {
   /// byte, and the encoded protocol payload when present).
   std::size_t wire_size() const;
 
-  /// Full wire form; `parse` is the exact inverse.
+  /// Full wire form; `parse` is the exact inverse for a message of a world
+  /// of `universe` processes (see decode_payload).
   std::vector<std::byte> serialize() const;
-  static Message parse(std::span<const std::byte> bytes);
+  static Message parse(std::span<const std::byte> bytes, std::size_t universe);
 };
 
 }  // namespace dynvote

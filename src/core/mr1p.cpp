@@ -397,9 +397,10 @@ Mr1pStatus decode_saved_status(Decoder& dec) {
 }  // namespace
 
 void Mr1p::load(Decoder& dec) {
-  cur_primary_ = Session::decode(dec);
+  const std::size_t universe = initial_view_.members.universe_size();
+  cur_primary_ = Session::decode(dec, universe);
   if (dec.get_bool()) {
-    pending_ = Session::decode(dec);
+    pending_ = Session::decode(dec, universe);
   } else {
     pending_.reset();
   }
@@ -412,18 +413,18 @@ void Mr1p::load(Decoder& dec) {
   formed_views_.clear();
   formed_views_.reserve(formed);
   for (std::uint64_t i = 0; i < formed; ++i) {
-    formed_views_.push_back(Session::decode(dec));
+    formed_views_.push_back(Session::decode(dec, universe));
   }
   in_primary_ = dec.get_bool();
 
-  current_view_ = View::decode(dec);
+  current_view_ = View::decode(dec, universe);
   const std::uint64_t staged = dec.get_varint();
   if (staged > 1'000'000) throw DecodeError("implausible outbox length");
   outbox_.clear();
   outbox_head_ = 0;
   for (std::uint64_t i = 0; i < staged; ++i) {
     const std::vector<std::byte> bytes = dec.get_bytes();
-    outbox_.push_back(decode_payload(bytes));
+    outbox_.push_back(decode_payload(bytes, universe));
   }
   const std::uint64_t queries = dec.get_varint();
   if (queries > 1'000'000 || queries > dec.remaining()) {
@@ -432,15 +433,15 @@ void Mr1p::load(Decoder& dec) {
   unanswered_queries_.clear();
   unanswered_queries_.reserve(queries);
   for (std::uint64_t i = 0; i < queries; ++i) {
-    unanswered_queries_.push_back(Session::decode(dec));
+    unanswered_queries_.push_back(Session::decode(dec, universe));
   }
-  echo_senders_ = ProcessSet::decode(dec);
+  echo_senders_ = ProcessSet::decode(dec, universe);
   best_echo_num_ = dec.get_varint();
   best_echo_status_ = decode_saved_status(dec);
   resolve_sent_ = dec.get_bool();
-  tryfail_callers_ = ProcessSet::decode(dec);
-  propose_received_ = ProcessSet::decode(dec);
-  attempt_received_ = ProcessSet::decode(dec);
+  tryfail_callers_ = ProcessSet::decode(dec, universe);
+  propose_received_ = ProcessSet::decode(dec, universe);
+  attempt_received_ = ProcessSet::decode(dec, universe);
   attempt_sent_ = dec.get_bool();
   tried_new_ = dec.get_bool();
   view_size_ = current_view_.members.count();

@@ -11,12 +11,15 @@ void encode_session_vector(Encoder& enc, const std::vector<Session>& sessions) {
   for (const Session& s : sessions) s.encode(enc);
 }
 
-std::vector<Session> decode_session_vector(Decoder& dec) {
+std::vector<Session> decode_session_vector(Decoder& dec,
+                                           std::size_t universe) {
   const std::uint64_t n = dec.get_varint();
   if (n > 100'000) throw DecodeError("implausible session vector length");
   std::vector<Session> out;
   out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(Session::decode(dec));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    out.push_back(Session::decode(dec, universe));
+  }
   return out;
 }
 
@@ -46,20 +49,22 @@ void StateExchangePayload::encode_body(Encoder& enc) const {
   encode_session_vector(enc, last_formed);
 }
 
-PayloadRef<StateExchangePayload> StateExchangePayload::decode_body(Decoder& dec) {
+PayloadRef<StateExchangePayload> StateExchangePayload::decode_body(
+    Decoder& dec, std::size_t universe) {
   auto p = make_payload<StateExchangePayload>();
   p->session_number = dec.get_varint();
-  p->last_primary = Session::decode(dec);
-  p->ambiguous = decode_session_vector(dec);
-  p->last_formed = decode_session_vector(dec);
+  p->last_primary = Session::decode(dec, universe);
+  p->ambiguous = decode_session_vector(dec, universe);
+  p->last_formed = decode_session_vector(dec, universe);
   return p;
 }
 
 void AttemptPayload::encode_body(Encoder& enc) const { proposal.encode(enc); }
 
-PayloadRef<AttemptPayload> AttemptPayload::decode_body(Decoder& dec) {
+PayloadRef<AttemptPayload> AttemptPayload::decode_body(
+    Decoder& dec, std::size_t universe) {
   auto p = make_payload<AttemptPayload>();
-  p->proposal = Session::decode(dec);
+  p->proposal = Session::decode(dec, universe);
   return p;
 }
 
@@ -67,7 +72,8 @@ void GcRoundPayload::encode_body(Encoder& enc) const {
   enc.put_varint(formed_number);
 }
 
-PayloadRef<GcRoundPayload> GcRoundPayload::decode_body(Decoder& dec) {
+PayloadRef<GcRoundPayload> GcRoundPayload::decode_body(
+    Decoder& dec, std::size_t /*universe*/) {
   auto p = make_payload<GcRoundPayload>();
   p->formed_number = dec.get_varint();
   return p;
@@ -80,10 +86,11 @@ void Mr1pPendingPayload::encode_body(Encoder& enc) const {
   enc.put_u8(static_cast<std::uint8_t>(status));
 }
 
-PayloadRef<Mr1pPendingPayload> Mr1pPendingPayload::decode_body(Decoder& dec) {
+PayloadRef<Mr1pPendingPayload> Mr1pPendingPayload::decode_body(
+    Decoder& dec, std::size_t universe) {
   auto p = make_payload<Mr1pPendingPayload>();
   p->has_pending = dec.get_bool();
-  p->pending = Session::decode(dec);
+  p->pending = Session::decode(dec, universe);
   p->num = dec.get_varint();
   p->status = decode_status(dec);
   return p;
@@ -98,7 +105,8 @@ void Mr1pReplyPayload::encode_body(Encoder& enc) const {
   }
 }
 
-PayloadRef<Mr1pReplyPayload> Mr1pReplyPayload::decode_body(Decoder& dec) {
+PayloadRef<Mr1pReplyPayload> Mr1pReplyPayload::decode_body(
+    Decoder& dec, std::size_t universe) {
   auto p = make_payload<Mr1pReplyPayload>();
   const std::uint64_t n = dec.get_varint();
   if (n > 100'000 || n > dec.remaining()) {
@@ -107,7 +115,7 @@ PayloadRef<Mr1pReplyPayload> Mr1pReplyPayload::decode_body(Decoder& dec) {
   p->replies.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     Mr1pReplyItem r;
-    r.about = Session::decode(dec);
+    r.about = Session::decode(dec, universe);
     r.verdict = decode_verdict(dec);
     r.num = dec.get_varint();
     p->replies.push_back(std::move(r));
@@ -120,26 +128,29 @@ void Mr1pResolvePayload::encode_body(Encoder& enc) const {
   enc.put_u8(static_cast<std::uint8_t>(call));
 }
 
-PayloadRef<Mr1pResolvePayload> Mr1pResolvePayload::decode_body(Decoder& dec) {
+PayloadRef<Mr1pResolvePayload> Mr1pResolvePayload::decode_body(
+    Decoder& dec, std::size_t universe) {
   auto p = make_payload<Mr1pResolvePayload>();
-  p->about = Session::decode(dec);
+  p->about = Session::decode(dec, universe);
   p->call = decode_verdict(dec);
   return p;
 }
 
 void Mr1pProposePayload::encode_body(Encoder& enc) const { proposal.encode(enc); }
 
-PayloadRef<Mr1pProposePayload> Mr1pProposePayload::decode_body(Decoder& dec) {
+PayloadRef<Mr1pProposePayload> Mr1pProposePayload::decode_body(
+    Decoder& dec, std::size_t universe) {
   auto p = make_payload<Mr1pProposePayload>();
-  p->proposal = Session::decode(dec);
+  p->proposal = Session::decode(dec, universe);
   return p;
 }
 
 void Mr1pAttemptPayload::encode_body(Encoder& enc) const { proposal.encode(enc); }
 
-PayloadRef<Mr1pAttemptPayload> Mr1pAttemptPayload::decode_body(Decoder& dec) {
+PayloadRef<Mr1pAttemptPayload> Mr1pAttemptPayload::decode_body(
+    Decoder& dec, std::size_t universe) {
   auto p = make_payload<Mr1pAttemptPayload>();
-  p->proposal = Session::decode(dec);
+  p->proposal = Session::decode(dec, universe);
   return p;
 }
 
@@ -151,7 +162,8 @@ std::vector<std::byte> encode_payload(const ProtocolPayload& payload) {
   return enc.take();
 }
 
-PayloadPtr decode_payload(std::span<const std::byte> bytes) {
+PayloadPtr decode_payload(std::span<const std::byte> bytes,
+                          std::size_t universe) {
   Decoder dec(bytes);
   const auto raw_type = dec.get_u8();
   const ViewId view_id = dec.get_varint();
@@ -159,28 +171,28 @@ PayloadPtr decode_payload(std::span<const std::byte> bytes) {
   PayloadRef<ProtocolPayload> payload;
   switch (static_cast<PayloadType>(raw_type)) {
     case PayloadType::kStateExchange:
-      payload = StateExchangePayload::decode_body(dec);
+      payload = StateExchangePayload::decode_body(dec, universe);
       break;
     case PayloadType::kAttempt:
-      payload = AttemptPayload::decode_body(dec);
+      payload = AttemptPayload::decode_body(dec, universe);
       break;
     case PayloadType::kGcRound:
-      payload = GcRoundPayload::decode_body(dec);
+      payload = GcRoundPayload::decode_body(dec, universe);
       break;
     case PayloadType::kMr1pPending:
-      payload = Mr1pPendingPayload::decode_body(dec);
+      payload = Mr1pPendingPayload::decode_body(dec, universe);
       break;
     case PayloadType::kMr1pReply:
-      payload = Mr1pReplyPayload::decode_body(dec);
+      payload = Mr1pReplyPayload::decode_body(dec, universe);
       break;
     case PayloadType::kMr1pResolve:
-      payload = Mr1pResolvePayload::decode_body(dec);
+      payload = Mr1pResolvePayload::decode_body(dec, universe);
       break;
     case PayloadType::kMr1pPropose:
-      payload = Mr1pProposePayload::decode_body(dec);
+      payload = Mr1pProposePayload::decode_body(dec, universe);
       break;
     case PayloadType::kMr1pAttempt:
-      payload = Mr1pAttemptPayload::decode_body(dec);
+      payload = Mr1pAttemptPayload::decode_body(dec, universe);
       break;
     default:
       throw DecodeError("unknown payload type");

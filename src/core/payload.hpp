@@ -212,7 +212,8 @@ struct StateExchangePayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kStateExchange; }
   void encode_body(Encoder& enc) const override;
-  static PayloadRef<StateExchangePayload> decode_body(Decoder& dec);
+  static PayloadRef<StateExchangePayload> decode_body(Decoder& dec,
+                                                      std::size_t universe);
 };
 
 /// Round 2 of the YKD family: the sender commits to the proposed session.
@@ -221,7 +222,8 @@ struct AttemptPayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kAttempt; }
   void encode_body(Encoder& enc) const override;
-  static PayloadRef<AttemptPayload> decode_body(Decoder& dec);
+  static PayloadRef<AttemptPayload> decode_body(Decoder& dec,
+                                                std::size_t universe);
 };
 
 /// DFLS's extra round: once received from every member of the formed
@@ -231,7 +233,8 @@ struct GcRoundPayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kGcRound; }
   void encode_body(Encoder& enc) const override;
-  static PayloadRef<GcRoundPayload> decode_body(Decoder& dec);
+  static PayloadRef<GcRoundPayload> decode_body(Decoder& dec,
+                                                std::size_t universe);
 };
 
 /// Where an MR1p process stands in its attempt to form its pending view.
@@ -256,7 +259,8 @@ struct Mr1pPendingPayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kMr1pPending; }
   void encode_body(Encoder& enc) const override;
-  static PayloadRef<Mr1pPendingPayload> decode_body(Decoder& dec);
+  static PayloadRef<Mr1pPendingPayload> decode_body(Decoder& dec,
+                                                    std::size_t universe);
 };
 
 /// What a responder knows about a queried pending session.
@@ -288,7 +292,8 @@ struct Mr1pReplyPayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kMr1pReply; }
   void encode_body(Encoder& enc) const override;
-  static PayloadRef<Mr1pReplyPayload> decode_body(Decoder& dec);
+  static PayloadRef<Mr1pReplyPayload> decode_body(Decoder& dec,
+                                                  std::size_t universe);
 };
 
 /// MR1p round 3: the sender's call on how its pending session resolves.
@@ -298,7 +303,8 @@ struct Mr1pResolvePayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kMr1pResolve; }
   void encode_body(Encoder& enc) const override;
-  static PayloadRef<Mr1pResolvePayload> decode_body(Decoder& dec);
+  static PayloadRef<Mr1pResolvePayload> decode_body(Decoder& dec,
+                                                    std::size_t universe);
 };
 
 /// MR1p round 4: <V,1> -- request to declare the current view a primary.
@@ -307,7 +313,8 @@ struct Mr1pProposePayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kMr1pPropose; }
   void encode_body(Encoder& enc) const override;
-  static PayloadRef<Mr1pProposePayload> decode_body(Decoder& dec);
+  static PayloadRef<Mr1pProposePayload> decode_body(Decoder& dec,
+                                                    std::size_t universe);
 };
 
 /// MR1p round 5: <attempt,V>.
@@ -316,14 +323,18 @@ struct Mr1pAttemptPayload final : ProtocolPayload {
 
   PayloadType type() const override { return PayloadType::kMr1pAttempt; }
   void encode_body(Encoder& enc) const override;
-  static PayloadRef<Mr1pAttemptPayload> decode_body(Decoder& dec);
+  static PayloadRef<Mr1pAttemptPayload> decode_body(Decoder& dec,
+                                                    std::size_t universe);
 };
 
 /// Serialize a payload: type byte, view id, then the body.
 std::vector<std::byte> encode_payload(const ProtocolPayload& payload);
 
-/// Inverse of encode_payload; throws DecodeError on malformed input.
-PayloadPtr decode_payload(std::span<const std::byte> bytes);
+/// Inverse of encode_payload for a payload of a world of `universe`
+/// processes; throws DecodeError on malformed input, including any session
+/// drawn over another universe.
+PayloadPtr decode_payload(std::span<const std::byte> bytes,
+                          std::size_t universe);
 
 /// Encoded size in bytes without materializing a copy for the caller.
 std::size_t payload_wire_size(const ProtocolPayload& payload);

@@ -134,10 +134,11 @@ void ProcessSet::encode(Encoder& enc) const {
   for (std::size_t w = 0; w < word_count(); ++w) enc.put_u64_fixed(words[w]);
 }
 
-ProcessSet ProcessSet::decode(Decoder& dec) {
-  const std::uint64_t universe = dec.get_varint();
-  if (universe > 1'000'000) throw DecodeError("implausible universe size");
-  ProcessSet s(static_cast<std::size_t>(universe));
+ProcessSet ProcessSet::decode(Decoder& dec, std::size_t universe) {
+  if (dec.get_varint() != universe) {
+    throw DecodeError("process set drawn over another universe");
+  }
+  ProcessSet s(universe);
   std::uint64_t* words =
       s.spill_.empty() ? s.inline_words_.data() : s.spill_.data();
   for (std::size_t w = 0; w < s.word_count(); ++w) {

@@ -176,9 +176,11 @@ class ProcessSet {
   /// Render as "{0,1,5}" for logs and test failures.
   std::string to_string() const;
 
-  /// Wire format: varint universe size + raw words.
+  /// Wire format: varint universe size + raw words.  A decoded set must be
+  /// drawn over `universe`, the world it is decoded into; any other
+  /// universe is a DecodeError, so no id in it can index past that world.
   void encode(Encoder& enc) const;
-  static ProcessSet decode(Decoder& dec);
+  static ProcessSet decode(Decoder& dec, std::size_t universe);
 
   /// Stable hash usable as a key component.
   std::size_t hash() const;

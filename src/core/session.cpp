@@ -13,10 +13,10 @@ void Session::encode(Encoder& enc) const {
   members.encode(enc);
 }
 
-Session Session::decode(Decoder& dec) {
+Session Session::decode(Decoder& dec, std::size_t universe) {
   Session s;
   s.number = dec.get_varint();
-  s.members = ProcessSet::decode(dec);
+  s.members = ProcessSet::decode(dec, universe);
   return s;
 }
 

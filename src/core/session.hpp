@@ -25,7 +25,8 @@ struct Session {
   std::string to_string() const;
 
   void encode(Encoder& enc) const;
-  static Session decode(Decoder& dec);
+  /// Members must be drawn over `universe` (see ProcessSet::decode).
+  static Session decode(Decoder& dec, std::size_t universe);
 };
 
 /// Deterministic total order on sessions: by number, then by membership.

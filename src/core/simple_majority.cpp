@@ -31,9 +31,10 @@ void SimpleMajority::save(Encoder& enc) const {
 }
 
 void SimpleMajority::load(Decoder& dec) {
+  const std::size_t universe = initial_view_.members.universe_size();
   in_primary_ = dec.get_bool();
-  current_view_ = View::decode(dec);
-  last_primary_ = Session::decode(dec);
+  current_view_ = View::decode(dec, universe);
+  last_primary_ = Session::decode(dec, universe);
 }
 
 AlgorithmDebugInfo SimpleMajority::debug_info() const {

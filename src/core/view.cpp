@@ -9,10 +9,10 @@ void View::encode(Encoder& enc) const {
   members.encode(enc);
 }
 
-View View::decode(Decoder& dec) {
+View View::decode(Decoder& dec, std::size_t universe) {
   View v;
   v.id = dec.get_varint();
-  v.members = ProcessSet::decode(dec);
+  v.members = ProcessSet::decode(dec, universe);
   return v;
 }
 

@@ -27,8 +27,9 @@ struct View {
   }
 
   /// Wire format: varint id + the member bitmap (checkpoint/restore).
+  /// Members must be drawn over `universe` (see ProcessSet::decode).
   void encode(Encoder& enc) const;
-  static View decode(Decoder& dec);
+  static View decode(Decoder& dec, std::size_t universe);
 };
 
 }  // namespace dynvote

@@ -21,6 +21,7 @@ YkdFamilyBase::YkdFamilyBase(ProcessId self, const View& initial_view,
   current_view_ = initial_view;
   view_size_ = initial_view.members.count();
   attempts_received_ = ProcessSet(universe);
+  proposed_ = Session{0, ProcessSet(universe)};
   states_.reset_universe(universe);
 }
 
@@ -305,14 +306,16 @@ void encode_sessions(Encoder& enc, const std::vector<Session>& sessions) {
   for (const Session& s : sessions) s.encode(enc);
 }
 
-std::vector<Session> decode_sessions(Decoder& dec) {
+std::vector<Session> decode_sessions(Decoder& dec, std::size_t universe) {
   const std::uint64_t n = dec.get_varint();
   if (n > 1'000'000 || n > dec.remaining()) {
     throw DecodeError("implausible session vector length");
   }
   std::vector<Session> out;
   out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(Session::decode(dec));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    out.push_back(Session::decode(dec, universe));
+  }
   return out;
 }
 
@@ -320,9 +323,9 @@ void encode_staged_payload(Encoder& enc, const ProtocolPayload& payload) {
   enc.put_bytes(encode_payload(payload));
 }
 
-PayloadPtr decode_staged_payload(Decoder& dec) {
+PayloadPtr decode_staged_payload(Decoder& dec, std::size_t universe) {
   const std::vector<std::byte> bytes = dec.get_bytes();
-  return decode_payload(bytes);
+  return decode_payload(bytes, universe);
 }
 
 }  // namespace
@@ -357,13 +360,17 @@ void YkdFamilyBase::save(Encoder& enc) const {
 }
 
 void YkdFamilyBase::load(Decoder& dec) {
-  last_primary_ = Session::decode(dec);
-  last_formed_ = decode_sessions(dec);
-  ambiguous_ = decode_sessions(dec);
+  const std::size_t universe = initial_view_.members.universe_size();
+  last_primary_ = Session::decode(dec, universe);
+  last_formed_ = decode_sessions(dec, universe);
+  if (last_formed_.size() != universe) {
+    throw DecodeError("lastFormed table does not have one entry per process");
+  }
+  ambiguous_ = decode_sessions(dec, universe);
   session_number_ = dec.get_varint();
   in_primary_ = dec.get_bool();
   blocked_ = dec.get_bool();
-  current_view_ = View::decode(dec);
+  current_view_ = View::decode(dec, universe);
   const std::uint8_t raw_stage = dec.get_u8();
   if (raw_stage > static_cast<std::uint8_t>(Stage::kAttempting)) {
     throw DecodeError("bad YKD stage");
@@ -371,16 +378,16 @@ void YkdFamilyBase::load(Decoder& dec) {
   stage_ = static_cast<Stage>(raw_stage);
 
   const std::uint64_t state_count = dec.get_varint();
-  if (state_count > initial_view_.members.universe_size()) {
+  if (state_count > universe) {
     throw DecodeError("more exchange states than processes");
   }
   states_.clear();
   for (std::uint64_t i = 0; i < state_count; ++i) {
     const ProcessId q = static_cast<ProcessId>(dec.get_varint());
-    if (q >= initial_view_.members.universe_size()) {
+    if (q >= universe) {
       throw DecodeError("exchange state from an out-of-universe process");
     }
-    PayloadPtr payload = decode_staged_payload(dec);
+    PayloadPtr payload = decode_staged_payload(dec, universe);
     if (payload->type() != PayloadType::kStateExchange) {
       throw DecodeError("exchange map entry is not a state-exchange payload");
     }
@@ -388,8 +395,8 @@ void YkdFamilyBase::load(Decoder& dec) {
                        std::move(payload)));
   }
 
-  attempts_received_ = ProcessSet::decode(dec);
-  proposed_ = Session::decode(dec);
+  attempts_received_ = ProcessSet::decode(dec, universe);
+  proposed_ = Session::decode(dec, universe);
   view_size_ = current_view_.members.count();
   attempts_count_ = attempts_received_.count();
   const std::uint64_t staged = dec.get_varint();
@@ -397,7 +404,7 @@ void YkdFamilyBase::load(Decoder& dec) {
   outbox_.clear();
   outbox_head_ = 0;
   for (std::uint64_t i = 0; i < staged; ++i) {
-    outbox_.push_back(decode_staged_payload(dec));
+    outbox_.push_back(decode_staged_payload(dec, universe));
   }
   note_state_mutated();  // restored fields: the pooled payload is stale
   load_extra(dec);

@@ -148,10 +148,12 @@ struct Coordinator::Impl {
     board.finish_case(finished_case);  // dvlint: ignore(guarded-by)
   }
 
-  /// Grant up to `top_up` fresh leases plus whatever steal credit the
-  /// connection has accumulated.  Send happens outside the scheduler
-  /// lock; a send failure escalates to a disconnect, which re-queues the
-  /// just-leased units along with everything else the worker held.
+  /// Grant up to `top_up` fresh leases plus the credit the connection is
+  /// owed: earlier top-ups that found nothing pending.  Leases held plus
+  /// credit stay at the worker's slots + 1.  Send happens outside the
+  /// scheduler lock; a send failure escalates to a disconnect, which
+  /// re-queues the just-leased units along with everything else the worker
+  /// held.
   void grant(Connection* conn, std::uint64_t top_up) {
     std::vector<std::vector<std::byte>> frames;
     {
@@ -170,9 +172,7 @@ struct Coordinator::Impl {
         lease.run_count = unit.run_count;
         frames.push_back(encode_frame(Frame{lease}));
       }
-      const std::uint64_t granted = frames.size();
-      if (granted > top_up) telemetry.units_stolen += granted - top_up;
-      conn->credit = budget - granted;
+      conn->credit = budget - frames.size();
     }
     if (frames.empty()) return;
     bool send_failed = false;
@@ -367,13 +367,6 @@ struct Coordinator::Impl {
                        std::get_if<HeartbeatFrame>(&incoming)) {
           std::lock_guard<std::mutex> lock(mutex);
           conn->busy_reported = hb->busy_seconds;
-        } else if (const StealFrame* steal =
-                       std::get_if<StealFrame>(&incoming)) {
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            conn->credit += std::max<std::uint64_t>(1, steal->want);
-          }
-          grant(conn, 0);
         } else {
           break;  // protocol violation: workers send no other frame
         }

@@ -158,10 +158,6 @@ void HeartbeatFrame::decode_body(Decoder& dec) {
   busy_seconds = get_double(dec);
 }
 
-void StealFrame::encode_body(Encoder& enc) const { enc.put_varint(want); }
-
-void StealFrame::decode_body(Decoder& dec) { want = dec.get_varint(); }
-
 void ShutdownFrame::encode_body(Encoder& enc) const {
   enc.put_string(reason);
 }
@@ -180,7 +176,6 @@ FrameType frame_type(const Frame& frame) {
         if constexpr (std::is_same_v<T, HeartbeatFrame>) {
           return FrameType::kHeartbeat;
         }
-        if constexpr (std::is_same_v<T, StealFrame>) return FrameType::kSteal;
         if constexpr (std::is_same_v<T, ShutdownFrame>) {
           return FrameType::kShutdown;
         }
@@ -194,7 +189,6 @@ std::string_view to_string(FrameType type) {
     case FrameType::kLease: return "lease";
     case FrameType::kResult: return "result";
     case FrameType::kHeartbeat: return "heartbeat";
-    case FrameType::kSteal: return "steal";
     case FrameType::kShutdown: return "shutdown";
   }
   return "unknown";
@@ -223,7 +217,6 @@ Frame decode_frame(std::span<const std::byte> payload) {
     case FrameType::kLease: frame = LeaseFrame{}; break;
     case FrameType::kResult: frame = ResultFrame{}; break;
     case FrameType::kHeartbeat: frame = HeartbeatFrame{}; break;
-    case FrameType::kSteal: frame = StealFrame{}; break;
     case FrameType::kShutdown: frame = ShutdownFrame{}; break;
     default:
       throw DecodeError("unknown frame type " + std::to_string(type));

@@ -21,8 +21,11 @@
 //              the error that stopped it.
 //   heartbeat  worker -> coordinator: liveness (silence past the timeout
 //              is how a dead worker is detected and its units re-issued).
-//   steal      worker -> coordinator: request for more leases.
 //   shutdown   coordinator -> worker: sweep drained, disconnect cleanly.
+//
+// Workers never ask for work.  The coordinator keeps each worker at one
+// lease per slot plus one in flight; a top-up it cannot fill (nothing
+// pending) stays owed as credit and is paid when units are re-queued.
 //
 // Every fabric role runs from one build, so the protocol carries no
 // per-field version gates: a peer speaking another envelope version fails
@@ -48,7 +51,7 @@ inline constexpr std::string_view kFabricSchema = "dynvote.fabric.v2";
 
 /// Envelope version stamped on every frame; decode_frame refuses any
 /// other.  Any change to a frame body bumps it.
-inline constexpr std::uint64_t kFrameVersion = 7;
+inline constexpr std::uint64_t kFrameVersion = 8;
 
 /// Hard cap on one frame's payload, enforced on both the socket read of
 /// the length prefix and the codec's per-item decode cap.  Far above any
@@ -61,7 +64,6 @@ enum class FrameType : std::uint8_t {  // dvlint: wire_enum
   kLease = 2,
   kResult = 3,
   kHeartbeat = 4,
-  kSteal = 5,
   kShutdown = 6,
 };
 
@@ -130,14 +132,6 @@ struct HeartbeatFrame {
   void decode_body(Decoder& dec);
 };
 
-struct StealFrame {
-  /// Additional leases the worker can absorb right now.
-  std::uint64_t want = 1;
-
-  void encode_body(Encoder& enc) const;
-  void decode_body(Decoder& dec);
-};
-
 struct ShutdownFrame {
   std::string reason;
 
@@ -146,7 +140,7 @@ struct ShutdownFrame {
 };
 
 using Frame = std::variant<HelloFrame, LeaseFrame, ResultFrame,
-                           HeartbeatFrame, StealFrame, ShutdownFrame>;
+                           HeartbeatFrame, ShutdownFrame>;
 
 FrameType frame_type(const Frame& frame);
 std::string_view to_string(FrameType type);

@@ -36,16 +36,11 @@ struct WorkerSession {
   std::condition_variable work;
   std::deque<LeaseFrame> leases;         // dvlint: guarded_by(mutex)
   std::vector<SweepCase> cases;          // dvlint: guarded_by(mutex)
-  std::size_t executing = 0;             // dvlint: guarded_by(mutex)
   std::uint64_t results_sent = 0;        // dvlint: guarded_by(mutex)
   double busy_seconds = 0.0;             // dvlint: guarded_by(mutex)
   bool ending = false;      // dvlint: guarded_by(mutex) -- exit flag
   bool dying = false;       // dvlint: guarded_by(mutex) -- die_after_units
   bool lost = false;        // dvlint: guarded_by(mutex) -- transport failed
-
-  std::uint64_t inflight_locked() const {  // dvlint: requires_lock(mutex)
-    return leases.size() + executing;
-  }
 };
 
 /// Send one frame; on transport failure flag the session lost.
@@ -76,9 +71,8 @@ void executor_loop(WorkerSession& session, const WorkerOptions& options) {
     if (session.ending) return;
     LeaseFrame lease = std::move(session.leases.front());
     session.leases.pop_front();
-    if (lease.case_index >= session.cases.size()) continue;  // corrupt id
+    // The reader queues only leases whose case index is in range.
     const SweepCase sweep_case = session.cases[lease.case_index];
-    ++session.executing;
     lock.unlock();
 
     ResultFrame result;
@@ -96,7 +90,6 @@ void executor_loop(WorkerSession& session, const WorkerOptions& options) {
     send_or_lose(session, Frame{std::move(result)});
 
     lock.lock();
-    --session.executing;
     session.busy_seconds += seconds;
     ++session.results_sent;
     if (options.die_after_units != 0 &&
@@ -203,7 +196,15 @@ SessionEnd run_session(Socket socket, const WorkerOptions& options,
         }
         Frame incoming = decode_frame(*payload);
         if (LeaseFrame* lease = std::get_if<LeaseFrame>(&incoming)) {
+          // A lease for a case outside the table is a protocol violation
+          // like any unexpected frame: dropping it would strand the credit
+          // it used, while ending the session makes the coordinator
+          // re-issue everything this worker held.
           std::lock_guard<std::mutex> lock(session.mutex);
+          if (lease->case_index >= session.cases.size()) {
+            end = SessionEnd::kLost;
+            break;
+          }
           session.leases.push_back(std::move(*lease));
           session.work.notify_all();
         } else if (std::get_if<ShutdownFrame>(&incoming) != nullptr) {
@@ -214,20 +215,9 @@ SessionEnd run_session(Socket socket, const WorkerOptions& options,
           break;
         }
       } catch (const SocketTimeout&) {
-        // No traffic lately.  If we are fully idle the coordinator may
-        // have had nothing pending when it last topped us up -- ask.
-        std::uint64_t idle_slots = 0;
-        {
-          std::lock_guard<std::mutex> lock(session.mutex);
-          if (!session.ending && session.inflight_locked() == 0) {
-            idle_slots = slots;
-          }
-        }
-        if (idle_slots != 0) {
-          StealFrame steal;
-          steal.want = idle_slots;
-          send_or_lose(session, Frame{steal});
-        }
+        // No traffic lately: normal while the coordinator has nothing
+        // pending.  It owes this worker its unfilled top-ups and pays them
+        // when units are re-queued.
       } catch (const SocketError&) {
         end = SessionEnd::kLost;
         break;

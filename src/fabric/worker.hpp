@@ -4,8 +4,9 @@
 // count, and executes leased work units on that many threads, streaming
 // each unit's CaseResult back as it completes -- or, when the unit throws,
 // the error, which fails the coordinator's sweep.  A heartbeat thread keeps
-// the coordinator's death detector fed; when the worker sits idle it
-// politely asks for work (steal frames) instead of busy-polling.
+// the coordinator's death detector fed.  The worker never asks for work:
+// the coordinator tops it up after each result and pays the top-ups it
+// could not fill whenever units are re-queued.
 //
 // A lost connection is retried with bounded exponential backoff -- the
 // coordinator re-issues whatever the worker held, so reconnecting is

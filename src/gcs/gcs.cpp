@@ -108,9 +108,6 @@ bool Gcs::step_round() {
       return;
     }
     record_send(*out);
-    if (options_.serialize_on_wire) {
-      *out = Message::parse(out->serialize());
-    }
     const std::size_t comp = topology_.component_of(p);
     network_.send(p, topology_.component(comp), std::move(*out));
     ++sends;
@@ -259,13 +256,9 @@ void Gcs::load(Decoder& dec) {
   // saved: the world moves, and everyone is polled once.
   ++revision_;
   due_ = ProcessSet::full(algorithms_.size());
-  Topology topo = Topology::decode(dec);
-  if (topo.universe_size() != algorithms_.size()) {
-    throw DecodeError("snapshot topology universe does not match this Gcs");
-  }
-  topology_ = std::move(topo);
   // Every set the next round indexes the algorithm table with must be
-  // drawn over this Gcs's processes.
+  // drawn over this Gcs's processes, and the decoders reject any other.
+  topology_ = Topology::decode(dec, algorithms_.size());
   network_ = Network::decode(dec, algorithms_.size());
   std::array<std::uint64_t, 4> rng_state;
   for (std::uint64_t& word : rng_state) word = dec.get_u64_fixed();
@@ -286,12 +279,7 @@ void Gcs::load(Decoder& dec) {
   if (view_count != installed_views_.size()) {
     throw DecodeError("snapshot view count does not match this Gcs");
   }
-  for (View& v : installed_views_) {
-    v = View::decode(dec);
-    if (v.members.universe_size() != algorithms_.size()) {
-      throw DecodeError("snapshot view universe does not match this Gcs");
-    }
-  }
+  for (View& v : installed_views_) v = View::decode(dec, algorithms_.size());
   next_view_id_ = static_cast<ViewId>(dec.get_varint());
 
   wire_stats_.messages_sent = dec.get_varint();
@@ -299,11 +287,7 @@ void Gcs::load(Decoder& dec) {
   wire_stats_.max_message_bytes = static_cast<std::size_t>(dec.get_varint());
   wire_stats_.total_message_bytes = dec.get_varint();
   deliveries_ = dec.get_varint();
-  ProcessSet crashed = ProcessSet::decode(dec);
-  if (crashed.universe_size() != algorithms_.size()) {
-    throw DecodeError("snapshot crash set universe does not match this Gcs");
-  }
-  crashed_ = std::move(crashed);
+  crashed_ = ProcessSet::decode(dec, algorithms_.size());
 }
 
 bool Gcs::has_primary() const {

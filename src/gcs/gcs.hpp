@@ -41,12 +41,6 @@ struct GcsOptions {
   /// catches messages in flight.  A separate stream from the fault
   /// schedule, so the topology trajectory never depends on these draws.
   std::uint64_t delivery_seed = 0xDE11u;
-  /// Serialize every multicast to bytes and parse it back before delivery,
-  /// exactly as a real transport would.  Slower; simulation results are
-  /// identical (the codec is lossless), which the test suite asserts --
-  /// this is the end-to-end proof that the wire format carries the whole
-  /// protocol.
-  bool serialize_on_wire = false;
 };
 
 struct WireStats {

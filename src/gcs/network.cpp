@@ -74,16 +74,13 @@ Network Network::decode(Decoder& dec, std::size_t universe) {
   net.in_flight_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const ProcessId sender = static_cast<ProcessId>(dec.get_varint());
-    ProcessSet scope = ProcessSet::decode(dec);
-    if (scope.universe_size() != universe) {
-      throw DecodeError("in-flight multicast scope over another universe");
-    }
+    ProcessSet scope = ProcessSet::decode(dec, universe);
     if (!scope.contains(sender)) {
       throw DecodeError("in-flight multicast sender outside its scope");
     }
     const std::vector<std::byte> bytes = dec.get_bytes();
     net.in_flight_.push_back(
-        Multicast{sender, std::move(scope), Message::parse(bytes)});
+        Multicast{sender, std::move(scope), Message::parse(bytes, universe)});
   }
   return net;
 }

@@ -66,22 +66,21 @@ void Topology::encode(Encoder& enc) const {
   for (const ProcessSet& c : components_) c.encode(enc);
 }
 
-Topology Topology::decode(Decoder& dec) {
-  const std::uint64_t universe = dec.get_varint();
-  if (universe == 0 || universe > 4096) {
-    throw DecodeError("implausible topology universe size");
+Topology Topology::decode(Decoder& dec, std::size_t universe) {
+  if (dec.get_varint() != universe) {
+    throw DecodeError("topology over another universe");
   }
   const std::uint64_t count = dec.get_varint();
   if (count == 0 || count > universe) {
     throw DecodeError("implausible topology component count");
   }
-  Topology topo(static_cast<std::size_t>(universe));
+  Topology topo(universe);
   topo.components_.clear();
-  ProcessSet seen(static_cast<std::size_t>(universe));
+  ProcessSet seen(universe);
   std::size_t total = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    ProcessSet c = ProcessSet::decode(dec);
-    if (c.universe_size() != universe || c.empty() || seen.intersects(c)) {
+    ProcessSet c = ProcessSet::decode(dec, universe);
+    if (c.empty() || seen.intersects(c)) {
       throw DecodeError("topology components are not disjoint");
     }
     seen = seen.united_with(c);

@@ -48,9 +48,10 @@ class Topology {
   std::vector<std::size_t> splittable_components() const;
 
   void encode(Encoder& enc) const;
-  /// Throws DecodeError if the stored components are not a disjoint cover
-  /// of the universe (a corrupted or hand-edited snapshot, not a bug).
-  static Topology decode(Decoder& dec);
+  /// Throws DecodeError unless the stored topology is over `universe` and
+  /// its components are a disjoint cover of it (a corrupted or hand-edited
+  /// snapshot, not a bug).
+  static Topology decode(Decoder& dec, std::size_t universe);
 
  private:
   void check_disjoint_cover() const;

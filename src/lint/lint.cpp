@@ -4,7 +4,6 @@
 #include <array>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -36,9 +35,6 @@ constexpr CheckInfo kChecks[] = {
     {CheckId::kDecodeThrow, "decode-throw",
      "decode paths throw DecodeError on malformed input instead of "
      "asserting"},
-    {CheckId::kAtomicFold, "atomic-fold",
-     "stats folds run after the merge barrier and must not read live "
-     "std::atomic fields"},
     {CheckId::kGuardedBy, "guarded-by",
      "fields annotated guarded_by(<mutex>) may only be touched while a "
      "scope holds that mutex"},
@@ -66,13 +62,6 @@ std::string_view to_string(CheckId check) {
     if (info.id == check) return info.name;
   }
   return "unknown";
-}
-
-std::optional<CheckId> check_from_string(std::string_view name) {
-  for (const CheckInfo& info : kChecks) {
-    if (info.name == name) return info.id;
-  }
-  return std::nullopt;
 }
 
 namespace {
@@ -355,67 +344,6 @@ void check_determinism(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 5: atomic counters read inside stats folds
-//
-// Sharded sweeps fold per-shard counters once every shard of the case is
-// in; by that point every counter the fold reads is a plain value.  A merge/fold
-// body reading a std::atomic field suggests the fold runs concurrently with
-// the counter's writers -- exactly the cross-shard race the barrier exists
-// to rule out -- or that a counter which never needed atomicity is paying
-// for it on the hot path.
-
-void check_atomic_fold(const std::vector<ParsedFile>& files,
-                       std::vector<Finding>& findings) {
-  // Atomic field names are collected repo-wide, like unordered ones: a
-  // member declared in a header is read from the implementation file.
-  std::set<std::string, std::less<>> atomic_fields;
-  for (const ParsedFile& pf : files) {
-    for (const ClassDecl& cls : pf.classes) {
-      for (const FieldDecl& field : cls.fields) {
-        if (field.atomic) atomic_fields.insert(field.name);
-      }
-    }
-  }
-  if (atomic_fields.empty()) return;
-
-  for (const ParsedFile& pf : files) {
-    if (!result_affecting(top_dir(pf.source->rel_path))) continue;
-    const SourceFile& src = *pf.source;
-    for (const auto* table : {&pf.inline_bodies, &pf.out_of_line}) {
-      for (const auto& [key, bodies] : *table) {
-        const std::string& method = key.second;
-        if (method.find("merge") == std::string::npos &&
-            method.find("fold") == std::string::npos) {
-          continue;
-        }
-        for (const MethodBody& body : bodies) {
-          const std::string_view text =
-              std::string_view(src.code)
-                  .substr(body.begin, body.end - body.begin);
-          for (const Token& t : tokenize(text)) {
-            if (!t.is_ident() || atomic_fields.count(t.text) == 0) continue;
-            const std::size_t line = src.line_of(body.begin + t.offset);
-            if (ignored(src, line, CheckId::kAtomicFold)) continue;
-            Finding f;
-            f.check = CheckId::kAtomicFold;
-            f.file = src.rel_path;
-            f.line = line;
-            f.detail = std::string(t.text);
-            f.message =
-                "stats fold '" + key.first + "::" + method +
-                "' reads std::atomic field '" + std::string(t.text) +
-                "'; folds run after the merge barrier on plain counters -- "
-                "copy the value out first, or annotate '// dvlint: "
-                "ignore(atomic-fold)' where the caller joins the writers";
-            findings.push_back(std::move(f));
-          }
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Check 3: include layering
 
 void check_layering(const std::vector<ParsedFile>& files,
@@ -457,7 +385,7 @@ void check_layering(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 6: guarded-by lock discipline
+// Check 5: guarded-by lock discipline
 //
 // Fields annotated `// dvlint: guarded_by(<mutex>)` (collected repo-wide,
 // so a header's annotation protects accesses in every .cpp) may only be
@@ -522,7 +450,7 @@ void check_guarded_by(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 7: protocol exhaustiveness
+// Check 6: protocol exhaustiveness
 //
 // Enums annotated `// dvlint: wire_enum` cross a serialization boundary:
 // every switch over one must name every enumerator, so adding a frame type
@@ -639,7 +567,7 @@ void check_protocol_exhaustiveness(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 8: RNG stream discipline
+// Check 7: RNG stream discipline
 //
 // Replayable, uncorrelated randomness rests on the child_seed registry in
 // util/rng.hpp: every derived stream takes a named k*StreamTag constant,
@@ -857,7 +785,7 @@ void check_rng_stream(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 9: bounded decode
+// Check 8: bounded decode
 //
 // Generalizes the CaseResult::decode_body hardening: a decode path that
 // reserve()s or resize()s from a decoded count must first bound the count
@@ -951,7 +879,7 @@ void check_bounded_decode(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 10: trace-purity
+// Check 9: trace-purity
 //
 // The fingerprint-parity guarantee (DV_TRACE=1 and DV_TRACE=0 produce
 // byte-identical results documents) holds only if observation never feeds
@@ -1068,71 +996,12 @@ void check_trace_purity(const std::vector<ParsedFile>& files,
   }
 }
 
-// ---------------------------------------------------------------------------
-
-bool suppressed_by(const Finding& f, const Suppression& s) {
-  if (s.check != "*" && s.check != to_string(f.check)) return false;
-  if (s.line != 0 && s.line != f.line) return false;
-  if (f.file.size() < s.path_suffix.size()) return false;
-  return f.file.compare(f.file.size() - s.path_suffix.size(),
-                        s.path_suffix.size(), s.path_suffix) == 0;
-}
-
 }  // namespace
 
-std::vector<Suppression> load_suppressions(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("dvlint: cannot read suppressions " + path);
-  std::vector<Suppression> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t first = line.find_first_not_of(" \t");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream fields(line);
-    Suppression s;
-    std::string target;
-    std::string extra;
-    const auto malformed = [&](const std::string& why) {
-      return std::runtime_error("dvlint: malformed suppression at " + path +
-                               ":" + std::to_string(lineno) + " (" + why +
-                               ")");
-    };
-    if (!(fields >> s.check >> target)) {
-      throw malformed("expected '<check-id> <path-suffix>[:line]'");
-    }
-    if (fields >> extra) {
-      throw malformed("trailing fields after '" + target + "'");
-    }
-    if (s.check != "*" && !check_from_string(s.check)) {
-      throw malformed("unknown check id '" + s.check + "'");
-    }
-    if (const std::size_t colon = target.rfind(':');
-        colon != std::string::npos &&
-        target.find_first_not_of("0123456789", colon + 1) ==
-            std::string::npos) {
-      if (colon + 1 == target.size()) {
-        throw malformed("trailing ':' without a line number");
-      }
-      s.line = static_cast<std::size_t>(
-          std::stoull(target.substr(colon + 1)));
-      if (s.line == 0) {
-        throw malformed("line numbers are 1-based; ':0' matches nothing");
-      }
-      target.resize(colon);
-    }
-    s.path_suffix = std::move(target);
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-LintReport run_lint(const LintOptions& options) {
-  const fs::path root(options.root);
+LintReport run_lint(const std::string& root_dir) {
+  const fs::path root(root_dir);
   if (!fs::is_directory(root)) {
-    throw std::runtime_error("dvlint: root is not a directory: " +
-                             options.root);
+    throw std::runtime_error("dvlint: root is not a directory: " + root_dir);
   }
 
   std::vector<std::string> rel_paths;
@@ -1157,59 +1026,21 @@ LintReport run_lint(const LintOptions& options) {
     parsed.push_back(parse_file(*sources.back()));
   }
 
-  std::vector<Finding> findings;
+  LintReport report;
+  report.files_scanned = parsed.size();
+  std::vector<Finding>& findings = report.findings;
   check_snapshot_completeness(parsed, findings);
   check_determinism(parsed, findings);
   check_layering(parsed, findings);
   check_decode_throw(parsed, findings);
-  check_atomic_fold(parsed, findings);
   check_guarded_by(parsed, findings);
   check_protocol_exhaustiveness(parsed, findings);
   check_rng_stream(parsed, findings);
   check_bounded_decode(parsed, findings);
   check_trace_purity(parsed, findings);
-
-  // Scope filters run before suppression accounting so `suppressed` counts
-  // only in-scope findings.
-  if (!options.checks.empty()) {
-    findings.erase(
-        std::remove_if(findings.begin(), findings.end(),
-                       [&](const Finding& f) {
-                         return std::find(options.checks.begin(),
-                                          options.checks.end(),
-                                          f.check) == options.checks.end();
-                       }),
-        findings.end());
-  }
-
-  LintReport report;
-  report.files_scanned = parsed.size();
-  if (options.only_files) {
-    const std::set<std::string> wanted(options.only_files->begin(),
-                                       options.only_files->end());
-    findings.erase(std::remove_if(findings.begin(), findings.end(),
-                                  [&](const Finding& f) {
-                                    return wanted.count(f.file) == 0;
-                                  }),
-                   findings.end());
-    report.files_scanned = static_cast<std::size_t>(std::count_if(
-        rel_paths.begin(), rel_paths.end(),
-        [&](const std::string& rel) { return wanted.count(rel) > 0; }));
-  }
-  for (Finding& f : findings) {
-    const bool drop = std::any_of(
-        options.suppressions.begin(), options.suppressions.end(),
-        [&](const Suppression& s) { return suppressed_by(f, s); });
-    if (drop) {
-      ++report.suppressed;
-    } else {
-      report.findings.push_back(std::move(f));
-    }
-  }
-  std::sort(report.findings.begin(), report.findings.end());
-  report.findings.erase(
-      std::unique(report.findings.begin(), report.findings.end()),
-      report.findings.end());
+  std::sort(findings.begin(), findings.end());
+  findings.erase(std::unique(findings.begin(), findings.end()),
+                 findings.end());
   return report;
 }
 
@@ -1220,33 +1051,9 @@ std::string render_text(const LintReport& report) {
        << f.message << '\n';
   }
   os << "dvlint: " << report.findings.size() << " finding"
-     << (report.findings.size() == 1 ? "" : "s") << ", " << report.suppressed
-     << " suppressed, " << report.files_scanned << " files scanned\n";
+     << (report.findings.size() == 1 ? "" : "s") << ", "
+     << report.files_scanned << " files scanned\n";
   return std::move(os).str();
-}
-
-std::string render_json(const LintReport& report, const std::string& root) {
-  JsonWriter json;
-  json.begin_object();
-  json.key("schema").value("dynvote.dvlint.v1");
-  json.key("root").value(root);
-  json.key("files_scanned").value(static_cast<std::uint64_t>(
-      report.files_scanned));
-  json.key("clean").value(report.findings.empty());
-  json.key("suppressed").value(static_cast<std::uint64_t>(report.suppressed));
-  json.key("findings").begin_array();
-  for (const Finding& f : report.findings) {
-    json.begin_object();
-    json.key("check").value(to_string(f.check));
-    json.key("file").value(f.file);
-    json.key("line").value(static_cast<std::uint64_t>(f.line));
-    json.key("detail").value(f.detail);
-    json.key("message").value(f.message);
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-  return json.str() + "\n";
 }
 
 std::string render_sarif(const LintReport& report, const std::string& root) {

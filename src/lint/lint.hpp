@@ -34,14 +34,6 @@
 //                          decode_body) uses DV_ASSERT/DV_REQUIRE instead
 //                          of throwing DecodeError: malformed snapshot
 //                          bytes are input errors, never assertions.
-//   atomic-fold            a merge/fold method body in a result-affecting
-//                          directory reads a std::atomic field.  Shard
-//                          results fold after a join barrier, at which
-//                          point every counter is a plain value; reading
-//                          a live atomic inside the fold suggests it races
-//                          its writers.  Opt-out: `// dvlint:
-//                          ignore(atomic-fold)` where the caller
-//                          establishes the barrier.
 //   guarded-by             a field or local annotated `// dvlint:
 //                          guarded_by(<mutex>)` is touched outside a scope
 //                          holding a lock_guard/unique_lock/scoped_lock on
@@ -79,12 +71,11 @@
 //                          `// dvlint: ignore(trace-purity)`.
 //
 // Any finding can also be silenced with `// dvlint: ignore(<check-id>)` on
-// (or immediately above) the offending line, or via a suppression file of
-// `<check-id> <path-suffix>[:<line>]` lines.  Output is deterministic:
-// findings sort by (file, line, check, detail) so CI diffs are stable.
+// (or immediately above) the offending line; the tree itself is the only
+// record of an opt-out.  Output is deterministic: findings sort by (file,
+// line, check, detail) so CI diffs are stable.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -96,7 +87,6 @@ enum class CheckId {
   kDeterminism,
   kLayering,
   kDecodeThrow,
-  kAtomicFold,
   kGuardedBy,
   kProtocolExhaustiveness,
   kRngStream,
@@ -104,7 +94,7 @@ enum class CheckId {
   kTracePurity,
 };
 
-/// Stable kebab-case name used in output, annotations and suppressions.
+/// Stable kebab-case name used in output and annotations.
 std::string_view to_string(CheckId check);
 
 /// Catalogue entry for one check, for --list-checks and SARIF rules.
@@ -116,9 +106,6 @@ struct CheckInfo {
 
 /// Every check, in CheckId order.
 std::span<const CheckInfo> all_checks();
-
-/// Resolve a kebab-case check name; nullopt for unknown names.
-std::optional<CheckId> check_from_string(std::string_view name);
 
 struct Finding {
   CheckId check = CheckId::kSnapshotCompleteness;
@@ -138,46 +125,19 @@ struct Finding {
   friend bool operator==(const Finding& a, const Finding& b) = default;
 };
 
-struct Suppression {
-  std::string check;  // check id name, or "*" for any
-  std::string path_suffix;
-  /// 0 = any line.
-  std::size_t line = 0;
-};
-
-struct LintOptions {
-  /// Directory scanned recursively for .hpp/.cpp files.
-  std::string root;
-  std::vector<Suppression> suppressions;
-  /// When engaged, findings are reported only for these root-relative
-  /// paths (forward slashes).  The whole tree is still parsed, so
-  /// cross-file context (guarded fields, tag registries, method bodies in
-  /// other files) is identical to a full run: a restricted report is
-  /// exactly the full report filtered to these files.
-  std::optional<std::vector<std::string>> only_files;
-  /// When non-empty, findings from checks outside this set are dropped.
-  std::vector<CheckId> checks;
-};
-
 struct LintReport {
-  std::vector<Finding> findings;   // sorted, post-suppression
+  std::vector<Finding> findings;  // sorted, unique
   std::size_t files_scanned = 0;
-  std::size_t suppressed = 0;
 };
 
-/// Parse a suppression file (`# comments`, `<check> <suffix>[:line]`).
-/// Throws std::runtime_error on unreadable files or malformed lines.
-std::vector<Suppression> load_suppressions(const std::string& path);
-
-/// Run every check over `options.root`.  Throws std::runtime_error when the
-/// root does not exist or a source file cannot be read.
-LintReport run_lint(const LintOptions& options);
+/// Run every check over the C++ sources (.hpp, .cpp, .h, .cc) under
+/// `root`, recursively.
+/// Throws std::runtime_error when the root does not exist or a source file
+/// cannot be read.
+LintReport run_lint(const std::string& root);
 
 /// Human-readable rendering, one line per finding plus a summary line.
 std::string render_text(const LintReport& report);
-
-/// Machine-readable rendering (schema "dynvote.dvlint.v1").
-std::string render_json(const LintReport& report, const std::string& root);
 
 /// SARIF 2.1.0 rendering (one run, every check as a reporting rule), for
 /// code-scanning upload and editor integrations.

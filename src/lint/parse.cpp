@@ -112,7 +112,6 @@ void parse_class_body(const SourceFile& source, std::string_view code,
       if (t.text == "unordered_map" || t.text == "unordered_set") {
         field.unordered = true;
       }
-      if (t.text == "atomic") field.atomic = true;
     }
     decl.fields.push_back(std::move(field));
     reset();

@@ -23,8 +23,6 @@ struct FieldDecl {
   /// Declared with an unordered_map/unordered_set type (directly or via a
   /// local `using` alias).
   bool unordered = false;
-  /// Declared with a std::atomic type (for the atomic-fold check).
-  bool atomic = false;
 };
 
 struct MethodBody {

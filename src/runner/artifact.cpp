@@ -170,16 +170,15 @@ std::string manifest_json(const SweepSpec& spec, const SweepResult& result) {
   }
   json.end_array();
   // Fabric scheduling telemetry (multi-host sweeps only).  Volatile by
-  // design: which worker ran which unit, re-issues after deaths, and
-  // steal traffic can never affect the merged results, and keeping the
-  // block out of the results document is what lets a distributed manifest
-  // fingerprint-match a single-host one.
+  // design: which worker ran which unit and re-issues after deaths can
+  // never affect the merged results, and keeping the block out of the
+  // results document is what lets a distributed manifest fingerprint-match
+  // a single-host one.
   if (result.fabric.used) {
     const FabricTelemetry& fabric = result.fabric;
     json.key("fabric").begin_object();
     json.key("units_issued").value(fabric.units_issued);
     json.key("units_reissued").value(fabric.units_reissued);
-    json.key("units_stolen").value(fabric.units_stolen);
     json.key("duplicate_results").value(fabric.duplicate_results);
     json.key("workers_connected").value(fabric.workers_connected);
     json.key("workers_died").value(fabric.workers_died);

@@ -35,7 +35,7 @@
 //                  "total_deliveries": .., "shards": .., "steals": .. },
 //                ... ],
 //     "fabric": { "units_issued": .., "units_reissued": ..,
-//                 "units_stolen": .., "duplicate_results": ..,
+//                 "duplicate_results": ..,
 //                 "workers_connected": .., "workers_died": ..,
 //                 "workers": [ { "peer": "...", "slots": ..,
 //                                "units_done": .., "busy_seconds": ..,

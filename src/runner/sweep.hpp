@@ -107,9 +107,6 @@ struct FabricTelemetry {
   std::uint64_t units_issued = 0;
   /// Units issued again after a lease deadline or a worker death.
   std::uint64_t units_reissued = 0;
-  /// Units granted in response to worker steal requests (as opposed to
-  /// the automatic top-up after each result).
-  std::uint64_t units_stolen = 0;
   /// Late results for units already completed elsewhere, dropped.
   std::uint64_t duplicate_results = 0;
   std::uint64_t workers_connected = 0;

@@ -14,8 +14,7 @@ namespace {
 Gcs make_gcs(const SimulationConfig& config) {
   const GcsOptions options{.measure_wire_sizes = config.measure_wire_sizes,
                            .delivery_seed =
-                               child_seed(config.seed, kDeliveryStreamTag),
-                           .serialize_on_wire = config.serialize_on_wire};
+                               child_seed(config.seed, kDeliveryStreamTag)};
   if (config.algorithm_factory) {
     return Gcs(config.algorithm_factory, config.processes, options);
   }

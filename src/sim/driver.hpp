@@ -46,9 +46,6 @@ struct SimulationConfig {
   bool check_invariants = true;
   /// Encode payloads to record wire sizes (slower).
   bool measure_wire_sizes = false;
-  /// Round-trip every multicast through the byte codec, as a real
-  /// transport would (see GcsOptions::serialize_on_wire).
-  bool serialize_on_wire = false;
   /// Stabilization must quiesce within this many rounds; exceeding it means
   /// an algorithm chatters forever and is reported as an error.
   std::size_t max_stabilization_rounds = 4096;

@@ -8,7 +8,8 @@
 namespace dynvote {
 
 InvariantChecker::InvariantChecker(const Gcs& gcs)
-    : last_primary_numbers_(gcs.process_count(), 0) {}
+    : last_primary_numbers_(gcs.process_count(), 0),
+      last_formed_primary_{0, ProcessSet(gcs.process_count())} {}
 
 void InvariantChecker::save(Encoder& enc) const {
   enc.put_varint(checks_);
@@ -26,7 +27,7 @@ void InvariantChecker::load(Decoder& dec) {
   for (SessionNumber& v : last_primary_numbers_) {
     v = static_cast<SessionNumber>(dec.get_varint());
   }
-  last_formed_primary_ = Session::decode(dec);
+  last_formed_primary_ = Session::decode(dec, last_primary_numbers_.size());
   verified_gcs_ = nullptr;  // the history changed under the memo
 }
 

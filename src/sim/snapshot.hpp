@@ -15,11 +15,11 @@
 //                   match);
 //   config hash     a fingerprint of every configuration field that shapes
 //                   the simulation trajectory.  Observability toggles
-//                   (check_invariants, measure_wire_sizes,
-//                   serialize_on_wire) are deliberately EXCLUDED: they do
-//                   not affect the trajectory, and a fast unchecked
-//                   "scout" snapshot (scout_cascading_case) restores into
-//                   a fully-instrumented simulation.
+//                   (check_invariants, measure_wire_sizes) are
+//                   deliberately EXCLUDED: they do not affect the
+//                   trajectory, and a fast unchecked "scout" snapshot
+//                   (scout_cascading_case) restores into a
+//                   fully-instrumented simulation.
 //
 // restore_snapshot throws DecodeError on truncation, corruption, a schema
 // mismatch, or a snapshot taken under a different trajectory config.

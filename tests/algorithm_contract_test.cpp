@@ -135,38 +135,28 @@ TEST_P(AlgorithmContract, DebugInfoIsCoherent) {
 
 /// Forwards to a real algorithm and records whether it had input -- a view,
 /// a delivery or a restore -- since its last empty poll.
-class InputRecorder final : public PrimaryComponentAlgorithm {
+class InputRecorder final : public test::ForwardingAlgorithm {
  public:
-  explicit InputRecorder(std::unique_ptr<PrimaryComponentAlgorithm> inner)
-      : PrimaryComponentAlgorithm(inner->self(), inner->initial_view()),
-        inner_(std::move(inner)) {}
+  using ForwardingAlgorithm::ForwardingAlgorithm;
 
   void view_changed(const View& view) override {
     note_input();
-    inner_->view_changed(view);
+    ForwardingAlgorithm::view_changed(view);
   }
   Message incoming_message(Message message, ProcessId sender) override {
     note_input();
-    return inner_->incoming_message(std::move(message), sender);
+    return ForwardingAlgorithm::incoming_message(std::move(message), sender);
   }
   std::optional<Message> outgoing_message_poll(const Message& app) override {
     ++polls_;
-    std::optional<Message> out = inner_->outgoing_message_poll(app);
+    std::optional<Message> out =
+        ForwardingAlgorithm::outgoing_message_poll(app);
     if (!out.has_value()) had_input_ = false;
     return out;
   }
-  bool in_primary() const override { return inner_->in_primary(); }
-  std::string_view name() const override { return inner_->name(); }
-  AlgorithmDebugInfo debug_info() const override {
-    return inner_->debug_info();
-  }
-  const Session& last_primary_session() const override {
-    return inner_->last_primary_session();
-  }
-  void save(Encoder& enc) const override { inner_->save(enc); }
   void load(Decoder& dec) override {
     note_input();
-    inner_->load(dec);
+    ForwardingAlgorithm::load(dec);
   }
 
   bool had_input() const { return had_input_; }
@@ -174,11 +164,11 @@ class InputRecorder final : public PrimaryComponentAlgorithm {
   std::uint64_t polls() const { return polls_; }
   /// A poll the GCS never sees, which leaves the record alone.
   std::optional<Message> probe() {
-    return inner_->outgoing_message_poll(Message::empty());
+    return inner().outgoing_message_poll(Message::empty());
   }
   std::vector<std::byte> state() const {
     Encoder enc;
-    inner_->save(enc);
+    inner().save(enc);
     return enc.take();
   }
 
@@ -188,7 +178,6 @@ class InputRecorder final : public PrimaryComponentAlgorithm {
     ++inputs_;
   }
 
-  std::unique_ptr<PrimaryComponentAlgorithm> inner_;
   bool had_input_ = true;  // being built is the first input
   std::uint64_t inputs_ = 0;
   std::uint64_t polls_ = 0;

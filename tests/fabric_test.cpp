@@ -7,9 +7,10 @@
 // System layer, all over loopback sockets: a coordinator plus two workers
 // produces byte-identical deterministic results to the in-process
 // `run_sweep`; a worker that falls silent mid-unit is detected and its
-// units re-issued without changing results; duplicate (late straggler)
-// results are dropped idempotently; a unit that throws on a worker fails
-// the sweep.
+// units re-issued without changing results; a silent worker holds one
+// lease per slot plus one and each result buys exactly one more; duplicate
+// (late straggler) results are dropped idempotently; a unit that throws on
+// a worker fails the sweep.
 #include "fabric/coordinator.hpp"
 
 #include <algorithm>
@@ -162,18 +163,12 @@ TEST(FabricWire, ResultRoundTripIsLossless) {
             "temporally disjoint primaries");
 }
 
-TEST(FabricWire, HeartbeatStealShutdownRoundTrip) {
+TEST(FabricWire, HeartbeatShutdownRoundTrip) {
   HeartbeatFrame beat;
   beat.busy_seconds = 2.5;
   const HeartbeatFrame got_beat =
       std::get<HeartbeatFrame>(decode_frame(encode_frame(Frame{beat})));
   EXPECT_EQ(got_beat.busy_seconds, 2.5);
-
-  StealFrame steal;
-  steal.want = 6;
-  const StealFrame got_steal =
-      std::get<StealFrame>(decode_frame(encode_frame(Frame{steal})));
-  EXPECT_EQ(got_steal.want, 6u);
 
   ShutdownFrame bye;
   bye.reason = "sweep drained";
@@ -184,7 +179,8 @@ TEST(FabricWire, HeartbeatStealShutdownRoundTrip) {
 
 TEST(FabricWire, MalformedFramesThrowDecodeError) {
   // Truncated mid-frame.
-  const std::vector<std::byte> whole = encode_frame(Frame{StealFrame{5}});
+  const std::vector<std::byte> whole =
+      encode_frame(Frame{LeaseFrame{5, 1, 16, 8}});
   for (std::size_t cut = 0; cut < whole.size(); ++cut) {
     const std::span<const std::byte> prefix(whole.data(), cut);
     EXPECT_THROW((void)decode_frame(prefix), DecodeError) << "cut=" << cut;
@@ -205,8 +201,8 @@ TEST(FabricWire, MalformedFramesThrowDecodeError) {
   for (const std::uint64_t version : {kFrameVersion - 1, kFrameVersion + 1}) {
     Encoder foreign;
     foreign.put_varint(version);
-    foreign.put_u8(static_cast<std::uint8_t>(FrameType::kSteal));
-    foreign.put_varint(1);
+    foreign.put_u8(static_cast<std::uint8_t>(FrameType::kLease));
+    for (int field = 0; field < 4; ++field) foreign.put_varint(1);
     EXPECT_THROW((void)decode_frame(foreign.bytes()), DecodeError)
         << "version=" << version;
   }
@@ -418,6 +414,102 @@ TEST(FabricSystem, DuplicateLateResultsAreDropped) {
   EXPECT_GE(distributed.fabric.duplicate_results, 1u);
   EXPECT_EQ(manifest_results_json(spec, distributed),
             manifest_results_json(spec, expected));
+}
+
+// Workers never ask for work: the coordinator keeps each one at a lease per
+// slot plus one in flight, and each result buys exactly one more lease.
+TEST(FabricSystem, CreditKeepsASilentWorkerAtSlotsPlusOneLeases) {
+  SweepSpec spec;
+  spec.min_shard_runs = 8;
+  SweepCase only;
+  only.spec = small_case(RunMode::kFreshStart);  // six units of 8 runs
+  spec.cases.push_back(only);
+  NullProgress quiet;
+  spec.progress = &quiet;
+
+  const SweepResult expected = run_sweep(spec);
+
+  CoordinatorOptions options;
+  options.local_jobs = 0;  // dispatch-only: every unit goes to the client
+  options.heartbeat_ms = 100;
+  Coordinator coordinator(spec, options);
+
+  std::size_t leased_while_silent = 0;
+  std::size_t leased_after_one_result = 0;
+  std::thread client([&, port = coordinator.port()] {
+    Socket socket = connect_to("127.0.0.1", port);
+    HelloFrame hello;
+    hello.coordinator = false;
+    hello.slots = 1;
+    socket.send_frame(encode_frame(Frame{hello}));
+    const auto reply = socket.recv_frame(kMaxFrameBytes);
+    ASSERT_TRUE(reply.has_value());
+    const Frame reply_frame = decode_frame(*reply);
+    const auto& coord = std::get<HelloFrame>(reply_frame);
+    ASSERT_TRUE(coord.coordinator);
+
+    std::vector<LeaseFrame> held;
+    bool shutdown = false;
+    // Every frame that arrives before `ms` of silence; false on shutdown.
+    const auto receive_for = [&](std::uint64_t ms) {
+      socket.set_recv_timeout_ms(ms);
+      for (;;) {
+        std::optional<std::vector<std::byte>> payload;
+        try {
+          payload = socket.recv_frame(kMaxFrameBytes);
+        } catch (const SocketTimeout&) {
+          return;
+        } catch (const SocketError&) {
+          shutdown = true;
+          return;
+        }
+        if (!payload.has_value()) {
+          shutdown = true;
+          return;
+        }
+        Frame incoming = decode_frame(*payload);
+        if (const LeaseFrame* lease = std::get_if<LeaseFrame>(&incoming)) {
+          held.push_back(*lease);
+        } else if (std::get_if<ShutdownFrame>(&incoming) != nullptr) {
+          shutdown = true;
+          return;
+        }
+      }
+    };
+    const auto answer_oldest = [&] {
+      const LeaseFrame lease = held.front();
+      held.erase(held.begin());
+      ResultFrame result;
+      result.unit_id = lease.unit_id;
+      result.result = run_case_shard(coord.cases[lease.case_index].spec,
+                                     lease.first_run, lease.run_count);
+      try {
+        socket.send_frame(encode_frame(Frame{result}));
+      } catch (const SocketError&) {
+        shutdown = true;
+      }
+    };
+
+    receive_for(400);
+    leased_while_silent = held.size();
+    ASSERT_FALSE(held.empty());
+    answer_oldest();
+    receive_for(400);
+    leased_after_one_result = held.size() + 1 - leased_while_silent;
+    // Drain the sweep.
+    while (!shutdown) {
+      if (!held.empty()) answer_oldest();
+      receive_for(held.empty() ? 2000 : 50);
+    }
+  });
+
+  const SweepResult distributed = coordinator.run();
+  client.join();
+
+  EXPECT_EQ(leased_while_silent, 2u);
+  EXPECT_EQ(leased_after_one_result, 1u);
+  EXPECT_EQ(results_fingerprint(spec, distributed),
+            results_fingerprint(spec, expected));
 }
 
 TEST(FabricSystem, StragglerResultDoesNotDoubleMergeReissuedUnit) {

@@ -8,14 +8,18 @@
 namespace dynvote {
 namespace {
 
+/// Every session below is drawn over this universe, the world each payload
+/// is decoded into.
+constexpr std::size_t kUniverse = 64;
+
 Session make_session(SessionNumber number, std::initializer_list<ProcessId> ids) {
-  return Session{number, ProcessSet(64, ids)};
+  return Session{number, ProcessSet(kUniverse, ids)};
 }
 
 template <typename T>
 PayloadRef<const T> round_trip(const T& payload) {
   const auto bytes = encode_payload(payload);
-  PayloadPtr decoded = decode_payload(bytes);
+  PayloadPtr decoded = decode_payload(bytes, kUniverse);
   EXPECT_EQ(decoded->type(), payload.type());
   EXPECT_EQ(decoded->view_id, payload.view_id);
   return static_payload_cast<const T>(std::move(decoded));
@@ -94,7 +98,35 @@ TEST(Payload, Mr1pResolveProposeAttemptRoundTrip) {
 
 TEST(Payload, UnknownTypeByteRejected) {
   std::vector<std::byte> bytes{std::byte{0xEE}, std::byte{0}};
-  EXPECT_THROW(decode_payload(bytes), DecodeError);
+  EXPECT_THROW(decode_payload(bytes, kUniverse), DecodeError);
+}
+
+// A state payload is decoded into a world of 4 processes, but its
+// lastFormed[0] is a session over 200 that names process 150.  Accepted,
+// process 0's ACCEPT step would adopt that session and write lastFormed
+// entry 150 of a 4-entry table.
+TEST(Payload, SessionOverAnotherUniverseRejected) {
+  constexpr std::size_t kWorld = 4;
+  StateExchangePayload p;
+  p.view_id = 2;
+  p.session_number = 1;
+  p.last_primary = Session{0, ProcessSet::full(kWorld)};
+  p.last_formed.assign(kWorld, p.last_primary);
+  p.last_formed[0] = Session{7, ProcessSet(200, {0, 150})};
+  const auto bytes = encode_payload(p);
+  EXPECT_THROW(decode_payload(bytes, kWorld), DecodeError);
+
+  // The same payload drawn wholly over the world decodes.
+  p.last_formed[0] = Session{7, ProcessSet(kWorld, {0, 3})};
+  EXPECT_EQ(static_cast<const StateExchangePayload&>(
+                *decode_payload(encode_payload(p), kWorld))
+                .last_formed,
+            p.last_formed);
+
+  // So does every other session slot: the proposal of an attempt, too.
+  AttemptPayload attempt;
+  attempt.proposal = Session{7, ProcessSet(200, {0, 150})};
+  EXPECT_THROW(decode_payload(encode_payload(attempt), kWorld), DecodeError);
 }
 
 TEST(Payload, TruncatedBodyRejected) {
@@ -102,14 +134,14 @@ TEST(Payload, TruncatedBodyRejected) {
   p.proposal = make_session(13, {1, 5});
   auto bytes = encode_payload(p);
   bytes.resize(bytes.size() / 2);
-  EXPECT_THROW(decode_payload(bytes), DecodeError);
+  EXPECT_THROW(decode_payload(bytes, kUniverse), DecodeError);
 }
 
 TEST(Payload, TrailingGarbageRejected) {
   GcRoundPayload p;
   auto bytes = encode_payload(p);
   bytes.push_back(std::byte{0});
-  EXPECT_THROW(decode_payload(bytes), DecodeError);
+  EXPECT_THROW(decode_payload(bytes, kUniverse), DecodeError);
 }
 
 TEST(Payload, BadVerdictRejected) {
@@ -118,7 +150,7 @@ TEST(Payload, BadVerdictRejected) {
   r.call = Mr1pVerdict::kStatusTryFail;
   auto bytes = encode_payload(r);
   bytes.back() = std::byte{0x63};  // the call byte is encoded last
-  EXPECT_THROW(decode_payload(bytes), DecodeError);
+  EXPECT_THROW(decode_payload(bytes, kUniverse), DecodeError);
 }
 
 TEST(Payload, WireSizeMatchesEncoding) {
@@ -182,7 +214,7 @@ TEST(Message, SerializeParseRoundTrip) {
   m.protocol = att;
 
   const auto bytes = m.serialize();
-  const Message parsed = Message::parse(bytes);
+  const Message parsed = Message::parse(bytes, kUniverse);
   EXPECT_EQ(parsed.app_data, m.app_data);
   ASSERT_TRUE(parsed.has_protocol());
   EXPECT_EQ(parsed.protocol->type(), PayloadType::kAttempt);
@@ -193,7 +225,7 @@ TEST(Message, SerializeParseRoundTrip) {
 
 TEST(Message, EmptyMessageRoundTrip) {
   const Message empty = Message::empty();
-  const Message parsed = Message::parse(empty.serialize());
+  const Message parsed = Message::parse(empty.serialize(), kUniverse);
   EXPECT_TRUE(parsed.app_data.empty());
   EXPECT_FALSE(parsed.has_protocol());
 }

@@ -65,7 +65,7 @@ TEST(ProcessSetArena, EncodeDecodeRoundTripsAcrossTheSboBoundary) {
     Encoder enc;
     original.encode(enc);
     Decoder dec(enc.bytes());
-    const ProcessSet restored = ProcessSet::decode(dec);
+    const ProcessSet restored = ProcessSet::decode(dec, n);
     EXPECT_EQ(restored, original);
     EXPECT_EQ(restored.universe_size(), n);
     EXPECT_EQ(restored.hash(), original.hash());

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "core/process_set.hpp"
 #include "util/assert.hpp"
@@ -128,7 +130,7 @@ TEST(ProcessSet, EncodeDecodeRoundTrip) {
   Encoder enc;
   original.encode(enc);
   Decoder dec(enc.bytes());
-  EXPECT_EQ(ProcessSet::decode(dec), original);
+  EXPECT_EQ(ProcessSet::decode(dec, 130), original);
   dec.finish();
 }
 
@@ -137,14 +139,27 @@ TEST(ProcessSet, DecodeRejectsBitsOutsideUniverse) {
   enc.put_varint(4);                      // universe of 4...
   enc.put_u64_fixed(0xFF);                // ...but 8 bits set
   Decoder dec(enc.bytes());
-  EXPECT_THROW(ProcessSet::decode(dec), DecodeError);
+  EXPECT_THROW(ProcessSet::decode(dec, 4), DecodeError);
 }
 
 TEST(ProcessSet, DecodeRejectsImplausibleUniverse) {
   Encoder enc;
   enc.put_varint(2'000'000);
   Decoder dec(enc.bytes());
-  EXPECT_THROW(ProcessSet::decode(dec), DecodeError);
+  EXPECT_THROW(ProcessSet::decode(dec, 64), DecodeError);
+}
+
+// A set is decoded into a world: one drawn over any other universe, larger
+// or smaller, could index past that world's per-process tables.
+TEST(ProcessSet, DecodeRejectsAnotherUniverse) {
+  for (const auto& [encoded, expected] :
+       {std::pair<std::size_t, std::size_t>{200, 4}, {4, 200}, {64, 65}}) {
+    SCOPED_TRACE(std::to_string(encoded) + " into " + std::to_string(expected));
+    Encoder enc;
+    ProcessSet(encoded, {0, 3}).encode(enc);
+    Decoder dec(enc.bytes());
+    EXPECT_THROW(ProcessSet::decode(dec, expected), DecodeError);
+  }
 }
 
 // The small-buffer boundary: universes up to kInlineWords * 64 = 128 ids
@@ -199,7 +214,7 @@ TEST_P(ProcessSetSboBoundary, EncodeDecodeRoundTripAtBoundary) {
   Encoder enc;
   original.encode(enc);
   Decoder dec(enc.bytes());
-  const ProcessSet decoded = ProcessSet::decode(dec);
+  const ProcessSet decoded = ProcessSet::decode(dec, n);
   dec.finish();
   EXPECT_EQ(decoded, original);
   EXPECT_EQ(decoded.hash(), original.hash());

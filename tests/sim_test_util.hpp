@@ -3,9 +3,50 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string_view>
+#include <utility>
+
+#include "core/algorithm.hpp"
 #include "gcs/gcs.hpp"
 
 namespace dynvote::test {
+
+/// Forwards every call to a wrapped algorithm.  Test decorators derive from
+/// it, override the calls they observe or transform, and are installed
+/// through a Gcs::AlgorithmFactory.
+class ForwardingAlgorithm : public PrimaryComponentAlgorithm {
+ public:
+  explicit ForwardingAlgorithm(std::unique_ptr<PrimaryComponentAlgorithm> inner)
+      : PrimaryComponentAlgorithm(inner->self(), inner->initial_view()),
+        inner_(std::move(inner)) {}
+
+  void view_changed(const View& view) override { inner_->view_changed(view); }
+  Message incoming_message(Message message, ProcessId sender) override {
+    return inner_->incoming_message(std::move(message), sender);
+  }
+  std::optional<Message> outgoing_message_poll(const Message& app) override {
+    return inner_->outgoing_message_poll(app);
+  }
+  bool in_primary() const override { return inner_->in_primary(); }
+  std::string_view name() const override { return inner_->name(); }
+  AlgorithmDebugInfo debug_info() const override {
+    return inner_->debug_info();
+  }
+  const Session& last_primary_session() const override {
+    return inner_->last_primary_session();
+  }
+  void save(Encoder& enc) const override { inner_->save(enc); }
+  void load(Decoder& dec) override { inner_->load(dec); }
+
+ protected:
+  PrimaryComponentAlgorithm& inner() { return *inner_; }
+  const PrimaryComponentAlgorithm& inner() const { return *inner_; }
+
+ private:
+  std::unique_ptr<PrimaryComponentAlgorithm> inner_;
+};
 
 /// Run rounds until quiescent; fails the test if the system chatters past
 /// `max_rounds`.

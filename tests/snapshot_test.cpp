@@ -8,11 +8,15 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "core/payload.hpp"
 #include "sim/experiment.hpp"
 #include "sim/snapshot.hpp"
+#include "sim_test_util.hpp"
 #include "util/codec.hpp"
 #include "util/rng.hpp"
 
@@ -216,7 +220,6 @@ TEST(Snapshot, ConfigHashIgnoresObservabilityFlags) {
   SimulationConfig b = a;
   b.check_invariants = !b.check_invariants;
   b.measure_wire_sizes = !b.measure_wire_sizes;
-  b.serialize_on_wire = !b.serialize_on_wire;
   EXPECT_EQ(config_trajectory_hash(a), config_trajectory_hash(b));
 
   SimulationConfig c = a;
@@ -333,6 +336,102 @@ TEST(Snapshot, InFlightScopeOverAnotherUniverseIsRejected) {
   Gcs victim(AlgorithmKind::kSimpleMajority, 4);
   Decoder dec(bytes);
   EXPECT_THROW(victim.load(dec), DecodeError);
+}
+
+/// A 4-process YKD world whose processes are wrapped in `Decorator`, for
+/// saves that a plain YKD world of the same config must refuse.
+template <typename Decorator>
+SimulationConfig decorated_ykd_config() {
+  SimulationConfig config = small_config(AlgorithmKind::kYkd);
+  config.processes = 4;
+  config.algorithm_factory = [](ProcessId self, const View& initial) {
+    return std::make_unique<Decorator>(
+        make_algorithm(AlgorithmKind::kYkd, self, initial));
+  };
+  return config;
+}
+
+/// Saves its YKD state with the lastFormed table cut to its first entry
+/// (YkdFamilyBase::save writes lastPrimary, then the table).
+class ShortLastFormed final : public test::ForwardingAlgorithm {
+ public:
+  using ForwardingAlgorithm::ForwardingAlgorithm;
+
+  void save(Encoder& enc) const override {
+    Encoder full;
+    ForwardingAlgorithm::save(full);
+    const std::size_t n = initial_view().members.universe_size();
+    Decoder dec(full.bytes());
+    Session::decode(dec, n).encode(enc);
+    const std::uint64_t entries = dec.get_varint();
+    enc.put_varint(1);
+    Session::decode(dec, n).encode(enc);
+    for (std::uint64_t i = 1; i < entries; ++i) (void)Session::decode(dec, n);
+    const std::span<const std::byte> rest =
+        std::span(full.bytes()).last(dec.remaining());
+    for (std::byte b : rest) enc.put_u8(std::to_integer<std::uint8_t>(b));
+  }
+};
+
+// A YKD table indexed by process id must have one entry per process.  Run
+// with a 1-entry lastFormed table, the next formation would write entry 1.
+TEST(Snapshot, ShortLastFormedTableIsRejected) {
+  const SimulationConfig config = decorated_ykd_config<ShortLastFormed>();
+  Simulation source(config);
+  (void)source.run_events(3);
+  const std::vector<std::byte> bytes = save_snapshot(source);
+
+  SimulationConfig plain = config;
+  plain.algorithm_factory = nullptr;
+  Simulation target(plain);
+  EXPECT_THROW(restore_snapshot(target, bytes), DecodeError);
+
+  // The same world saved whole restores.
+  Simulation whole(plain);
+  (void)whole.run_events(3);
+  restore_snapshot(target, save_snapshot(whole));
+  EXPECT_EQ(save_snapshot(target), save_snapshot(whole));
+}
+
+/// Sends every state payload with lastFormed[0] replaced by a session over
+/// a 200-process universe that names process 150, and counts them.
+class ForeignSession final : public test::ForwardingAlgorithm {
+ public:
+  using ForwardingAlgorithm::ForwardingAlgorithm;
+  static inline std::size_t forged = 0;
+
+  std::optional<Message> outgoing_message_poll(const Message& app) override {
+    std::optional<Message> out =
+        ForwardingAlgorithm::outgoing_message_poll(app);
+    if (out.has_value() && out->has_protocol() &&
+        out->protocol->type() == PayloadType::kStateExchange) {
+      auto state = make_payload<StateExchangePayload>(
+          static_cast<const StateExchangePayload&>(*out->protocol));
+      state->last_formed[0] = Session{7, ProcessSet(200, {0, 150})};
+      out->protocol = std::move(state);
+      ++forged;
+    }
+    return out;
+  }
+};
+
+// A state payload in flight is decoded into the restored world.  Delivered
+// to process 0, its foreign lastFormed[0] would win ACCEPT, and adopting it
+// would write entry 150 of a 4-entry table.
+TEST(Snapshot, InFlightForeignSessionIsRejected) {
+  const SimulationConfig config = decorated_ykd_config<ForeignSession>();
+  Simulation source(config);
+  ForeignSession::forged = 0;
+  for (int event = 0; event < 200 && ForeignSession::forged == 0; ++event) {
+    (void)source.run_events(1);
+  }
+  ASSERT_GT(ForeignSession::forged, 0u) << "no state exchange was sent";
+  const std::vector<std::byte> bytes = save_snapshot(source);
+
+  SimulationConfig plain = config;
+  plain.algorithm_factory = nullptr;
+  Simulation target(plain);
+  EXPECT_THROW(restore_snapshot(target, bytes), DecodeError);
 }
 
 // The algorithms that evaluate a view's exchange once and share the verdict
@@ -460,7 +559,9 @@ TEST(Snapshot, PrivatePayloadCopiesDecideLikeSharedOnes) {
       for (const auto& [sender, message] : sent) {
         members.for_each([&](ProcessId r) {
           (void)world[r]->incoming_message(
-              private_copies ? Message::parse(message.serialize()) : message,
+              private_copies ? Message::parse(message.serialize(),
+                                              members.universe_size())
+                             : message,
               sender);
         });
       }

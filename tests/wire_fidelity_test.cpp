@@ -5,10 +5,32 @@
 // property a real Transis binding would rely on.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
+#include "core/message.hpp"
 #include "sim/driver.hpp"
+#include "sim_test_util.hpp"
 
 namespace dynvote {
 namespace {
+
+/// Hands the GCS a copy of every outgoing message parsed back from its
+/// bytes, so every delivery carries only what the wire format carries.
+class OverTheWire final : public test::ForwardingAlgorithm {
+ public:
+  using ForwardingAlgorithm::ForwardingAlgorithm;
+
+  std::optional<Message> outgoing_message_poll(const Message& app) override {
+    std::optional<Message> out =
+        ForwardingAlgorithm::outgoing_message_poll(app);
+    if (out.has_value()) {
+      *out = Message::parse(out->serialize(),
+                            initial_view().members.universe_size());
+    }
+    return out;
+  }
+};
 
 class WireFidelity : public ::testing::TestWithParam<AlgorithmKind> {};
 
@@ -21,7 +43,10 @@ TEST_P(WireFidelity, SerializedTransportIsBehaviorallyIdentical) {
   config.seed = 2024;
 
   SimulationConfig wire = config;
-  wire.serialize_on_wire = true;
+  wire.algorithm_factory = [kind = GetParam()](ProcessId self,
+                                               const View& initial) {
+    return std::make_unique<OverTheWire>(make_algorithm(kind, self, initial));
+  };
 
   Simulation in_memory(config);
   Simulation serialized(wire);

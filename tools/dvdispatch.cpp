@@ -286,7 +286,6 @@ void report(const SweepSpec& spec, const SweepResult& result) {
   if (result.fabric.used) {
     std::cout << "fabric: " << result.fabric.units_issued << " units issued, "
               << result.fabric.units_reissued << " re-issued, "
-              << result.fabric.units_stolen << " stolen, "
               << result.fabric.duplicate_results << " duplicates dropped, "
               << result.fabric.workers_connected << " workers ("
               << result.fabric.workers_died << " died)\n";

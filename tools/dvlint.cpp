@@ -1,51 +1,34 @@
 // dvlint CLI: run the repo-aware static checks over a source tree.
 //
-//   dvlint [--json|--sarif] [--check ID[,ID...]] [--changed-only]
-//          [--suppress FILE] [--out FILE] ROOT
+//   dvlint [--sarif] ROOT
 //   dvlint --list-checks
 //
 // ROOT is the directory to scan recursively (typically the repo's src/).
-// Exit codes are deterministic so CI can gate on them:
-//   0  clean (no findings after suppressions), or --list-checks
+// The text report is the gate; --sarif renders the same findings as SARIF
+// 2.1.0 for code scanning.  Exit codes are deterministic so CI can gate on
+// them:
+//   0  clean (no findings), or --list-checks
 //   1  findings reported
-//   2  usage or I/O error (bad flags, unknown check id, unreadable root or
-//      suppression file, unwritable --out target)
-// --changed-only still parses the whole tree (cross-file registries stay
-// complete) but reports findings only for files `git` says changed vs HEAD
-// (tracked modifications plus untracked sources); if git is unavailable it
-// falls back to a full report.  There is deliberately no --fix: every
-// finding is either a real defect or carries an explicit in-source
-// annotation, so the tree itself is always the single source of truth.
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+//   2  usage or I/O error (bad flags, unreadable root)
+// There is deliberately no --fix and no suppression file: every finding is
+// either a real defect or carries an explicit in-source annotation, so the
+// tree itself is always the single source of truth.
+#include <exception>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "lint/lint.hpp"
 
 namespace {
 
 int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0
-      << " [--json|--sarif] [--check ID[,ID...]] [--changed-only]\n"
-         "              [--suppress FILE] [--out FILE] ROOT\n"
-         "       " << argv0 << " --list-checks\n"
-         "\n"
-         "  --json          machine-readable report (dynvote.dvlint.v1)\n"
-         "  --sarif         SARIF 2.1.0 report for code-scanning upload\n"
-         "  --check IDS     run only these comma-separated check ids\n"
-         "  --changed-only  report findings only for files changed vs git\n"
-         "                  HEAD (whole tree still parsed for context)\n"
-         "  --suppress FILE suppression file: '<check> <suffix>[:line]'\n"
-         "  --out FILE      write the report to FILE instead of stdout\n"
-         "  --list-checks   print the check catalogue and exit\n"
-         "\n"
-         "exit codes: 0 clean, 1 findings, 2 usage or I/O error\n";
+  std::cerr << "usage: " << argv0 << " [--sarif] ROOT\n"
+            << "       " << argv0 << " --list-checks\n"
+               "\n"
+               "  --sarif         SARIF 2.1.0 report for code-scanning upload\n"
+               "  --list-checks   print the check catalogue and exit\n"
+               "\n"
+               "exit codes: 0 clean, 1 findings, 2 usage or I/O error\n";
   return 2;
 }
 
@@ -56,93 +39,18 @@ int list_checks() {
   return 0;
 }
 
-/// Lines of `cmd`'s stdout.  nullopt when the command cannot run or exits
-/// non-zero (e.g. not a git checkout) -- callers fall back to a full scan.
-std::optional<std::vector<std::string>> command_lines(const std::string& cmd) {
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return std::nullopt;
-  std::string output;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, pipe)) > 0) {
-    output.append(buf, got);
-  }
-  if (::pclose(pipe) != 0) return std::nullopt;
-  std::vector<std::string> lines;
-  std::istringstream in(output);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  return lines;
-}
-
-bool is_source_path(const std::string& path) {
-  const std::size_t dot = path.rfind('.');
-  if (dot == std::string::npos) return false;
-  const std::string ext = path.substr(dot);
-  return ext == ".hpp" || ext == ".cpp" || ext == ".h" || ext == ".cc";
-}
-
-/// Source files under `root` changed relative to HEAD (tracked diffs plus
-/// untracked files), as root-relative paths.  nullopt = git unavailable.
-std::optional<std::vector<std::string>> changed_files(const std::string& root) {
-  const std::string quoted = "'" + root + "'";
-  const auto tracked = command_lines(
-      "git -C " + quoted + " diff --name-only --relative HEAD -- . 2>/dev/null");
-  const auto untracked = command_lines(
-      "git -C " + quoted + " ls-files --others --exclude-standard 2>/dev/null");
-  if (!tracked || !untracked) return std::nullopt;
-  std::vector<std::string> out;
-  for (const auto* batch : {&*tracked, &*untracked}) {
-    for (const std::string& path : *batch) {
-      if (is_source_path(path)) out.push_back(path);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  enum class Format { kText, kJson, kSarif };
-  Format format = Format::kText;
-  bool changed_only = false;
-  std::string suppress_path;
-  std::string out_path;
+  bool sarif = false;
   std::string root;
-  std::vector<dynvote::lint::CheckId> checks;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json") {
-      format = Format::kJson;
-    } else if (arg == "--sarif") {
-      format = Format::kSarif;
-    } else if (arg == "--changed-only") {
-      changed_only = true;
+    if (arg == "--sarif") {
+      sarif = true;
     } else if (arg == "--list-checks") {
       return list_checks();
-    } else if (arg == "--check") {
-      if (++i >= argc) return usage(argv[0]);
-      std::istringstream ids(argv[i]);
-      std::string id;
-      while (std::getline(ids, id, ',')) {
-        const auto check = dynvote::lint::check_from_string(id);
-        if (!check) {
-          std::cerr << "dvlint: unknown check id '" << id
-                    << "' (see --list-checks)\n";
-          return 2;
-        }
-        checks.push_back(*check);
-      }
-      if (checks.empty()) return usage(argv[0]);
-    } else if (arg == "--suppress") {
-      if (++i >= argc) return usage(argv[0]);
-      suppress_path = argv[i];
-    } else if (arg == "--out") {
-      if (++i >= argc) return usage(argv[0]);
-      out_path = argv[i];
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -157,43 +65,9 @@ int main(int argc, char** argv) {
   if (root.empty()) return usage(argv[0]);
 
   try {
-    dynvote::lint::LintOptions options;
-    options.root = root;
-    options.checks = std::move(checks);
-    if (!suppress_path.empty()) {
-      options.suppressions = dynvote::lint::load_suppressions(suppress_path);
-    }
-    if (changed_only) {
-      if (auto changed = changed_files(root)) {
-        options.only_files = std::move(*changed);
-      } else {
-        std::cerr << "dvlint: --changed-only: git unavailable, "
-                     "falling back to a full scan\n";
-      }
-    }
-    const dynvote::lint::LintReport report = dynvote::lint::run_lint(options);
-    std::string rendered;
-    switch (format) {
-      case Format::kText:
-        rendered = dynvote::lint::render_text(report);
-        break;
-      case Format::kJson:
-        rendered = dynvote::lint::render_json(report, root);
-        break;
-      case Format::kSarif:
-        rendered = dynvote::lint::render_sarif(report, root);
-        break;
-    }
-    if (out_path.empty()) {
-      std::cout << rendered;
-    } else {
-      std::ofstream out(out_path, std::ios::binary);
-      if (!out) {
-        std::cerr << "dvlint: cannot write " << out_path << "\n";
-        return 2;
-      }
-      out << rendered;
-    }
+    const dynvote::lint::LintReport report = dynvote::lint::run_lint(root);
+    std::cout << (sarif ? dynvote::lint::render_sarif(report, root)
+                        : dynvote::lint::render_text(report));
     return report.findings.empty() ? 0 : 1;
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
