@@ -55,7 +55,6 @@ void Dfls::handle_extra_payload(const ProtocolPayload& payload,
   if (gc_received_.contains(sender)) return;
   gc_received_.insert(sender);
   if (++gc_count_ == view_size()) {
-    if (!ambiguous_.empty()) note_state_mutated();
     ambiguous_.clear();
     gc_pending_ = false;
   }

@@ -56,7 +56,17 @@ PayloadRef<StateExchangePayload> StateExchangePayload::decode_body(
   p->last_primary = Session::decode(dec, universe);
   p->ambiguous = decode_session_vector(dec, universe);
   p->last_formed = decode_session_vector(dec, universe);
+  check_last_formed(p->last_primary, p->last_formed);
   return p;
+}
+
+void check_last_formed(const Session& last_primary,
+                       const std::vector<Session>& last_formed) {
+  for (const Session& s : last_formed) {
+    if (session_precedes(last_primary, s)) {
+      throw DecodeError("a lastFormed entry follows lastPrimary");
+    }
+  }
 }
 
 void AttemptPayload::encode_body(Encoder& enc) const { proposal.encode(enc); }

@@ -10,7 +10,12 @@
 // but each one has a binary wire form (type byte + view id + body) so
 // message sizes can be measured -- the thesis reports protocol state
 // staying under ~2 KB at 64 processes -- and so the library can be bound to
-// a real transport.
+// a real transport.  The type is a tag each payload stores when it is
+// built, so the per-delivery dispatch reads a field instead of making a
+// virtual call.
+//
+// A decoded YKD state must be one a process can reach: no lastFormed entry
+// may follow the lastPrimary beside it (check_last_formed).
 #pragma once
 
 #include <cstddef>
@@ -52,16 +57,19 @@ class PayloadRef;
 struct ProtocolPayload {
   ViewId view_id = 0;
 
-  ProtocolPayload() = default;
-  /// A copy is a new object that nobody holds yet: it takes the view id,
-  /// never the holder count.
-  ProtocolPayload(const ProtocolPayload& other) : view_id(other.view_id) {}
+  /// Each concrete payload passes its own type, which never changes.
+  explicit ProtocolPayload(PayloadType type) : type_(type) {}
+  /// A copy is a new object that nobody holds yet: it takes the view id
+  /// and the type, never the holder count.
+  ProtocolPayload(const ProtocolPayload& other)
+      : view_id(other.view_id), type_(other.type_) {}
   ProtocolPayload& operator=(const ProtocolPayload& other) {
     view_id = other.view_id;
     return *this;
   }
   virtual ~ProtocolPayload() = default;
-  virtual PayloadType type() const = 0;
+  /// The type this payload was built with.
+  PayloadType type() const { return type_; }
   /// Encode everything after the (type, view_id) envelope header.
   virtual void encode_body(Encoder& enc) const = 0;
 
@@ -69,6 +77,7 @@ struct ProtocolPayload {
   template <typename T>
   friend class PayloadRef;
 
+  const PayloadType type_;
   /// How many PayloadRefs hold this object.  A plain integer, not an
   /// atomic: every holder belongs to the world that made the payload, and
   /// a world runs on one thread at a time (DESIGN.md §4e).
@@ -185,7 +194,9 @@ struct ExchangeVerdict {
   bool filtered = false;
 
   SessionNumber max_session = 0;
-  SessionNumber max_primary_number = 0;
+  /// The newest lastPrimary any member reported (maxPrimary).  No session
+  /// a member could ACCEPT follows it (check_last_formed).
+  Session max_primary;
   /// DECIDE and allow_attempt both passed: the view attempts a primary.
   bool attempt = false;
   /// DECIDE passed but allow_attempt refused (1-pending's blocking).
@@ -210,17 +221,24 @@ struct StateExchangePayload final : ProtocolPayload {
   mutable ExchangeVerdict
       verdict_memo;  // dvlint: transient(in-process verdict cache)
 
-  PayloadType type() const override { return PayloadType::kStateExchange; }
+  StateExchangePayload() : ProtocolPayload(PayloadType::kStateExchange) {}
   void encode_body(Encoder& enc) const override;
   static PayloadRef<StateExchangePayload> decode_body(Decoder& dec,
                                                       std::size_t universe);
 };
 
+/// Throws DecodeError if an entry of `last_formed` follows `last_primary`.
+/// Every lastFormed entry was its holder's lastPrimary when written, and a
+/// lastPrimary only moves forward, so no reachable state has one; ACCEPT
+/// relies on that to skip its scan (YkdFamilyBase::on_exchange_complete).
+void check_last_formed(const Session& last_primary,
+                       const std::vector<Session>& last_formed);
+
 /// Round 2 of the YKD family: the sender commits to the proposed session.
 struct AttemptPayload final : ProtocolPayload {
   Session proposal;
 
-  PayloadType type() const override { return PayloadType::kAttempt; }
+  AttemptPayload() : ProtocolPayload(PayloadType::kAttempt) {}
   void encode_body(Encoder& enc) const override;
   static PayloadRef<AttemptPayload> decode_body(Decoder& dec,
                                                 std::size_t universe);
@@ -231,7 +249,7 @@ struct AttemptPayload final : ProtocolPayload {
 struct GcRoundPayload final : ProtocolPayload {
   SessionNumber formed_number = 0;
 
-  PayloadType type() const override { return PayloadType::kGcRound; }
+  GcRoundPayload() : ProtocolPayload(PayloadType::kGcRound) {}
   void encode_body(Encoder& enc) const override;
   static PayloadRef<GcRoundPayload> decode_body(Decoder& dec,
                                                 std::size_t universe);
@@ -257,7 +275,7 @@ struct Mr1pPendingPayload final : ProtocolPayload {
   std::uint64_t num = 0;
   Mr1pStatus status = Mr1pStatus::kNone;
 
-  PayloadType type() const override { return PayloadType::kMr1pPending; }
+  Mr1pPendingPayload() : ProtocolPayload(PayloadType::kMr1pPending) {}
   void encode_body(Encoder& enc) const override;
   static PayloadRef<Mr1pPendingPayload> decode_body(Decoder& dec,
                                                     std::size_t universe);
@@ -290,7 +308,7 @@ struct Mr1pReplyItem {
 struct Mr1pReplyPayload final : ProtocolPayload {
   std::vector<Mr1pReplyItem> replies;
 
-  PayloadType type() const override { return PayloadType::kMr1pReply; }
+  Mr1pReplyPayload() : ProtocolPayload(PayloadType::kMr1pReply) {}
   void encode_body(Encoder& enc) const override;
   static PayloadRef<Mr1pReplyPayload> decode_body(Decoder& dec,
                                                   std::size_t universe);
@@ -301,7 +319,7 @@ struct Mr1pResolvePayload final : ProtocolPayload {
   Session about;
   Mr1pVerdict call = Mr1pVerdict::kStatusTryFail;
 
-  PayloadType type() const override { return PayloadType::kMr1pResolve; }
+  Mr1pResolvePayload() : ProtocolPayload(PayloadType::kMr1pResolve) {}
   void encode_body(Encoder& enc) const override;
   static PayloadRef<Mr1pResolvePayload> decode_body(Decoder& dec,
                                                     std::size_t universe);
@@ -311,7 +329,7 @@ struct Mr1pResolvePayload final : ProtocolPayload {
 struct Mr1pProposePayload final : ProtocolPayload {
   Session proposal;
 
-  PayloadType type() const override { return PayloadType::kMr1pPropose; }
+  Mr1pProposePayload() : ProtocolPayload(PayloadType::kMr1pPropose) {}
   void encode_body(Encoder& enc) const override;
   static PayloadRef<Mr1pProposePayload> decode_body(Decoder& dec,
                                                     std::size_t universe);
@@ -321,7 +339,7 @@ struct Mr1pProposePayload final : ProtocolPayload {
 struct Mr1pAttemptPayload final : ProtocolPayload {
   Session proposal;
 
-  PayloadType type() const override { return PayloadType::kMr1pAttempt; }
+  Mr1pAttemptPayload() : ProtocolPayload(PayloadType::kMr1pAttempt) {}
   void encode_body(Encoder& enc) const override;
   static PayloadRef<Mr1pAttemptPayload> decode_body(Decoder& dec,
                                                     std::size_t universe);

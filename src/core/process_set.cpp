@@ -81,12 +81,16 @@ bool ProcessSet::intersects(const ProcessSet& other) const {
   return false;
 }
 
-ProcessSet ProcessSet::united_with(const ProcessSet& other) const {
+void ProcessSet::insert_all(const ProcessSet& other) {
   check_same_universe(other);
-  ProcessSet out = *this;
-  std::uint64_t* words = out.word_data();
+  std::uint64_t* words = word_data();
   const std::uint64_t* b = other.word_data();
-  for (std::size_t w = 0; w < out.word_count(); ++w) words[w] |= b[w];
+  for (std::size_t w = 0; w < word_count(); ++w) words[w] |= b[w];
+}
+
+ProcessSet ProcessSet::united_with(const ProcessSet& other) const {
+  ProcessSet out = *this;
+  out.insert_all(other);
   return out;
 }
 

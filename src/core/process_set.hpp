@@ -118,6 +118,9 @@ class ProcessSet {
   bool is_subset_of(const ProcessSet& other) const;
   bool intersects(const ProcessSet& other) const;
 
+  /// Adds every member of `other` (same universe required), in place.
+  void insert_all(const ProcessSet& other);
+
   ProcessSet united_with(const ProcessSet& other) const;
   ProcessSet intersected_with(const ProcessSet& other) const;
   /// Members of *this that are not in `other`.

@@ -17,7 +17,8 @@ YkdFamilyBase::YkdFamilyBase(ProcessId self, const View& initial_view,
   const std::size_t universe = initial_view.members.universe_size();
   const Session genesis{0, initial_view.members};
   last_primary_ = genesis;
-  last_formed_.assign(universe, genesis);
+  state_pool_ = make_payload<StateExchangePayload>();
+  state_pool_->last_formed.assign(universe, genesis);
   current_view_ = initial_view;
   view_size_ = initial_view.members.count();
   attempts_received_ = ProcessSet(universe);
@@ -41,26 +42,31 @@ void YkdFamilyBase::view_changed(const View& view) {
   // Rebuild our round-1 payload in place when we are its sole owner again
   // (recipients cleared their exchange tables, the network flushed); the
   // vectors inside keep their capacity, so steady-state view changes do
-  // not allocate for it.  When the sole-owned payload was filled at the
-  // current state generation it is already byte-identical, so the copies
-  // (last_formed_ alone is universe-sized) are skipped outright.
-  const bool pool_fresh = state_pool_ && state_pool_.use_count() == 1 &&
-                          state_pool_version_ == state_version_;
-  if (!pool_fresh) {
-    if (!state_pool_ || state_pool_.use_count() > 1) {
-      state_pool_ = make_payload<StateExchangePayload>();
-    }
-    state_pool_->session_number = session_number_;
-    state_pool_->last_primary = last_primary_;
-    state_pool_->ambiguous = ambiguous_;
-    state_pool_->last_formed = last_formed_;
-    state_pool_version_ = state_version_;
-  }
+  // not allocate for it, and lastFormed already lives there.
+  StateExchangePayload& state = sole_state();
+  state.session_number = session_number_;
+  state.last_primary = last_primary_;
+  state.ambiguous = ambiguous_;
   // We hold the only reference here, so nobody still reads the previous
   // view's verdict; clearing it matters because a world restored from a
   // snapshot replays view ids, and a kept memo could match one of them.
-  state_pool_->verdict_memo = {};
+  state.verdict_memo = {};
   stage(state_pool_);
+}
+
+StateExchangePayload& YkdFamilyBase::sole_state() {
+  if (state_pool_.use_count() > 1) {
+    auto copy = make_payload<StateExchangePayload>();
+    copy->last_formed = state_pool_->last_formed;
+    state_pool_ = std::move(copy);
+  }
+  return *state_pool_;
+}
+
+void YkdFamilyBase::record_primary(const Session& s) {
+  last_primary_ = s;
+  std::vector<Session>& last_formed = sole_state().last_formed;
+  s.members.for_each([&](ProcessId q) { last_formed[q] = s; });
 }
 
 void YkdFamilyBase::stage(PayloadRef<ProtocolPayload> payload) {
@@ -204,7 +210,7 @@ ExchangeVerdict YkdFamilyBase::evaluate_exchange() const {
   verdict.variant = &typeid(*this);
   verdict.filtered = filter_constraints_;
   verdict.max_session = knowledge.max_session;
-  verdict.max_primary_number = knowledge.max_primary.number;
+  verdict.max_primary = knowledge.max_primary;
 
   // DECIDE (Figure 3-4): the new view must be a subquorum of maxPrimary and
   // of every constraint session.
@@ -224,20 +230,24 @@ void YkdFamilyBase::on_exchange_complete() {
   // RESOLVE / ACCEPT: adopt the highest-numbered formed session containing
   // this process.  If q formed (or adopted) a session F with self in it,
   // q's lastFormed(self) records the latest such F, so scanning each
-  // member's lastPrimary and lastFormed(self) finds the maximum.
-  Session best = last_primary_;
-  for (const auto& [q, state] : states_) {
-    const Session& lp = state->last_primary;
-    if (lp.members.contains(self_) && session_precedes(best, lp)) best = lp;
-    if (self_ < state->last_formed.size()) {
-      const Session& lf = state->last_formed[self_];
-      if (lf.members.contains(self_) && session_precedes(best, lf)) best = lf;
+  // member's lastPrimary and lastFormed(self) finds the maximum.  Every
+  // lastFormed entry was its holder's lastPrimary when written, and a
+  // lastPrimary only moves forward, so no candidate follows maxPrimary:
+  // unless maxPrimary follows our own lastPrimary, the scan would adopt
+  // nothing and is skipped (DESIGN.md §4d).
+  if (session_precedes(last_primary_, verdict.max_primary)) {
+    Session best = last_primary_;
+    for (const auto& [q, state] : states_) {
+      const Session& lp = state->last_primary;
+      if (lp.members.contains(self_) && session_precedes(best, lp)) best = lp;
+      if (self_ < state->last_formed.size()) {
+        const Session& lf = state->last_formed[self_];
+        if (lf.members.contains(self_) && session_precedes(best, lf)) {
+          best = lf;
+        }
+      }
     }
-  }
-  if (session_precedes(last_primary_, best)) {
-    last_primary_ = best;
-    best.members.for_each([&](ProcessId q) { last_formed_[q] = best; });
-    note_state_mutated();
+    if (session_precedes(last_primary_, best)) record_primary(best);
   }
 
   // RESOLVE / DELETE: shed stored ambiguous sessions per the variant's
@@ -245,26 +255,24 @@ void YkdFamilyBase::on_exchange_complete() {
   // built from the received states and filtered the same way everywhere --
   // it changes what is stored and shipped, and what an unfiltered decision
   // like DFLS's is constrained by next time.)
-  std::size_t pruned = 0;
   switch (prune_mode_) {
     case PruneMode::kFull:
-      pruned = std::erase_if(ambiguous_, [&](const Session& s) {
+      std::erase_if(ambiguous_, [&](const Session& s) {
         return s.number <= last_primary_.number ||
                provably_unformed(s, states_);
       });
       break;
     case PruneMode::kGlobalSuperseded:
-      pruned = std::erase_if(ambiguous_, [&](const Session& s) {
-        return s.number <= verdict.max_primary_number;
+      std::erase_if(ambiguous_, [&](const Session& s) {
+        return s.number <= verdict.max_primary.number;
       });
       break;
     case PruneMode::kUnformedOnly:
-      pruned = std::erase_if(ambiguous_, [&](const Session& s) {
+      std::erase_if(ambiguous_, [&](const Session& s) {
         return provably_unformed(s, states_);
       });
       break;
   }
-  if (pruned != 0) note_state_mutated();
 
   blocked_ = verdict.blocked;
   states_.clear();
@@ -276,7 +284,6 @@ void YkdFamilyBase::on_exchange_complete() {
   session_number_ = verdict.max_session + 1;
   proposed_ = Session{session_number_, current_view_.members};
   ambiguous_.push_back(proposed_);
-  note_state_mutated();
   stage_ = Stage::kAttempting;
   attempts_received_.clear();
   attempts_count_ = 0;
@@ -291,11 +298,14 @@ void YkdFamilyBase::on_exchange_complete() {
 }
 
 void YkdFamilyBase::form_primary() {
-  last_primary_ = proposed_;
+  // A member's session counter is never below its lastPrimary's number,
+  // and the proposal is numbered past every member's counter.  The ACCEPT
+  // bound relies on formations moving lastPrimary forward.
+  DV_ASSERT_MSG(session_precedes(last_primary_, proposed_),
+                "a formed session must follow lastPrimary");
+  record_primary(proposed_);
   in_primary_ = true;
-  proposed_.members.for_each([&](ProcessId q) { last_formed_[q] = proposed_; });
   stage_ = Stage::kIdle;
-  note_state_mutated();
   on_primary_formed();
 }
 
@@ -332,7 +342,7 @@ PayloadPtr decode_staged_payload(Decoder& dec, std::size_t universe) {
 
 void YkdFamilyBase::save(Encoder& enc) const {
   last_primary_.encode(enc);
-  encode_sessions(enc, last_formed_);
+  encode_sessions(enc, state_pool_->last_formed);
   encode_sessions(enc, ambiguous_);
   enc.put_varint(session_number_);
   enc.put_bool(in_primary_);
@@ -362,10 +372,13 @@ void YkdFamilyBase::save(Encoder& enc) const {
 void YkdFamilyBase::load(Decoder& dec) {
   const std::size_t universe = initial_view_.members.universe_size();
   last_primary_ = Session::decode(dec, universe);
-  last_formed_ = decode_sessions(dec, universe);
-  if (last_formed_.size() != universe) {
+  std::vector<Session> last_formed = decode_sessions(dec, universe);
+  if (last_formed.size() != universe) {
     throw DecodeError("lastFormed table does not have one entry per process");
   }
+  check_last_formed(last_primary_, last_formed);
+  state_pool_ = make_payload<StateExchangePayload>();
+  state_pool_->last_formed = std::move(last_formed);
   ambiguous_ = decode_sessions(dec, universe);
   session_number_ = dec.get_varint();
   in_primary_ = dec.get_bool();
@@ -397,6 +410,10 @@ void YkdFamilyBase::load(Decoder& dec) {
 
   attempts_received_ = ProcessSet::decode(dec, universe);
   proposed_ = Session::decode(dec, universe);
+  if (stage_ == Stage::kAttempting &&
+      !session_precedes(last_primary_, proposed_)) {
+    throw DecodeError("attempting a session that does not follow lastPrimary");
+  }
   view_size_ = current_view_.members.count();
   attempts_count_ = attempts_received_.count();
   const std::uint64_t staged = dec.get_varint();
@@ -406,7 +423,6 @@ void YkdFamilyBase::load(Decoder& dec) {
   for (std::uint64_t i = 0; i < staged; ++i) {
     outbox_.push_back(decode_staged_payload(dec, universe));
   }
-  note_state_mutated();  // restored fields: the pooled payload is stale
   load_extra(dec);
 }
 

@@ -39,8 +39,16 @@
 // delivery shares one object (the simulated GCS); the rest reuse it and run
 // only the per-process ACCEPT and prune steps.  A member holding a private
 // copy of that payload (a real transport, a restored snapshot) finds no
-// memo and computes the same verdict itself.  DESIGN.md §4d has the
-// soundness argument.
+// memo and computes the same verdict itself.  The verdict carries
+// maxPrimary, and ACCEPT scans the table only when maxPrimary follows this
+// process's lastPrimary: every lastFormed entry is a past lastPrimary of
+// its holder, so otherwise nothing could be adopted.  DESIGN.md §4d has
+// the soundness argument.
+//
+// lastFormed, the one universe-sized table of the state, lives in the
+// process's own pooled round-1 payload (state_pool_).  It is copied only
+// when that payload must be restaged or lastFormed written while another
+// holder still has it (DESIGN.md §4e).
 #pragma once
 
 #include <cstdint>
@@ -232,17 +240,9 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   /// Is there combined-state proof that S was never formed by any member?
   bool provably_unformed(const Session& s, const StateMap& states) const;
 
-  /// Every mutation of the four fields the round-1 payload mirrors
-  /// (session_number_, last_primary_, ambiguous_, last_formed_) must call
-  /// this; view_changed() uses the generation to skip rebuilding the pooled
-  /// payload when nothing changed since it was last filled (the common case
-  /// in quiescent view churn).  Subclasses that mutate those fields outside
-  /// the base's paths (DFLS's delayed GC delete) must call it too.
-  void note_state_mutated() { ++state_version_; }
-
-  // --- persistent algorithm state (thesis §3.1) ---
+  // --- persistent algorithm state (thesis §3.1; lastFormed is in
+  // state_pool_ below) ---
   Session last_primary_;              // last primary formed or adopted
-  std::vector<Session> last_formed_;  // lastFormed(q), indexed by q
   std::vector<Session> ambiguous_;    // pending ambiguous sessions
   SessionNumber session_number_ = 0;
   bool in_primary_ = true;            // everyone starts together: primary
@@ -262,6 +262,11 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   /// COMPUTE, DECIDE and allow_attempt over states_: a pure function of
   /// (current view, states_, variant).  Reads no per-process state.
   ExchangeVerdict evaluate_exchange() const;
+  /// lastPrimary = s, and lastFormed(q) = s for every member q of s.
+  void record_primary(const Session& s);
+  /// state_pool_ for writing: first replaced by a new payload holding a
+  /// copy of its lastFormed table if anyone else still holds it.
+  StateExchangePayload& sole_state();
   void form_primary();
   /// Fills combined_scratch_ from states_ and returns a reference to it, so
   /// the constraint vector's capacity is reused across exchanges.
@@ -283,23 +288,18 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   /// dead; save() encodes only the live range and load() re-packs from 0.
   std::vector<PayloadPtr> outbox_;
   std::size_t outbox_head_ = 0;
-  /// Our own round-1 payload, retained so the next view change can rebuild
-  /// it in place -- reusing its vector capacities -- once every other
-  /// holder (recipients' exchange tables, the network) has dropped it,
-  /// which use_count()==1 proves in this single-threaded simulation.  Pure
-  /// allocator cache: the snapshot covers the payload by value wherever it
-  /// is actually staged or received.
-  PayloadRef<StateExchangePayload>
-      state_pool_;  // dvlint: transient(allocator cache, never read back)
-  /// Generation counter over the payload-mirrored persistent fields and the
-  /// generation state_pool_ was filled at.  When they match and we are the
-  /// payload's sole owner, view_changed() reuses it without copying -- pure
-  /// cache-validity tracking, never snapshotted (load() bumps the
-  /// generation so a restored instance always rebuilds).
-  std::uint64_t state_version_ = 1;  // dvlint: transient(cache validity)
-  std::uint64_t
-      state_pool_version_ = 0;  // dvlint: transient(cache validity)
-  /// Single-slot reuse of the round-2 attempt payload, same contract.
+  /// Our own round-1 payload, and the owner of lastFormed: its
+  /// last_formed table is this process's lastFormed(q), indexed by q, at
+  /// all times.  Its other fields are refreshed each time view_changed()
+  /// stages it.  Once every other holder (recipients' exchange tables, the
+  /// network) has dropped it, which use_count()==1 proves in this
+  /// single-threaded simulation, it is rebuilt and written in place;
+  /// before that, sole_state() copies the table into a new payload.  So
+  /// the universe-sized table is copied only while another holder still
+  /// has the payload, and a staged payload never changes under a reader.
+  PayloadRef<StateExchangePayload> state_pool_;
+  /// Single-slot reuse of the round-2 attempt payload, rebuilt in place
+  /// once this process is its only holder.
   PayloadRef<AttemptPayload>
       attempt_pool_;  // dvlint: transient(allocator cache, never read back)
   mutable CombinedKnowledge

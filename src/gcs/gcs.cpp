@@ -62,13 +62,15 @@ const View& Gcs::view_of(ProcessId id) const {
   return installed_views_[id];
 }
 
-void Gcs::deliver(ProcessId recipient, const Message& message,
-                  ProcessId sender) {
-  ++deliveries_;
-  due_.insert(recipient);
+void Gcs::deliver(const Message& message, ProcessId sender,
+                  const ProcessSet& recipients) {
+  deliveries_ += recipients.count();
+  due_.insert_all(recipients);
   // The application-side return value (the stripped message) is dropped:
   // the simulated application has no payload traffic of its own.
-  (void)algorithms_[recipient]->incoming_message(message, sender);
+  recipients.for_each([&](ProcessId r) {
+    (void)algorithms_[r]->incoming_message(message, sender);
+  });
 }
 
 void Gcs::record_send(const Message& message) {
@@ -165,22 +167,20 @@ void Gcs::apply_crash(ProcessId p, Network::CrossDeliveryFn crosses) {
 
   const std::size_t index = topology_.component_of(p);
   const ProcessSet component = topology_.component(index);
-  const ProcessSet survivors = component.minus(ProcessSet(
-      topology_.universe_size(), {p}));
+  ProcessSet lone(topology_.universe_size());
+  lone.insert(p);
+  const ProcessSet survivors = component.minus(lone);
 
   // A dead process receives nothing; its own in-flight multicasts may
   // still escape to the survivors.  The lambda is a named local, so the
   // non-owning callback references stay valid for both flush calls.
-  const auto deliver_fn = [this, p](ProcessId r, const Message& m,
-                                    ProcessId s) {
-    if (r == p) return;
-    deliver(r, m, s);
+  const auto deliver_fn = [this, &lone](const Message& m, ProcessId s,
+                                        const ProcessSet& recipients) {
+    deliver(m, s, recipients.minus(lone));
   };
 
   const CoinCallback coin_cb{this};
   if (!survivors.empty()) {
-    ProcessSet lone(topology_.universe_size());
-    lone.insert(p);
     network_.flush_for_partition(
         component, survivors, lone, deliver_fn,
         crosses ? crosses : Network::CrossDeliveryFn(coin_cb));

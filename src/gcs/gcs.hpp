@@ -16,6 +16,10 @@
 // say until its next input.  Multi-round protocols therefore take several
 // rounds, and a connectivity change injected between rounds interrupts
 // them, which is the phenomenon under study.
+//
+// Each multicast is one call into the Gcs, in the round and in the flushes
+// alike: its recipients are counted and made due as a set, then handed the
+// message one by one.
 #pragma once
 
 #include <algorithm>
@@ -177,7 +181,10 @@ class Gcs {
 
  private:
   void install_view(const ProcessSet& members);
-  void deliver(ProcessId recipient, const Message& message, ProcessId sender);
+  /// One multicast reaching `recipients`: counted and made due once for
+  /// the set, then handed to each recipient in ascending id order.
+  void deliver(const Message& message, ProcessId sender,
+               const ProcessSet& recipients);
   void record_send(const Message& message);
   void measure_wire(const Message& message);
 
@@ -187,8 +194,9 @@ class Gcs {
   /// the std::function each round used to allocate for.
   struct DeliverCallback {
     Gcs* gcs;
-    void operator()(ProcessId r, const Message& m, ProcessId s) const {
-      gcs->deliver(r, m, s);
+    void operator()(const Message& m, ProcessId s,
+                    const ProcessSet& recipients) const {
+      gcs->deliver(m, s, recipients);
     }
   };
   struct CoinCallback {

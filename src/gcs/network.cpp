@@ -12,12 +12,6 @@ void Network::send(ProcessId sender, ProcessSet scope, Message message) {
   in_flight_.push_back(Multicast{sender, std::move(scope), std::move(message)});
 }
 
-void Network::deliver_to(const Multicast& m, const ProcessSet& recipients,
-                         DeliverFn deliver) {
-  recipients.for_each(
-      [&](ProcessId r) { deliver(r, m.message, m.sender); });
-}
-
 std::size_t Network::deliver_all(DeliverFn deliver) {
   // Swap out first: deliveries can trigger polls in a driver that sends new
   // messages, and those belong to the *next* round.  The batch buffer is a
@@ -27,7 +21,7 @@ std::size_t Network::deliver_all(DeliverFn deliver) {
   batch_scratch_.swap(in_flight_);
   std::size_t deliveries = 0;
   for (const Multicast& m : batch_scratch_) {
-    deliver_to(m, m.scope, deliver);
+    deliver(m.message, m.sender, m.scope);
     deliveries += m.scope.count();
   }
   batch_scratch_.clear();
@@ -49,8 +43,8 @@ void Network::flush_for_partition(const ProcessSet& component,
                   "sender on neither side of split");
     const ProcessSet& near_side = sender_on_a ? side_a : side_b;
     const ProcessSet& far_side = sender_on_a ? side_b : side_a;
-    deliver_to(m, near_side, deliver);
-    if (crosses(m.sender)) deliver_to(m, far_side, deliver);
+    deliver(m.message, m.sender, near_side);
+    if (crosses(m.sender)) deliver(m.message, m.sender, far_side);
   }
   in_flight_.swap(kept_scratch_);
   kept_scratch_.clear();
@@ -92,7 +86,7 @@ void Network::flush_for_merge(const ProcessSet& component, DeliverFn deliver) {
       kept_scratch_.push_back(std::move(m));
       continue;
     }
-    deliver_to(m, m.scope, deliver);
+    deliver(m.message, m.sender, m.scope);
   }
   in_flight_.swap(kept_scratch_);
   kept_scratch_.clear();

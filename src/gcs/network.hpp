@@ -16,7 +16,8 @@
 //    merged view is installed (a merge does not destroy connectivity).
 //
 // Messages in components unaffected by a change stay queued and are
-// delivered normally at the next round.
+// delivered normally at the next round.  Every path hands a multicast to
+// the receiver once per recipient set (DeliverFn), never per recipient.
 #pragma once
 
 #include <vector>
@@ -32,14 +33,17 @@ class Decoder;
 
 class Network {
  public:
-  /// Called once per (message, recipient) delivery.  A non-owning reference
+  /// Called once per delivered multicast: `message` from `sender` reaches
+  /// every process in `recipients`, in ascending id order.  One call per
+  /// multicast, not per recipient, so the receiver does its bookkeeping
+  /// (delivery count, due set) once per set.  A non-owning reference
   /// (util/function_ref.hpp): callers keep the callable alive for the
   /// duration of the call, which every caller in the simulator does
   /// trivially -- the callbacks are locals or members of the Gcs that owns
   /// this network.
   using DeliverFn =
-      FunctionRef<void(ProcessId recipient, const Message& message,
-                       ProcessId sender)>;
+      FunctionRef<void(const Message& message, ProcessId sender,
+                       const ProcessSet& recipients)>;
 
   /// Decides, per in-flight multicast, whether it crosses to the far side
   /// of a partition before connectivity is lost.
@@ -48,17 +52,16 @@ class Network {
   /// Queue a multicast from `sender`, scoped to its component at send time.
   void send(ProcessId sender, ProcessSet scope, Message message);
 
-  /// Deliver every queued multicast to all processes in its scope, in send
-  /// order, recipients in ascending id order.  Returns the number of
-  /// deliveries made.  Not reentrant (a delivery must not call back into
-  /// deliver_all; sends during delivery are fine and queue for the next
-  /// round).
+  /// Deliver every queued multicast to its whole scope, in send order.
+  /// Returns the number of (message, recipient) deliveries made.  Not
+  /// reentrant (a delivery must not call back into deliver_all; sends
+  /// during delivery are fine and queue for the next round).
   std::size_t deliver_all(DeliverFn deliver);
 
   /// Flush messages scoped to `component` because it is about to partition
   /// into `side_a` and `side_b`: each message reaches its sender's side
-  /// unconditionally and the opposite side iff `crosses(sender)`.  Other
-  /// queued messages are untouched.
+  /// unconditionally and then, in a second call, the opposite side iff
+  /// `crosses(sender)`.  Other queued messages are untouched.
   void flush_for_partition(const ProcessSet& component,
                            const ProcessSet& side_a, const ProcessSet& side_b,
                            DeliverFn deliver, CrossDeliveryFn crosses);
@@ -81,9 +84,6 @@ class Network {
     ProcessSet scope;
     Message message;
   };
-
-  static void deliver_to(const Multicast& m, const ProcessSet& recipients,
-                         DeliverFn deliver);
 
   std::vector<Multicast> in_flight_;
   /// Round-delivery staging: deliver_all swaps in_flight_ here so sends

@@ -183,6 +183,28 @@ RunResult decode_run_result(Decoder& dec) {
   return r;
 }
 
+/// Throws DecodeError unless `p`, a restored active run, is a point at
+/// which step_event could have paused under `config`.  step_event stops
+/// injecting exactly when change_index reaches the budget, counts every
+/// change it applies in both partial fields, and fails a stabilizing run
+/// before quiet_rounds reaches its budget.  A run past those points would
+/// inject forever or fail for a reason that is not the algorithm's.
+void check_restored_progress(const RunProgress& p,
+                             const SimulationConfig& config) {
+  const bool injecting = p.phase == RunProgress::Phase::kInjecting;
+  if (p.change_index > config.changes_per_run ||
+      (injecting && p.change_index == config.changes_per_run)) {
+    throw DecodeError("restored run is past this simulation's change budget");
+  }
+  if (p.change_index != p.partial.changes_applied ||
+      p.change_index != p.partial.observer_ambiguous_at_changes.size()) {
+    throw DecodeError("restored run disagrees with its own change count");
+  }
+  if (p.quiet_rounds >= config.max_stabilization_rounds) {
+    throw DecodeError("restored run is past the stabilization budget");
+  }
+}
+
 }  // namespace
 
 void Simulation::save(Encoder& enc) const {
@@ -240,6 +262,7 @@ void Simulation::load(Decoder& dec) {
   progress_.gap_remaining = dec.get_varint();
   progress_.quiet_rounds = dec.get_varint();
   progress_.partial = decode_run_result(dec);
+  if (progress_.active) check_restored_progress(progress_, config_);
 }
 
 }  // namespace dynvote

@@ -126,7 +126,10 @@ class Simulation {
   /// Serialize all mutable state (GCS, fault model, checker history, run
   /// progress).  Configuration is not written; `load` restores into a
   /// Simulation constructed with an identical config, which the snapshot
-  /// envelope (sim/snapshot.hpp) enforces.
+  /// envelope (sim/snapshot.hpp) enforces.  `load` throws DecodeError on a
+  /// paused run this configuration could not be in: past its change or
+  /// stabilization budget, or with a change count its samples disagree
+  /// with.
   void save(Encoder& enc) const;
   void load(Decoder& dec);
 

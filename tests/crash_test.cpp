@@ -2,6 +2,10 @@
 // crash-recovery with stable storage.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "gcs/gcs.hpp"
 #include "sim/driver.hpp"
 #include "sim_test_util.hpp"
@@ -57,6 +61,68 @@ TEST(Crash, RecoveryRejoinsThroughAMerge) {
                   gcs.topology().component_of(4));
   settle(gcs);
   EXPECT_TRUE(all_in_primary(gcs, ProcessSet::full(5)));
+}
+
+/// A (recipient, sender) pair for every message an algorithm receives.
+using Receipts = std::vector<std::pair<ProcessId, ProcessId>>;
+
+class ReceiptRecorder final : public test::ForwardingAlgorithm {
+ public:
+  ReceiptRecorder(std::unique_ptr<PrimaryComponentAlgorithm> inner,
+                  Receipts* log)
+      : ForwardingAlgorithm(std::move(inner)), log_(log) {}
+
+  Message incoming_message(Message message, ProcessId sender) override {
+    log_->emplace_back(self(), sender);
+    return ForwardingAlgorithm::incoming_message(std::move(message), sender);
+  }
+
+ private:
+  Receipts* log_;
+};
+
+// The crash flush hands each in-flight multicast of the dead process's
+// component to its recipients minus the dead process: a survivor's
+// multicast reaches every survivor, and the dead process's own reaches
+// them only if it crosses.  The dead process receives nothing, and only
+// what the survivors receive counts as a delivery.
+TEST(Crash, CrashedProcessReceivesNothingInFlight) {
+  constexpr ProcessId kDead = 2;
+  for (const bool crosses : {true, false}) {
+    SCOPED_TRACE(crosses ? "the dead process's multicast crosses"
+                         : "the dead process's multicast is lost");
+    Receipts receipts;
+    Gcs gcs(
+        [&](ProcessId self, const View& initial)
+            -> std::unique_ptr<PrimaryComponentAlgorithm> {
+          return std::make_unique<ReceiptRecorder>(
+              make_algorithm(AlgorithmKind::kYkd, self, initial), &receipts);
+        },
+        5);
+    // Split off and merge back process 4: all five install the merged
+    // view, and one round puts their five round-1 states in flight.
+    gcs.apply_partition(0, ProcessSet(5, {4}));
+    settle(gcs);
+    gcs.apply_merge(0, 1);
+    gcs.step_round();
+    ASSERT_FALSE(gcs.network_idle());
+
+    receipts.clear();
+    const std::uint64_t before = gcs.deliveries();
+    gcs.apply_crash(kDead, crosses ? test::all_cross() : test::no_cross());
+
+    // In send order (ascending sender), then ascending recipient.
+    Receipts expected;
+    for (ProcessId sender = 0; sender < 5; ++sender) {
+      if (sender == kDead && !crosses) continue;
+      for (ProcessId recipient : {0, 1, 3, 4}) {
+        expected.emplace_back(recipient, sender);
+      }
+    }
+    EXPECT_EQ(receipts, expected);
+    EXPECT_EQ(gcs.deliveries() - before, expected.size());
+    EXPECT_TRUE(gcs.network_idle());
+  }
 }
 
 TEST(Crash, CrashingAPrimaryMajorityMemberBlocksOnePending) {

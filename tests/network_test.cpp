@@ -24,13 +24,16 @@ class NetworkTest : public ::testing::Test {
  protected:
   // The network callbacks are non-owning (FunctionRef), so the recording
   // callable must outlive the calls that use it: it lives in the fixture,
-  // and recorder() hands out references to it.
+  // and recorder() hands out references to it.  Each per-multicast call is
+  // logged as one Delivery per recipient, in ascending id order.
   struct Recorder {
     std::vector<Delivery>* log;
-    void operator()(ProcessId r, const Message& m, ProcessId s) const {
-      std::string text(reinterpret_cast<const char*>(m.app_data.data()),
-                       m.app_data.size());
-      log->push_back({r, s, text});
+    void operator()(const Message& m, ProcessId s,
+                    const ProcessSet& recipients) const {
+      const std::string text(
+          reinterpret_cast<const char*>(m.app_data.data()), m.app_data.size());
+      recipients.for_each(
+          [&](ProcessId r) { log->push_back({r, s, text}); });
     }
   };
 

@@ -116,8 +116,12 @@ TEST(Payload, SessionOverAnotherUniverseRejected) {
   const auto bytes = encode_payload(p);
   EXPECT_THROW(decode_payload(bytes, kWorld), DecodeError);
 
-  // The same payload drawn wholly over the world decodes.
-  p.last_formed[0] = Session{7, ProcessSet(kWorld, {0, 3})};
+  // The same payload drawn wholly over the world decodes, as the state of
+  // a process that formed {0,3} as session 7 (a lastFormed entry is always
+  // a past or present lastPrimary of its holder).
+  p.last_primary = Session{7, ProcessSet(kWorld, {0, 3})};
+  p.last_formed[0] = p.last_primary;
+  p.last_formed[3] = p.last_primary;
   EXPECT_EQ(static_cast<const StateExchangePayload&>(
                 *decode_payload(encode_payload(p), kWorld))
                 .last_formed,
@@ -127,6 +131,28 @@ TEST(Payload, SessionOverAnotherUniverseRejected) {
   AttemptPayload attempt;
   attempt.proposal = Session{7, ProcessSet(200, {0, 150})};
   EXPECT_THROW(decode_payload(encode_payload(attempt), kWorld), DecodeError);
+}
+
+// Every lastFormed entry was its holder's lastPrimary when written, and a
+// lastPrimary only moves forward, so an entry newer than the lastPrimary
+// beside it names a state no process reaches.  ACCEPT skips its scan on
+// that premise, so the decoder refuses such a state.
+TEST(Payload, LastFormedEntryAfterLastPrimaryRejected) {
+  StateExchangePayload p;
+  p.view_id = 5;
+  p.session_number = 9;
+  p.last_primary = make_session(8, {0, 1, 2});
+  p.last_formed.assign(kUniverse, p.last_primary);
+  p.last_formed[4] = make_session(6, {4, 5});  // older: reachable
+  EXPECT_NO_THROW(decode_payload(encode_payload(p), kUniverse));
+
+  p.last_formed[4] = make_session(9, {4, 5});  // newer number
+  EXPECT_THROW(decode_payload(encode_payload(p), kUniverse), DecodeError);
+
+  // Same number, later in the membership tie-break order.
+  p.last_formed[4] = make_session(8, {0, 1, 2, 3});
+  ASSERT_TRUE(session_precedes(p.last_primary, p.last_formed[4]));
+  EXPECT_THROW(decode_payload(encode_payload(p), kUniverse), DecodeError);
 }
 
 TEST(Payload, TruncatedBodyRejected) {

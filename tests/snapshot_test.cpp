@@ -351,32 +351,12 @@ SimulationConfig decorated_ykd_config() {
   return config;
 }
 
-/// Saves its YKD state with the lastFormed table cut to its first entry
-/// (YkdFamilyBase::save writes lastPrimary, then the table).
-class ShortLastFormed final : public test::ForwardingAlgorithm {
- public:
-  using ForwardingAlgorithm::ForwardingAlgorithm;
-
-  void save(Encoder& enc) const override {
-    Encoder full;
-    ForwardingAlgorithm::save(full);
-    const std::size_t n = initial_view().members.universe_size();
-    Decoder dec(full.bytes());
-    Session::decode(dec, n).encode(enc);
-    const std::uint64_t entries = dec.get_varint();
-    enc.put_varint(1);
-    Session::decode(dec, n).encode(enc);
-    for (std::uint64_t i = 1; i < entries; ++i) (void)Session::decode(dec, n);
-    const std::span<const std::byte> rest =
-        std::span(full.bytes()).last(dec.remaining());
-    for (std::byte b : rest) enc.put_u8(std::to_integer<std::uint8_t>(b));
-  }
-};
-
-// A YKD table indexed by process id must have one entry per process.  Run
-// with a 1-entry lastFormed table, the next formation would write entry 1.
-TEST(Snapshot, ShortLastFormedTableIsRejected) {
-  const SimulationConfig config = decorated_ykd_config<ShortLastFormed>();
+/// A save of a few events of `decorated_ykd_config<Decorator>()` must not
+/// restore into the plain YKD world of the same config, while that world's
+/// own save of the same events does.
+template <typename Decorator>
+void expect_decorated_save_rejected() {
+  const SimulationConfig config = decorated_ykd_config<Decorator>();
   Simulation source(config);
   (void)source.run_events(3);
   const std::vector<std::byte> bytes = save_snapshot(source);
@@ -391,6 +371,127 @@ TEST(Snapshot, ShortLastFormedTableIsRejected) {
   (void)whole.run_events(3);
   restore_snapshot(target, save_snapshot(whole));
   EXPECT_EQ(save_snapshot(target), save_snapshot(whole));
+}
+
+/// Saves its YKD state with the lastFormed table passed through `Rewrite`,
+/// a callable (lastPrimary, table) -> void (YkdFamilyBase::save writes
+/// lastPrimary, then the table).
+template <typename Rewrite>
+class RewrittenLastFormed final : public test::ForwardingAlgorithm {
+ public:
+  using ForwardingAlgorithm::ForwardingAlgorithm;
+
+  void save(Encoder& enc) const override {
+    Encoder full;
+    ForwardingAlgorithm::save(full);
+    const std::size_t n = initial_view().members.universe_size();
+    Decoder dec(full.bytes());
+    const Session last_primary = Session::decode(dec, n);
+    last_primary.encode(enc);
+    std::vector<Session> table(dec.get_varint());
+    for (Session& entry : table) entry = Session::decode(dec, n);
+    Rewrite{}(last_primary, table);
+    enc.put_varint(table.size());
+    for (const Session& entry : table) entry.encode(enc);
+    const std::span<const std::byte> rest =
+        std::span(full.bytes()).last(dec.remaining());
+    for (std::byte b : rest) enc.put_u8(std::to_integer<std::uint8_t>(b));
+  }
+};
+
+/// Cuts the table to its first entry.
+struct KeepFirstEntry {
+  void operator()(const Session&, std::vector<Session>& table) const {
+    table.resize(1);
+  }
+};
+using ShortLastFormed = RewrittenLastFormed<KeepFirstEntry>;
+
+/// Sets lastFormed(0) one session past lastPrimary.
+struct FormedPastLastPrimary {
+  void operator()(const Session& last_primary,
+                  std::vector<Session>& table) const {
+    table[0] = Session{last_primary.number + 1, last_primary.members};
+  }
+};
+using LastFormedPastLastPrimary = RewrittenLastFormed<FormedPastLastPrimary>;
+
+// A YKD table indexed by process id must have one entry per process.  Run
+// with a 1-entry lastFormed table, the next formation would write entry 1.
+TEST(Snapshot, ShortLastFormedTableIsRejected) {
+  expect_decorated_save_rejected<ShortLastFormed>();
+}
+
+// Every lastFormed entry was its holder's lastPrimary when written, and a
+// lastPrimary only moves forward.  ACCEPT skips its scan when maxPrimary
+// does not follow lastPrimary, which is exact only on such tables.
+TEST(Snapshot, LastFormedEntryPastLastPrimaryIsRejected) {
+  expect_decorated_save_rejected<LastFormedPastLastPrimary>();
+}
+
+/// Saves its YKD state, when it is attempting, with the proposal replaced
+/// by lastPrimary (YkdFamilyBase::save's field order), and counts them.
+class ProposalAtLastPrimary final : public test::ForwardingAlgorithm {
+ public:
+  using ForwardingAlgorithm::ForwardingAlgorithm;
+  static inline std::size_t forged = 0;
+
+  void save(Encoder& enc) const override {
+    Encoder full;
+    ForwardingAlgorithm::save(full);
+    const std::span<const std::byte> bytes = full.bytes();
+    const std::size_t n = initial_view().members.universe_size();
+    Decoder dec(bytes);
+    const Session last_primary = Session::decode(dec, n);
+    for (int table = 0; table < 2; ++table) {  // lastFormed, ambiguous
+      const std::uint64_t count = dec.get_varint();
+      for (std::uint64_t i = 0; i < count; ++i) (void)Session::decode(dec, n);
+    }
+    (void)dec.get_varint();  // session counter
+    (void)dec.get_bool();    // in_primary
+    (void)dec.get_bool();    // blocked
+    (void)View::decode(dec, n);
+    const bool attempting = dec.get_u8() == 2;
+    const std::uint64_t states = dec.get_varint();
+    for (std::uint64_t i = 0; i < states; ++i) {
+      (void)dec.get_varint();
+      (void)dec.get_bytes();
+    }
+    (void)ProcessSet::decode(dec, n);
+    const std::size_t proposal_at = bytes.size() - dec.remaining();
+    const Session proposal = Session::decode(dec, n);
+    const std::size_t rest_at = bytes.size() - dec.remaining();
+
+    for (std::byte b : bytes.first(proposal_at)) {
+      enc.put_u8(std::to_integer<std::uint8_t>(b));
+    }
+    (attempting ? last_primary : proposal).encode(enc);
+    for (std::byte b : bytes.subspan(rest_at)) {
+      enc.put_u8(std::to_integer<std::uint8_t>(b));
+    }
+    if (attempting) ++forged;
+  }
+};
+
+// A formation must move lastPrimary forward (form_primary asserts it), so
+// a restored attempt at a session that does not follow lastPrimary is
+// refused when it is decoded, not when the attempt completes.
+TEST(Snapshot, AttemptNotPastLastPrimaryIsRejected) {
+  const SimulationConfig config = decorated_ykd_config<ProposalAtLastPrimary>();
+  Simulation source(config);
+  ProposalAtLastPrimary::forged = 0;
+  std::vector<std::byte> bytes;
+  for (int event = 0; event < 200 && ProposalAtLastPrimary::forged == 0;
+       ++event) {
+    (void)source.run_events(1);
+    bytes = save_snapshot(source);
+  }
+  ASSERT_GT(ProposalAtLastPrimary::forged, 0u) << "no process attempted";
+
+  SimulationConfig plain = config;
+  plain.algorithm_factory = nullptr;
+  Simulation target(plain);
+  EXPECT_THROW(restore_snapshot(target, bytes), DecodeError);
 }
 
 /// Sends every state payload with lastFormed[0] replaced by a session over
