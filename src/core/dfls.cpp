@@ -7,13 +7,13 @@ namespace dynvote {
 Dfls::Dfls(ProcessId self, const View& initial_view)
     : YkdFamilyBase(self, initial_view, PruneMode::kGlobalSuperseded,
                     /*filter_constraints=*/false),
-      gc_received_(initial_view.members.universe_size()) {}
+      gc_(initial_view.members.universe_size(),
+          initial_view.members.count()) {}
 
 void Dfls::view_changed(const View& view) {
   // Interrupted before the GC round completed: the ambiguous sessions stay.
   gc_pending_ = false;
-  gc_received_.clear();
-  gc_count_ = 0;
+  gc_.reset(view.members.count());
   YkdFamilyBase::view_changed(view);
 }
 
@@ -22,8 +22,7 @@ void Dfls::on_primary_formed() {
   // formed primary.
   gc_pending_ = true;
   gc_number_ = last_primary_.number;
-  gc_received_.clear();
-  gc_count_ = 0;
+  gc_.reset(view_size());
 
   auto gc = make_payload<GcRoundPayload>();
   gc->formed_number = gc_number_;
@@ -33,14 +32,15 @@ void Dfls::on_primary_formed() {
 void Dfls::save_extra(Encoder& enc) const {
   enc.put_bool(gc_pending_);
   enc.put_varint(gc_number_);
-  gc_received_.encode(enc);
+  gc_.senders().encode(enc);
 }
 
 void Dfls::load_extra(Decoder& dec) {
   gc_pending_ = dec.get_bool();
   gc_number_ = dec.get_varint();
-  gc_received_ = ProcessSet::decode(dec, initial_view_.members.universe_size());
-  gc_count_ = gc_received_.count();
+  gc_.restore(
+      ProcessSet::decode(dec, initial_view_.members.universe_size()),
+      view_size());
 }
 
 void Dfls::handle_extra_payload(const ProtocolPayload& payload,
@@ -48,13 +48,10 @@ void Dfls::handle_extra_payload(const ProtocolPayload& payload,
   if (payload.type() != PayloadType::kGcRound || !gc_pending_) return;
   const auto& gc = static_cast<const GcRoundPayload&>(payload);
   if (gc.formed_number != gc_number_) return;
-  // The base admitted only this view's traffic, so senders are members and
-  // counting distinct ones up to the view size is the set equality.
   DV_ASSERT_MSG(current_view().members.contains(sender),
                 "GC round from a non-member of the current view");
-  if (gc_received_.contains(sender)) return;
-  gc_received_.insert(sender);
-  if (++gc_count_ == view_size()) {
+  gc_.add(sender);
+  if (gc_.reached()) {
     ambiguous_.clear();
     gc_pending_ = false;
   }

@@ -29,8 +29,8 @@ class Dfls final : public YkdFamilyBase {
  private:
   bool gc_pending_ = false;
   SessionNumber gc_number_ = 0;
-  ProcessSet gc_received_;
-  std::size_t gc_count_ = 0;  // dvlint: transient(derived from gc_received_)
+  /// The GC round's senders; all of the new primary must send.
+  Tally gc_;
 };
 
 }  // namespace dynvote

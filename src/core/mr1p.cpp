@@ -20,32 +20,20 @@ Mr1pVerdict echo_verdict(Mr1pStatus status) {
   return Mr1pVerdict::kStatusTryFail;
 }
 
-/// Add `sender` to `senders`, counting it the first time.  Only members send
-/// traffic stamped with the current view's id, so the count reaches the view
-/// size exactly when `senders` equals the membership.
-void count_sender(const ProcessSet& members, ProcessSet& senders,
-                  std::size_t& count, ProcessId sender) {
-  DV_ASSERT_MSG(members.contains(sender),
-                "MR1p traffic from a non-member of the current view");
-  if (senders.contains(sender)) return;
-  senders.insert(sender);
-  ++count;
-}
-
 }  // namespace
 
 Mr1p::Mr1p(ProcessId self, const View& initial_view, Mr1pOptions options)
     : PrimaryComponentAlgorithm(self, initial_view),
       options_(options),
       cur_primary_{0, initial_view.members},
-      current_view_(initial_view),
-      view_size_(initial_view.members.count()) {
+      current_view_(initial_view) {
   const std::size_t universe = initial_view.members.universe_size();
+  const std::size_t view_size = initial_view.members.count();
   formed_views_.push_back(cur_primary_);
   echo_senders_ = ProcessSet(universe);
   tryfail_callers_ = ProcessSet(universe);
-  propose_received_ = ProcessSet(universe);
-  attempt_received_ = ProcessSet(universe);
+  proposals_ = Tally(universe, view_size);
+  attempts_ = Tally(universe, majority(view_size));
 }
 
 Session Mr1p::view_session() const {
@@ -61,7 +49,6 @@ void Mr1p::stage(PayloadRef<ProtocolPayload> payload) {
 void Mr1p::view_changed(const View& view) {
   DV_REQUIRE(view.members.contains(self_), "installed a view without self");
   current_view_ = view;
-  view_size_ = view.members.count();
   in_primary_ = false;
   outbox_.clear();
   outbox_head_ = 0;
@@ -71,10 +58,8 @@ void Mr1p::view_changed(const View& view) {
   best_echo_status_ = Mr1pStatus::kNone;
   resolve_sent_ = false;
   tryfail_callers_.clear();
-  propose_received_.clear();
-  attempt_received_.clear();
-  propose_count_ = 0;
-  attempt_count_ = 0;
+  proposals_.reset(view.members.count());
+  attempts_.reset(majority(view.members.count()));
   attempt_sent_ = false;
   tried_new_ = false;
 
@@ -134,7 +119,9 @@ Message Mr1p::incoming_message(Message message, ProcessId sender) {
     case PayloadType::kMr1pAttempt:
       handle_attempt(static_cast<const Mr1pAttemptPayload&>(*payload), sender);
       break;
-    default:
+    case PayloadType::kStateExchange:
+    case PayloadType::kAttempt:
+    case PayloadType::kGcRound:
       break;  // not an MR1p payload; ignore
   }
   return message;
@@ -289,13 +276,14 @@ void Mr1p::handle_resolve(const Mr1pResolvePayload& payload, ProcessId sender) {
 
 void Mr1p::handle_propose(const Mr1pProposePayload& payload, ProcessId sender) {
   if (!is_view_session(payload.proposal)) return;
-  count_sender(current_view_.members, propose_received_, propose_count_,
-               sender);
+  DV_ASSERT_MSG(current_view_.members.contains(sender),
+                "MR1p traffic from a non-member of the current view");
+  proposals_.add(sender);
   // "Upon receipt of <V,1> from all members of V": move to the attempt
   // stage -- but only if we proposed V ourselves (we are pending on it).
   if (attempt_sent_) return;
   if (!pending_.has_value() || *pending_ != payload.proposal) return;
-  if (propose_count_ == view_size_) {
+  if (proposals_.reached()) {
     status_ = Mr1pStatus::kAttempt;
     num_ = 2;
     attempt_sent_ = true;
@@ -308,12 +296,13 @@ void Mr1p::handle_propose(const Mr1pProposePayload& payload, ProcessId sender) {
 
 void Mr1p::handle_attempt(const Mr1pAttemptPayload& payload, ProcessId sender) {
   if (!is_view_session(payload.proposal)) return;
-  count_sender(current_view_.members, attempt_received_, attempt_count_,
-               sender);
+  DV_ASSERT_MSG(current_view_.members.contains(sender),
+                "MR1p traffic from a non-member of the current view");
+  attempts_.add(sender);
   if (in_primary_) return;
   // "Declare the new view to be a primary component when a majority of the
   // processes in it have sent a message in step 5."
-  if (2 * attempt_count_ > view_size_) {
+  if (attempts_.reached()) {
     record_formed(payload.proposal);
     cur_primary_ = payload.proposal;
     in_primary_ = true;
@@ -378,8 +367,8 @@ void Mr1p::save(Encoder& enc) const {
   enc.put_u8(static_cast<std::uint8_t>(best_echo_status_));
   enc.put_bool(resolve_sent_);
   tryfail_callers_.encode(enc);
-  propose_received_.encode(enc);
-  attempt_received_.encode(enc);
+  proposals_.senders().encode(enc);
+  attempts_.senders().encode(enc);
   enc.put_bool(attempt_sent_);
   enc.put_bool(tried_new_);
 }
@@ -440,13 +429,11 @@ void Mr1p::load(Decoder& dec) {
   best_echo_status_ = decode_saved_status(dec);
   resolve_sent_ = dec.get_bool();
   tryfail_callers_ = ProcessSet::decode(dec, universe);
-  propose_received_ = ProcessSet::decode(dec, universe);
-  attempt_received_ = ProcessSet::decode(dec, universe);
+  const std::size_t view_size = current_view_.members.count();
+  proposals_.restore(ProcessSet::decode(dec, universe), view_size);
+  attempts_.restore(ProcessSet::decode(dec, universe), majority(view_size));
   attempt_sent_ = dec.get_bool();
   tried_new_ = dec.get_bool();
-  view_size_ = current_view_.members.count();
-  propose_count_ = propose_received_.count();
-  attempt_count_ = attempt_received_.count();
 }
 
 AlgorithmDebugInfo Mr1p::debug_info() const {

@@ -42,6 +42,7 @@
 
 #include "core/algorithm.hpp"
 #include "core/payload.hpp"
+#include "core/quorum.hpp"
 
 namespace dynvote {
 
@@ -126,15 +127,10 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   bool resolve_sent_ = false;
   /// Members of pending_ whose resolution call was try-fail.
   ProcessSet tryfail_callers_;
-  ProcessSet propose_received_;
-  ProcessSet attempt_received_;
-  /// Sizes of the view and of the two sender sets above, so the per-delivery
-  /// "all" and "majority" tests are compares.
-  std::size_t view_size_ = 0;  // dvlint: transient(derived from current_view_)
-  std::size_t
-      propose_count_ = 0;  // dvlint: transient(derived from propose_received_)
-  std::size_t
-      attempt_count_ = 0;  // dvlint: transient(derived from attempt_received_)
+  /// Round 4's proposals, needed from all of the view.
+  Tally proposals_;
+  /// Round 5's attempts, needed from a majority of the view.
+  Tally attempts_;
   bool attempt_sent_ = false;
   bool tried_new_ = false;
   /// Single-slot payload reuse, valid only while we hold the sole

@@ -6,6 +6,9 @@
 // containing exactly half of the previous primary.
 #pragma once
 
+#include <cstddef>
+#include <utility>
+
 #include "core/process_set.hpp"
 
 namespace dynvote {
@@ -16,5 +19,51 @@ bool is_majority_of(const ProcessSet& candidate, const ProcessSet& of);
 /// Dynamic linear voting subquorum test, including the exact-half lexical
 /// tie-break.  `of` must be non-empty.
 bool is_subquorum(const ProcessSet& candidate, const ProcessSet& of);
+
+/// The smallest strict majority of `n` members, the count is_majority_of
+/// needs.
+constexpr std::size_t majority(std::size_t n) { return n / 2 + 1; }
+
+/// "Have enough members of this view sent X": the distinct senders of one
+/// protocol round against the count the round needs (the quorum_add /
+/// quorum_reached idiom).  Only members send traffic stamped with the
+/// view's id, so a threshold of the view size is reached exactly when the
+/// senders are the membership.
+class Tally {
+ public:
+  Tally() = default;
+  /// No senders yet among processes [0, universe); `threshold` needed.
+  Tally(std::size_t universe, std::size_t threshold)
+      : senders_(universe), threshold_(threshold) {}
+
+  /// Forget every sender; from now on `threshold` of them are needed.
+  void reset(std::size_t threshold) {
+    senders_.clear();
+    count_ = 0;
+    threshold_ = threshold;
+  }
+
+  /// Take `senders` (decoded from a snapshot) as already counted.
+  void restore(ProcessSet senders, std::size_t threshold) {
+    senders_ = std::move(senders);
+    count_ = senders_.count();
+    threshold_ = threshold;
+  }
+
+  /// Count `sender`, once however often it sends.
+  void add(ProcessId sender) {
+    if (senders_.contains(sender)) return;
+    senders_.insert(sender);
+    ++count_;
+  }
+
+  bool reached() const { return count_ >= threshold_; }
+  const ProcessSet& senders() const { return senders_; }
+
+ private:
+  ProcessSet senders_;
+  std::size_t count_ = 0;
+  std::size_t threshold_ = 0;
+};
 
 }  // namespace dynvote

@@ -21,7 +21,7 @@ YkdFamilyBase::YkdFamilyBase(ProcessId self, const View& initial_view,
   state_pool_->last_formed.assign(universe, genesis);
   current_view_ = initial_view;
   view_size_ = initial_view.members.count();
-  attempts_received_ = ProcessSet(universe);
+  attempts_ = Tally(universe, view_size_);
   proposed_ = Session{0, ProcessSet(universe)};
   states_.reset_universe(universe);
 }
@@ -34,8 +34,7 @@ void YkdFamilyBase::view_changed(const View& view) {
   blocked_ = false;
   stage_ = Stage::kExchanging;
   states_.clear();
-  attempts_received_.clear();
-  attempts_count_ = 0;
+  attempts_.reset(view_size_);
   outbox_.clear();  // anything staged for the old view is stale
   outbox_head_ = 0;
 
@@ -97,16 +96,18 @@ Message YkdFamilyBase::incoming_message(Message message, ProcessId sender) {
       if (stage_ != Stage::kAttempting) break;
       const auto& attempt = static_cast<const AttemptPayload&>(*payload);
       if (attempt.proposal != proposed_) break;
-      // Senders are members (the payload carries this view's id), so the
-      // count of distinct ones reaches the view size exactly at set equality.
       DV_ASSERT_MSG(current_view_.members.contains(sender),
                     "attempt from a non-member of the current view");
-      if (attempts_received_.contains(sender)) break;
-      attempts_received_.insert(sender);
-      if (++attempts_count_ == view_size_) form_primary();
+      attempts_.add(sender);
+      if (attempts_.reached()) form_primary();
       break;
     }
-    default:
+    case PayloadType::kGcRound:
+    case PayloadType::kMr1pPending:
+    case PayloadType::kMr1pReply:
+    case PayloadType::kMr1pResolve:
+    case PayloadType::kMr1pPropose:
+    case PayloadType::kMr1pAttempt:
       handle_extra_payload(*payload, sender);
       break;
   }
@@ -285,8 +286,7 @@ void YkdFamilyBase::on_exchange_complete() {
   proposed_ = Session{session_number_, current_view_.members};
   ambiguous_.push_back(proposed_);
   stage_ = Stage::kAttempting;
-  attempts_received_.clear();
-  attempts_count_ = 0;
+  attempts_.reset(view_size_);
 
   // Reuse the previous attempt payload once its last outside reference
   // (the network's copy from the previous round 2) is gone.
@@ -358,7 +358,7 @@ void YkdFamilyBase::save(Encoder& enc) const {
     encode_staged_payload(enc, *state);
   }
 
-  attempts_received_.encode(enc);
+  attempts_.senders().encode(enc);
   proposed_.encode(enc);
   // Only the live range survives a checkpoint: entries before outbox_head_
   // were already polled, so a restored instance re-packs from zero.
@@ -408,14 +408,13 @@ void YkdFamilyBase::load(Decoder& dec) {
                        std::move(payload)));
   }
 
-  attempts_received_ = ProcessSet::decode(dec, universe);
+  view_size_ = current_view_.members.count();
+  attempts_.restore(ProcessSet::decode(dec, universe), view_size_);
   proposed_ = Session::decode(dec, universe);
   if (stage_ == Stage::kAttempting &&
       !session_precedes(last_primary_, proposed_)) {
     throw DecodeError("attempting a session that does not follow lastPrimary");
   }
-  view_size_ = current_view_.members.count();
-  attempts_count_ = attempts_received_.count();
   const std::uint64_t staged = dec.get_varint();
   if (staged > 1'000'000) throw DecodeError("implausible outbox length");
   outbox_.clear();

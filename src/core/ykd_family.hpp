@@ -56,6 +56,7 @@
 
 #include "core/algorithm.hpp"
 #include "core/payload.hpp"
+#include "core/quorum.hpp"
 
 namespace dynvote {
 
@@ -276,11 +277,10 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   bool filter_constraints_;  // dvlint: transient(constructor configuration)
   Stage stage_ = Stage::kIdle;
   StateMap states_;
-  ProcessSet attempts_received_;
+  /// Round 2's attempts for proposed_; all of the view must send one.
+  Tally attempts_;
   Session proposed_;
   std::size_t view_size_ = 0;  // dvlint: transient(derived from current_view_)
-  std::size_t
-      attempts_count_ = 0;  // dvlint: transient(derived from attempts_received_)
   /// Staged payloads are appended and consumed front-to-back via
   /// outbox_head_; a vector + cursor (instead of a deque) keeps its storage
   /// flat and its capacity alive across view changes, so steady-state

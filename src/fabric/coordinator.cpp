@@ -17,6 +17,7 @@
 #include "runner/artifact.hpp"
 #include "runner/sweep.hpp"
 #include "util/env.hpp"
+#include "util/guarded.hpp"
 
 namespace dynvote::fabric {
 
@@ -34,18 +35,63 @@ struct Connection {
   std::thread reader;
   /// Serializes writes to `socket` (results/grants/shutdown can be sent
   /// from several threads).  Lock order: send_mutex may be taken before
-  /// the scheduler mutex, never after.
+  /// the scheduler lock, never after.
   std::mutex send_mutex;
+};
 
-  // Everything below is guarded by the coordinator's scheduler mutex.
-  std::string peer = "worker";      // dvlint: guarded_by(mutex)
-  std::uint64_t slots = 1;          // dvlint: guarded_by(mutex)
-  std::uint64_t credit = 0;         // dvlint: guarded_by(mutex)
-  std::uint64_t units_done = 0;     // dvlint: guarded_by(mutex)
-  double busy_results = 0.0;        // dvlint: guarded_by(mutex)
-  double busy_reported = 0.0;       // dvlint: guarded_by(mutex)
-  bool registered = false;          // dvlint: guarded_by(mutex)
-  bool dead = false;                // dvlint: guarded_by(mutex)
+/// One connection as the scheduler sees it.
+struct Peer {
+  std::unique_ptr<Connection> connection;
+  std::string name = "worker";
+  std::uint64_t slots = 1;
+  std::uint64_t credit = 0;
+  std::uint64_t units_done = 0;
+  double busy_results = 0.0;
+  double busy_reported = 0.0;
+  bool registered = false;
+  bool dead = false;
+};
+
+/// Everything the coordinator's threads share.  It lives in a Guarded, so
+/// each member, and each helper below, is reachable only under the
+/// scheduler lock.
+struct Scheduler {
+  Scheduler(const UnitBoard& board, std::condition_variable& wake)
+      : schedule(board), deadlines(board.unit_count()), changed(wake) {}
+
+  UnitBoard::Schedule schedule;
+  /// Per unit id, when its current remote lease runs out.
+  std::vector<Clock::time_point> deadlines;
+  bool aborting = false;
+  std::exception_ptr failure;
+  FabricTelemetry telemetry;
+  std::uint64_t local_units_done = 0;
+  double local_busy_seconds = 0.0;
+  /// Per connection id.
+  std::vector<Peer> peers;
+  /// Notified when a unit becomes claimable or the sweep ends.
+  std::condition_variable& changed;
+
+  bool finished() const { return schedule.all_done() || aborting; }
+
+  /// Stop the sweep; run() rethrows the first failure after the drain.
+  void fail(std::exception_ptr error) {
+    if (!failure) failure = std::move(error);
+    aborting = true;
+    changed.notify_all();
+  }
+
+  std::optional<std::size_t> claim(std::size_t holder) {
+    const std::optional<std::size_t> id = schedule.claim(holder);
+    if (id.has_value()) ++telemetry.units_issued;
+    return id;
+  }
+
+  void reissue(std::size_t unit_id) {
+    schedule.requeue(unit_id);
+    ++telemetry.units_reissued;
+    changed.notify_all();
+  }
 };
 
 }  // namespace
@@ -61,19 +107,9 @@ struct Coordinator::Impl {
   std::size_t local_jobs = 0;
   Listener listener;
   std::vector<CaseDescriptor> case_table;
-
-  std::mutex mutex;
-  std::condition_variable local_work;
-  std::condition_variable drained;
-  UnitBoard board;                      // dvlint: guarded_by(mutex)
-  /// Per unit id, when its current remote lease runs out.
-  std::vector<Clock::time_point> deadlines;  // dvlint: guarded_by(mutex)
-  bool aborting = false;                // dvlint: guarded_by(mutex)
-  std::exception_ptr failure;           // dvlint: guarded_by(mutex)
-  FabricTelemetry telemetry;            // dvlint: guarded_by(mutex)
-  std::uint64_t local_units_done = 0;   // dvlint: guarded_by(mutex)
-  double local_busy_seconds = 0.0;      // dvlint: guarded_by(mutex)
-  std::vector<std::unique_ptr<Connection>> connections;  // dvlint: guarded_by(mutex)
+  UnitBoard board;
+  std::condition_variable changed;
+  Guarded<Scheduler> scheduler;
 
   Impl(SweepSpec sweep_spec, const CoordinatorOptions& options)
       : spec(std::move(sweep_spec)),
@@ -81,7 +117,8 @@ struct Coordinator::Impl {
                        ? (spec.jobs != 0 ? spec.jobs : jobs_from_env())
                        : static_cast<std::size_t>(options.local_jobs)),
         listener(options.port),
-        board(spec, local_jobs) {
+        board(spec, local_jobs),
+        scheduler(board, changed) {
     lease_ms = options.lease_ms != 0 ? options.lease_ms
                                      : lease_ms_from_env(30000);
     heartbeat_ms = options.heartbeat_ms != 0 ? options.heartbeat_ms : 1000;
@@ -101,51 +138,33 @@ struct Coordinator::Impl {
       desc.spec = c.spec;
       case_table.push_back(std::move(desc));
     }
-    deadlines.resize(board.unit_count());
   }
 
-  /// Stop the sweep; run() rethrows the first failure after the drain.
-  void fail(std::exception_ptr error) {  // dvlint: requires_lock(mutex)
-    if (!failure) failure = std::move(error);
-    aborting = true;
-    drained.notify_all();
-    local_work.notify_all();
-  }
-
-  // dvlint: requires_lock(mutex)
-  std::optional<std::size_t> claim_locked(std::size_t holder) {
-    const std::optional<std::size_t> id = board.claim(holder);
-    if (id.has_value()) ++telemetry.units_issued;
-    return id;
-  }
-
-  void reissue_locked(std::size_t unit_id) {  // dvlint: requires_lock(mutex)
-    board.requeue(unit_id);
-    ++telemetry.units_reissued;
-  }
-
-  /// Accept one unit's result; the board keeps the first and drops late
-  /// duplicates from stragglers whose lease was re-issued.
-  void submit_result(std::size_t unit_id, CaseResult&& shard,
-                     double compute_seconds) {
-    std::size_t finished_case = 0;
+  /// Book one unit's result to the holder that ran it (a connection id or
+  /// a local executor) and accept it; the schedule keeps the first result
+  /// and drops late duplicates from stragglers whose lease was re-issued.
+  void submit_result(std::size_t holder, std::size_t unit_id,
+                     CaseResult&& shard, double compute_seconds) {
+    std::optional<UnitBoard::CompletedCase> completed;
     {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (aborting || unit_id >= board.unit_count()) return;
-      const UnitBoard::Accept accepted =
-          board.accept(unit_id, std::move(shard), compute_seconds);
-      if (accepted == UnitBoard::Accept::kDuplicate) {
-        ++telemetry.duplicate_results;
+      const auto s = scheduler.lock();
+      if (holder >= kLocalHolderBase) {
+        ++s->local_units_done;
+        s->local_busy_seconds += compute_seconds;
+      } else {
+        ++s->peers[holder].units_done;
+        s->peers[holder].busy_results += compute_seconds;
       }
-      if (accepted != UnitBoard::Accept::kCaseComplete) return;
-      finished_case = board.unit(unit_id).case_index;
-      if (board.all_done()) {
-        drained.notify_all();
-        local_work.notify_all();
-      }
+      if (s->aborting || unit_id >= board.unit_count()) return;
+      UnitBoard::Accepted accepted =
+          s->schedule.accept(unit_id, std::move(shard), compute_seconds);
+      if (!accepted.stored) ++s->telemetry.duplicate_results;
+      if (!accepted.completed) return;
+      completed = std::move(accepted.completed);
+      if (s->schedule.all_done()) changed.notify_all();
     }
     // This thread completed the case, so no other touches it again.
-    board.finish_case(finished_case);  // dvlint: ignore(guarded-by)
+    board.finish_case(std::move(*completed));
   }
 
   /// Grant up to `top_up` fresh leases plus the credit the connection is
@@ -157,13 +176,15 @@ struct Coordinator::Impl {
   void grant(Connection* conn, std::uint64_t top_up) {
     std::vector<std::vector<std::byte>> frames;
     {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (conn->dead || aborting || board.all_done()) return;
-      const std::uint64_t budget = top_up + conn->credit;
+      const auto s = scheduler.lock();
+      Peer& peer = s->peers[conn->id];
+      if (peer.dead || s->finished()) return;
+      const std::uint64_t budget = top_up + peer.credit;
       while (frames.size() < budget) {
-        const std::optional<std::size_t> id = claim_locked(conn->id);
+        const std::optional<std::size_t> id = s->claim(conn->id);
         if (!id.has_value()) break;
-        deadlines[*id] = Clock::now() + std::chrono::milliseconds(lease_ms);
+        s->deadlines[*id] =
+            Clock::now() + std::chrono::milliseconds(lease_ms);
         const SweepUnit& unit = board.unit(*id);
         LeaseFrame lease;
         lease.unit_id = *id;
@@ -172,7 +193,7 @@ struct Coordinator::Impl {
         lease.run_count = unit.run_count;
         frames.push_back(encode_frame(Frame{lease}));
       }
-      conn->credit = budget - frames.size();
+      peer.credit = budget - frames.size();
     }
     if (frames.empty()) return;
     bool send_failed = false;
@@ -196,55 +217,53 @@ struct Coordinator::Impl {
   void disconnect(Connection* conn) {
     bool requeued = false;
     {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (conn->dead) return;
-      conn->dead = true;
+      const auto s = scheduler.lock();
+      Peer& peer = s->peers[conn->id];
+      if (peer.dead) return;
+      peer.dead = true;
       conn->socket.shutdown_both();
-      const bool clean = board.all_done() || aborting;
-      if (conn->registered) {
+      const bool clean = s->finished();
+      if (peer.registered) {
         FabricWorkerTelemetry worker;
-        worker.peer = conn->peer;
-        worker.slots = conn->slots;
-        worker.units_done = conn->units_done;
-        worker.busy_seconds =
-            std::max(conn->busy_results, conn->busy_reported);
+        worker.peer = peer.name;
+        worker.slots = peer.slots;
+        worker.units_done = peer.units_done;
+        worker.busy_seconds = std::max(peer.busy_results, peer.busy_reported);
         worker.died = !clean;
-        telemetry.workers.push_back(std::move(worker));
-        if (!clean) ++telemetry.workers_died;
+        s->telemetry.workers.push_back(std::move(worker));
+        if (!clean) ++s->telemetry.workers_died;
       }
-      conn->credit = 0;
+      peer.credit = 0;
       if (!clean) {
         for (std::size_t id = 0; id < board.unit_count(); ++id) {
-          if (board.holder(id) != conn->id) continue;
-          reissue_locked(id);
+          if (s->schedule.holder(id) != conn->id) continue;
+          s->reissue(id);
           requeued = true;
         }
-        if (requeued) local_work.notify_all();
       }
     }
     if (requeued) pump_grants();
   }
 
   /// Re-issue remote leases that blew their deadline.  The straggler may
-  /// still return a result later; the board keeps whichever comes first.
+  /// still return a result later; the schedule keeps whichever comes first.
   void reap_expired_leases() {
     bool requeued = false;
     {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (board.all_done() || aborting) return;
+      const auto s = scheduler.lock();
+      if (s->finished()) return;
       const Clock::time_point now = Clock::now();
       for (std::size_t id = 0; id < board.unit_count(); ++id) {
-        const std::size_t holder = board.holder(id);
+        const std::size_t holder = s->schedule.holder(id);
         // Local executors hold no lease: they cannot die without failing
         // the sweep.
         if (holder == UnitBoard::kNoHolder || holder >= kLocalHolderBase) {
           continue;
         }
-        if (now < deadlines[id]) continue;
-        reissue_locked(id);
+        if (now < s->deadlines[id]) continue;
+        s->reissue(id);
         requeued = true;
       }
-      if (requeued) local_work.notify_all();
     }
     if (requeued) pump_grants();
   }
@@ -253,23 +272,18 @@ struct Coordinator::Impl {
   void pump_grants() {
     std::vector<Connection*> waiting;
     {
-      std::lock_guard<std::mutex> lock(mutex);
-      for (const auto& conn : connections) {
-        if (!conn->dead && conn->registered && conn->credit > 0) {
-          waiting.push_back(conn.get());
+      const auto s = scheduler.lock();
+      for (const Peer& peer : s->peers) {
+        if (!peer.dead && peer.registered && peer.credit > 0) {
+          waiting.push_back(peer.connection.get());
         }
       }
     }
     for (Connection* conn : waiting) grant(conn, 0);
   }
 
-  bool should_stop() {
-    std::lock_guard<std::mutex> lock(mutex);
-    return board.all_done() || aborting;
-  }
-
   void accept_loop() {
-    while (!should_stop()) {
+    while (!scheduler.lock()->finished()) {
       std::optional<Socket> accepted;
       try {
         accepted = listener.accept(100);
@@ -281,9 +295,9 @@ struct Coordinator::Impl {
         conn->socket = std::move(*accepted);
         Connection* raw = conn.get();
         {
-          std::lock_guard<std::mutex> lock(mutex);
-          conn->id = connections.size();
-          connections.push_back(std::move(conn));
+          const auto s = scheduler.lock();
+          conn->id = s->peers.size();
+          s->peers.push_back(Peer{std::move(conn)});
         }
         raw->reader = std::thread([this, raw] { connection_loop(raw); });
       }
@@ -327,12 +341,13 @@ struct Coordinator::Impl {
       }
       std::uint64_t slots = 0;
       {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!hello->build.empty()) conn->peer = hello->build;
-        conn->slots = std::max<std::uint64_t>(1, hello->slots);
-        slots = conn->slots;
-        conn->registered = true;
-        ++telemetry.workers_connected;
+        const auto s = scheduler.lock();
+        Peer& peer = s->peers[conn->id];
+        if (!hello->build.empty()) peer.name = hello->build;
+        peer.slots = std::max<std::uint64_t>(1, hello->slots);
+        slots = peer.slots;
+        peer.registered = true;
+        ++s->telemetry.workers_connected;
       }
       // Silence past five heartbeat cadences = a dead worker.
       conn->socket.set_recv_timeout_ms(
@@ -349,24 +364,18 @@ struct Coordinator::Impl {
             // Fail the sweep as a local executor's exception would.  The
             // connection stays open, so the drain sends this worker
             // shutdown.
-            std::lock_guard<std::mutex> lock(mutex);
-            fail(std::make_exception_ptr(std::runtime_error(
+            const auto s = scheduler.lock();
+            s->fail(std::make_exception_ptr(std::runtime_error(
                 "unit " + std::to_string(res->unit_id) + " failed on " +
-                conn->peer + ": " + res->error)));
+                s->peers[conn->id].name + ": " + res->error)));
             continue;
           }
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            ++conn->units_done;
-            conn->busy_results += res->compute_seconds;
-          }
-          submit_result(res->unit_id, std::move(res->result),
+          submit_result(conn->id, res->unit_id, std::move(res->result),
                         res->compute_seconds);
           grant(conn, 1);
         } else if (const HeartbeatFrame* hb =
                        std::get_if<HeartbeatFrame>(&incoming)) {
-          std::lock_guard<std::mutex> lock(mutex);
-          conn->busy_reported = hb->busy_seconds;
+          scheduler.lock()->peers[conn->id].busy_reported = hb->busy_seconds;
         } else {
           break;  // protocol violation: workers send no other frame
         }
@@ -381,27 +390,19 @@ struct Coordinator::Impl {
 
   void executor_loop(std::size_t executor_index) {
     const std::size_t holder = kLocalHolderBase + executor_index;
-    std::unique_lock<std::mutex> lock(mutex);
-    while (!board.all_done() && !aborting) {
-      const std::optional<std::size_t> id = claim_locked(holder);
-      if (!id.has_value()) {
-        // Every unfinished unit is leased out: wait for a re-issue or the
-        // end of the sweep.
-        local_work.wait(lock);
-        continue;
-      }
-      lock.unlock();
-      // Unit ranges are immutable once the board is built.
-      const SweepUnit& unit = board.unit(*id);  // dvlint: ignore(guarded-by)
+    for (;;) {
+      std::optional<std::size_t> id;
+      // Claim the next pending unit; while every unfinished unit is leased
+      // out, wait for a re-issue or the end of the sweep.
+      scheduler.lock().wait(changed, [&](Scheduler& s) {
+        if (!s.finished()) id = s.claim(holder);
+        return s.finished() || id.has_value();
+      });
+      if (!id.has_value()) return;
+      const SweepUnit& unit = board.unit(*id);
       UnitRun run = run_unit(spec.cases[unit.case_index], unit.first_run,
                              unit.run_count);
-      {
-        std::lock_guard<std::mutex> stats_lock(mutex);
-        ++local_units_done;
-        local_busy_seconds += run.seconds;
-      }
-      submit_result(*id, std::move(run.result), run.seconds);
-      lock.lock();
+      submit_result(holder, *id, std::move(run.result), run.seconds);
     }
   }
 
@@ -416,25 +417,26 @@ struct Coordinator::Impl {
         try {
           executor_loop(w);
         } catch (...) {
-          std::lock_guard<std::mutex> lock(mutex);
-          fail(std::current_exception());
+          scheduler.lock()->fail(std::current_exception());
         }
       });
     }
 
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      drained.wait(lock, [this] { return board.all_done() || aborting; });
-    }
-
+    scheduler.lock().wait(changed,
+                          [](const Scheduler& s) { return s.finished(); });
     acceptor.join();
 
-    // Drain connections: a polite shutdown frame, then unblock readers.
+    // The acceptor is joined, so no connection is added any more.  Drain:
+    // a polite shutdown frame to each live worker, then unblock the
+    // readers and join them outside the scheduler lock (their exit path
+    // takes it).
     std::vector<Connection*> live;
+    std::vector<std::thread*> readers;
     {
-      std::lock_guard<std::mutex> lock(mutex);
-      for (const auto& conn : connections) {
-        if (!conn->dead) live.push_back(conn.get());
+      const auto s = scheduler.lock();
+      for (const Peer& peer : s->peers) {
+        if (!peer.dead) live.push_back(peer.connection.get());
+        readers.push_back(&peer.connection->reader);
       }
     }
     for (Connection* conn : live) {
@@ -447,34 +449,29 @@ struct Coordinator::Impl {
       }
       conn->socket.shutdown_both();
     }
-    // The acceptor is joined, so `connections` no longer grows; join the
-    // readers without the scheduler lock (their exit path takes it).
-    // dvlint: ignore(guarded-by)
-    for (const auto& conn : connections) {
-      if (conn->reader.joinable()) conn->reader.join();
+    for (std::thread* reader : readers) {
+      if (reader->joinable()) reader->join();
     }
     for (std::thread& t : executors) t.join();
 
     SweepResult result;
     {
-      // Every thread is joined: the lock is uncontended and taken only so
-      // the guarded-by discipline stays checkable end to end.
-      std::lock_guard<std::mutex> lock(mutex);
-      if (failure) std::rethrow_exception(failure);
-
+      const auto s = scheduler.lock();
+      if (s->failure) std::rethrow_exception(s->failure);
       result.jobs = std::max<std::size_t>(1, local_jobs);
-      result.cases = board.take_outcomes();
-      telemetry.used = true;
+      result.fabric = s->telemetry;
+      result.fabric.used = true;
       if (local_jobs > 0) {
         FabricWorkerTelemetry local;
         local.peer = "local";
         local.slots = local_jobs;
-        local.units_done = local_units_done;
-        local.busy_seconds = local_busy_seconds;
-        telemetry.workers.insert(telemetry.workers.begin(), std::move(local));
+        local.units_done = s->local_units_done;
+        local.busy_seconds = s->local_busy_seconds;
+        result.fabric.workers.insert(result.fabric.workers.begin(),
+                                     std::move(local));
       }
-      result.fabric = telemetry;
     }
+    result.cases = board.take_outcomes();
     end_sweep(spec, start, result);
     return result;
   }

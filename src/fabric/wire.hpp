@@ -59,7 +59,7 @@ inline constexpr std::uint64_t kFrameVersion = 8;
 /// allocation that could hurt.
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
 
-enum class FrameType : std::uint8_t {  // dvlint: wire_enum
+enum class FrameType : std::uint8_t {
   kHello = 1,
   kLease = 2,
   kResult = 3,

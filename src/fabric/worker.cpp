@@ -13,6 +13,7 @@
 #include "fabric/wire.hpp"
 #include "runner/artifact.hpp"
 #include "runner/sweep.hpp"
+#include "util/guarded.hpp"
 
 namespace dynvote::fabric {
 
@@ -27,20 +28,23 @@ enum class SessionEnd {
               // connect-attempt budget instead of retrying forever
 };
 
-/// State shared between the session's reader, executors, and heartbeat.
+/// What the session's reader, executors, and heartbeat share.
+struct SessionState {
+  std::deque<LeaseFrame> leases;
+  std::vector<SweepCase> cases;
+  std::uint64_t results_sent = 0;
+  double busy_seconds = 0.0;
+  bool ending = false;  // exit flag
+  bool dying = false;   // die_after_units fired
+  bool lost = false;    // transport failed
+};
+
 struct WorkerSession {
   Socket socket;
   std::mutex send_mutex;
-
-  std::mutex mutex;
+  /// Notified when a lease arrives or the session ends.
   std::condition_variable work;
-  std::deque<LeaseFrame> leases;         // dvlint: guarded_by(mutex)
-  std::vector<SweepCase> cases;          // dvlint: guarded_by(mutex)
-  std::uint64_t results_sent = 0;        // dvlint: guarded_by(mutex)
-  double busy_seconds = 0.0;             // dvlint: guarded_by(mutex)
-  bool ending = false;      // dvlint: guarded_by(mutex) -- exit flag
-  bool dying = false;       // dvlint: guarded_by(mutex) -- die_after_units
-  bool lost = false;        // dvlint: guarded_by(mutex) -- transport failed
+  Guarded<SessionState> state;
 };
 
 /// Send one frame; on transport failure flag the session lost.
@@ -55,25 +59,28 @@ void send_or_lose(WorkerSession& session, const Frame& frame) {
     }
   }
   if (failed) {
-    std::lock_guard<std::mutex> lock(session.mutex);
-    session.lost = true;
-    session.ending = true;
+    const auto s = session.state.lock();
+    s->lost = true;
+    s->ending = true;
     session.work.notify_all();
   }
 }
 
 void executor_loop(WorkerSession& session, const WorkerOptions& options) {
-  std::unique_lock<std::mutex> lock(session.mutex);
   for (;;) {
-    session.work.wait(lock, [&] {
-      return session.ending || !session.leases.empty();
-    });
-    if (session.ending) return;
-    LeaseFrame lease = std::move(session.leases.front());
-    session.leases.pop_front();
-    // The reader queues only leases whose case index is in range.
-    const SweepCase sweep_case = session.cases[lease.case_index];
-    lock.unlock();
+    LeaseFrame lease;
+    SweepCase sweep_case;
+    {
+      auto s = session.state.lock();
+      s.wait(session.work, [](const SessionState& state) {
+        return state.ending || !state.leases.empty();
+      });
+      if (s->ending) return;
+      lease = std::move(s->leases.front());
+      s->leases.pop_front();
+      // The reader queues only leases whose case index is in range.
+      sweep_case = s->cases[lease.case_index];
+    }
 
     ResultFrame result;
     result.unit_id = lease.unit_id;
@@ -89,13 +96,13 @@ void executor_loop(WorkerSession& session, const WorkerOptions& options) {
     const double seconds = result.compute_seconds;
     send_or_lose(session, Frame{std::move(result)});
 
-    lock.lock();
-    session.busy_seconds += seconds;
-    ++session.results_sent;
+    const auto s = session.state.lock();
+    s->busy_seconds += seconds;
+    ++s->results_sent;
     if (options.die_after_units != 0 &&
-        session.results_sent >= options.die_after_units) {
-      session.dying = true;
-      session.ending = true;
+        s->results_sent >= options.die_after_units) {
+      s->dying = true;
+      s->ending = true;
       session.work.notify_all();
       return;
     }
@@ -106,11 +113,12 @@ void heartbeat_loop(WorkerSession& session, std::uint64_t heartbeat_ms) {
   for (;;) {
     HeartbeatFrame beat;
     {
-      std::unique_lock<std::mutex> lock(session.mutex);
-      session.work.wait_for(lock, std::chrono::milliseconds(heartbeat_ms),
-                            [&] { return session.ending; });
-      if (session.ending) return;
-      beat.busy_seconds = session.busy_seconds;
+      auto s = session.state.lock();
+      if (s.wait_for(session.work, std::chrono::milliseconds(heartbeat_ms),
+                     [](const SessionState& state) { return state.ending; })) {
+        return;
+      }
+      beat.busy_seconds = s->busy_seconds;
     }
     send_or_lose(session, Frame{beat});
   }
@@ -146,10 +154,9 @@ SessionEnd run_session(Socket socket, const WorkerOptions& options,
     }
     handshake_done = true;
     {
-      // No executor thread exists yet; locked so guarded-by stays honest.
-      std::lock_guard<std::mutex> lock(session.mutex);
+      const auto s = session.state.lock();
       for (CaseDescriptor& desc : coord->cases) {
-        session.cases.push_back(
+        s->cases.push_back(
             SweepCase{std::move(desc.label), std::move(desc.spec)});
       }
     }
@@ -178,12 +185,12 @@ SessionEnd run_session(Socket socket, const WorkerOptions& options,
         break;
       }
       {
-        std::lock_guard<std::mutex> lock(session.mutex);
-        if (session.dying) {
+        const auto s = session.state.lock();
+        if (s->dying) {
           end = SessionEnd::kDied;
           break;
         }
-        if (session.lost) {
+        if (s->lost) {
           end = SessionEnd::kLost;
           break;
         }
@@ -200,12 +207,12 @@ SessionEnd run_session(Socket socket, const WorkerOptions& options,
           // like any unexpected frame: dropping it would strand the credit
           // it used, while ending the session makes the coordinator
           // re-issue everything this worker held.
-          std::lock_guard<std::mutex> lock(session.mutex);
-          if (lease->case_index >= session.cases.size()) {
+          const auto s = session.state.lock();
+          if (lease->case_index >= s->cases.size()) {
             end = SessionEnd::kLost;
             break;
           }
-          session.leases.push_back(std::move(*lease));
+          s->leases.push_back(std::move(*lease));
           session.work.notify_all();
         } else if (std::get_if<ShutdownFrame>(&incoming) != nullptr) {
           end = SessionEnd::kShutdown;
@@ -227,11 +234,8 @@ SessionEnd run_session(Socket socket, const WorkerOptions& options,
       }
     }
 
-    {
-      std::lock_guard<std::mutex> lock(session.mutex);
-      session.ending = true;
-      session.work.notify_all();
-    }
+    session.state.lock()->ending = true;
+    session.work.notify_all();
     for (std::thread& t : executors) t.join();
     heartbeat.join();
 

@@ -12,7 +12,6 @@
 #include <stdexcept>
 
 #include "lint/parse.hpp"
-#include "lint/scope.hpp"
 #include "lint/source.hpp"
 #include "util/json.hpp"
 
@@ -35,12 +34,6 @@ constexpr CheckInfo kChecks[] = {
     {CheckId::kDecodeThrow, "decode-throw",
      "decode paths throw DecodeError on malformed input instead of "
      "asserting"},
-    {CheckId::kGuardedBy, "guarded-by",
-     "fields annotated guarded_by(<mutex>) may only be touched while a "
-     "scope holds that mutex"},
-    {CheckId::kProtocolExhaustiveness, "protocol-exhaustiveness",
-     "switches over wire_enum-annotated enums handle every enumerator; no "
-     "non-throwing default may swallow new frames"},
     {CheckId::kRngStream, "rng-stream-discipline",
      "child_seed() tags come from the k*StreamTag registry, tags are "
      "registry-unique, and raw Rng seeds carry a raw-seed(why) whitelist "
@@ -385,189 +378,7 @@ void check_layering(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 5: guarded-by lock discipline
-//
-// Fields annotated `// dvlint: guarded_by(<mutex>)` (collected repo-wide,
-// so a header's annotation protects accesses in every .cpp) may only be
-// touched inside a scope holding that mutex.  The heavy lifting -- brace
-// scopes, RAII holds, .unlock()/.lock() flow, requires_lock contracts,
-// guarded locals -- lives in lint/scope.cpp.
-
-void check_guarded_by(const std::vector<ParsedFile>& files,
-                      std::vector<Finding>& findings) {
-  // The walker identifies a held mutex by the last identifier of the locked
-  // expression (`impl->mutex` -> `mutex`); normalize annotation arguments
-  // the same way so `guarded_by(impl->mutex)` matches.
-  const auto last_ident = [](std::string_view expr) {
-    std::size_t end = expr.size();
-    while (end > 0 && !(std::isalnum(static_cast<unsigned char>(
-                            expr[end - 1])) ||
-                        expr[end - 1] == '_')) {
-      --end;
-    }
-    std::size_t begin = end;
-    while (begin > 0 && (std::isalnum(static_cast<unsigned char>(
-                             expr[begin - 1])) ||
-                         expr[begin - 1] == '_')) {
-      --begin;
-    }
-    return std::string(expr.substr(begin, end - begin));
-  };
-
-  std::vector<GuardedField> guarded;
-  for (const ParsedFile& pf : files) {
-    for (const ClassDecl& cls : pf.classes) {
-      for (const FieldDecl& field : cls.fields) {
-        const auto arg =
-            pf.source->annotation_arg(field.line, "guarded_by");
-        if (arg && !arg->empty()) {
-          guarded.push_back(
-              GuardedField{cls.name, field.name, last_ident(*arg)});
-        }
-      }
-    }
-  }
-  for (const ParsedFile& pf : files) {
-    const SourceFile& src = *pf.source;
-    for (const GuardViolation& v : guarded_by_violations(pf, guarded)) {
-      const std::size_t line = src.line_of(v.offset);
-      if (ignored(src, line, CheckId::kGuardedBy)) continue;
-      Finding f;
-      f.check = CheckId::kGuardedBy;
-      f.file = src.rel_path;
-      f.line = line;
-      f.detail = v.name;
-      f.message =
-          "'" + v.name + "' is guarded by '" + v.mutex +
-          "' but touched without holding it; take the lock, annotate the "
-          "helper '// dvlint: requires_lock(" + v.mutex +
-          ")' if the caller holds it, or '// dvlint: ignore(guarded-by)' "
-          "where exclusivity is established another way (post-join, "
-          "pre-thread)";
-      findings.push_back(std::move(f));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Check 6: protocol exhaustiveness
-//
-// Enums annotated `// dvlint: wire_enum` cross a serialization boundary:
-// every switch over one must name every enumerator, so adding a frame type
-// fails lint until each handler learns about it.  A `default:` is allowed
-// only when it throws -- the decoder's unknown-byte rejection -- because a
-// swallowing default is exactly how a new frame type gets silently dropped.
-
-void check_protocol_exhaustiveness(const std::vector<ParsedFile>& files,
-                                   std::vector<Finding>& findings) {
-  std::map<std::string, const EnumDecl*> wire;
-  for (const ParsedFile& pf : files) {
-    for (const EnumDecl& e : pf.enums) {
-      if (pf.source->has_annotation(e.line, "wire_enum")) {
-        wire.emplace(e.name, &e);
-      }
-    }
-  }
-  if (wire.empty()) return;
-
-  for (const ParsedFile& pf : files) {
-    const SourceFile& src = *pf.source;
-    const std::vector<Token> tokens = tokenize(src.code);
-    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-      if (tokens[i].text != "switch" || tokens[i + 1].text != "(") continue;
-      int parens = 0;
-      std::size_t j = i + 1;
-      for (; j < tokens.size(); ++j) {
-        if (tokens[j].text == "(") ++parens;
-        if (tokens[j].text == ")" && --parens == 0) break;
-      }
-      if (j + 1 >= tokens.size() || tokens[j + 1].text != "{") continue;
-      const std::size_t close = match_brace(src.code, tokens[j + 1].offset);
-      if (close == std::string_view::npos) continue;
-
-      const EnumDecl* target = nullptr;
-      std::set<std::string_view> covered;
-      bool has_default = false;
-      bool default_throws = false;
-      bool in_default = false;
-      int depth = 0;
-      for (std::size_t k = j + 1;
-           k < tokens.size() && tokens[k].offset <= close; ++k) {
-        const std::string_view t = tokens[k].text;
-        if (t == "{") ++depth;
-        if (t == "}") --depth;
-        if (in_default && (t == "throw" || t == "DV_RAISE")) {
-          default_throws = true;
-        }
-        if (depth != 1) continue;
-        if (t == "default") {
-          has_default = true;
-          in_default = true;
-          continue;
-        }
-        if (t != "case") continue;
-        in_default = false;
-        // Label: idents up to the terminating `:` (`::` is one token, so
-        // the label's end is unambiguous).
-        std::string_view enumr;
-        std::string_view scope_name;
-        for (std::size_t m = k + 1; m < tokens.size(); ++m) {
-          if (tokens[m].text == ":") break;
-          if (tokens[m].text == "::" && !enumr.empty()) scope_name = enumr;
-          if (tokens[m].is_ident()) enumr = tokens[m].text;
-        }
-        if (enumr.empty()) continue;
-        covered.insert(enumr);
-        if (const auto it = wire.find(std::string(scope_name));
-            !scope_name.empty() && it != wire.end()) {
-          target = it->second;
-        } else if (scope_name.empty()) {
-          // Unscoped label: attribute by enumerator membership.
-          for (const auto& [name, e] : wire) {
-            if (std::find(e->enumerators.begin(), e->enumerators.end(),
-                          enumr) != e->enumerators.end()) {
-              target = e;
-              break;
-            }
-          }
-        }
-      }
-      if (target == nullptr) continue;
-
-      const std::size_t sw_line = src.line_of(tokens[i].offset);
-      if (ignored(src, sw_line, CheckId::kProtocolExhaustiveness)) continue;
-      for (const std::string& e : target->enumerators) {
-        if (covered.count(e) > 0) continue;
-        Finding f;
-        f.check = CheckId::kProtocolExhaustiveness;
-        f.file = src.rel_path;
-        f.line = sw_line;
-        f.detail = e;
-        f.message = "switch over wire enum '" + target->name +
-                    "' does not handle '" + e +
-                    "'; every enumerator of a wire enum must be handled "
-                    "explicitly so new frame types fail lint until every "
-                    "peer understands them";
-        findings.push_back(std::move(f));
-      }
-      if (has_default && !default_throws) {
-        Finding f;
-        f.check = CheckId::kProtocolExhaustiveness;
-        f.file = src.rel_path;
-        f.line = sw_line;
-        f.detail = "default";
-        f.message = "switch over wire enum '" + target->name +
-                    "' has a non-throwing default that would silently "
-                    "swallow new enumerators; handle each case explicitly "
-                    "(a default that throws on unknown input stays legal)";
-        findings.push_back(std::move(f));
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Check 7: RNG stream discipline
+// Check 5: RNG stream discipline
 //
 // Replayable, uncorrelated randomness rests on the child_seed registry in
 // util/rng.hpp: every derived stream takes a named k*StreamTag constant,
@@ -785,7 +596,7 @@ void check_rng_stream(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 8: bounded decode
+// Check 6: bounded decode
 //
 // Generalizes the CaseResult::decode_body hardening: a decode path that
 // reserve()s or resize()s from a decoded count must first bound the count
@@ -879,7 +690,7 @@ void check_bounded_decode(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 9: trace-purity
+// Check 7: trace-purity
 //
 // The fingerprint-parity guarantee (DV_TRACE=1 and DV_TRACE=0 produce
 // byte-identical results documents) holds only if observation never feeds
@@ -1033,8 +844,6 @@ LintReport run_lint(const std::string& root_dir) {
   check_determinism(parsed, findings);
   check_layering(parsed, findings);
   check_decode_throw(parsed, findings);
-  check_guarded_by(parsed, findings);
-  check_protocol_exhaustiveness(parsed, findings);
   check_rng_stream(parsed, findings);
   check_bounded_decode(parsed, findings);
   check_trace_purity(parsed, findings);

@@ -6,7 +6,11 @@
 // *bit-deterministic* (no unseeded randomness, no wall-clock input, no
 // hash-order iteration feeding stats or fingerprints).  dvlint checks both
 // statically -- plus the include-layering DAG -- with a lightweight lexer
-// over the repo's own sources; no libclang, no build required.
+// over the repo's own sources; no libclang, no build required.  What the
+// compiler can enforce, it does instead: lock discipline through
+// Guarded<T> (util/guarded.hpp), whose state is reachable only under its
+// lock, and exhaustive enum switches through -Werror=switch-enum (with
+// -Werror=switch for switches that have no default label).
 //
 // Defect classes (check ids):
 //   snapshot-completeness  a class with save/load (or encode/decode,
@@ -34,21 +38,6 @@
 //                          decode_body) uses DV_ASSERT/DV_REQUIRE instead
 //                          of throwing DecodeError: malformed snapshot
 //                          bytes are input errors, never assertions.
-//   guarded-by             a field or local annotated `// dvlint:
-//                          guarded_by(<mutex>)` is touched outside a scope
-//                          holding a lock_guard/unique_lock/scoped_lock on
-//                          that mutex.  The walk is flow-aware (mid-scope
-//                          .unlock()/.lock(), std::defer_lock) and honors
-//                          `// dvlint: requires_lock(<mutex>)` contracts on
-//                          helpers whose caller holds the lock.  Opt-out:
-//                          `// dvlint: ignore(guarded-by)` on a line or a
-//                          scope header (e.g. post-join/post-barrier code).
-//   protocol-exhaustiveness  a switch over an enum annotated `// dvlint:
-//                          wire_enum` misses an enumerator, or hides new
-//                          ones behind a non-throwing `default:`.  Adding a
-//                          frame type must fail lint until every switch
-//                          handles it; a default that throws (the decoder's
-//                          unknown-byte rejection) stays legal.
 //   rng-stream-discipline  a `child_seed(seed, tag)` call whose tag is not
 //                          a named `k*StreamTag` registry constant, two
 //                          registry tags sharing a value, or an Rng seeded
@@ -87,8 +76,6 @@ enum class CheckId {
   kDeterminism,
   kLayering,
   kDecodeThrow,
-  kGuardedBy,
-  kProtocolExhaustiveness,
   kRngStream,
   kBoundedDecode,
   kTracePurity,

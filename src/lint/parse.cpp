@@ -270,53 +270,6 @@ ParsedFile parse_file(const SourceFile& source) {
     }
   }
 
-  // --- enum declarations ---
-  for (std::size_t i = 0; i + 2 < tokens.size(); ++i) {
-    if (tokens[i].text != "enum") continue;
-    std::size_t j = i + 1;
-    if (tokens[j].text == "class" || tokens[j].text == "struct") ++j;
-    if (j >= tokens.size() || !tokens[j].is_ident() ||
-        is_keyword(tokens[j].text)) {
-      continue;  // anonymous enum
-    }
-    EnumDecl decl;
-    decl.name = std::string(tokens[j].text);
-    decl.line = source.line_of(tokens[j].offset);
-    ++j;
-    if (j < tokens.size() && tokens[j].text == ":") {
-      // Underlying type; skip to the body or the end of a forward decl.
-      while (j < tokens.size() && tokens[j].text != "{" &&
-             tokens[j].text != ";") {
-        ++j;
-      }
-    }
-    if (j >= tokens.size() || tokens[j].text != "{") continue;
-    const std::size_t close = match_brace(code, tokens[j].offset);
-    if (close == std::string::npos) continue;
-    // Enumerators: the identifier opening each comma-separated item;
-    // initializer expressions after `=` are skipped.
-    bool expect_name = true;
-    int depth = 0;
-    for (std::size_t k = j + 1;
-         k < tokens.size() && tokens[k].offset < close; ++k) {
-      const std::string_view t = tokens[k].text;
-      // Parens/braces only: `<` in an initializer is likelier a shift than
-      // a template argument list here.
-      if (t == "(" || t == "{") ++depth;
-      if (t == ")" || t == "}") depth = std::max(0, depth - 1);
-      if (depth > 0) continue;
-      if (t == ",") {
-        expect_name = true;
-        continue;
-      }
-      if (expect_name && tokens[k].is_ident() && !is_keyword(t)) {
-        decl.enumerators.emplace_back(t);
-        expect_name = false;
-      }
-    }
-    if (!decl.enumerators.empty()) out.enums.push_back(std::move(decl));
-  }
-
   // --- out-of-line `Class::method(...) ... { body }` definitions ---
   for (std::size_t i = 0; i + 3 < tokens.size(); ++i) {
     if (!tokens[i].is_ident() || is_keyword(tokens[i].text)) continue;

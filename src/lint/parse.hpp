@@ -48,13 +48,6 @@ struct IncludeDirective {
   std::size_t line = 0;
 };
 
-/// One `enum [class] Name [: type] { ... }` declaration.
-struct EnumDecl {
-  std::string name;
-  std::vector<std::string> enumerators;
-  std::size_t line = 0;  // line of the name
-};
-
 /// One `for (decl : expr)` statement.
 struct RangeFor {
   std::size_t line = 0;
@@ -67,7 +60,6 @@ struct ParsedFile {
   const SourceFile* source = nullptr;
   std::vector<IncludeDirective> includes;
   std::vector<ClassDecl> classes;
-  std::vector<EnumDecl> enums;
   /// Out-of-line definitions: (class name, method) -> body spans.
   std::map<std::pair<std::string, std::string>, std::vector<MethodBody>>
       out_of_line;

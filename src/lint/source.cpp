@@ -69,23 +69,6 @@ bool SourceFile::has_annotation(std::size_t line,
   return false;
 }
 
-std::optional<std::string> SourceFile::annotation_arg(
-    std::size_t line, std::string_view marker) const {
-  if (line == 0 || line > annotations.size()) return std::nullopt;
-  for (const std::string& m : annotations[line - 1]) {
-    const std::string_view got = m;
-    if (got == marker) return std::string();
-    const std::size_t paren = got.find('(');
-    if (paren == std::string_view::npos || got.substr(0, paren) != marker) {
-      continue;
-    }
-    std::string_view arg = got.substr(paren + 1);
-    if (!arg.empty() && arg.back() == ')') arg.remove_suffix(1);
-    return std::string(arg);
-  }
-  return std::nullopt;
-}
-
 SourceFile load_source(const std::string& abs_path, std::string rel_path) {
   std::ifstream in(abs_path, std::ios::binary);
   if (!in) throw std::runtime_error("dvlint: cannot read " + abs_path);

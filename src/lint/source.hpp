@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,13 +34,6 @@ struct SourceFile {
   /// True when `marker` (e.g. "transient", "ignore(layering)") covers
   /// `line`.  Matches "transient(...)" for marker "transient" too.
   bool has_annotation(std::size_t line, std::string_view marker) const;
-
-  /// The parenthesized payload of a `marker(arg)` annotation covering
-  /// `line` -- e.g. "mutex_" for marker "guarded_by" and annotation
-  /// "guarded_by(mutex_)".  nullopt when no such annotation covers the
-  /// line; an argument-less marker yields an empty string.
-  std::optional<std::string> annotation_arg(std::size_t line,
-                                            std::string_view marker) const;
 };
 
 /// Load and preprocess one file.  Throws std::runtime_error when unreadable.

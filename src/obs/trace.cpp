@@ -4,11 +4,11 @@
 #include <chrono>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <tuple>
 
 #include "util/codec.hpp"
+#include "util/guarded.hpp"
 
 namespace dynvote {
 namespace obs {
@@ -32,12 +32,16 @@ struct Ring {
   bool retired = false;  // owning thread exited; freed at the next drain
 };
 
+/// The rings and the interned names, shared by every emitting thread.
+struct Registry {
+  std::vector<std::unique_ptr<Ring>> rings;
+  std::map<std::string, std::uint32_t, std::less<>> name_index;
+  std::vector<std::string> names;
+  std::uint16_t next_tid = 0;
+};
+
 struct TraceState {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<Ring>> rings;                      // dvlint: guarded_by(mutex)
-  std::map<std::string, std::uint32_t, std::less<>> name_index;  // dvlint: guarded_by(mutex)
-  std::vector<std::string> names;                                // dvlint: guarded_by(mutex)
-  std::uint16_t next_tid = 0;                                    // dvlint: guarded_by(mutex)
+  Guarded<Registry> registry;
   // Read lock-free by emitters; relaxed is fine (a stale capacity or epoch
   // only mis-sizes a ring or shifts telemetry timestamps, never races).
   std::atomic<std::size_t> ring_capacity{std::size_t{1} << 16};
@@ -64,10 +68,10 @@ Ring* create_ring() {
   auto owned = std::make_unique<Ring>();
   owned->slots.resize(s.ring_capacity.load(std::memory_order_relaxed));
   Ring* ring = owned.get();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  ring->tid = s.next_tid;
-  if (s.next_tid != std::uint16_t{0xffff}) ++s.next_tid;
-  s.rings.push_back(std::move(owned));
+  const auto r = s.registry.lock();
+  ring->tid = r->next_tid;
+  if (r->next_tid != std::uint16_t{0xffff}) ++r->next_tid;
+  r->rings.push_back(std::move(owned));
   return ring;
 }
 
@@ -75,8 +79,8 @@ struct TlsRing {
   Ring* ring = nullptr;
   ~TlsRing() {
     if (ring == nullptr) return;
-    TraceState& s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
+    // The drain reads `retired` under the registry lock.
+    const auto r = state().registry.lock();
     ring->retired = true;
   }
 };
@@ -97,8 +101,8 @@ void trace_enable(std::size_t events_per_thread) {
     // Re-arming after a drain applies the new capacity to existing rings
     // too; a ring still holding events (enable while armed) keeps its size
     // rather than losing them.
-    std::lock_guard<std::mutex> lock(s.mutex);
-    for (const auto& ring : s.rings) {
+    const auto r = s.registry.lock();
+    for (const auto& ring : r->rings) {
       if (ring->count == 0 && ring->slots.size() != capacity) {
         ring->slots.assign(capacity, TraceEvent{});
         ring->next = 0;
@@ -117,13 +121,12 @@ void trace_disable() {
 }
 
 std::uint32_t intern_trace_name(std::string_view name) {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  const auto it = s.name_index.find(name);
-  if (it != s.name_index.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(s.names.size());
-  s.names.emplace_back(name);
-  s.name_index.emplace(std::string(name), id);
+  const auto r = state().registry.lock();
+  const auto it = r->name_index.find(name);
+  if (it != r->name_index.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(r->names.size());
+  r->names.emplace_back(name);
+  r->name_index.emplace(std::string(name), id);
   return id;
 }
 
@@ -149,11 +152,10 @@ void trace_emit(EventKind kind, std::uint32_t name_id, std::uint64_t a0,
 }
 
 TraceFile trace_drain() {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
+  const auto r = state().registry.lock();
   TraceFile file;
-  file.names = s.names;
-  for (const auto& ring : s.rings) {
+  file.names = r->names;
+  for (const auto& ring : r->rings) {
     file.dropped += ring->dropped;
     if (ring->count == ring->slots.size()) {
       // Full ring: chronological order starts at the write cursor.
@@ -169,11 +171,11 @@ TraceFile trace_drain() {
     ring->count = 0;
     ring->dropped = 0;
   }
-  s.rings.erase(std::remove_if(s.rings.begin(), s.rings.end(),
-                               [](const std::unique_ptr<Ring>& r) {
-                                 return r->retired;
-                               }),
-                s.rings.end());
+  r->rings.erase(std::remove_if(r->rings.begin(), r->rings.end(),
+                                [](const std::unique_ptr<Ring>& ring) {
+                                  return ring->retired;
+                                }),
+                 r->rings.end());
   std::sort(file.events.begin(), file.events.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               return std::tie(a.ts_micros, a.tid, a.seq) <

@@ -137,9 +137,7 @@ UnitRun run_unit(const SweepCase& sweep_case, std::uint64_t first_run,
 UnitBoard::UnitBoard(const SweepSpec& spec, std::size_t workers)
     : spec_(spec),
       progress_(spec.progress != nullptr ? *spec.progress
-                                         : default_progress_sink()),
-      cases_(spec.cases.size()),
-      outcomes_(spec.cases.size()) {
+                                         : default_progress_sink()) {
   const auto whole = [](const CaseSpec& cs) {
     return cs.mode == RunMode::kCascading || cs.runs == 0;
   };
@@ -161,11 +159,19 @@ UnitBoard::UnitBoard(const SweepSpec& spec, std::size_t workers)
       units_.push_back(SweepUnit{i, first, std::min(size, cs.runs - first)});
     }
   }
-  state_.resize(units_.size());
-  for (std::size_t id = 0; id < units_.size(); ++id) pending_.push_back(id);
+  reports_.lock()->outcomes.resize(spec.cases.size());
 }
 
-std::optional<std::size_t> UnitBoard::claim(std::size_t holder) {
+UnitBoard::Schedule::Schedule(const UnitBoard& board)
+    : board_(board),
+      state_(board.unit_count()),
+      cases_(board.spec_.cases.size()) {
+  for (std::size_t id = 0; id < board.unit_count(); ++id) {
+    pending_.push_back(id);
+  }
+}
+
+std::optional<std::size_t> UnitBoard::Schedule::claim(std::size_t holder) {
   while (!pending_.empty()) {
     const std::size_t id = pending_.front();
     pending_.pop_front();
@@ -174,9 +180,9 @@ std::optional<std::size_t> UnitBoard::claim(std::size_t holder) {
     // merge the unit twice.
     if (state_[id].done) continue;
     state_[id].holder = holder;
-    CaseState& state = cases_[units_[id].case_index];
+    CaseState& state = cases_[board_.unit(id).case_index];
     if (state.last_holder != kNoHolder && state.last_holder != holder) {
-      ++state.steals;
+      ++state.collected.steals;
     }
     state.last_holder = holder;
     return id;
@@ -184,34 +190,38 @@ std::optional<std::size_t> UnitBoard::claim(std::size_t holder) {
   return std::nullopt;
 }
 
-void UnitBoard::requeue(std::size_t id) {
+void UnitBoard::Schedule::requeue(std::size_t id) {
   DV_REQUIRE(!state_[id].done && state_[id].holder != kNoHolder,
              "only a claimed, unfinished unit can be re-queued");
   state_[id].holder = kNoHolder;
   pending_.push_back(id);
 }
 
-UnitBoard::Accept UnitBoard::accept(std::size_t id, CaseResult&& result,
-                                    double seconds) {
-  if (state_[id].done) return Accept::kDuplicate;
+UnitBoard::Accepted UnitBoard::Schedule::accept(std::size_t id,
+                                                CaseResult&& result,
+                                                double seconds) {
+  if (state_[id].done) return Accepted{};
   state_[id].done = true;
   state_[id].holder = kNoHolder;
-  const SweepUnit& unit = units_[id];
+  const SweepUnit& unit = board_.unit(id);
   CaseState& state = cases_[unit.case_index];
-  state.partials.push_back(Partial{unit.first_run, std::move(result)});
-  state.compute_seconds += seconds;
+  state.collected.partials.push_back(
+      Partial{unit.first_run, std::move(result)});
+  state.collected.compute_seconds += seconds;
   state.finished_runs += unit.run_count;
-  if (state.finished_runs < spec_.cases[unit.case_index].spec.runs) {
-    return Accept::kStored;
+  if (state.finished_runs < board_.spec_.cases[unit.case_index].spec.runs) {
+    return Accepted{true, std::nullopt};
   }
   ++cases_done_;
-  return Accept::kCaseComplete;
+  // No other unit of this case remains, so the thread that completed it
+  // owns its partials from here on.
+  state.collected.case_index = unit.case_index;
+  return Accepted{true, std::move(state.collected)};
 }
 
-void UnitBoard::finish_case(std::size_t case_index) {
-  CaseState& state = cases_[case_index];
-  const SweepCase& sweep_case = spec_.cases[case_index];
-  CaseOutcome& outcome = outcomes_[case_index];
+void UnitBoard::finish_case(CompletedCase&& done) {
+  const SweepCase& sweep_case = spec_.cases[done.case_index];
+  CaseOutcome outcome;
   outcome.algorithm = sweep_case.algorithm.empty()
                           ? to_string(sweep_case.spec.algorithm)
                           : sweep_case.algorithm;
@@ -219,18 +229,18 @@ void UnitBoard::finish_case(std::size_t case_index) {
 
   // Merge in run order -- completion order is scheduling noise, run order
   // is the deterministic serial order.
-  std::sort(state.partials.begin(), state.partials.end(),
+  std::vector<Partial>& partials = done.partials;
+  std::sort(partials.begin(), partials.end(),
             [](const Partial& a, const Partial& b) {
               return a.first_run < b.first_run;
             });
-  outcome.shards = state.partials.size();
-  outcome.steals = state.steals;
-  outcome.result = std::move(state.partials[0].result);
-  for (std::size_t s = 1; s < state.partials.size(); ++s) {
-    outcome.result.merge(state.partials[s].result);
+  outcome.shards = partials.size();
+  outcome.steals = done.steals;
+  outcome.result = std::move(partials[0].result);
+  for (std::size_t s = 1; s < partials.size(); ++s) {
+    outcome.result.merge(partials[s].result);
   }
-  state.partials = {};
-  outcome.compute_seconds = state.compute_seconds;
+  outcome.compute_seconds = done.compute_seconds;
 
   CaseTelemetry telemetry;
   telemetry.label = case_label(sweep_case);
@@ -243,8 +253,14 @@ void UnitBoard::finish_case(std::size_t case_index) {
   telemetry.invariant_checks = outcome.result.invariant_checks;
   telemetry.availability_percent = outcome.result.availability_percent();
 
-  std::lock_guard<std::mutex> lock(progress_mutex_);
-  progress_.case_done(telemetry, ++cases_reported_, spec_.cases.size());
+  const auto reports = reports_.lock();
+  reports->outcomes[done.case_index] = std::move(outcome);
+  progress_.case_done(telemetry, ++reports->cases_reported,
+                      spec_.cases.size());
+}
+
+std::vector<CaseOutcome> UnitBoard::take_outcomes() {
+  return std::move(reports_.lock()->outcomes);
 }
 
 Clock::time_point begin_sweep() {
@@ -272,38 +288,36 @@ SweepResult run_sweep(const SweepSpec& spec) {
   const Clock::time_point start = begin_sweep();
   const std::size_t jobs = spec.jobs != 0 ? spec.jobs : jobs_from_env();
 
-  std::mutex mutex;
-  UnitBoard board(spec, jobs);  // dvlint: guarded_by(mutex)
-  std::exception_ptr failure;   // dvlint: guarded_by(mutex)
+  UnitBoard board(spec, jobs);
+  struct Shared {
+    UnitBoard::Schedule schedule;
+    std::exception_ptr failure;
+  };
+  Guarded<Shared> shared(UnitBoard::Schedule(board), nullptr);
 
   const auto work = [&](std::size_t worker) {
     try {
       for (;;) {
         std::optional<std::size_t> id;
         {
-          std::lock_guard<std::mutex> lock(mutex);
-          if (failure) return;
-          id = board.claim(worker);
+          const auto s = shared.lock();
+          if (s->failure) return;
+          id = s->schedule.claim(worker);
         }
         if (!id.has_value()) return;
-        // Unit ranges are immutable once the board is built.
-        const SweepUnit& unit = board.unit(*id);  // dvlint: ignore(guarded-by)
+        const SweepUnit& unit = board.unit(*id);
         UnitRun run = run_unit(spec.cases[unit.case_index], unit.first_run,
                                unit.run_count);
-        bool complete = false;
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          complete = board.accept(*id, std::move(run.result), run.seconds) ==
-                     UnitBoard::Accept::kCaseComplete;
-        }
+        UnitBoard::Accepted accepted = shared.lock()->schedule.accept(
+            *id, std::move(run.result), run.seconds);
         // The case's last unit is in, so no other worker touches it again.
-        if (complete) {
-          board.finish_case(unit.case_index);  // dvlint: ignore(guarded-by)
+        if (accepted.completed) {
+          board.finish_case(std::move(*accepted.completed));
         }
       }
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (!failure) failure = std::current_exception();
+      const auto s = shared.lock();
+      if (!s->failure) s->failure = std::current_exception();
     }
   };
 
@@ -313,20 +327,18 @@ SweepResult run_sweep(const SweepSpec& spec) {
   } catch (...) {
     // A thread that fails to start fails the sweep; the helpers already
     // running see the failure and stop, so they can still be joined.
-    std::lock_guard<std::mutex> lock(mutex);
-    if (!failure) failure = std::current_exception();
+    const auto s = shared.lock();
+    if (!s->failure) s->failure = std::current_exception();
   }
   work(0);
   for (std::thread& t : helpers) t.join();
 
+  if (const std::exception_ptr failure = shared.lock()->failure) {
+    std::rethrow_exception(failure);
+  }
   SweepResult result;
   result.jobs = jobs;
-  {
-    // Every worker has stopped; locked so guarded-by stays checkable.
-    std::lock_guard<std::mutex> lock(mutex);
-    if (failure) std::rethrow_exception(failure);
-    result.cases = board.take_outcomes();
-  }
+  result.cases = board.take_outcomes();
   end_sweep(spec, start, result);
   return result;
 }

@@ -21,8 +21,9 @@
 // re-queues, first-result-wins acceptance, the run-order merge and the
 // per-case report.  Two schedulers drain it: run_sweep's worker threads,
 // and the fabric coordinator (fabric/coordinator.hpp), which adds only
-// remote leasing on top.  Every unit, wherever it runs, executes through
-// run_unit.
+// remote leasing on top.  Both keep its mutable half in a Guarded
+// (util/guarded.hpp), so a claim or an accept is one locked scope.  Every
+// unit, wherever it runs, executes through run_unit.
 //
 // DV_JOBS controls the worker count (default: hardware concurrency); every
 // sweep with a name also writes a versioned JSON manifest, see artifact.hpp.
@@ -31,7 +32,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -39,6 +39,7 @@
 
 #include "runner/progress.hpp"
 #include "sim/experiment.hpp"
+#include "util/guarded.hpp"
 
 namespace dynvote {
 
@@ -162,33 +163,22 @@ struct UnitRun {
 UnitRun run_unit(const SweepCase& sweep_case, std::uint64_t first_run,
                  std::uint64_t run_count);
 
-/// The scheduling state of one sweep.
+/// The units of one sweep and the report of its cases.
 ///
 /// The constructor splits every case once: whole-case units first
 /// (cascading cases, which thread one world through their runs, and
 /// zero-run cases), then the fresh-start cases in chunks of
 /// max(floor, runs / (4 * max(4, workers))), where the floor is
-/// SweepSpec::min_shard_runs (kAutoShardFloor when 0).  The pending queue
-/// hands units out in that order.
-///
-/// The board is not internally locked: its owner guards claim, requeue,
-/// holder, accept and all_done with one mutex of its own.  unit() reads
-/// immutable data and needs no lock.  finish_case runs outside the owner's
-/// lock, on the thread whose accept completed the case -- no other thread
-/// touches that case again -- and serializes only the progress report,
-/// under a mutex of the board's.
+/// SweepSpec::min_shard_runs (kAutoShardFloor when 0).  The unit table is
+/// immutable from then on, so any thread reads it without a lock.  The
+/// mutable half, a Schedule, lives inside its owner's Guarded next to
+/// whatever else that lock covers.  Schedule::accept hands a completed
+/// case to the thread that completed it, which calls finish_case outside
+/// the owner's lock; finish_case takes the board's own report lock only to
+/// store the outcome and report it.
 class UnitBoard {
  public:
   static constexpr std::size_t kNoHolder = SIZE_MAX;
-
-  enum class Accept {
-    /// The unit was already done: a late straggler result, dropped.
-    kDuplicate,
-    /// Stored; the unit's case still has unfinished units.
-    kStored,
-    /// The unit was its case's last: call finish_case outside the lock.
-    kCaseComplete,
-  };
 
   /// `spec` must outlive the board.
   UnitBoard(const SweepSpec& spec, std::size_t workers);
@@ -199,61 +189,92 @@ class UnitBoard {
   std::size_t unit_count() const { return units_.size(); }
   const SweepUnit& unit(std::size_t id) const { return units_[id]; }
 
-  /// Lease the next pending unit to `holder`; nullopt when none is
-  /// pending.  Counts a steal when the unit's case was last claimed by a
-  /// different holder.
-  std::optional<std::size_t> claim(std::size_t holder);
-
-  /// Who holds a claimed, unfinished unit; kNoHolder when it is pending
-  /// or done.
-  std::size_t holder(std::size_t id) const { return state_[id].holder; }
-
-  /// Put a claimed, unfinished unit back on the pending queue (its holder
-  /// died or overran its lease).  Its holder may still return a result;
-  /// the first result accepted wins.
-  void requeue(std::size_t id);
-
-  /// Record unit `id`'s result.  The first result for a unit wins: any two
-  /// are bit-identical, because units are deterministic.
-  Accept accept(std::size_t id, CaseResult&& result, double seconds);
-
-  bool all_done() const { return cases_done_ == spec_.cases.size(); }
-
-  /// Merge a completed case's partial results in run order, fill its
-  /// CaseOutcome and report it to the progress sink.
-  void finish_case(std::size_t case_index);
-
-  /// The outcomes, in case order, once every case is finished.
-  std::vector<CaseOutcome> take_outcomes() { return std::move(outcomes_); }
-
- private:
-  struct UnitState {
-    bool done = false;
-    std::size_t holder = kNoHolder;
-  };
   struct Partial {
     std::uint64_t first_run = 0;
     CaseResult result;
   };
-  struct CaseState {
+
+  /// A case whose last unit is in, with every partial result it had.
+  struct CompletedCase {
+    std::size_t case_index = 0;
     std::vector<Partial> partials;
     double compute_seconds = 0.0;
-    std::uint64_t finished_runs = 0;
     std::size_t steals = 0;
-    std::size_t last_holder = kNoHolder;
+  };
+
+  /// What Schedule::accept did with a result.
+  struct Accepted {
+    /// False when the unit was already done: a late straggler result,
+    /// dropped.
+    bool stored = false;
+    /// Set when the unit was its case's last.
+    std::optional<CompletedCase> completed;
+  };
+
+  /// Claims, re-queues and first-result-wins acceptance over the board's
+  /// units, which it hands out in the board's order.  Not internally
+  /// locked: its owner keeps it in a Guarded.
+  class Schedule {
+   public:
+    /// `board` must outlive the schedule.
+    explicit Schedule(const UnitBoard& board);
+
+    /// Lease the next pending unit to `holder`; nullopt when none is
+    /// pending.  Counts a steal when the unit's case was last claimed by a
+    /// different holder.
+    std::optional<std::size_t> claim(std::size_t holder);
+
+    /// Who holds a claimed, unfinished unit; kNoHolder when it is pending
+    /// or done.
+    std::size_t holder(std::size_t id) const { return state_[id].holder; }
+
+    /// Put a claimed, unfinished unit back on the pending queue (its
+    /// holder died or overran its lease).  Its holder may still return a
+    /// result; the first result accepted wins.
+    void requeue(std::size_t id);
+
+    /// Record unit `id`'s result.  The first result for a unit wins: any
+    /// two are bit-identical, because units are deterministic.
+    Accepted accept(std::size_t id, CaseResult&& result, double seconds);
+
+    bool all_done() const { return cases_done_ == cases_.size(); }
+
+   private:
+    struct UnitState {
+      bool done = false;
+      std::size_t holder = kNoHolder;
+    };
+    struct CaseState {
+      CompletedCase collected;
+      std::uint64_t finished_runs = 0;
+      std::size_t last_holder = kNoHolder;
+    };
+
+    const UnitBoard& board_;
+    std::vector<UnitState> state_;
+    std::deque<std::size_t> pending_;
+    std::vector<CaseState> cases_;
+    std::size_t cases_done_ = 0;
+  };
+
+  /// Merge a completed case's partial results in run order, store its
+  /// CaseOutcome and report it to the progress sink.  Safe from any
+  /// thread.
+  void finish_case(CompletedCase&& done);
+
+  /// The outcomes, in case order, once every case is finished.
+  std::vector<CaseOutcome> take_outcomes();
+
+ private:
+  struct Reports {
+    std::size_t cases_reported = 0;
+    std::vector<CaseOutcome> outcomes;
   };
 
   const SweepSpec& spec_;
   ProgressSink& progress_;
   std::vector<SweepUnit> units_;
-  std::vector<UnitState> state_;
-  std::deque<std::size_t> pending_;
-  std::vector<CaseState> cases_;
-  std::size_t cases_done_ = 0;
-  std::vector<CaseOutcome> outcomes_;
-
-  std::mutex progress_mutex_;
-  std::size_t cases_reported_ = 0;  // dvlint: guarded_by(progress_mutex_)
+  Guarded<Reports> reports_;
 };
 
 /// The sweep prologue shared by run_sweep and the fabric coordinator: arm

@@ -41,7 +41,7 @@ namespace dynvote {
 class Encoder;
 class Decoder;
 
-enum class FaultModelKind : std::uint8_t {  // dvlint: wire_enum
+enum class FaultModelKind : std::uint8_t {
   kGeometric = 0,
   kSleepy = 1,
   kRepairable = 2,

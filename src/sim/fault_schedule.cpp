@@ -45,31 +45,32 @@ ConnectivityChange FaultScheduler::next_change(const Topology& topology,
                                                const ProcessSet& crashed) {
   // The paper's model (crash_fraction == 0) must consume randomness
   // exactly as before, so the crash branch draws nothing in that case.
-  if (crash_fraction_ > 0.0 && rng_.chance(crash_fraction_)) {
-    const std::size_t alive =
-        topology.universe_size() - crashed.count();
-    const bool can_crash = alive >= 2;  // never kill the last process
-    const bool can_recover = !crashed.empty();
-    if (can_crash || can_recover) {
-      const bool crash = can_crash && (!can_recover || rng_.chance(0.5));
-      ConnectivityChange change;
-      if (crash) {
-        change.kind = ConnectivityChange::Kind::kCrash;
-        // Uniform over alive processes.
-        std::vector<ProcessId> candidates;
-        candidates.reserve(alive);
-        for (ProcessId p = 0; p < topology.universe_size(); ++p) {
-          if (!crashed.contains(p)) candidates.push_back(p);
-        }
-        change.process = candidates[rng_.below(candidates.size())];
-      } else {
-        change.kind = ConnectivityChange::Kind::kRecovery;
-        const std::vector<ProcessId> candidates = crashed.members();
-        change.process = candidates[rng_.below(candidates.size())];
+  const bool process_fault =
+      crash_fraction_ > 0.0 && rng_.chance(crash_fraction_);
+  const std::size_t alive = topology.universe_size() - crashed.count();
+  const bool can_crash = alive >= 2;  // never kill the last process
+  const bool can_recover = !crashed.empty();
+  // Crashed processes sit in singleton components, so once one live
+  // process remains no connectivity change is feasible: a connectivity
+  // coin then falls back to a recovery.
+  if ((process_fault || !can_crash) && (can_crash || can_recover)) {
+    const bool crash = can_crash && (!can_recover || rng_.chance(0.5));
+    ConnectivityChange change;
+    if (crash) {
+      change.kind = ConnectivityChange::Kind::kCrash;
+      // Uniform over alive processes.
+      std::vector<ProcessId> candidates;
+      candidates.reserve(alive);
+      for (ProcessId p = 0; p < topology.universe_size(); ++p) {
+        if (!crashed.contains(p)) candidates.push_back(p);
       }
-      return change;
+      change.process = candidates[rng_.below(candidates.size())];
+    } else {
+      change.kind = ConnectivityChange::Kind::kRecovery;
+      const std::vector<ProcessId> candidates = crashed.members();
+      change.process = candidates[rng_.below(candidates.size())];
     }
-    // No feasible process fault; fall through to a connectivity change.
+    return change;
   }
   return next_connectivity_change(topology, crashed);
 }

@@ -66,7 +66,9 @@ class FaultScheduler {
 
   /// Draw the next feasible change for `topology`, where `crashed`
   /// processes sit in singleton components and are excluded from
-  /// connectivity changes.  Requires at least one feasible change.
+  /// connectivity changes.  Once one live process remains, a draw that
+  /// falls to a connectivity change recovers a crashed process instead.
+  /// Requires at least one feasible change (a lone process has none).
   ConnectivityChange next_change(const Topology& topology,
                                  const ProcessSet& crashed);
 

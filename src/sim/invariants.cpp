@@ -1,5 +1,6 @@
 #include "sim/invariants.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -35,6 +36,8 @@ void InvariantChecker::check(const Gcs& gcs) {
   ++checks_;
   if (&gcs == verified_gcs_ && gcs.revision() == verified_revision_) return;
   std::size_t primary_components = 0;
+  const Session* claimed = nullptr;
+  newer_formed_.clear();
 
   for (const ProcessSet& component : gcs.topology().components()) {
     // A crashed process claims nothing: its (frozen, possibly stale) state
@@ -71,6 +74,12 @@ void InvariantChecker::check(const Gcs& gcs) {
         throw InvariantViolation(os.str());
       }
       last_primary_numbers_[p] = primary.number;
+      // Check 5's input.  Most processes hold the chain's head or an older
+      // session, so the common path compares session numbers only.
+      if (primary.number > last_formed_primary_.number &&
+          (newer_formed_.empty() || !(*newer_formed_.back() == primary))) {
+        newer_formed_.push_back(&primary);
+      }
     });
 
     if (claim) {
@@ -81,31 +90,22 @@ void InvariantChecker::check(const Gcs& gcs) {
            << " differ from component " << component.to_string();
         throw InvariantViolation(os.str());
       }
-      // The primary chain (check 5): a NEW formed primary must descend
-      // from the previous one through an intersecting quorum, whichever
-      // fault model produced the turbulence in between.
-      if (!(first_primary == last_formed_primary_)) {
-        if (!last_formed_primary_.members.empty()) {
-          if (first_primary.number < last_formed_primary_.number) {
-            std::ostringstream os;
-            os << "formed primary session number went backwards: "
-               << last_formed_primary_.to_string() << " -> "
-               << first_primary.to_string();
-            throw InvariantViolation(os.str());
-          }
-          if (!first_primary.members.intersects(last_formed_primary_.members)) {
-            std::ostringstream os;
-            os << "temporally disjoint primaries: "
-               << last_formed_primary_.to_string()
-               << " and " << first_primary.to_string()
-               << " share no member -- the quorum chain is broken";
-            throw InvariantViolation(os.str());
-          }
-        }
-        last_formed_primary_ = first_primary;
-      }
+      claimed = &first_primary;
     }
   }
+
+  // The primary chain (check 5), whichever fault model produced the
+  // turbulence in between.  A formation interrupted by a view change
+  // (thesis Fig. 3-1) leaves a session formed at some members and claimed
+  // by none, and later primaries descend from it; so the chain advances
+  // through every formed session a live process holds, in session order,
+  // and only then through the claim, which must not be older.
+  std::sort(newer_formed_.begin(), newer_formed_.end(),
+            [](const Session* a, const Session* b) {
+              return a->number < b->number;
+            });
+  for (const Session* formed : newer_formed_) advance_chain(*formed);
+  if (claimed != nullptr) advance_chain(*claimed);
 
   if (primary_components > 1) {
     std::ostringstream os;
@@ -114,6 +114,27 @@ void InvariantChecker::check(const Gcs& gcs) {
   }
   verified_gcs_ = &gcs;
   verified_revision_ = gcs.revision();
+}
+
+void InvariantChecker::advance_chain(const Session& formed) {
+  if (formed == last_formed_primary_) return;
+  if (!last_formed_primary_.members.empty()) {
+    if (formed.number < last_formed_primary_.number) {
+      std::ostringstream os;
+      os << "formed primary session number went backwards: "
+         << last_formed_primary_.to_string() << " -> " << formed.to_string();
+      throw InvariantViolation(os.str());
+    }
+    if (!formed.members.intersects(last_formed_primary_.members)) {
+      std::ostringstream os;
+      os << "temporally disjoint primaries: "
+         << last_formed_primary_.to_string() << " and "
+         << formed.to_string() << " share no member -- the quorum chain is "
+         << "broken";
+      throw InvariantViolation(os.str());
+    }
+  }
+  last_formed_primary_ = formed;
 }
 
 }  // namespace dynvote

@@ -5,11 +5,11 @@
 // changes under these checks; ours run after every round and every change.
 //
 // Beyond the thesis's per-instant checks, the checker tracks the chain of
-// formed primaries across time: every newly formed primary must intersect
-// the previously formed one (the quorum it resolved through) and must not
-// carry an older session.  Two temporally disjoint primaries -- each
-// legitimate at its own instant -- would let the replicated state fork,
-// which no per-instant check can see.  This chain property is what the
+// formed sessions across time, interrupted formations included: every
+// newly formed session must intersect the previously formed one (the
+// quorum it resolved through) and must not carry an older number.  Two
+// temporally disjoint primaries -- each legitimate at its own instant --
+// would let the replicated state fork, which no per-instant check can see.  This chain property is what the
 // fault-model property harness certifies for every (algorithm x model)
 // pair: it holds under geometric partitions, sleepy leaves/joins, repair
 // queues, and replayed traces alike, because every algorithm forms a new
@@ -37,10 +37,12 @@ class InvariantChecker {
   ///  3. members of a primary component agree on the formed session, and
   ///     that session's members are exactly the component;
   ///  4. each process's lastPrimary number never decreases;
-  ///  5. model-agnostic primary chain: each newly formed primary's session
-  ///     intersects the previously formed one (live quorum chain through
-  ///     formedViews) and its session number never decreases -- so no two
-  ///     temporally disjoint primaries can ever both form.
+  ///  5. model-agnostic primary chain: each newly formed session a live
+  ///     process holds, taken in session order and whether or not its
+  ///     formation completed anywhere else, intersects the previously
+  ///     formed one (live quorum chain through formedViews), and no claimed
+  ///     primary is older than the newest -- so no two temporally disjoint
+  ///     primaries can ever both form.
   /// Every call counts, but a world that has not moved since it last passed
   /// -- the same Gcs at the same revision() -- passes again without being
   /// walked: the verdict and the history are functions of the world, and
@@ -54,6 +56,10 @@ class InvariantChecker {
   void load(Decoder& dec);
 
  private:
+  /// Check 5's step: `formed` must not be older than the chain's head and
+  /// must intersect it; it becomes the head.
+  void advance_chain(const Session& formed);
+
   std::vector<SessionNumber> last_primary_numbers_;
   /// The most recently formed primary's session; empty members = none
   /// observed yet.
@@ -63,6 +69,10 @@ class InvariantChecker {
   /// to the one world it follows, so a match names that world unchanged.
   const Gcs* verified_gcs_ = nullptr;  // dvlint: transient(memo key)
   std::uint64_t verified_revision_ = 0;  // dvlint: transient(memo key)
+  /// Sessions newer than the chain's head that live processes hold, found
+  /// by one check's walk.
+  std::vector<const Session*>
+      newer_formed_;  // dvlint: transient(scratch, refilled by every check)
 };
 
 }  // namespace dynvote

@@ -212,13 +212,23 @@ TEST(Crash, EveryAlgorithmSurvivesCrashChurn) {
 }
 
 TEST(Crash, FaultSchedulerNeverKillsTheLastProcess) {
-  FaultScheduler sched(5, 0.0, 1.0);
+  // At crash fraction 0.3 most draws are connectivity changes, so the
+  // schedule also reaches one live process with the coin on connectivity,
+  // where no partition or merge is feasible: it must recover instead.
+  FaultScheduler sched(5, 0.0, 0.3);
   Topology topo(3);
   ProcessSet crashed(3);
-  // Crash until only one remains; the scheduler must then only recover.
-  for (int i = 0; i < 50; ++i) {
+  std::size_t lone_draws = 0;
+  for (int i = 0; i < 200; ++i) {
+    if (crashed.count() == 2) ++lone_draws;
     const ConnectivityChange c = sched.next_change(topo, crashed);
     switch (c.kind) {
+      case ConnectivityChange::Kind::kPartition:
+        topo.split(c.component_a, c.moved);
+        break;
+      case ConnectivityChange::Kind::kMerge:
+        topo.merge(c.component_a, c.component_b);
+        break;
       case ConnectivityChange::Kind::kCrash:
         EXPECT_LE(crashed.count(), 1u);
         // Isolate + mark, as the GCS would.
@@ -232,11 +242,10 @@ TEST(Crash, FaultSchedulerNeverKillsTheLastProcess) {
       case ConnectivityChange::Kind::kRecovery:
         crashed.erase(c.process);
         break;
-      default:
-        break;  // connectivity fallback when no process fault is feasible
     }
     EXPECT_LT(crashed.count(), 3u);
   }
+  EXPECT_GE(lone_draws, 5u);
 }
 
 }  // namespace

@@ -117,6 +117,60 @@ TEST(Invariants, CatchesTwoLivePrimaries) {
   EXPECT_THROW(checker.check(gcs), InvariantViolation);
 }
 
+// Rounds until quiescent, with a check after each, as the simulation runs.
+void settle_checked(Gcs& gcs, InvariantChecker& checker) {
+  for (int round = 0; round < 50 && gcs.step_round(); ++round) {
+    checker.check(gcs);
+  }
+}
+
+bool only_process_1_crosses(ProcessId sender) { return sender == 1; }
+
+// An interrupted formation (thesis Fig. 3-1) leaves a session formed at one
+// member and claimed by none, and the next primary descends from it.  The
+// chain must advance through that session: the next primary intersects it
+// but not its predecessor, so a chain that follows claims alone reads the
+// two claimed primaries as temporally disjoint.
+TEST(Invariants, ChainAdvancesThroughASessionFormedAtOneMember) {
+  Gcs gcs(AlgorithmKind::kYkd, 3);
+  InvariantChecker checker(gcs);
+  // {1,2} | {0}, then {1} | {2}: process 1 alone is the primary {1}.
+  gcs.apply_partition(0, ProcessSet(3, {0}));
+  checker.check(gcs);
+  settle_checked(gcs, checker);
+  gcs.apply_partition(gcs.topology().component_of(1), ProcessSet(3, {2}));
+  checker.check(gcs);
+  settle_checked(gcs, checker);
+  ASSERT_TRUE(gcs.algorithm(1).in_primary());
+  const Session claimed = gcs.algorithm(1).last_primary_session();
+  ASSERT_EQ(claimed.members, ProcessSet(3, {1}));
+
+  // {0} joins {1}.  Two rounds later both attempts to form {0,1} are in
+  // flight, and the split lets only process 1's reach process 0: 0 forms
+  // {0,1} and 1 does not.
+  gcs.apply_merge(gcs.topology().component_of(0),
+                  gcs.topology().component_of(1));
+  checker.check(gcs);
+  for (int round = 0; round < 2; ++round) {
+    gcs.step_round();
+    checker.check(gcs);
+  }
+  gcs.apply_partition(gcs.topology().component_of(0), ProcessSet(3, {1}),
+                      &only_process_1_crosses);
+  ASSERT_EQ(gcs.algorithm(0).last_primary_session().members,
+            ProcessSet(3, {0, 1}));
+  ASSERT_EQ(gcs.algorithm(1).last_primary_session(), claimed);
+  checker.check(gcs);
+
+  // Process 0 alone is half of {0,1} with the lexical tie-break, so it
+  // forms {0}: it shares 0 with {0,1} and nothing with {1}.
+  settle_checked(gcs, checker);
+  EXPECT_TRUE(gcs.algorithm(0).in_primary());
+  EXPECT_EQ(gcs.algorithm(0).last_primary_session().members,
+            ProcessSet(3, {0}));
+  EXPECT_FALSE(gcs.algorithm(1).in_primary());
+}
+
 // Every call counts, including those an unchanged world passes unwalked.
 TEST(Invariants, ChecksAccumulate) {
   Gcs gcs(AlgorithmKind::kSimpleMajority, 4);
