@@ -53,7 +53,7 @@ void BM_DecodeStatePayload(benchmark::State& state) {
 BENCHMARK(BM_DecodeStatePayload)->Arg(16)->Arg(64);
 
 void BM_Subquorum(benchmark::State& state) {
-  Rng rng(7);
+  Rng rng = Rng::from_raw_seed(7);
   const std::size_t n = 64;
   ProcessSet candidate(n), of = ProcessSet::full(n);
   for (ProcessId p = 0; p < n; ++p) {
@@ -118,7 +118,7 @@ void BM_FullRun(benchmark::State& state) {
     config.processes = 64;
     config.changes_per_run = 6;
     config.mean_rounds_between_changes = 4.0;
-    config.seed = child_seed(kBenchFullRunStreamTag, iteration++);
+    config.seed = child_seed(iteration++, StreamTag::kBenchFullRun);
     Simulation sim(config);
     benchmark::DoNotOptimize(sim.run_once().primary_at_end);
   }
@@ -139,7 +139,7 @@ void BM_FullRunNoInvariantChecks(benchmark::State& state) {
     config.processes = 64;
     config.changes_per_run = 6;
     config.mean_rounds_between_changes = 4.0;
-    config.seed = child_seed(kBenchFullRunUncheckedStreamTag, iteration++);
+    config.seed = child_seed(iteration++, StreamTag::kBenchFullRunUnchecked);
     config.check_invariants = false;
     Simulation sim(config);
     benchmark::DoNotOptimize(sim.run_once().primary_at_end);

@@ -16,7 +16,6 @@
 #include "fabric/wire.hpp"
 #include "runner/artifact.hpp"
 #include "runner/sweep.hpp"
-#include "util/env.hpp"
 #include "util/guarded.hpp"
 
 namespace dynvote::fabric {
@@ -96,10 +95,6 @@ struct Scheduler {
 
 }  // namespace
 
-std::uint64_t lease_ms_from_env(std::uint64_t fallback) {
-  return env_u64("DV_LEASE_MS", fallback);
-}
-
 struct Coordinator::Impl {
   SweepSpec spec;
   std::uint64_t lease_ms = 30000;
@@ -119,8 +114,7 @@ struct Coordinator::Impl {
         listener(options.port),
         board(spec, local_jobs),
         scheduler(board, changed) {
-    lease_ms = options.lease_ms != 0 ? options.lease_ms
-                                     : lease_ms_from_env(30000);
+    lease_ms = options.lease_ms != 0 ? options.lease_ms : 30000;
     heartbeat_ms = options.heartbeat_ms != 0 ? options.heartbeat_ms : 1000;
 
     case_table.reserve(spec.cases.size());

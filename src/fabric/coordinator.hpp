@@ -42,16 +42,12 @@ struct CoordinatorOptions {
   static constexpr std::uint64_t kAutoLocalJobs = UINT64_MAX;
   std::uint64_t local_jobs = kAutoLocalJobs;
   /// Per-unit lease deadline; a unit outstanding longer is re-issued.
-  /// 0 resolves from DV_LEASE_MS, falling back to 30000.
+  /// 0 means the default, 30000.
   std::uint64_t lease_ms = 0;
   /// Heartbeat cadence demanded of workers; a connection silent for five
   /// cadences is declared dead.
   std::uint64_t heartbeat_ms = 1000;
 };
-
-/// DV_LEASE_MS, else `fallback`; warns (and falls back) on out-of-range
-/// or malformed values, like every DV_* knob.
-std::uint64_t lease_ms_from_env(std::uint64_t fallback);
 
 class Coordinator {
  public:

@@ -32,8 +32,8 @@ Gcs::Gcs(AlgorithmKind kind, std::size_t processes, GcsOptions options)
 Gcs::Gcs(const AlgorithmFactory& factory, std::size_t processes,
          GcsOptions options)
     : options_(options), topology_(processes),
-      // dvlint: raw-seed(driver already derives it with kDeliveryStreamTag)
-      delivery_rng_(options.delivery_seed), crashed_(processes),
+      delivery_rng_(Rng::from_raw_seed(options.delivery_seed)),
+      crashed_(processes),
       due_(ProcessSet::full(processes)) {
   DV_REQUIRE(processes >= 1, "need at least one process");
   const View initial{1, ProcessSet::full(processes)};
@@ -150,6 +150,10 @@ void Gcs::apply_merge(std::size_t a, std::size_t b) {
   ++revision_;
   const ProcessSet comp_a = topology_.component(a);
   const ProcessSet comp_b = topology_.component(b);
+  // A crashed process sits alone and comes back only through
+  // apply_recovery or apply_wake, never through a merge.
+  DV_REQUIRE(!comp_a.is_subset_of(crashed_) && !comp_b.is_subset_of(crashed_),
+             "merge needs a live process on each side");
 
   const DeliverCallback deliver_cb{this};
   network_.flush_for_merge(comp_a, deliver_cb);

@@ -126,8 +126,9 @@ class Gcs {
   void apply_partition(std::size_t component_index, const ProcessSet& moved,
                        Network::CrossDeliveryFn crosses = nullptr);
 
-  /// Merge components `a` and `b`.  In-flight messages of both flush to
-  /// their full old scopes, then the union receives a new view.
+  /// Merge components `a` and `b`, each holding a live process.  In-flight
+  /// messages of both flush to their full old scopes, then the union
+  /// receives a new view.
   void apply_merge(std::size_t a, std::size_t b);
 
   /// Crash a process (thesis §5.1 future work).  The process is isolated
@@ -209,8 +210,7 @@ class Gcs {
   GcsOptions options_;  // dvlint: transient(constructor configuration)
   Topology topology_;
   Network network_;
-  // dvlint: raw-seed(dead default; the constructor always reseeds it)
-  Rng delivery_rng_{0xDE11u};
+  Rng delivery_rng_;
   std::vector<std::unique_ptr<PrimaryComponentAlgorithm>> algorithms_;
   std::vector<View> installed_views_;
   ViewId next_view_id_ = 2;  // the initial view is id 1

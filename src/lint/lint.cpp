@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -27,23 +26,16 @@ constexpr CheckInfo kChecks[] = {
      "snapshot (opt-out: // dvlint: transient(why))"},
     {CheckId::kDeterminism, "determinism",
      "no unseeded randomness, wall-clock reads, pointer-keyed ordering or "
-     "hash-order iteration in result-affecting paths"},
+     "unordered containers in result-affecting paths"},
     {CheckId::kLayering, "layering",
      "includes must respect the layer DAG: util < obs < core < gcs < sim "
      "< runner < fabric < lint"},
     {CheckId::kDecodeThrow, "decode-throw",
      "decode paths throw DecodeError on malformed input instead of "
      "asserting"},
-    {CheckId::kRngStream, "rng-stream-discipline",
-     "child_seed() tags come from the k*StreamTag registry, tags are "
-     "registry-unique, and raw Rng seeds carry a raw-seed(why) whitelist "
-     "annotation"},
     {CheckId::kBoundedDecode, "bounded-decode",
      "decode-side reserve()/resize() from a decoded count is bounded by "
      "the decoder's remaining bytes first"},
-    {CheckId::kTracePurity, "trace-purity",
-     "DV_TRACE_* emission arguments in result-affecting paths must be pure "
-     "reads: no RNG draws, no assignments or mutator calls"},
 };
 
 }  // namespace
@@ -231,23 +223,15 @@ constexpr std::array<std::string_view, 9> kRandomnessTokens = {
 constexpr std::array<std::string_view, 4> kWallClockTokens = {
     "system_clock", "gettimeofday", "localtime", "strftime"};
 
-constexpr std::array<std::string_view, 6> kOrderedByKey = {
-    "map", "set", "multimap", "multiset", "unordered_map", "unordered_set"};
+constexpr std::array<std::string_view, 4> kUnorderedTokens = {
+    "unordered_map", "unordered_set", "unordered_multimap",
+    "unordered_multiset"};
+
+constexpr std::array<std::string_view, 4> kOrderedByKey = {
+    "map", "set", "multimap", "multiset"};
 
 void check_determinism(const std::vector<ParsedFile>& files,
                        std::vector<Finding>& findings) {
-  // Unordered container names are collected repo-wide: a member declared in
-  // a header is iterated from the implementation file.
-  std::set<std::string> unordered;
-  for (const ParsedFile& pf : files) {
-    unordered.insert(pf.unordered_names.begin(), pf.unordered_names.end());
-    for (const ClassDecl& cls : pf.classes) {
-      for (const FieldDecl& field : cls.fields) {
-        if (field.unordered) unordered.insert(field.name);
-      }
-    }
-  }
-
   for (const ParsedFile& pf : files) {
     if (!result_affecting(top_dir(pf.source->rel_path))) continue;
     const SourceFile& src = *pf.source;
@@ -284,6 +268,16 @@ void check_determinism(const std::vector<ParsedFile>& files,
                  "(seeded, cross-platform) instead");
         continue;
       }
+      // A hash-ordered container is flagged where it is named, not where it
+      // is iterated: no result-affecting directory needs one.
+      if (std::find(kUnorderedTokens.begin(), kUnorderedTokens.end(), t) !=
+          kUnorderedTokens.end()) {
+        flag(tokens[i].offset, std::string(t),
+             "unordered container '" + std::string(t) +
+                 "' in a result-affecting path iterates in hash order; use "
+                 "an ordered container or a sorted vector");
+        continue;
+      }
       if (std::find(kWallClockTokens.begin(), kWallClockTokens.end(), t) !=
               kWallClockTokens.end() ||
           ((t == "time" || t == "clock") && called && !member_access)) {
@@ -315,23 +309,6 @@ void check_determinism(const std::vector<ParsedFile>& files,
         }
         continue;
       }
-    }
-
-    for (const RangeFor& rf : pf.range_fors) {
-      if (unordered.count(rf.container) == 0) continue;
-      if (src.has_annotation(rf.line, "unordered-ok")) continue;
-      if (ignored(src, rf.line, CheckId::kDeterminism)) continue;
-      Finding f;
-      f.check = CheckId::kDeterminism;
-      f.file = src.rel_path;
-      f.line = rf.line;
-      f.detail = rf.container;
-      f.message =
-          "iteration over unordered container '" + rf.container +
-          "' in a result-affecting path visits elements in hash order; use "
-          "an ordered container or sort first (annotate '// dvlint: "
-          "unordered-ok' only for provably order-insensitive folds)";
-      findings.push_back(std::move(f));
     }
   }
 }
@@ -378,225 +355,7 @@ void check_layering(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 5: RNG stream discipline
-//
-// Replayable, uncorrelated randomness rests on the child_seed registry in
-// util/rng.hpp: every derived stream takes a named k*StreamTag constant,
-// tags never collide, and nothing seeds an Rng from a raw expression --
-// except the pinned geometric schedule, which is whitelisted in place with
-// `// dvlint: raw-seed(why)` because its baselines froze before the
-// registry existed.
-
-bool is_stream_tag_name(std::string_view t) {
-  constexpr std::string_view kSuffix = "StreamTag";
-  return t.size() > kSuffix.size() + 1 && t.front() == 'k' &&
-         t.substr(t.size() - kSuffix.size()) == kSuffix;
-}
-
-/// Top-level comma-separated argument slices of the token group opening at
-/// `open` (which must index a `(` or `{`).  Each slice is a [begin, end)
-/// token index range.
-std::vector<std::pair<std::size_t, std::size_t>> argument_ranges(
-    const std::vector<Token>& tokens, std::size_t open) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  int depth = 0;
-  std::size_t begin = open + 1;
-  for (std::size_t k = open; k < tokens.size(); ++k) {
-    const std::string_view t = tokens[k].text;
-    if (t == "(" || t == "{" || t == "[") ++depth;
-    if (t == ")" || t == "}" || t == "]") {
-      if (--depth == 0) {
-        if (k > begin) out.emplace_back(begin, k);
-        return out;
-      }
-    }
-    if (t == "," && depth == 1) {
-      if (k > begin) out.emplace_back(begin, k);
-      begin = k + 1;
-    }
-  }
-  return out;
-}
-
-void check_rng_stream(const std::vector<ParsedFile>& files,
-                      std::vector<Finding>& findings) {
-  struct TagDef {
-    std::string name;
-    const SourceFile* src = nullptr;
-    std::size_t line = 0;
-    std::string value;
-  };
-
-  // Registry: every `k*StreamTag = <value>` declaration, in scan order
-  // (files are sorted, so duplicates report at the later declaration).
-  std::vector<TagDef> defs;
-  for (const ParsedFile& pf : files) {
-    const std::vector<Token> tokens = tokenize(pf.source->code);
-    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-      if (!tokens[i].is_ident() || !is_stream_tag_name(tokens[i].text) ||
-          tokens[i + 1].text != "=") {
-        continue;
-      }
-      TagDef def;
-      def.name = std::string(tokens[i].text);
-      def.src = pf.source;
-      def.line = pf.source->line_of(tokens[i].offset);
-      for (std::size_t k = i + 2;
-           k < tokens.size() && tokens[k].text != ";"; ++k) {
-        def.value += tokens[k].text;
-      }
-      defs.push_back(std::move(def));
-    }
-  }
-
-  auto normalized = [](std::string v) -> std::string {
-    while (!v.empty() && (v.back() == 'u' || v.back() == 'U' ||
-                          v.back() == 'l' || v.back() == 'L')) {
-      v.pop_back();
-    }
-    try {
-      std::size_t used = 0;
-      const unsigned long long n = std::stoull(v, &used, 0);
-      if (used == v.size()) return std::to_string(n);
-    } catch (const std::exception&) {
-    }
-    return v;
-  };
-
-  std::set<std::string> tag_names;
-  std::map<std::string, std::string> by_value;
-  for (const TagDef& def : defs) {
-    tag_names.insert(def.name);
-    const auto [it, fresh] = by_value.emplace(normalized(def.value), def.name);
-    if (fresh) continue;
-    if (ignored(*def.src, def.line, CheckId::kRngStream)) continue;
-    Finding f;
-    f.check = CheckId::kRngStream;
-    f.file = def.src->rel_path;
-    f.line = def.line;
-    f.detail = def.name;
-    f.message = "stream tag '" + def.name + "' has the same value as '" +
-                it->second +
-                "'; colliding tags make two child streams identical -- "
-                "pick a fresh value";
-    findings.push_back(std::move(f));
-  }
-
-  for (const ParsedFile& pf : files) {
-    const SourceFile& src = *pf.source;
-    const std::vector<Token> tokens = tokenize(src.code);
-    const bool affecting = result_affecting(top_dir(src.rel_path));
-
-    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-      const std::string_view t = tokens[i].text;
-
-      // --- child_seed call sites ---
-      if (t == "child_seed" && tokens[i + 1].text == "(") {
-        // Skip the declaration itself (parameter list starts with a type).
-        if (i + 2 < tokens.size() && (tokens[i + 2].text == "std" ||
-                                      tokens[i + 2].text == ")")) {
-          continue;
-        }
-        const std::size_t line = src.line_of(tokens[i].offset);
-        if (ignored(src, line, CheckId::kRngStream)) continue;
-        const auto args = argument_ranges(tokens, i + 1);
-        std::string problem;
-        if (args.size() != 2) {
-          problem = "call must be child_seed(<base>, <k*StreamTag>)";
-        } else {
-          const auto [begin, end] = args[1];
-          if (end - begin != 1 || !tokens[begin].is_ident()) {
-            problem =
-                "the stream tag must be a single named k*StreamTag "
-                "constant, not an expression or literal";
-          } else if (tag_names.count(std::string(tokens[begin].text)) == 0) {
-            problem = "'" + std::string(tokens[begin].text) +
-                      "' is not in the k*StreamTag registry; declare it "
-                      "there so tag uniqueness is checkable";
-          }
-        }
-        if (problem.empty()) continue;
-        Finding f;
-        f.check = CheckId::kRngStream;
-        f.file = src.rel_path;
-        f.line = line;
-        f.detail = "child_seed";
-        f.message = "child_seed stream discipline: " + problem;
-        findings.push_back(std::move(f));
-        continue;
-      }
-
-      if (!affecting) continue;
-
-      // --- raw Rng seeding ---
-      std::size_t open = std::string_view::npos;
-      std::string detail;
-      if (t == "Rng") {
-        if (tokens[i + 1].is_ident() && i + 2 < tokens.size() &&
-            (tokens[i + 2].text == "(" || tokens[i + 2].text == "{")) {
-          open = i + 2;  // `Rng name(seed)` / `Rng name{seed}`
-          detail = std::string(tokens[i + 1].text);
-        } else if (tokens[i + 1].text == "(" || tokens[i + 1].text == "{") {
-          open = i + 1;  // `Rng(seed)` temporary
-          detail = "Rng";
-        }
-      } else if (tokens[i].is_ident() && tokens[i + 1].text == "(" &&
-                 t != "child_seed") {
-        // Constructor-initializer style: `rng_(seed)` / `delivery_rng_(x)`.
-        std::string lower(t);
-        std::transform(lower.begin(), lower.end(), lower.begin(),
-                       [](unsigned char c) { return std::tolower(c); });
-        const bool member_access =
-            i > 0 && (tokens[i - 1].text == "." || tokens[i - 1].text == "::" ||
-                      (tokens[i - 1].text == ">" && i > 1 &&
-                       tokens[i - 2].text == "-"));
-        if (lower.find("rng") != std::string::npos && !member_access) {
-          open = i + 1;
-          detail = std::string(t);
-        }
-      }
-      if (open == std::string_view::npos) continue;
-      const auto args = argument_ranges(tokens, open);
-      if (args.empty()) continue;
-      bool derived = false;
-      bool param_list = false;
-      for (const auto& [begin, end] : args) {
-        for (std::size_t k = begin; k < end; ++k) {
-          if (tokens[k].text == "child_seed" || tokens[k].text == "fork" ||
-              tokens[k].text == "set_state" || tokens[k].text == "state") {
-            derived = true;
-          }
-          // Two adjacent identifiers (`uint64_t seed`) only occur in a
-          // parameter list: this is a constructor or function declaration,
-          // not a seeding expression.
-          if (k + 1 < end && tokens[k].is_ident() &&
-              tokens[k + 1].is_ident()) {
-            param_list = true;
-          }
-        }
-      }
-      if (derived || param_list) continue;
-      const std::size_t line = src.line_of(tokens[i].offset);
-      if (src.has_annotation(line, "raw-seed")) continue;
-      if (ignored(src, line, CheckId::kRngStream)) continue;
-      Finding f;
-      f.check = CheckId::kRngStream;
-      f.file = src.rel_path;
-      f.line = line;
-      f.detail = detail;
-      f.message =
-          "Rng '" + detail +
-          "' is seeded from a raw expression; derive the seed with "
-          "child_seed(<base>, <k*StreamTag>) so streams stay uncorrelated "
-          "and replayable, or whitelist a pinned stream with '// dvlint: "
-          "raw-seed(why)'";
-      findings.push_back(std::move(f));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Check 6: bounded decode
+// Check 5: bounded decode
 //
 // Generalizes the CaseResult::decode_body hardening: a decode path that
 // reserve()s or resize()s from a decoded count must first bound the count
@@ -689,124 +448,6 @@ void check_bounded_decode(const std::vector<ParsedFile>& files,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Check 7: trace-purity
-//
-// The fingerprint-parity guarantee (DV_TRACE=1 and DV_TRACE=0 produce
-// byte-identical results documents) holds only if observation never feeds
-// back into simulation.  An emission macro's arguments are evaluated on
-// the hot path whether or not that discipline was intended, so any RNG
-// draw or mutation inside them changes results -- conditionally, when the
-// macro's own guard short-circuits, which is worse.  This check scans the
-// argument span of every DV_TRACE_* site in result-affecting directories
-// for randomness identifiers, assignment and increment operators, and the
-// container/handle mutators a pure read never needs.
-
-constexpr std::array<std::string_view, 2> kEmissionMacros = {
-    "DV_TRACE_SPAN", "DV_TRACE_INSTANT"};
-
-constexpr std::array<std::string_view, 8> kTraceRngTokens = {
-    "rng",  "rng_",          "child_seed", "rand",
-    "srand", "drand48",      "random_device", "mt19937"};
-
-constexpr std::array<std::string_view, 12> kTraceMutatorCalls = {
-    "push_back", "pop_back", "emplace", "emplace_back", "insert", "erase",
-    "clear",     "resize",   "reset",   "assign",       "swap",   "pop_front"};
-
-void check_trace_purity(const std::vector<ParsedFile>& files,
-                        std::vector<Finding>& findings) {
-  for (const ParsedFile& pf : files) {
-    if (!result_affecting(top_dir(pf.source->rel_path))) continue;
-    const SourceFile& src = *pf.source;
-    const std::vector<Token> tokens = tokenize(src.code);
-
-    auto flag = [&](std::size_t offset, std::string_view macro,
-                    std::string detail, const std::string& why) {
-      const std::size_t line = src.line_of(offset);
-      if (ignored(src, line, CheckId::kTracePurity)) return;
-      Finding f;
-      f.check = CheckId::kTracePurity;
-      f.file = src.rel_path;
-      f.line = line;
-      f.detail = std::move(detail);
-      f.message = std::string(macro) + " argument " + why +
-                  "; emission sites must be pure reads or results change "
-                  "when tracing toggles (opt-out: // dvlint: "
-                  "ignore(trace-purity))";
-      findings.push_back(std::move(f));
-    };
-
-    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-      if (std::find(kEmissionMacros.begin(), kEmissionMacros.end(),
-                    tokens[i].text) == kEmissionMacros.end()) {
-        continue;
-      }
-      if (tokens[i + 1].text != "(") continue;
-      const std::string_view macro = tokens[i].text;
-
-      // Token span of the argument list, outer parens excluded.
-      std::size_t depth = 0;
-      std::size_t close = tokens.size();
-      for (std::size_t j = i + 1; j < tokens.size(); ++j) {
-        if (tokens[j].text == "(") ++depth;
-        if (tokens[j].text == ")" && --depth == 0) {
-          close = j;
-          break;
-        }
-      }
-      if (close == tokens.size()) continue;  // unbalanced; fail safe
-
-      for (std::size_t j = i + 2; j < close; ++j) {
-        const std::string_view t = tokens[j].text;
-        const std::string_view prev = tokens[j - 1].text;
-        const std::string_view next =
-            j + 1 < close ? tokens[j + 1].text : std::string_view{};
-
-        if (std::find(kTraceRngTokens.begin(), kTraceRngTokens.end(), t) !=
-            kTraceRngTokens.end()) {
-          flag(tokens[j].offset, macro, std::string(t),
-               "draws randomness ('" + std::string(t) +
-                   "'): the RNG stream diverges from an untraced run");
-          continue;
-        }
-        if ((t == "+" && next == "+") || (t == "-" && next == "-")) {
-          // ++/-- split into adjacent single-char tokens; require true
-          // adjacency so `a + +b` stays legal.
-          if (tokens[j + 1].offset == tokens[j].offset + 1) {
-            flag(tokens[j].offset, macro, std::string(t) + std::string(t),
-                 "mutates state ('" + std::string(t) + std::string(t) +
-                     "')");
-            ++j;
-          }
-          continue;
-        }
-        if (t == "=") {
-          // Plain or compound assignment, but not ==, !=, <=, >=, or the
-          // right half of those (the tokenizer splits them).
-          const bool comparison =
-              next == "=" || prev == "=" || prev == "!" || prev == "<" ||
-              prev == ">";
-          const bool compound = prev == "+" || prev == "-" || prev == "*" ||
-                                prev == "/" || prev == "%" || prev == "&" ||
-                                prev == "|" || prev == "^";
-          if (comparison && !compound) continue;
-          flag(tokens[j].offset, macro,
-               compound ? std::string(prev) + "=" : "=",
-               "mutates state (assignment)");
-          continue;
-        }
-        if (next == "(" &&
-            std::find(kTraceMutatorCalls.begin(), kTraceMutatorCalls.end(),
-                      t) != kTraceMutatorCalls.end()) {
-          flag(tokens[j].offset, macro, std::string(t),
-               "calls mutator '" + std::string(t) + "()'");
-          continue;
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 LintReport run_lint(const std::string& root_dir) {
@@ -844,9 +485,7 @@ LintReport run_lint(const std::string& root_dir) {
   check_determinism(parsed, findings);
   check_layering(parsed, findings);
   check_decode_throw(parsed, findings);
-  check_rng_stream(parsed, findings);
   check_bounded_decode(parsed, findings);
-  check_trace_purity(parsed, findings);
   std::sort(findings.begin(), findings.end());
   findings.erase(std::unique(findings.begin(), findings.end()),
                  findings.end());

@@ -9,8 +9,13 @@
 // over the repo's own sources; no libclang, no build required.  What the
 // compiler can enforce, it does instead: lock discipline through
 // Guarded<T> (util/guarded.hpp), whose state is reachable only under its
-// lock, and exhaustive enum switches through -Werror=switch-enum (with
-// -Werror=switch for switches that have no default label).
+// lock; exhaustive enum switches through -Werror=switch-enum (with
+// -Werror=switch for switches that have no default label); RNG stream
+// discipline through StreamTag (util/rng.hpp), an enum that child_seed and
+// Rng require where a tag belongs and whose one registry switch fails to
+// compile on a duplicate or missing tag; and trace purity through the
+// DV_TRACE_* macros (obs/trace.hpp), which evaluate their arguments once
+// whether or not tracing is armed.
 //
 // Defect classes (check ids):
 //   snapshot-completeness  a class with save/load (or encode/decode,
@@ -21,12 +26,10 @@
 //   determinism            unseeded randomness (rand, srand, drand48,
 //                          random_device), wall-clock reads (time(),
 //                          system_clock, gettimeofday, localtime),
-//                          pointer-keyed ordered containers, or range-for
-//                          iteration over an unordered_map/unordered_set in
-//                          result-affecting directories (core, gcs, sim,
-//                          runner, fabric).  Opt-out: `// dvlint:
-//                          unordered-ok` for provably order-insensitive
-//                          folds.
+//                          pointer-keyed ordered containers, or any
+//                          unordered_map/unordered_set/unordered_multimap/
+//                          unordered_multiset in result-affecting
+//                          directories (core, gcs, sim, runner, fabric).
 //   layering               an include that climbs the DAG (util < obs <
 //                          core < gcs < sim < runner < fabric < lint);
 //                          e.g. core including sim, sim including runner,
@@ -38,26 +41,10 @@
 //                          decode_body) uses DV_ASSERT/DV_REQUIRE instead
 //                          of throwing DecodeError: malformed snapshot
 //                          bytes are input errors, never assertions.
-//   rng-stream-discipline  a `child_seed(seed, tag)` call whose tag is not
-//                          a named `k*StreamTag` registry constant, two
-//                          registry tags sharing a value, or an Rng seeded
-//                          from a raw expression in a result-affecting
-//                          path.  Opt-out for pinned raw seeds (the
-//                          geometric schedule baselines): `// dvlint:
-//                          raw-seed(why)`.
 //   bounded-decode         a decode path reserve()s/resize()s from a
 //                          decoded count without first bounding it by the
 //                          decoder's remaining bytes; a hostile length
 //                          prefix must fail fast, not allocate.
-//   trace-purity           an argument of a DV_TRACE_* emission macro in a
-//                          result-affecting directory draws randomness
-//                          (rng, child_seed, ...) or mutates state
-//                          (assignment, ++/--, push_back/erase/...).
-//                          Observation must be a pure read: an emission
-//                          site that perturbs the RNG stream or the world
-//                          changes results when tracing toggles, breaking
-//                          the fingerprint-parity guarantee.  Opt-out:
-//                          `// dvlint: ignore(trace-purity)`.
 //
 // Any finding can also be silenced with `// dvlint: ignore(<check-id>)` on
 // (or immediately above) the offending line; the tree itself is the only
@@ -76,9 +63,7 @@ enum class CheckId {
   kDeterminism,
   kLayering,
   kDecodeThrow,
-  kRngStream,
   kBoundedDecode,
-  kTracePurity,
 };
 
 /// Stable kebab-case name used in output and annotations.

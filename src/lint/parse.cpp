@@ -52,9 +52,8 @@ std::size_t match_brace(std::string_view code, std::size_t open) {
 
 namespace {
 
-/// Parse one class body span into fields, declared methods and inline
-/// method bodies.  `body` excludes the outer braces; `base` is its offset
-/// in the file's code (for line numbers).
+/// Parse one class body span into fields and inline method bodies.
+/// [body_begin, body_end) excludes the outer braces.
 void parse_class_body(const SourceFile& source, std::string_view code,
                       std::size_t body_begin, std::size_t body_end,
                       ClassDecl& decl, ParsedFile& out) {
@@ -87,13 +86,8 @@ void parse_class_body(const SourceFile& source, std::string_view code,
           "struct", "public", "protected", "private"}) {
       if (chunk_starts_with(chunk, skip)) return reset();
     }
-    if (chunk.find('(') != std::string::npos) {
-      // Method (or constructor) declaration.
-      if (std::string name = method_name_of(tokens); !name.empty()) {
-        decl.declared_methods.insert(std::move(name));
-      }
-      return reset();
-    }
+    // Method (or constructor) declaration.
+    if (chunk.find('(') != std::string::npos) return reset();
     // Field: last identifier before any top-level initializer.
     std::size_t cut = tokens.size();
     for (std::size_t t = 0; t < tokens.size(); ++t) {
@@ -108,11 +102,6 @@ void parse_class_body(const SourceFile& source, std::string_view code,
     FieldDecl field;
     field.name = std::string(name_tok.text);
     field.line = source.line_of(offsets[name_tok.offset]);
-    for (const Token& t : tokens) {
-      if (t.text == "unordered_map" || t.text == "unordered_set") {
-        field.unordered = true;
-      }
-    }
     decl.fields.push_back(std::move(field));
     reset();
   };
@@ -147,7 +136,6 @@ void parse_class_body(const SourceFile& source, std::string_view code,
                            last == "final";
       if (is_body) {
         if (std::string name = method_name_of(tokens); !name.empty()) {
-          decl.declared_methods.insert(name);
           out.inline_bodies[{decl.name, std::move(name)}].push_back(
               MethodBody{std::string(), i + 1, close, source.line_of(i)});
         }
@@ -161,31 +149,6 @@ void parse_class_body(const SourceFile& source, std::string_view code,
     ++i;
   }
   finish_declaration();
-
-  // offsets recorded chunk positions; map FieldDecl lines now.  (Field lines
-  // were computed from offsets[name_tok.offset] above -- nothing to do.)
-}
-
-/// Names introduced as aliases of unordered container types:
-/// `using X = std::unordered_map<...>;`
-std::set<std::string, std::less<>> unordered_aliases(
-    const std::vector<Token>& tokens) {
-  std::set<std::string, std::less<>> aliases;
-  for (std::size_t i = 0; i + 2 < tokens.size(); ++i) {
-    if (tokens[i].text != "using" || !tokens[i + 1].is_ident() ||
-        tokens[i + 2].text != "=") {
-      continue;
-    }
-    for (std::size_t j = i + 3; j < tokens.size() && tokens[j].text != ";";
-         ++j) {
-      if (tokens[j].text == "unordered_map" ||
-          tokens[j].text == "unordered_set") {
-        aliases.insert(std::string(tokens[i + 1].text));
-        break;
-      }
-    }
-  }
-  return aliases;
 }
 
 }  // namespace
@@ -235,28 +198,11 @@ ParsedFile parse_file(const SourceFile& source) {
     if (tokens[j].text == ";" || tokens[j].text == "{") {
       // fall through -- forward declaration or plain body
     } else if (tokens[j].text == ":") {
-      // Base clause: collect base identifiers, dropping access keywords,
-      // `virtual`, qualifiers and template argument lists.
-      ++j;
-      int angle = 0;
-      std::string last_ident;
+      // Base clause: skip it to the body.
       while (j < tokens.size() && tokens[j].text != "{" &&
              tokens[j].text != ";") {
-        const std::string_view t = tokens[j].text;
-        if (t == "<") ++angle;
-        if (t == ">") angle = std::max(0, angle - 1);
-        if (angle == 0) {
-          if (t == ",") {
-            if (!last_ident.empty()) decl.bases.push_back(last_ident);
-            last_ident.clear();
-          } else if (tokens[j].is_ident() && t != "public" &&
-                     t != "protected" && t != "private" && t != "virtual") {
-            last_ident = std::string(t);
-          }
-        }
         ++j;
       }
-      if (!last_ident.empty()) decl.bases.push_back(last_ident);
     } else {
       continue;  // `class Foo* ptr;` and other non-declarations
     }
@@ -327,63 +273,6 @@ ParsedFile parse_file(const SourceFile& source) {
                      std::string(tokens[i + 2].text)}]
         .push_back(MethodBody{std::string(), body_open + 1, close,
                               source.line_of(body_open)});
-  }
-
-  // --- unordered-container variable names ---
-  const auto aliases = unordered_aliases(tokens);
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    const std::string_view t = tokens[i].text;
-    const bool unordered_type = t == "unordered_map" || t == "unordered_set" ||
-                                (!t.empty() && aliases.count(t) > 0);
-    if (!unordered_type) continue;
-    if (i >= 1 && tokens[i - 1].text == "using") continue;  // the alias itself
-    std::size_t j = i + 1;
-    if (j < tokens.size() && tokens[j].text == "<") {
-      int angle = 0;
-      for (; j < tokens.size(); ++j) {
-        if (tokens[j].text == "<") ++angle;
-        if (tokens[j].text == ">" && --angle == 0) break;
-      }
-      ++j;
-    }
-    while (j < tokens.size() &&
-           (tokens[j].text == "&" || tokens[j].text == "*" ||
-            tokens[j].text == "const")) {
-      ++j;
-    }
-    if (j < tokens.size() && tokens[j].is_ident() &&
-        !is_keyword(tokens[j].text)) {
-      out.unordered_names.insert(std::string(tokens[j].text));
-    }
-  }
-
-  // --- range-for statements ---
-  for (std::size_t i = 0; i + 2 < tokens.size(); ++i) {
-    if (tokens[i].text != "for" || tokens[i + 1].text != "(") continue;
-    int parens = 0;
-    std::size_t colon = 0;
-    std::size_t close = 0;
-    for (std::size_t j = i + 1; j < tokens.size(); ++j) {
-      if (tokens[j].text == "(") ++parens;
-      if (tokens[j].text == ")" && --parens == 0) {
-        close = j;
-        break;
-      }
-      if (tokens[j].text == ":" && parens == 1 && colon == 0) colon = j;
-      if (tokens[j].text == ";" && parens == 1) {
-        colon = 0;  // classic three-clause for
-        break;
-      }
-    }
-    if (colon == 0 || close == 0) continue;
-    RangeFor rf;
-    rf.line = source.line_of(tokens[colon].offset);
-    for (std::size_t j = colon + 1; j < close; ++j) {
-      if (tokens[j].is_ident() && !is_keyword(tokens[j].text)) {
-        rf.container = std::string(tokens[j].text);
-      }
-    }
-    if (!rf.container.empty()) out.range_fors.push_back(std::move(rf));
   }
 
   return out;

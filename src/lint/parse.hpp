@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -20,9 +19,6 @@ namespace dynvote::lint {
 struct FieldDecl {
   std::string name;
   std::size_t line = 0;
-  /// Declared with an unordered_map/unordered_set type (directly or via a
-  /// local `using` alias).
-  bool unordered = false;
 };
 
 struct MethodBody {
@@ -35,25 +31,13 @@ struct MethodBody {
 
 struct ClassDecl {
   std::string name;
-  /// Public base class names (identifier only, template args dropped).
-  std::vector<std::string> bases;
   std::vector<FieldDecl> fields;
-  /// Names of member functions *declared* in the class body.
-  std::set<std::string> declared_methods;
   std::size_t line = 0;
 };
 
 struct IncludeDirective {
   std::string path;  // quoted form only; angle includes are ignored
   std::size_t line = 0;
-};
-
-/// One `for (decl : expr)` statement.
-struct RangeFor {
-  std::size_t line = 0;
-  /// Last identifier of the range expression -- the container name for the
-  /// common `for (x : container)` / `for (x : obj.member_)` shapes.
-  std::string container;
 };
 
 struct ParsedFile {
@@ -66,10 +50,6 @@ struct ParsedFile {
   /// In-class (inline) method bodies: same keying.
   std::map<std::pair<std::string, std::string>, std::vector<MethodBody>>
       inline_bodies;
-  /// Variable names declared with an unordered container type in this
-  /// file (members, locals, parameters), for the iteration check.
-  std::set<std::string> unordered_names;
-  std::vector<RangeFor> range_fors;
 };
 
 ParsedFile parse_file(const SourceFile& source);

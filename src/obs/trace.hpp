@@ -11,10 +11,11 @@
 // kept, so a runaway sweep degrades to a suffix trace instead of growing
 // without bound (capacity per thread via DV_TRACE_BUF).
 //
-// Trace emission is observational only: sites must not call RNG or mutate
-// simulation state (dvlint `trace-purity`).  Timestamps come from
-// steady_clock relative to the enable instant; they are telemetry, never
-// inputs to the simulation.
+// Trace emission is observational only.  Both emission macros evaluate
+// their arguments exactly once, armed or not, so no site computes anything
+// differently when tracing toggles and results cannot depend on it.
+// Timestamps come from steady_clock relative to the enable instant; they
+// are telemetry, never inputs to the simulation.
 //
 // `trace_drain()` folds every ring into one time-sorted TraceFile.  It
 // must only run while emitting threads are quiescent (the sweep runner
@@ -121,19 +122,22 @@ class TraceSpan {
 }  // namespace obs
 }  // namespace dynvote
 
-// Emission macros.  Arguments must be pure reads (dvlint `trace-purity`).
+// Emission macros.  Each evaluates its two arguments once, before it tests
+// whether tracing is armed, so an argument runs the same whether or not
+// anything is recorded.
 #define DV_TRACE_CONCAT_INNER(a, b) a##b
 #define DV_TRACE_CONCAT(a, b) DV_TRACE_CONCAT_INNER(a, b)
 
 #define DV_TRACE_INSTANT(name_literal, arg0, arg1)                          \
   do {                                                                      \
+    const auto dv_trace_a0_ = static_cast<std::uint64_t>(arg0);             \
+    const auto dv_trace_a1_ = static_cast<std::uint64_t>(arg1);             \
     if (::dynvote::obs::trace_enabled()) {                                  \
       static const std::uint32_t dv_trace_name_id_ =                        \
           ::dynvote::obs::intern_trace_name(name_literal);                  \
       ::dynvote::obs::trace_emit(::dynvote::obs::EventKind::kInstant,       \
-                                 dv_trace_name_id_,                         \
-                                 static_cast<std::uint64_t>(arg0),          \
-                                 static_cast<std::uint64_t>(arg1));         \
+                                 dv_trace_name_id_, dv_trace_a0_,           \
+                                 dv_trace_a1_);                             \
     }                                                                       \
   } while (false)
 #define DV_TRACE_SPAN(name_expr, arg0, arg1)                       \

@@ -14,7 +14,7 @@ namespace {
 Gcs make_gcs(const SimulationConfig& config) {
   const GcsOptions options{.measure_wire_sizes = config.measure_wire_sizes,
                            .delivery_seed =
-                               child_seed(config.seed, kDeliveryStreamTag)};
+                               child_seed(config.seed, StreamTag::kDelivery)};
   if (config.algorithm_factory) {
     return Gcs(config.algorithm_factory, config.processes, options);
   }
@@ -30,7 +30,6 @@ Simulation::Simulation(const SimulationConfig& config)
                               config.crash_fraction, config.processes)),
       checker_(gcs_) {
   DV_REQUIRE(config.processes >= 2, "the study needs at least two processes");
-  DV_REQUIRE(config.observer < config.processes, "observer id out of range");
 }
 
 void Simulation::step_round() {

@@ -49,9 +49,6 @@ struct SimulationConfig {
   /// Stabilization must quiesce within this many rounds; exceeding it means
   /// an algorithm chatters forever and is reported as an error.
   std::size_t max_stabilization_rounds = 4096;
-  /// The process whose ambiguous-session counts are sampled (thesis: "the
-  /// statistics were collected by one of the processes").
-  ProcessId observer = 0;
 };
 
 struct RunResult {
@@ -147,8 +144,12 @@ class Simulation {
   /// The observer's state, read through the const accessor: a read is not
   /// input (Gcs::algorithm).
   AlgorithmDebugInfo observer_info() const {
-    return gcs_.algorithm(config_.observer).debug_info();
+    return gcs_.algorithm(kObserver).debug_info();
   }
+
+  /// The process whose ambiguous-session counts are sampled (thesis: "the
+  /// statistics were collected by one of the processes").
+  static constexpr ProcessId kObserver = 0;
 
   // Pinned by the snapshot envelope's config trajectory hash, not written.
   SimulationConfig config_;  // dvlint: transient(constructor configuration)

@@ -60,7 +60,7 @@ void GeometricFaultModel::apply_next(Gcs& gcs) {
 SleepyFaultModel::SleepyFaultModel(std::uint64_t seed,
                                    double mean_rounds_between_changes,
                                    double wake_bias)
-    : rng_(child_seed(seed, kSleepyStreamTag)),
+    : rng_(seed, StreamTag::kSleepy),
       p_(1.0 / (mean_rounds_between_changes + 1.0)),
       wake_bias_(wake_bias) {
   DV_REQUIRE(mean_rounds_between_changes >= 0.0,
@@ -126,7 +126,7 @@ RepairableFaultModel::RepairableFaultModel(std::uint64_t seed,
                                            double mean_rounds_between_changes,
                                            std::uint64_t repair_capacity,
                                            double repair_mean_rounds)
-    : rng_(child_seed(seed, kRepairStreamTag)),
+    : rng_(seed, StreamTag::kRepair),
       processes_(processes),
       fail_p_(1.0 / (mean_rounds_between_changes + 1.0)),
       service_p_(1.0 / (repair_mean_rounds + 1.0)),

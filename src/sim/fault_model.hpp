@@ -22,9 +22,9 @@
 // Every model draws randomness only as a function of its seed and the
 // topology trajectory -- which never depends on the algorithm under test --
 // so all six algorithms see the identical schedule, exactly as the thesis
-// requires.  New models take their stream from util/rng.hpp's tagged
-// child_seed registry; the geometric model keeps the raw seed (the pinned
-// thesis stream).
+// requires.  New models draw from a tagged stream, Rng(seed, StreamTag::k*)
+// (util/rng.hpp); the geometric model keeps the raw seed through
+// Rng::from_raw_seed (the pinned thesis stream).
 #pragma once
 
 #include <cstdint>
@@ -103,7 +103,8 @@ class FaultModel {
 /// crash/recovery when crash_fraction > 0).  A straight re-homing of the
 /// pre-FaultModel driver logic around FaultScheduler -- same raw-seed
 /// stream, same draw order -- so schedules are bit-identical to every
-/// committed baseline.
+/// committed baseline.  Every change it draws can be applied
+/// (fault_schedule_test checks every reachable state up to 8 processes).
 class GeometricFaultModel final : public FaultModel {
  public:
   GeometricFaultModel(std::uint64_t seed, double mean_rounds_between_changes,

@@ -11,8 +11,9 @@ namespace dynvote {
 FaultScheduler::FaultScheduler(std::uint64_t seed,
                                double mean_rounds_between_changes,
                                double crash_fraction)
-    // dvlint: raw-seed(retagging would shift the pinned geometric baselines)
-    : rng_(seed),
+    // The raw seed, not a tagged stream: retagging would shift the pinned
+    // geometric baselines.
+    : rng_(Rng::from_raw_seed(seed)),
       p_(1.0 / (mean_rounds_between_changes + 1.0)),
       crash_fraction_(crash_fraction) {
   DV_REQUIRE(mean_rounds_between_changes >= 0.0,

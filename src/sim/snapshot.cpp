@@ -6,10 +6,6 @@
 
 #include "util/codec.hpp"
 
-#ifndef DV_GIT_DESCRIBE
-#define DV_GIT_DESCRIBE "unknown"
-#endif
-
 namespace dynvote {
 
 namespace {
@@ -47,7 +43,6 @@ std::uint64_t config_trajectory_hash(const SimulationConfig& config) {
     fnv.mix(static_cast<unsigned char>(c));
   }
   fnv.mix(config.seed);
-  fnv.mix(config.observer);
   fnv.mix(config.max_stabilization_rounds);
   return fnv.h;
 }
@@ -56,7 +51,6 @@ std::vector<std::byte> save_snapshot(const Simulation& sim) {
   Encoder enc;
   enc.put_string(kSnapshotSchema);
   enc.put_string(sim.gcs().algorithm(0).name());
-  enc.put_string(DV_GIT_DESCRIBE);
   enc.put_u64_fixed(config_trajectory_hash(sim.config()));
   sim.save(enc);
   return enc.take();
@@ -77,7 +71,6 @@ void restore_snapshot(Simulation& sim, std::span<const std::byte> bytes) {
                       "\", this simulation runs \"" + std::string(expected) +
                       "\"");
   }
-  (void)dec.get_string();  // producing build; informational only
   const std::uint64_t hash = dec.get_u64_fixed();
   if (hash != config_trajectory_hash(sim.config())) {
     throw DecodeError(

@@ -4,15 +4,15 @@
 // algorithm instances, in-flight messages, topology, RNG positions, and
 // mid-run progress -- behind a small self-describing envelope:
 //
-//   schema string   "dynvote.snapshot.v2"; any layout change bumps it, so
+//   schema string   "dynvote.snapshot.v3"; any layout change bumps it, so
 //                   stale snapshot bytes are rejected, never misread
 //                   (v2: the fault-model blob replaced the bare geometric
 //                   scheduler state, and the config hash covers the model
-//                   selection + parameters);
+//                   selection + parameters; v3: the producing build's
+//                   git describe string left the envelope, so the same
+//                   world saves the same bytes from any checkout, and the
+//                   observer left the config hash);
 //   algorithm id    the algorithm's name() string;
-//   git describe    the producing build, informational only (a snapshot is
-//                   portable across builds as long as schema + config
-//                   match);
 //   config hash     a fingerprint of every configuration field that shapes
 //                   the simulation trajectory.  Observability toggles
 //                   (check_invariants, measure_wire_sizes) are
@@ -34,11 +34,11 @@
 
 namespace dynvote {
 
-inline constexpr std::string_view kSnapshotSchema = "dynvote.snapshot.v2";
+inline constexpr std::string_view kSnapshotSchema = "dynvote.snapshot.v3";
 
 /// Fingerprint of the trajectory-determining SimulationConfig fields
 /// (processes, changes, rate, crash fraction, fault model + parameters,
-/// seed, observer, stabilization budget) -- NOT the observability toggles.
+/// seed, stabilization budget) -- NOT the observability toggles.
 std::uint64_t config_trajectory_hash(const SimulationConfig& config);
 
 /// Serialize `sim` behind the versioned envelope.

@@ -6,10 +6,15 @@
 // xoshiro256** (public domain, Blackman & Vigna) seeded via SplitMix64 --
 // fast, reproducible across platforms, and independent of libstdc++'s
 // distribution implementations (std::uniform_* are not portable bit-for-bit).
+//
+// Every stream is named by type: Rng(base, StreamTag::k*) seeds a generator
+// with child_seed(base, tag), and the only other way to build one is the
+// Rng::from_raw_seed factory, for the pinned seeds listed at it.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <string_view>
 
 #include "util/assert.hpp"
 
@@ -23,13 +28,71 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// Stable seed mixing for experiment cases: hash together a base seed and
+/// case coordinates (process count, change count, rate index, run index) so
+/// that the schedule depends on the case but never on the algorithm.
+constexpr std::uint64_t mix_seed(std::uint64_t base,
+                                 std::uint64_t a,
+                                 std::uint64_t b = 0,
+                                 std::uint64_t c = 0,
+                                 std::uint64_t d = 0) {
+  // Fold each coordinate through a full SplitMix64 avalanche so nearby
+  // coordinate tuples land in unrelated streams.
+  std::uint64_t s = base;
+  s = splitmix64(s) ^ (a + 0x9e3779b97f4a7c15ULL);
+  s = splitmix64(s) ^ (b + 0xd1b54a32d192ed03ULL);
+  s = splitmix64(s) ^ (c + 0x8cb92ba72f3d8dd7ULL);
+  s = splitmix64(s) ^ (d + 0xda942042e4dd58b5ULL);
+  return splitmix64(s);
+}
+
+/// Named per-subsystem RNG streams.  A stream is `Rng(base, tag)`, so
+/// adding a consumer of randomness can never perturb an existing stream:
+/// each tag is an independent SplitMix64 avalanche away from every other.
+/// A tag is a type, not an integer, so neither child_seed nor Rng accepts
+/// a loop counter or a literal where a tag belongs.
+enum class StreamTag : std::uint64_t {
+  kDelivery = 0xDE11u,
+  kSleepy = 0x51EE9u,
+  kRepair = 0x4E9A12u,
+  // The full-run microbenches seed one simulation per iteration; the two
+  // tags keep their schedule families disjoint from each other and from
+  // every simulation stream.
+  kBenchFullRun = 0xBE7CF1u,
+  kBenchFullRunUnchecked = 0xBE7CF2u,
+};
+
+/// The registry, listed once.  Two tags with one value are duplicate case
+/// labels, and a tag missing here trips -Werror=switch, so either fails
+/// to compile.
+constexpr std::string_view to_string(StreamTag tag) {
+  switch (tag) {
+    case StreamTag::kDelivery: return "delivery";
+    case StreamTag::kSleepy: return "sleepy";
+    case StreamTag::kRepair: return "repair";
+    case StreamTag::kBenchFullRun: return "bench-full-run";
+    case StreamTag::kBenchFullRunUnchecked: return "bench-full-run-unchecked";
+  }
+  return "unknown";
+}
+
+/// Derive the independent child seed for a tagged stream.
+constexpr std::uint64_t child_seed(std::uint64_t base, StreamTag tag) {
+  return mix_seed(base, static_cast<std::uint64_t>(tag));
+}
+
 /// xoshiro256** PRNG with convenience draws used by the simulator.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) {
-    std::uint64_t sm = seed;
-    for (auto& word : state_) word = splitmix64(sm);
-  }
+  /// Stream `tag` of `base`: seeded with child_seed(base, tag).
+  Rng(std::uint64_t base, StreamTag tag) : Rng(child_seed(base, tag)) {}
+
+  /// A generator seeded with `seed` as given.  Only for seeds that are
+  /// pinned or derived elsewhere: the geometric fault schedule (its raw
+  /// seed reproduces the committed baselines), the GCS's delivery stream
+  /// (the driver derives its seed with StreamTag::kDelivery), and the
+  /// fixed inputs of tests and microbenchmarks.
+  static Rng from_raw_seed(std::uint64_t seed) { return Rng(seed); }
 
   /// Next raw 64-bit draw.
   std::uint64_t next_u64() {
@@ -73,61 +136,22 @@ class Rng {
     return uniform() < p;
   }
 
-  /// Derive an independent child seed; used to give each run / subsystem its
-  /// own stream without correlating draws.
-  std::uint64_t fork_seed() { return next_u64(); }
-
   /// The full generator state, exposed for checkpoint/restore: a restored
   /// stream continues the draw sequence exactly where the saved one stopped.
   const std::array<std::uint64_t, 4>& state() const { return state_; }
   void set_state(const std::array<std::uint64_t, 4>& state) { state_ = state; }
 
  private:
+  explicit Rng(std::uint64_t seed) {
+    std::uint64_t sm = seed;
+    for (auto& word : state_) word = splitmix64(sm);
+  }
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
 
   std::array<std::uint64_t, 4> state_{};
 };
-
-/// Stable seed mixing for experiment cases: hash together a base seed and
-/// case coordinates (process count, change count, rate index, run index) so
-/// that the schedule depends on the case but never on the algorithm.
-constexpr std::uint64_t mix_seed(std::uint64_t base,
-                                 std::uint64_t a,
-                                 std::uint64_t b = 0,
-                                 std::uint64_t c = 0,
-                                 std::uint64_t d = 0) {
-  // Fold each coordinate through a full SplitMix64 avalanche so nearby
-  // coordinate tuples land in unrelated streams.
-  std::uint64_t s = base;
-  s = splitmix64(s) ^ (a + 0x9e3779b97f4a7c15ULL);
-  s = splitmix64(s) ^ (b + 0xd1b54a32d192ed03ULL);
-  s = splitmix64(s) ^ (c + 0x8cb92ba72f3d8dd7ULL);
-  s = splitmix64(s) ^ (d + 0xda942042e4dd58b5ULL);
-  return splitmix64(s);
-}
-
-// Named per-subsystem RNG stream tags.  Every stream a simulation uses is
-// `child_seed(config.seed, tag)` with a tag from this registry, so adding a
-// new consumer of randomness can never perturb an existing stream -- each
-// tag is an independent SplitMix64 avalanche away from every other.  The
-// one exception is the geometric fault schedule, which draws from the raw
-// seed directly: that stream reproduces the thesis's schedules and is
-// pinned forever by the committed bench baselines.
-inline constexpr std::uint64_t kDeliveryStreamTag = 0xDE11u;
-inline constexpr std::uint64_t kSleepyStreamTag = 0x51EE9u;
-inline constexpr std::uint64_t kRepairStreamTag = 0x4E9A12u;
-// The full-run microbenches seed one simulation per iteration; tagging the
-// two benches keeps their schedule families disjoint from each other and
-// from every simulation stream (they previously shared the same literal
-// seeds, so both benches timed identical schedules).
-inline constexpr std::uint64_t kBenchFullRunStreamTag = 0xBE7CF1u;
-inline constexpr std::uint64_t kBenchFullRunUncheckedStreamTag = 0xBE7CF2u;
-
-/// Derive the independent child seed for a tagged stream.
-constexpr std::uint64_t child_seed(std::uint64_t base, std::uint64_t tag) {
-  return mix_seed(base, tag);
-}
 
 }  // namespace dynvote

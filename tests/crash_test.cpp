@@ -39,11 +39,17 @@ TEST(Crash, CrashedProcessIsMutedAndExemptFromInvariants) {
   EXPECT_TRUE(all_in_primary(gcs, ProcessSet(4, {1, 2, 3})));
 }
 
-TEST(Crash, CannotCrashTwiceOrRecoverTheLiving) {
+TEST(Crash, CannotCrashTwiceRecoverTheLivingOrMergeTheDead) {
   Gcs gcs(AlgorithmKind::kYkd, 3);
   gcs.apply_crash(2);
   EXPECT_THROW(gcs.apply_crash(2), PreconditionViolation);
   EXPECT_THROW(gcs.apply_recovery(1), PreconditionViolation);
+  // A crashed process comes back through a recovery, never a merge.
+  const std::size_t dead = gcs.topology().component_of(2);
+  const std::size_t live = gcs.topology().component_of(0);
+  EXPECT_THROW(gcs.apply_merge(dead, live), PreconditionViolation);
+  EXPECT_THROW(gcs.apply_merge(live, dead), PreconditionViolation);
+  EXPECT_EQ(gcs.view_of(0).members, ProcessSet(3, {0, 1}));
 }
 
 TEST(Crash, RecoveryRejoinsThroughAMerge) {

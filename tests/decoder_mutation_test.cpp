@@ -91,7 +91,7 @@ int mutation_pass(const std::vector<std::byte>& valid, std::uint64_t seed,
                       decode) {
   EXPECT_FALSE(valid.empty());
   EXPECT_NO_THROW(decode(valid)) << "the unmutated input must decode";
-  Rng rng(seed);
+  Rng rng = Rng::from_raw_seed(seed);
   int rejected = 0;
   for (int i = 0; i < kMutants; ++i) {
     const std::vector<std::byte> mutant = mutate(valid, rng);

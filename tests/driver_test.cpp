@@ -101,10 +101,6 @@ TEST(Simulation, RejectsBadConfigs) {
   SimulationConfig too_small = base_config();
   too_small.processes = 1;
   EXPECT_THROW(Simulation{too_small}, PreconditionViolation);
-
-  SimulationConfig bad_observer = base_config();
-  bad_observer.observer = 99;
-  EXPECT_THROW(Simulation{bad_observer}, PreconditionViolation);
 }
 
 TEST(Simulation, ZeroRateMeansNoRoundsBetweenChanges) {

@@ -69,7 +69,7 @@ TEST_F(EnvTest, U64ParsesAndFallsBack) {
 }
 
 TEST_F(EnvTest, OutOfRangeValuesWarnInsteadOfClamping) {
-  // A negative number for an unsigned knob (DV_LEASE_MS=-5) would wrap
+  // A negative number for an unsigned knob (DV_FABRIC_PORT=-5) would wrap
   // under plain strtoull; it must warn as out-of-range and fall back.
   ::setenv(kName, "-5", 1);
   ::testing::internal::CaptureStderr();

@@ -4,7 +4,12 @@
 // exists, let alone mutates).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <compare>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/driver.hpp"
 #include "sim/fault_schedule.hpp"
@@ -120,6 +125,109 @@ TEST(FaultScheduler, SingleProcessTopologyRejected) {
   EXPECT_THROW(sched.next_change(topo), PreconditionViolation);
 }
 
+// --- the scheduler is total ------------------------------------------
+
+/// A world as the geometric scheduler sees it: the live components' sizes
+/// (descending) and the crashed count.  The scheduler never looks at
+/// process ids, so nothing else shapes a draw.
+struct SchedulerState {
+  std::vector<std::size_t> live;
+  std::size_t crashed = 0;
+  auto operator<=>(const SchedulerState&) const = default;
+};
+
+/// Every state reachable from `n` connected processes by a change the
+/// scheduler can draw: any split of a live component and any merge of two
+/// (unless `connectivity` is off, as at crash fraction 1.0), a crash while
+/// two processes live, and a recovery.
+std::set<SchedulerState> reachable_states(std::size_t n, bool connectivity) {
+  std::set<SchedulerState> seen;
+  std::vector<SchedulerState> todo{{{n}, 0}};
+  while (!todo.empty()) {
+    const SchedulerState s = todo.back();
+    todo.pop_back();
+    if (!seen.insert(s).second) continue;
+    const auto push = [&](std::vector<std::size_t> live, std::size_t crashed) {
+      std::sort(live.rbegin(), live.rend());
+      todo.push_back({std::move(live), crashed});
+    };
+    for (std::size_t i = 0; i < s.live.size(); ++i) {
+      for (std::size_t k = 1; connectivity && k < s.live[i]; ++k) {
+        std::vector<std::size_t> live = s.live;
+        live[i] -= k;
+        live.push_back(k);
+        push(live, s.crashed);
+      }
+      for (std::size_t j = i + 1; connectivity && j < s.live.size(); ++j) {
+        std::vector<std::size_t> live = s.live;
+        live[i] += live[j];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(j));
+        push(live, s.crashed);
+      }
+      if (n - s.crashed >= 2) {
+        std::vector<std::size_t> live = s.live;
+        if (--live[i] == 0) {
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        push(live, s.crashed + 1);
+      }
+    }
+    if (s.crashed > 0) {
+      std::vector<std::size_t> live = s.live;
+      live.push_back(1);
+      push(live, s.crashed - 1);
+    }
+  }
+  return seen;
+}
+
+/// A Gcs of `n` processes in `state`: the highest ids crashed, the live
+/// ones split into components of the listed sizes in id order.
+Gcs realize(const SchedulerState& state, std::size_t n) {
+  Gcs gcs(AlgorithmKind::kSimpleMajority, n);
+  for (std::size_t k = 0; k < state.crashed; ++k) {
+    gcs.apply_crash(static_cast<ProcessId>(n - 1 - k));
+  }
+  const std::size_t alive = n - state.crashed;
+  std::size_t first = 0;
+  for (std::size_t i = 0; i + 1 < state.live.size(); ++i) {
+    first += state.live[i];
+    ProcessSet rest(n);
+    for (std::size_t p = first; p < alive; ++p) {
+      rest.insert(static_cast<ProcessId>(p));
+    }
+    gcs.apply_partition(
+        gcs.topology().component_of(static_cast<ProcessId>(first)), rest);
+  }
+  return gcs;
+}
+
+TEST(FaultScheduler, TotalOverEveryReachableStateUpToEightProcesses) {
+  // The geometric model's apply_next is next_change applied through the
+  // Gcs, whose apply_* calls reject an infeasible change.
+  for (const double crash_fraction : {0.3, 1.0}) {
+    for (std::size_t n = 2; n <= 8; ++n) {
+      const std::set<SchedulerState> states =
+          reachable_states(n, crash_fraction < 1.0);
+      for (const SchedulerState& state : states) {
+        for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " crashed=" << state.crashed
+                       << " components=" << state.live.size()
+                       << " fraction=" << crash_fraction << " seed=" << seed);
+          Gcs gcs = realize(state, n);
+          ASSERT_EQ(gcs.crashed().count(), state.crashed);
+          ASSERT_EQ(gcs.topology().component_count(),
+                    state.live.size() + state.crashed);
+          GeometricFaultModel model(seed, 0.0, crash_fraction);
+          ASSERT_NO_THROW(model.apply_next(gcs));
+          EXPECT_LT(gcs.crashed().count(), n);
+        }
+      }
+    }
+  }
+}
+
 // --- trace replay: the decoder's negative space -----------------------
 
 const char* const kGoodTrace = R"({
@@ -215,6 +323,31 @@ TEST(TraceReplay, UnknownMembersAreRejected) {
     "events": [{"at": 1, "kind": "crash", "process": 1, "extra": true}]
   })";
   EXPECT_THROW(parse_trace(doc, 8), DecodeError);
+}
+
+TEST(TraceReplay, MergeOfACrashedProcessThrows) {
+  // A crashed process comes back only through a recovery.  Merged back in,
+  // it would sit in the view never polled, and the live majority's
+  // exchange would wait for it forever.
+  for (const AlgorithmKind kind :
+       {AlgorithmKind::kYkd, AlgorithmKind::kOnePending}) {
+    SimulationConfig config;
+    config.algorithm = kind;
+    config.processes = 4;
+    config.changes_per_run = 2;
+    config.fault_model.kind = FaultModelKind::kTrace;
+    config.fault_model.trace_json = R"({
+      "schema": "dynvote.trace.v1",
+      "processes": 4,
+      "events": [
+        {"at": 2, "kind": "crash", "process": 1},
+        {"at": 6, "kind": "merge", "of": [1, 0]}
+      ]
+    })";
+    Simulation sim(config);
+    EXPECT_THROW((void)sim.run_once(), PreconditionViolation)
+        << to_string(kind);
+  }
 }
 
 TEST(TraceReplay, BadTraceThrowsBeforeSimulationStateExists) {

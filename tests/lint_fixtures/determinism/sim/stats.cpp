@@ -2,7 +2,8 @@
 //   1. unseeded libc randomness            (rand)
 //   2. a wall-clock read                   (time)
 //   3. a pointer-keyed ordered container   (std::map<const Widget*, ...>)
-//   4. range-for over an unordered map     (samples)
+//   4. an unordered container, wherever it is named: the include, a
+//      `using` alias and a local           (unordered_map, unordered_multimap)
 #include <cstdlib>
 #include <ctime>
 #include <map>
@@ -11,6 +12,7 @@
 namespace fixture {
 
 struct Widget {};
+using Samples = std::unordered_map<int, double>;
 
 double noisy_mean() {
   const int jitter = rand();
@@ -18,13 +20,14 @@ double noisy_mean() {
 
   std::map<const Widget*, int> by_address;
 
-  std::unordered_map<int, double> samples;
+  Samples samples;
+  std::unordered_multimap<int, int> links;
   double total = 0.0;
   for (const auto& [id, value] : samples) {
     total += value;
   }
   return total + jitter + static_cast<double>(stamp) +
-         static_cast<double>(by_address.size());
+         static_cast<double>(by_address.size() + links.size());
 }
 
 }  // namespace fixture

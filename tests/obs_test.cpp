@@ -25,6 +25,30 @@ TEST(Trace, DisabledEmitsNothing) {
   }
 }
 
+// An emission site computes the same thing whether or not tracing is
+// armed: each argument runs once per emission either way.
+TEST(Trace, ArgumentsRunOnceArmedOrNot) {
+  int runs = 0;
+  const auto counted = [&runs] { return ++runs; };
+  ASSERT_FALSE(trace_enabled());
+  DV_TRACE_INSTANT("once", counted(), counted());
+  { DV_TRACE_SPAN("once_span", counted(), counted()); }
+  EXPECT_EQ(runs, 4);
+
+  trace_enable(64);
+  DV_TRACE_INSTANT("once", counted(), counted());
+  { DV_TRACE_SPAN("once_span", counted(), counted()); }
+  trace_disable();
+  EXPECT_EQ(runs, 8);
+
+  const TraceFile file = trace_drain();
+  ASSERT_EQ(file.events.size(), 3u);
+  EXPECT_EQ(file.events[0].a0, 5u);
+  EXPECT_EQ(file.events[0].a1, 6u);
+  EXPECT_EQ(file.events[1].a0, 7u);
+  EXPECT_EQ(file.events[1].a1, 8u);
+}
+
 TEST(Trace, RecordsSpansAndInstantsInOrder) {
   trace_enable(64);
   {

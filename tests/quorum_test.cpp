@@ -57,7 +57,7 @@ class SubquorumIntersection : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SubquorumIntersection, RandomSubquorumsAlwaysIntersect) {
   const std::size_t n = GetParam();
-  Rng rng(0xABCD + n);
+  Rng rng = Rng::from_raw_seed(0xABCD + n);
   const ProcessSet of = ProcessSet::full(n);
 
   const auto random_subset = [&]() {

@@ -10,10 +10,12 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/payload.hpp"
+#include "runner/artifact.hpp"
 #include "sim/experiment.hpp"
 #include "sim/snapshot.hpp"
 #include "sim_test_util.hpp"
@@ -59,7 +61,8 @@ TEST(Snapshot, InterruptRoundTripResumeReproducesEveryAlgorithm) {
     }
 
     // Interrupt points are seeded per algorithm, not hand-picked.
-    Rng salt(mix_seed(0xC0FFEEu, static_cast<std::uint64_t>(kind)));
+    Rng salt = Rng::from_raw_seed(
+        mix_seed(0xC0FFEEu, static_cast<std::uint64_t>(kind)));
     const std::size_t interrupt_run = salt.below(kRuns);
     const std::size_t interrupt_event = 1 + salt.below(60);
 
@@ -187,10 +190,24 @@ TEST(Snapshot, VersionBumpedSchemaIsRejected) {
   // put_string writes a varint length then the characters; the schema is
   // the first field, so its trailing version digit sits at offset 1+len-1.
   const std::size_t version_digit = kSnapshotSchema.size();
-  ASSERT_EQ(static_cast<char>(bytes.at(version_digit)), '2');
-  bytes.at(version_digit) = std::byte{'3'};
+  ASSERT_EQ(static_cast<char>(bytes.at(version_digit)), kSnapshotSchema.back());
+  bytes.at(version_digit) = std::byte{static_cast<unsigned char>(
+      kSnapshotSchema.back() + 1)};
   Simulation target(small_config(AlgorithmKind::kYkd));
   EXPECT_THROW(restore_snapshot(target, bytes), DecodeError);
+}
+
+TEST(Snapshot, BytesDoNotNameTheBuild) {
+  // The same world saves the same bytes from any checkout of the same
+  // source, whatever git says about it.
+  Simulation sim(small_config(AlgorithmKind::kYkd));
+  (void)sim.run_once();
+  const std::vector<std::byte> bytes = save_snapshot(sim);
+  const std::string_view text(reinterpret_cast<const char*>(bytes.data()),
+                              bytes.size());
+  const std::string_view build = artifact_git_describe();
+  ASSERT_FALSE(build.empty());
+  EXPECT_EQ(text.find(build), std::string_view::npos) << build;
 }
 
 TEST(Snapshot, AlgorithmMismatchIsRejected) {
@@ -678,7 +695,8 @@ TEST(Snapshot, PrivatePayloadCopiesDecideLikeSharedOnes) {
     }
     // Plus arbitrary memberships, so some view is a subquorum of one
     // member's history but not of another's.
-    Rng pick(mix_seed(0x5AEEDu, static_cast<std::uint64_t>(kind)));
+    Rng pick = Rng::from_raw_seed(
+        mix_seed(0x5AEEDu, static_cast<std::uint64_t>(kind)));
     while (views.size() < components.size() + 48) {
       ProcessSet members(config.processes);
       for (ProcessId p = 0; p < config.processes; ++p) {
