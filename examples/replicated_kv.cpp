@@ -11,7 +11,9 @@
 //
 // The demo partitions a 5-replica store, shows the minority refusing
 // writes while the majority continues, heals the partition, and verifies
-// all replicas converge.
+// all replicas converge.  It exits 1 if any claim it prints fails: a write
+// refused inside the primary, a write accepted outside it, or replicas
+// that differ after the heal.
 //
 // Build & run:  ./build/examples/replicated_kv
 #include <iostream>
@@ -143,6 +145,14 @@ class ReplicatedStore {
 
   const Gcs& gcs() const { return gcs_; }
 
+  /// Do all replicas hold the same data?
+  bool converged() const {
+    for (const KvReplica& r : replicas_) {
+      if (r.data() != replicas_.front().data()) return false;
+    }
+    return true;
+  }
+
  private:
   void settle() {
     while (gcs_.step_round()) checker_.check(gcs_);
@@ -180,37 +190,48 @@ void show(const ReplicatedStore& store, ProcessId replica,
 
 int main() {
   ReplicatedStore store(5);
+  bool claims_hold = true;
+  // Submits a write, prints its outcome, and notes a failed claim unless
+  // the outcome is `expect_accepted`.
+  const auto write = [&](ProcessId replica, const std::string& key,
+                         const std::string& value, bool expect_accepted) {
+    const bool accepted = store.write(replica, key, value);
+    std::cout << "  write(replica " << replica << ", " << key << " = "
+              << value << "): " << (accepted ? "ACCEPTED" : "REFUSED");
+    if (accepted != expect_accepted) claims_hold = false;
+  };
 
   std::cout << "All five replicas connected; any replica accepts writes:\n";
-  std::cout << "  write(replica 0, user:42 = alice): "
-            << (store.write(0, "user:42", "alice") ? "ACCEPTED" : "REFUSED")
-            << '\n';
+  write(0, "user:42", "alice", true);
+  std::cout << '\n';
   show(store, 4, "user:42");
 
   std::cout << "\nPartition {3,4} away.  The majority {0,1,2} keeps the "
                "primary:\n";
   store.partition(ProcessSet(5, {3, 4}));
-  std::cout << "  write(replica 0, user:42 = bob): "
-            << (store.write(0, "user:42", "bob") ? "ACCEPTED" : "REFUSED")
-            << '\n';
-  std::cout << "  write(replica 4, user:42 = mallory): "
-            << (store.write(4, "user:42", "mallory") ? "ACCEPTED" : "REFUSED")
-            << "   <- minority cannot accept writes\n";
+  write(0, "user:42", "bob", true);
+  std::cout << '\n';
+  write(4, "user:42", "mallory", false);
+  std::cout << "   <- minority cannot accept writes\n";
   show(store, 0, "user:42");
   show(store, 4, "user:42");
 
   std::cout << "\nThe primary component can keep shrinking (dynamic "
                "voting): partition {2} away from {0,1,2}:\n";
   store.partition(ProcessSet(5, {2}));
-  std::cout << "  write(replica 0, user:43 = carol): "
-            << (store.write(0, "user:43", "carol") ? "ACCEPTED" : "REFUSED")
-            << "   <- {0,1} is a majority of {0,1,2}\n";
+  write(0, "user:43", "carol", true);
+  std::cout << "   <- {0,1} is a majority of {0,1,2}\n";
 
   std::cout << "\nHeal everything; replicas converge on the primary's "
                "history:\n";
   store.heal_all();
   show(store, 3, "user:42");
   show(store, 4, "user:43");
+  if (!store.converged()) claims_hold = false;
   std::cout << "  (no write was ever accepted in two places at once)\n";
+  if (!claims_hold) {
+    std::cerr << "replicated_kv: a claim above does not hold\n";
+    return 1;
+  }
   return 0;
 }

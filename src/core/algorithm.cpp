@@ -19,6 +19,11 @@ PrimaryComponentAlgorithm::PrimaryComponentAlgorithm(ProcessId self,
              "process must be a member of its initial view");
 }
 
+void PrimaryComponentAlgorithm::incoming_messages(
+    std::span<const Delivery> batch) {
+  for (const Delivery& d : batch) (void)incoming_message(*d.message, d.sender);
+}
+
 void PrimaryComponentAlgorithm::save(Encoder& /*enc*/) const {
   throw std::logic_error("algorithm \"" + std::string(name()) +
                          "\" does not implement snapshotting");

@@ -12,7 +12,14 @@
 //    initial view.
 //  * Every received message is passed through `incoming_message`, which
 //    strips and consumes any piggybacked protocol payload and returns the
-//    application part.
+//    application part.  A host whose application has no use for those
+//    parts may pass several received messages through `incoming_messages`
+//    in one call instead: same messages, same order, application parts
+//    dropped.  Its default calls `incoming_message` on each message, so an
+//    algorithm (or a decorator) that implements only `incoming_message`
+//    sees every receipt.  Either way a process receives messages in the
+//    order they were sent; how receipts at different processes interleave
+//    is unspecified, since no process reads another's state.
 //  * Every outgoing message -- and, after each receipt or view change, an
 //    empty poll -- is passed through `outgoing_message_poll`.  A non-null
 //    result must be multicast to the current view in place of the original.
@@ -24,6 +31,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,6 +86,8 @@ struct AlgorithmDebugInfo {
   bool blocked = false;
   /// Current value of the session counter, where the algorithm has one.
   SessionNumber session_number = 0;
+
+  bool operator==(const AlgorithmDebugInfo&) const = default;
 };
 
 class PrimaryComponentAlgorithm {
@@ -94,6 +104,12 @@ class PrimaryComponentAlgorithm {
   /// with the protocol payload stripped; the application must not look at
   /// the original.
   virtual Message incoming_message(Message message, ProcessId sender) = 0;
+
+  /// Pass received messages through the algorithm in `batch` order,
+  /// dropping their application parts.  The simulated GCS hands each
+  /// recipient a round's messages, or a flush's, in one such call.  The
+  /// default calls incoming_message on each message in turn.
+  virtual void incoming_messages(std::span<const Delivery> batch);
 
   /// Offer an outgoing application message (possibly empty).  Returns the
   /// message to multicast instead -- with protocol state piggybacked -- or

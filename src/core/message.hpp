@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/payload.hpp"
+#include "core/types.hpp"
 
 namespace dynvote {
 
@@ -37,6 +38,15 @@ struct Message {
   /// of `universe` processes (see decode_payload).
   std::vector<std::byte> serialize() const;
   static Message parse(std::span<const std::byte> bytes, std::size_t universe);
+};
+
+/// One received message in a batch (PrimaryComponentAlgorithm::
+/// incoming_messages): its sender, and the message, which the batch does
+/// not own -- whoever hands the batch out keeps the message alive for the
+/// call.
+struct Delivery {
+  ProcessId sender = 0;
+  const Message* message = nullptr;
 };
 
 }  // namespace dynvote

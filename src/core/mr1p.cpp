@@ -98,33 +98,41 @@ void Mr1p::try_new() {
 }
 
 Message Mr1p::incoming_message(Message message, ProcessId sender) {
-  PayloadPtr payload = std::move(message.protocol);
+  if (message.protocol != nullptr) receive(*message.protocol, sender);
   message.protocol = nullptr;
-  if (payload == nullptr) return message;
-  if (payload->view_id != current_view_.id) return message;
+  return message;
+}
 
-  switch (payload->type()) {
+void Mr1p::incoming_messages(std::span<const Delivery> batch) {
+  for (const Delivery& d : batch) {
+    if (d.message->protocol != nullptr) receive(*d.message->protocol, d.sender);
+  }
+}
+
+void Mr1p::receive(const ProtocolPayload& payload, ProcessId sender) {
+  if (payload.view_id != current_view_.id) return;
+
+  switch (payload.type()) {
     case PayloadType::kMr1pPending:
-      handle_pending(static_cast<const Mr1pPendingPayload&>(*payload), sender);
+      handle_pending(static_cast<const Mr1pPendingPayload&>(payload), sender);
       break;
     case PayloadType::kMr1pReply:
-      handle_reply(static_cast<const Mr1pReplyPayload&>(*payload), sender);
+      handle_reply(static_cast<const Mr1pReplyPayload&>(payload), sender);
       break;
     case PayloadType::kMr1pResolve:
-      handle_resolve(static_cast<const Mr1pResolvePayload&>(*payload), sender);
+      handle_resolve(static_cast<const Mr1pResolvePayload&>(payload), sender);
       break;
     case PayloadType::kMr1pPropose:
-      handle_propose(static_cast<const Mr1pProposePayload&>(*payload), sender);
+      handle_propose(static_cast<const Mr1pProposePayload&>(payload), sender);
       break;
     case PayloadType::kMr1pAttempt:
-      handle_attempt(static_cast<const Mr1pAttemptPayload&>(*payload), sender);
+      handle_attempt(static_cast<const Mr1pAttemptPayload&>(payload), sender);
       break;
     case PayloadType::kStateExchange:
     case PayloadType::kAttempt:
     case PayloadType::kGcRound:
       break;  // not an MR1p payload; ignore
   }
-  return message;
 }
 
 std::optional<Message> Mr1p::outgoing_message_poll(const Message& app) {

@@ -72,6 +72,7 @@ class Mr1p final : public PrimaryComponentAlgorithm {
 
   void view_changed(const View& view) override;
   Message incoming_message(Message message, ProcessId sender) override;
+  void incoming_messages(std::span<const Delivery> batch) override;
   std::optional<Message> outgoing_message_poll(const Message& app) override;
   bool in_primary() const override { return in_primary_; }
   std::string_view name() const override { return "mr1p"; }
@@ -81,6 +82,9 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   void load(Decoder& dec) override;
 
  private:
+  /// The protocol's reaction to one received payload from `sender`; both
+  /// entry points run it.
+  void receive(const ProtocolPayload& payload, ProcessId sender);
   void try_new();
   void stage(PayloadRef<ProtocolPayload> payload);
   void handle_pending(const Mr1pPendingPayload& payload, ProcessId sender);

@@ -17,6 +17,8 @@ class SimpleMajority final : public PrimaryComponentAlgorithm {
 
   void view_changed(const View& view) override;
   Message incoming_message(Message message, ProcessId sender) override;
+  /// Message-free: a batch carries nothing for it to read.
+  void incoming_messages(std::span<const Delivery> /*batch*/) override {}
   std::optional<Message> outgoing_message_poll(const Message& app) override;
   bool in_primary() const override { return in_primary_; }
   std::string_view name() const override { return "simple-majority"; }

@@ -75,12 +75,20 @@ void YkdFamilyBase::stage(PayloadRef<ProtocolPayload> payload) {
 }
 
 Message YkdFamilyBase::incoming_message(Message message, ProcessId sender) {
-  PayloadPtr payload = std::move(message.protocol);
+  if (message.protocol != nullptr) receive(message.protocol, sender);
   message.protocol = nullptr;
-  if (payload == nullptr) return message;
+  return message;
+}
 
+void YkdFamilyBase::incoming_messages(std::span<const Delivery> batch) {
+  for (const Delivery& d : batch) {
+    if (d.message->protocol != nullptr) receive(d.message->protocol, d.sender);
+  }
+}
+
+void YkdFamilyBase::receive(const PayloadPtr& payload, ProcessId sender) {
   // Discard traffic from any view other than the current one.
-  if (payload->view_id != current_view_.id) return message;
+  if (payload->view_id != current_view_.id) return;
 
   switch (payload->type()) {
     case PayloadType::kStateExchange: {
@@ -88,7 +96,7 @@ Message YkdFamilyBase::incoming_message(Message message, ProcessId sender) {
       DV_ASSERT_MSG(current_view_.members.contains(sender),
                     "state from a non-member of the current view");
       states_.set(sender, static_payload_cast<const StateExchangePayload>(
-                              std::move(payload)));
+                              PayloadPtr(payload)));
       if (states_.size() == view_size_) on_exchange_complete();
       break;
     }
@@ -111,7 +119,6 @@ Message YkdFamilyBase::incoming_message(Message message, ProcessId sender) {
       handle_extra_payload(*payload, sender);
       break;
   }
-  return message;
 }
 
 std::optional<Message> YkdFamilyBase::outgoing_message_poll(const Message& app) {

@@ -137,10 +137,16 @@ class StateExchangeTable {
   /// Number of distinct processes whose state has been received.
   std::size_t size() const { return count_; }
 
-  /// Drop every held state, keeping the slot storage.
+  /// Drop every held state, keeping the slot storage.  Stops at the last
+  /// held slot, so clearing the empty table a view change usually finds
+  /// costs one compare.
   void clear() {
-    for (Ptr& slot : slots_) slot = nullptr;
-    count_ = 0;
+    for (std::size_t q = 0; count_ > 0 && q < slots_.size(); ++q) {
+      if (slots_[q]) {
+        slots_[q] = nullptr;
+        --count_;
+      }
+    }
   }
 
   const_iterator begin() const { return const_iterator(this, 0); }
@@ -154,7 +160,10 @@ class StateExchangeTable {
 class YkdFamilyBase : public PrimaryComponentAlgorithm {
  public:
   void view_changed(const View& view) override;
-  Message incoming_message(Message message, ProcessId sender) override;
+  /// Both entry points run receive() on each protocol payload; variants
+  /// hook into it through handle_extra_payload, never around it.
+  Message incoming_message(Message message, ProcessId sender) final;
+  void incoming_messages(std::span<const Delivery> batch) final;
   std::optional<Message> outgoing_message_poll(const Message& app) override;
   bool in_primary() const override { return in_primary_; }
   AlgorithmDebugInfo debug_info() const override;
@@ -255,6 +264,8 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
  private:
   enum class Stage { kIdle, kExchanging, kAttempting };
 
+  /// The protocol's reaction to one received payload from `sender`.
+  void receive(const PayloadPtr& payload, ProcessId sender);
   void on_exchange_complete();
   /// The completed exchange's verdict: the memo on the lowest member's
   /// payload when it holds this view and variant, else evaluated here and

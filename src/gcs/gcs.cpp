@@ -62,15 +62,14 @@ const View& Gcs::view_of(ProcessId id) const {
   return installed_views_[id];
 }
 
-void Gcs::deliver(const Message& message, ProcessId sender,
+void Gcs::deliver(std::span<const Delivery> batch,
                   const ProcessSet& recipients) {
-  deliveries_ += recipients.count();
+  deliveries_ += batch.size() * recipients.count();
   due_.insert_all(recipients);
-  // The application-side return value (the stripped message) is dropped:
-  // the simulated application has no payload traffic of its own.
-  recipients.for_each([&](ProcessId r) {
-    (void)algorithms_[r]->incoming_message(message, sender);
-  });
+  // The batch form drops the application parts: the simulated application
+  // has no payload traffic of its own.
+  recipients.for_each(
+      [&](ProcessId r) { algorithms_[r]->incoming_messages(batch); });
 }
 
 void Gcs::record_send(const Message& message) {
@@ -178,9 +177,9 @@ void Gcs::apply_crash(ProcessId p, Network::CrossDeliveryFn crosses) {
   // A dead process receives nothing; its own in-flight multicasts may
   // still escape to the survivors.  The lambda is a named local, so the
   // non-owning callback references stay valid for both flush calls.
-  const auto deliver_fn = [this, &lone](const Message& m, ProcessId s,
+  const auto deliver_fn = [this, &lone](std::span<const Delivery> batch,
                                         const ProcessSet& recipients) {
-    deliver(m, s, recipients.minus(lone));
+    deliver(batch, recipients.minus(lone));
   };
 
   const CoinCallback coin_cb{this};

@@ -17,14 +17,17 @@
 // rounds, and a connectivity change injected between rounds interrupts
 // them, which is the phenomenon under study.
 //
-// Each multicast is one call into the Gcs, in the round and in the flushes
-// alike: its recipients are counted and made due as a set, then handed the
-// message one by one.
+// Delivery is batched, in the round and in the flushes alike: the network
+// hands the Gcs every multicast that reaches one recipient set as one
+// batch, in send order.  The set is counted and made due once, then each
+// recipient gets the whole batch in one incoming_messages call -- one call
+// per member per round, not one per message.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/algorithm.hpp"
@@ -182,10 +185,9 @@ class Gcs {
 
  private:
   void install_view(const ProcessSet& members);
-  /// One multicast reaching `recipients`: counted and made due once for
-  /// the set, then handed to each recipient in ascending id order.
-  void deliver(const Message& message, ProcessId sender,
-               const ProcessSet& recipients);
+  /// A batch reaching `recipients`: counted and made due once for the set,
+  /// then handed whole to each recipient in ascending id order.
+  void deliver(std::span<const Delivery> batch, const ProcessSet& recipients);
   void record_send(const Message& message);
   void measure_wire(const Message& message);
 
@@ -195,9 +197,9 @@ class Gcs {
   /// the std::function each round used to allocate for.
   struct DeliverCallback {
     Gcs* gcs;
-    void operator()(const Message& m, ProcessId s,
+    void operator()(std::span<const Delivery> batch,
                     const ProcessSet& recipients) const {
-      gcs->deliver(m, s, recipients);
+      gcs->deliver(batch, recipients);
     }
   };
   struct CoinCallback {

@@ -16,10 +16,12 @@
 //    merged view is installed (a merge does not destroy connectivity).
 //
 // Messages in components unaffected by a change stay queued and are
-// delivered normally at the next round.  Every path hands a multicast to
-// the receiver once per recipient set (DeliverFn), never per recipient.
+// delivered normally at the next round.  Every path hands the receiver
+// batches (DeliverFn): all the multicasts that reach one recipient set, in
+// send order, in one call -- never one call per multicast or per recipient.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/message.hpp"
@@ -33,17 +35,17 @@ class Decoder;
 
 class Network {
  public:
-  /// Called once per delivered multicast: `message` from `sender` reaches
-  /// every process in `recipients`, in ascending id order.  One call per
-  /// multicast, not per recipient, so the receiver does its bookkeeping
-  /// (delivery count, due set) once per set.  A non-owning reference
-  /// (util/function_ref.hpp): callers keep the callable alive for the
-  /// duration of the call, which every caller in the simulator does
-  /// trivially -- the callbacks are locals or members of the Gcs that owns
-  /// this network.
-  using DeliverFn =
-      FunctionRef<void(const Message& message, ProcessId sender,
-                       const ProcessSet& recipients)>;
+  /// Called once per batch: every message in `batch`, in send order,
+  /// reaches every process in `recipients`.  One call per recipient set,
+  /// so the receiver does its bookkeeping (delivery count, due set) once
+  /// per set and hands each recipient the whole batch.  The batch points
+  /// into the network and is valid only for the call.  A non-owning
+  /// reference (util/function_ref.hpp): callers keep the callable alive
+  /// for the duration of the call, which every caller in the simulator
+  /// does trivially -- the callbacks are locals or members of the Gcs that
+  /// owns this network.
+  using DeliverFn = FunctionRef<void(std::span<const Delivery> batch,
+                                     const ProcessSet& recipients)>;
 
   /// Decides, per in-flight multicast, whether it crosses to the far side
   /// of a partition before connectivity is lost.
@@ -52,22 +54,28 @@ class Network {
   /// Queue a multicast from `sender`, scoped to its component at send time.
   void send(ProcessId sender, ProcessSet scope, Message message);
 
-  /// Deliver every queued multicast to its whole scope, in send order.
-  /// Returns the number of (message, recipient) deliveries made.  Not
-  /// reentrant (a delivery must not call back into deliver_all; sends
-  /// during delivery are fine and queue for the next round).
+  /// Deliver every queued multicast to its whole scope: one batch per
+  /// scope, in send order, the batches in order of their first multicast.
+  /// Returns the number of (message, recipient) deliveries made.  Throws
+  /// PreconditionViolation, delivering nothing, when two queued scopes
+  /// overlap without being equal, which the Gcs never queues: it scopes
+  /// every send to the sender's component.  Not reentrant (a delivery must
+  /// not call back into deliver_all; sends during delivery are fine and
+  /// queue for the next round).
   std::size_t deliver_all(DeliverFn deliver);
 
   /// Flush messages scoped to `component` because it is about to partition
   /// into `side_a` and `side_b`: each message reaches its sender's side
-  /// unconditionally and then, in a second call, the opposite side iff
-  /// `crosses(sender)`.  Other queued messages are untouched.
+  /// unconditionally and the opposite side iff `crosses(sender)`, asked
+  /// once per flushed message in send order.  Each side gets one batch, in
+  /// send order: side_a first, then side_b.  Other queued messages are
+  /// untouched.
   void flush_for_partition(const ProcessSet& component,
                            const ProcessSet& side_a, const ProcessSet& side_b,
                            DeliverFn deliver, CrossDeliveryFn crosses);
 
   /// Flush messages scoped to `component` (about to merge) to their full
-  /// scope.  Other queued messages are untouched.
+  /// scope, as one batch.  Other queued messages are untouched.
   void flush_for_merge(const ProcessSet& component, DeliverFn deliver);
 
   bool idle() const { return in_flight_.empty(); }
@@ -75,7 +83,8 @@ class Network {
 
   void encode(Encoder& enc) const;
   /// Throws DecodeError on a multicast whose scope is drawn over a universe
-  /// other than `universe`, or whose sender is outside its scope.
+  /// other than `universe`, whose sender is outside its scope, or whose
+  /// scope overlaps another's without being equal.
   static Network decode(Decoder& dec, std::size_t universe);
 
  private:
@@ -85,6 +94,22 @@ class Network {
     Message message;
   };
 
+  /// The multicasts of one scope, and where deliver_all lays out their
+  /// batch in batch_.
+  struct Group {
+    std::size_t first;  // index of its first multicast, whose scope it has
+    std::size_t begin = 0;
+    std::size_t size = 0;
+  };
+
+  /// Lists the distinct scopes of `multicasts` in groups_, in order of
+  /// first appearance.  False when a scope overlaps a group's without
+  /// being equal to it.  The check runs against the union of the groups'
+  /// scopes so far: a sender it covers must have its group's scope, and a
+  /// new scope must miss every group.  Once it passes, a multicast is in a
+  /// group exactly when its sender is in the group's scope.
+  bool group_by_scope(const std::vector<Multicast>& multicasts);
+
   std::vector<Multicast> in_flight_;
   /// Round-delivery staging: deliver_all swaps in_flight_ here so sends
   /// triggered by deliveries queue for the next round.  Keeping the buffer
@@ -93,6 +118,15 @@ class Network {
   std::vector<Multicast> batch_scratch_;  // dvlint: transient(empty between rounds)
   /// Same idea for the flush paths' surviving-message rebuild.
   std::vector<Multicast> kept_scratch_;  // dvlint: transient(empty between flushes)
+  /// The batches handed out: deliver_all's groups back to back, a merge
+  /// flush's one batch, or a partition flush's side_a batch (side_b's is
+  /// side_b_batch_).  Capacity kept across calls, contents dead between
+  /// them.
+  std::vector<Delivery> batch_;  // dvlint: transient(rebuilt by every delivery)
+  std::vector<Delivery>
+      side_b_batch_;  // dvlint: transient(rebuilt by every flush)
+  /// group_by_scope's output, rebuilt by every call.
+  std::vector<Group> groups_;  // dvlint: transient(rebuilt by every grouping)
 };
 
 }  // namespace dynvote

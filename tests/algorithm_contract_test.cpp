@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/algorithm.hpp"
@@ -98,30 +100,39 @@ TEST_P(AlgorithmContract, ViewChangeClearsPrimaryUntilReestablished) {
 }
 
 TEST_P(AlgorithmContract, IgnoresPayloadsFromOtherViews) {
-  const auto alg = fresh();
-  // A singleton view: no algorithm may consider it primary without a
-  // protocol exchange (and simple majority: 1 of 4 is no quorum).
-  alg->view_changed(View{5, ProcessSet(4, {0})});
-
-  // Feed it every payload type stamped with a stale view id; none may
-  // disturb it (no crash, no primary, and its own round-1 send intact).
-  const auto feed = [&](PayloadRef<ProtocolPayload> p) {
+  // Every payload type, stamped with a stale view id.
+  std::vector<Message> stale;
+  const auto add = [&](PayloadRef<ProtocolPayload> p) {
     p->view_id = 4;
-    Message m;
-    m.protocol = std::move(p);
-    (void)alg->incoming_message(std::move(m), 1);
+    stale.emplace_back().protocol = std::move(p);
   };
   auto state = make_payload<StateExchangePayload>();
   state->last_primary = Session{0, ProcessSet::full(4)};
   state->last_formed.assign(4, Session{0, ProcessSet::full(4)});
-  feed(state);
-  feed(make_payload<AttemptPayload>());
-  feed(make_payload<GcRoundPayload>());
-  feed(make_payload<Mr1pPendingPayload>());
-  feed(make_payload<Mr1pProposePayload>());
-  feed(make_payload<Mr1pAttemptPayload>());
+  add(state);
+  add(make_payload<AttemptPayload>());
+  add(make_payload<GcRoundPayload>());
+  add(make_payload<Mr1pPendingPayload>());
+  add(make_payload<Mr1pProposePayload>());
+  add(make_payload<Mr1pAttemptPayload>());
 
-  EXPECT_FALSE(alg->in_primary());
+  // None may disturb a process in a singleton view (no crash, no primary,
+  // its own round-1 send intact), whichever entry point it comes through.
+  // No algorithm may consider a singleton view primary without a protocol
+  // exchange (and simple majority: 1 of 4 is no quorum).
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "incoming_messages" : "incoming_message");
+    const auto alg = fresh();
+    alg->view_changed(View{5, ProcessSet(4, {0})});
+    if (batched) {
+      std::vector<Delivery> batch;
+      for (const Message& m : stale) batch.push_back(Delivery{1, &m});
+      alg->incoming_messages(batch);
+    } else {
+      for (const Message& m : stale) (void)alg->incoming_message(m, 1);
+    }
+    EXPECT_FALSE(alg->in_primary());
+  }
 }
 
 TEST_P(AlgorithmContract, DebugInfoIsCoherent) {
@@ -189,6 +200,35 @@ std::vector<std::byte> saved(const Gcs& gcs) {
   return enc.take();
 }
 
+/// The fault models the whole-world cases below run under: the geometric
+/// model with and without crashes, and the sleepy and repairable models,
+/// which crash, sleep, wake and repair processes.
+struct Model {
+  const char* name;
+  FaultModelKind kind;
+  double crash_fraction;
+};
+constexpr Model kModels[] = {
+    {"geometric", FaultModelKind::kGeometric, 0.0},
+    {"geometric, 25% crashes", FaultModelKind::kGeometric, 0.25},
+    {"sleepy", FaultModelKind::kSleepy, 0.0},
+    {"repairable", FaultModelKind::kRepairable, 0.0},
+};
+constexpr std::size_t kProcesses = 16;
+
+/// A busy N=16 world under `model`: 8 changes per run, 2 rounds apart.
+SimulationConfig busy_world(const Model& model) {
+  SimulationConfig config;
+  config.processes = kProcesses;
+  config.changes_per_run = 8;
+  config.mean_rounds_between_changes = 2.0;
+  config.crash_fraction = model.crash_fraction;
+  config.fault_model.kind = model.kind;
+  config.fault_model.repair_mean_rounds = 3.0;
+  config.seed = 20261017;
+  return config;
+}
+
 // The simulated GCS polls only processes with input since their last empty
 // poll, and the checker and has_primary reuse their answers while the
 // world's revision holds.  Both rest on premises checked here after every
@@ -203,22 +243,10 @@ std::vector<std::byte> saved(const Gcs& gcs) {
 //  * an event that leaves the revision alone leaves the world's snapshot
 //    bytes alone.
 TEST_P(AlgorithmContract, PollsFollowInputAndRevisionTracksTheWorld) {
-  struct Model {
-    const char* name;
-    FaultModelKind kind;
-    double crash_fraction;
-  };
-  constexpr Model kModels[] = {
-      {"geometric", FaultModelKind::kGeometric, 0.0},
-      {"geometric, 25% crashes", FaultModelKind::kGeometric, 0.25},
-      {"sleepy", FaultModelKind::kSleepy, 0.0},
-      {"repairable", FaultModelKind::kRepairable, 0.0},
-  };
-  constexpr std::size_t kProcesses = 16;
   for (const Model& model : kModels) {
     SCOPED_TRACE(model.name);
     std::vector<InputRecorder*> recorders;
-    SimulationConfig config;
+    SimulationConfig config = busy_world(model);
     config.algorithm_factory = [&recorders, kind = GetParam()](
                                    ProcessId self, const View& initial) {
       auto recorder =
@@ -226,13 +254,6 @@ TEST_P(AlgorithmContract, PollsFollowInputAndRevisionTracksTheWorld) {
       recorders.push_back(recorder.get());
       return recorder;
     };
-    config.processes = kProcesses;
-    config.changes_per_run = 8;
-    config.mean_rounds_between_changes = 2.0;
-    config.crash_fraction = model.crash_fraction;
-    config.fault_model.kind = model.kind;
-    config.fault_model.repair_mean_rounds = 3.0;
-    config.seed = 20261017;
     Simulation sim(config);
     ASSERT_EQ(recorders.size(), kProcesses);
     const Gcs& gcs = std::as_const(sim).gcs();
@@ -279,6 +300,61 @@ TEST_P(AlgorithmContract, PollsFollowInputAndRevisionTracksTheWorld) {
       }
     }
     EXPECT_EQ(sim.total_changes(), 4u * config.changes_per_run);
+  }
+}
+
+/// A run's result, or what the invariant checker threw.
+using RunOutcome = std::variant<RunResult, std::string>;
+
+RunOutcome run_once(Simulation& sim) {
+  try {
+    return sim.run_once();
+  } catch (const InvariantViolation& e) {
+    return std::string(e.what());
+  }
+}
+
+// The simulated GCS hands each process a round's messages through
+// incoming_messages, and an algorithm may implement that batch entry point
+// itself (the YKD family and MR1p do).  Whichever entry point a message
+// comes through, the algorithm must do the same with it: a world whose
+// instances are wrapped in a pass-through decorator, which keeps the
+// default incoming_messages and so sends every message down the
+// per-message incoming_message path, must match the plain world run for
+// run over a long cascade.  (DFLS forks the primary chain in long N=16
+// cascades, ROADMAP item 1: both worlds must then fail alike, at the same
+// run, which ends the cascade.)
+TEST_P(AlgorithmContract, BatchAndPerMessageDeliveryAgree) {
+  constexpr int kRuns = 200;
+  for (const Model& model : kModels) {
+    SCOPED_TRACE(model.name);
+    SimulationConfig plain_config = busy_world(model);
+    plain_config.algorithm = GetParam();
+    SimulationConfig wrapped_config = busy_world(model);
+    wrapped_config.algorithm_factory = [kind = GetParam()](
+                                           ProcessId self,
+                                           const View& initial) {
+      return std::make_unique<test::ForwardingAlgorithm>(
+          make_algorithm(kind, self, initial));
+    };
+    Simulation plain(plain_config);
+    Simulation wrapped(wrapped_config);
+    for (int run = 0; run < kRuns; ++run) {
+      SCOPED_TRACE("run " + std::to_string(run));
+      const RunOutcome outcome = run_once(plain);
+      ASSERT_EQ(outcome, run_once(wrapped));
+      ASSERT_EQ(plain.gcs().deliveries(), wrapped.gcs().deliveries());
+      ASSERT_EQ(plain.invariant_checks(), wrapped.invariant_checks());
+      for (ProcessId p = 0; p < kProcesses; ++p) {
+        ASSERT_EQ(std::as_const(plain).gcs().algorithm(p).debug_info(),
+                  std::as_const(wrapped).gcs().algorithm(p).debug_info())
+            << "process " << p;
+      }
+      if (std::holds_alternative<std::string>(outcome)) break;
+    }
+    if (GetParam() != AlgorithmKind::kSimpleMajority) {  // it sends nothing
+      EXPECT_GT(plain.gcs().deliveries(), 0u);
+    }
   }
 }
 

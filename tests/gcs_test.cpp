@@ -2,7 +2,12 @@
 // execution, quiescence, and wire statistics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "gcs/gcs.hpp"
 #include "sim_test_util.hpp"
@@ -155,6 +160,86 @@ TEST(Gcs, PartitionRequiresNonEmptySides) {
   EXPECT_THROW(gcs.apply_partition(0, ProcessSet(3)), PreconditionViolation);
   EXPECT_THROW(gcs.apply_partition(0, ProcessSet::full(3)),
                PreconditionViolation);
+}
+
+/// Counts the incoming_messages calls its process receives.
+class BatchCounter final : public test::ForwardingAlgorithm {
+ public:
+  BatchCounter(std::unique_ptr<PrimaryComponentAlgorithm> inner,
+               std::uint64_t* calls)
+      : ForwardingAlgorithm(std::move(inner)), calls_(calls) {}
+
+  void incoming_messages(std::span<const Delivery> batch) override {
+    ++*calls_;
+    inner().incoming_messages(batch);
+  }
+
+ private:
+  std::uint64_t* calls_;
+};
+
+// A round reaches each process in one call, and so does a flush: however
+// many multicasts are in flight and however their components interleave
+// by id, no process gets a second incoming_messages call from one round or
+// one change.
+TEST(Gcs, EachProcessGetsAtMostOneBatchPerRound) {
+  constexpr std::size_t kProcesses = 8;
+  for (AlgorithmKind kind : all_algorithm_kinds()) {
+    SCOPED_TRACE(std::string(to_string(kind)));
+    std::vector<std::uint64_t> calls(kProcesses, 0);
+    Gcs gcs(
+        [&calls, kind](ProcessId self, const View& initial)
+            -> std::unique_ptr<PrimaryComponentAlgorithm> {
+          return std::make_unique<BatchCounter>(
+              make_algorithm(kind, self, initial), &calls[self]);
+        },
+        kProcesses);
+    // Runs `event` and checks that it reached each process at most once.
+    const auto at_most_one_call = [&](const auto& event) {
+      const std::vector<std::uint64_t> before = calls;
+      event();
+      for (ProcessId p = 0; p < kProcesses; ++p) {
+        EXPECT_LE(calls[p] - before[p], 1u) << "process " << p;
+      }
+    };
+    const auto settle_checked = [&] {
+      for (int i = 0; i < 200; ++i) {
+        bool active = false;
+        at_most_one_call([&] { active = gcs.step_round(); });
+        if (!active) return;
+      }
+      FAIL() << "system did not quiesce";
+    };
+
+    // Three components whose ids interleave exchange in the same rounds;
+    // the second split and the merge flush exchanges in flight.
+    at_most_one_call(
+        [&] { gcs.apply_partition(0, ProcessSet(kProcesses, {1, 3, 5})); });
+    at_most_one_call([&] { gcs.step_round(); });
+    at_most_one_call([&] {
+      gcs.apply_partition(gcs.topology().component_of(0),
+                          ProcessSet(kProcesses, {6}));
+    });
+    at_most_one_call([&] { gcs.step_round(); });
+    at_most_one_call([&] {
+      gcs.apply_merge(gcs.topology().component_of(1),
+                      gcs.topology().component_of(6));
+    });
+    settle_checked();
+    at_most_one_call([&] {
+      gcs.apply_merge(gcs.topology().component_of(0),
+                      gcs.topology().component_of(1));
+    });
+    settle_checked();
+
+    std::uint64_t total = 0;
+    for (std::uint64_t c : calls) total += c;
+    if (kind == AlgorithmKind::kSimpleMajority) {
+      EXPECT_EQ(total, 0u);  // it sends nothing, so nothing is delivered
+    } else {
+      EXPECT_GT(total, 0u);
+    }
+  }
 }
 
 }  // namespace
