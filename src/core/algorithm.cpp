@@ -1,7 +1,6 @@
 #include "core/algorithm.hpp"
 
 #include <stdexcept>
-#include <string>
 
 #include "core/dfls.hpp"
 #include "core/mr1p.hpp"
@@ -25,13 +24,11 @@ void PrimaryComponentAlgorithm::incoming_messages(
 }
 
 void PrimaryComponentAlgorithm::save(Encoder& /*enc*/) const {
-  throw std::logic_error("algorithm \"" + std::string(name()) +
-                         "\" does not implement snapshotting");
+  throw std::logic_error("algorithm state is not saved as bytes");
 }
 
 void PrimaryComponentAlgorithm::load(Decoder& /*dec*/) {
-  throw std::logic_error("algorithm \"" + std::string(name()) +
-                         "\" does not implement snapshotting");
+  throw std::logic_error("algorithm state is not loaded from bytes");
 }
 
 std::vector<AlgorithmKind> all_algorithm_kinds() {

@@ -129,19 +129,13 @@ class PrimaryComponentAlgorithm {
 
   virtual AlgorithmDebugInfo debug_info() const = 0;
 
-  /// Serialize every piece of mutable state -- persistent protocol state
-  /// *and* per-view exchange progress -- onto the codec stream.  Constructor
-  /// configuration (self id, initial view, variant options) is not written:
-  /// a snapshot is only ever restored into an instance built with the same
-  /// configuration, which the snapshot envelope enforces (snapshot.hpp).
-  /// All shipped algorithms override this; the default (for plugged-in
-  /// research algorithms that have not yet implemented snapshotting) throws
-  /// std::logic_error, so such a simulation is simply not checkpointable.
+  /// Retired: no algorithm writes or reads its state as bytes any more,
+  /// because a snapshot names a point on its world's trajectory and
+  /// restores by replay (sim/snapshot.hpp).  Both still throw
+  /// std::logic_error and are declared only because perfbench's
+  /// TracedAlgorithm overrides them; they go with that benchmark's next
+  /// change.
   virtual void save(Encoder& enc) const;
-
-  /// Exact inverse of save(): after load() the instance behaves
-  /// indistinguishably from the one that was saved, message for message.
-  /// Throws DecodeError on truncated or malformed input.
   virtual void load(Decoder& dec);
 
   /// The last primary this process formed or adopted, by reference -- the
@@ -152,10 +146,8 @@ class PrimaryComponentAlgorithm {
  protected:
   PrimaryComponentAlgorithm(ProcessId self, View initial_view);
 
-  // Constructor configuration: a snapshot is only restored into an instance
-  // built with the same (self, initial view), enforced by the envelope.
-  ProcessId self_;       // dvlint: transient(constructor configuration)
-  View initial_view_;    // dvlint: transient(constructor configuration)
+  ProcessId self_;
+  View initial_view_;
 };
 
 /// Factory: construct an algorithm instance for process `self`, started in

@@ -29,20 +29,6 @@ void Dfls::on_primary_formed() {
   stage(std::move(gc));
 }
 
-void Dfls::save_extra(Encoder& enc) const {
-  enc.put_bool(gc_pending_);
-  enc.put_varint(gc_number_);
-  gc_.senders().encode(enc);
-}
-
-void Dfls::load_extra(Decoder& dec) {
-  gc_pending_ = dec.get_bool();
-  gc_number_ = dec.get_varint();
-  gc_.restore(
-      ProcessSet::decode(dec, initial_view_.members.universe_size()),
-      view_size());
-}
-
 void Dfls::handle_extra_payload(const ProtocolPayload& payload,
                                 ProcessId sender) {
   if (payload.type() != PayloadType::kGcRound || !gc_pending_) return;

@@ -23,8 +23,6 @@ class Dfls final : public YkdFamilyBase {
   void on_primary_formed() override;
   void handle_extra_payload(const ProtocolPayload& payload,
                             ProcessId sender) override;
-  void save_extra(Encoder& enc) const override;
-  void load_extra(Decoder& dec) override;
 
  private:
   bool gc_pending_ = false;

@@ -352,98 +352,6 @@ bool Mr1p::knows_formed(const Session& session) const {
          formed_views_.end();
 }
 
-void Mr1p::save(Encoder& enc) const {
-  cur_primary_.encode(enc);
-  enc.put_bool(pending_.has_value());
-  if (pending_.has_value()) pending_->encode(enc);
-  enc.put_varint(num_);
-  enc.put_u8(static_cast<std::uint8_t>(status_));
-  enc.put_varint(formed_views_.size());
-  for (const Session& s : formed_views_) s.encode(enc);
-  enc.put_bool(in_primary_);
-
-  current_view_.encode(enc);
-  // Only the live range [outbox_head_, size) survives a checkpoint.
-  enc.put_varint(outbox_.size() - outbox_head_);
-  for (std::size_t i = outbox_head_; i < outbox_.size(); ++i) {
-    enc.put_bytes(encode_payload(*outbox_[i]));
-  }
-  enc.put_varint(unanswered_queries_.size());
-  for (const Session& s : unanswered_queries_) s.encode(enc);
-  echo_senders_.encode(enc);
-  enc.put_varint(best_echo_num_);
-  enc.put_u8(static_cast<std::uint8_t>(best_echo_status_));
-  enc.put_bool(resolve_sent_);
-  tryfail_callers_.encode(enc);
-  proposals_.senders().encode(enc);
-  attempts_.senders().encode(enc);
-  enc.put_bool(attempt_sent_);
-  enc.put_bool(tried_new_);
-}
-
-namespace {
-
-Mr1pStatus decode_saved_status(Decoder& dec) {
-  const std::uint8_t raw = dec.get_u8();
-  if (raw > static_cast<std::uint8_t>(Mr1pStatus::kTryFail)) {
-    throw DecodeError("bad Mr1pStatus in snapshot");
-  }
-  return static_cast<Mr1pStatus>(raw);
-}
-
-}  // namespace
-
-void Mr1p::load(Decoder& dec) {
-  const std::size_t universe = initial_view_.members.universe_size();
-  cur_primary_ = Session::decode(dec, universe);
-  if (dec.get_bool()) {
-    pending_ = Session::decode(dec, universe);
-  } else {
-    pending_.reset();
-  }
-  num_ = dec.get_varint();
-  status_ = decode_saved_status(dec);
-  const std::uint64_t formed = dec.get_varint();
-  if (formed > 1'000'000 || formed > dec.remaining()) {
-    throw DecodeError("implausible formedViews length");
-  }
-  formed_views_.clear();
-  formed_views_.reserve(formed);
-  for (std::uint64_t i = 0; i < formed; ++i) {
-    formed_views_.push_back(Session::decode(dec, universe));
-  }
-  in_primary_ = dec.get_bool();
-
-  current_view_ = View::decode(dec, universe);
-  const std::uint64_t staged = dec.get_varint();
-  if (staged > 1'000'000) throw DecodeError("implausible outbox length");
-  outbox_.clear();
-  outbox_head_ = 0;
-  for (std::uint64_t i = 0; i < staged; ++i) {
-    const std::vector<std::byte> bytes = dec.get_bytes();
-    outbox_.push_back(decode_payload(bytes, universe));
-  }
-  const std::uint64_t queries = dec.get_varint();
-  if (queries > 1'000'000 || queries > dec.remaining()) {
-    throw DecodeError("implausible query count");
-  }
-  unanswered_queries_.clear();
-  unanswered_queries_.reserve(queries);
-  for (std::uint64_t i = 0; i < queries; ++i) {
-    unanswered_queries_.push_back(Session::decode(dec, universe));
-  }
-  echo_senders_ = ProcessSet::decode(dec, universe);
-  best_echo_num_ = dec.get_varint();
-  best_echo_status_ = decode_saved_status(dec);
-  resolve_sent_ = dec.get_bool();
-  tryfail_callers_ = ProcessSet::decode(dec, universe);
-  const std::size_t view_size = current_view_.members.count();
-  proposals_.restore(ProcessSet::decode(dec, universe), view_size);
-  attempts_.restore(ProcessSet::decode(dec, universe), majority(view_size));
-  attempt_sent_ = dec.get_bool();
-  tried_new_ = dec.get_bool();
-}
-
 AlgorithmDebugInfo Mr1p::debug_info() const {
   AlgorithmDebugInfo info;
   info.last_primary = cur_primary_;

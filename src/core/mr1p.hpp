@@ -78,8 +78,6 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   std::string_view name() const override { return "mr1p"; }
   AlgorithmDebugInfo debug_info() const override;
   const Session& last_primary_session() const override { return cur_primary_; }
-  void save(Encoder& enc) const override;
-  void load(Decoder& dec) override;
 
  private:
   /// The protocol's reaction to one received payload from `sender`; both
@@ -105,7 +103,7 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   }
 
   // --- persistent state (thesis §3.2.4) ---
-  Mr1pOptions options_;  // dvlint: transient(constructor configuration)
+  Mr1pOptions options_;
   Session cur_primary_;
   std::optional<Session> pending_;
   std::uint64_t num_ = 0;
@@ -118,7 +116,7 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   /// Staged payloads, appended and consumed front-to-back via outbox_head_
   /// (vector + cursor instead of a deque so capacity survives view changes
   /// and steady-state staging never allocates).  The consumed prefix is
-  /// dead; save() encodes only the live range and load() re-packs from 0.
+  /// dead.
   std::vector<PayloadPtr> outbox_;
   std::size_t outbox_head_ = 0;
   /// Distinct sessions queried via R1 since the last poll, awaiting replies.
@@ -138,12 +136,9 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   bool attempt_sent_ = false;
   bool tried_new_ = false;
   /// Single-slot payload reuse, valid only while we hold the sole
-  /// reference (single-threaded simulation; snapshots cover these by value
-  /// wherever the payload is actually staged or in flight).
-  PayloadRef<Mr1pPendingPayload>
-      pending_pool_;  // dvlint: transient(allocator cache, never read back)
-  PayloadRef<Mr1pReplyPayload>
-      reply_pool_;  // dvlint: transient(allocator cache, never read back)
+  /// reference (single-threaded simulation).
+  PayloadRef<Mr1pPendingPayload> pending_pool_;
+  PayloadRef<Mr1pReplyPayload> reply_pool_;
 };
 
 }  // namespace dynvote

@@ -40,6 +40,19 @@ Mr1pVerdict decode_verdict(Decoder& dec) {
   return static_cast<Mr1pVerdict>(raw);
 }
 
+/// Throws DecodeError if an entry of `last_formed` follows `last_primary`.
+/// Every lastFormed entry was its holder's lastPrimary when written, and a
+/// lastPrimary only moves forward, so no reachable state has one; ACCEPT
+/// relies on that to skip its scan (YkdFamilyBase::on_exchange_complete).
+void check_last_formed(const Session& last_primary,
+                       const std::vector<Session>& last_formed) {
+  for (const Session& s : last_formed) {
+    if (session_precedes(last_primary, s)) {
+      throw DecodeError("a lastFormed entry follows lastPrimary");
+    }
+  }
+}
+
 }  // namespace
 
 void StateExchangePayload::encode_body(Encoder& enc) const {
@@ -58,15 +71,6 @@ PayloadRef<StateExchangePayload> StateExchangePayload::decode_body(
   p->last_formed = decode_session_vector(dec, universe);
   check_last_formed(p->last_primary, p->last_formed);
   return p;
-}
-
-void check_last_formed(const Session& last_primary,
-                       const std::vector<Session>& last_formed) {
-  for (const Session& s : last_formed) {
-    if (session_precedes(last_primary, s)) {
-      throw DecodeError("a lastFormed entry follows lastPrimary");
-    }
-  }
 }
 
 void AttemptPayload::encode_body(Encoder& enc) const { proposal.encode(enc); }

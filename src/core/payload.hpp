@@ -81,15 +81,15 @@ struct ProtocolPayload {
   /// How many PayloadRefs hold this object.  A plain integer, not an
   /// atomic: every holder belongs to the world that made the payload, and
   /// a world runs on one thread at a time (DESIGN.md §4e).
-  mutable std::uint32_t refs_ = 0;  // dvlint: transient(holder count)
+  mutable std::uint32_t refs_ = 0;
 };
 
 /// An owning reference to a payload, counted in the payload itself.  It
 /// behaves like a std::shared_ptr without the atomic count: once a process
 /// has started a second thread, every shared_ptr copy is a lock-prefixed
 /// read-modify-write, and the simulated GCS copies a reference on every
-/// delivery.  Payloads never leave the world that made them -- snapshots
-/// and transports carry bytes (encode_payload / decode_payload) -- so the
+/// delivery.  Payloads never leave the world that made them -- a
+/// transport would carry bytes (encode_payload / decode_payload) -- so the
 /// count never races.  Built by make_payload, narrowed by
 /// static_payload_cast.
 template <typename T>
@@ -216,23 +216,16 @@ struct StateExchangePayload final : ProtocolPayload {
   /// Verdict memo, used on the view's lowest member's payload: the first
   /// member to complete the view with this very object in its table fills
   /// it, the others read it.  In-process only -- never encoded, so a
-  /// decoded copy starts empty and its holder computes the verdict itself;
-  /// the sender clears it whenever it stages the payload again.
-  mutable ExchangeVerdict
-      verdict_memo;  // dvlint: transient(in-process verdict cache)
+  /// decoded copy starts empty and its holder computes the verdict itself.
+  /// A memo left from an earlier view never matches: it is keyed by view
+  /// id, and a Gcs never installs an id twice.
+  mutable ExchangeVerdict verdict_memo;
 
   StateExchangePayload() : ProtocolPayload(PayloadType::kStateExchange) {}
   void encode_body(Encoder& enc) const override;
   static PayloadRef<StateExchangePayload> decode_body(Decoder& dec,
                                                       std::size_t universe);
 };
-
-/// Throws DecodeError if an entry of `last_formed` follows `last_primary`.
-/// Every lastFormed entry was its holder's lastPrimary when written, and a
-/// lastPrimary only moves forward, so no reachable state has one; ACCEPT
-/// relies on that to skip its scan (YkdFamilyBase::on_exchange_complete).
-void check_last_formed(const Session& last_primary,
-                       const std::vector<Session>& last_formed);
 
 /// Round 2 of the YKD family: the sender commits to the proposed session.
 struct AttemptPayload final : ProtocolPayload {

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 
 #include "core/process_set.hpp"
 
@@ -43,13 +42,6 @@ class Tally {
     threshold_ = threshold;
   }
 
-  /// Take `senders` (decoded from a snapshot) as already counted.
-  void restore(ProcessSet senders, std::size_t threshold) {
-    senders_ = std::move(senders);
-    count_ = senders_.count();
-    threshold_ = threshold;
-  }
-
   /// Count `sender`, once however often it sends.
   void add(ProcessId sender) {
     if (senders_.contains(sender)) return;
@@ -58,7 +50,6 @@ class Tally {
   }
 
   bool reached() const { return count_ >= threshold_; }
-  const ProcessSet& senders() const { return senders_; }
 
  private:
   ProcessSet senders_;

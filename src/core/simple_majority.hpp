@@ -24,12 +24,9 @@ class SimpleMajority final : public PrimaryComponentAlgorithm {
   std::string_view name() const override { return "simple-majority"; }
   AlgorithmDebugInfo debug_info() const override;
   const Session& last_primary_session() const override { return last_primary_; }
-  void save(Encoder& enc) const override;
-  void load(Decoder& dec) override;
 
  private:
   bool in_primary_ = true;
-  View current_view_;
   Session last_primary_;  // latest view this process declared primary
 };
 

@@ -13,9 +13,6 @@
 
 namespace dynvote {
 
-class Encoder;
-class Decoder;
-
 struct View {
   ViewId id = 0;
   ProcessSet members;
@@ -25,11 +22,6 @@ struct View {
   std::string to_string() const {
     return "view#" + std::to_string(id) + members.to_string();
   }
-
-  /// Wire format: varint id + the member bitmap (checkpoint/restore).
-  /// Members must be drawn over `universe` (see ProcessSet::decode).
-  void encode(Encoder& enc) const;
-  static View decode(Decoder& dec, std::size_t universe);
 };
 
 }  // namespace dynvote

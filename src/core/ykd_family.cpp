@@ -46,10 +46,6 @@ void YkdFamilyBase::view_changed(const View& view) {
   state.session_number = session_number_;
   state.last_primary = last_primary_;
   state.ambiguous = ambiguous_;
-  // We hold the only reference here, so nobody still reads the previous
-  // view's verdict; clearing it matters because a world restored from a
-  // snapshot replays view ids, and a kept memo could match one of them.
-  state.verdict_memo = {};
   stage(state_pool_);
 }
 
@@ -315,126 +311,6 @@ void YkdFamilyBase::form_primary() {
   stage_ = Stage::kIdle;
   on_primary_formed();
 }
-
-namespace {
-
-void encode_sessions(Encoder& enc, const std::vector<Session>& sessions) {
-  enc.put_varint(sessions.size());
-  for (const Session& s : sessions) s.encode(enc);
-}
-
-std::vector<Session> decode_sessions(Decoder& dec, std::size_t universe) {
-  const std::uint64_t n = dec.get_varint();
-  if (n > 1'000'000 || n > dec.remaining()) {
-    throw DecodeError("implausible session vector length");
-  }
-  std::vector<Session> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(Session::decode(dec, universe));
-  }
-  return out;
-}
-
-void encode_staged_payload(Encoder& enc, const ProtocolPayload& payload) {
-  enc.put_bytes(encode_payload(payload));
-}
-
-PayloadPtr decode_staged_payload(Decoder& dec, std::size_t universe) {
-  const std::vector<std::byte> bytes = dec.get_bytes();
-  return decode_payload(bytes, universe);
-}
-
-}  // namespace
-
-void YkdFamilyBase::save(Encoder& enc) const {
-  last_primary_.encode(enc);
-  encode_sessions(enc, state_pool_->last_formed);
-  encode_sessions(enc, ambiguous_);
-  enc.put_varint(session_number_);
-  enc.put_bool(in_primary_);
-  enc.put_bool(blocked_);
-  current_view_.encode(enc);
-  enc.put_u8(static_cast<std::uint8_t>(stage_));
-
-  // The state map is ordered by process id, so identical algorithm states
-  // always produce identical snapshot bytes.
-  enc.put_varint(states_.size());
-  for (const auto& [q, state] : states_) {
-    enc.put_varint(q);
-    encode_staged_payload(enc, *state);
-  }
-
-  attempts_.senders().encode(enc);
-  proposed_.encode(enc);
-  // Only the live range survives a checkpoint: entries before outbox_head_
-  // were already polled, so a restored instance re-packs from zero.
-  enc.put_varint(outbox_.size() - outbox_head_);
-  for (std::size_t i = outbox_head_; i < outbox_.size(); ++i) {
-    encode_staged_payload(enc, *outbox_[i]);
-  }
-  save_extra(enc);
-}
-
-void YkdFamilyBase::load(Decoder& dec) {
-  const std::size_t universe = initial_view_.members.universe_size();
-  last_primary_ = Session::decode(dec, universe);
-  std::vector<Session> last_formed = decode_sessions(dec, universe);
-  if (last_formed.size() != universe) {
-    throw DecodeError("lastFormed table does not have one entry per process");
-  }
-  check_last_formed(last_primary_, last_formed);
-  state_pool_ = make_payload<StateExchangePayload>();
-  state_pool_->last_formed = std::move(last_formed);
-  ambiguous_ = decode_sessions(dec, universe);
-  session_number_ = dec.get_varint();
-  in_primary_ = dec.get_bool();
-  blocked_ = dec.get_bool();
-  current_view_ = View::decode(dec, universe);
-  const std::uint8_t raw_stage = dec.get_u8();
-  if (raw_stage > static_cast<std::uint8_t>(Stage::kAttempting)) {
-    throw DecodeError("bad YKD stage");
-  }
-  stage_ = static_cast<Stage>(raw_stage);
-
-  const std::uint64_t state_count = dec.get_varint();
-  if (state_count > universe) {
-    throw DecodeError("more exchange states than processes");
-  }
-  states_.clear();
-  for (std::uint64_t i = 0; i < state_count; ++i) {
-    const ProcessId q = static_cast<ProcessId>(dec.get_varint());
-    if (q >= universe) {
-      throw DecodeError("exchange state from an out-of-universe process");
-    }
-    PayloadPtr payload = decode_staged_payload(dec, universe);
-    if (payload->type() != PayloadType::kStateExchange) {
-      throw DecodeError("exchange map entry is not a state-exchange payload");
-    }
-    states_.set(q, static_payload_cast<const StateExchangePayload>(
-                       std::move(payload)));
-  }
-
-  view_size_ = current_view_.members.count();
-  attempts_.restore(ProcessSet::decode(dec, universe), view_size_);
-  proposed_ = Session::decode(dec, universe);
-  if (stage_ == Stage::kAttempting &&
-      !session_precedes(last_primary_, proposed_)) {
-    throw DecodeError("attempting a session that does not follow lastPrimary");
-  }
-  const std::uint64_t staged = dec.get_varint();
-  if (staged > 1'000'000) throw DecodeError("implausible outbox length");
-  outbox_.clear();
-  outbox_head_ = 0;
-  for (std::uint64_t i = 0; i < staged; ++i) {
-    outbox_.push_back(decode_staged_payload(dec, universe));
-  }
-  load_extra(dec);
-}
-
-void YkdFamilyBase::save_extra(Encoder& /*enc*/) const {}
-
-void YkdFamilyBase::load_extra(Decoder& /*dec*/) {}
 
 AlgorithmDebugInfo YkdFamilyBase::debug_info() const {
   AlgorithmDebugInfo info;

@@ -38,12 +38,11 @@
 // round-1 payload, which every member completing the view holds when
 // delivery shares one object (the simulated GCS); the rest reuse it and run
 // only the per-process ACCEPT and prune steps.  A member holding a private
-// copy of that payload (a real transport, a restored snapshot) finds no
-// memo and computes the same verdict itself.  The verdict carries
-// maxPrimary, and ACCEPT scans the table only when maxPrimary follows this
-// process's lastPrimary: every lastFormed entry is a past lastPrimary of
-// its holder, so otherwise nothing could be adopted.  DESIGN.md §4d has
-// the soundness argument.
+// copy of that payload (a real transport) finds no memo and computes the
+// same verdict itself.  The verdict carries maxPrimary, and ACCEPT scans
+// the table only when maxPrimary follows this process's lastPrimary: every
+// lastFormed entry is a past lastPrimary of its holder, so otherwise
+// nothing could be adopted.  DESIGN.md §4d has the soundness argument.
 //
 // lastFormed, the one universe-sized table of the state, lives in the
 // process's own pooled round-1 payload (state_pool_).  It is copied only
@@ -76,7 +75,7 @@ struct CombinedKnowledge {
 /// and allocation-free (the per-insert map node was the dominant
 /// steady-state allocation of the round loop), and iteration is in
 /// ascending process id -- the deterministic traversal order the
-/// combined-knowledge folds and the snapshot writer require.
+/// combined-knowledge folds require.
 class StateExchangeTable {
  public:
   using Ptr = PayloadRef<const StateExchangePayload>;
@@ -169,17 +168,11 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   AlgorithmDebugInfo debug_info() const override;
   const Session& last_primary_session() const override { return last_primary_; }
 
-  /// Checkpoint every mutable field -- persistent state, exchange progress,
-  /// the staged outbox -- so a restored instance resumes mid-protocol.
-  /// Variant-private state rides along via save_extra()/load_extra().
-  void save(Encoder& enc) const override;
-  void load(Decoder& dec) override;
-
  protected:
-  /// Ordered by process id: the combined-knowledge folds and the snapshot
-  /// writer iterate this table, so its traversal order must be
-  /// deterministic across platforms (dvlint's determinism check bans
-  /// unordered iteration in result-affecting paths).
+  /// Ordered by process id: the combined-knowledge folds iterate this
+  /// table, so its traversal order must be deterministic across platforms
+  /// (dvlint's determinism check bans unordered iteration in
+  /// result-affecting paths).
   using StateMap = StateExchangeTable;
 
   /// How a variant sheds stored ambiguous sessions between formations.
@@ -236,12 +229,6 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   /// current view id.
   void stage(PayloadRef<ProtocolPayload> payload);
 
-  /// Appended to / consumed from the checkpoint stream after the base
-  /// state; variants with extra mutable fields (DFLS's GC round) override
-  /// both, symmetrically.
-  virtual void save_extra(Encoder& enc) const;
-  virtual void load_extra(Decoder& dec);
-
   const View& current_view() const { return current_view_; }
   /// current_view().members.count(), cached at every view change so the
   /// per-delivery "has everyone answered?" tests are a compare.
@@ -284,19 +271,19 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   /// the constraint vector's capacity is reused across exchanges.
   const CombinedKnowledge& compute_combined() const;
 
-  PruneMode prune_mode_;     // dvlint: transient(constructor configuration)
-  bool filter_constraints_;  // dvlint: transient(constructor configuration)
+  PruneMode prune_mode_;
+  bool filter_constraints_;
   Stage stage_ = Stage::kIdle;
   StateMap states_;
   /// Round 2's attempts for proposed_; all of the view must send one.
   Tally attempts_;
   Session proposed_;
-  std::size_t view_size_ = 0;  // dvlint: transient(derived from current_view_)
+  std::size_t view_size_ = 0;
   /// Staged payloads are appended and consumed front-to-back via
   /// outbox_head_; a vector + cursor (instead of a deque) keeps its storage
   /// flat and its capacity alive across view changes, so steady-state
   /// staging never allocates.  The consumed prefix [0, outbox_head_) is
-  /// dead; save() encodes only the live range and load() re-packs from 0.
+  /// dead.
   std::vector<PayloadPtr> outbox_;
   std::size_t outbox_head_ = 0;
   /// Our own round-1 payload, and the owner of lastFormed: its
@@ -311,10 +298,8 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   PayloadRef<StateExchangePayload> state_pool_;
   /// Single-slot reuse of the round-2 attempt payload, rebuilt in place
   /// once this process is its only holder.
-  PayloadRef<AttemptPayload>
-      attempt_pool_;  // dvlint: transient(allocator cache, never read back)
-  mutable CombinedKnowledge
-      combined_scratch_;  // dvlint: transient(rebuilt by every exchange)
+  PayloadRef<AttemptPayload> attempt_pool_;
+  mutable CombinedKnowledge combined_scratch_;
 };
 
 }  // namespace dynvote

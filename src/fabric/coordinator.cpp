@@ -404,16 +404,25 @@ struct Coordinator::Impl {
     const Clock::time_point start = begin_sweep();
 
     std::thread acceptor([this] { accept_loop(); });
+    // An executor beyond the board's units would only wait for the sweep
+    // to end, so at most one starts per unit.  One that fails to start
+    // fails the sweep, as in run_sweep: the threads already running see the
+    // failure and stop, so they can still be joined.
     std::vector<std::thread> executors;
-    executors.reserve(local_jobs);
-    for (std::size_t w = 0; w < local_jobs; ++w) {
-      executors.emplace_back([this, w] {
-        try {
-          executor_loop(w);
-        } catch (...) {
-          scheduler.lock()->fail(std::current_exception());
-        }
-      });
+    try {
+      const std::size_t count = std::min(local_jobs, board.unit_count());
+      executors.reserve(count);
+      for (std::size_t w = 0; w < count; ++w) {
+        executors.emplace_back([this, w] {
+          try {
+            executor_loop(w);
+          } catch (...) {
+            scheduler.lock()->fail(std::current_exception());
+          }
+        });
+      }
+    } catch (...) {
+      scheduler.lock()->fail(std::current_exception());
     }
 
     scheduler.lock().wait(changed,

@@ -167,15 +167,29 @@ SessionEnd run_session(Socket socket, const WorkerOptions& options,
     // flags; a quiet coordinator is normal (no work yet), not a death.
     session.socket.set_recv_timeout_ms(1000);
 
-    std::vector<std::thread> executors;
-    executors.reserve(static_cast<std::size_t>(slots));
-    for (std::uint64_t s = 0; s < slots; ++s) {
-      executors.emplace_back([&session, &options] {
-        executor_loop(session, options);
-      });
+    // The executors, then the heartbeat.  A thread that fails to start
+    // ends the session, as a failed start ends run_sweep: the threads
+    // already running see `ending` and are joined, and the failure
+    // propagates.
+    std::vector<std::thread> threads;
+    const auto join_all = [&] {
+      session.state.lock()->ending = true;
+      session.work.notify_all();
+      for (std::thread& t : threads) t.join();
+    };
+    try {
+      threads.reserve(static_cast<std::size_t>(slots));
+      for (std::uint64_t s = 0; s < slots; ++s) {
+        threads.emplace_back([&session, &options] {
+          executor_loop(session, options);
+        });
+      }
+      threads.emplace_back(
+          [&session, heartbeat_ms] { heartbeat_loop(session, heartbeat_ms); });
+    } catch (...) {
+      join_all();
+      throw;
     }
-    std::thread heartbeat(
-        [&session, heartbeat_ms] { heartbeat_loop(session, heartbeat_ms); });
 
     SessionEnd end = SessionEnd::kLost;
     bool reading = true;
@@ -234,10 +248,7 @@ SessionEnd run_session(Socket socket, const WorkerOptions& options,
       }
     }
 
-    session.state.lock()->ending = true;
-    session.work.notify_all();
-    for (std::thread& t : executors) t.join();
-    heartbeat.join();
+    join_all();
 
     if (end == SessionEnd::kDied) {
       // Play dead: keep the socket open but silent, so the coordinator's

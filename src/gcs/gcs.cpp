@@ -1,7 +1,5 @@
 #include "gcs/gcs.hpp"
 
-#include <array>
-
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/codec.hpp"
@@ -227,70 +225,6 @@ void Gcs::apply_recovery(ProcessId p) {
   ProcessSet lone(topology_.universe_size());
   lone.insert(p);
   install_view(lone);
-}
-
-void Gcs::save(Encoder& enc) const {
-  topology_.encode(enc);
-  network_.encode(enc);
-  for (std::uint64_t word : delivery_rng_.state()) enc.put_u64_fixed(word);
-
-  enc.put_varint(algorithms_.size());
-  for (const auto& alg : algorithms_) {
-    Encoder sub;
-    alg->save(sub);
-    enc.put_bytes(sub.take());
-  }
-
-  enc.put_varint(installed_views_.size());
-  for (const View& v : installed_views_) v.encode(enc);
-  enc.put_varint(next_view_id_);
-
-  enc.put_varint(wire_stats_.messages_sent);
-  enc.put_varint(wire_stats_.protocol_messages_sent);
-  enc.put_varint(wire_stats_.max_message_bytes);
-  enc.put_varint(wire_stats_.total_message_bytes);
-  enc.put_varint(deliveries_);
-  crashed_.encode(enc);
-}
-
-void Gcs::load(Decoder& dec) {
-  // Everything below may be replaced, even by a load that fails halfway,
-  // and which processes had input since their last empty poll is not
-  // saved: the world moves, and everyone is polled once.
-  ++revision_;
-  due_ = ProcessSet::full(algorithms_.size());
-  // Every set the next round indexes the algorithm table with must be
-  // drawn over this Gcs's processes, and the decoders reject any other.
-  topology_ = Topology::decode(dec, algorithms_.size());
-  network_ = Network::decode(dec, algorithms_.size());
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = dec.get_u64_fixed();
-  delivery_rng_.set_state(rng_state);
-
-  const std::uint64_t alg_count = dec.get_varint();
-  if (alg_count != algorithms_.size()) {
-    throw DecodeError("snapshot algorithm count does not match this Gcs");
-  }
-  for (const auto& alg : algorithms_) {
-    const std::vector<std::byte> bytes = dec.get_bytes();
-    Decoder sub(bytes);
-    alg->load(sub);
-    sub.finish();
-  }
-
-  const std::uint64_t view_count = dec.get_varint();
-  if (view_count != installed_views_.size()) {
-    throw DecodeError("snapshot view count does not match this Gcs");
-  }
-  for (View& v : installed_views_) v = View::decode(dec, algorithms_.size());
-  next_view_id_ = static_cast<ViewId>(dec.get_varint());
-
-  wire_stats_.messages_sent = dec.get_varint();
-  wire_stats_.protocol_messages_sent = dec.get_varint();
-  wire_stats_.max_message_bytes = static_cast<std::size_t>(dec.get_varint());
-  wire_stats_.total_message_bytes = dec.get_varint();
-  deliveries_ = dec.get_varint();
-  crashed_ = ProcessSet::decode(dec, algorithms_.size());
 }
 
 bool Gcs::has_primary() const {

@@ -96,11 +96,11 @@ class Gcs {
 
   /// Names the world's current state: it moves whenever anything may have
   /// changed an algorithm, a view or the crash set -- a round that
-  /// delivered or polled, every apply_*, load, and the non-const
-  /// algorithm() accessor -- and stays put across rounds that call no
-  /// algorithm.  Answers computed from the world (the invariant checker's
-  /// verdict, has_primary) hold while it does.  In-process only: never
-  /// saved, and it starts at 1 so that 0 names no state.
+  /// delivered or polled, every apply_*, and the non-const algorithm()
+  /// accessor -- and stays put across rounds that call no algorithm.
+  /// Answers computed from the world (the invariant checker's verdict,
+  /// has_primary) hold while it does.  It starts at 1 so that 0 names no
+  /// state.
   std::uint64_t revision() const { return revision_; }
 
   /// Hands out process `id` for the caller to feed input (an application
@@ -172,17 +172,6 @@ class Gcs {
   /// (The invariant checker guarantees per-component agreement.)
   bool has_primary() const;
 
-  /// Serialize the full mutable state: topology, in-flight messages, the
-  /// delivery RNG, every algorithm instance (as a length-prefixed blob so
-  /// framing survives algorithm changes), installed views, wire counters,
-  /// and the crash set.  Constructor configuration (algorithm kind, process
-  /// count, options) is NOT written; `load` restores into a Gcs built with
-  /// the same configuration, which the snapshot envelope enforces.  `load`
-  /// throws DecodeError on any set drawn over another universe, and makes
-  /// every process due a poll (the poll set and revision are not saved).
-  void save(Encoder& enc) const;
-  void load(Decoder& dec);
-
  private:
   void install_view(const ProcessSet& members);
   /// A batch reaching `recipients`: counted and made due once for the set,
@@ -209,7 +198,7 @@ class Gcs {
     }
   };
 
-  GcsOptions options_;  // dvlint: transient(constructor configuration)
+  GcsOptions options_;
   Topology topology_;
   Network network_;
   Rng delivery_rng_;
@@ -222,8 +211,8 @@ class Gcs {
   /// Processes with input since their last empty poll: the ones step_round
   /// polls.  A process leaves when its poll returns nothing; one that sent
   /// stays, since its outbox may hold more.
-  ProcessSet due_;  // dvlint: transient(everyone is due after load)
-  std::uint64_t revision_ = 1;  // dvlint: transient(in-process memo key)
+  ProcessSet due_;
+  std::uint64_t revision_ = 1;
 };
 
 }  // namespace dynvote

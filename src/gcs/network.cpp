@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/codec.hpp"
 
 namespace dynvote {
 
@@ -102,38 +101,6 @@ void Network::flush_for_partition(const ProcessSet& component,
   if (!side_b_batch_.empty()) deliver(side_b_batch_, side_b);
   in_flight_.swap(kept_scratch_);
   kept_scratch_.clear();
-}
-
-void Network::encode(Encoder& enc) const {
-  enc.put_varint(in_flight_.size());
-  for (const Multicast& m : in_flight_) {
-    enc.put_varint(m.sender);
-    m.scope.encode(enc);
-    enc.put_bytes(m.message.serialize());
-  }
-}
-
-Network Network::decode(Decoder& dec, std::size_t universe) {
-  const std::uint64_t count = dec.get_varint();
-  if (count > 1'000'000 || count > dec.remaining()) {
-    throw DecodeError("implausible in-flight count");
-  }
-  Network net;
-  net.in_flight_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const ProcessId sender = static_cast<ProcessId>(dec.get_varint());
-    ProcessSet scope = ProcessSet::decode(dec, universe);
-    if (!scope.contains(sender)) {
-      throw DecodeError("in-flight multicast sender outside its scope");
-    }
-    const std::vector<std::byte> bytes = dec.get_bytes();
-    net.in_flight_.push_back(
-        Multicast{sender, std::move(scope), Message::parse(bytes, universe)});
-  }
-  if (!net.group_by_scope(net.in_flight_)) {
-    throw DecodeError("in-flight scopes overlap without being equal");
-  }
-  return net;
 }
 
 void Network::flush_for_merge(const ProcessSet& component, DeliverFn deliver) {

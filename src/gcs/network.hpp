@@ -30,9 +30,6 @@
 
 namespace dynvote {
 
-class Encoder;
-class Decoder;
-
 class Network {
  public:
   /// Called once per batch: every message in `batch`, in send order,
@@ -81,12 +78,6 @@ class Network {
   bool idle() const { return in_flight_.empty(); }
   std::size_t in_flight_count() const { return in_flight_.size(); }
 
-  void encode(Encoder& enc) const;
-  /// Throws DecodeError on a multicast whose scope is drawn over a universe
-  /// other than `universe`, whose sender is outside its scope, or whose
-  /// scope overlaps another's without being equal.
-  static Network decode(Decoder& dec, std::size_t universe);
-
  private:
   struct Multicast {
     ProcessId sender;
@@ -115,18 +106,17 @@ class Network {
   /// triggered by deliveries queue for the next round.  Keeping the buffer
   /// as a member preserves its capacity across rounds, making the steady
   /// state allocation-free.  Always empty between calls.
-  std::vector<Multicast> batch_scratch_;  // dvlint: transient(empty between rounds)
+  std::vector<Multicast> batch_scratch_;
   /// Same idea for the flush paths' surviving-message rebuild.
-  std::vector<Multicast> kept_scratch_;  // dvlint: transient(empty between flushes)
+  std::vector<Multicast> kept_scratch_;
   /// The batches handed out: deliver_all's groups back to back, a merge
   /// flush's one batch, or a partition flush's side_a batch (side_b's is
   /// side_b_batch_).  Capacity kept across calls, contents dead between
   /// them.
-  std::vector<Delivery> batch_;  // dvlint: transient(rebuilt by every delivery)
-  std::vector<Delivery>
-      side_b_batch_;  // dvlint: transient(rebuilt by every flush)
+  std::vector<Delivery> batch_;
+  std::vector<Delivery> side_b_batch_;
   /// group_by_scope's output, rebuilt by every call.
-  std::vector<Group> groups_;  // dvlint: transient(rebuilt by every grouping)
+  std::vector<Group> groups_;
 };
 
 }  // namespace dynvote

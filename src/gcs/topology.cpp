@@ -1,7 +1,6 @@
 #include "gcs/topology.hpp"
 
 #include "util/assert.hpp"
-#include "util/codec.hpp"
 
 namespace dynvote {
 
@@ -58,39 +57,6 @@ std::vector<std::size_t> Topology::splittable_components() const {
     if (components_[i].count() >= 2) out.push_back(i);
   }
   return out;
-}
-
-void Topology::encode(Encoder& enc) const {
-  enc.put_varint(universe_size_);
-  enc.put_varint(components_.size());
-  for (const ProcessSet& c : components_) c.encode(enc);
-}
-
-Topology Topology::decode(Decoder& dec, std::size_t universe) {
-  if (dec.get_varint() != universe) {
-    throw DecodeError("topology over another universe");
-  }
-  const std::uint64_t count = dec.get_varint();
-  if (count == 0 || count > universe) {
-    throw DecodeError("implausible topology component count");
-  }
-  Topology topo(universe);
-  topo.components_.clear();
-  ProcessSet seen(universe);
-  std::size_t total = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ProcessSet c = ProcessSet::decode(dec, universe);
-    if (c.empty() || seen.intersects(c)) {
-      throw DecodeError("topology components are not disjoint");
-    }
-    seen = seen.united_with(c);
-    total += c.count();
-    topo.components_.push_back(std::move(c));
-  }
-  if (total != universe) {
-    throw DecodeError("topology components do not cover the universe");
-  }
-  return topo;
 }
 
 void Topology::check_disjoint_cover() const {

@@ -15,9 +15,6 @@
 
 namespace dynvote {
 
-class Encoder;
-class Decoder;
-
 class Topology {
  public:
   /// All `universe_size` processes start mutually connected.
@@ -47,18 +44,10 @@ class Topology {
   /// Indices of components with at least two members.
   std::vector<std::size_t> splittable_components() const;
 
-  void encode(Encoder& enc) const;
-  /// Throws DecodeError unless the stored topology is over `universe` and
-  /// its components are a disjoint cover of it (a corrupted or hand-edited
-  /// snapshot, not a bug).
-  static Topology decode(Decoder& dec, std::size_t universe);
-
  private:
   void check_disjoint_cover() const;
 
-  // Encoded first in the stream; decode() restores it through the
-  // Topology(universe) constructor rather than by field assignment.
-  std::size_t universe_size_;  // dvlint: transient(restored via constructor)
+  std::size_t universe_size_;
   std::vector<ProcessSet> components_;
 };
 

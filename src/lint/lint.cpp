@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -21,9 +20,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr CheckInfo kChecks[] = {
-    {CheckId::kSnapshotCompleteness, "snapshot-completeness",
-     "every mutable field of a save/load class must round-trip through the "
-     "snapshot (opt-out: // dvlint: transient(why))"},
     {CheckId::kDeterminism, "determinism",
      "no unseeded randomness, wall-clock reads, pointer-keyed ordering or "
      "unordered containers in result-affecting paths"},
@@ -54,10 +50,8 @@ namespace {
 // ---------------------------------------------------------------------------
 // Shared helpers
 
-constexpr std::array<std::string_view, 4> kSaveSideMethods = {
-    "save", "save_extra", "encode", "encode_body"};
-constexpr std::array<std::string_view, 4> kLoadSideMethods = {
-    "load", "load_extra", "decode", "decode_body"};
+constexpr std::array<std::string_view, 2> kDecodeMethods = {"decode",
+                                                            "decode_body"};
 
 /// Directory rank in the include DAG; higher may include lower, never the
 /// reverse.  Unknown directories have no rank and are exempt.
@@ -118,72 +112,14 @@ void collect_bodies(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 1: snapshot completeness
-
-void check_snapshot_completeness(const std::vector<ParsedFile>& files,
-                                 std::vector<Finding>& findings) {
-  for (const ParsedFile& pf : files) {
-    for (const ClassDecl& cls : pf.classes) {
-      if (cls.fields.empty()) continue;
-
-      struct Side {
-        std::string_view label;
-        std::span<const std::string_view> methods;
-        std::vector<BodyRef> bodies;
-        std::set<std::string_view> idents;
-      };
-      Side sides[2] = {
-          {"save path (save/encode)", kSaveSideMethods, {}, {}},
-          {"load path (load/decode)", kLoadSideMethods, {}, {}},
-      };
-      for (Side& side : sides) {
-        for (std::string_view m : side.methods) {
-          collect_bodies(files, cls.name, m, side.bodies);
-        }
-        for (const BodyRef& ref : side.bodies) {
-          const std::string_view body =
-              std::string_view(ref.file->code)
-                  .substr(ref.body.begin, ref.body.end - ref.body.begin);
-          for (const Token& t : tokenize(body)) {
-            if (t.is_ident()) side.idents.insert(t.text);
-          }
-        }
-      }
-      if (sides[0].bodies.empty() && sides[1].bodies.empty()) continue;
-
-      for (const FieldDecl& field : cls.fields) {
-        if (pf.source->has_annotation(field.line, "transient")) continue;
-        if (ignored(*pf.source, field.line, CheckId::kSnapshotCompleteness)) {
-          continue;
-        }
-        for (const Side& side : sides) {
-          if (side.bodies.empty()) continue;
-          if (side.idents.count(field.name) > 0) continue;
-          Finding f;
-          f.check = CheckId::kSnapshotCompleteness;
-          f.file = pf.source->rel_path;
-          f.line = field.line;
-          f.detail = field.name;
-          f.message = "class " + cls.name + ": field '" + field.name +
-                      "' is never referenced by the " + std::string(side.label) +
-                      "; serialize it or annotate it '// dvlint: "
-                      "transient(reason)'";
-          findings.push_back(std::move(f));
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Check 4 (rides on the same machinery): decode paths must throw DecodeError
+// Check 3: decode paths must throw DecodeError
 
 void check_decode_throw(const std::vector<ParsedFile>& files,
                         std::vector<Finding>& findings) {
   for (const ParsedFile& pf : files) {
     for (const ClassDecl& cls : pf.classes) {
       std::vector<BodyRef> bodies;
-      for (std::string_view m : kLoadSideMethods) {
+      for (std::string_view m : kDecodeMethods) {
         collect_bodies(files, cls.name, m, bodies);
       }
       for (const BodyRef& ref : bodies) {
@@ -199,7 +135,7 @@ void check_decode_throw(const std::vector<ParsedFile>& files,
           f.file = ref.file->rel_path;
           f.line = line;
           f.detail = std::string(t.text);
-          f.message = "class " + cls.name + ": snapshot decode path uses " +
+          f.message = "class " + cls.name + ": decode path uses " +
                       std::string(t.text) +
                       "; malformed bytes are input errors -- throw "
                       "DecodeError instead";
@@ -211,7 +147,7 @@ void check_decode_throw(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 2: determinism hygiene
+// Check 1: determinism hygiene
 
 constexpr std::array<std::string_view, 9> kRandomnessTokens = {
     "rand",         "srand",
@@ -314,7 +250,7 @@ void check_determinism(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 3: include layering
+// Check 2: include layering
 
 void check_layering(const std::vector<ParsedFile>& files,
                     std::vector<Finding>& findings) {
@@ -355,7 +291,7 @@ void check_layering(const std::vector<ParsedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 5: bounded decode
+// Check 4: bounded decode
 //
 // Generalizes the CaseResult::decode_body hardening: a decode path that
 // reserve()s or resize()s from a decoded count must first bound the count
@@ -481,7 +417,6 @@ LintReport run_lint(const std::string& root_dir) {
   LintReport report;
   report.files_scanned = parsed.size();
   std::vector<Finding>& findings = report.findings;
-  check_snapshot_completeness(parsed, findings);
   check_determinism(parsed, findings);
   check_layering(parsed, findings);
   check_decode_throw(parsed, findings);

@@ -1,13 +1,12 @@
 // dvlint: a repo-aware static checker for the dynvote codebase.
 //
-// The sharded-sweep design rests on two invariants nothing in the compiler
-// enforces: snapshots must be *complete* (every mutable field of every
-// save/load class round-trips) and simulation results must be
-// *bit-deterministic* (no unseeded randomness, no wall-clock input, no
-// hash-order iteration feeding stats or fingerprints).  dvlint checks both
-// statically -- plus the include-layering DAG -- with a lightweight lexer
-// over the repo's own sources; no libclang, no build required.  What the
-// compiler can enforce, it does instead: lock discipline through
+// The sharded-sweep design rests on an invariant nothing in the compiler
+// enforces: simulation results must be *bit-deterministic* (no unseeded
+// randomness, no wall-clock input, no hash-order iteration feeding stats or
+// fingerprints).  dvlint checks it statically -- plus the include-layering
+// DAG and the hygiene of decoders of external bytes -- with a lightweight
+// lexer over the repo's own sources; no libclang, no build required.  What
+// the compiler can enforce, it does instead: lock discipline through
 // Guarded<T> (util/guarded.hpp), whose state is reachable only under its
 // lock; exhaustive enum switches through -Werror=switch-enum (with
 // -Werror=switch for switches that have no default label); RNG stream
@@ -18,11 +17,6 @@
 // whether or not tracing is armed.
 //
 // Defect classes (check ids):
-//   snapshot-completeness  a class with save/load (or encode/decode,
-//                          save_extra/load_extra, encode_body/decode_body)
-//                          has a declared member field that the save-side
-//                          or load-side bodies never reference.  Opt-out:
-//                          annotate the field `// dvlint: transient(why)`.
 //   determinism            unseeded randomness (rand, srand, drand48,
 //                          random_device), wall-clock reads (time(),
 //                          system_clock, gettimeofday, localtime),
@@ -37,16 +31,16 @@
 //                          including bench.  The observability layer sits
 //                          just above util so core/gcs/sim may emit trace
 //                          events, never the reverse.
-//   decode-throw           a load-side body (load, load_extra, decode,
-//                          decode_body) uses DV_ASSERT/DV_REQUIRE instead
-//                          of throwing DecodeError: malformed snapshot
-//                          bytes are input errors, never assertions.
+//   decode-throw           a decode or decode_body body uses
+//                          DV_ASSERT/DV_REQUIRE instead of throwing
+//                          DecodeError: malformed bytes are input errors,
+//                          never assertions.
 //   bounded-decode         a decode path reserve()s/resize()s from a
 //                          decoded count without first bounding it by the
 //                          decoder's remaining bytes; a hostile length
 //                          prefix must fail fast, not allocate.
 //
-// Any finding can also be silenced with `// dvlint: ignore(<check-id>)` on
+// Any finding can be silenced with `// dvlint: ignore(<check-id>)` on
 // (or immediately above) the offending line; the tree itself is the only
 // record of an opt-out.  Output is deterministic: findings sort by (file,
 // line, check, detail) so CI diffs are stable.
@@ -59,7 +53,6 @@
 namespace dynvote::lint {
 
 enum class CheckId {
-  kSnapshotCompleteness,
   kDeterminism,
   kLayering,
   kDecodeThrow,
@@ -71,7 +64,7 @@ std::string_view to_string(CheckId check);
 
 /// Catalogue entry for one check, for --list-checks and SARIF rules.
 struct CheckInfo {
-  CheckId id = CheckId::kSnapshotCompleteness;
+  CheckId id = CheckId::kDeterminism;
   std::string_view name;
   std::string_view summary;
 };
@@ -80,7 +73,7 @@ struct CheckInfo {
 std::span<const CheckInfo> all_checks();
 
 struct Finding {
-  CheckId check = CheckId::kSnapshotCompleteness;
+  CheckId check = CheckId::kDeterminism;
   /// Path relative to the scanned root, forward slashes.
   std::string file;
   std::size_t line = 0;

@@ -17,20 +17,6 @@ bool is_keyword(std::string_view t) {
   return std::find(kKeywords.begin(), kKeywords.end(), t) != kKeywords.end();
 }
 
-bool chunk_starts_with(const std::string& chunk, std::string_view word) {
-  std::size_t i = 0;
-  while (i < chunk.size() &&
-         std::isspace(static_cast<unsigned char>(chunk[i])) != 0) {
-    ++i;
-  }
-  if (chunk.size() - i < word.size()) return false;
-  if (chunk.compare(i, word.size(), word) != 0) return false;
-  const std::size_t after = i + word.size();
-  return after >= chunk.size() ||
-         (std::isalnum(static_cast<unsigned char>(chunk[after])) == 0 &&
-          chunk[after] != '_');
-}
-
 /// Last non-space token of `chunk` (empty when none).
 std::string_view last_token(const std::vector<Token>& tokens) {
   return tokens.empty() ? std::string_view{} : tokens.back().text;
@@ -52,20 +38,12 @@ std::size_t match_brace(std::string_view code, std::size_t open) {
 
 namespace {
 
-/// Parse one class body span into fields and inline method bodies.
+/// Record the inline method bodies of one class body span.
 /// [body_begin, body_end) excludes the outer braces.
 void parse_class_body(const SourceFile& source, std::string_view code,
                       std::size_t body_begin, std::size_t body_end,
-                      ClassDecl& decl, ParsedFile& out) {
-  std::string chunk;                 // depth-0 text of the current declaration
-  std::vector<std::size_t> offsets;  // byte offset of each chunk char
-
-  auto reset = [&] {
-    chunk.clear();
-    offsets.clear();
-  };
-
-  auto chunk_tokens = [&] { return tokenize(chunk); };
+                      const ClassDecl& decl, ParsedFile& out) {
+  std::string chunk;  // depth-0 text of the current declaration
 
   auto method_name_of = [&](const std::vector<Token>& tokens) -> std::string {
     for (std::size_t t = 0; t + 1 < tokens.size(); ++t) {
@@ -78,58 +56,19 @@ void parse_class_body(const SourceFile& source, std::string_view code,
     return {};
   };
 
-  auto finish_declaration = [&] {
-    const std::vector<Token> tokens = chunk_tokens();
-    if (tokens.empty()) return reset();
-    for (std::string_view skip :
-         {"using", "typedef", "friend", "static", "template", "enum", "class",
-          "struct", "public", "protected", "private"}) {
-      if (chunk_starts_with(chunk, skip)) return reset();
-    }
-    // Method (or constructor) declaration.
-    if (chunk.find('(') != std::string::npos) return reset();
-    // Field: last identifier before any top-level initializer.
-    std::size_t cut = tokens.size();
-    for (std::size_t t = 0; t < tokens.size(); ++t) {
-      if (tokens[t].text == "=") {
-        cut = t;
-        break;
-      }
-    }
-    if (cut < 2) return reset();  // need at least type + name
-    const Token& name_tok = tokens[cut - 1];
-    if (!name_tok.is_ident() || is_keyword(name_tok.text)) return reset();
-    FieldDecl field;
-    field.name = std::string(name_tok.text);
-    field.line = source.line_of(offsets[name_tok.offset]);
-    decl.fields.push_back(std::move(field));
-    reset();
-  };
-
   std::size_t i = body_begin;
   while (i < body_end) {
     const char c = code[i];
     if (c == ';') {
-      finish_declaration();
+      chunk.clear();
       ++i;
       continue;
-    }
-    if (c == ':' && i + 1 < body_end && code[i + 1] != ':' &&
-        (i == 0 || code[i - 1] != ':')) {
-      // Access specifier labels end a chunk; anything else keeps the colon.
-      const std::vector<Token> tokens = chunk_tokens();
-      const std::string_view last = last_token(tokens);
-      if (last == "public" || last == "protected" || last == "private") {
-        reset();
-        ++i;
-        continue;
-      }
     }
     if (c == '{') {
       const std::size_t close =
           match_brace(std::string_view(code).substr(0, body_end), i);
       if (close == std::string_view::npos) break;  // malformed; stop safely
-      const std::vector<Token> tokens = chunk_tokens();
+      const std::vector<Token> tokens = tokenize(chunk);
       const std::string_view last = last_token(tokens);
       const bool is_body = last == ")" || last == "const" ||
                            last == "override" || last == "noexcept" ||
@@ -139,16 +78,14 @@ void parse_class_body(const SourceFile& source, std::string_view code,
           out.inline_bodies[{decl.name, std::move(name)}].push_back(
               MethodBody{std::string(), i + 1, close, source.line_of(i)});
         }
-        reset();
+        chunk.clear();
       }
       i = close + 1;
       continue;
     }
     chunk.push_back(c);
-    offsets.push_back(i);
     ++i;
   }
-  finish_declaration();
 }
 
 }  // namespace
@@ -182,7 +119,6 @@ ParsedFile parse_file(const SourceFile& source) {
 
     ClassDecl decl;
     decl.name = std::string(tokens[i + 1].text);
-    decl.line = source.line_of(tokens[i + 1].offset);
 
     std::size_t j = i + 2;
     // Qualified definitions (`struct Coordinator::Impl {`) declare the
@@ -190,7 +126,6 @@ ParsedFile parse_file(const SourceFile& source) {
     while (j + 1 < tokens.size() && tokens[j].text == "::" &&
            tokens[j + 1].is_ident() && !is_keyword(tokens[j + 1].text)) {
       decl.name = std::string(tokens[j + 1].text);
-      decl.line = source.line_of(tokens[j + 1].offset);
       j += 2;
     }
     if (j < tokens.size() && tokens[j].text == "final") ++j;

@@ -2,9 +2,9 @@
 //
 // This is deliberately not a C++ parser: it is a brace-and-token scanner
 // tuned to the shapes this repository (and the fixture corpus) actually
-// uses -- one declaration per line, trailing-underscore members, out-of-line
-// `Class::method` definitions.  Where real parsing would be needed the
-// checks fail safe (no finding) rather than guess.
+// uses -- class bodies with inline methods, out-of-line `Class::method`
+// definitions.  Where real parsing would be needed the checks fail safe
+// (no finding) rather than guess.
 #pragma once
 
 #include <cstddef>
@@ -16,11 +16,6 @@
 
 namespace dynvote::lint {
 
-struct FieldDecl {
-  std::string name;
-  std::size_t line = 0;
-};
-
 struct MethodBody {
   std::string name;
   /// Byte range of the body in SourceFile::code, braces excluded.
@@ -31,8 +26,6 @@ struct MethodBody {
 
 struct ClassDecl {
   std::string name;
-  std::vector<FieldDecl> fields;
-  std::size_t line = 0;
 };
 
 struct IncludeDirective {

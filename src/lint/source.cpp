@@ -57,16 +57,8 @@ std::size_t SourceFile::line_of(std::size_t offset) const {
 bool SourceFile::has_annotation(std::size_t line,
                                 std::string_view marker) const {
   if (line == 0 || line > annotations.size()) return false;
-  for (const std::string& m : annotations[line - 1]) {
-    std::string_view got = m;
-    // "transient(config)" matches marker "transient".
-    if (const std::size_t paren = got.find('(');
-        paren != std::string_view::npos) {
-      if (got.substr(0, paren) == marker) return true;
-    }
-    if (got == marker) return true;
-  }
-  return false;
+  const std::vector<std::string>& markers = annotations[line - 1];
+  return std::find(markers.begin(), markers.end(), marker) != markers.end();
 }
 
 SourceFile load_source(const std::string& abs_path, std::string rel_path) {

@@ -31,8 +31,7 @@ struct SourceFile {
   /// 1-based line number of byte `offset` in `text`/`code`.
   std::size_t line_of(std::size_t offset) const;
 
-  /// True when `marker` (e.g. "transient", "ignore(layering)") covers
-  /// `line`.  Matches "transient(...)" for marker "transient" too.
+  /// True when `marker` (e.g. "ignore(layering)") covers `line`.
   bool has_annotation(std::size_t line, std::string_view marker) const;
 };
 

@@ -321,9 +321,12 @@ SweepResult run_sweep(const SweepSpec& spec) {
     }
   };
 
+  // The caller is worker 0.  A worker beyond the board's units would only
+  // find it empty, so at most one thread starts per unit.
+  const std::size_t workers = std::min(jobs, board.unit_count());
   std::vector<std::thread> helpers;
   try {
-    for (std::size_t w = 1; w < jobs; ++w) helpers.emplace_back(work, w);
+    for (std::size_t w = 1; w < workers; ++w) helpers.emplace_back(work, w);
   } catch (...) {
     // A thread that fails to start fails the sweep; the helpers already
     // running see the failure and stop, so they can still be joined.

@@ -4,7 +4,6 @@
 
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
-#include "util/codec.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -134,6 +133,7 @@ std::optional<RunResult> Simulation::run_events(std::size_t max_events) {
     }
   }
   for (std::size_t e = 0; e < max_events; ++e) {
+    ++events_;
     if (step_event()) {
       progress_.active = false;
       return std::move(progress_.partial);
@@ -148,120 +148,6 @@ RunResult Simulation::run_once() {
   auto result = run_events(std::numeric_limits<std::size_t>::max());
   DV_ASSERT(result.has_value());
   return *std::move(result);
-}
-
-namespace {
-
-void encode_run_result(Encoder& enc, const RunResult& r) {
-  enc.put_bool(r.primary_at_end);
-  enc.put_varint(r.observer_ambiguous_at_end);
-  enc.put_varint(r.observer_ambiguous_at_changes.size());
-  for (std::size_t v : r.observer_ambiguous_at_changes) enc.put_varint(v);
-  enc.put_varint(r.rounds_executed);
-  enc.put_varint(r.changes_applied);
-  enc.put_varint(r.rounds_with_primary);
-  enc.put_bool(r.observer_blocked_at_end);
-}
-
-RunResult decode_run_result(Decoder& dec) {
-  RunResult r;
-  r.primary_at_end = dec.get_bool();
-  r.observer_ambiguous_at_end = dec.get_varint();
-  const std::uint64_t n = dec.get_varint();
-  if (n > 1'000'000 || n > dec.remaining()) {
-    throw DecodeError("implausible per-change sample count");
-  }
-  r.observer_ambiguous_at_changes.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    r.observer_ambiguous_at_changes.push_back(dec.get_varint());
-  }
-  r.rounds_executed = dec.get_varint();
-  r.changes_applied = dec.get_varint();
-  r.rounds_with_primary = dec.get_varint();
-  r.observer_blocked_at_end = dec.get_bool();
-  return r;
-}
-
-/// Throws DecodeError unless `p`, a restored active run, is a point at
-/// which step_event could have paused under `config`.  step_event stops
-/// injecting exactly when change_index reaches the budget, counts every
-/// change it applies in both partial fields, and fails a stabilizing run
-/// before quiet_rounds reaches its budget.  A run past those points would
-/// inject forever or fail for a reason that is not the algorithm's.
-void check_restored_progress(const RunProgress& p,
-                             const SimulationConfig& config) {
-  const bool injecting = p.phase == RunProgress::Phase::kInjecting;
-  if (p.change_index > config.changes_per_run ||
-      (injecting && p.change_index == config.changes_per_run)) {
-    throw DecodeError("restored run is past this simulation's change budget");
-  }
-  if (p.change_index != p.partial.changes_applied ||
-      p.change_index != p.partial.observer_ambiguous_at_changes.size()) {
-    throw DecodeError("restored run disagrees with its own change count");
-  }
-  if (p.quiet_rounds >= config.max_stabilization_rounds) {
-    throw DecodeError("restored run is past the stabilization budget");
-  }
-}
-
-}  // namespace
-
-void Simulation::save(Encoder& enc) const {
-  gcs_.save(enc);
-  // The fault model writes a named, length-prefixed blob (like the
-  // algorithm instances) so a snapshot can never be misread by a
-  // simulation running a different model.
-  enc.put_string(model_->name());
-  Encoder model_state;
-  model_->save(model_state);
-  const std::vector<std::byte> model_bytes = model_state.take();
-  enc.put_bytes(model_bytes);
-  checker_.save(enc);
-  enc.put_varint(total_changes_);
-  enc.put_bool(last_round_active_);
-
-  enc.put_bool(progress_.active);
-  enc.put_u8(static_cast<std::uint8_t>(progress_.phase));
-  enc.put_varint(progress_.change_index);
-  enc.put_bool(progress_.gap_drawn);
-  enc.put_varint(progress_.gap_remaining);
-  enc.put_varint(progress_.quiet_rounds);
-  encode_run_result(enc, progress_.partial);
-}
-
-void Simulation::load(Decoder& dec) {
-  gcs_.load(dec);
-  const std::string model_name = dec.get_string();
-  if (model_name != model_->name()) {
-    throw DecodeError("snapshot drives fault model \"" + model_name +
-                      "\", this simulation runs \"" +
-                      std::string(model_->name()) + "\"");
-  }
-  const std::vector<std::byte> model_bytes = dec.get_bytes();
-  Decoder model_state(model_bytes);
-  model_->load(model_state);
-  model_state.finish();
-  checker_.load(dec);
-  total_changes_ = dec.get_varint();
-  last_round_active_ = dec.get_bool();
-  // Re-arm the observability edge detectors from the restored state so a
-  // resumed run emits the same transitions a never-paused one would.
-  had_primary_ = gcs_.has_primary();
-  primary_revision_ = gcs_.revision();
-  last_ambiguous_ = observer_info().ambiguous_count;
-
-  progress_.active = dec.get_bool();
-  const std::uint8_t raw_phase = dec.get_u8();
-  if (raw_phase > static_cast<std::uint8_t>(RunProgress::Phase::kStabilizing)) {
-    throw DecodeError("bad run phase in snapshot");
-  }
-  progress_.phase = static_cast<RunProgress::Phase>(raw_phase);
-  progress_.change_index = dec.get_varint();
-  progress_.gap_drawn = dec.get_bool();
-  progress_.gap_remaining = dec.get_varint();
-  progress_.quiet_rounds = dec.get_varint();
-  progress_.partial = decode_run_result(dec);
-  if (progress_.active) check_restored_progress(progress_, config_);
 }
 
 }  // namespace dynvote

@@ -72,7 +72,7 @@ struct RunResult {
   bool operator==(const RunResult&) const = default;
 };
 
-/// Where a paused run stands, so a snapshot taken mid-run resumes exactly.
+/// Where a paused run stands, so run_events resumes it exactly.
 struct RunProgress {
   enum class Phase : std::uint8_t {
     /// Still injecting the run's connectivity changes.
@@ -106,10 +106,15 @@ class Simulation {
   /// Resumable form of run_once: execute at most `max_events` simulation
   /// events -- one event is one message round or one change application --
   /// and return the RunResult if the run completed, std::nullopt if it was
-  /// paused mid-run (snapshot-safe; the next call continues it).  A run
-  /// paused at event k and resumed is bit-identical to one that never
-  /// paused: run_once() itself is run_events(no limit).
+  /// paused mid-run (the next call continues it).  A run paused at event k
+  /// and resumed is bit-identical to one that never paused: run_once()
+  /// itself is run_events(no limit).
   std::optional<RunResult> run_events(std::size_t max_events);
+
+  /// Events run since construction, over every run.  A world is a pure
+  /// function of its configuration, so this count names its whole state
+  /// (sim/snapshot.hpp replays to it).
+  std::uint64_t events() const { return events_; }
 
   /// True while a run started by run_events is paused mid-run.
   bool run_in_progress() const { return progress_.active; }
@@ -119,16 +124,6 @@ class Simulation {
   Gcs& gcs() { return gcs_; }
   std::uint64_t total_changes() const { return total_changes_; }
   std::uint64_t invariant_checks() const { return checker_.checks_performed(); }
-
-  /// Serialize all mutable state (GCS, fault model, checker history, run
-  /// progress).  Configuration is not written; `load` restores into a
-  /// Simulation constructed with an identical config, which the snapshot
-  /// envelope (sim/snapshot.hpp) enforces.  `load` throws DecodeError on a
-  /// paused run this configuration could not be in: past its change or
-  /// stabilization budget, or with a change count its samples disagree
-  /// with.
-  void save(Encoder& enc) const;
-  void load(Decoder& dec);
 
  private:
   void apply_next_fault();
@@ -151,21 +146,21 @@ class Simulation {
   /// statistics were collected by one of the processes").
   static constexpr ProcessId kObserver = 0;
 
-  // Pinned by the snapshot envelope's config trajectory hash, not written.
-  SimulationConfig config_;  // dvlint: transient(constructor configuration)
+  SimulationConfig config_;
   Gcs gcs_;
   std::unique_ptr<FaultModel> model_;
   InvariantChecker checker_;
   std::uint64_t total_changes_ = 0;
+  std::uint64_t events_ = 0;
   bool last_round_active_ = true;
   RunProgress progress_;
-  // Observability edge detectors; recomputed from the restored GCS on
-  // load, never results-affecting.
-  bool had_primary_ = true;  // dvlint: transient(recomputed from gcs on load)
+  /// has_primary() after the last round: the primary_formed trace edge.
+  bool had_primary_ = true;
   /// The Gcs revision had_primary_ was read at (0: none).  While the world
   /// keeps that revision, had_primary_ is still its has_primary().
-  std::uint64_t primary_revision_ = 0;  // dvlint: transient(memo key)
-  std::size_t last_ambiguous_ = 0;  // dvlint: transient(trace edge detector)
+  std::uint64_t primary_revision_ = 0;
+  /// The observer's last ambiguity sample: the session_resolved trace edge.
+  std::size_t last_ambiguous_ = 0;
 };
 
 }  // namespace dynvote

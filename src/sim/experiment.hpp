@@ -60,8 +60,8 @@ CaseResult run_case(const CaseSpec& spec);
 CaseResult run_case_shard(const CaseSpec& spec, std::uint64_t first_run,
                           std::uint64_t count);
 
-/// A resumption point inside a cascading case: the simulation state after
-/// runs [0, first_run) completed, as versioned snapshot bytes
+/// A resumption point inside a cascading case: the replay point after runs
+/// [0, first_run) completed, as versioned snapshot bytes
 /// (sim/snapshot.hpp).  first_run == 0 with empty bytes means "start
 /// fresh".
 struct CascadeCheckpoint {
@@ -69,26 +69,25 @@ struct CascadeCheckpoint {
   std::vector<std::byte> bytes;
 };
 
-/// Scout pass over a cascading case: replay runs [0, max(boundaries))
-/// with invariant checking and wire measurement forced OFF -- neither flag
-/// affects the trajectory, so the replay is cheap and reaches the same
+/// Scout pass over a cascading case: run [0, max(boundaries)) with
+/// invariant checking and wire measurement forced OFF -- neither flag
+/// affects the trajectory, so the scout is cheap and reaches the same
 /// states -- and emit a snapshot at each requested run boundary.
 /// `boundaries` must be strictly increasing, non-empty, and start above 0.
 /// The returned checkpoints restore into fully-instrumented simulations
 /// (the snapshot envelope's config hash deliberately excludes the
-/// observability flags).  They carry no checker history, so a shard
-/// restored from one checks the primary chain afresh from its first run;
-/// the sweep runner therefore never splits a cascading case, and the scout
-/// serves tools that cut one into restorable pieces.
+/// observability flags), which replay the prefix under their own flags and
+/// so carry its whole checker history.  The sweep runner never splits a
+/// cascading case; the scout serves tools that cut one into pieces.
 std::vector<CascadeCheckpoint> scout_cascading_case(
     const CaseSpec& spec, const std::vector<std::uint64_t>& boundaries);
 
 /// Simulate the contiguous run range [checkpoint.first_run,
 /// checkpoint.first_run + count) of a *cascading* case, restoring the
-/// world from the checkpoint first.  Counter deltas are taken against the
-/// restored cumulative values, so merging shard results in run order is
-/// bit-identical to the serial `run_case`.  `spec.runs` is ignored in
-/// favor of the explicit range.
+/// world from the checkpoint first (a replay of runs [0, first_run)).
+/// Counter deltas are taken against the restored cumulative values, so
+/// merging shard results in run order is bit-identical to the serial
+/// `run_case`.  `spec.runs` is ignored in favor of the explicit range.
 CaseResult run_cascading_shard(const CaseSpec& spec,
                                const CascadeCheckpoint& checkpoint,
                                std::uint64_t count);

@@ -1,12 +1,10 @@
 #include "sim/fault_model.hpp"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 
 #include "sim/trace_model.hpp"
 #include "util/assert.hpp"
-#include "util/codec.hpp"
 
 namespace dynvote {
 
@@ -76,8 +74,7 @@ std::size_t SleepyFaultModel::next_gap() {
 }
 
 void SleepyFaultModel::apply_next(Gcs& gcs) {
-  // The GCS's crash set is the sleeper set; the model keeps no copy, so a
-  // snapshot of the GCS is a snapshot of who sleeps.
+  // The GCS's crash set is the sleeper set; the model keeps no copy.
   const ProcessSet& asleep = gcs.crashed();
   const std::size_t universe = gcs.process_count();
   const std::size_t awake = universe - asleep.count();
@@ -107,16 +104,6 @@ void SleepyFaultModel::apply_next(Gcs& gcs) {
     }
     gcs.apply_sleep(candidates[rng_.below(candidates.size())]);
   }
-}
-
-void SleepyFaultModel::save(Encoder& enc) const {
-  for (std::uint64_t word : rng_.state()) enc.put_u64_fixed(word);
-}
-
-void SleepyFaultModel::load(Decoder& dec) {
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = dec.get_u64_fixed();
-  rng_.set_state(state);
 }
 
 // --------------------------------------------------------------- repairable
@@ -220,59 +207,6 @@ void RepairableFaultModel::apply_next(Gcs& gcs) {
     } else {
       queue_.push_back(victim);
     }
-  }
-}
-
-void RepairableFaultModel::save(Encoder& enc) const {
-  for (std::uint64_t word : rng_.state()) enc.put_u64_fixed(word);
-  enc.put_varint(clock_);
-  enc.put_bool(failure_armed_);
-  enc.put_varint(next_failure_at_);
-  enc.put_varint(in_service_.size());
-  for (const Repair& repair : in_service_) {
-    enc.put_varint(repair.process);
-    enc.put_varint(repair.done_at);
-  }
-  enc.put_varint(queue_.size());
-  for (ProcessId p : queue_) enc.put_varint(p);
-}
-
-void RepairableFaultModel::load(Decoder& dec) {
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = dec.get_u64_fixed();
-  rng_.set_state(state);
-  clock_ = dec.get_varint();
-  failure_armed_ = dec.get_bool();
-  next_failure_at_ = dec.get_varint();
-
-  const std::uint64_t serviced = dec.get_varint();
-  if (serviced > capacity_ || serviced > processes_ ||
-      serviced > dec.remaining()) {
-    throw DecodeError("repair snapshot exceeds the shop capacity");
-  }
-  in_service_.clear();
-  in_service_.reserve(static_cast<std::size_t>(serviced));
-  for (std::uint64_t i = 0; i < serviced; ++i) {
-    Repair repair;
-    repair.process = static_cast<ProcessId>(dec.get_varint());
-    repair.done_at = dec.get_varint();
-    if (repair.process >= processes_) {
-      throw DecodeError("repair snapshot names a process out of range");
-    }
-    in_service_.push_back(repair);
-  }
-  const std::uint64_t queued = dec.get_varint();
-  if (serviced + queued > processes_ || queued > dec.remaining()) {
-    throw DecodeError("repair snapshot holds more processes than exist");
-  }
-  queue_.clear();
-  queue_.reserve(static_cast<std::size_t>(queued));
-  for (std::uint64_t i = 0; i < queued; ++i) {
-    const ProcessId p = static_cast<ProcessId>(dec.get_varint());
-    if (p >= processes_) {
-      throw DecodeError("repair snapshot names a process out of range");
-    }
-    queue_.push_back(p);
   }
 }
 

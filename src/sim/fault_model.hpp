@@ -5,8 +5,7 @@
 // extension).  A FaultModel abstracts that schedule behind two operations
 // -- "how many quiet rounds until the next event?" and "apply the next
 // event to the GCS" -- so other participation regimes from the related
-// literature plug into the same driver loop, sweep engine, and snapshot
-// machinery:
+// literature plug into the same driver loop and sweep engine:
 //
 //   geometric    the thesis's model, re-homed verbatim (bit-identical
 //                schedules, gated by bench_diff against bench/baselines/);
@@ -37,9 +36,6 @@
 #include "sim/fault_schedule.hpp"
 
 namespace dynvote {
-
-class Encoder;
-class Decoder;
 
 enum class FaultModelKind : std::uint8_t {
   kGeometric = 0,
@@ -74,15 +70,10 @@ struct FaultModelParams {
 /// many message rounds -- with apply_next() until the run's change budget
 /// (or the model's schedule) is exhausted.  Models mutate the GCS only
 /// through its apply_* surface, and own any state beyond what the GCS
-/// already tracks; save/load must round-trip that state bit-exactly
-/// (snapshots taken mid-schedule resume the identical trajectory).
+/// already tracks.
 class FaultModel {
  public:
   virtual ~FaultModel() = default;
-
-  /// Stable identifier ("geometric", "sleepy", ...), stamped into
-  /// snapshots and manifests.
-  virtual std::string_view name() const = 0;
 
   /// Number of message rounds to run before the next event.
   virtual std::size_t next_gap() = 0;
@@ -93,10 +84,6 @@ class FaultModel {
   /// True when the schedule has no further events (only the trace model
   /// ever exhausts); the driver then moves straight to stabilization.
   virtual bool exhausted() const { return false; }
-
-  /// Serialize / restore the mutable model state.
-  virtual void save(Encoder& enc) const = 0;
-  virtual void load(Decoder& dec) = 0;
 };
 
 /// The thesis's regime: geometric gaps, random partition/merge (plus
@@ -110,11 +97,8 @@ class GeometricFaultModel final : public FaultModel {
   GeometricFaultModel(std::uint64_t seed, double mean_rounds_between_changes,
                       double crash_fraction);
 
-  std::string_view name() const override { return "geometric"; }
   std::size_t next_gap() override { return scheduler_.next_gap(); }
   void apply_next(Gcs& gcs) override;
-  void save(Encoder& enc) const override { scheduler_.save(enc); }
-  void load(Decoder& dec) override { scheduler_.load(dec); }
 
  private:
   FaultScheduler scheduler_;
@@ -131,16 +115,13 @@ class SleepyFaultModel final : public FaultModel {
   SleepyFaultModel(std::uint64_t seed, double mean_rounds_between_changes,
                    double wake_bias);
 
-  std::string_view name() const override { return "sleepy"; }
   std::size_t next_gap() override;
   void apply_next(Gcs& gcs) override;
-  void save(Encoder& enc) const override;
-  void load(Decoder& dec) override;
 
  private:
   Rng rng_;
-  double p_;          // dvlint: transient(derived from constructor args)
-  double wake_bias_;  // dvlint: transient(derived from constructor args)
+  double p_;
+  double wake_bias_;
 };
 
 /// Repairable nodes (PBFT-with-repairable-voting-nodes, PAPERS.md):
@@ -158,11 +139,8 @@ class RepairableFaultModel final : public FaultModel {
                        std::uint64_t repair_capacity,
                        double repair_mean_rounds);
 
-  std::string_view name() const override { return "repairable"; }
   std::size_t next_gap() override;
   void apply_next(Gcs& gcs) override;
-  void save(Encoder& enc) const override;
-  void load(Decoder& dec) override;
 
  private:
   struct Repair {
@@ -181,10 +159,10 @@ class RepairableFaultModel final : public FaultModel {
   const Repair* next_repair() const;
 
   Rng rng_;
-  std::size_t processes_;     // dvlint: transient(derived from constructor args)
-  double fail_p_;             // dvlint: transient(derived from constructor args)
-  double service_p_;          // dvlint: transient(derived from constructor args)
-  std::uint64_t capacity_;    // dvlint: transient(derived from constructor args)
+  std::size_t processes_;
+  double fail_p_;
+  double service_p_;
+  std::uint64_t capacity_;
   std::uint64_t clock_ = 0;
   bool failure_armed_ = false;
   std::uint64_t next_failure_at_ = 0;

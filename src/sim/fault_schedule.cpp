@@ -1,10 +1,8 @@
 #include "sim/fault_schedule.hpp"
 
-#include <array>
 #include <vector>
 
 #include "util/assert.hpp"
-#include "util/codec.hpp"
 
 namespace dynvote {
 
@@ -20,16 +18,6 @@ FaultScheduler::FaultScheduler(std::uint64_t seed,
              "mean rounds between changes must be non-negative");
   DV_REQUIRE(crash_fraction >= 0.0 && crash_fraction <= 1.0,
              "crash fraction must be within [0,1]");
-}
-
-void FaultScheduler::save(Encoder& enc) const {
-  for (std::uint64_t word : rng_.state()) enc.put_u64_fixed(word);
-}
-
-void FaultScheduler::load(Decoder& dec) {
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = dec.get_u64_fixed();
-  rng_.set_state(state);
 }
 
 std::size_t FaultScheduler::next_gap() {

@@ -27,9 +27,6 @@
 
 namespace dynvote {
 
-class Encoder;
-class Decoder;
-
 struct ConnectivityChange {
   enum class Kind {
     kPartition,
@@ -77,19 +74,13 @@ class FaultScheduler {
 
   double change_probability() const { return p_; }
 
-  /// Serialize the mutable state (just the RNG position; `p_` and
-  /// `crash_fraction_` derive from the constructor arguments, which the
-  /// snapshot envelope pins).
-  void save(Encoder& enc) const;
-  void load(Decoder& dec);
-
  private:
   ConnectivityChange next_connectivity_change(const Topology& topology,
                                               const ProcessSet& crashed);
 
   Rng rng_;
-  double p_;               // dvlint: transient(derived from constructor args)
-  double crash_fraction_;  // dvlint: transient(derived from constructor args)
+  double p_;
+  double crash_fraction_;
 };
 
 }  // namespace dynvote

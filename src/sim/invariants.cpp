@@ -4,33 +4,12 @@
 #include <sstream>
 
 #include "util/assert.hpp"
-#include "util/codec.hpp"
 
 namespace dynvote {
 
 InvariantChecker::InvariantChecker(const Gcs& gcs)
     : last_primary_numbers_(gcs.process_count(), 0),
       last_formed_primary_{0, ProcessSet(gcs.process_count())} {}
-
-void InvariantChecker::save(Encoder& enc) const {
-  enc.put_varint(checks_);
-  enc.put_varint(last_primary_numbers_.size());
-  for (SessionNumber n : last_primary_numbers_) enc.put_varint(n);
-  last_formed_primary_.encode(enc);
-}
-
-void InvariantChecker::load(Decoder& dec) {
-  checks_ = dec.get_varint();
-  const std::uint64_t n = dec.get_varint();
-  if (n != last_primary_numbers_.size()) {
-    throw DecodeError("snapshot invariant history does not match this checker");
-  }
-  for (SessionNumber& v : last_primary_numbers_) {
-    v = static_cast<SessionNumber>(dec.get_varint());
-  }
-  last_formed_primary_ = Session::decode(dec, last_primary_numbers_.size());
-  verified_gcs_ = nullptr;  // the history changed under the memo
-}
 
 void InvariantChecker::check(const Gcs& gcs) {
   ++checks_;

@@ -24,9 +24,6 @@
 
 namespace dynvote {
 
-class Encoder;
-class Decoder;
-
 class InvariantChecker {
  public:
   explicit InvariantChecker(const Gcs& gcs);
@@ -52,9 +49,6 @@ class InvariantChecker {
 
   std::uint64_t checks_performed() const { return checks_; }
 
-  void save(Encoder& enc) const;
-  void load(Decoder& dec);
-
  private:
   /// Check 5's step: `formed` must not be older than the chain's head and
   /// must intersect it; it becomes the head.
@@ -67,12 +61,11 @@ class InvariantChecker {
   std::uint64_t checks_ = 0;
   /// The world the last passing check walked.  A checker's history belongs
   /// to the one world it follows, so a match names that world unchanged.
-  const Gcs* verified_gcs_ = nullptr;  // dvlint: transient(memo key)
-  std::uint64_t verified_revision_ = 0;  // dvlint: transient(memo key)
+  const Gcs* verified_gcs_ = nullptr;
+  std::uint64_t verified_revision_ = 0;
   /// Sessions newer than the chain's head that live processes hold, found
   /// by one check's walk.
-  std::vector<const Session*>
-      newer_formed_;  // dvlint: transient(scratch, refilled by every check)
+  std::vector<const Session*> newer_formed_;
 };
 
 }  // namespace dynvote

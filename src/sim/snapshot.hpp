@@ -1,52 +1,55 @@
-// Versioned simulation snapshots.
+// Simulation snapshots as replay points.
 //
-// A snapshot captures the complete mutable state of a Simulation --
-// algorithm instances, in-flight messages, topology, RNG positions, and
-// mid-run progress -- behind a small self-describing envelope:
+// The driver loop draws every choice from streams seeded by the
+// configuration (thesis §2.2), so a world is a pure function of its
+// configuration and of the events it has run: the event count names its
+// whole state.  A snapshot is that position on the world's trajectory,
+// behind a small self-describing envelope:
 //
-//   schema string   "dynvote.snapshot.v3"; any layout change bumps it, so
-//                   stale snapshot bytes are rejected, never misread
-//                   (v2: the fault-model blob replaced the bare geometric
-//                   scheduler state, and the config hash covers the model
-//                   selection + parameters; v3: the producing build's
-//                   git describe string left the envelope, so the same
-//                   world saves the same bytes from any checkout, and the
-//                   observer left the config hash);
+//   schema string   "dynvote.snapshot.v4"; any layout change bumps it, so
+//                   stale snapshot bytes are rejected, never misread;
 //   algorithm id    the algorithm's name() string;
 //   config hash     a fingerprint of every configuration field that shapes
-//                   the simulation trajectory.  Observability toggles
-//                   (check_invariants, measure_wire_sizes) are
-//                   deliberately EXCLUDED: they do not affect the
-//                   trajectory, and a fast unchecked "scout" snapshot
-//                   (scout_cascading_case) restores into a
-//                   fully-instrumented simulation.
+//                   the trajectory.  The observability toggles
+//                   (check_invariants, measure_wire_sizes) are left out:
+//                   they do not move the trajectory, and a restored world
+//                   replays under its own;
+//   event count     Simulation::events();
+//   counters        Gcs::revision(), Gcs::deliveries() and
+//                   Simulation::total_changes() at that event;
+//   checksum        FNV-1a over every field above.
 //
-// restore_snapshot throws DecodeError on truncation, corruption, a schema
-// mismatch, or a snapshot taken under a different trajectory config.
+// restore_snapshot replays the events into a world that has run none, so
+// it costs as much as running the saved world's prefix, and the restored
+// world carries everything the saved one did, checker history included.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "sim/driver.hpp"
 
 namespace dynvote {
 
-inline constexpr std::string_view kSnapshotSchema = "dynvote.snapshot.v3";
+inline constexpr std::string_view kSnapshotSchema = "dynvote.snapshot.v4";
 
 /// Fingerprint of the trajectory-determining SimulationConfig fields
 /// (processes, changes, rate, crash fraction, fault model + parameters,
 /// seed, stabilization budget) -- NOT the observability toggles.
 std::uint64_t config_trajectory_hash(const SimulationConfig& config);
 
-/// Serialize `sim` behind the versioned envelope.
+/// The replay point `sim` stands at.
 std::vector<std::byte> save_snapshot(const Simulation& sim);
 
-/// Restore `sim` from snapshot bytes.  `sim` must have been constructed
-/// with a config whose trajectory hash and algorithm match the producer's;
-/// anything else throws DecodeError.
+/// Replay `sim` to the point `bytes` names.  `sim` must have run no event
+/// (else PreconditionViolation).  Bytes for another schema, algorithm or
+/// trajectory config, or whose checksum fails, throw DecodeError before
+/// any event runs.  A replay that reaches other counters than the saved
+/// ones throws DecodeError: the saved world was moved outside the driver
+/// (a hand-applied partition, say), so its trajectory cannot be replayed.
 void restore_snapshot(Simulation& sim, std::span<const std::byte> bytes);
 
 }  // namespace dynvote

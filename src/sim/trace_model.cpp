@@ -196,18 +196,4 @@ void TraceFaultModel::apply_next(Gcs& gcs) {
   ++cursor_;
 }
 
-void TraceFaultModel::save(Encoder& enc) const {
-  enc.put_varint(cursor_);
-  enc.put_varint(clock_);
-}
-
-void TraceFaultModel::load(Decoder& dec) {
-  const std::uint64_t cursor = dec.get_varint();
-  if (cursor > events_.size()) {
-    throw DecodeError("trace snapshot cursor is past the schedule");
-  }
-  cursor_ = static_cast<std::size_t>(cursor);
-  clock_ = dec.get_varint();
-}
-
 }  // namespace dynvote

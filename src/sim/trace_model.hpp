@@ -64,22 +64,18 @@ std::vector<TraceEvent> parse_trace(std::string_view json,
                                     std::size_t processes);
 
 /// Replays a decoded trace.  Exhausts once every event has fired; the
-/// driver then runs straight to stabilization.  Draws no randomness, so
-/// its snapshot state is just the replay cursor.
+/// driver then runs straight to stabilization.  Draws no randomness.
 class TraceFaultModel final : public FaultModel {
  public:
   /// Throws DecodeError (via parse_trace) before any state is built.
   TraceFaultModel(std::string_view trace_json, std::size_t processes);
 
-  std::string_view name() const override { return "trace"; }
   std::size_t next_gap() override;
   void apply_next(Gcs& gcs) override;
   bool exhausted() const override { return cursor_ == events_.size(); }
-  void save(Encoder& enc) const override;
-  void load(Decoder& dec) override;
 
  private:
-  std::vector<TraceEvent> events_;  // dvlint: transient(decoded constructor input)
+  std::vector<TraceEvent> events_;
   std::size_t cursor_ = 0;
   std::uint64_t clock_ = 0;
 };

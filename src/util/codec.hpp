@@ -30,7 +30,7 @@ class DecodeError : public std::runtime_error {
 /// arrive from sockets, not only from files this process wrote, so a
 /// corrupt or hostile length prefix must fail as DecodeError up front --
 /// never reach an allocator sized by attacker-controlled bytes.  Generous
-/// enough for any real snapshot (the largest observed are kilobytes).
+/// enough for any item the repo itself writes.
 inline constexpr std::size_t kDefaultDecodeItemCap = std::size_t{256} << 20;
 
 /// Append-only byte sink.

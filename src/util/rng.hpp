@@ -136,11 +136,6 @@ class Rng {
     return uniform() < p;
   }
 
-  /// The full generator state, exposed for checkpoint/restore: a restored
-  /// stream continues the draw sequence exactly where the saved one stopped.
-  const std::array<std::uint64_t, 4>& state() const { return state_; }
-  void set_state(const std::array<std::uint64_t, 4>& state) { state_ = state; }
-
  private:
   explicit Rng(std::uint64_t seed) {
     std::uint64_t sm = seed;

@@ -17,7 +17,6 @@
 #include "gcs/gcs.hpp"
 #include "sim/driver.hpp"
 #include "sim_test_util.hpp"
-#include "util/codec.hpp"
 
 namespace dynvote {
 namespace {
@@ -144,8 +143,8 @@ TEST_P(AlgorithmContract, DebugInfoIsCoherent) {
   EXPECT_FALSE(info.blocked);
 }
 
-/// Forwards to a real algorithm and records whether it had input -- a view,
-/// a delivery or a restore -- since its last empty poll.
+/// Forwards to a real algorithm and records whether it had input -- a view
+/// or a delivery -- since its last empty poll, and what it sent.
 class InputRecorder final : public test::ForwardingAlgorithm {
  public:
   using ForwardingAlgorithm::ForwardingAlgorithm;
@@ -162,12 +161,12 @@ class InputRecorder final : public test::ForwardingAlgorithm {
     ++polls_;
     std::optional<Message> out =
         ForwardingAlgorithm::outgoing_message_poll(app);
-    if (!out.has_value()) had_input_ = false;
+    if (out.has_value()) {
+      sends_.push_back(out->serialize());
+    } else {
+      had_input_ = false;
+    }
     return out;
-  }
-  void load(Decoder& dec) override {
-    note_input();
-    ForwardingAlgorithm::load(dec);
   }
 
   bool had_input() const { return had_input_; }
@@ -177,10 +176,9 @@ class InputRecorder final : public test::ForwardingAlgorithm {
   std::optional<Message> probe() {
     return inner().outgoing_message_poll(Message::empty());
   }
-  std::vector<std::byte> state() const {
-    Encoder enc;
-    inner().save(enc);
-    return enc.take();
+  /// What the process multicast since the last call, serialized.
+  std::vector<std::vector<std::byte>> take_sends() {
+    return std::exchange(sends_, {});
   }
 
  private:
@@ -192,12 +190,54 @@ class InputRecorder final : public test::ForwardingAlgorithm {
   bool had_input_ = true;  // being built is the first input
   std::uint64_t inputs_ = 0;
   std::uint64_t polls_ = 0;
+  std::vector<std::vector<std::byte>> sends_;
 };
 
-std::vector<std::byte> saved(const Gcs& gcs) {
-  Encoder enc;
-  gcs.save(enc);
-  return enc.take();
+/// `config` with every instance of `kind` wrapped in an InputRecorder,
+/// appended to `recorders` as it is built.
+SimulationConfig recorded(SimulationConfig config, AlgorithmKind kind,
+                          std::vector<InputRecorder*>& recorders) {
+  config.algorithm_factory = [&recorders, kind](ProcessId self,
+                                                const View& initial) {
+    auto recorder =
+        std::make_unique<InputRecorder>(make_algorithm(kind, self, initial));
+    recorders.push_back(recorder.get());
+    return recorder;
+  };
+  return config;
+}
+
+/// What the invariant checker and has_primary read of one process.
+struct ProcessReading {
+  bool in_primary = false;
+  Session last_primary;
+  AlgorithmDebugInfo info;
+  View view;
+
+  bool operator==(const ProcessReading&) const = default;
+};
+
+ProcessReading reading(const Gcs& gcs, ProcessId p) {
+  const PrimaryComponentAlgorithm& alg = gcs.algorithm(p);
+  return {alg.in_primary(), alg.last_primary_session(), alg.debug_info(),
+          gcs.view_of(p)};
+}
+
+/// Every input the invariant checker and has_primary read of the world.
+struct WorldReading {
+  std::vector<ProcessReading> processes;
+  ProcessSet crashed;
+  bool network_idle = true;
+
+  bool operator==(const WorldReading&) const = default;
+};
+
+WorldReading reading(const Gcs& gcs) {
+  WorldReading world{{}, gcs.crashed(), gcs.network_idle()};
+  for (ProcessId p = 0; p < gcs.process_count(); ++p) {
+    world.processes.push_back(reading(gcs, p));
+  }
+  return world;
 }
 
 /// The fault models the whole-world cases below run under: the geometric
@@ -236,70 +276,75 @@ SimulationConfig busy_world(const Model& model) {
 // without crashes) and the sleepy and repairable models, which crash,
 // sleep, wake and repair processes:
 //  * a process with no input since an empty poll has nothing to say: a
-//    direct poll returns nothing and leaves its state as it was, and no
-//    event changes its state until input arrives;
+//    direct poll returns nothing and changes nothing.  A lockstep twin of
+//    the world probes every such process before each event, and must
+//    still agree with the world after it on the run's result and on every
+//    process's state, view and sends;
+//  * no event changes such a process until input arrives;
 //  * a round polls every live process that had input before its poll
 //    phase (a view, an earlier or a just-delivered message);
-//  * an event that leaves the revision alone leaves the world's snapshot
-//    bytes alone.
+//  * an event that leaves the revision alone leaves everything the checker
+//    and has_primary read alone.
 TEST_P(AlgorithmContract, PollsFollowInputAndRevisionTracksTheWorld) {
   for (const Model& model : kModels) {
     SCOPED_TRACE(model.name);
     std::vector<InputRecorder*> recorders;
-    SimulationConfig config = busy_world(model);
-    config.algorithm_factory = [&recorders, kind = GetParam()](
-                                   ProcessId self, const View& initial) {
-      auto recorder =
-          std::make_unique<InputRecorder>(make_algorithm(kind, self, initial));
-      recorders.push_back(recorder.get());
-      return recorder;
-    };
-    Simulation sim(config);
+    std::vector<InputRecorder*> twin_recorders;
+    Simulation sim(recorded(busy_world(model), GetParam(), recorders));
+    Simulation twin(recorded(busy_world(model), GetParam(), twin_recorders));
     ASSERT_EQ(recorders.size(), kProcesses);
+    ASSERT_EQ(twin_recorders.size(), kProcesses);
     const Gcs& gcs = std::as_const(sim).gcs();
+    const Gcs& twin_gcs = std::as_const(twin).gcs();
 
     std::size_t events = 0;
     for (int run = 0; run < 4; ++run) {
       for (bool done = false; !done; ++events) {
         SCOPED_TRACE("event " + std::to_string(events));
         const std::uint64_t revision = gcs.revision();
-        const std::vector<std::byte> world = saved(gcs);
+        const WorldReading world = reading(gcs);
         const std::uint64_t changes = sim.total_changes();
         std::vector<std::uint64_t> inputs(kProcesses);
         std::vector<std::uint64_t> polls(kProcesses);
-        std::vector<std::optional<std::vector<std::byte>>> quiet(kProcesses);
+        std::vector<bool> quiet(kProcesses);
         for (ProcessId p = 0; p < kProcesses; ++p) {
           inputs[p] = recorders[p]->inputs();
           polls[p] = recorders[p]->polls();
-          if (!recorders[p]->had_input()) quiet[p] = recorders[p]->state();
+          quiet[p] = !recorders[p]->had_input();
+          if (!twin_recorders[p]->had_input()) {
+            EXPECT_EQ(twin_recorders[p]->probe(), std::nullopt)
+                << "process " << p << " spoke with no input";
+          }
         }
 
-        done = sim.run_events(1).has_value();
+        const std::optional<RunResult> result = sim.run_events(1);
+        EXPECT_EQ(twin.run_events(1), result);
+        done = result.has_value();
         const bool round = sim.total_changes() == changes;
 
         if (gcs.revision() == revision) {
-          EXPECT_EQ(saved(gcs), world) << "the revision stood still";
+          EXPECT_EQ(reading(gcs), world) << "the revision stood still";
         }
         for (ProcessId p = 0; p < kProcesses; ++p) {
           SCOPED_TRACE("process " + std::to_string(p));
           InputRecorder& rec = *recorders[p];
-          if (quiet[p].has_value() && rec.inputs() == inputs[p]) {
-            EXPECT_EQ(rec.state(), *quiet[p]) << "changed with no input";
+          if (quiet[p] && rec.inputs() == inputs[p]) {
+            EXPECT_EQ(reading(gcs, p), world.processes[p])
+                << "changed with no input";
           }
           if (round && !gcs.is_crashed(p)) {
             EXPECT_TRUE(rec.polls() > polls[p] || !rec.had_input())
                 << "had input but was not polled";
           }
-          if (!rec.had_input()) {
-            const std::vector<std::byte> before = rec.state();
-            EXPECT_EQ(rec.probe(), std::nullopt);
-            EXPECT_EQ(rec.state(), before) << "a quiet poll changed state";
-          }
+          EXPECT_EQ(reading(twin_gcs, p), reading(gcs, p))
+              << "a probe changed the twin";
+          EXPECT_EQ(twin_recorders[p]->take_sends(), rec.take_sends())
+              << "a probe changed the twin's sends";
         }
         if (::testing::Test::HasFailure()) return;
       }
     }
-    EXPECT_EQ(sim.total_changes(), 4u * config.changes_per_run);
+    EXPECT_EQ(sim.total_changes(), 4u * busy_world(model).changes_per_run);
   }
 }
 

@@ -1,11 +1,12 @@
 // A seeded mutation pass over every decoder of external bytes: snapshots of
-// all six algorithms, fabric frames, the events file, trace documents,
-// sweep manifests and protocol payloads.  Each input starts as a valid
-// encoding; every mutant (byte overwrites, bit flips, truncation, insertion,
-// oversized varints) must decode cleanly or fail with DecodeError --
-// json_parse, which reports failure by returning nothing, must return.  Any
-// other exception fails the test, and a crash, an out-of-bounds access or
-// an unbounded allocation fails it under the sanitizers.
+// all six algorithms under all four fault models, fabric frames, the events
+// file, trace documents, sweep manifests and protocol payloads.  Each input
+// starts as a valid encoding; every mutant (byte overwrites, bit flips,
+// truncation, insertion, oversized varints) must decode cleanly or fail
+// with DecodeError -- json_parse, which reports failure by returning
+// nothing, must return.  Any other exception fails the test, and a crash,
+// an out-of-bounds access or an unbounded allocation fails it under the
+// sanitizers.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -131,26 +132,42 @@ constexpr std::string_view kTraceDocument = R"({
 
 class SnapshotMutation : public ::testing::TestWithParam<AlgorithmKind> {};
 
+// Under every fault model: a snapshot names the model only through the
+// config hash, and a mutant that restores replays under that model.
 TEST_P(SnapshotMutation, RestoreRejectsOrAcceptsEveryMutant) {
-  SimulationConfig config;
-  config.algorithm = GetParam();
-  config.processes = 8;
-  config.changes_per_run = 6;
-  config.mean_rounds_between_changes = 1.0;
-  config.seed = 0x5EED;
-  Simulation source(config);
-  (void)source.run_once();
-  (void)source.run_events(9);  // mid-run: exchanges and messages in flight
-  ASSERT_TRUE(source.run_in_progress());
-  const std::vector<std::byte> snapshot = save_snapshot(source);
+  for (const FaultModelKind model :
+       {FaultModelKind::kGeometric, FaultModelKind::kSleepy,
+        FaultModelKind::kRepairable, FaultModelKind::kTrace}) {
+    SCOPED_TRACE(to_string(model));
+    SimulationConfig config;
+    config.algorithm = GetParam();
+    config.processes = 8;
+    config.changes_per_run = 6;
+    config.mean_rounds_between_changes = 1.0;
+    config.seed = 0x5EED;
+    config.fault_model.kind = model;
+    if (model == FaultModelKind::kTrace) {
+      config.processes = 12;  // the document's universe
+      config.fault_model.trace_json = std::string(kTraceDocument);
+    }
+    Simulation source(config);
+    // A whole run first, except under the trace, whose events the first
+    // run spends: a later run only stabilizes.
+    if (model != FaultModelKind::kTrace) (void)source.run_once();
+    (void)source.run_events(9);  // mid-run: exchanges and messages in flight
+    ASSERT_TRUE(source.run_in_progress());
+    const std::vector<std::byte> snapshot = save_snapshot(source);
 
-  const int rejected = mutation_pass(
-      snapshot, 0xB17F11B + static_cast<std::uint64_t>(GetParam()),
-      [&](std::span<const std::byte> bytes) {
-        Simulation target(config);
-        restore_snapshot(target, bytes);
-      });
-  EXPECT_GT(rejected, 0);
+    const int rejected = mutation_pass(
+        snapshot,
+        0xB17F11B + static_cast<std::uint64_t>(GetParam()) +
+            8 * static_cast<std::uint64_t>(model),
+        [&](std::span<const std::byte> bytes) {
+          Simulation target(config);
+          restore_snapshot(target, bytes);
+        });
+    EXPECT_GT(rejected, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SnapshotMutation,

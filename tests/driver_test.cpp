@@ -3,11 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "sim/driver.hpp"
-#include "util/codec.hpp"
 
 namespace dynvote {
 namespace {
@@ -114,72 +114,20 @@ TEST(Simulation, ZeroRateMeansNoRoundsBetweenChanges) {
   EXPECT_LE(r.rounds_executed, 16u);
 }
 
-/// Runs events until `sim`'s paused run has applied `changes` changes, plus
-/// `rounds_after` further events, and returns its saved state.
-std::vector<std::byte> saved_after(Simulation& sim, std::size_t changes,
-                                   std::size_t rounds_after = 0) {
-  while (sim.total_changes() < changes) {
-    EXPECT_FALSE(sim.run_events(1).has_value()) << "run ended early";
+// Every event is one round or one change, and the count runs on across
+// the runs of a cascade.
+TEST(Simulation, EventsCountEveryRoundAndChange) {
+  Simulation sim(base_config());
+  EXPECT_EQ(sim.events(), 0u);
+  EXPECT_FALSE(sim.run_events(1).has_value());
+  EXPECT_EQ(sim.events(), 1u);
+  std::uint64_t expected = 0;
+  for (int run = 0; run < 3; ++run) {
+    const std::optional<RunResult> r = sim.run_events(1'000'000);
+    ASSERT_TRUE(r.has_value());
+    expected += r->rounds_executed + r->changes_applied;
+    EXPECT_EQ(sim.events(), expected);
   }
-  for (std::size_t i = 0; i < rounds_after; ++i) {
-    EXPECT_FALSE(sim.run_events(1).has_value()) << "run ended early";
-  }
-  EXPECT_TRUE(sim.run_in_progress());
-  Encoder enc;
-  sim.save(enc);
-  return enc.take();
-}
-
-void load_into(Simulation& sim, const std::vector<std::byte>& bytes) {
-  Decoder dec(bytes);
-  sim.load(dec);
-  dec.finish();
-}
-
-// A paused run restored into a simulation with a smaller change budget
-// would never reach change_index == changes_per_run, the only point at
-// which injection stops, and so would inject changes forever.
-TEST(Simulation, LoadRejectsARunPastItsChangeBudget) {
-  SimulationConfig ten = base_config();
-  ten.changes_per_run = 10;
-  SimulationConfig three = ten;
-  three.changes_per_run = 3;
-
-  Simulation source(ten);
-  const std::vector<std::byte> after_five = saved_after(source, 5);
-  Simulation target(three);
-  EXPECT_THROW(load_into(target, after_five), DecodeError);
-
-  // Exactly at the budget but still injecting: the same.
-  Simulation at_three(ten);
-  EXPECT_THROW(load_into(target, saved_after(at_three, 3)), DecodeError);
-
-  // Inside the budget, the restored run finishes under the target's.
-  Simulation at_two(ten);
-  Simulation resumed(three);
-  load_into(resumed, saved_after(at_two, 2));
-  const std::optional<RunResult> r = resumed.run_events(10'000);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->changes_applied, 3u);
-  EXPECT_EQ(r->observer_ambiguous_at_changes.size(), 3u);
-}
-
-// A stabilizing run fails before its quiet-round count reaches the
-// budget, so a paused one at or past it names no reachable point.
-TEST(Simulation, LoadRejectsARunPastItsStabilizationBudget) {
-  SimulationConfig config = base_config();
-  Simulation source(config);
-  // One stabilization round after the last change: quiet_rounds is 1.
-  const std::vector<std::byte> bytes =
-      saved_after(source, config.changes_per_run, 1);
-
-  SimulationConfig one_round = config;
-  one_round.max_stabilization_rounds = 1;
-  Simulation target(one_round);
-  EXPECT_THROW(load_into(target, bytes), DecodeError);
-
-  Simulation same(config);
-  EXPECT_NO_THROW(load_into(same, bytes));
 }
 
 }  // namespace

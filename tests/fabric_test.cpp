@@ -671,6 +671,29 @@ TEST(FabricSystem, CoordinatorAloneBehavesLikeRunSweep) {
   }
 }
 
+// A job count far past the board's units starts at most one thread per
+// unit, in the coordinator and in run_sweep alike, so a sweep asked for
+// 10^18 jobs finishes with the results of a two-job one.
+TEST(FabricSystem, HugeJobCountsStartOneThreadPerUnitAtMost) {
+  constexpr std::uint64_t kHuge = 1'000'000'000'000'000'000;
+  SweepSpec spec = shared_pool_sweep();
+  spec.jobs = 2;
+  NullProgress quiet;
+  spec.progress = &quiet;
+  const SweepResult expected = run_sweep(spec);
+
+  SweepSpec huge = spec;
+  huge.jobs = static_cast<std::size_t>(kHuge);
+  EXPECT_EQ(results_fingerprint(spec, run_sweep(huge)),
+            results_fingerprint(spec, expected));
+
+  CoordinatorOptions options;
+  options.local_jobs = kHuge;
+  Coordinator coordinator(spec, options);
+  EXPECT_EQ(results_fingerprint(spec, coordinator.run()),
+            results_fingerprint(spec, expected));
+}
+
 // A unit that throws on a remote worker fails the sweep exactly as it does
 // in-process: the worker reports the error and stays up, and the
 // coordinator drains, sends it shutdown, and throws.  A trace-model case

@@ -12,7 +12,6 @@
 #include "gcs/gcs.hpp"
 #include "sim_test_util.hpp"
 #include "util/assert.hpp"
-#include "util/codec.hpp"
 
 namespace dynvote {
 namespace {
@@ -96,14 +95,6 @@ TEST(Gcs, RevisionMovesOnlyWhenTheWorldMay) {
   revision = gcs.revision();
   gcs.apply_crash(3);  // no view installed, but the crash set changed
   EXPECT_GT(gcs.revision(), revision);
-
-  revision = gcs.revision();
-  Encoder enc;
-  gcs.save(enc);
-  const std::vector<std::byte> bytes = enc.take();
-  Decoder dec(bytes);
-  gcs.load(dec);
-  EXPECT_GT(gcs.revision(), revision);  // the revision itself is not saved
 }
 
 TEST(Gcs, YkdFormsPrimaryOnMajoritySideAfterTwoRounds) {

@@ -1,6 +1,6 @@
-// Fixture: a fully compliant snapshot class.  Every persistent field is
-// referenced by both the save and the load body; the one derived field
-// carries a transient annotation.  dvlint must report nothing here.
+// Fixture: a fully compliant codec class.  Its decode path fails only
+// through the decoder's own DecodeError and allocates nothing sized by a
+// decoded count.  dvlint must report nothing here.
 #pragma once
 
 #include <cstdint>
@@ -11,21 +11,21 @@ namespace fixture {
 
 class Counter {
  public:
-  void save(Encoder& enc) const {
+  void encode(Encoder& enc) const {
     enc.put_varint(total_);
     enc.put_varint(limit_);
   }
 
-  void load(Decoder& dec) {
-    total_ = dec.get_varint();
-    limit_ = dec.get_varint();
-    cache_ = 0;
+  static Counter decode(Decoder& dec) {
+    Counter counter;
+    counter.total_ = dec.get_varint();
+    counter.limit_ = dec.get_varint();
+    return counter;
   }
 
  private:
   std::uint64_t total_ = 0;
   std::uint64_t limit_ = 0;
-  std::uint64_t cache_ = 0;  // dvlint: transient(recomputed lazily)
 };
 
 }  // namespace fixture

@@ -1,21 +1,23 @@
-// Fixture: a snapshot decode path that asserts on malformed input instead
-// of throwing DecodeError.  Corrupted bytes are an input error, so dvlint
-// must flag the DV_ASSERT inside load().
+// Fixture: a decode path that asserts on malformed input instead of
+// throwing DecodeError.  Corrupted bytes are an input error, so dvlint must
+// flag the DV_ASSERT inside decode().
 #include <cstdint>
 
 namespace fixture {
 
 class Codec {
  public:
-  void load(Decoder& dec);
+  static Codec decode(Decoder& dec);
 
  private:
   std::uint64_t value_ = 0;
 };
 
-void Codec::load(Decoder& dec) {
+Codec Codec::decode(Decoder& dec) {
   DV_ASSERT(dec.bytes_remaining() >= 8);
-  value_ = dec.get_varint();
+  Codec codec;
+  codec.value_ = dec.get_varint();
+  return codec;
 }
 
 }  // namespace fixture

@@ -40,19 +40,6 @@ TEST(LintFixtures, CleanCorpusProducesNoFindings) {
   EXPECT_TRUE(report.findings.empty()) << render_text(report);
 }
 
-TEST(LintFixtures, MissingSnapshotFieldFlaggedOnBothSides) {
-  const LintReport report = lint_fixture("snapshot_missing");
-  ASSERT_EQ(report.findings.size(), 2u) << render_text(report);
-  for (const Finding& f : report.findings) {
-    EXPECT_EQ(f.check, CheckId::kSnapshotCompleteness);
-    EXPECT_EQ(f.file, "core/widget.hpp");
-    EXPECT_EQ(f.detail, "high_water_");
-    EXPECT_NE(f.line, 0u);
-  }
-  // One finding per side, distinguished by the message.
-  EXPECT_NE(report.findings[0].message, report.findings[1].message);
-}
-
 TEST(LintFixtures, EveryDeterminismHazardCaught) {
   const LintReport report = lint_fixture("determinism");
   std::vector<std::pair<std::size_t, std::string>> found;
@@ -120,7 +107,7 @@ TEST(LintFixtures, LexerHandlesRawStringsAndContinuations) {
 }
 
 TEST(LintChecks, CatalogueRoundTripsAndCoversEveryCheck) {
-  ASSERT_EQ(all_checks().size(), 5u);
+  ASSERT_EQ(all_checks().size(), 4u);
   for (std::size_t i = 0; i < all_checks().size(); ++i) {
     const CheckInfo& info = all_checks()[i];
     EXPECT_EQ(static_cast<std::size_t>(info.id), i) << info.name;
@@ -217,8 +204,8 @@ TEST(LintSarif, ReportMatchesSarif210Shape) {
 }
 
 TEST(LintFixtures, RenderTextSummarizesCounts) {
-  const std::string text = render_text(lint_fixture("snapshot_missing"));
-  EXPECT_NE(text.find("core/widget.hpp:"), std::string::npos);
+  const std::string text = render_text(lint_fixture("bounded_decode"));
+  EXPECT_NE(text.find("gcs/unbounded_codec.hpp:"), std::string::npos);
   EXPECT_NE(text.find("2 findings"), std::string::npos);
 }
 
@@ -227,7 +214,7 @@ TEST(LintFixtures, UnreadableRootThrows) {
 }
 
 // The teeth: the shipped source tree itself stays dvlint-clean, so any
-// future snapshot straggler, hash-order fold or layering break fails CI
+// future hash-order fold, layering break or asserting decoder fails CI
 // through this test even before the dedicated CI job runs.
 TEST(LintLiveTree, SrcIsClean) {
   const LintReport report = run_lint(std::string(DV_SOURCE_ROOT) + "/src");

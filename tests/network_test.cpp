@@ -9,7 +9,6 @@
 
 #include "gcs/network.hpp"
 #include "util/assert.hpp"
-#include "util/codec.hpp"
 
 namespace dynvote {
 namespace {
@@ -155,29 +154,6 @@ TEST_F(NetworkTest, DeliveryRefusesOverlappingScopes) {
     EXPECT_TRUE(log.empty());
     EXPECT_EQ(net.in_flight_count(), 3u);
   }
-}
-
-Network decoded(const Network& net, std::size_t universe) {
-  Encoder enc;
-  net.encode(enc);
-  const std::vector<std::byte> bytes = enc.take();
-  Decoder dec(bytes);
-  Network out = Network::decode(dec, universe);
-  dec.finish();
-  return out;
-}
-
-TEST_F(NetworkTest, DecodeRefusesOverlappingScopes) {
-  Network equal_or_disjoint;
-  equal_or_disjoint.send(0, ProcessSet(4, {0, 1}), Message::from_text("a"));
-  equal_or_disjoint.send(2, ProcessSet(4, {2, 3}), Message::from_text("b"));
-  equal_or_disjoint.send(1, ProcessSet(4, {0, 1}), Message::from_text("c"));
-  EXPECT_EQ(decoded(equal_or_disjoint, 4).in_flight_count(), 3u);
-
-  Network overlapping;
-  overlapping.send(0, ProcessSet(4, {0, 1}), Message::from_text("a"));
-  overlapping.send(2, ProcessSet(4, {1, 2}), Message::from_text("b"));
-  EXPECT_THROW(decoded(overlapping, 4), DecodeError);
 }
 
 TEST_F(NetworkTest, PartitionFlushDeliversToSenderSideAlways) {

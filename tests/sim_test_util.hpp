@@ -37,8 +37,6 @@ class ForwardingAlgorithm : public PrimaryComponentAlgorithm {
   const Session& last_primary_session() const override {
     return inner_->last_primary_session();
   }
-  void save(Encoder& enc) const override { inner_->save(enc); }
-  void load(Decoder& dec) override { inner_->load(dec); }
 
  protected:
   PrimaryComponentAlgorithm& inner() { return *inner_; }

@@ -1,20 +1,23 @@
-// The snapshot-equivalence layer: interrupting any simulation at any event,
-// round-tripping it through snapshot bytes, and resuming must reproduce the
-// uninterrupted execution exactly -- for every algorithm and both sweep
-// modes.  Plus envelope hygiene: corrupted, truncated, or version-bumped
-// snapshots are rejected with DecodeError, never misread.
+// Snapshots as replay points: interrupting any simulation at any event,
+// saving where it stands, and replaying it into a brand-new Simulation
+// must reproduce the uninterrupted execution exactly -- for every
+// algorithm, every fault model and both sweep modes.  Plus envelope
+// hygiene: corrupted, truncated, or version-bumped snapshots are rejected
+// with DecodeError before any event runs, and a world that left the
+// driver's trajectory is refused after the replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/payload.hpp"
 #include "runner/artifact.hpp"
 #include "sim/experiment.hpp"
 #include "sim/snapshot.hpp"
@@ -43,66 +46,109 @@ RunResult finish_run(Simulation& sim) {
   return *result;
 }
 
-// The headline property: for every algorithm, a run interrupted at a
-// pseudo-random event index, serialized, restored into a brand-new
-// Simulation, and resumed produces the exact RunResult of the run that was
-// never interrupted -- and the restored world keeps producing identical
-// runs afterwards (the cascading guarantee).
+constexpr FaultModelKind kFaultModels[] = {
+    FaultModelKind::kGeometric, FaultModelKind::kSleepy,
+    FaultModelKind::kRepairable, FaultModelKind::kTrace};
+
+FaultModelParams cross_model_params(FaultModelKind kind) {
+  FaultModelParams params;
+  params.kind = kind;
+  if (kind == FaultModelKind::kRepairable) {
+    params.repair_capacity = 2;
+    params.repair_mean_rounds = 6.0;
+  }
+  if (kind == FaultModelKind::kTrace) {
+    params.trace_json = R"({
+      "schema": "dynvote.trace.v1", "processes": 16,
+      "events": [
+        {"at": 2,  "kind": "partition", "moved": [3, 4, 5]},
+        {"at": 6,  "kind": "crash",     "process": 9},
+        {"at": 11, "kind": "merge",     "of": [0, 3]},
+        {"at": 15, "kind": "recovery",  "process": 9},
+        {"at": 19, "kind": "partition", "moved": [1]}
+      ]
+    })";
+  }
+  return params;
+}
+
+// The headline property: for every algorithm under every fault model, a
+// world saved between runs or at a pseudo-random event mid-run, restored
+// into a brand-new Simulation, and resumed produces the exact RunResults
+// of the world that was never interrupted -- and the restored world keeps
+// producing identical runs afterwards (the cascading guarantee), with the
+// same invariant checks, deliveries and wire counters.
 TEST(Snapshot, InterruptRoundTripResumeReproducesEveryAlgorithm) {
   for (AlgorithmKind kind : all_algorithm_kinds()) {
-    SCOPED_TRACE(to_string(kind));
-    const SimulationConfig config = small_config(kind);
-    constexpr std::size_t kRuns = 4;  // cascading: later runs inherit state
+    for (FaultModelKind model : kFaultModels) {
+      SCOPED_TRACE(std::string(to_string(kind)) + " under " +
+                   to_string(model));
+      SimulationConfig config = small_config(kind);
+      config.fault_model = cross_model_params(model);
+      constexpr std::size_t kRuns = 4;  // cascading: later runs inherit state
 
-    Simulation uninterrupted(config);
-    std::vector<RunResult> expected;
-    for (std::size_t r = 0; r < kRuns; ++r) {
-      expected.push_back(uninterrupted.run_once());
+      Simulation uninterrupted(config);
+      std::vector<RunResult> expected;
+      for (std::size_t r = 0; r < kRuns; ++r) {
+        expected.push_back(uninterrupted.run_once());
+      }
+
+      // Interrupt points are seeded per case, not hand-picked; the first
+      // falls between runs.
+      Rng salt = Rng::from_raw_seed(
+          mix_seed(0xC0FFEEu, static_cast<std::uint64_t>(kind),
+                   static_cast<std::uint64_t>(model)));
+      for (const bool mid_run : {false, true}) {
+        SCOPED_TRACE(mid_run ? "mid-run" : "between runs");
+        const std::size_t interrupt_run = 1 + salt.below(kRuns - 1);
+        Simulation original(config);
+        std::vector<RunResult> actual;
+        for (std::size_t r = 0; r < interrupt_run; ++r) {
+          actual.push_back(original.run_once());
+        }
+        std::optional<RunResult> early;
+        if (mid_run) early = original.run_events(1 + salt.below(60));
+
+        const std::vector<std::byte> bytes = save_snapshot(original);
+        Simulation restored(config);
+        restore_snapshot(restored, bytes);
+        // Byte determinism: saving the restored world reproduces the
+        // snapshot.
+        EXPECT_EQ(save_snapshot(restored), bytes);
+        EXPECT_EQ(restored.run_in_progress(), original.run_in_progress());
+        // It has run events now, so it takes no second restore.
+        EXPECT_THROW(restore_snapshot(restored, bytes), PreconditionViolation);
+
+        std::size_t next_run = interrupt_run;
+        if (early.has_value()) {
+          actual.push_back(*early);  // the budget outlived the run
+          ++next_run;
+        } else if (restored.run_in_progress()) {
+          actual.push_back(finish_run(restored));
+          ++next_run;
+        }
+        for (std::size_t r = next_run; r < kRuns; ++r) {
+          actual.push_back(restored.run_once());
+        }
+
+        ASSERT_EQ(actual.size(), expected.size());
+        for (std::size_t r = 0; r < kRuns; ++r) {
+          SCOPED_TRACE("run " + std::to_string(r));
+          EXPECT_EQ(actual[r], expected[r]);
+        }
+        EXPECT_EQ(save_snapshot(restored), save_snapshot(uninterrupted));
+        EXPECT_EQ(restored.total_changes(), uninterrupted.total_changes());
+        EXPECT_EQ(restored.invariant_checks(),
+                  uninterrupted.invariant_checks());
+        EXPECT_EQ(restored.gcs().deliveries(), uninterrupted.gcs().deliveries());
+        const WireStats& w0 = uninterrupted.gcs().wire_stats();
+        const WireStats& w1 = restored.gcs().wire_stats();
+        EXPECT_EQ(w1.messages_sent, w0.messages_sent);
+        EXPECT_EQ(w1.protocol_messages_sent, w0.protocol_messages_sent);
+        EXPECT_EQ(w1.max_message_bytes, w0.max_message_bytes);
+        EXPECT_EQ(w1.total_message_bytes, w0.total_message_bytes);
+      }
     }
-
-    // Interrupt points are seeded per algorithm, not hand-picked.
-    Rng salt = Rng::from_raw_seed(
-        mix_seed(0xC0FFEEu, static_cast<std::uint64_t>(kind)));
-    const std::size_t interrupt_run = salt.below(kRuns);
-    const std::size_t interrupt_event = 1 + salt.below(60);
-
-    Simulation original(config);
-    std::vector<RunResult> actual;
-    for (std::size_t r = 0; r < interrupt_run; ++r) {
-      actual.push_back(original.run_once());
-    }
-    auto early = original.run_events(interrupt_event);
-
-    const std::vector<std::byte> bytes = save_snapshot(original);
-    Simulation restored(config);
-    restore_snapshot(restored, bytes);
-
-    // Byte determinism: saving the restored world reproduces the snapshot.
-    EXPECT_EQ(save_snapshot(restored), bytes);
-
-    if (early.has_value()) {
-      actual.push_back(*early);  // the budget outlived the run
-    } else {
-      EXPECT_TRUE(restored.run_in_progress());
-      actual.push_back(finish_run(restored));
-    }
-    for (std::size_t r = interrupt_run + 1; r < kRuns; ++r) {
-      actual.push_back(restored.run_once());
-    }
-
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t r = 0; r < kRuns; ++r) {
-      SCOPED_TRACE("run " + std::to_string(r));
-      EXPECT_EQ(actual[r], expected[r]);
-    }
-    EXPECT_EQ(restored.total_changes(), uninterrupted.total_changes());
-    EXPECT_EQ(restored.invariant_checks(), uninterrupted.invariant_checks());
-    const WireStats& w0 = uninterrupted.gcs().wire_stats();
-    const WireStats& w1 = restored.gcs().wire_stats();
-    EXPECT_EQ(w1.messages_sent, w0.messages_sent);
-    EXPECT_EQ(w1.protocol_messages_sent, w0.protocol_messages_sent);
-    EXPECT_EQ(w1.max_message_bytes, w0.max_message_bytes);
-    EXPECT_EQ(w1.total_message_bytes, w0.total_message_bytes);
   }
 }
 
@@ -159,6 +205,9 @@ TEST(Snapshot, ScoutSnapshotRestoresIntoInstrumentedSimulation) {
   Simulation resumed(instrumented);
   restore_snapshot(resumed, save_snapshot(scouting));
   EXPECT_EQ(resumed.run_once(), expected);
+  // The replay ran the prefix checked, so the resumed world carries the
+  // whole checker history.
+  EXPECT_EQ(resumed.invariant_checks(), reference.invariant_checks());
 }
 
 TEST(Snapshot, TruncatedBytesThrow) {
@@ -244,28 +293,6 @@ TEST(Snapshot, ConfigHashIgnoresObservabilityFlags) {
   EXPECT_NE(config_trajectory_hash(a), config_trajectory_hash(c));
 }
 
-FaultModelParams cross_model_params(FaultModelKind kind) {
-  FaultModelParams params;
-  params.kind = kind;
-  if (kind == FaultModelKind::kRepairable) {
-    params.repair_capacity = 2;
-    params.repair_mean_rounds = 6.0;
-  }
-  if (kind == FaultModelKind::kTrace) {
-    params.trace_json = R"({
-      "schema": "dynvote.trace.v1", "processes": 16,
-      "events": [
-        {"at": 2,  "kind": "partition", "moved": [3, 4, 5]},
-        {"at": 6,  "kind": "crash",     "process": 9},
-        {"at": 11, "kind": "merge",     "of": [0, 3]},
-        {"at": 15, "kind": "recovery",  "process": 9},
-        {"at": 19, "kind": "partition", "moved": [1]}
-      ]
-    })";
-  }
-  return params;
-}
-
 // Every non-geometric model carries live mid-flight state (a sleeper set,
 // a repair queue with due times, a replay cursor).  Interrupting at many
 // event indices must round-trip that state bit-identically: the snapshot
@@ -319,239 +346,6 @@ TEST(Snapshot, FaultModelMismatchIsRejected) {
   EXPECT_THROW(restore_snapshot(geometric, bytes), DecodeError);
 }
 
-// A snapshot is external bytes.  An in-flight multicast scoped over a
-// larger universe than the Gcs has processes would make the next round
-// deliver to processes that do not exist, so load must refuse it.  The
-// bytes are a real save with its (idle) network section swapped for one
-// holding a multicast to {0, 150} of 200 processes.
-TEST(Snapshot, InFlightScopeOverAnotherUniverseIsRejected) {
-  const auto encoded = [](const auto& part) {
-    Encoder enc;
-    part.encode(enc);
-    return enc.take();
-  };
-  Gcs gcs(AlgorithmKind::kSimpleMajority, 4);
-  Encoder save;
-  gcs.save(save);
-  const std::vector<std::byte> real = save.take();
-  const std::vector<std::byte> topology = encoded(gcs.topology());
-  const std::vector<std::byte> idle = encoded(Network());
-  ASSERT_TRUE(std::equal(topology.begin(), topology.end(), real.begin()));
-  const auto network_at =
-      real.begin() + static_cast<std::ptrdiff_t>(topology.size());
-  ASSERT_TRUE(std::equal(idle.begin(), idle.end(), network_at));
-
-  Network hostile;
-  hostile.send(0, ProcessSet(200, {0, 150}), Message::empty());
-  const std::vector<std::byte> network = encoded(hostile);
-  std::vector<std::byte> bytes = topology;
-  bytes.insert(bytes.end(), network.begin(), network.end());
-  bytes.insert(bytes.end(),
-               network_at + static_cast<std::ptrdiff_t>(idle.size()),
-               real.end());
-
-  Gcs victim(AlgorithmKind::kSimpleMajority, 4);
-  Decoder dec(bytes);
-  EXPECT_THROW(victim.load(dec), DecodeError);
-}
-
-/// A 4-process YKD world whose processes are wrapped in `Decorator`, for
-/// saves that a plain YKD world of the same config must refuse.
-template <typename Decorator>
-SimulationConfig decorated_ykd_config() {
-  SimulationConfig config = small_config(AlgorithmKind::kYkd);
-  config.processes = 4;
-  config.algorithm_factory = [](ProcessId self, const View& initial) {
-    return std::make_unique<Decorator>(
-        make_algorithm(AlgorithmKind::kYkd, self, initial));
-  };
-  return config;
-}
-
-/// A save of a few events of `decorated_ykd_config<Decorator>()` must not
-/// restore into the plain YKD world of the same config, while that world's
-/// own save of the same events does.
-template <typename Decorator>
-void expect_decorated_save_rejected() {
-  const SimulationConfig config = decorated_ykd_config<Decorator>();
-  Simulation source(config);
-  (void)source.run_events(3);
-  const std::vector<std::byte> bytes = save_snapshot(source);
-
-  SimulationConfig plain = config;
-  plain.algorithm_factory = nullptr;
-  Simulation target(plain);
-  EXPECT_THROW(restore_snapshot(target, bytes), DecodeError);
-
-  // The same world saved whole restores.
-  Simulation whole(plain);
-  (void)whole.run_events(3);
-  restore_snapshot(target, save_snapshot(whole));
-  EXPECT_EQ(save_snapshot(target), save_snapshot(whole));
-}
-
-/// Saves its YKD state with the lastFormed table passed through `Rewrite`,
-/// a callable (lastPrimary, table) -> void (YkdFamilyBase::save writes
-/// lastPrimary, then the table).
-template <typename Rewrite>
-class RewrittenLastFormed final : public test::ForwardingAlgorithm {
- public:
-  using ForwardingAlgorithm::ForwardingAlgorithm;
-
-  void save(Encoder& enc) const override {
-    Encoder full;
-    ForwardingAlgorithm::save(full);
-    const std::size_t n = initial_view().members.universe_size();
-    Decoder dec(full.bytes());
-    const Session last_primary = Session::decode(dec, n);
-    last_primary.encode(enc);
-    std::vector<Session> table(dec.get_varint());
-    for (Session& entry : table) entry = Session::decode(dec, n);
-    Rewrite{}(last_primary, table);
-    enc.put_varint(table.size());
-    for (const Session& entry : table) entry.encode(enc);
-    const std::span<const std::byte> rest =
-        std::span(full.bytes()).last(dec.remaining());
-    for (std::byte b : rest) enc.put_u8(std::to_integer<std::uint8_t>(b));
-  }
-};
-
-/// Cuts the table to its first entry.
-struct KeepFirstEntry {
-  void operator()(const Session&, std::vector<Session>& table) const {
-    table.resize(1);
-  }
-};
-using ShortLastFormed = RewrittenLastFormed<KeepFirstEntry>;
-
-/// Sets lastFormed(0) one session past lastPrimary.
-struct FormedPastLastPrimary {
-  void operator()(const Session& last_primary,
-                  std::vector<Session>& table) const {
-    table[0] = Session{last_primary.number + 1, last_primary.members};
-  }
-};
-using LastFormedPastLastPrimary = RewrittenLastFormed<FormedPastLastPrimary>;
-
-// A YKD table indexed by process id must have one entry per process.  Run
-// with a 1-entry lastFormed table, the next formation would write entry 1.
-TEST(Snapshot, ShortLastFormedTableIsRejected) {
-  expect_decorated_save_rejected<ShortLastFormed>();
-}
-
-// Every lastFormed entry was its holder's lastPrimary when written, and a
-// lastPrimary only moves forward.  ACCEPT skips its scan when maxPrimary
-// does not follow lastPrimary, which is exact only on such tables.
-TEST(Snapshot, LastFormedEntryPastLastPrimaryIsRejected) {
-  expect_decorated_save_rejected<LastFormedPastLastPrimary>();
-}
-
-/// Saves its YKD state, when it is attempting, with the proposal replaced
-/// by lastPrimary (YkdFamilyBase::save's field order), and counts them.
-class ProposalAtLastPrimary final : public test::ForwardingAlgorithm {
- public:
-  using ForwardingAlgorithm::ForwardingAlgorithm;
-  static inline std::size_t forged = 0;
-
-  void save(Encoder& enc) const override {
-    Encoder full;
-    ForwardingAlgorithm::save(full);
-    const std::span<const std::byte> bytes = full.bytes();
-    const std::size_t n = initial_view().members.universe_size();
-    Decoder dec(bytes);
-    const Session last_primary = Session::decode(dec, n);
-    for (int table = 0; table < 2; ++table) {  // lastFormed, ambiguous
-      const std::uint64_t count = dec.get_varint();
-      for (std::uint64_t i = 0; i < count; ++i) (void)Session::decode(dec, n);
-    }
-    (void)dec.get_varint();  // session counter
-    (void)dec.get_bool();    // in_primary
-    (void)dec.get_bool();    // blocked
-    (void)View::decode(dec, n);
-    const bool attempting = dec.get_u8() == 2;
-    const std::uint64_t states = dec.get_varint();
-    for (std::uint64_t i = 0; i < states; ++i) {
-      (void)dec.get_varint();
-      (void)dec.get_bytes();
-    }
-    (void)ProcessSet::decode(dec, n);
-    const std::size_t proposal_at = bytes.size() - dec.remaining();
-    const Session proposal = Session::decode(dec, n);
-    const std::size_t rest_at = bytes.size() - dec.remaining();
-
-    for (std::byte b : bytes.first(proposal_at)) {
-      enc.put_u8(std::to_integer<std::uint8_t>(b));
-    }
-    (attempting ? last_primary : proposal).encode(enc);
-    for (std::byte b : bytes.subspan(rest_at)) {
-      enc.put_u8(std::to_integer<std::uint8_t>(b));
-    }
-    if (attempting) ++forged;
-  }
-};
-
-// A formation must move lastPrimary forward (form_primary asserts it), so
-// a restored attempt at a session that does not follow lastPrimary is
-// refused when it is decoded, not when the attempt completes.
-TEST(Snapshot, AttemptNotPastLastPrimaryIsRejected) {
-  const SimulationConfig config = decorated_ykd_config<ProposalAtLastPrimary>();
-  Simulation source(config);
-  ProposalAtLastPrimary::forged = 0;
-  std::vector<std::byte> bytes;
-  for (int event = 0; event < 200 && ProposalAtLastPrimary::forged == 0;
-       ++event) {
-    (void)source.run_events(1);
-    bytes = save_snapshot(source);
-  }
-  ASSERT_GT(ProposalAtLastPrimary::forged, 0u) << "no process attempted";
-
-  SimulationConfig plain = config;
-  plain.algorithm_factory = nullptr;
-  Simulation target(plain);
-  EXPECT_THROW(restore_snapshot(target, bytes), DecodeError);
-}
-
-/// Sends every state payload with lastFormed[0] replaced by a session over
-/// a 200-process universe that names process 150, and counts them.
-class ForeignSession final : public test::ForwardingAlgorithm {
- public:
-  using ForwardingAlgorithm::ForwardingAlgorithm;
-  static inline std::size_t forged = 0;
-
-  std::optional<Message> outgoing_message_poll(const Message& app) override {
-    std::optional<Message> out =
-        ForwardingAlgorithm::outgoing_message_poll(app);
-    if (out.has_value() && out->has_protocol() &&
-        out->protocol->type() == PayloadType::kStateExchange) {
-      auto state = make_payload<StateExchangePayload>(
-          static_cast<const StateExchangePayload&>(*out->protocol));
-      state->last_formed[0] = Session{7, ProcessSet(200, {0, 150})};
-      out->protocol = std::move(state);
-      ++forged;
-    }
-    return out;
-  }
-};
-
-// A state payload in flight is decoded into the restored world.  Delivered
-// to process 0, its foreign lastFormed[0] would win ACCEPT, and adopting it
-// would write entry 150 of a 4-entry table.
-TEST(Snapshot, InFlightForeignSessionIsRejected) {
-  const SimulationConfig config = decorated_ykd_config<ForeignSession>();
-  Simulation source(config);
-  ForeignSession::forged = 0;
-  for (int event = 0; event < 200 && ForeignSession::forged == 0; ++event) {
-    (void)source.run_events(1);
-  }
-  ASSERT_GT(ForeignSession::forged, 0u) << "no state exchange was sent";
-  const std::vector<std::byte> bytes = save_snapshot(source);
-
-  SimulationConfig plain = config;
-  plain.algorithm_factory = nullptr;
-  Simulation target(plain);
-  EXPECT_THROW(restore_snapshot(target, bytes), DecodeError);
-}
-
 // The algorithms that evaluate a view's exchange once and share the verdict
 // through the lowest member's round-1 payload (core/ykd_family.hpp).
 constexpr AlgorithmKind kSharedVerdictKinds[] = {
@@ -602,13 +396,9 @@ bool advance_to_divergent_exchange(Simulation& sim) {
   return false;
 }
 
-// Sharing a view's verdict never changes results.  In the simulated GCS
-// every member completing a view holds the same payload objects, so the
-// first to complete computes the verdict and the rest reuse it.  A world
-// restored from a snapshot holds only freshly decoded payloads, with no
-// verdict attached to any of them.  Restored mid-exchange, with an
-// ambiguous session pending and the processes disagreeing on the last
-// primary, it must stay byte-identical to the world that was never
+// A world restored mid-exchange -- the round after a connectivity change,
+// with an ambiguous session pending and the processes disagreeing on the
+// last primary -- must stay in step with the world that was never
 // interrupted after every event, to the end of the next run.
 TEST(Snapshot, RestoredMidExchangeMatchesSharedVerdictsEveryEvent) {
   for (AlgorithmKind kind : kSharedVerdictKinds) {
@@ -634,58 +424,55 @@ TEST(Snapshot, RestoredMidExchangeMatchesSharedVerdictsEveryEvent) {
   }
 }
 
-// The other side of the same argument: a member holding private copies of
-// the view's states -- what a real transport delivers, one decoded copy per
-// recipient -- finds no shared verdict and computes its own, which must
-// equal the shared one.  From a world with pending sessions and divergent
-// histories, views -- each current component, each union of two, and
-// random memberships -- run one more exchange by hand in two copies of the
-// world: one delivers every state as a single shared object, the other as
-// a decoded copy per recipient.  Every member's state must match after
-// every round.
+// Sharing a view's verdict never changes results.  In the simulated GCS
+// every member completing a view holds the same payload objects, so the
+// first to complete computes the verdict and the rest reuse it.  A member
+// holding private copies of the view's states -- what a real transport
+// delivers, one decoded copy per recipient -- finds no shared verdict and
+// computes its own, which must equal the shared one.  From a world with
+// pending sessions and divergent histories, views -- each current
+// component, each union of two, and random memberships -- run one more
+// exchange by hand in two replayed clones of the world: one delivers every
+// state as a single shared object, the other as a decoded copy per
+// recipient.  Every round's messages and every member's state must match.
 TEST(Snapshot, PrivatePayloadCopiesDecideLikeSharedOnes) {
-  using World = std::vector<std::unique_ptr<PrimaryComponentAlgorithm>>;
   for (AlgorithmKind kind : kSharedVerdictKinds) {
     SCOPED_TRACE(to_string(kind));
     const SimulationConfig config = turbulent_config(kind);
     Simulation history(config);
     ASSERT_TRUE(advance_to_divergent_exchange(history));
-
-    const Gcs& gcs = history.gcs();
-    const View initial{1, ProcessSet::full(config.processes)};
+    const std::vector<std::byte> point = save_snapshot(history);
     const auto clone = [&]() {
-      World world;
-      for (ProcessId p = 0; p < config.processes; ++p) {
-        Encoder enc;
-        gcs.algorithm(p).save(enc);
-        const std::vector<std::byte> bytes = enc.take();
-        Decoder dec(bytes);
-        world.push_back(make_algorithm(kind, p, initial));
-        world.back()->load(dec);
-      }
+      auto world = std::make_unique<Simulation>(config);
+      restore_snapshot(*world, point);
       return world;
     };
-    // One message round among `members`: every poll, then every delivery.
-    const auto round = [](World& world, const ProcessSet& members,
+    // One message round among `members`, every poll then every delivery,
+    // driving the algorithms by hand; returns what was sent, serialized.
+    const auto round = [](Simulation& world, const ProcessSet& members,
                           bool private_copies) {
       std::vector<std::pair<ProcessId, Message>> sent;
       members.for_each([&](ProcessId p) {
-        if (auto out = world[p]->outgoing_message_poll(Message::empty())) {
+        if (auto out = world.gcs().algorithm(p).outgoing_message_poll(
+                Message::empty())) {
           sent.emplace_back(p, std::move(*out));
         }
       });
+      std::vector<std::pair<ProcessId, std::vector<std::byte>>> wire;
       for (const auto& [sender, message] : sent) {
+        wire.emplace_back(sender, message.serialize());
         members.for_each([&](ProcessId r) {
-          (void)world[r]->incoming_message(
-              private_copies ? Message::parse(message.serialize(),
+          (void)world.gcs().algorithm(r).incoming_message(
+              private_copies ? Message::parse(wire.back().second,
                                               members.universe_size())
                              : message,
               sender);
         });
       }
-      return !sent.empty();
+      return wire;
     };
 
+    const Gcs& gcs = history.gcs();
     const std::vector<ProcessSet>& components = gcs.topology().components();
     std::vector<ProcessSet> views = components;
     for (std::size_t i = 0; i < components.size(); ++i) {
@@ -710,63 +497,32 @@ TEST(Snapshot, PrivatePayloadCopiesDecideLikeSharedOnes) {
     }
     for (const ProcessSet& members : views) {
       SCOPED_TRACE("view " + members.to_string());
-      World shared = clone();
-      World copied = clone();
+      const std::unique_ptr<Simulation> shared = clone();
+      const std::unique_ptr<Simulation> copied = clone();
       const View view{next_id, members};
       members.for_each([&](ProcessId p) {
-        shared[p]->view_changed(view);
-        copied[p]->view_changed(view);
+        shared->gcs().algorithm(p).view_changed(view);
+        copied->gcs().algorithm(p).view_changed(view);
       });
       for (int r = 0; r < 8; ++r) {
         SCOPED_TRACE("round " + std::to_string(r));
-        const bool active = round(shared, members, false);
-        EXPECT_EQ(round(copied, members, true), active);
+        const auto sent = round(*shared, members, false);
+        EXPECT_EQ(round(*copied, members, true), sent);
         std::vector<ProcessId> diverged;
         members.for_each([&](ProcessId p) {
-          Encoder a;
-          Encoder b;
-          shared[p]->save(a);
-          copied[p]->save(b);
-          if (a.take() != b.take()) diverged.push_back(p);
+          const PrimaryComponentAlgorithm& a =
+              std::as_const(*shared).gcs().algorithm(p);
+          const PrimaryComponentAlgorithm& b =
+              std::as_const(*copied).gcs().algorithm(p);
+          if (a.in_primary() != b.in_primary() ||
+              !(a.debug_info() == b.debug_info())) {
+            diverged.push_back(p);
+          }
         });
         EXPECT_EQ(diverged, std::vector<ProcessId>{});
-        if (!active) break;
+        if (sent.empty()) break;
       }
     }
-  }
-}
-
-// A restored world replays view ids.  A verdict cached in a timeline the
-// restore discarded must not be reused when its view id comes back naming
-// other members: here id k first names the majority {0..5}, which forms,
-// and after the rewind names the minority {0,1}, which must not.
-TEST(Snapshot, RewoundGcsNeverReusesADiscardedVerdict) {
-  for (AlgorithmKind kind : kSharedVerdictKinds) {
-    SCOPED_TRACE(to_string(kind));
-    Gcs rewound(kind, 8);
-    Encoder enc;
-    rewound.save(enc);
-    const std::vector<std::byte> bytes = enc.take();
-    rewound.apply_partition(0, ProcessSet(8, {6, 7}));
-    while (rewound.step_round()) {
-    }
-    ASSERT_TRUE(rewound.algorithm(0).in_primary());
-
-    Gcs fresh(kind, 8);
-    for (Gcs* gcs : {&rewound, &fresh}) {
-      Decoder dec(bytes);
-      gcs->load(dec);
-      dec.finish();
-      gcs->apply_partition(0, ProcessSet(8, {2, 3, 4, 5, 6, 7}));
-      while (gcs->step_round()) {
-      }
-    }
-    EXPECT_FALSE(rewound.algorithm(0).in_primary());
-    Encoder a;
-    Encoder b;
-    rewound.save(a);
-    fresh.save(b);
-    EXPECT_EQ(a.take(), b.take());
   }
 }
 
@@ -811,6 +567,87 @@ TEST(Snapshot, CascadingShardsMergeToSerialCase) {
     EXPECT_EQ(merged.wire.total_message_bytes,
               serial.wire.total_message_bytes);
     EXPECT_EQ(merged.invariant_checks, serial.invariant_checks);
+  }
+}
+
+// A snapshot reads nothing of an algorithm's state, so a world of a
+// plugged-in algorithm that keeps its state to itself -- one that does not
+// implement save -- round-trips like any other.
+TEST(Snapshot, PluggedInAlgorithmWithoutSaveRoundTrips) {
+  SimulationConfig config = small_config(AlgorithmKind::kYkd);
+  config.algorithm_factory = [](ProcessId self, const View& initial) {
+    return std::make_unique<test::ForwardingAlgorithm>(
+        make_algorithm(AlgorithmKind::kYkd, self, initial));
+  };
+  Simulation uninterrupted(config);
+  (void)uninterrupted.run_once();
+  const RunResult expected = uninterrupted.run_once();
+
+  Simulation original(config);
+  (void)original.run_once();
+  const std::optional<RunResult> early = original.run_events(7);
+  Encoder enc;
+  EXPECT_THROW(std::as_const(original).gcs().algorithm(0).save(enc),
+               std::logic_error);
+  Simulation restored(config);
+  restore_snapshot(restored, save_snapshot(original));
+  EXPECT_EQ(early.has_value() ? *early : finish_run(restored), expected);
+}
+
+// A restore replays the driver's events, so a world moved outside the
+// driver -- by a hand-applied partition, or by handing a process out for
+// input -- names no point the replay reaches.  Its counters disagree once
+// the replay is done, and the restore is refused.
+TEST(Snapshot, WorldMovedByHandIsRefused) {
+  const SimulationConfig config = small_config(AlgorithmKind::kYkd);
+  Simulation partitioned(config);
+  partitioned.gcs().apply_partition(0, ProcessSet(config.processes, {15}));
+  (void)partitioned.run_events(5);
+  Simulation fed(config);
+  (void)fed.run_events(5);
+  (void)fed.gcs().algorithm(3);
+
+  for (const Simulation* moved : {&partitioned, &fed}) {
+    const std::vector<std::byte> bytes = save_snapshot(*moved);
+    Simulation target(config);
+    EXPECT_THROW(restore_snapshot(target, bytes), DecodeError);
+    EXPECT_EQ(target.events(), moved->events());  // refused after replaying
+  }
+}
+
+// A restore replays into a new world only; one that has run an event is
+// refused before the bytes are read.
+TEST(Snapshot, RestoreIntoAWorldThatRanIsRefused) {
+  const SimulationConfig config = small_config(AlgorithmKind::kYkd);
+  Simulation source(config);
+  (void)source.run_events(5);
+  const std::vector<std::byte> bytes = save_snapshot(source);
+  Simulation target(config);
+  (void)target.run_events(1);
+  EXPECT_THROW(restore_snapshot(target, bytes), PreconditionViolation);
+  EXPECT_THROW(restore_snapshot(target, std::vector<std::byte>{}),
+               PreconditionViolation);
+  EXPECT_EQ(target.events(), 1u);
+}
+
+// The checksum covers the event count, so a mutated count is refused
+// before any event runs and can never start a long replay.
+TEST(Snapshot, MutatedCountIsRefusedBeforeAnyEvent) {
+  const SimulationConfig config = small_config(AlgorithmKind::kYkd);
+  Simulation source(config);
+  (void)source.run_events(5);
+  const std::vector<std::byte> bytes = save_snapshot(source);
+  // The count follows the schema and algorithm strings (a one-byte length
+  // each, then the text) and the 8-byte config hash.
+  const std::size_t count_at = 1 + kSnapshotSchema.size() + 1 +
+                               std::string_view("ykd").size() + 8;
+  ASSERT_EQ(std::to_integer<std::uint64_t>(bytes.at(count_at)), 5u);
+  for (const std::byte count : {std::byte{0x7f}, std::byte{0x06}}) {
+    std::vector<std::byte> mutant = bytes;
+    mutant[count_at] = count;
+    Simulation target(config);
+    EXPECT_THROW(restore_snapshot(target, mutant), DecodeError);
+    EXPECT_EQ(target.events(), 0u);
   }
 }
 

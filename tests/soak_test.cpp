@@ -49,8 +49,8 @@ TEST_P(Soak, MillionsOfChangesNoInconsistency) {
   EXPECT_GE(sim.total_changes(), total);
 }
 
-// Cascading soak through checkpoints: every N runs the world is serialized,
-// torn down, and rebuilt from the snapshot in a brand-new Simulation.  The
+// Cascading soak through checkpoints: every N runs the world is saved,
+// torn down, and replayed from the snapshot into a brand-new Simulation.  The
 // checkpointed cascade must report the same run results and -- the soak's
 // currency -- execute exactly as many invariant checks as the baseline that
 // never checkpointed.
