@@ -23,6 +23,14 @@ void PrimaryComponentAlgorithm::incoming_messages(
   for (const Delivery& d : batch) (void)incoming_message(*d.message, d.sender);
 }
 
+void PrimaryComponentAlgorithm::incoming_messages_to_group(
+    std::span<PrimaryComponentAlgorithm* const> group,
+    std::span<const Delivery> batch) {
+  for (PrimaryComponentAlgorithm* member : group) {
+    member->incoming_messages(batch);
+  }
+}
+
 void PrimaryComponentAlgorithm::save(Encoder& /*enc*/) const {
   throw std::logic_error("algorithm state is not saved as bytes");
 }

@@ -20,6 +20,13 @@
 //    sees every receipt.  Either way a process receives messages in the
 //    order they were sent; how receipts at different processes interleave
 //    is unspecified, since no process reads another's state.
+//  * A host may also hand one batch to all the processes that receive it
+//    together, through `incoming_messages_to_group` on the lowest of them.
+//    They share a view.  Each member must end as if it had received the
+//    batch itself through `incoming_messages`; the default does exactly
+//    that, member by member in id order.  An algorithm whose round is the
+//    same at every member of a view may receive the batch once for all of
+//    them (the YKD family does).
 //  * Every outgoing message -- and, after each receipt or view change, an
 //    empty poll -- is passed through `outgoing_message_poll`.  A non-null
 //    result must be multicast to the current view in place of the original.
@@ -110,6 +117,15 @@ class PrimaryComponentAlgorithm {
   /// recipient a round's messages, or a flush's, in one such call.  The
   /// default calls incoming_message on each message in turn.
   virtual void incoming_messages(std::span<const Delivery> batch);
+
+  /// Pass `batch` to every member of `group`: processes in ascending id
+  /// order that share a view and all receive the batch, `this` being the
+  /// first.  The simulated GCS makes one such call per batch.  Each member
+  /// must end as if its own incoming_messages had received the batch; the
+  /// default calls exactly that on each member in turn.
+  virtual void incoming_messages_to_group(
+      std::span<PrimaryComponentAlgorithm* const> group,
+      std::span<const Delivery> batch);
 
   /// Offer an outgoing application message (possibly empty).  Returns the
   /// message to multicast instead -- with protocol state piggybacked -- or

@@ -24,9 +24,8 @@ void Dfls::on_primary_formed() {
   gc_number_ = last_primary_.number;
   gc_.reset(view_size());
 
-  auto gc = make_payload<GcRoundPayload>();
-  gc->formed_number = gc_number_;
-  stage(std::move(gc));
+  reuse_payload(gc_pool_).formed_number = gc_number_;
+  stage(gc_pool_);
 }
 
 void Dfls::handle_extra_payload(const ProtocolPayload& payload,

@@ -29,6 +29,8 @@ class Dfls final : public YkdFamilyBase {
   SessionNumber gc_number_ = 0;
   /// The GC round's senders; all of the new primary must send.
   Tally gc_;
+  /// Single-slot reuse of the GC round's payload (reuse_payload).
+  PayloadRef<GcRoundPayload> gc_pool_;
 };
 
 }  // namespace dynvote

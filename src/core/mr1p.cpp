@@ -66,13 +66,11 @@ void Mr1p::view_changed(const View& view) {
   if (pending_.has_value()) {
     // Rebuild the R1 payload in place once every holder from the previous
     // view change (recipients, the network) has dropped it.
-    if (!pending_pool_ || pending_pool_.use_count() > 1) {
-      pending_pool_ = make_payload<Mr1pPendingPayload>();
-    }
-    pending_pool_->has_pending = true;
-    pending_pool_->pending = *pending_;
-    pending_pool_->num = num_;
-    pending_pool_->status = status_;
+    Mr1pPendingPayload& r1 = reuse_payload(pending_pool_);
+    r1.has_pending = true;
+    r1.pending = *pending_;
+    r1.num = num_;
+    r1.status = status_;
     stage(pending_pool_);
   } else {
     try_new();
@@ -87,9 +85,8 @@ void Mr1p::try_new() {
     num_ = 1;
     status_ = Mr1pStatus::kSent;
 
-    auto propose = make_payload<Mr1pProposePayload>();
-    propose->proposal = proposal;
-    stage(std::move(propose));
+    reuse_payload(propose_pool_).proposal = proposal;
+    stage(propose_pool_);
   } else {
     pending_.reset();
     num_ = 0;
@@ -141,11 +138,8 @@ std::optional<Message> Mr1p::outgoing_message_poll(const Message& app) {
   // poll to poll (the replies vector keeps its capacity) whenever the
   // previous batch has drained from the network and its recipients.
   if (!unanswered_queries_.empty()) {
-    if (!reply_pool_ || reply_pool_.use_count() > 1) {
-      reply_pool_ = make_payload<Mr1pReplyPayload>();
-    }
-    const PayloadRef<Mr1pReplyPayload>& batch = reply_pool_;
-    batch->replies.clear();
+    Mr1pReplyPayload& batch = reuse_payload(reply_pool_);
+    batch.replies.clear();
     for (const Session& about : unanswered_queries_) {
       Mr1pReplyItem item;
       item.about = about;
@@ -159,13 +153,13 @@ std::optional<Message> Mr1p::outgoing_message_poll(const Message& app) {
       } else {
         continue;  // nothing useful to say
       }
-      batch->replies.push_back(std::move(item));
+      batch.replies.push_back(std::move(item));
     }
     unanswered_queries_.clear();
-    if (!batch->replies.empty()) {
-      batch->view_id = current_view_.id;
+    if (!batch.replies.empty()) {
+      batch.view_id = current_view_.id;
       Message out = app;
-      out.protocol = batch;
+      out.protocol = reply_pool_;
       return out;
     }
   }
@@ -237,10 +231,7 @@ void Mr1p::maybe_resolve() {
         // Paxos-style completion of the possibly-formed session.
         num_ = best_echo_num_ + 1;
         resolve_sent_ = true;
-        auto resolve = make_payload<Mr1pResolvePayload>();
-        resolve->about = *pending_;
-        resolve->call = Mr1pVerdict::kStatusAttempt;
-        stage(std::move(resolve));
+        stage_resolve(Mr1pVerdict::kStatusAttempt);
         adopt_formed(*pending_);
         return;
       }
@@ -258,10 +249,14 @@ void Mr1p::maybe_resolve() {
   num_ = best_echo_num_ + 1;
   status_ = Mr1pStatus::kTryFail;
   resolve_sent_ = true;
-  auto resolve = make_payload<Mr1pResolvePayload>();
-  resolve->about = *pending_;
-  resolve->call = Mr1pVerdict::kStatusTryFail;
-  stage(std::move(resolve));
+  stage_resolve(Mr1pVerdict::kStatusTryFail);
+}
+
+void Mr1p::stage_resolve(Mr1pVerdict call) {
+  Mr1pResolvePayload& resolve = reuse_payload(resolve_pool_);
+  resolve.about = *pending_;
+  resolve.call = call;
+  stage(resolve_pool_);
 }
 
 void Mr1p::handle_resolve(const Mr1pResolvePayload& payload, ProcessId sender) {
@@ -296,9 +291,8 @@ void Mr1p::handle_propose(const Mr1pProposePayload& payload, ProcessId sender) {
     num_ = 2;
     attempt_sent_ = true;
 
-    auto attempt = make_payload<Mr1pAttemptPayload>();
-    attempt->proposal = payload.proposal;
-    stage(std::move(attempt));
+    reuse_payload(attempt_pool_).proposal = payload.proposal;
+    stage(attempt_pool_);
   }
 }
 

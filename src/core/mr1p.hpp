@@ -91,6 +91,8 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   void handle_propose(const Mr1pProposePayload& payload, ProcessId sender);
   void handle_attempt(const Mr1pAttemptPayload& payload, ProcessId sender);
   void maybe_resolve();
+  /// Stage round 3's call on pending_.
+  void stage_resolve(Mr1pVerdict call);
   void adopt_formed(const Session& session);
   void abandon_pending();
   void record_formed(const Session& session);
@@ -135,10 +137,12 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   Tally attempts_;
   bool attempt_sent_ = false;
   bool tried_new_ = false;
-  /// Single-slot payload reuse, valid only while we hold the sole
-  /// reference (single-threaded simulation).
+  /// Single-slot reuse of each round's payload (reuse_payload).
   PayloadRef<Mr1pPendingPayload> pending_pool_;
   PayloadRef<Mr1pReplyPayload> reply_pool_;
+  PayloadRef<Mr1pResolvePayload> resolve_pool_;
+  PayloadRef<Mr1pProposePayload> propose_pool_;
+  PayloadRef<Mr1pAttemptPayload> attempt_pool_;
 };
 
 }  // namespace dynvote

@@ -43,7 +43,7 @@ Mr1pVerdict decode_verdict(Decoder& dec) {
 /// Throws DecodeError if an entry of `last_formed` follows `last_primary`.
 /// Every lastFormed entry was its holder's lastPrimary when written, and a
 /// lastPrimary only moves forward, so no reachable state has one; ACCEPT
-/// relies on that to skip its scan (YkdFamilyBase::on_exchange_complete).
+/// relies on that to skip its scan (YkdFamilyBase::complete_exchange).
 void check_last_formed(const Session& last_primary,
                        const std::vector<Session>& last_formed) {
   for (const Session& s : last_formed) {

@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
-#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -181,27 +180,16 @@ PayloadRef<T> static_payload_cast(PayloadRef<U>&& ref) {
 
 using PayloadPtr = PayloadRef<const ProtocolPayload>;
 
-/// The self-independent half of a YKD-family exchange completion: COMPUTE,
-/// DECIDE and the variant's allow_attempt, evaluated on one view's round-1
-/// states (YkdFamilyBase::evaluate_exchange).  Every member of the view
-/// would compute the same verdict, so it is cached on a payload they all
-/// hold; see StateExchangePayload::verdict_memo.
-struct ExchangeVerdict {
-  /// Cache key: the view, and the algorithm variant as its dynamic type
-  /// plus whether it filters constraints.  variant == nullptr: empty.
-  ViewId view_id = 0;
-  const std::type_info* variant = nullptr;
-  bool filtered = false;
-
-  SessionNumber max_session = 0;
-  /// The newest lastPrimary any member reported (maxPrimary).  No session
-  /// a member could ACCEPT follows it (check_last_formed).
-  Session max_primary;
-  /// DECIDE and allow_attempt both passed: the view attempts a primary.
-  bool attempt = false;
-  /// DECIDE passed but allow_attempt refused (1-pending's blocking).
-  bool blocked = false;
-};
+/// Single-slot payload reuse: the payload `pool` holds, for the caller to
+/// overwrite in place, when `pool` is its only holder; otherwise a new one
+/// put in `pool`.  So a staged or delivered payload is never written under
+/// another holder, and a sender that sends one payload per round allocates
+/// none in steady state.  The caller sets every field it sends.
+template <typename T>
+T& reuse_payload(PayloadRef<T>& pool) {
+  if (!pool || pool.use_count() > 1) pool = make_payload<T>();
+  return *pool;
+}
 
 /// Round 1 of YKD / unoptimized YKD / DFLS / 1-pending: "the processes
 /// exchange all of their internal state -- sending each other their
@@ -213,13 +201,6 @@ struct StateExchangePayload final : ProtocolPayload {
   /// lastFormed(q) for q = 0..universe-1: the last primary the sender formed
   /// that included q.  Indexed by process id over the initial universe.
   std::vector<Session> last_formed;
-  /// Verdict memo, used on the view's lowest member's payload: the first
-  /// member to complete the view with this very object in its table fills
-  /// it, the others read it.  In-process only -- never encoded, so a
-  /// decoded copy starts empty and its holder computes the verdict itself.
-  /// A memo left from an earlier view never matches: it is keyed by view
-  /// id, and a Gcs never installs an id twice.
-  mutable ExchangeVerdict verdict_memo;
 
   StateExchangePayload() : ProtocolPayload(PayloadType::kStateExchange) {}
   void encode_body(Encoder& enc) const override;

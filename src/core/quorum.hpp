@@ -50,6 +50,8 @@ class Tally {
   }
 
   bool reached() const { return count_ >= threshold_; }
+  /// No sender counted since the last reset.
+  bool empty() const { return count_ == 0; }
 
  private:
   ProcessSet senders_;

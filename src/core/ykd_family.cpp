@@ -71,40 +71,100 @@ void YkdFamilyBase::stage(PayloadRef<ProtocolPayload> payload) {
 }
 
 Message YkdFamilyBase::incoming_message(Message message, ProcessId sender) {
-  if (message.protocol != nullptr) receive(message.protocol, sender);
+  const Delivery delivery{sender, &message};
+  incoming_messages(std::span(&delivery, 1));
   message.protocol = nullptr;
   return message;
 }
 
 void YkdFamilyBase::incoming_messages(std::span<const Delivery> batch) {
-  for (const Delivery& d : batch) {
-    if (d.message->protocol != nullptr) receive(d.message->protocol, d.sender);
+  PrimaryComponentAlgorithm* const self = this;
+  incoming_messages_to_group(std::span(&self, 1), batch);
+}
+
+void YkdFamilyBase::incoming_messages_to_group(
+    std::span<PrimaryComponentAlgorithm* const> group,
+    std::span<const Delivery> batch) {
+  DV_ASSERT(!group.empty() && group.front() == this);
+  const auto others = group.subspan(1);
+  if (!others.empty() && !shares_round_start(others)) {
+    PrimaryComponentAlgorithm::incoming_messages_to_group(group, batch);
+    return;
+  }
+  // This process receives for the whole group: every member would record
+  // the same payloads of the round and reach its completion at the same
+  // message.
+  const PayloadType round_type = stage_ == Stage::kAttempting
+                                     ? PayloadType::kAttempt
+                                     : PayloadType::kStateExchange;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const PayloadPtr& payload = batch[i].message->protocol;
+    if (payload == nullptr) continue;
+    if (!others.empty() && payload->view_id == current_view_.id &&
+        payload->type() != round_type) {
+      // Another payload type comes first, and its effect may differ per
+      // member: from here on, each member receives the batch itself.
+      incoming_messages(batch.subspan(i));
+      break;
+    }
+    if (receive(payload, batch[i].sender)) {
+      complete_round(group);
+      const auto rest = batch.subspan(i + 1);
+      if (rest.empty()) return;
+      for (PrimaryComponentAlgorithm* member : group) {
+        member->incoming_messages(rest);
+      }
+      return;
+    }
+  }
+  // The round did not complete here: the others receive the batch too.
+  for (PrimaryComponentAlgorithm* member : others) {
+    member->incoming_messages(batch);
   }
 }
 
-void YkdFamilyBase::receive(const PayloadPtr& payload, ProcessId sender) {
+bool YkdFamilyBase::shares_round_start(
+    std::span<PrimaryComponentAlgorithm* const> others) const {
+  const bool exchanging = stage_ == Stage::kExchanging && states_.size() == 0;
+  const bool attempting = stage_ == Stage::kAttempting && attempts_.empty();
+  if (!exchanging && !attempting) return false;
+  const std::type_info& variant = typeid(*this);
+  for (PrimaryComponentAlgorithm* member : others) {
+    if (typeid(*member) != variant) return false;
+    const auto& m = static_cast<const YkdFamilyBase&>(*member);
+    if (m.filter_constraints_ != filter_constraints_ ||
+        m.current_view_.id != current_view_.id || m.stage_ != stage_) {
+      return false;
+    }
+    if (exchanging ? m.states_.size() != 0
+                   : !m.attempts_.empty() || m.proposed_ != proposed_) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool YkdFamilyBase::receive(const PayloadPtr& payload, ProcessId sender) {
   // Discard traffic from any view other than the current one.
-  if (payload->view_id != current_view_.id) return;
+  if (payload->view_id != current_view_.id) return false;
 
   switch (payload->type()) {
     case PayloadType::kStateExchange: {
-      if (stage_ != Stage::kExchanging) break;  // stale duplicate round
+      if (stage_ != Stage::kExchanging) return false;  // stale duplicate round
       DV_ASSERT_MSG(current_view_.members.contains(sender),
                     "state from a non-member of the current view");
       states_.set(sender, static_payload_cast<const StateExchangePayload>(
                               PayloadPtr(payload)));
-      if (states_.size() == view_size_) on_exchange_complete();
-      break;
+      return states_.size() == view_size_;
     }
     case PayloadType::kAttempt: {
-      if (stage_ != Stage::kAttempting) break;
+      if (stage_ != Stage::kAttempting) return false;
       const auto& attempt = static_cast<const AttemptPayload&>(*payload);
-      if (attempt.proposal != proposed_) break;
+      if (attempt.proposal != proposed_) return false;
       DV_ASSERT_MSG(current_view_.members.contains(sender),
                     "attempt from a non-member of the current view");
       attempts_.add(sender);
-      if (attempts_.reached()) form_primary();
-      break;
+      return attempts_.reached();
     }
     case PayloadType::kGcRound:
     case PayloadType::kMr1pPending:
@@ -113,7 +173,25 @@ void YkdFamilyBase::receive(const PayloadPtr& payload, ProcessId sender) {
     case PayloadType::kMr1pPropose:
     case PayloadType::kMr1pAttempt:
       handle_extra_payload(*payload, sender);
-      break;
+      return false;
+  }
+  return false;
+}
+
+void YkdFamilyBase::complete_round(
+    std::span<PrimaryComponentAlgorithm* const> group) {
+  if (stage_ == Stage::kExchanging) {
+    const ExchangeVerdict verdict = evaluate_exchange();
+    for (PrimaryComponentAlgorithm* member : group) {
+      static_cast<YkdFamilyBase&>(*member).complete_exchange(verdict, states_);
+    }
+    states_.clear();
+    return;
+  }
+  for (PrimaryComponentAlgorithm* member : group) {
+    auto& m = static_cast<YkdFamilyBase&>(*member);
+    if (&m != this) m.attempts_ = attempts_;  // what its own receipt filled
+    m.form_primary();
   }
 }
 
@@ -192,27 +270,9 @@ bool YkdFamilyBase::provably_unformed(const Session& s,
   return unformed;
 }
 
-ExchangeVerdict YkdFamilyBase::shared_verdict() const {
-  // Every member completing this view holds a state from the view's lowest
-  // member; when delivery shared that object, so does the memo on it.
-  const StateExchangePayload* anchor =
-      states_.get(current_view_.members.lowest());
-  DV_ASSERT_MSG(anchor != nullptr, "complete exchange lacks the lowest member");
-  ExchangeVerdict& memo = anchor->verdict_memo;
-  const bool hit = memo.variant != nullptr &&
-                   memo.view_id == current_view_.id &&
-                   *memo.variant == typeid(*this) &&
-                   memo.filtered == filter_constraints_;
-  if (!hit) memo = evaluate_exchange();
-  return memo;
-}
-
 ExchangeVerdict YkdFamilyBase::evaluate_exchange() const {
   const CombinedKnowledge& knowledge = compute_combined();
   ExchangeVerdict verdict;
-  verdict.view_id = current_view_.id;
-  verdict.variant = &typeid(*this);
-  verdict.filtered = filter_constraints_;
   verdict.max_session = knowledge.max_session;
   verdict.max_primary = knowledge.max_primary;
 
@@ -228,9 +288,8 @@ ExchangeVerdict YkdFamilyBase::evaluate_exchange() const {
   return verdict;
 }
 
-void YkdFamilyBase::on_exchange_complete() {
-  const ExchangeVerdict verdict = shared_verdict();
-
+void YkdFamilyBase::complete_exchange(const ExchangeVerdict& verdict,
+                                      const StateMap& states) {
   // RESOLVE / ACCEPT: adopt the highest-numbered formed session containing
   // this process.  If q formed (or adopted) a session F with self in it,
   // q's lastFormed(self) records the latest such F, so scanning each
@@ -241,7 +300,7 @@ void YkdFamilyBase::on_exchange_complete() {
   // nothing and is skipped (DESIGN.md §4d).
   if (session_precedes(last_primary_, verdict.max_primary)) {
     Session best = last_primary_;
-    for (const auto& [q, state] : states_) {
+    for (const auto& [q, state] : states) {
       const Session& lp = state->last_primary;
       if (lp.members.contains(self_) && session_precedes(best, lp)) best = lp;
       if (self_ < state->last_formed.size()) {
@@ -263,7 +322,7 @@ void YkdFamilyBase::on_exchange_complete() {
     case PruneMode::kFull:
       std::erase_if(ambiguous_, [&](const Session& s) {
         return s.number <= last_primary_.number ||
-               provably_unformed(s, states_);
+               provably_unformed(s, states);
       });
       break;
     case PruneMode::kGlobalSuperseded:
@@ -273,13 +332,12 @@ void YkdFamilyBase::on_exchange_complete() {
       break;
     case PruneMode::kUnformedOnly:
       std::erase_if(ambiguous_, [&](const Session& s) {
-        return provably_unformed(s, states_);
+        return provably_unformed(s, states);
       });
       break;
   }
 
   blocked_ = verdict.blocked;
-  states_.clear();
   if (!verdict.attempt) {
     stage_ = Stage::kIdle;
     return;
@@ -293,10 +351,7 @@ void YkdFamilyBase::on_exchange_complete() {
 
   // Reuse the previous attempt payload once its last outside reference
   // (the network's copy from the previous round 2) is gone.
-  if (!attempt_pool_ || attempt_pool_.use_count() > 1) {
-    attempt_pool_ = make_payload<AttemptPayload>();
-  }
-  attempt_pool_->proposal = proposed_;
+  reuse_payload(attempt_pool_).proposal = proposed_;
   stage(attempt_pool_);
 }
 

@@ -31,18 +31,21 @@
 // -- so pruning a process's *stored* list (which only removes sessions that
 // this filter would drop anyway) cannot change any decision.
 //
-// Evaluated once per view.  COMPUTE, DECIDE and allow_attempt read only the
+// Received once per view.  COMPUTE, DECIDE and allow_attempt read only the
 // view, the received states and the variant -- never `self` -- so they form
-// a pure verdict (evaluate_exchange) that every member would compute alike.
-// The first member to complete the view caches it on the lowest member's
-// round-1 payload, which every member completing the view holds when
-// delivery shares one object (the simulated GCS); the rest reuse it and run
-// only the per-process ACCEPT and prune steps.  A member holding a private
-// copy of that payload (a real transport) finds no memo and computes the
-// same verdict itself.  The verdict carries maxPrimary, and ACCEPT scans
-// the table only when maxPrimary follows this process's lastPrimary: every
-// lastFormed entry is a past lastPrimary of its holder, so otherwise
-// nothing could be adopted.  DESIGN.md §4d has the soundness argument.
+// a pure verdict (evaluate_exchange) that every member would compute alike,
+// and a round's receipts depend only on the view, the round and the batch.
+// So when the GCS hands a batch to a view's members together
+// (incoming_messages_to_group) and they all stand at the same round start,
+// the lowest member receives the batch alone for all of them: it fills one
+// state table (or tally), evaluates the verdict once, and each member then
+// runs its own completion -- the per-process ACCEPT and prune steps, or
+// forming the primary -- against that table.  A member outside such a
+// group receives and evaluates for itself.  The verdict carries
+// maxPrimary, and ACCEPT scans the table only when maxPrimary follows this
+// process's lastPrimary: every lastFormed entry is a past lastPrimary of
+// its holder, so otherwise nothing could be adopted.  DESIGN.md §4d has
+// the soundness argument.
 //
 // lastFormed, the one universe-sized table of the state, lives in the
 // process's own pooled round-1 payload (state_pool_).  It is copied only
@@ -51,6 +54,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/algorithm.hpp"
@@ -68,6 +72,21 @@ struct CombinedKnowledge {
   /// maxAmbiguousSessions after filtering: the constraints a new primary
   /// must be a subquorum of.
   std::vector<Session> constraints;
+};
+
+/// The self-independent half of an exchange completion: COMPUTE, DECIDE
+/// and the variant's allow_attempt over one view's round-1 states
+/// (YkdFamilyBase::evaluate_exchange).  Every member of the view would
+/// compute the same verdict.
+struct ExchangeVerdict {
+  SessionNumber max_session = 0;
+  /// The newest lastPrimary any member reported (maxPrimary).  No session
+  /// a member could ACCEPT follows it (check_last_formed).
+  Session max_primary;
+  /// DECIDE and allow_attempt both passed: the view attempts a primary.
+  bool attempt = false;
+  /// DECIDE passed but allow_attempt refused (1-pending's blocking).
+  bool blocked = false;
 };
 
 /// Flat, id-indexed table of the round-1 states received in the current
@@ -159,10 +178,21 @@ class StateExchangeTable {
 class YkdFamilyBase : public PrimaryComponentAlgorithm {
  public:
   void view_changed(const View& view) override;
-  /// Both entry points run receive() on each protocol payload; variants
-  /// hook into it through handle_extra_payload, never around it.
+  /// Every entry point is incoming_messages_to_group: the other two are a
+  /// group of one.  Variants hook into receipt through
+  /// handle_extra_payload, never around it.
   Message incoming_message(Message message, ProcessId sender) final;
   void incoming_messages(std::span<const Delivery> batch) final;
+  /// When every member of `group` is this variant at this process's round
+  /// start, this process receives the batch alone up to the message that
+  /// completes the round, and every member completes it against this
+  /// process's table; later messages go to each member separately.  A
+  /// payload of another type before that message, a batch that does not
+  /// complete the round, or a group that is not uniform falls back to
+  /// each member receiving the batch itself.
+  void incoming_messages_to_group(
+      std::span<PrimaryComponentAlgorithm* const> group,
+      std::span<const Delivery> batch) final;
   std::optional<Message> outgoing_message_poll(const Message& app) override;
   bool in_primary() const override { return in_primary_; }
   AlgorithmDebugInfo debug_info() const override;
@@ -212,7 +242,7 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   /// 1-pending overrides this to refuse while any member has an unresolved
   /// pending session.  Must be a deterministic function of the arguments
   /// and the current view, never of `self`: it is part of the view's
-  /// shared verdict, evaluated by whichever member completes first.
+  /// verdict, which a group of members evaluates once.
   virtual bool allow_attempt(const CombinedKnowledge& knowledge,
                              const StateMap& states) const;
 
@@ -251,13 +281,24 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
  private:
   enum class Stage { kIdle, kExchanging, kAttempting };
 
-  /// The protocol's reaction to one received payload from `sender`.
-  void receive(const PayloadPtr& payload, ProcessId sender);
-  void on_exchange_complete();
-  /// The completed exchange's verdict: the memo on the lowest member's
-  /// payload when it holds this view and variant, else evaluated here and
-  /// stored there.
-  ExchangeVerdict shared_verdict() const;
+  /// Records one received payload from `sender`; true when it completes
+  /// the current round (every member's state, or every member's attempt),
+  /// whose completion the caller then runs.
+  bool receive(const PayloadPtr& payload, ProcessId sender);
+  /// Is this process at a round start -- exchanging with an empty table,
+  /// or attempting with an empty tally -- and every one of `others` this
+  /// variant (the same dynamic type and constraint filter) at the same
+  /// start: this view, this stage, and when attempting this proposal?
+  bool shares_round_start(
+      std::span<PrimaryComponentAlgorithm* const> others) const;
+  /// Completes this process's round, just filled, at every member of
+  /// `group`: each runs its own exchange completion against states_, or
+  /// takes this tally and forms the primary.  Then clears states_.
+  void complete_round(std::span<PrimaryComponentAlgorithm* const> group);
+  /// ACCEPT, DELETE and the attempt decision at this process, for a view
+  /// whose complete state table is `states` and whose verdict is `verdict`.
+  void complete_exchange(const ExchangeVerdict& verdict,
+                         const StateMap& states);
   /// COMPUTE, DECIDE and allow_attempt over states_: a pure function of
   /// (current view, states_, variant).  Reads no per-process state.
   ExchangeVerdict evaluate_exchange() const;
@@ -274,6 +315,8 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   PruneMode prune_mode_;
   bool filter_constraints_;
   Stage stage_ = Stage::kIdle;
+  /// Round 1's states.  When this process leads a group, it is the one
+  /// table the whole group completes against; the others' stay empty.
   StateMap states_;
   /// Round 2's attempts for proposed_; all of the view must send one.
   Tally attempts_;
@@ -296,8 +339,7 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   /// the universe-sized table is copied only while another holder still
   /// has the payload, and a staged payload never changes under a reader.
   PayloadRef<StateExchangePayload> state_pool_;
-  /// Single-slot reuse of the round-2 attempt payload, rebuilt in place
-  /// once this process is its only holder.
+  /// Single-slot reuse of the round-2 attempt payload (reuse_payload).
   PayloadRef<AttemptPayload> attempt_pool_;
   mutable CombinedKnowledge combined_scratch_;
 };

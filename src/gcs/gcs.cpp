@@ -36,6 +36,7 @@ Gcs::Gcs(const AlgorithmFactory& factory, std::size_t processes,
   DV_REQUIRE(processes >= 1, "need at least one process");
   const View initial{1, ProcessSet::full(processes)};
   algorithms_.reserve(processes);
+  group_.reserve(processes);
   installed_views_.assign(processes, initial);
   for (ProcessId p = 0; p < processes; ++p) {
     algorithms_.push_back(factory(p, initial));
@@ -66,8 +67,11 @@ void Gcs::deliver(std::span<const Delivery> batch,
   due_.insert_all(recipients);
   // The batch form drops the application parts: the simulated application
   // has no payload traffic of its own.
+  group_.clear();
   recipients.for_each(
-      [&](ProcessId r) { algorithms_[r]->incoming_messages(batch); });
+      [&](ProcessId r) { group_.push_back(algorithms_[r].get()); });
+  if (group_.empty()) return;  // a lone process crashed
+  group_.front()->incoming_messages_to_group(group_, batch);
 }
 
 void Gcs::record_send(const Message& message) {

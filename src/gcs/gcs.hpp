@@ -19,9 +19,11 @@
 //
 // Delivery is batched, in the round and in the flushes alike: the network
 // hands the Gcs every multicast that reaches one recipient set as one
-// batch, in send order.  The set is counted and made due once, then each
-// recipient gets the whole batch in one incoming_messages call -- one call
-// per member per round, not one per message.
+// batch, in send order.  The set is counted and made due once, then the
+// recipients get the whole batch together, in one incoming_messages_to_group
+// call on the lowest of them -- one call per recipient set, not one per
+// member or per message.  An algorithm whose members run the same round
+// receives the batch once for all of them; the default hands it to each.
 #pragma once
 
 #include <algorithm>
@@ -175,7 +177,8 @@ class Gcs {
  private:
   void install_view(const ProcessSet& members);
   /// A batch reaching `recipients`: counted and made due once for the set,
-  /// then handed whole to each recipient in ascending id order.
+  /// then handed whole to the recipients as one group, in ascending id
+  /// order.  An empty set makes no call.
   void deliver(std::span<const Delivery> batch, const ProcessSet& recipients);
   void record_send(const Message& message);
   void measure_wire(const Message& message);
@@ -203,6 +206,9 @@ class Gcs {
   Network network_;
   Rng delivery_rng_;
   std::vector<std::unique_ptr<PrimaryComponentAlgorithm>> algorithms_;
+  /// deliver()'s recipients, rebuilt per batch; reserved for every
+  /// process at construction so delivery never grows it.
+  std::vector<PrimaryComponentAlgorithm*> group_;
   std::vector<View> installed_views_;
   ViewId next_view_id_ = 2;  // the initial view is id 1
   WireStats wire_stats_;

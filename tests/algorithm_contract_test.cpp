@@ -207,39 +207,6 @@ SimulationConfig recorded(SimulationConfig config, AlgorithmKind kind,
   return config;
 }
 
-/// What the invariant checker and has_primary read of one process.
-struct ProcessReading {
-  bool in_primary = false;
-  Session last_primary;
-  AlgorithmDebugInfo info;
-  View view;
-
-  bool operator==(const ProcessReading&) const = default;
-};
-
-ProcessReading reading(const Gcs& gcs, ProcessId p) {
-  const PrimaryComponentAlgorithm& alg = gcs.algorithm(p);
-  return {alg.in_primary(), alg.last_primary_session(), alg.debug_info(),
-          gcs.view_of(p)};
-}
-
-/// Every input the invariant checker and has_primary read of the world.
-struct WorldReading {
-  std::vector<ProcessReading> processes;
-  ProcessSet crashed;
-  bool network_idle = true;
-
-  bool operator==(const WorldReading&) const = default;
-};
-
-WorldReading reading(const Gcs& gcs) {
-  WorldReading world{{}, gcs.crashed(), gcs.network_idle()};
-  for (ProcessId p = 0; p < gcs.process_count(); ++p) {
-    world.processes.push_back(reading(gcs, p));
-  }
-  return world;
-}
-
 /// The fault models the whole-world cases below run under: the geometric
 /// model with and without crashes, and the sleepy and repairable models,
 /// which crash, sleep, wake and repair processes.
@@ -302,7 +269,7 @@ TEST_P(AlgorithmContract, PollsFollowInputAndRevisionTracksTheWorld) {
       for (bool done = false; !done; ++events) {
         SCOPED_TRACE("event " + std::to_string(events));
         const std::uint64_t revision = gcs.revision();
-        const WorldReading world = reading(gcs);
+        const test::WorldReading world = test::reading(gcs);
         const std::uint64_t changes = sim.total_changes();
         std::vector<std::uint64_t> inputs(kProcesses);
         std::vector<std::uint64_t> polls(kProcesses);
@@ -323,20 +290,20 @@ TEST_P(AlgorithmContract, PollsFollowInputAndRevisionTracksTheWorld) {
         const bool round = sim.total_changes() == changes;
 
         if (gcs.revision() == revision) {
-          EXPECT_EQ(reading(gcs), world) << "the revision stood still";
+          EXPECT_EQ(test::reading(gcs), world) << "the revision stood still";
         }
         for (ProcessId p = 0; p < kProcesses; ++p) {
           SCOPED_TRACE("process " + std::to_string(p));
           InputRecorder& rec = *recorders[p];
           if (quiet[p] && rec.inputs() == inputs[p]) {
-            EXPECT_EQ(reading(gcs, p), world.processes[p])
+            EXPECT_EQ(test::reading(gcs, p), world.processes[p])
                 << "changed with no input";
           }
           if (round && !gcs.is_crashed(p)) {
             EXPECT_TRUE(rec.polls() > polls[p] || !rec.had_input())
                 << "had input but was not polled";
           }
-          EXPECT_EQ(reading(twin_gcs, p), reading(gcs, p))
+          EXPECT_EQ(test::reading(twin_gcs, p), test::reading(gcs, p))
               << "a probe changed the twin";
           EXPECT_EQ(twin_recorders[p]->take_sends(), rec.take_sends())
               << "a probe changed the twin's sends";
@@ -348,27 +315,31 @@ TEST_P(AlgorithmContract, PollsFollowInputAndRevisionTracksTheWorld) {
   }
 }
 
-/// A run's result, or what the invariant checker threw.
-using RunOutcome = std::variant<RunResult, std::string>;
+/// An event's result (a finished run's, or none mid-run), or what the
+/// invariant checker threw.
+using EventOutcome = std::variant<std::optional<RunResult>, std::string>;
 
-RunOutcome run_once(Simulation& sim) {
+EventOutcome run_event(Simulation& sim) {
   try {
-    return sim.run_once();
+    return sim.run_events(1);
   } catch (const InvariantViolation& e) {
     return std::string(e.what());
   }
 }
 
-// The simulated GCS hands each process a round's messages through
-// incoming_messages, and an algorithm may implement that batch entry point
-// itself (the YKD family and MR1p do).  Whichever entry point a message
-// comes through, the algorithm must do the same with it: a world whose
-// instances are wrapped in a pass-through decorator, which keeps the
-// default incoming_messages and so sends every message down the
-// per-message incoming_message path, must match the plain world run for
-// run over a long cascade.  (DFLS forks the primary chain in long N=16
-// cascades, ROADMAP item 1: both worlds must then fail alike, at the same
-// run, which ends the cascade.)
+// The simulated GCS hands each batch to its recipients together, through
+// incoming_messages_to_group, and an algorithm may receive it once for the
+// whole group (the YKD family does) or per member (the default, which
+// calls incoming_messages, which the YKD family and MR1p implement
+// themselves).  Whichever path a message takes, every process must end in
+// the same state: a world whose instances are wrapped in a pass-through
+// decorator, which keeps the defaults and so sends every message down the
+// per-member, per-message incoming_message path, must match the plain
+// world after every event of a long cascade -- in the run's result, in
+// everything the checker and has_primary read of each process, and in the
+// messages sent -- so no divergence can heal unseen before a run ends.
+// (DFLS forks the primary chain in long N=16 cascades, ROADMAP item 1: both
+// worlds must then fail alike, at the same event, which ends the cascade.)
 TEST_P(AlgorithmContract, BatchAndPerMessageDeliveryAgree) {
   constexpr int kRuns = 200;
   for (const Model& model : kModels) {
@@ -384,21 +355,27 @@ TEST_P(AlgorithmContract, BatchAndPerMessageDeliveryAgree) {
     };
     Simulation plain(plain_config);
     Simulation wrapped(wrapped_config);
-    for (int run = 0; run < kRuns; ++run) {
+    const Gcs& plain_gcs = std::as_const(plain).gcs();
+    const Gcs& wrapped_gcs = std::as_const(wrapped).gcs();
+    bool failed = false;
+    for (int run = 0; run < kRuns && !failed; ++run) {
       SCOPED_TRACE("run " + std::to_string(run));
-      const RunOutcome outcome = run_once(plain);
-      ASSERT_EQ(outcome, run_once(wrapped));
-      ASSERT_EQ(plain.gcs().deliveries(), wrapped.gcs().deliveries());
-      ASSERT_EQ(plain.invariant_checks(), wrapped.invariant_checks());
-      for (ProcessId p = 0; p < kProcesses; ++p) {
-        ASSERT_EQ(std::as_const(plain).gcs().algorithm(p).debug_info(),
-                  std::as_const(wrapped).gcs().algorithm(p).debug_info())
-            << "process " << p;
+      for (std::size_t event = 0;; ++event) {
+        const EventOutcome outcome = run_event(plain);
+        ASSERT_EQ(outcome, run_event(wrapped)) << "event " << event;
+        ASSERT_EQ(test::reading(plain_gcs), test::reading(wrapped_gcs))
+            << "event " << event;
+        ASSERT_EQ(plain_gcs.wire_stats().messages_sent,
+                  wrapped_gcs.wire_stats().messages_sent)
+            << "event " << event;
+        failed = std::holds_alternative<std::string>(outcome);
+        if (failed || std::get<std::optional<RunResult>>(outcome)) break;
       }
-      if (std::holds_alternative<std::string>(outcome)) break;
+      ASSERT_EQ(plain_gcs.deliveries(), wrapped_gcs.deliveries());
+      ASSERT_EQ(plain.invariant_checks(), wrapped.invariant_checks());
     }
     if (GetParam() != AlgorithmKind::kSimpleMajority) {  // it sends nothing
-      EXPECT_GT(plain.gcs().deliveries(), 0u);
+      EXPECT_GT(plain_gcs.deliveries(), 0u);
     }
   }
 }

@@ -232,6 +232,26 @@ TEST(PayloadRef, CountsEveryHolderAndCopiesStartUnheld) {
   EXPECT_EQ(original.use_count(), 1);
 }
 
+// reuse_payload hands back the pooled object while the pool is its only
+// holder, and a new one while anyone else holds it, leaving that payload as
+// it was sent.
+TEST(PayloadRef, ReusePayloadNeverWritesAHeldPayload) {
+  PayloadRef<GcRoundPayload> pool;
+  reuse_payload(pool).formed_number = 7;
+  const GcRoundPayload* first = pool.get();
+  ASSERT_NE(first, nullptr);
+  reuse_payload(pool).formed_number = 8;  // sole holder: rebuilt in place
+  EXPECT_EQ(pool.get(), first);
+
+  const PayloadPtr sent = pool;  // a recipient still holds it
+  reuse_payload(pool).formed_number = 9;
+  EXPECT_NE(pool.get(), first);
+  EXPECT_EQ(sent.get(), first);
+  EXPECT_EQ(static_cast<const GcRoundPayload&>(*sent).formed_number, 8u);
+  EXPECT_EQ(pool->formed_number, 9u);
+  EXPECT_EQ(pool.use_count(), 1);
+}
+
 TEST(Message, SerializeParseRoundTrip) {
   Message m = Message::from_text("hello world");
   auto att = make_payload<AttemptPayload>();

@@ -282,7 +282,10 @@ TEST(Sweep, CascadingCaseSimulatesEachRoundOnce) {
 // Work stealing: pin one case that dwarfs the rest and force tiny shards;
 // idle workers must drain the queue by claiming pieces of the slow case
 // (several shards, at least one claimed by a different worker), and every
-// result -- slow and fast alike -- still matches the serial path.
+// result -- slow and fast alike -- still matches the serial path.  The
+// slow case must outlast the other workers' start-up, or the first worker
+// drains it alone and no claim is a steal: its run count leaves room for
+// that on a loaded host.
 TEST(Sweep, WorkStealingDrainsTheSlowCase) {
   SweepSpec sweep;
   sweep.jobs = 4;
@@ -294,7 +297,7 @@ TEST(Sweep, WorkStealingDrainsTheSlowCase) {
   slow.spec = small_case(AlgorithmKind::kYkd, RunMode::kFreshStart);
   slow.spec.processes = 24;
   slow.spec.changes = 8;
-  slow.spec.runs = 64;
+  slow.spec.runs = 256;
   sweep.cases.push_back(slow);
   for (AlgorithmKind kind :
        {AlgorithmKind::kSimpleMajority, AlgorithmKind::kOnePending,

@@ -7,6 +7,7 @@
 #include <optional>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "core/algorithm.hpp"
 #include "gcs/gcs.hpp"
@@ -45,6 +46,39 @@ class ForwardingAlgorithm : public PrimaryComponentAlgorithm {
  private:
   std::unique_ptr<PrimaryComponentAlgorithm> inner_;
 };
+
+/// What the invariant checker and has_primary read of one process.
+struct ProcessReading {
+  bool in_primary = false;
+  Session last_primary;
+  AlgorithmDebugInfo info;
+  View view;
+
+  bool operator==(const ProcessReading&) const = default;
+};
+
+inline ProcessReading reading(const Gcs& gcs, ProcessId p) {
+  const PrimaryComponentAlgorithm& alg = gcs.algorithm(p);
+  return {alg.in_primary(), alg.last_primary_session(), alg.debug_info(),
+          gcs.view_of(p)};
+}
+
+/// Every input the invariant checker and has_primary read of the world.
+struct WorldReading {
+  std::vector<ProcessReading> processes;
+  ProcessSet crashed;
+  bool network_idle = true;
+
+  bool operator==(const WorldReading&) const = default;
+};
+
+inline WorldReading reading(const Gcs& gcs) {
+  WorldReading world{{}, gcs.crashed(), gcs.network_idle()};
+  for (ProcessId p = 0; p < gcs.process_count(); ++p) {
+    world.processes.push_back(reading(gcs, p));
+  }
+  return world;
+}
 
 /// Run rounds until quiescent; fails the test if the system chatters past
 /// `max_rounds`.

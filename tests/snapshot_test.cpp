@@ -346,8 +346,8 @@ TEST(Snapshot, FaultModelMismatchIsRejected) {
   EXPECT_THROW(restore_snapshot(geometric, bytes), DecodeError);
 }
 
-// The algorithms that evaluate a view's exchange once and share the verdict
-// through the lowest member's round-1 payload (core/ykd_family.hpp).
+// The algorithms that receive a view's round once for a group of its
+// members and evaluate its exchange verdict once (core/ykd_family.hpp).
 constexpr AlgorithmKind kSharedVerdictKinds[] = {
     AlgorithmKind::kYkd, AlgorithmKind::kYkdUnoptimized, AlgorithmKind::kDfls,
     AlgorithmKind::kOnePending};
@@ -424,17 +424,18 @@ TEST(Snapshot, RestoredMidExchangeMatchesSharedVerdictsEveryEvent) {
   }
 }
 
-// Sharing a view's verdict never changes results.  In the simulated GCS
-// every member completing a view holds the same payload objects, so the
-// first to complete computes the verdict and the rest reuse it.  A member
+// Receiving a view's round once for the group never changes results.  The
+// simulated GCS hands a batch to its recipients together, and the lowest
+// receives it for all of them: one state table, one verdict.  A member
 // holding private copies of the view's states -- what a real transport
-// delivers, one decoded copy per recipient -- finds no shared verdict and
-// computes its own, which must equal the shared one.  From a world with
-// pending sessions and divergent histories, views -- each current
-// component, each union of two, and random memberships -- run one more
-// exchange by hand in two replayed clones of the world: one delivers every
-// state as a single shared object, the other as a decoded copy per
-// recipient.  Every round's messages and every member's state must match.
+// delivers, one decoded copy per recipient -- receives and decides for
+// itself, and must reach the same state.  From a world with pending
+// sessions and divergent histories, views -- each current component, each
+// union of two, and random memberships -- run one more exchange by hand in
+// two replayed clones of the world: one hands each round's messages to the
+// members as one batch in one group call, the other hands each member a
+// decoded copy of each message.  Every round's messages and every member's
+// state must match.
 TEST(Snapshot, PrivatePayloadCopiesDecideLikeSharedOnes) {
   for (AlgorithmKind kind : kSharedVerdictKinds) {
     SCOPED_TRACE(to_string(kind));
@@ -459,15 +460,23 @@ TEST(Snapshot, PrivatePayloadCopiesDecideLikeSharedOnes) {
         }
       });
       std::vector<std::pair<ProcessId, std::vector<std::byte>>> wire;
+      std::vector<Delivery> batch;
       for (const auto& [sender, message] : sent) {
         wire.emplace_back(sender, message.serialize());
-        members.for_each([&](ProcessId r) {
-          (void)world.gcs().algorithm(r).incoming_message(
-              private_copies ? Message::parse(wire.back().second,
-                                              members.universe_size())
-                             : message,
-              sender);
-        });
+        batch.push_back(Delivery{sender, &message});
+      }
+      if (private_copies) {
+        for (const auto& [sender, bytes] : wire) {
+          members.for_each([&](ProcessId r) {
+            (void)world.gcs().algorithm(r).incoming_message(
+                Message::parse(bytes, members.universe_size()), sender);
+          });
+        }
+      } else {
+        std::vector<PrimaryComponentAlgorithm*> group;
+        members.for_each(
+            [&](ProcessId r) { group.push_back(&world.gcs().algorithm(r)); });
+        group.front()->incoming_messages_to_group(group, batch);
       }
       return wire;
     };
