@@ -13,7 +13,7 @@ namespace dynvote {
 
 PrimaryComponentAlgorithm::PrimaryComponentAlgorithm(ProcessId self,
                                                      View initial_view)
-    : self_(self), initial_view_(std::move(initial_view)) {
+    : self_(self), initial_view_(initial_view) {
   DV_REQUIRE(initial_view_.members.contains(self_),
              "process must be a member of its initial view");
 }

@@ -153,7 +153,7 @@ std::optional<Message> Mr1p::outgoing_message_poll(const Message& app) {
       } else {
         continue;  // nothing useful to say
       }
-      batch.replies.push_back(std::move(item));
+      batch.replies.push_back(item);
     }
     unanswered_queries_.clear();
     if (!batch.replies.empty()) {

@@ -132,7 +132,7 @@ PayloadRef<Mr1pReplyPayload> Mr1pReplyPayload::decode_body(
     r.about = Session::decode(dec, universe);
     r.verdict = decode_verdict(dec);
     r.num = dec.get_varint();
-    p->replies.push_back(std::move(r));
+    p->replies.push_back(r);
   }
   return p;
 }

@@ -2,32 +2,29 @@
 //
 // The thesis notes an ambiguous session costs "roughly 2n bits" for an
 // n-process system: a membership bitmap plus a number.  ProcessSet is that
-// bitmap -- a fixed-universe dynamic bitset with the set algebra the quorum
-// rules need (intersection counting, subset tests, lowest member for the
-// lexical tie-break).
+// bitmap -- a fixed-universe bitset with the set algebra the quorum rules
+// need (intersection counting, subset tests, lowest member for the lexical
+// tie-break).
 //
-// Storage is small-buffer optimized: universes of up to 128 processes (two
-// 64-bit words -- the study itself tops out at 64) live entirely inline, so
-// constructing, copying and combining the sets that flow through every
-// protocol round never touches the allocator.  Larger universes spill to a
-// heap vector.  Invariant: exactly one representation is active -- when the
-// set is inline the spill vector is empty and any unused inline words are
-// zero; when spilled the inline words are all zero -- so equality is a
-// compare of the active words and the wire format, `compare` and `hash`
-// are byte-identical to the old always-heap layout.
+// One representation: two 64-bit words, so a universe holds at most
+// kMaxUniverse = 128 processes, and the constructor refuses a larger one.
+// The study tops out at 64 (thesis §4.1 runs 32, 48 and 64).  Fixed words
+// make a set 24 bytes and trivially copyable, so the sessions, views and
+// lastFormed tables that every protocol round copies are plain memory
+// copies and never touch the allocator.  Invariant: every bit at or past
+// the universe size is zero, so equality is a compare of the used words.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/types.hpp"
 #include "util/assert.hpp"
-#include "util/spill_arena.hpp"
 
 namespace dynvote {
 
@@ -36,48 +33,16 @@ class Decoder;
 
 class ProcessSet {
  public:
+  /// The largest universe a set can be drawn over.
+  static constexpr std::size_t kMaxUniverse = 128;
+
   /// Empty set over a universe of `universe_size` processes (ids
-  /// 0..universe_size-1).  A default-constructed set has universe 0 and is
-  /// only useful as a placeholder before assignment.
+  /// 0..universe_size-1); throws PreconditionViolation past kMaxUniverse.
+  /// A default-constructed set has universe 0 and is only useful as a
+  /// placeholder before assignment.
   ProcessSet() = default;
   explicit ProcessSet(std::size_t universe_size);
   ProcessSet(std::size_t universe_size, std::initializer_list<ProcessId> ids);
-
-  /// Copies touch the spill vector only when a side is spilled, so the
-  /// inline sets the round loop copies (sessions, views) are word copies.
-  ProcessSet(const ProcessSet& other)
-      : universe_size_(other.universe_size_),
-        inline_words_(other.inline_words_) {
-    if (other.spilled()) spill_ = other.spill_;
-  }
-  ProcessSet& operator=(const ProcessSet& other) {
-    universe_size_ = other.universe_size_;
-    inline_words_ = other.inline_words_;
-    if (other.spilled() || !spill_.empty()) spill_ = other.spill_;
-    return *this;
-  }
-  /// Moves leave the source in the default (universe-0) state, preserving
-  /// the representation invariant equality relies on.
-  ProcessSet(ProcessSet&& other) noexcept
-      : universe_size_(other.universe_size_),
-        inline_words_(other.inline_words_),
-        spill_(std::move(other.spill_)) {
-    other.universe_size_ = 0;
-    other.inline_words_.fill(0);
-    other.spill_.clear();
-  }
-  ProcessSet& operator=(ProcessSet&& other) noexcept {
-    if (this != &other) {
-      universe_size_ = other.universe_size_;
-      inline_words_ = other.inline_words_;
-      spill_ = std::move(other.spill_);
-      other.universe_size_ = 0;
-      other.inline_words_.fill(0);
-      other.spill_.clear();
-    }
-    return *this;
-  }
-  ~ProcessSet() = default;
 
   /// The full set {0, ..., universe_size-1}.
   static ProcessSet full(std::size_t universe_size);
@@ -88,25 +53,24 @@ class ProcessSet {
   std::size_t count() const;
   bool empty() const { return count() == 0; }
 
+  /// Every bit past the universe is zero, so testing an id against the
+  /// fixed capacity instead of the universe gives the same answer.
   bool contains(ProcessId id) const {
-    if (id >= universe_size_) return false;
-    return (word_data()[id / 64] >> (id % 64)) & 1;
+    if (id >= kMaxUniverse) return false;
+    return (words_[id / 64] >> (id % 64)) & 1;
   }
 
   void insert(ProcessId id) {
     check_id(id);
-    word_data()[id / 64] |= (1ULL << (id % 64));
+    words_[id / 64] |= (1ULL << (id % 64));
   }
 
   void erase(ProcessId id) {
     check_id(id);
-    word_data()[id / 64] &= ~(1ULL << (id % 64));
+    words_[id / 64] &= ~(1ULL << (id % 64));
   }
 
-  void clear() {
-    std::uint64_t* words = word_data();
-    for (std::size_t w = 0; w < word_count(); ++w) words[w] = 0;
-  }
+  void clear() { words_.fill(0); }
 
   /// Lowest-numbered member ("lexically smallest" in the thesis);
   /// kInvalidProcess if empty.
@@ -134,9 +98,8 @@ class ProcessSet {
   /// members are visited.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    const std::uint64_t* words = word_data();
     for (std::size_t w = 0; w < word_count(); ++w) {
-      std::uint64_t word = words[w];
+      std::uint64_t word = words_[w];
       while (word != 0) {
         const int bit = __builtin_ctzll(word);
         fn(static_cast<ProcessId>(w * 64 + static_cast<std::size_t>(bit)));
@@ -151,10 +114,8 @@ class ProcessSet {
   /// proposals on every delivery.
   bool operator==(const ProcessSet& other) const {
     if (universe_size_ != other.universe_size_) return false;
-    const std::uint64_t* a = word_data();
-    const std::uint64_t* b = other.word_data();
     for (std::size_t w = 0; w < word_count(); ++w) {
-      if (a[w] != b[w]) return false;
+      if (words_[w] != other.words_[w]) return false;
     }
     return true;
   }
@@ -166,11 +127,9 @@ class ProcessSet {
   /// of calls per sweep).
   int compare(const ProcessSet& other) const {
     check_same_universe(other);
-    const std::uint64_t* a = word_data();
-    const std::uint64_t* b = other.word_data();
     for (std::size_t w = 0; w < word_count(); ++w) {
-      if (a[w] != b[w]) {
-        return a[w] < b[w] ? -1 : 1;
+      if (words_[w] != other.words_[w]) {
+        return words_[w] < other.words_[w] ? -1 : 1;
       }
     }
     return 0;
@@ -179,37 +138,21 @@ class ProcessSet {
   /// Render as "{0,1,5}" for logs and test failures.
   std::string to_string() const;
 
-  /// Wire format: varint universe size + raw words.  A decoded set must be
-  /// drawn over `universe`, the world it is decoded into; any other
-  /// universe is a DecodeError, so no id in it can index past that world.
+  /// Wire format: varint universe size + the used words.  A decoded set
+  /// must be drawn over `universe`, the world it is decoded into; any
+  /// other universe is a DecodeError, so no id in it can index past that
+  /// world.
   void encode(Encoder& enc) const;
   static ProcessSet decode(Decoder& dec, std::size_t universe);
 
-  /// Stable hash usable as a key component.
-  std::size_t hash() const;
-
  private:
-  /// Universes of up to kInlineWords * 64 ids are stored without heap
-  /// allocation.
-  static constexpr std::size_t kInlineWords = 2;
+  static constexpr std::size_t kWords = kMaxUniverse / 64;
 
   static constexpr std::size_t words_for(std::size_t universe_size) {
     return (universe_size + 63) / 64;
   }
 
   std::size_t word_count() const { return words_for(universe_size_); }
-
-  /// The universe alone decides the representation (see the header
-  /// comment), and testing it spares the hot accessors a load of the
-  /// spill vector's bounds.
-  bool spilled() const { return word_count() > kInlineWords; }
-
-  const std::uint64_t* word_data() const {
-    return spilled() ? spill_.data() : inline_words_.data();
-  }
-  std::uint64_t* word_data() {
-    return spilled() ? spill_.data() : inline_words_.data();
-  }
 
   void check_id(ProcessId id) const {
     DV_REQUIRE(id < universe_size_, "process id outside the set's universe");
@@ -220,18 +163,10 @@ class ProcessSet {
   }
 
   std::size_t universe_size_ = 0;
-  std::array<std::uint64_t, kInlineWords> inline_words_{};
-  /// Spill storage comes from the thread-local freelist arena, so building
-  /// and dropping sets at N > 128 stays allocation-free once the arena's
-  /// freelists are warm (the zero-alloc guarantee past the SBO limit).
-  std::vector<std::uint64_t, SpillArenaAllocator<std::uint64_t>> spill_;
+  std::array<std::uint64_t, kWords> words_{};
 };
+
+static_assert(std::is_trivially_copyable_v<ProcessSet>);
+static_assert(sizeof(ProcessSet) == 24);
 
 }  // namespace dynvote
-
-template <>
-struct std::hash<dynvote::ProcessSet> {
-  std::size_t operator()(const dynvote::ProcessSet& s) const {
-    return s.hash();
-  }
-};

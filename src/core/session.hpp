@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <type_traits>
 
 #include "core/process_set.hpp"
 #include "core/types.hpp"
@@ -39,11 +40,7 @@ inline bool session_precedes(const Session& a, const Session& b) {
   return a.members.compare(b.members) < 0;
 }
 
-}  // namespace dynvote
+static_assert(std::is_trivially_copyable_v<Session>);
+static_assert(sizeof(Session) == 32);
 
-template <>
-struct std::hash<dynvote::Session> {
-  std::size_t operator()(const dynvote::Session& s) const {
-    return s.members.hash() * 1099511628211ULL ^ s.number;
-  }
-};
+}  // namespace dynvote

@@ -12,6 +12,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/process_set.hpp"
 #include "fabric/socket.hpp"
 #include "fabric/wire.hpp"
 #include "runner/artifact.hpp"
@@ -125,6 +126,10 @@ struct Coordinator::Impl {
             "' uses a custom algorithm factory and cannot be dispatched "
             "over the fabric");
       }
+      // Workers refuse a case table naming more processes than a set can
+      // hold, so no worker could take this sweep: refuse it here, with the
+      // set's own message.
+      (void)ProcessSet(c.spec.processes);
       CaseDescriptor desc;
       desc.label = c.algorithm.empty()
                        ? std::string(to_string(c.spec.algorithm))

@@ -3,6 +3,8 @@
 #include <bit>
 #include <stdexcept>
 
+#include "core/process_set.hpp"
+
 namespace dynvote::fabric {
 
 namespace {
@@ -75,7 +77,15 @@ void CaseDescriptor::decode_body(Decoder& dec) {
   label = dec.get_string();
   spec.algorithm = algorithm_from_wire(dec.get_u8());
   spec.algorithm_factory = nullptr;
-  spec.processes = static_cast<std::size_t>(dec.get_varint());
+  const std::uint64_t processes = dec.get_varint();
+  // No world holds more processes than a set can: refuse a larger count
+  // here, before a hostile frame reaches a worker's run loop.
+  if (processes > ProcessSet::kMaxUniverse) {
+    throw DecodeError("case names " + std::to_string(processes) +
+                      " processes; a world holds at most " +
+                      std::to_string(ProcessSet::kMaxUniverse));
+  }
+  spec.processes = static_cast<std::size_t>(processes);
   spec.changes = static_cast<std::size_t>(dec.get_varint());
   spec.mean_rounds = get_double(dec);
   spec.crash_fraction = get_double(dec);

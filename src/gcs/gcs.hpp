@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>

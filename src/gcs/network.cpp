@@ -9,7 +9,7 @@ namespace dynvote {
 
 void Network::send(ProcessId sender, ProcessSet scope, Message message) {
   DV_REQUIRE(scope.contains(sender), "sender must be inside its scope");
-  in_flight_.push_back(Multicast{sender, std::move(scope), std::move(message)});
+  in_flight_.push_back(Multicast{sender, scope, std::move(message)});
 }
 
 bool Network::group_by_scope(const std::vector<Multicast>& multicasts) {

@@ -109,7 +109,7 @@ std::vector<TraceEvent> parse_trace(std::string_view json,
     } else {
       fail("unknown event kind \"" + name + "\"");
     }
-    out.push_back(std::move(ev));
+    out.push_back(ev);
   }
   return out;
 }

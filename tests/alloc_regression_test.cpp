@@ -1,12 +1,12 @@
 // The hot path's heap allocations, fenced per algorithm: with the counting
 // allocator linked, warmed-up steady-state protocol rounds must stay at or
 // under each algorithm's ceiling.  Every algorithm is allocation-free at
-// N=64 and at N=256 (past the 128-process inline limit, where ProcessSet
-// spills into the freelist arena): each pools every payload it sends per
-// view (reuse_payload).  This is the regression fence for the small-buffer
-// ProcessSet, the spill arena, the FunctionRef callbacks, the group
-// delivery, the pooled round payloads and the cursor-based outboxes -- an
-// extra allocation in any of them fails here with an exact count.
+// N=64 and at N=128 (ProcessSet::kMaxUniverse, both of a set's words
+// full): each pools every payload it sends per view (reuse_payload).  This
+// is the regression fence for the fixed-size ProcessSet, the FunctionRef
+// callbacks, the group delivery, the pooled round payloads and the
+// cursor-based outboxes -- an extra allocation in any of them fails here
+// with an exact count.
 //
 // This binary links dv_alloc_hook (see tests/CMakeLists.txt); if someone
 // builds it without the hook the tests skip rather than vacuously passing.
@@ -80,7 +80,8 @@ TEST(AllocRegression, SteadyStateRoundsStayUnderEachAlgorithmsCeiling) {
       {AlgorithmKind::kSimpleMajority, 0, 1},
   };
   for (const Fence& fence : fences) {
-    for (const std::size_t processes : {std::size_t{64}, std::size_t{256}}) {
+    for (const std::size_t processes :
+         {std::size_t{64}, ProcessSet::kMaxUniverse}) {
       SCOPED_TRACE(std::string(to_string(fence.kind)) +
                    " N=" + std::to_string(processes));
       const SteadyCount count = count_steady_rounds(fence.kind, processes);

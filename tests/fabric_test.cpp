@@ -231,6 +231,43 @@ TEST(FabricWire, MalformedFramesThrowDecodeError) {
   EXPECT_THROW((void)decode_frame(bad_algo.bytes()), DecodeError);
 }
 
+// A hello frame of a few bytes can name any process count; a case past
+// ProcessSet::kMaxUniverse is refused before a worker builds its world.
+TEST(FabricWire, CasePastTheProcessCapIsRejected) {
+  HelloFrame hello;
+  CaseDescriptor desc;
+  desc.label = "ykd";
+  desc.spec = small_case(RunMode::kFreshStart);
+  desc.spec.processes = ProcessSet::kMaxUniverse;
+  hello.cases.push_back(desc);
+  const auto decoded =
+      std::get<HelloFrame>(decode_frame(encode_frame(Frame{hello})));
+  EXPECT_EQ(decoded.cases[0].spec.processes, ProcessSet::kMaxUniverse);
+
+  for (const std::size_t processes :
+       {ProcessSet::kMaxUniverse + 1, std::size_t{1} << 20}) {
+    hello.cases[0].spec.processes = processes;
+    try {
+      (void)decode_frame(encode_frame(Frame{hello}));
+      FAIL() << processes << " processes decoded";
+    } catch (const DecodeError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(processes)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  // A coordinator refuses such a sweep before any worker connects.
+  SweepSpec sweep;
+  SweepCase c;
+  c.spec = desc.spec;
+  c.spec.processes = ProcessSet::kMaxUniverse + 1;
+  sweep.cases.push_back(c);
+  CoordinatorOptions options;
+  options.local_jobs = 0;
+  EXPECT_THROW(Coordinator(sweep, options), PreconditionViolation);
+}
+
 TEST(FabricWire, FactoryCasesAreRejectedBeforeDispatch) {
   CaseDescriptor desc;
   desc.label = "custom";

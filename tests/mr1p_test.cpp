@@ -156,7 +156,6 @@ TEST(Mr1p, StaleCurPrimaryRecoversOnFullReunion) {
 TEST(Mr1p, FormedViewsGcOnFullViewFormation) {
   // After a full-view primary forms, the formedViews log is reset to just
   // that view (the thesis's optimization for long executions).
-  const View initial{1, ProcessSet::full(4)};
   Gcs gcs(AlgorithmKind::kMr1p, 4);
   gcs.apply_partition(0, ProcessSet(4, {3}));
   settle(gcs);

@@ -2,8 +2,11 @@
 // rejection and the message envelope.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/message.hpp"
 #include "core/payload.hpp"
+#include "util/codec.hpp"
 
 namespace dynvote {
 namespace {
@@ -14,6 +17,25 @@ constexpr std::size_t kUniverse = 64;
 
 Session make_session(SessionNumber number, std::initializer_list<ProcessId> ids) {
   return Session{number, ProcessSet(kUniverse, ids)};
+}
+
+/// `bytes`, which end with the encoding of `last`, with that set rewritten by
+/// hand over 200 processes naming {0, 150}: a universe past
+/// ProcessSet::kMaxUniverse, which no set can encode.
+std::vector<std::byte> end_over_200_processes(std::vector<std::byte> bytes,
+                                             const ProcessSet& last) {
+  Encoder own;
+  last.encode(own);
+  EXPECT_TRUE(std::equal(own.bytes().rbegin(), own.bytes().rend(),
+                         bytes.rbegin()));
+  bytes.resize(bytes.size() - own.bytes().size());
+  Encoder foreign;
+  foreign.put_varint(200);
+  for (const std::uint64_t word : {1ULL, 0ULL, 1ULL << (150 - 128), 0ULL}) {
+    foreign.put_u64_fixed(word);
+  }
+  bytes.insert(bytes.end(), foreign.bytes().begin(), foreign.bytes().end());
+  return bytes;
 }
 
 template <typename T>
@@ -102,9 +124,10 @@ TEST(Payload, UnknownTypeByteRejected) {
 }
 
 // A state payload is decoded into a world of 4 processes, but its
-// lastFormed[0] is a session over 200 that names process 150.  Accepted,
+// lastFormed[0] is a session over 128 that names process 127.  Accepted,
 // process 0's ACCEPT step would adopt that session and write lastFormed
-// entry 150 of a 4-entry table.
+// entry 127 of a 4-entry table.  A session over a universe past the cap,
+// written by hand, is refused the same way.
 TEST(Payload, SessionOverAnotherUniverseRejected) {
   constexpr std::size_t kWorld = 4;
   StateExchangePayload p;
@@ -112,7 +135,10 @@ TEST(Payload, SessionOverAnotherUniverseRejected) {
   p.session_number = 1;
   p.last_primary = Session{0, ProcessSet::full(kWorld)};
   p.last_formed.assign(kWorld, p.last_primary);
-  p.last_formed[0] = Session{7, ProcessSet(200, {0, 150})};
+  const auto foreign =
+      end_over_200_processes(encode_payload(p), p.last_formed.back().members);
+  EXPECT_THROW(decode_payload(foreign, kWorld), DecodeError);
+  p.last_formed[0] = Session{7, ProcessSet(128, {0, 127})};
   const auto bytes = encode_payload(p);
   EXPECT_THROW(decode_payload(bytes, kWorld), DecodeError);
 
@@ -129,8 +155,12 @@ TEST(Payload, SessionOverAnotherUniverseRejected) {
 
   // So does every other session slot: the proposal of an attempt, too.
   AttemptPayload attempt;
-  attempt.proposal = Session{7, ProcessSet(200, {0, 150})};
+  attempt.proposal = Session{7, ProcessSet(128, {0, 127})};
   EXPECT_THROW(decode_payload(encode_payload(attempt), kWorld), DecodeError);
+  attempt.proposal = Session{7, ProcessSet(kWorld, {0})};
+  const auto foreign_proposal = end_over_200_processes(
+      encode_payload(attempt), attempt.proposal.members);
+  EXPECT_THROW(decode_payload(foreign_proposal, kWorld), DecodeError);
 }
 
 // Every lastFormed entry was its holder's lastPrimary when written, and a
