@@ -25,8 +25,9 @@
 //    They share a view.  Each member must end as if it had received the
 //    batch itself through `incoming_messages`; the default does exactly
 //    that, member by member in id order.  An algorithm whose round is the
-//    same at every member of a view may receive the batch once for all of
-//    them (the YKD family does).
+//    same at every member of a view may receive it once for all of them:
+//    the YKD family does for its rounds (DFLS's GC round included), and
+//    MR1p for the tallies of its rounds 4 and 5.
 //  * Every outgoing message -- and, after each receipt or view change, an
 //    empty poll -- is passed through `outgoing_message_poll`.  A non-null
 //    result must be multicast to the current view in place of the original.

@@ -28,18 +28,25 @@ void Dfls::on_primary_formed() {
   stage(gc_pool_);
 }
 
-void Dfls::handle_extra_payload(const ProtocolPayload& payload,
+bool Dfls::handle_extra_payload(const ProtocolPayload& payload,
                                 ProcessId sender) {
-  if (payload.type() != PayloadType::kGcRound || !gc_pending_) return;
+  if (payload.type() != PayloadType::kGcRound || !gc_pending_) return false;
   const auto& gc = static_cast<const GcRoundPayload&>(payload);
-  if (gc.formed_number != gc_number_) return;
+  if (gc.formed_number != gc_number_) return false;
   DV_ASSERT_MSG(current_view().members.contains(sender),
                 "GC round from a non-member of the current view");
-  gc_.add(sender);
-  if (gc_.reached()) {
-    ambiguous_.clear();
-    gc_pending_ = false;
-  }
+  return gc_.add(sender);
+}
+
+void Dfls::complete_extra_round(const YkdFamilyBase& leader) {
+  gc_ = static_cast<const Dfls&>(leader).gc_;  // what its own receipt filled
+  ambiguous_.clear();
+  gc_pending_ = false;
+}
+
+std::optional<SessionNumber> Dfls::extra_round_start() const {
+  if (!gc_pending_ || !gc_.empty()) return std::nullopt;
+  return gc_number_;
 }
 
 }  // namespace dynvote

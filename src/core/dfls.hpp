@@ -6,6 +6,12 @@
 // everyone deletes them.  Until then the stale sessions keep constraining
 // future primaries, which costs roughly 3% availability versus YKD at
 // moderate change rates (thesis §4.1).  Three message rounds total.
+//
+// The GC round is received once per view like the base's two: its tally
+// counts senders of one formation's number, the same at every member that
+// awaits that formation's round, so members awaiting it with empty
+// tallies are a group the lowest one receives for (the base's extra-round
+// hooks), and each member drops its own ambiguous sessions at completion.
 #pragma once
 
 #include "core/ykd_family.hpp"
@@ -21,8 +27,10 @@ class Dfls final : public YkdFamilyBase {
 
  protected:
   void on_primary_formed() override;
-  void handle_extra_payload(const ProtocolPayload& payload,
+  bool handle_extra_payload(const ProtocolPayload& payload,
                             ProcessId sender) override;
+  void complete_extra_round(const YkdFamilyBase& leader) override;
+  std::optional<SessionNumber> extra_round_start() const override;
 
  private:
   bool gc_pending_ = false;

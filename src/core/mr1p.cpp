@@ -1,6 +1,7 @@
 #include "core/mr1p.hpp"
 
 #include <algorithm>
+#include <typeinfo>
 
 #include "core/quorum.hpp"
 #include "util/assert.hpp"
@@ -60,7 +61,6 @@ void Mr1p::view_changed(const View& view) {
   tryfail_callers_.clear();
   proposals_.reset(view.members.count());
   attempts_.reset(majority(view.members.count()));
-  attempt_sent_ = false;
   tried_new_ = false;
 
   if (pending_.has_value()) {
@@ -95,41 +95,110 @@ void Mr1p::try_new() {
 }
 
 Message Mr1p::incoming_message(Message message, ProcessId sender) {
-  if (message.protocol != nullptr) receive(*message.protocol, sender);
+  PrimaryComponentAlgorithm* const self = this;
+  if (message.protocol != nullptr) {
+    receive(*message.protocol, sender, std::span(&self, 1));
+  }
   message.protocol = nullptr;
   return message;
 }
 
 void Mr1p::incoming_messages(std::span<const Delivery> batch) {
+  PrimaryComponentAlgorithm* const self = this;
+  incoming_messages_to_group(std::span(&self, 1), batch);
+}
+
+void Mr1p::incoming_messages_to_group(
+    std::span<PrimaryComponentAlgorithm* const> group,
+    std::span<const Delivery> batch) {
+  DV_ASSERT(!group.empty() && group.front() == this);
+  const auto others = group.subspan(1);
+  if (!shares_tallies(others)) {
+    PrimaryComponentAlgorithm::incoming_messages_to_group(group, batch);
+    return;
+  }
   for (const Delivery& d : batch) {
-    if (d.message->protocol != nullptr) receive(*d.message->protocol, d.sender);
+    if (d.message->protocol != nullptr) {
+      receive(*d.message->protocol, d.sender, group);
+    }
+  }
+  // What each member's own receipts would have counted.
+  for (PrimaryComponentAlgorithm* member : others) {
+    auto& m = static_cast<Mr1p&>(*member);
+    m.proposals_ = proposals_;
+    m.attempts_ = attempts_;
   }
 }
 
-void Mr1p::receive(const ProtocolPayload& payload, ProcessId sender) {
+bool Mr1p::shares_tallies(
+    std::span<PrimaryComponentAlgorithm* const> others) const {
+  for (PrimaryComponentAlgorithm* member : others) {
+    if (typeid(*member) != typeid(Mr1p)) return false;
+    const auto& m = static_cast<const Mr1p&>(*member);
+    if (m.current_view_.id != current_view_.id ||
+        m.proposals_ != proposals_ || m.attempts_ != attempts_) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void Mr1p::receive(const ProtocolPayload& payload, ProcessId sender,
+                   std::span<PrimaryComponentAlgorithm* const> group) {
   if (payload.view_id != current_view_.id) return;
+  const auto each = [group](const auto& step) {
+    for (PrimaryComponentAlgorithm* member : group) {
+      step(static_cast<Mr1p&>(*member));
+    }
+  };
 
   switch (payload.type()) {
-    case PayloadType::kMr1pPending:
-      handle_pending(static_cast<const Mr1pPendingPayload&>(payload), sender);
+    case PayloadType::kMr1pPending: {
+      const auto& pending = static_cast<const Mr1pPendingPayload&>(payload);
+      each([&](Mr1p& m) { m.handle_pending(pending); });
       break;
-    case PayloadType::kMr1pReply:
-      handle_reply(static_cast<const Mr1pReplyPayload&>(payload), sender);
+    }
+    case PayloadType::kMr1pReply: {
+      const auto& reply = static_cast<const Mr1pReplyPayload&>(payload);
+      each([&](Mr1p& m) { m.handle_reply(reply, sender); });
       break;
-    case PayloadType::kMr1pResolve:
-      handle_resolve(static_cast<const Mr1pResolvePayload&>(payload), sender);
+    }
+    case PayloadType::kMr1pResolve: {
+      const auto& resolve = static_cast<const Mr1pResolvePayload&>(payload);
+      each([&](Mr1p& m) { m.handle_resolve(resolve, sender); });
       break;
-    case PayloadType::kMr1pPropose:
-      handle_propose(static_cast<const Mr1pProposePayload&>(payload), sender);
+    }
+    case PayloadType::kMr1pPropose: {
+      // "Upon receipt of <V,1> from all members of V".
+      const Session& proposal =
+          static_cast<const Mr1pProposePayload&>(payload).proposal;
+      if (reaches(proposals_, proposal, sender)) {
+        each([&](Mr1p& m) { m.stage_attempt(proposal); });
+      }
       break;
-    case PayloadType::kMr1pAttempt:
-      handle_attempt(static_cast<const Mr1pAttemptPayload&>(payload), sender);
+    }
+    case PayloadType::kMr1pAttempt: {
+      // "Declare the new view to be a primary component when a majority of
+      // the processes in it have sent a message in step 5."
+      const Session& proposal =
+          static_cast<const Mr1pAttemptPayload&>(payload).proposal;
+      if (reaches(attempts_, proposal, sender)) {
+        each([&](Mr1p& m) { m.form(proposal); });
+      }
       break;
+    }
     case PayloadType::kStateExchange:
     case PayloadType::kAttempt:
     case PayloadType::kGcRound:
       break;  // not an MR1p payload; ignore
   }
+}
+
+bool Mr1p::reaches(Tally& tally, const Session& proposal, ProcessId sender) {
+  if (!is_view_session(proposal)) return false;
+  DV_ASSERT_MSG(current_view_.members.contains(sender),
+                "MR1p traffic from a non-member of the current view");
+  return tally.add(sender);
 }
 
 std::optional<Message> Mr1p::outgoing_message_poll(const Message& app) {
@@ -174,8 +243,7 @@ std::optional<Message> Mr1p::outgoing_message_poll(const Message& app) {
   return out;
 }
 
-void Mr1p::handle_pending(const Mr1pPendingPayload& payload,
-                          ProcessId /*sender*/) {
+void Mr1p::handle_pending(const Mr1pPendingPayload& payload) {
   if (!payload.has_pending) return;
   if (std::find(unanswered_queries_.begin(), unanswered_queries_.end(),
                 payload.pending) == unanswered_queries_.end()) {
@@ -277,41 +345,24 @@ void Mr1p::handle_resolve(const Mr1pResolvePayload& payload, ProcessId sender) {
   }
 }
 
-void Mr1p::handle_propose(const Mr1pProposePayload& payload, ProcessId sender) {
-  if (!is_view_session(payload.proposal)) return;
-  DV_ASSERT_MSG(current_view_.members.contains(sender),
-                "MR1p traffic from a non-member of the current view");
-  proposals_.add(sender);
-  // "Upon receipt of <V,1> from all members of V": move to the attempt
-  // stage -- but only if we proposed V ourselves (we are pending on it).
-  if (attempt_sent_) return;
-  if (!pending_.has_value() || *pending_ != payload.proposal) return;
-  if (proposals_.reached()) {
-    status_ = Mr1pStatus::kAttempt;
-    num_ = 2;
-    attempt_sent_ = true;
-
-    reuse_payload(attempt_pool_).proposal = payload.proposal;
-    stage(attempt_pool_);
-  }
+void Mr1p::stage_attempt(const Session& proposal) {
+  // Move to the attempt stage only if we proposed V ourselves (we are
+  // pending on it).
+  if (!pending_.has_value() || *pending_ != proposal) return;
+  status_ = Mr1pStatus::kAttempt;
+  num_ = 2;
+  reuse_payload(attempt_pool_).proposal = proposal;
+  stage(attempt_pool_);
 }
 
-void Mr1p::handle_attempt(const Mr1pAttemptPayload& payload, ProcessId sender) {
-  if (!is_view_session(payload.proposal)) return;
-  DV_ASSERT_MSG(current_view_.members.contains(sender),
-                "MR1p traffic from a non-member of the current view");
-  attempts_.add(sender);
+void Mr1p::form(const Session& proposal) {
   if (in_primary_) return;
-  // "Declare the new view to be a primary component when a majority of the
-  // processes in it have sent a message in step 5."
-  if (attempts_.reached()) {
-    record_formed(payload.proposal);
-    cur_primary_ = payload.proposal;
-    in_primary_ = true;
-    pending_.reset();
-    num_ = 0;
-    status_ = Mr1pStatus::kNone;
-  }
+  record_formed(proposal);
+  cur_primary_ = proposal;
+  in_primary_ = true;
+  pending_.reset();
+  num_ = 0;
+  status_ = Mr1pStatus::kNone;
 }
 
 void Mr1p::adopt_formed(const Session& session) {

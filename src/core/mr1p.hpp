@@ -35,9 +35,25 @@
 // reset whenever a primary equal to the full initial view forms (everyone
 // is present in that formation, so no older session can ever be queried
 // again).
+//
+// Rounds 4 and 5 are tallied once per view.  Their tallies count senders
+// of the view's own session, which every member of the view counts alike,
+// and each member acts only at the message that reaches a tally: it stages
+// its attempt if it is pending on the view's session (round 4), or it
+// forms the primary (round 5).  A member proposes at most once per view,
+// so round 4 completes at its last distinct sender, and once round 5
+// completes every member stays in primary until its next view change; so
+// acting only there is what acting at every later message would do.
+// Rounds 1-3 read each member's own pending session and never the tallies.
+// So when the GCS hands a batch to a view's members together
+// (incoming_messages_to_group) and they all hold equal tallies, the lowest
+// member counts rounds 4 and 5 for all of them, each member receives
+// rounds 1-3 itself in batch order, and the others take the lowest one's
+// tallies when the batch ends.  DESIGN.md §4d has the argument.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/algorithm.hpp"
@@ -71,8 +87,17 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   Mr1p(ProcessId self, const View& initial_view, Mr1pOptions options = {});
 
   void view_changed(const View& view) override;
+  /// Both per-member entry points are a group of one.
   Message incoming_message(Message message, ProcessId sender) override;
   void incoming_messages(std::span<const Delivery> batch) override;
+  /// When every member of `group` is an Mr1p in this process's view with
+  /// this process's round-4 and round-5 tallies, this process counts those
+  /// rounds for the group and every member runs its own step where a tally
+  /// is reached; rounds 1-3 reach each member in batch order.  Any other
+  /// group falls back to each member receiving the batch itself.
+  void incoming_messages_to_group(
+      std::span<PrimaryComponentAlgorithm* const> group,
+      std::span<const Delivery> batch) override;
   std::optional<Message> outgoing_message_poll(const Message& app) override;
   bool in_primary() const override { return in_primary_; }
   std::string_view name() const override { return "mr1p"; }
@@ -80,16 +105,28 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   const Session& last_primary_session() const override { return cur_primary_; }
 
  private:
-  /// The protocol's reaction to one received payload from `sender`; both
-  /// entry points run it.
-  void receive(const ProtocolPayload& payload, ProcessId sender);
+  /// The protocol's reaction to one received payload from `sender` at
+  /// every member of `group` (this process first, all of them Mr1p with
+  /// this process's tallies): rounds 1-3 at each member, rounds 4 and 5
+  /// counted in this process's tallies and stepped at each member.  Every
+  /// entry point runs it.
+  void receive(const ProtocolPayload& payload, ProcessId sender,
+               std::span<PrimaryComponentAlgorithm* const> group);
+  /// Is every one of `others` an Mr1p in this view with equal tallies?
+  bool shares_tallies(std::span<PrimaryComponentAlgorithm* const> others) const;
+  /// Counts `sender` in `tally` if `proposal` is this view's session; true
+  /// when that sender is the one that reaches the tally.
+  bool reaches(Tally& tally, const Session& proposal, ProcessId sender);
   void try_new();
   void stage(PayloadRef<ProtocolPayload> payload);
-  void handle_pending(const Mr1pPendingPayload& payload, ProcessId sender);
+  void handle_pending(const Mr1pPendingPayload& payload);
   void handle_reply(const Mr1pReplyPayload& payload, ProcessId sender);
   void handle_resolve(const Mr1pResolvePayload& payload, ProcessId sender);
-  void handle_propose(const Mr1pProposePayload& payload, ProcessId sender);
-  void handle_attempt(const Mr1pAttemptPayload& payload, ProcessId sender);
+  /// Round 4's step, once every member proposed `proposal`: stage this
+  /// process's attempt if it is pending on it.
+  void stage_attempt(const Session& proposal);
+  /// Round 5's step, once a majority attempted `proposal`: form it.
+  void form(const Session& proposal);
   void maybe_resolve();
   /// Stage round 3's call on pending_.
   void stage_resolve(Mr1pVerdict call);
@@ -131,11 +168,11 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   bool resolve_sent_ = false;
   /// Members of pending_ whose resolution call was try-fail.
   ProcessSet tryfail_callers_;
-  /// Round 4's proposals, needed from all of the view.
+  /// Round 4's proposals, needed from all of the view.  When this process
+  /// leads a group, its tallies are the group's until the batch ends.
   Tally proposals_;
   /// Round 5's attempts, needed from a majority of the view.
   Tally attempts_;
-  bool attempt_sent_ = false;
   bool tried_new_ = false;
   /// Single-slot reuse of each round's payload (reuse_payload).
   PayloadRef<Mr1pPendingPayload> pending_pool_;

@@ -27,7 +27,8 @@ constexpr std::size_t majority(std::size_t n) { return n / 2 + 1; }
 /// protocol round against the count the round needs (the quorum_add /
 /// quorum_reached idiom).  Only members send traffic stamped with the
 /// view's id, so a threshold of the view size is reached exactly when the
-/// senders are the membership.
+/// senders are the membership.  Every member of a view counts the same
+/// senders, so one tally can serve the whole view (DESIGN.md §4d).
 class Tally {
  public:
   Tally() = default;
@@ -42,16 +43,19 @@ class Tally {
     threshold_ = threshold;
   }
 
-  /// Count `sender`, once however often it sends.
-  void add(ProcessId sender) {
-    if (senders_.contains(sender)) return;
+  /// Count `sender`, once however often it sends.  True when `sender` is
+  /// the one that reaches the threshold, which happens once per reset.
+  bool add(ProcessId sender) {
+    if (senders_.contains(sender)) return false;
     senders_.insert(sender);
-    ++count_;
+    return ++count_ == threshold_;
   }
 
   bool reached() const { return count_ >= threshold_; }
   /// No sender counted since the last reset.
   bool empty() const { return count_ == 0; }
+
+  bool operator==(const Tally&) const = default;
 
  private:
   ProcessSet senders_;

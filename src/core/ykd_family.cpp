@@ -93,10 +93,11 @@ void YkdFamilyBase::incoming_messages_to_group(
   }
   // This process receives for the whole group: every member would record
   // the same payloads of the round and reach its completion at the same
-  // message.
-  const PayloadType round_type = stage_ == Stage::kAttempting
-                                     ? PayloadType::kAttempt
-                                     : PayloadType::kStateExchange;
+  // message.  An idle group awaits the variant's extra round.
+  const PayloadType round_type =
+      stage_ == Stage::kExchanging   ? PayloadType::kStateExchange
+      : stage_ == Stage::kAttempting ? PayloadType::kAttempt
+                                     : PayloadType::kGcRound;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const PayloadPtr& payload = batch[i].message->protocol;
     if (payload == nullptr) continue;
@@ -127,7 +128,9 @@ bool YkdFamilyBase::shares_round_start(
     std::span<PrimaryComponentAlgorithm* const> others) const {
   const bool exchanging = stage_ == Stage::kExchanging && states_.size() == 0;
   const bool attempting = stage_ == Stage::kAttempting && attempts_.empty();
-  if (!exchanging && !attempting) return false;
+  const std::optional<SessionNumber> extra =
+      stage_ == Stage::kIdle ? extra_round_start() : std::nullopt;
+  if (!exchanging && !attempting && !extra) return false;
   const std::type_info& variant = typeid(*this);
   for (PrimaryComponentAlgorithm* member : others) {
     if (typeid(*member) != variant) return false;
@@ -137,7 +140,8 @@ bool YkdFamilyBase::shares_round_start(
       return false;
     }
     if (exchanging ? m.states_.size() != 0
-                   : !m.attempts_.empty() || m.proposed_ != proposed_) {
+        : attempting ? !m.attempts_.empty() || m.proposed_ != proposed_
+                     : m.extra_round_start() != extra) {
       return false;
     }
   }
@@ -172,26 +176,35 @@ bool YkdFamilyBase::receive(const PayloadPtr& payload, ProcessId sender) {
     case PayloadType::kMr1pResolve:
     case PayloadType::kMr1pPropose:
     case PayloadType::kMr1pAttempt:
-      handle_extra_payload(*payload, sender);
-      return false;
+      return handle_extra_payload(*payload, sender);
   }
   return false;
 }
 
 void YkdFamilyBase::complete_round(
     std::span<PrimaryComponentAlgorithm* const> group) {
-  if (stage_ == Stage::kExchanging) {
-    const ExchangeVerdict verdict = evaluate_exchange();
-    for (PrimaryComponentAlgorithm* member : group) {
-      static_cast<YkdFamilyBase&>(*member).complete_exchange(verdict, states_);
+  switch (stage_) {
+    case Stage::kExchanging: {
+      const ExchangeVerdict verdict = evaluate_exchange();
+      for (PrimaryComponentAlgorithm* member : group) {
+        static_cast<YkdFamilyBase&>(*member).complete_exchange(verdict,
+                                                               states_);
+      }
+      states_.clear();
+      return;
     }
-    states_.clear();
-    return;
-  }
-  for (PrimaryComponentAlgorithm* member : group) {
-    auto& m = static_cast<YkdFamilyBase&>(*member);
-    if (&m != this) m.attempts_ = attempts_;  // what its own receipt filled
-    m.form_primary();
+    case Stage::kAttempting:
+      for (PrimaryComponentAlgorithm* member : group) {
+        auto& m = static_cast<YkdFamilyBase&>(*member);
+        if (&m != this) m.attempts_ = attempts_;  // what its own receipt filled
+        m.form_primary();
+      }
+      return;
+    case Stage::kIdle:
+      for (PrimaryComponentAlgorithm* member : group) {
+        static_cast<YkdFamilyBase&>(*member).complete_extra_round(*this);
+      }
+      return;
   }
 }
 
@@ -213,10 +226,19 @@ bool YkdFamilyBase::allow_attempt(const CombinedKnowledge& /*knowledge*/,
 
 void YkdFamilyBase::on_primary_formed() { ambiguous_.clear(); }
 
-void YkdFamilyBase::handle_extra_payload(const ProtocolPayload& payload,
+bool YkdFamilyBase::handle_extra_payload(const ProtocolPayload& payload,
                                          ProcessId /*sender*/) {
   DV_LOG_DEBUG("ignoring payload type "
                << static_cast<int>(payload.type()) << " at process " << self_);
+  return false;
+}
+
+void YkdFamilyBase::complete_extra_round(const YkdFamilyBase& /*leader*/) {
+  DV_ASSERT_MSG(false, "completed an extra round the variant does not run");
+}
+
+std::optional<SessionNumber> YkdFamilyBase::extra_round_start() const {
+  return std::nullopt;
 }
 
 const CombinedKnowledge& YkdFamilyBase::compute_combined() const {

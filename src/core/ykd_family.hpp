@@ -39,9 +39,10 @@
 // (incoming_messages_to_group) and they all stand at the same round start,
 // the lowest member receives the batch alone for all of them: it fills one
 // state table (or tally), evaluates the verdict once, and each member then
-// runs its own completion -- the per-process ACCEPT and prune steps, or
-// forming the primary -- against that table.  A member outside such a
-// group receives and evaluates for itself.  The verdict carries
+// runs its own completion -- the per-process ACCEPT and prune steps,
+// forming the primary, or (DFLS's GC round, through the extra-round hooks)
+// dropping its ambiguous sessions -- against that table.  A member outside
+// such a group receives and evaluates for itself.  The verdict carries
 // maxPrimary, and ACCEPT scans the table only when maxPrimary follows this
 // process's lastPrimary: every lastFormed entry is a past lastPrimary of
 // its holder, so otherwise nothing could be adopted.  DESIGN.md §4d has
@@ -54,6 +55,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -252,8 +254,17 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   virtual void on_primary_formed();
 
   /// Hook for payload types the base does not know (DFLS's GC round).
-  virtual void handle_extra_payload(const ProtocolPayload& payload,
+  /// True when the payload completes the variant's extra round, which
+  /// complete_extra_round then completes at every member of the group.
+  virtual bool handle_extra_payload(const ProtocolPayload& payload,
                                     ProcessId sender);
+  /// The extra round is complete, counted by `leader` (this process or
+  /// the group's lowest member, the same variant): take its tally and act.
+  virtual void complete_extra_round(const YkdFamilyBase& leader);
+  /// While this process awaits its extra round after a formation and has
+  /// counted none of it, the number of the formed session; else nullopt.
+  /// Members with equal values receive the round once as a group.
+  virtual std::optional<SessionNumber> extra_round_start() const;
 
   /// Queue a protocol payload for the next poll, stamping it with the
   /// current view id.
@@ -282,18 +293,21 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   enum class Stage { kIdle, kExchanging, kAttempting };
 
   /// Records one received payload from `sender`; true when it completes
-  /// the current round (every member's state, or every member's attempt),
-  /// whose completion the caller then runs.
+  /// the current round (every member's state, every member's attempt, or
+  /// the variant's extra round), whose completion the caller then runs.
   bool receive(const PayloadPtr& payload, ProcessId sender);
   /// Is this process at a round start -- exchanging with an empty table,
-  /// or attempting with an empty tally -- and every one of `others` this
-  /// variant (the same dynamic type and constraint filter) at the same
-  /// start: this view, this stage, and when attempting this proposal?
+  /// attempting with an empty tally, or awaiting the variant's extra round
+  /// with none of it counted -- and every one of `others` this variant
+  /// (the same dynamic type and constraint filter) at the same start: this
+  /// view, this stage, and when attempting this proposal, when awaiting
+  /// the extra round this formation's?
   bool shares_round_start(
       std::span<PrimaryComponentAlgorithm* const> others) const;
   /// Completes this process's round, just filled, at every member of
-  /// `group`: each runs its own exchange completion against states_, or
-  /// takes this tally and forms the primary.  Then clears states_.
+  /// `group`: each runs its own exchange completion against states_, takes
+  /// this tally and forms the primary, or completes the extra round.  Then
+  /// clears states_.
   void complete_round(std::span<PrimaryComponentAlgorithm* const> group);
   /// ACCEPT, DELETE and the attempt decision at this process, for a view
   /// whose complete state table is `states` and whose verdict is `verdict`.

@@ -328,10 +328,10 @@ EventOutcome run_event(Simulation& sim) {
 }
 
 // The simulated GCS hands each batch to its recipients together, through
-// incoming_messages_to_group, and an algorithm may receive it once for the
-// whole group (the YKD family does) or per member (the default, which
-// calls incoming_messages, which the YKD family and MR1p implement
-// themselves).  Whichever path a message takes, every process must end in
+// incoming_messages_to_group, and an algorithm may receive its tallied
+// rounds once for the whole group (the YKD family and MR1p do) or per
+// member (the default, which calls incoming_messages, which the YKD family
+// and MR1p implement themselves).  Whichever path a message takes, every process must end in
 // the same state: a world whose instances are wrapped in a pass-through
 // decorator, which keeps the defaults and so sends every message down the
 // per-member, per-message incoming_message path, must match the plain

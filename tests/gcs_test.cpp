@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/mr1p.hpp"
 #include "core/payload.hpp"
 #include "gcs/gcs.hpp"
 #include "sim_test_util.hpp"
@@ -236,7 +237,10 @@ TEST(Gcs, EachProcessGetsAtMostOneBatchPerRound) {
   }
 }
 
-/// The YKD family: the algorithms that receive a batch once for a group.
+/// The YKD family, whose rounds YkdFamilyBase receives once for a group
+/// that stands at one round start: the state exchange, the attempts and
+/// DFLS's GC round.  MR1p tallies its rounds 4 and 5 once for a group of
+/// equal tallies; its cases follow the family's.
 constexpr AlgorithmKind kFamily[] = {
     AlgorithmKind::kYkd, AlgorithmKind::kYkdUnoptimized, AlgorithmKind::kDfls,
     AlgorithmKind::kOnePending};
@@ -455,8 +459,42 @@ TEST(GroupDelivery, MixedVariantsMatchPerMemberDelivery) {
   }
 }
 
+// MR1p under churn: alone; with its two resolution policies alternating,
+// which form one group because neither tally reads the policy; and beside
+// YKD, a mixed group that falls back to per-member delivery.
+TEST(GroupDelivery, Mr1pChurnMatchesPerMemberDelivery) {
+  constexpr std::size_t kN = 8;
+  const Gcs::AlgorithmFactory policies =
+      [](ProcessId self, const View& initial)
+      -> std::unique_ptr<PrimaryComponentAlgorithm> {
+    return std::make_unique<Mr1p>(
+        self, initial,
+        Mr1pOptions{.policy = self % 2 == 0
+                                  ? Mr1pResolutionPolicy::kConservative
+                                  : Mr1pResolutionPolicy::kAdoptOnAttempt});
+  };
+  const std::pair<const char*, Gcs::AlgorithmFactory> worlds[] = {
+      {"mr1p", of_kind(AlgorithmKind::kMr1p)},
+      {"conservative beside adopt-on-attempt", policies},
+      {"mr1p beside ykd",
+       alternating(AlgorithmKind::kMr1p, AlgorithmKind::kYkd)},
+      {"ykd beside mr1p",
+       alternating(AlgorithmKind::kYkd, AlgorithmKind::kMr1p)},
+  };
+  for (const auto& [name, factory] : worlds) {
+    SCOPED_TRACE(name);
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      TwinWorlds w(factory, kN);
+      churn(w, seed, 24);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
 /// Three fresh instances of `kind` in view 2 = {0,1,2} of a three-process
-/// world, and each one's round-1 message.
+/// world, and each one's first message: its round-1 state, or MR1p's
+/// proposal.
 struct HandBuilt {
   std::vector<std::unique_ptr<PrimaryComponentAlgorithm>> algs;
   std::vector<Message> states;
@@ -490,6 +528,134 @@ outcome(HandBuilt& world) {
   return out;
 }
 
+/// A message of view 2 carrying `payload`, the same object at every
+/// receiver.
+template <typename T>
+Message view2(PayloadRef<T> payload) {
+  payload->view_id = 2;
+  Message m;
+  m.protocol = std::move(payload);
+  return m;
+}
+
+/// What the hand-built batches below carry: a process's own round-1
+/// message, or one of these shared ones.
+enum class Kind {
+  kState,         // the sender's first message (HandBuilt::states)
+  kAttempt,       // a YKD-family attempt for session 1 of {0,1,2}
+  kGc,            // a GC payload for a formation nobody made
+  kGcFormed,      // a GC payload for the formation of session 1
+  kMr1pPropose,   // MR1p's <V,1> for view 2
+  kMr1pAttempt,   // MR1p's <attempt,V> for view 2
+  kMr1pPending,   // MR1p's round 1: a pending session of view 1
+  kMr1pReply,     // MR1p's round 2: the sender never formed that session
+};
+
+struct Item {
+  ProcessId sender;
+  Kind kind;
+};
+
+/// One batch: `items` in order, handed to the members `to` (all three when
+/// empty).
+struct Batch {
+  std::vector<Item> items;
+  std::vector<ProcessId> to = {};
+};
+
+const Message& shared_message(Kind kind) {
+  const Session view_session{2, ProcessSet::full(3)};
+  const Session old_pending{1, ProcessSet(3, {0, 1})};
+  static const Message attempt = [] {
+    auto a = make_payload<AttemptPayload>();
+    a->proposal = Session{1, ProcessSet::full(3)};
+    return view2(std::move(a));
+  }();
+  static const Message gc = view2(make_payload<GcRoundPayload>());
+  static const Message gc_formed = [] {
+    auto g = make_payload<GcRoundPayload>();
+    g->formed_number = 1;
+    return view2(std::move(g));
+  }();
+  static const Message propose = [&] {
+    auto p = make_payload<Mr1pProposePayload>();
+    p->proposal = view_session;
+    return view2(std::move(p));
+  }();
+  static const Message mr1p_attempt = [&] {
+    auto a = make_payload<Mr1pAttemptPayload>();
+    a->proposal = view_session;
+    return view2(std::move(a));
+  }();
+  static const Message pending = [&] {
+    auto r1 = make_payload<Mr1pPendingPayload>();
+    r1->has_pending = true;
+    r1->pending = old_pending;
+    r1->num = 1;
+    r1->status = Mr1pStatus::kSent;
+    return view2(std::move(r1));
+  }();
+  static const Message reply = [&] {
+    auto r2 = make_payload<Mr1pReplyPayload>();
+    r2->replies.push_back(
+        Mr1pReplyItem{old_pending, Mr1pVerdict::kAborted, 0});
+    return view2(std::move(r2));
+  }();
+  switch (kind) {
+    case Kind::kAttempt: return attempt;
+    case Kind::kGc: return gc;
+    case Kind::kGcFormed: return gc_formed;
+    case Kind::kMr1pPropose: return propose;
+    case Kind::kMr1pAttempt: return mr1p_attempt;
+    case Kind::kMr1pPending: return pending;
+    case Kind::kMr1pReply: return reply;
+    case Kind::kState: break;
+  }
+  DV_ASSERT_MSG(false, "a state is the sender's own message");
+  return gc;
+}
+
+const Message& message(const HandBuilt& world, const Item& item) {
+  return item.kind == Kind::kState ? world.states[item.sender]
+                                   : shared_message(item.kind);
+}
+
+/// Hands each batch to its members in two copies of one hand-built world:
+/// in `grouped` as one incoming_messages_to_group call, in `single` message
+/// by message to each member.  Both must then end alike.
+void expect_grouped_matches_single(HandBuilt& grouped, HandBuilt& single,
+                                   const std::vector<Batch>& batches) {
+  for (const Batch& b : batches) {
+    const std::vector<ProcessId> to =
+        b.to.empty() ? std::vector<ProcessId>{0, 1, 2} : b.to;
+    std::vector<PrimaryComponentAlgorithm*> group;
+    for (ProcessId p : to) group.push_back(grouped.algs[p].get());
+    std::vector<Delivery> batch;
+    for (const Item& item : b.items) {
+      batch.push_back(Delivery{item.sender, &message(grouped, item)});
+    }
+    group.front()->incoming_messages_to_group(group, batch);
+    for (ProcessId p : to) {
+      for (const Item& item : b.items) {
+        (void)single.algs[p]->incoming_message(message(single, item),
+                                               item.sender);
+      }
+    }
+  }
+  EXPECT_EQ(outcome(grouped), outcome(single));
+}
+
+/// The message of `kind` from each of the three processes, in id order.
+std::vector<Item> from_all(Kind kind) {
+  return {{0, kind}, {1, kind}, {2, kind}};
+}
+
+std::vector<Item> concat(std::initializer_list<std::vector<Item>> parts) {
+  std::vector<Item> out;
+  for (const auto& part : parts) out.insert(out.end(), part.begin(), part.end());
+  return out;
+}
+
 // Hand-built batches for a group of three, each compared with handing
 // every member every message itself:
 //  * the exchange completes at the third message, and every member's
@@ -500,79 +666,165 @@ outcome(HandBuilt& world) {
 //  * the exchange split over two batches: the first leaves it open, so
 //    each member receives that batch itself, and the second completes it.
 TEST(GroupDelivery, HandBuiltBatchesMatchPerMessageDelivery) {
-  // A message of a batch: `sender`'s state, its attempt, or a GC payload.
-  enum class Kind { kState, kAttempt, kGc };
-  struct Item {
-    ProcessId sender;
-    Kind kind;
-  };
-  using Batches = std::vector<std::vector<Item>>;
-  const std::vector<Item> exchange = {
-      {0, Kind::kState}, {1, Kind::kState}, {2, Kind::kState}};
-  const std::vector<Item> attempts = {
-      {0, Kind::kAttempt}, {1, Kind::kAttempt}, {2, Kind::kAttempt}};
-  const auto concat = [](std::initializer_list<std::vector<Item>> parts) {
-    std::vector<Item> out;
-    for (const auto& part : parts) out.insert(out.end(), part.begin(), part.end());
-    return out;
-  };
-  const std::pair<const char*, Batches> cases[] = {
+  const std::vector<Item> exchange = from_all(Kind::kState);
+  const std::vector<Item> attempts = from_all(Kind::kAttempt);
+  const std::pair<const char*, std::vector<Batch>> cases[] = {
       {"completes early",
-       {concat({exchange, attempts, {{1, Kind::kState}}})}},
+       {{concat({exchange, attempts, {{1, Kind::kState}}})}}},
       {"led by another type",
-       {concat({{{1, Kind::kGc}}, exchange, attempts, {{1, Kind::kState}}})}},
+       {{concat({{{1, Kind::kGc}}, exchange, attempts, {{1, Kind::kState}}})}}},
       {"split over two batches",
-       {{exchange[0], exchange[1]}, concat({{exchange[2]}, attempts})}},
+       {{{exchange[0], exchange[1]}}, {concat({{exchange[2]}, attempts})}}},
   };
-
-  Message attempt;
-  {
-    auto a = make_payload<AttemptPayload>();
-    a->view_id = 2;
-    a->proposal = Session{1, ProcessSet::full(3)};
-    attempt.protocol = std::move(a);
-  }
-  Message gc;
-  {
-    auto g = make_payload<GcRoundPayload>();
-    g->view_id = 2;
-    gc.protocol = std::move(g);
-  }
-  const auto message = [&](const HandBuilt& world, const Item& item)
-      -> const Message& {
-    switch (item.kind) {
-      case Kind::kState: return world.states[item.sender];
-      case Kind::kAttempt: return attempt;
-      case Kind::kGc: return gc;
-    }
-    return gc;
-  };
-
   for (AlgorithmKind kind : kFamily) {
     SCOPED_TRACE(std::string(to_string(kind)));
     for (const auto& [name, batches] : cases) {
       SCOPED_TRACE(name);
       HandBuilt grouped(kind);
       HandBuilt single(kind);
-      std::vector<PrimaryComponentAlgorithm*> group;
-      for (const auto& alg : grouped.algs) group.push_back(alg.get());
-      for (const std::vector<Item>& items : batches) {
-        std::vector<Delivery> batch;
-        for (const Item& item : items) {
-          batch.push_back(Delivery{item.sender, &message(grouped, item)});
-        }
-        group.front()->incoming_messages_to_group(group, batch);
-        for (const auto& alg : single.algs) {
-          for (const Item& item : items) {
-            (void)alg->incoming_message(message(single, item), item.sender);
-          }
-        }
-      }
+      expect_grouped_matches_single(grouped, single, batches);
       for (const auto& alg : grouped.algs) {
         EXPECT_TRUE(alg->in_primary()) << "process " << alg->self();
       }
-      EXPECT_EQ(outcome(grouped), outcome(single));
     }
+  }
+}
+
+// Hand-built MR1p batches for a group of three (a fresh view, so every
+// member proposes it and stages its attempt once all three proposals are
+// in; two attempts form it):
+//  * the propose round completes mid-batch, the attempts reach a majority
+//    mid-batch, and the last attempt and a reply follow;
+//  * the propose round split over two batches, the second completing it;
+//  * a batch led by a round-1 pending payload, which every member queries
+//    and answers, continuing a propose round the batch before began.
+TEST(GroupDelivery, Mr1pHandBuiltBatchesMatchPerMessageDelivery) {
+  const std::vector<Item> proposals = from_all(Kind::kMr1pPropose);
+  const std::vector<Item> attempts = from_all(Kind::kMr1pAttempt);
+  const std::pair<const char*, std::vector<Batch>> cases[] = {
+      {"completes mid-batch",
+       {{concat({proposals, attempts, {{0, Kind::kMr1pReply}}})}}},
+      {"proposals split over two batches",
+       {{{proposals[0]}}, {concat({{proposals[1], proposals[2]}, attempts})}}},
+      {"led by a round-1 payload",
+       {{{proposals[0], proposals[1]}},
+        {concat({{{2, Kind::kMr1pPending}, proposals[2]}, attempts})}}},
+  };
+  for (const auto& [name, batches] : cases) {
+    SCOPED_TRACE(name);
+    HandBuilt grouped(AlgorithmKind::kMr1p);
+    HandBuilt single(AlgorithmKind::kMr1p);
+    expect_grouped_matches_single(grouped, single, batches);
+    for (const auto& alg : grouped.algs) {
+      EXPECT_TRUE(alg->in_primary()) << "process " << alg->self();
+    }
+  }
+}
+
+// Two parts of one MR1p view receive different parts of a round, as the
+// two sides of a partition flush do ({0} and {1,2} here), first of the
+// propose round and then of the attempt round.  A later batch to the
+// whole view then meets unequal tallies: it completes the round at 0 and
+// not at 1 and 2, so the group must fall back to each member receiving
+// it.  (The simulated GCS installs new views after a flush, so only a
+// hand-driven group can hold unequal tallies in one view.)
+TEST(GroupDelivery, Mr1pUnequalTalliesFallBack) {
+  const std::vector<Item> proposals = from_all(Kind::kMr1pPropose);
+  const std::vector<Item> attempts = from_all(Kind::kMr1pAttempt);
+  const std::pair<const char*, std::vector<Batch>> cases[] = {
+      {"propose round",
+       {{{proposals[0], proposals[1]}, {0}},
+        {{proposals[2]}, {1, 2}},
+        {{proposals[2]}}}},
+      {"attempt round",
+       {{proposals},
+        {{attempts[0]}, {0}},
+        {{attempts[1]}, {1, 2}},
+        {{attempts[1]}}}},
+  };
+  for (const auto& [name, batches] : cases) {
+    SCOPED_TRACE(name);
+    HandBuilt grouped(AlgorithmKind::kMr1p);
+    HandBuilt single(AlgorithmKind::kMr1p);
+    expect_grouped_matches_single(grouped, single, batches);
+    EXPECT_NE(outcome(grouped)[0], outcome(grouped)[1])
+        << "the round completed at all three";
+  }
+}
+
+/// `world` after forming session 1 of {0,1,2} in view 2, member by member,
+/// with its GC round not yet received.  With `diverge`, member 2 heard
+/// process 1 report a session counter of 5, so it formed session 6
+/// instead and awaits that formation's GC round.
+void form_by_hand(HandBuilt& world, bool diverge) {
+  Message bumped = world.states[1];
+  if (diverge) {
+    auto state = make_payload<StateExchangePayload>(
+        static_cast<const StateExchangePayload&>(*world.states[1].protocol));
+    state->session_number = 5;
+    bumped.protocol = std::move(state);
+  }
+  Message attempt6;
+  {
+    auto a = make_payload<AttemptPayload>();
+    a->proposal = Session{6, ProcessSet::full(3)};
+    attempt6 = view2(std::move(a));
+  }
+  for (ProcessId p = 0; p < 3; ++p) {
+    const bool odd_one = diverge && p == 2;
+    PrimaryComponentAlgorithm& alg = *world.algs[p];
+    for (ProcessId q = 0; q < 3; ++q) {
+      (void)alg.incoming_message(
+          q == 1 && odd_one ? bumped : world.states[q], q);
+    }
+    for (ProcessId q = 0; q < 3; ++q) {
+      (void)alg.incoming_message(
+          odd_one ? attempt6 : shared_message(Kind::kAttempt), q);
+    }
+    EXPECT_TRUE(alg.in_primary()) << "process " << p;
+    while (alg.outgoing_message_poll(Message::empty())) {
+    }
+  }
+}
+
+// Hand-built DFLS batches after a formation, each compared with handing
+// every member every message itself:
+//  * the GC round completes in one batch, and every member drops its
+//    ambiguous session;
+//  * the GC round split over two batches: the first leaves it open, so
+//    each member receives that batch itself, and the second completes it;
+//  * a batch led by a state payload, which sends the whole batch to each
+//    member;
+//  * members awaiting different formations' GC rounds (member 2 formed
+//    another session), which are not one group: the round completes at 0
+//    and 1 only.
+TEST(GroupDelivery, DflsHandBuiltGcBatchesMatchPerMessageDelivery) {
+  const std::vector<Item> gc = from_all(Kind::kGcFormed);
+  const struct {
+    const char* name;
+    bool diverge;
+    std::vector<Batch> batches;
+    std::size_t ambiguous_at_2;
+  } cases[] = {
+      {"completes in one batch", false, {{gc}}, 0},
+      {"split over two batches", false, {{{gc[0]}}, {{gc[1], gc[2]}}}, 0},
+      {"led by a state payload", false,
+       {{concat({{{1, Kind::kState}}, gc})}}, 0},
+      {"different formations", true, {{gc}}, 1},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    HandBuilt grouped(AlgorithmKind::kDfls);
+    HandBuilt single(AlgorithmKind::kDfls);
+    form_by_hand(grouped, c.diverge);
+    form_by_hand(single, c.diverge);
+    for (const auto& alg : grouped.algs) {
+      EXPECT_EQ(alg->debug_info().ambiguous_count, 1u)
+          << "process " << alg->self();
+    }
+    expect_grouped_matches_single(grouped, single, c.batches);
+    EXPECT_EQ(grouped.algs[0]->debug_info().ambiguous_count, 0u);
+    EXPECT_EQ(grouped.algs[2]->debug_info().ambiguous_count, c.ambiguous_at_2);
   }
 }
 
