@@ -31,6 +31,8 @@ void PrimaryComponentAlgorithm::incoming_messages_to_group(
   }
 }
 
+bool PrimaryComponentAlgorithm::restart() { return false; }
+
 void PrimaryComponentAlgorithm::save(Encoder& /*enc*/) const {
   throw std::logic_error("algorithm state is not saved as bytes");
 }

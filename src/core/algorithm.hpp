@@ -35,6 +35,11 @@
 //    changes when new information (a message or a view) arrives.
 //  * `in_primary` may be read at leisure; it can only change on new
 //    information.
+//  * A host that returns its whole world to the all-connected start (a
+//    fresh-start sweep does before each run) calls `restart`, after
+//    dropping every message it holds.  The process must then read and act
+//    exactly as a newly built one would, keeping its buffers.  The default
+//    returns false, and the host builds a new instance instead.
 #pragma once
 
 #include <memory>
@@ -159,6 +164,13 @@ class PrimaryComponentAlgorithm {
   /// invariant checker reads this once per process per round, so it must
   /// not copy.
   virtual const Session& last_primary_session() const = 0;
+
+  /// Return to the state the constructor builds, in the same initial view,
+  /// keeping every buffer and payload pool.  True when done; the default
+  /// returns false, and the host then builds a new instance.  An override
+  /// is called by its own class's constructor, so the genesis state is
+  /// written in one place.
+  virtual bool restart();
 
  protected:
   PrimaryComponentAlgorithm(ProcessId self, View initial_view);

@@ -6,9 +6,18 @@ namespace dynvote {
 
 Dfls::Dfls(ProcessId self, const View& initial_view)
     : YkdFamilyBase(self, initial_view, PruneMode::kGlobalSuperseded,
-                    /*filter_constraints=*/false),
-      gc_(initial_view.members.universe_size(),
-          initial_view.members.count()) {}
+                    /*filter_constraints=*/false) {
+  // Writes the base's genesis a second time, once per built world.
+  restart();
+}
+
+bool Dfls::restart() {
+  gc_pending_ = false;
+  gc_number_ = 0;
+  gc_ = Tally(initial_view_.members.universe_size(),
+              initial_view_.members.count());
+  return YkdFamilyBase::restart();
+}
 
 void Dfls::view_changed(const View& view) {
   // Interrupted before the GC round completed: the ambiguous sessions stay.

@@ -23,6 +23,8 @@ class Dfls final : public YkdFamilyBase {
   Dfls(ProcessId self, const View& initial_view);
 
   void view_changed(const View& view) override;
+  /// The base's genesis, and no GC round awaited.
+  bool restart() override;
   std::string_view name() const override { return "dfls"; }
 
  protected:

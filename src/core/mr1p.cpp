@@ -24,17 +24,32 @@ Mr1pVerdict echo_verdict(Mr1pStatus status) {
 }  // namespace
 
 Mr1p::Mr1p(ProcessId self, const View& initial_view, Mr1pOptions options)
-    : PrimaryComponentAlgorithm(self, initial_view),
-      options_(options),
-      cur_primary_{0, initial_view.members},
-      current_view_(initial_view) {
-  const std::size_t universe = initial_view.members.universe_size();
-  const std::size_t view_size = initial_view.members.count();
-  formed_views_.push_back(cur_primary_);
+    : PrimaryComponentAlgorithm(self, initial_view), options_(options) {
+  restart();
+}
+
+bool Mr1p::restart() {
+  const std::size_t universe = initial_view_.members.universe_size();
+  const std::size_t view_size = initial_view_.members.count();
+  cur_primary_ = Session{0, initial_view_.members};
+  pending_.reset();
+  num_ = 0;
+  status_ = Mr1pStatus::kNone;
+  formed_views_.assign(1, cur_primary_);
+  in_primary_ = true;
+  current_view_ = initial_view_;
+  outbox_.clear();
+  outbox_head_ = 0;
+  unanswered_queries_.clear();
   echo_senders_ = ProcessSet(universe);
+  best_echo_num_ = 0;
+  best_echo_status_ = Mr1pStatus::kNone;
+  resolve_sent_ = false;
   tryfail_callers_ = ProcessSet(universe);
   proposals_ = Tally(universe, view_size);
   attempts_ = Tally(universe, majority(view_size));
+  tried_new_ = false;
+  return true;
 }
 
 Session Mr1p::view_session() const {

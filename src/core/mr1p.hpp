@@ -100,6 +100,9 @@ class Mr1p final : public PrimaryComponentAlgorithm {
       std::span<const Delivery> batch) override;
   std::optional<Message> outgoing_message_poll(const Message& app) override;
   bool in_primary() const override { return in_primary_; }
+  /// Primary in the initial view, nothing pending, and formedViews holding
+  /// only the initial view's session.
+  bool restart() override;
   std::string_view name() const override { return "mr1p"; }
   AlgorithmDebugInfo debug_info() const override;
   const Session& last_primary_session() const override { return cur_primary_; }

@@ -5,8 +5,15 @@
 namespace dynvote {
 
 SimpleMajority::SimpleMajority(ProcessId self, const View& initial_view)
-    : PrimaryComponentAlgorithm(self, initial_view),
-      last_primary_{initial_view.id, initial_view.members} {}
+    : PrimaryComponentAlgorithm(self, initial_view) {
+  restart();
+}
+
+bool SimpleMajority::restart() {
+  in_primary_ = true;
+  last_primary_ = Session{initial_view_.id, initial_view_.members};
+  return true;
+}
 
 void SimpleMajority::view_changed(const View& view) {
   in_primary_ = is_subquorum(view.members, initial_view_.members);

@@ -21,6 +21,8 @@ class SimpleMajority final : public PrimaryComponentAlgorithm {
   void incoming_messages(std::span<const Delivery> /*batch*/) override {}
   std::optional<Message> outgoing_message_poll(const Message& app) override;
   bool in_primary() const override { return in_primary_; }
+  /// Primary in the initial view, as every process starts.
+  bool restart() override;
   std::string_view name() const override { return "simple-majority"; }
   AlgorithmDebugInfo debug_info() const override;
   const Session& last_primary_session() const override { return last_primary_; }

@@ -14,16 +14,30 @@ YkdFamilyBase::YkdFamilyBase(ProcessId self, const View& initial_view,
     : PrimaryComponentAlgorithm(self, initial_view),
       prune_mode_(prune_mode),
       filter_constraints_(filter_constraints) {
-  const std::size_t universe = initial_view.members.universe_size();
-  const Session genesis{0, initial_view.members};
+  YkdFamilyBase::restart();
+}
+
+bool YkdFamilyBase::restart() {
+  const std::size_t universe = initial_view_.members.universe_size();
+  const Session genesis{0, initial_view_.members};
   last_primary_ = genesis;
-  state_pool_ = make_payload<StateExchangePayload>();
-  state_pool_->last_formed.assign(universe, genesis);
-  current_view_ = initial_view;
-  view_size_ = initial_view.members.count();
+  ambiguous_.clear();
+  session_number_ = 0;
+  in_primary_ = true;  // everyone starts together: primary
+  blocked_ = false;
+  current_view_ = initial_view_;
+  view_size_ = initial_view_.members.count();
+  stage_ = Stage::kIdle;
+  // Drop the payloads this process holds before taking its own pool back:
+  // a crashed process's outbox still holds its round-1 payload.
+  states_.reset_universe(universe);
+  outbox_.clear();
+  outbox_head_ = 0;
   attempts_ = Tally(universe, view_size_);
   proposed_ = Session{0, ProcessSet(universe)};
-  states_.reset_universe(universe);
+  // view_changed refreshes the payload's other fields before staging it.
+  reuse_payload(state_pool_).last_formed.assign(universe, genesis);
+  return true;
 }
 
 void YkdFamilyBase::view_changed(const View& view) {

@@ -197,6 +197,9 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
       std::span<const Delivery> batch) final;
   std::optional<Message> outgoing_message_poll(const Message& app) override;
   bool in_primary() const override { return in_primary_; }
+  /// The genesis state: lastPrimary and every lastFormed entry the initial
+  /// view's session, nothing ambiguous, idle in the initial view.
+  bool restart() override;
   AlgorithmDebugInfo debug_info() const override;
   const Session& last_primary_session() const override { return last_primary_; }
 

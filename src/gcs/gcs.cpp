@@ -31,16 +31,34 @@ Gcs::Gcs(const AlgorithmFactory& factory, std::size_t processes,
          GcsOptions options)
     : options_(options), topology_(processes),
       delivery_rng_(Rng::from_raw_seed(options.delivery_seed)),
-      crashed_(processes),
-      due_(ProcessSet::full(processes)) {
+      factory_(factory) {
   DV_REQUIRE(processes >= 1, "need at least one process");
-  const View initial{1, ProcessSet::full(processes)};
-  algorithms_.reserve(processes);
+  algorithms_.resize(processes);
   group_.reserve(processes);
+  restart(options.delivery_seed);
+}
+
+void Gcs::restart(std::uint64_t delivery_seed) {
+  // Nothing in flight first: each process is then the only holder of the
+  // payloads it pools, and rebuilds them in place.
+  network_.clear();
+  topology_.reset();
+  options_.delivery_seed = delivery_seed;
+  delivery_rng_ = Rng::from_raw_seed(delivery_seed);
+  const std::size_t processes = algorithms_.size();
+  const View initial{1, ProcessSet::full(processes)};
   installed_views_.assign(processes, initial);
+  next_view_id_ = 2;
+  wire_stats_ = WireStats{};
+  deliveries_ = 0;
+  crashed_ = ProcessSet(processes);
+  due_ = ProcessSet::full(processes);
+  revision_ = 1;
   for (ProcessId p = 0; p < processes; ++p) {
-    algorithms_.push_back(factory(p, initial));
-    DV_REQUIRE(algorithms_.back() != nullptr, "factory returned null");
+    std::unique_ptr<PrimaryComponentAlgorithm>& algorithm = algorithms_[p];
+    if (algorithm != nullptr && algorithm->restart()) continue;
+    algorithm = factory_(p, initial);
+    DV_REQUIRE(algorithm != nullptr, "factory returned null");
   }
 }
 

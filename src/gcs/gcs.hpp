@@ -87,6 +87,14 @@ class Gcs {
   Gcs(const AlgorithmFactory& factory, std::size_t processes,
       GcsOptions options = {});
 
+  /// Return the world to the state the constructor builds, with
+  /// `delivery_seed` for GcsOptions::delivery_seed, keeping every buffer:
+  /// all processes connected in view 1, nothing in flight, nobody crashed,
+  /// the counters and revision() back at their start.  Each process
+  /// restarts in place, or is built anew by the factory when it cannot
+  /// (PrimaryComponentAlgorithm::restart).
+  void restart(std::uint64_t delivery_seed);
+
   std::size_t process_count() const { return algorithms_.size(); }
   const Topology& topology() const { return topology_; }
   const WireStats& wire_stats() const { return wire_stats_; }
@@ -220,6 +228,8 @@ class Gcs {
   /// stays, since its outbox may hold more.
   ProcessSet due_;
   std::uint64_t revision_ = 1;
+  /// Builds each process, and rebuilds one that cannot restart.
+  AlgorithmFactory factory_;
 };
 
 }  // namespace dynvote

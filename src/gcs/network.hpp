@@ -75,6 +75,9 @@ class Network {
   /// scope, as one batch.  Other queued messages are untouched.
   void flush_for_merge(const ProcessSet& component, DeliverFn deliver);
 
+  /// Drop every queued multicast undelivered, keeping the buffers.
+  void clear() { in_flight_.clear(); }
+
   bool idle() const { return in_flight_.empty(); }
   std::size_t in_flight_count() const { return in_flight_.size(); }
 

@@ -7,7 +7,11 @@ namespace dynvote {
 Topology::Topology(std::size_t universe_size)
     : universe_size_(universe_size) {
   DV_REQUIRE(universe_size >= 1, "topology needs at least one process");
-  components_.push_back(ProcessSet::full(universe_size));
+  reset();
+}
+
+void Topology::reset() {
+  components_.assign(1, ProcessSet::full(universe_size_));
 }
 
 const ProcessSet& Topology::component(std::size_t index) const {

@@ -20,6 +20,9 @@ class Topology {
   /// All `universe_size` processes start mutually connected.
   explicit Topology(std::size_t universe_size);
 
+  /// Connect every process again, as the constructor does.
+  void reset();
+
   std::size_t universe_size() const { return universe_size_; }
   std::size_t component_count() const { return components_.size(); }
   const ProcessSet& component(std::size_t index) const;

@@ -10,25 +10,48 @@
 namespace dynvote {
 
 namespace {
+std::uint64_t delivery_seed(std::uint64_t seed) {
+  return child_seed(seed, StreamTag::kDelivery);
+}
+
 Gcs make_gcs(const SimulationConfig& config) {
   const GcsOptions options{.measure_wire_sizes = config.measure_wire_sizes,
-                           .delivery_seed =
-                               child_seed(config.seed, StreamTag::kDelivery)};
+                           .delivery_seed = delivery_seed(config.seed)};
   if (config.algorithm_factory) {
     return Gcs(config.algorithm_factory, config.processes, options);
   }
   return Gcs(config.algorithm, config.processes, options);
+}
+
+std::unique_ptr<FaultModel> make_model(const SimulationConfig& config) {
+  return make_fault_model(config.fault_model, config.seed,
+                          config.mean_rounds_between_changes,
+                          config.crash_fraction, config.processes);
 }
 }  // namespace
 
 Simulation::Simulation(const SimulationConfig& config)
     : config_(config),
       gcs_(make_gcs(config)),
-      model_(make_fault_model(config.fault_model, config.seed,
-                              config.mean_rounds_between_changes,
-                              config.crash_fraction, config.processes)),
+      model_(make_model(config)),
       checker_(gcs_) {
   DV_REQUIRE(config.processes >= 2, "the study needs at least two processes");
+}
+
+void Simulation::restart(std::uint64_t seed) {
+  DV_REQUIRE(!progress_.active,
+             "restart called with a paused run in progress");
+  config_.seed = seed;
+  model_ = make_model(config_);
+  gcs_.restart(delivery_seed(seed));
+  checker_.reset();
+  total_changes_ = 0;
+  events_ = 0;
+  last_round_active_ = true;
+  progress_ = RunProgress{};
+  had_primary_ = true;
+  primary_revision_ = 0;
+  last_ambiguous_ = 0;
 }
 
 void Simulation::step_round() {

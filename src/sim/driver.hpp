@@ -7,10 +7,13 @@
 // the driver loop allows the processes to exchange messages without
 // further interruptions until the system reaches a stable state."
 //
-// One Simulation instance supports both test modes: construct fresh per run
-// for the "fresh start" figures, or call run_once() repeatedly on the same
-// instance for the "cascading" figures (each run starts in the state at
-// which the previous one ended).
+// One Simulation instance supports both test modes.  For the "fresh start"
+// figures each run begins in the all-connected state the constructor
+// builds: restart(seed) returns a world to it in place, keeping its
+// buffers, so a sweep builds one world and restarts it before each later
+// run.  For the "cascading" figures run_once() is called repeatedly on the
+// same instance (each run starts in the state at which the previous one
+// ended).
 #pragma once
 
 #include <cstdint>
@@ -111,9 +114,15 @@ class Simulation {
   /// itself is run_events(no limit).
   std::optional<RunResult> run_events(std::size_t max_events);
 
-  /// Events run since construction, over every run.  A world is a pure
-  /// function of its configuration, so this count names its whole state
-  /// (sim/snapshot.hpp replays to it).
+  /// Return to the state Simulation(config() with `seed`) builds: the
+  /// world, the fault model, the checker's history and the driver's
+  /// counters all start again, and every buffer is kept.  A run paused by
+  /// run_events must finish first (else PreconditionViolation).
+  void restart(std::uint64_t seed);
+
+  /// Events run since construction or the last restart, over every run.  A
+  /// world is a pure function of its configuration, so this count names
+  /// its whole state (sim/snapshot.hpp replays to it).
   std::uint64_t events() const { return events_; }
 
   /// True while a run started by run_events is paused mid-run.

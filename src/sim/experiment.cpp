@@ -34,9 +34,10 @@ SimulationConfig config_for(const CaseSpec& spec, std::uint64_t seed) {
 
 /// Fold the simulation's cumulative wire/invariant counters into the result
 /// as the delta since the previous fold.  Both modes call this once per run
-/// (fresh-start with a brand-new simulation, cascading with the one
-/// long-lived simulation), so per-case aggregation -- including
-/// `wire.max_message_bytes` -- is byte-for-byte the same shape in both.
+/// (fresh-start with a world built or restarted for the run, its counters
+/// at zero; cascading with the one long-lived simulation), so per-case
+/// aggregation -- including `wire.max_message_bytes` -- is byte-for-byte
+/// the same shape in both.
 void fold_run_counters(CaseResult& result, const Simulation& sim,
                        WireStats& prev_wire, std::uint64_t& prev_checks,
                        std::uint64_t& prev_deliveries) {
@@ -82,8 +83,12 @@ CaseResult run_case_shard(const CaseSpec& spec, std::uint64_t first_run,
   }
   CaseResult result;
   result.success_per_run.reserve(count);
+  if (count == 0) return result;
+  // One world per shard: built for the first run, then restarted in place
+  // for each later one, which reads exactly as a world built for it.
+  Simulation sim(config_for(spec, shard_seed(spec, first_run)));
   for (std::uint64_t i = first_run; i < first_run + count; ++i) {
-    Simulation sim(config_for(spec, shard_seed(spec, i)));
+    if (i != first_run) sim.restart(shard_seed(spec, i));
     RunResult run;
     {
       DV_TRACE_SPAN("run", i, spec.processes);

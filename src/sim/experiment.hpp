@@ -17,7 +17,8 @@
 namespace dynvote {
 
 enum class RunMode {
-  /// Each run begins brand-new in the original state (Figures 4-1..4-3).
+  /// Each run begins in the original all-connected state (Figures
+  /// 4-1..4-3): a shard builds one world and restarts it for each run.
   kFreshStart,
   /// Each run begins where the previous one ended (Figures 4-4..4-6).
   kCascading,

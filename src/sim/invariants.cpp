@@ -8,8 +8,17 @@
 namespace dynvote {
 
 InvariantChecker::InvariantChecker(const Gcs& gcs)
-    : last_primary_numbers_(gcs.process_count(), 0),
-      last_formed_primary_{0, ProcessSet(gcs.process_count())} {}
+    : last_primary_numbers_(gcs.process_count()) {
+  reset();
+}
+
+void InvariantChecker::reset() {
+  std::fill(last_primary_numbers_.begin(), last_primary_numbers_.end(), 0);
+  last_formed_primary_ = Session{0, ProcessSet(last_primary_numbers_.size())};
+  checks_ = 0;
+  verified_gcs_ = nullptr;
+  verified_revision_ = 0;
+}
 
 void InvariantChecker::check(const Gcs& gcs) {
   ++checks_;

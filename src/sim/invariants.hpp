@@ -47,6 +47,10 @@ class InvariantChecker {
   /// §4, "Invariants checked every step").
   void check(const Gcs& gcs);
 
+  /// Forget the history, the count and the unchanged-world memo, as a new
+  /// checker would: its world restarted (Gcs::restart).
+  void reset();
+
   std::uint64_t checks_performed() const { return checks_; }
 
  private:

@@ -6,7 +6,9 @@
 // is the regression fence for the fixed-size ProcessSet, the FunctionRef
 // callbacks, the group delivery, the pooled round payloads and the
 // cursor-based outboxes -- an extra allocation in any of them fails here
-// with an exact count.
+// with an exact count.  Whole fresh-start runs are fenced too: a shard
+// restarts one world for each of its later runs, and those runs must stay
+// at the count measured when the restart landed.
 //
 // This binary links dv_alloc_hook (see tests/CMakeLists.txt); if someone
 // builds it without the hook the tests skip rather than vacuously passing.
@@ -18,6 +20,7 @@
 #include "core/process_set.hpp"
 #include "gcs/gcs.hpp"
 #include "obs/trace.hpp"
+#include "sim/experiment.hpp"
 #include "util/alloc_stats.hpp"
 
 namespace dynvote {
@@ -97,6 +100,59 @@ TEST(AllocRegression, SteadyStateRoundsStayUnderEachAlgorithmsCeiling) {
           << count.allocs << " allocations over " << count.rounds
           << " steady rounds; the ceiling is " << per_round << " per round";
     }
+  }
+}
+
+/// Allocations of the `restarted` runs that follow a fresh-start shard's
+/// first run at N=64: a shard of 1 + `restarted` runs, less a shard of its
+/// first run alone, which builds the world.  Deterministic: the runs, their
+/// seeds and the world's buffers are the same every time.
+std::uint64_t count_restarted_runs(AlgorithmKind kind,
+                                   std::uint64_t restarted) {
+  CaseSpec spec;
+  spec.algorithm = kind;
+  spec.processes = kProcesses;
+  spec.changes = 6;
+  spec.mean_rounds = 4.0;
+  spec.mode = RunMode::kFreshStart;
+  spec.base_seed = 24301;
+  std::uint64_t before = thread_allocations();
+  (void)run_case_shard(spec, 0, 1);
+  const std::uint64_t first = thread_allocations() - before;
+  before = thread_allocations();
+  (void)run_case_shard(spec, 0, 1 + restarted);
+  return thread_allocations() - before - first;
+}
+
+TEST(AllocRegression, RestartedFreshStartRunsStayUnderEachAlgorithmsCeiling) {
+  if (!alloc_hook_linked()) {
+    GTEST_SKIP() << "dv_alloc_hook not linked; allocation counts unavailable";
+  }
+  // A shard builds its world once and restarts it for each later run
+  // (Simulation::restart), keeping every buffer and payload pool.  Each
+  // ceiling is the count measured when that landed, over 50 restarted
+  // 6-change runs; building a new world per run costs several hundred
+  // allocations a run more.
+  constexpr std::uint64_t kRestartedRuns = 50;
+  struct Fence {
+    AlgorithmKind kind;
+    std::uint64_t ceiling;
+  };
+  const Fence fences[] = {
+      {AlgorithmKind::kYkd, 3569},
+      {AlgorithmKind::kYkdUnoptimized, 3569},
+      {AlgorithmKind::kDfls, 3984},
+      {AlgorithmKind::kOnePending, 3351},
+      {AlgorithmKind::kMr1p, 1805},
+      {AlgorithmKind::kSimpleMajority, 1478},
+  };
+  for (const Fence& fence : fences) {
+    SCOPED_TRACE(to_string(fence.kind));
+    const std::uint64_t allocs =
+        count_restarted_runs(fence.kind, kRestartedRuns);
+    EXPECT_LE(allocs, fence.ceiling)
+        << allocs << " allocations over " << kRestartedRuns
+        << " restarted runs; the ceiling is " << fence.ceiling;
   }
 }
 

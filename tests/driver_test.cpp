@@ -115,11 +115,14 @@ TEST(Simulation, ZeroRateMeansNoRoundsBetweenChanges) {
 }
 
 // Every event is one round or one change, and the count runs on across
-// the runs of a cascade.
+// the runs of a cascade until a restart sets it back to zero.  A paused
+// run refuses the restart.
 TEST(Simulation, EventsCountEveryRoundAndChange) {
   Simulation sim(base_config());
   EXPECT_EQ(sim.events(), 0u);
   EXPECT_FALSE(sim.run_events(1).has_value());
+  EXPECT_EQ(sim.events(), 1u);
+  EXPECT_THROW(sim.restart(7), PreconditionViolation);
   EXPECT_EQ(sim.events(), 1u);
   std::uint64_t expected = 0;
   for (int run = 0; run < 3; ++run) {
@@ -128,6 +131,9 @@ TEST(Simulation, EventsCountEveryRoundAndChange) {
     expected += r->rounds_executed + r->changes_applied;
     EXPECT_EQ(sim.events(), expected);
   }
+  sim.restart(7);
+  EXPECT_EQ(sim.events(), 0u);
+  EXPECT_EQ(sim.config().seed, 7u);
 }
 
 }  // namespace

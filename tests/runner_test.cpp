@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
@@ -11,6 +12,9 @@
 
 #include "runner/artifact.hpp"
 #include "runner/sweep.hpp"
+#include "sim/driver.hpp"
+#include "sim_test_util.hpp"
+#include "util/rng.hpp"
 
 namespace dynvote {
 namespace {
@@ -277,6 +281,73 @@ TEST(Sweep, CascadingCaseSimulatesEachRoundOnce) {
   EXPECT_GT(outcome.result.total_rounds, 0u);
   EXPECT_EQ(instances.load(), c.spec.processes);
   expect_identical(outcome.result, run_case(c.spec));
+}
+
+// The fresh-start twin of the test above: a shard builds one world for its
+// first run and restarts it in place for each later one
+// (Simulation::restart).  Algorithms that restart themselves are built
+// once per process for the whole 32-run shard; a decorator that keeps
+// restart()'s default is rebuilt by the factory for every run.  Either
+// way the shard reproduces a new world per run, computed here as the
+// reference.
+TEST(Sweep, FreshStartShardBuildsOneWorld) {
+  constexpr std::uint64_t kRuns = 32;
+  const CaseSpec spec = [] {
+    CaseSpec s = small_case(AlgorithmKind::kYkd, RunMode::kFreshStart);
+    s.runs = kRuns;
+    s.measure_wire_sizes = true;
+    return s;
+  }();
+
+  // The reference: a new Simulation for every run, seeded as the case's
+  // run index dictates.
+  CaseResult expected;
+  for (std::uint64_t i = 0; i < kRuns; ++i) {
+    SimulationConfig config;
+    config.algorithm = spec.algorithm;
+    config.processes = spec.processes;
+    config.changes_per_run = spec.changes;
+    config.mean_rounds_between_changes = spec.mean_rounds;
+    config.measure_wire_sizes = true;
+    config.seed = mix_seed(spec.base_seed, spec.processes, spec.changes,
+                           std::bit_cast<std::uint64_t>(spec.mean_rounds), i);
+    Simulation sim(config);
+    expected.record(sim.run_once());
+    expected.wire.merge(sim.gcs().wire_stats());
+    expected.invariant_checks += sim.invariant_checks();
+    expected.total_deliveries += sim.gcs().deliveries();
+  }
+
+  for (const bool restarts : {true, false}) {
+    SCOPED_TRACE(restarts ? "restarts in place" : "rebuilt per run");
+    std::atomic<std::uint64_t> instances{0};
+    SweepCase c;
+    c.algorithm = "ykd";
+    c.spec = spec;
+    c.spec.algorithm_factory =
+        [&instances, restarts](ProcessId self, const View& initial)
+        -> std::unique_ptr<PrimaryComponentAlgorithm> {
+      ++instances;
+      auto algorithm = make_algorithm(AlgorithmKind::kYkd, self, initial);
+      if (restarts) return algorithm;
+      return std::make_unique<test::ForwardingAlgorithm>(std::move(algorithm));
+    };
+    SweepSpec sweep;
+    sweep.jobs = 4;
+    sweep.min_shard_runs = kRuns;
+    NullProgress quiet;
+    sweep.progress = &quiet;
+    sweep.cases = {c};
+
+    const SweepResult swept = run_sweep(sweep);
+    ASSERT_EQ(swept.cases.size(), 1u);
+    const CaseOutcome& outcome = swept.cases[0];
+    EXPECT_EQ(outcome.shards, 1u);
+    EXPECT_EQ(instances.load(),
+              restarts ? spec.processes : spec.processes * kRuns);
+    expect_identical(outcome.result, expected);
+    EXPECT_EQ(outcome.result.total_deliveries, expected.total_deliveries);
+  }
 }
 
 // Work stealing: pin one case that dwarfs the rest and force tiny shards;

@@ -72,12 +72,27 @@ FaultModelParams cross_model_params(FaultModelKind kind) {
   return params;
 }
 
+/// A world built for another seed that ran a run, then restarted to
+/// `config`'s seed (Simulation::restart): it has run no event since, and
+/// must read as Simulation(config).
+std::unique_ptr<Simulation> restarted_world(const SimulationConfig& config) {
+  SimulationConfig other = config;
+  other.seed = config.seed + 1;
+  auto sim = std::make_unique<Simulation>(other);
+  (void)sim->run_once();
+  sim->restart(config.seed);
+  return sim;
+}
+
 // The headline property: for every algorithm under every fault model, a
 // world saved between runs or at a pseudo-random event mid-run, restored
 // into a brand-new Simulation, and resumed produces the exact RunResults
 // of the world that was never interrupted -- and the restored world keeps
 // producing identical runs afterwards (the cascading guarantee), with the
-// same invariant checks, deliveries and wire counters.
+// same invariant checks, deliveries and wire counters.  A world restarted
+// to the config's seed saves the same replay point mid-run, which restores
+// both into a new world and into a restarted one that has run no event:
+// the restart resets config().seed, events() and revision() with the rest.
 TEST(Snapshot, InterruptRoundTripResumeReproducesEveryAlgorithm) {
   for (AlgorithmKind kind : all_algorithm_kinds()) {
     for (FaultModelKind model : kFaultModels) {
@@ -98,55 +113,76 @@ TEST(Snapshot, InterruptRoundTripResumeReproducesEveryAlgorithm) {
       Rng salt = Rng::from_raw_seed(
           mix_seed(0xC0FFEEu, static_cast<std::uint64_t>(kind),
                    static_cast<std::uint64_t>(model)));
-      for (const bool mid_run : {false, true}) {
-        SCOPED_TRACE(mid_run ? "mid-run" : "between runs");
+      struct Interrupt {
+        const char* name;
+        bool mid_run;
+        bool restarted;
+      };
+      for (const Interrupt interrupt :
+           {Interrupt{"between runs", false, false},
+            Interrupt{"mid-run", true, false},
+            Interrupt{"mid-run on a restarted world", true, true}}) {
+        SCOPED_TRACE(interrupt.name);
         const std::size_t interrupt_run = 1 + salt.below(kRuns - 1);
-        Simulation original(config);
-        std::vector<RunResult> actual;
+        const std::unique_ptr<Simulation> original =
+            interrupt.restarted ? restarted_world(config)
+                                : std::make_unique<Simulation>(config);
+        std::vector<RunResult> prefix;
         for (std::size_t r = 0; r < interrupt_run; ++r) {
-          actual.push_back(original.run_once());
+          prefix.push_back(original->run_once());
         }
         std::optional<RunResult> early;
-        if (mid_run) early = original.run_events(1 + salt.below(60));
+        if (interrupt.mid_run) early = original->run_events(1 + salt.below(60));
 
-        const std::vector<std::byte> bytes = save_snapshot(original);
-        Simulation restored(config);
-        restore_snapshot(restored, bytes);
-        // Byte determinism: saving the restored world reproduces the
-        // snapshot.
-        EXPECT_EQ(save_snapshot(restored), bytes);
-        EXPECT_EQ(restored.run_in_progress(), original.run_in_progress());
-        // It has run events now, so it takes no second restore.
-        EXPECT_THROW(restore_snapshot(restored, bytes), PreconditionViolation);
+        const std::vector<std::byte> bytes = save_snapshot(*original);
+        std::vector<std::unique_ptr<Simulation>> targets;
+        targets.push_back(std::make_unique<Simulation>(config));
+        if (interrupt.restarted) targets.push_back(restarted_world(config));
+        for (const std::unique_ptr<Simulation>& target : targets) {
+          SCOPED_TRACE(target == targets.front()
+                           ? "restored into a new world"
+                           : "restored into a restarted one");
+          Simulation& restored = *target;
+          std::vector<RunResult> actual = prefix;
+          restore_snapshot(restored, bytes);
+          // Byte determinism: saving the restored world reproduces the
+          // snapshot.
+          EXPECT_EQ(save_snapshot(restored), bytes);
+          EXPECT_EQ(restored.run_in_progress(), original->run_in_progress());
+          // It has run events now, so it takes no second restore.
+          EXPECT_THROW(restore_snapshot(restored, bytes),
+                       PreconditionViolation);
 
-        std::size_t next_run = interrupt_run;
-        if (early.has_value()) {
-          actual.push_back(*early);  // the budget outlived the run
-          ++next_run;
-        } else if (restored.run_in_progress()) {
-          actual.push_back(finish_run(restored));
-          ++next_run;
-        }
-        for (std::size_t r = next_run; r < kRuns; ++r) {
-          actual.push_back(restored.run_once());
-        }
+          std::size_t next_run = interrupt_run;
+          if (early.has_value()) {
+            actual.push_back(*early);  // the budget outlived the run
+            ++next_run;
+          } else if (restored.run_in_progress()) {
+            actual.push_back(finish_run(restored));
+            ++next_run;
+          }
+          for (std::size_t r = next_run; r < kRuns; ++r) {
+            actual.push_back(restored.run_once());
+          }
 
-        ASSERT_EQ(actual.size(), expected.size());
-        for (std::size_t r = 0; r < kRuns; ++r) {
-          SCOPED_TRACE("run " + std::to_string(r));
-          EXPECT_EQ(actual[r], expected[r]);
+          ASSERT_EQ(actual.size(), expected.size());
+          for (std::size_t r = 0; r < kRuns; ++r) {
+            SCOPED_TRACE("run " + std::to_string(r));
+            EXPECT_EQ(actual[r], expected[r]);
+          }
+          EXPECT_EQ(save_snapshot(restored), save_snapshot(uninterrupted));
+          EXPECT_EQ(restored.total_changes(), uninterrupted.total_changes());
+          EXPECT_EQ(restored.invariant_checks(),
+                    uninterrupted.invariant_checks());
+          EXPECT_EQ(restored.gcs().deliveries(),
+                    uninterrupted.gcs().deliveries());
+          const WireStats& w0 = uninterrupted.gcs().wire_stats();
+          const WireStats& w1 = restored.gcs().wire_stats();
+          EXPECT_EQ(w1.messages_sent, w0.messages_sent);
+          EXPECT_EQ(w1.protocol_messages_sent, w0.protocol_messages_sent);
+          EXPECT_EQ(w1.max_message_bytes, w0.max_message_bytes);
+          EXPECT_EQ(w1.total_message_bytes, w0.total_message_bytes);
         }
-        EXPECT_EQ(save_snapshot(restored), save_snapshot(uninterrupted));
-        EXPECT_EQ(restored.total_changes(), uninterrupted.total_changes());
-        EXPECT_EQ(restored.invariant_checks(),
-                  uninterrupted.invariant_checks());
-        EXPECT_EQ(restored.gcs().deliveries(), uninterrupted.gcs().deliveries());
-        const WireStats& w0 = uninterrupted.gcs().wire_stats();
-        const WireStats& w1 = restored.gcs().wire_stats();
-        EXPECT_EQ(w1.messages_sent, w0.messages_sent);
-        EXPECT_EQ(w1.protocol_messages_sent, w0.protocol_messages_sent);
-        EXPECT_EQ(w1.max_message_bytes, w0.max_message_bytes);
-        EXPECT_EQ(w1.total_message_bytes, w0.total_message_bytes);
       }
     }
   }
