@@ -1,6 +1,8 @@
 #include "core/mr1p.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <typeinfo>
 
 #include "core/quorum.hpp"
@@ -19,6 +21,12 @@ Mr1pVerdict echo_verdict(Mr1pStatus status) {
   }
   DV_ASSERT_MSG(false, "echoing a status of kNone");
   return Mr1pVerdict::kStatusTryFail;
+}
+
+Mr1pStatus echoed_status(Mr1pVerdict verdict) {
+  return verdict == Mr1pVerdict::kStatusSent      ? Mr1pStatus::kSent
+         : verdict == Mr1pVerdict::kStatusAttempt ? Mr1pStatus::kAttempt
+                                                  : Mr1pStatus::kTryFail;
 }
 
 }  // namespace
@@ -41,11 +49,8 @@ bool Mr1p::restart() {
   outbox_.clear();
   outbox_head_ = 0;
   unanswered_queries_.clear();
-  echo_senders_ = ProcessSet(universe);
-  best_echo_num_ = 0;
-  best_echo_status_ = Mr1pStatus::kNone;
-  resolve_sent_ = false;
-  tryfail_callers_ = ProcessSet(universe);
+  echo_ = {.senders = ProcessSet(universe),
+           .tryfail_callers = ProcessSet(universe)};
   proposals_ = Tally(universe, view_size);
   attempts_ = Tally(universe, majority(view_size));
   tried_new_ = false;
@@ -69,11 +74,8 @@ void Mr1p::view_changed(const View& view) {
   outbox_.clear();
   outbox_head_ = 0;
   unanswered_queries_.clear();
-  echo_senders_.clear();
-  best_echo_num_ = 0;
-  best_echo_status_ = Mr1pStatus::kNone;
-  resolve_sent_ = false;
-  tryfail_callers_.clear();
+  echo_ = {.senders = ProcessSet(view.members.universe_size()),
+           .tryfail_callers = ProcessSet(view.members.universe_size())};
   proposals_.reset(view.members.count());
   attempts_.reset(majority(view.members.count()));
   tried_new_ = false;
@@ -109,11 +111,130 @@ void Mr1p::try_new() {
   }
 }
 
-Message Mr1p::incoming_message(Message message, ProcessId sender) {
-  PrimaryComponentAlgorithm* const self = this;
-  if (message.protocol != nullptr) {
-    receive(*message.protocol, sender, std::span(&self, 1));
+/// One batch's view of a group that shares its tallies (DESIGN.md §4d).
+/// Its pending classes are split from the members at the batch's first
+/// reply or resolve, and whether the leader's query list stands for every
+/// member's is read at its first pending query: nothing earlier in the
+/// batch writes a query list or an echo state, and the only step before
+/// them that moves a pending session, a formation, empties every member's.
+class Mr1p::GroupBatch {
+ public:
+  explicit GroupBatch(std::span<PrimaryComponentAlgorithm* const> group)
+      : group_(group) {}
+
+  std::span<PrimaryComponentAlgorithm* const> group() const { return group_; }
+  Mr1p& member(std::size_t i) const {
+    return static_cast<Mr1p&>(*group_[i]);
   }
+
+  /// Round 1: does the leader's query list stand for every member's?
+  bool shares_queries() {
+    if (queries_ == Queries::kUnread) {
+      const std::vector<Session>& lead = member(0).unanswered_queries_;
+      queries_ = Queries::kShared;
+      for (std::size_t i = 1; i < group_.size(); ++i) {
+        if (member(i).unanswered_queries_ != lead) queries_ = Queries::kOwn;
+      }
+      queried_ = lead.size();
+    }
+    return queries_ == Queries::kShared;
+  }
+
+  /// Rounds 2 and 3: `step(leader, cls)` at each live class's leader,
+  /// which returns false when the class ended, and `step(m, {m})` at each
+  /// member of an ended class, or past the bound, on its own.
+  template <typename Step>
+  void to_classes(const Step& step) {
+    if (!split_) split();
+    for (Run& run : runs_) {
+      const PendingClass cls(members_.data() + run.begin, run.end - run.begin);
+      if (cls.empty()) continue;
+      if (run.live) {
+        run.live = step(*cls.front(), cls);
+        continue;
+      }
+      for (std::size_t k = 0; k < cls.size(); ++k) {
+        (void)step(*cls[k], cls.subspan(k, 1));
+      }
+    }
+  }
+
+  /// Batch end: every member takes the leader's query list, if the leader
+  /// built it for them, and its live class's echo state.
+  void finish() {
+    const Mr1p& lead = member(0);
+    if (queries_ == Queries::kShared &&
+        lead.unanswered_queries_.size() != queried_) {
+      for (std::size_t i = 1; i < group_.size(); ++i) {
+        member(i).unanswered_queries_ = lead.unanswered_queries_;
+      }
+    }
+    for (const Run& run : runs_) {
+      if (!run.live) continue;
+      for (std::size_t k = run.begin + 1; k < run.end; ++k) {
+        members_[k]->echo_ = members_[run.begin]->echo_;
+      }
+    }
+  }
+
+ private:
+  /// Distinct classes a batch follows; members past them receive rounds 2
+  /// and 3 on their own.  A view's members hold at most two distinct
+  /// pending sessions in nearly every batch.
+  static constexpr std::size_t kMaxClasses = 4;
+  enum class Queries { kUnread, kShared, kOwn };
+  /// members_[begin, end): one class, or (not live) members that each
+  /// receive on their own.
+  struct Run {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    bool live = false;
+  };
+
+  /// Sorts the pending members into runs, class by class, each ascending;
+  /// the last run holds those past kMaxClasses.
+  void split() {
+    split_ = true;
+    constexpr std::uint8_t kNoRun = kMaxClasses + 1;
+    std::array<std::uint8_t, ProcessSet::kMaxUniverse> run_of{};
+    std::array<const Mr1p*, kMaxClasses> leaders{};
+    std::size_t classes = 0;
+    for (std::size_t i = 0; i < group_.size(); ++i) {
+      const Mr1p& m = member(i);
+      if (!m.pending_.has_value()) {
+        run_of[i] = kNoRun;
+        continue;
+      }
+      std::size_t r = 0;
+      while (r < classes && !leaders[r]->shares_pending_class(m)) ++r;
+      if (r == classes && classes < kMaxClasses) leaders[classes++] = &m;
+      run_of[i] = static_cast<std::uint8_t>(r);
+      ++runs_[r].end;
+    }
+    std::size_t begin = 0;
+    for (std::size_t r = 0; r < runs_.size(); ++r) {
+      const std::size_t size = runs_[r].end;
+      runs_[r] = Run{begin, begin, r < kMaxClasses};
+      begin += size;
+    }
+    for (std::size_t i = 0; i < group_.size(); ++i) {
+      if (run_of[i] == kNoRun) continue;
+      members_[runs_[run_of[i]].end++] = &member(i);
+    }
+  }
+
+  std::span<PrimaryComponentAlgorithm* const> group_;
+  Queries queries_ = Queries::kUnread;
+  /// The leader's query count when the lists were read.
+  std::size_t queried_ = 0;
+  bool split_ = false;
+  std::array<Run, kMaxClasses + 1> runs_{};
+  std::array<Mr1p*, ProcessSet::kMaxUniverse> members_;
+};
+
+Message Mr1p::incoming_message(Message message, ProcessId sender) {
+  const Delivery delivery{sender, &message};
+  incoming_messages(std::span(&delivery, 1));
   message.protocol = nullptr;
   return message;
 }
@@ -132,12 +253,14 @@ void Mr1p::incoming_messages_to_group(
     PrimaryComponentAlgorithm::incoming_messages_to_group(group, batch);
     return;
   }
+  GroupBatch receipts(group);
   for (const Delivery& d : batch) {
     if (d.message->protocol != nullptr) {
-      receive(*d.message->protocol, d.sender, group);
+      receive(*d.message->protocol, d.sender, receipts);
     }
   }
   // What each member's own receipts would have counted.
+  receipts.finish();
   for (PrimaryComponentAlgorithm* member : others) {
     auto& m = static_cast<Mr1p&>(*member);
     m.proposals_ = proposals_;
@@ -158,11 +281,16 @@ bool Mr1p::shares_tallies(
   return true;
 }
 
+bool Mr1p::shares_pending_class(const Mr1p& other) const {
+  return *pending_ == *other.pending_ && echo_ == other.echo_ &&
+         options_.policy == other.options_.policy;
+}
+
 void Mr1p::receive(const ProtocolPayload& payload, ProcessId sender,
-                   std::span<PrimaryComponentAlgorithm* const> group) {
+                   GroupBatch& batch) {
   if (payload.view_id != current_view_.id) return;
-  const auto each = [group](const auto& step) {
-    for (PrimaryComponentAlgorithm* member : group) {
+  const auto each = [&batch](const auto& step) {
+    for (PrimaryComponentAlgorithm* member : batch.group()) {
       step(static_cast<Mr1p&>(*member));
     }
   };
@@ -170,17 +298,25 @@ void Mr1p::receive(const ProtocolPayload& payload, ProcessId sender,
   switch (payload.type()) {
     case PayloadType::kMr1pPending: {
       const auto& pending = static_cast<const Mr1pPendingPayload&>(payload);
-      each([&](Mr1p& m) { m.handle_pending(pending); });
+      if (batch.shares_queries()) {
+        handle_pending(pending);
+      } else {
+        each([&](Mr1p& m) { m.handle_pending(pending); });
+      }
       break;
     }
     case PayloadType::kMr1pReply: {
       const auto& reply = static_cast<const Mr1pReplyPayload&>(payload);
-      each([&](Mr1p& m) { m.handle_reply(reply, sender); });
+      batch.to_classes([&](Mr1p& leader, PendingClass cls) {
+        return leader.handle_reply(reply.replies, sender, cls);
+      });
       break;
     }
     case PayloadType::kMr1pResolve: {
       const auto& resolve = static_cast<const Mr1pResolvePayload&>(payload);
-      each([&](Mr1p& m) { m.handle_resolve(resolve, sender); });
+      batch.to_classes([&](Mr1p& leader, PendingClass cls) {
+        return leader.handle_resolve(resolve, sender, cls);
+      });
       break;
     }
     case PayloadType::kMr1pPropose: {
@@ -266,73 +402,91 @@ void Mr1p::handle_pending(const Mr1pPendingPayload& payload) {
   }
 }
 
-void Mr1p::handle_reply(const Mr1pReplyPayload& payload, ProcessId sender) {
-  for (const Mr1pReplyItem& item : payload.replies) {
+template <typename Step>
+void Mr1p::end_class(PendingClass cls, const Step& step) {
+  DV_ASSERT(cls.front() == this);
+  for (Mr1p* m : cls) {
+    if (m != this) m->echo_ = echo_;
+    step(*m);
+  }
+}
+
+bool Mr1p::handle_reply(std::span<const Mr1pReplyItem> items, ProcessId sender,
+                        PendingClass cls) {
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const Mr1pReplyItem& item = items[i];
     if (!pending_.has_value() || item.about != *pending_) continue;
     switch (item.verdict) {
       case Mr1pVerdict::kFormed:
-        adopt_formed(item.about);
-        return;
+        end_class(cls, [&](Mr1p& m) { m.adopt_formed(item.about); });
+        return false;
       case Mr1pVerdict::kAborted:
-        abandon_pending();
-        return;
+        end_class(cls, [](Mr1p& m) { m.abandon_pending(); });
+        return false;
       case Mr1pVerdict::kStatusSent:
       case Mr1pVerdict::kStatusAttempt:
       case Mr1pVerdict::kStatusTryFail: {
         if (!pending_->members.contains(sender)) break;  // not a member
-        echo_senders_.insert(sender);
-        const Mr1pStatus echoed =
-            item.verdict == Mr1pVerdict::kStatusSent  ? Mr1pStatus::kSent
-            : item.verdict == Mr1pVerdict::kStatusAttempt
-                ? Mr1pStatus::kAttempt
-                : Mr1pStatus::kTryFail;
-        if (item.num >= best_echo_num_) {
-          best_echo_num_ = item.num;
-          best_echo_status_ = echoed;
+        echo_.senders.insert(sender);
+        if (item.num >= echo_.best_num) {
+          echo_.best_num = item.num;
+          echo_.best_status = echoed_status(item.verdict);
         }
-        maybe_resolve();
-        break;
+        if (maybe_resolve(cls)) break;
+        // The session was adopted, and a member may be pending on the view
+        // now: each reads the rest of the reply on its own.
+        const auto rest = items.subspan(i + 1);
+        for (std::size_t k = 0; k < cls.size(); ++k) {
+          (void)cls[k]->handle_reply(rest, sender, cls.subspan(k, 1));
+        }
+        return false;
       }
     }
-    if (!pending_.has_value()) return;  // resolved inside the loop
   }
+  return true;
 }
 
-void Mr1p::maybe_resolve() {
-  if (!pending_.has_value() || resolve_sent_) return;
-  if (!is_majority_of(echo_senders_, pending_->members)) return;
+bool Mr1p::maybe_resolve(PendingClass cls) {
+  if (echo_.resolve_sent) return true;
+  if (!is_majority_of(echo_.senders, pending_->members)) return true;
 
   // The thesis's round 3: num becomes max+1, the call is the status carried
   // by the highest num; a call of "sent" means the attempt cannot have
   // completed anywhere, so it becomes try-fail.
-  Mr1pStatus call = best_echo_status_;
+  Mr1pStatus call = echo_.best_status;
   if (call == Mr1pStatus::kSent) call = Mr1pStatus::kTryFail;
+  const std::uint64_t num = echo_.best_num + 1;
 
   if (call == Mr1pStatus::kAttempt) {
     switch (options_.policy) {
       case Mr1pResolutionPolicy::kAdoptOnAttempt: {
         // Paxos-style completion of the possibly-formed session.
-        num_ = best_echo_num_ + 1;
-        resolve_sent_ = true;
-        stage_resolve(Mr1pVerdict::kStatusAttempt);
-        adopt_formed(*pending_);
-        return;
+        echo_.resolve_sent = true;
+        const Session session = *pending_;
+        end_class(cls, [&](Mr1p& m) {
+          m.num_ = num;
+          m.stage_resolve(Mr1pVerdict::kStatusAttempt);
+          m.adopt_formed(session);
+        });
+        return false;
       }
       case Mr1pResolutionPolicy::kConservative: {
         // Only full presence proves the attempt dead: every member still
         // echoing means none of them formed it, and only members can form
         // it.  Short of that, keep collecting echoes (blocked).
-        if (!(echo_senders_ == pending_->members)) return;
-        call = Mr1pStatus::kTryFail;
+        if (!(echo_.senders == pending_->members)) return true;
         break;
       }
     }
   }
 
-  num_ = best_echo_num_ + 1;
-  status_ = Mr1pStatus::kTryFail;
-  resolve_sent_ = true;
-  stage_resolve(Mr1pVerdict::kStatusTryFail);
+  echo_.resolve_sent = true;
+  for (Mr1p* m : cls) {
+    m->num_ = num;
+    m->status_ = Mr1pStatus::kTryFail;
+    m->stage_resolve(Mr1pVerdict::kStatusTryFail);
+  }
+  return true;
 }
 
 void Mr1p::stage_resolve(Mr1pVerdict call) {
@@ -342,22 +496,22 @@ void Mr1p::stage_resolve(Mr1pVerdict call) {
   stage(resolve_pool_);
 }
 
-void Mr1p::handle_resolve(const Mr1pResolvePayload& payload, ProcessId sender) {
-  if (!pending_.has_value() || payload.about != *pending_) return;
-  if (!pending_->members.contains(sender)) return;
+bool Mr1p::handle_resolve(const Mr1pResolvePayload& payload, ProcessId sender,
+                          PendingClass cls) {
+  if (!pending_.has_value() || payload.about != *pending_) return true;
+  if (!pending_->members.contains(sender)) return true;
 
   if (payload.call == Mr1pVerdict::kStatusAttempt) {
-    if (options_.policy == Mr1pResolutionPolicy::kAdoptOnAttempt) {
-      adopt_formed(*pending_);
-    }
-    return;
+    if (options_.policy != Mr1pResolutionPolicy::kAdoptOnAttempt) return true;
+    end_class(cls, [&](Mr1p& m) { m.adopt_formed(payload.about); });
+    return false;
   }
   // try-fail: abandon once a majority of the pending session's members
   // agree (thesis: "Upon receipt of <tryfail, V> from majority of V").
-  tryfail_callers_.insert(sender);
-  if (is_majority_of(tryfail_callers_, pending_->members)) {
-    abandon_pending();
-  }
+  echo_.tryfail_callers.insert(sender);
+  if (!is_majority_of(echo_.tryfail_callers, pending_->members)) return true;
+  end_class(cls, [](Mr1p& m) { m.abandon_pending(); });
+  return false;
 }
 
 void Mr1p::stage_attempt(const Session& proposal) {

@@ -44,12 +44,21 @@
 // so round 4 completes at its last distinct sender, and once round 5
 // completes every member stays in primary until its next view change; so
 // acting only there is what acting at every later message would do.
-// Rounds 1-3 read each member's own pending session and never the tallies.
-// So when the GCS hands a batch to a view's members together
-// (incoming_messages_to_group) and they all hold equal tallies, the lowest
-// member counts rounds 4 and 5 for all of them, each member receives
-// rounds 1-3 itself in batch order, and the others take the lowest one's
-// tallies when the batch ends.  DESIGN.md §4d has the argument.
+// Rounds 1-3 read each member's own pending session, its echo state and
+// its resolution policy, never the tallies, and members sharing those
+// three react to a reply or a resolve alike.  So when the GCS hands a
+// batch to a view's members together (incoming_messages_to_group) and they
+// all hold equal tallies, the lowest member counts rounds 4 and 5 for all
+// of them, and the members are split into pending classes: each class's
+// lowest member walks rounds 2 and 3 once for the class, in batch order,
+// and every member runs its own step where the class's state machine
+// fires (adopt, abandon, or stage its resolve call).  A class whose
+// pending session moved ends there, and its members receive the rest of
+// the batch on their own; members with nothing pending skip rounds 2 and
+// 3, which cannot touch them.  Round 1's query list is built once when
+// every member starts the batch with an equal one.  When the batch ends,
+// the others take the lowest member's tallies and query list and each
+// live class's echo state.  DESIGN.md §4d has the argument.
 #pragma once
 
 #include <optional>
@@ -92,9 +101,10 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   void incoming_messages(std::span<const Delivery> batch) override;
   /// When every member of `group` is an Mr1p in this process's view with
   /// this process's round-4 and round-5 tallies, this process counts those
-  /// rounds for the group and every member runs its own step where a tally
-  /// is reached; rounds 1-3 reach each member in batch order.  Any other
-  /// group falls back to each member receiving the batch itself.
+  /// rounds for the group, each pending class's lowest member walks rounds
+  /// 2 and 3 for its class, and every member runs its own step where a
+  /// tally is reached or its class's state machine fires.  Any other group
+  /// falls back to each member receiving the batch itself.
   void incoming_messages_to_group(
       std::span<PrimaryComponentAlgorithm* const> group,
       std::span<const Delivery> batch) override;
@@ -108,29 +118,66 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   const Session& last_primary_session() const override { return cur_primary_; }
 
  private:
+  /// What rounds 2 and 3 have gathered about pending_ in this view.
+  struct EchoState {
+    /// Members of pending_ whose status echo arrived (self included via
+    /// self-delivery of our own reply batch).
+    ProcessSet senders;
+    std::uint64_t best_num = 0;
+    Mr1pStatus best_status = Mr1pStatus::kNone;
+    bool resolve_sent = false;
+    /// Members of pending_ whose resolution call was try-fail.
+    ProcessSet tryfail_callers;
+
+    bool operator==(const EchoState&) const = default;
+  };
+  /// A pending class: members of one group that share pending_, echo_ and
+  /// the resolution policy, ascending.  The first leads: its echo_ is the
+  /// class's until the class ends, and the others' are stale until then.
+  using PendingClass = std::span<Mr1p* const>;
+  /// One batch's view of its group: the pending classes and the shared
+  /// query list (defined in mr1p.cpp; it lives on the leader's stack).
+  class GroupBatch;
+
   /// The protocol's reaction to one received payload from `sender` at
-  /// every member of `group` (this process first, all of them Mr1p with
-  /// this process's tallies): rounds 1-3 at each member, rounds 4 and 5
-  /// counted in this process's tallies and stepped at each member.  Every
-  /// entry point runs it.
+  /// every member of `batch`'s group (this process first, all of them Mr1p
+  /// with this process's tallies): round 1 into the shared query list or
+  /// each member's own, rounds 2 and 3 once per pending class, rounds 4
+  /// and 5 counted in this process's tallies and stepped at each member.
+  /// Every entry point runs it.
   void receive(const ProtocolPayload& payload, ProcessId sender,
-               std::span<PrimaryComponentAlgorithm* const> group);
+               GroupBatch& batch);
   /// Is every one of `others` an Mr1p in this view with equal tallies?
   bool shares_tallies(std::span<PrimaryComponentAlgorithm* const> others) const;
+  /// Do this pending member and pending `other` form one pending class?
+  bool shares_pending_class(const Mr1p& other) const;
   /// Counts `sender` in `tally` if `proposal` is this view's session; true
   /// when that sender is the one that reaches the tally.
   bool reaches(Tally& tally, const Session& proposal, ProcessId sender);
   void try_new();
   void stage(PayloadRef<ProtocolPayload> payload);
   void handle_pending(const Mr1pPendingPayload& payload);
-  void handle_reply(const Mr1pReplyPayload& payload, ProcessId sender);
-  void handle_resolve(const Mr1pResolvePayload& payload, ProcessId sender);
+  /// Round 2's class step: this process leads `cls` and reads a reply's
+  /// `items` for it.  False when the class's pending session moved; its
+  /// members have then read the remaining items each on its own.
+  bool handle_reply(std::span<const Mr1pReplyItem> items, ProcessId sender,
+                    PendingClass cls);
+  /// Round 3's class step; false when the class's pending session moved.
+  bool handle_resolve(const Mr1pResolvePayload& payload, ProcessId sender,
+                      PendingClass cls);
   /// Round 4's step, once every member proposed `proposal`: stage this
   /// process's attempt if it is pending on it.
   void stage_attempt(const Session& proposal);
   /// Round 5's step, once a majority attempted `proposal`: form it.
   void form(const Session& proposal);
-  void maybe_resolve();
+  /// Round 3's call, once echoes from a majority of pending_ arrived: each
+  /// member of `cls` stages it, and under kAdoptOnAttempt may adopt.  False
+  /// when the class's pending session moved.
+  bool maybe_resolve(PendingClass cls);
+  /// The class's pending session moves: every member takes this leader's
+  /// echo state and runs `step` on itself.
+  template <typename Step>
+  void end_class(PendingClass cls, const Step& step);
   /// Stage round 3's call on pending_.
   void stage_resolve(Mr1pVerdict call);
   void adopt_formed(const Session& session);
@@ -163,14 +210,7 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   std::size_t outbox_head_ = 0;
   /// Distinct sessions queried via R1 since the last poll, awaiting replies.
   std::vector<Session> unanswered_queries_;
-  /// Members of pending_ whose status echo arrived (self included via
-  /// self-delivery of our own reply batch).
-  ProcessSet echo_senders_;
-  std::uint64_t best_echo_num_ = 0;
-  Mr1pStatus best_echo_status_ = Mr1pStatus::kNone;
-  bool resolve_sent_ = false;
-  /// Members of pending_ whose resolution call was try-fail.
-  ProcessSet tryfail_callers_;
+  EchoState echo_;
   /// Round 4's proposals, needed from all of the view.  When this process
   /// leads a group, its tallies are the group's until the batch ends.
   Tally proposals_;

@@ -46,6 +46,22 @@ ProcessId ProcessSet::lowest() const {
   return kInvalidProcess;
 }
 
+ProcessId ProcessSet::nth_member(std::size_t rank) const {
+  for (std::size_t w = 0; w < word_count(); ++w) {
+    std::uint64_t word = words_[w];
+    const auto in_word = static_cast<std::size_t>(std::popcount(word));
+    if (rank >= in_word) {
+      rank -= in_word;
+      continue;
+    }
+    for (; rank > 0; --rank) word &= word - 1;
+    return static_cast<ProcessId>(
+        w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+  }
+  DV_REQUIRE(false, "member rank past the set's count");
+  return kInvalidProcess;
+}
+
 std::size_t ProcessSet::intersection_count(const ProcessSet& other) const {
   check_same_universe(other);
   std::size_t n = 0;

@@ -51,7 +51,12 @@ class ProcessSet {
 
   /// Number of members.
   std::size_t count() const;
-  bool empty() const { return count() == 0; }
+  bool empty() const {
+    for (std::size_t w = 0; w < word_count(); ++w) {
+      if (words_[w] != 0) return false;
+    }
+    return true;
+  }
 
   /// Every bit past the universe is zero, so testing an id against the
   /// fixed capacity instead of the universe gives the same answer.
@@ -75,6 +80,10 @@ class ProcessSet {
   /// Lowest-numbered member ("lexically smallest" in the thesis);
   /// kInvalidProcess if empty.
   ProcessId lowest() const;
+
+  /// The member of ascending rank `rank` (0 is lowest()); requires
+  /// rank < count().  Draws a uniform member without listing them.
+  ProcessId nth_member(std::size_t rank) const;
 
   /// Number of members shared with `other` (same universe required).
   std::size_t intersection_count(const ProcessSet& other) const;

@@ -7,6 +7,8 @@ namespace dynvote {
 Topology::Topology(std::size_t universe_size)
     : universe_size_(universe_size) {
   DV_REQUIRE(universe_size >= 1, "topology needs at least one process");
+  // Room for every process alone, so no change ever grows the list.
+  components_.reserve(universe_size);
   reset();
 }
 
@@ -48,31 +50,15 @@ void Topology::merge(std::size_t a, std::size_t b) {
   check_disjoint_cover();
 }
 
-bool Topology::can_partition() const {
-  for (const ProcessSet& c : components_) {
-    if (c.count() >= 2) return true;
-  }
-  return false;
-}
-
-std::vector<std::size_t> Topology::splittable_components() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (components_[i].count() >= 2) out.push_back(i);
-  }
-  return out;
-}
-
 void Topology::check_disjoint_cover() const {
   ProcessSet seen(universe_size_);
-  std::size_t total = 0;
   for (const ProcessSet& c : components_) {
     DV_ASSERT_MSG(!c.empty(), "empty component");
     DV_ASSERT_MSG(!seen.intersects(c), "components overlap");
-    seen = seen.united_with(c);
-    total += c.count();
+    seen.insert_all(c);
   }
-  DV_ASSERT_MSG(total == universe_size_, "components do not cover universe");
+  DV_ASSERT_MSG(seen == ProcessSet::full(universe_size_),
+                "components do not cover universe");
 }
 
 }  // namespace dynvote

@@ -39,14 +39,6 @@ class Topology {
   /// later components shift down by one.
   void merge(std::size_t a, std::size_t b);
 
-  /// A partition is feasible iff some component has at least two members.
-  bool can_partition() const;
-  /// A merge is feasible iff there are at least two components.
-  bool can_merge() const { return components_.size() >= 2; }
-
-  /// Indices of components with at least two members.
-  std::vector<std::size_t> splittable_components() const;
-
  private:
   void check_disjoint_cover() const;
 

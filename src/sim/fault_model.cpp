@@ -83,26 +83,14 @@ void SleepyFaultModel::apply_next(Gcs& gcs) {
   DV_REQUIRE(can_sleep || can_wake, "no feasible sleepy event");
 
   const bool wake = can_wake && (!can_sleep || rng_.chance(wake_bias_));
+  const ProcessSet awake_set = ProcessSet::full(universe).minus(asleep);
   if (wake) {
-    const std::vector<ProcessId> sleepers = asleep.members();
-    const ProcessId p = sleepers[rng_.below(sleepers.size())];
+    const ProcessId p = asleep.nth_member(rng_.below(asleep.count()));
     // The awake processes always form one component under this model; join
     // it via the component of the lowest awake process.
-    ProcessId into = kInvalidProcess;
-    for (ProcessId q = 0; q < universe; ++q) {
-      if (!asleep.contains(q)) {
-        into = q;
-        break;
-      }
-    }
-    gcs.apply_wake(p, into);
+    gcs.apply_wake(p, awake_set.lowest());
   } else {
-    std::vector<ProcessId> candidates;
-    candidates.reserve(awake);
-    for (ProcessId q = 0; q < universe; ++q) {
-      if (!asleep.contains(q)) candidates.push_back(q);
-    }
-    gcs.apply_sleep(candidates[rng_.below(candidates.size())]);
+    gcs.apply_sleep(awake_set.nth_member(rng_.below(awake)));
   }
 }
 
@@ -124,6 +112,10 @@ RepairableFaultModel::RepairableFaultModel(std::uint64_t seed,
   DV_REQUIRE(repair_capacity >= 1, "the repair shop needs at least one server");
   DV_REQUIRE(repair_mean_rounds >= 0.0,
              "mean repair rounds must be non-negative");
+  // Room for every process in the shop, so no failure grows either list.
+  in_service_.reserve(
+      static_cast<std::size_t>(std::min<std::uint64_t>(capacity_, processes)));
+  queue_.reserve(processes);
 }
 
 std::uint64_t RepairableFaultModel::draw_geometric(double p) {
@@ -194,12 +186,8 @@ void RepairableFaultModel::apply_next(Gcs& gcs) {
     DV_REQUIRE(failure_armed_, "repairable model has no pending event");
     clock_ = next_failure_at_;
     failure_armed_ = false;
-    std::vector<ProcessId> live;
-    live.reserve(static_cast<std::size_t>(live_count()));
-    for (ProcessId q = 0; q < processes_; ++q) {
-      if (!gcs.crashed().contains(q)) live.push_back(q);
-    }
-    const ProcessId victim = live[rng_.below(live.size())];
+    const ProcessSet live = ProcessSet::full(processes_).minus(gcs.crashed());
+    const ProcessId victim = live.nth_member(rng_.below(live.count()));
     gcs.apply_crash(victim);
     if (in_service_.size() < capacity_) {
       in_service_.push_back(

@@ -1,6 +1,7 @@
 #include "sim/fault_schedule.hpp"
 
-#include <vector>
+#include <array>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -48,16 +49,12 @@ ConnectivityChange FaultScheduler::next_change(const Topology& topology,
     if (crash) {
       change.kind = ConnectivityChange::Kind::kCrash;
       // Uniform over alive processes.
-      std::vector<ProcessId> candidates;
-      candidates.reserve(alive);
-      for (ProcessId p = 0; p < topology.universe_size(); ++p) {
-        if (!crashed.contains(p)) candidates.push_back(p);
-      }
-      change.process = candidates[rng_.below(candidates.size())];
+      change.process = ProcessSet::full(topology.universe_size())
+                           .minus(crashed)
+                           .nth_member(rng_.below(alive));
     } else {
       change.kind = ConnectivityChange::Kind::kRecovery;
-      const std::vector<ProcessId> candidates = crashed.members();
-      change.process = candidates[rng_.below(candidates.size())];
+      change.process = crashed.nth_member(rng_.below(crashed.count()));
     }
     return change;
   }
@@ -67,17 +64,30 @@ ConnectivityChange FaultScheduler::next_change(const Topology& topology,
 ConnectivityChange FaultScheduler::next_connectivity_change(
     const Topology& topology, const ProcessSet& crashed) {
   // Crashed processes sit in singleton components that take no part in
-  // connectivity changes.
-  std::vector<std::size_t> splittable;
-  std::vector<std::size_t> mergeable;
-  for (std::size_t i = 0; i < topology.component_count(); ++i) {
-    const ProcessSet& comp = topology.component(i);
-    if (comp.is_subset_of(crashed)) continue;
-    mergeable.push_back(i);
-    if (comp.count() >= 2) splittable.push_back(i);
+  // connectivity changes.  A component with a live member can merge, and
+  // one of at least two members can split; the draws pick among them by
+  // rank, in index order.
+  const auto mergeable = [&](const ProcessSet& comp) {
+    return !comp.is_subset_of(crashed);
+  };
+  const auto splittable = [&](const ProcessSet& comp) {
+    return mergeable(comp) && comp.count() >= 2;
+  };
+  // Index of the component of rank `rank` among those that `eligible`.
+  const auto nth_component = [&](const auto& eligible, std::size_t rank) {
+    for (std::size_t i = 0;; ++i) {
+      if (eligible(topology.components()[i]) && rank-- == 0) return i;
+    }
+  };
+  std::size_t splittable_count = 0;
+  std::size_t mergeable_count = 0;
+  for (const ProcessSet& comp : topology.components()) {
+    if (!mergeable(comp)) continue;
+    ++mergeable_count;
+    if (comp.count() >= 2) ++splittable_count;
   }
-  const bool can_partition = !splittable.empty();
-  const bool can_merge = mergeable.size() >= 2;
+  const bool can_partition = splittable_count > 0;
+  const bool can_merge = mergeable_count >= 2;
   DV_REQUIRE(can_partition || can_merge,
              "no feasible connectivity change (single isolated process?)");
 
@@ -86,26 +96,30 @@ ConnectivityChange FaultScheduler::next_connectivity_change(
 
   if (partition) {
     change.kind = ConnectivityChange::Kind::kPartition;
-    change.component_a = splittable[rng_.below(splittable.size())];
+    change.component_a =
+        nth_component(splittable, rng_.below(splittable_count));
 
-    std::vector<ProcessId> members =
-        topology.component(change.component_a).members();
+    std::array<ProcessId, ProcessSet::kMaxUniverse> members;
+    std::size_t size = 0;
+    topology.component(change.component_a).for_each([&](ProcessId p) {
+      members[size++] = p;
+    });
     const std::size_t moved_count =
-        static_cast<std::size_t>(rng_.between(1, members.size() - 1));
+        static_cast<std::size_t>(rng_.between(1, size - 1));
     // Partial Fisher-Yates: a uniform random subset of size moved_count.
     change.moved = ProcessSet(topology.universe_size());
     for (std::size_t i = 0; i < moved_count; ++i) {
-      const std::size_t j = i + rng_.below(members.size() - i);
+      const std::size_t j = i + rng_.below(size - i);
       std::swap(members[i], members[j]);
       change.moved.insert(members[i]);
     }
   } else {
     change.kind = ConnectivityChange::Kind::kMerge;
-    const std::size_t a = rng_.below(mergeable.size());
-    std::size_t b = rng_.below(mergeable.size() - 1);
+    const std::size_t a = rng_.below(mergeable_count);
+    std::size_t b = rng_.below(mergeable_count - 1);
     if (b >= a) ++b;
-    change.component_a = mergeable[a];
-    change.component_b = mergeable[b];
+    change.component_a = nth_component(mergeable, a);
+    change.component_b = nth_component(mergeable, b);
   }
   return change;
 }

@@ -8,7 +8,8 @@
 // cursor-based outboxes -- an extra allocation in any of them fails here
 // with an exact count.  Whole fresh-start runs are fenced too: a shard
 // restarts one world for each of its later runs, and those runs must stay
-// at the count measured when the restart landed.
+// at the counts measured when the fault models stopped allocating; those
+// models' draws are fenced at zero on their own.
 //
 // This binary links dv_alloc_hook (see tests/CMakeLists.txt); if someone
 // builds it without the hook the tests skip rather than vacuously passing.
@@ -21,6 +22,7 @@
 #include "gcs/gcs.hpp"
 #include "obs/trace.hpp"
 #include "sim/experiment.hpp"
+#include "sim/fault_model.hpp"
 #include "util/alloc_stats.hpp"
 
 namespace dynvote {
@@ -130,21 +132,22 @@ TEST(AllocRegression, RestartedFreshStartRunsStayUnderEachAlgorithmsCeiling) {
   }
   // A shard builds its world once and restarts it for each later run
   // (Simulation::restart), keeping every buffer and payload pool.  Each
-  // ceiling is the count measured when that landed, over 50 restarted
-  // 6-change runs; building a new world per run costs several hundred
-  // allocations a run more.
+  // ceiling is the count measured over 50 restarted 6-change runs once the
+  // fault model stopped listing its candidates for every change (about 28
+  // allocations a run fewer); building a new world per run costs several
+  // hundred allocations a run more.
   constexpr std::uint64_t kRestartedRuns = 50;
   struct Fence {
     AlgorithmKind kind;
     std::uint64_t ceiling;
   };
   const Fence fences[] = {
-      {AlgorithmKind::kYkd, 3569},
-      {AlgorithmKind::kYkdUnoptimized, 3569},
-      {AlgorithmKind::kDfls, 3984},
-      {AlgorithmKind::kOnePending, 3351},
-      {AlgorithmKind::kMr1p, 1805},
-      {AlgorithmKind::kSimpleMajority, 1478},
+      {AlgorithmKind::kYkd, 2192},
+      {AlgorithmKind::kYkdUnoptimized, 2192},
+      {AlgorithmKind::kDfls, 2607},
+      {AlgorithmKind::kOnePending, 1974},
+      {AlgorithmKind::kMr1p, 428},
+      {AlgorithmKind::kSimpleMajority, 101},
   };
   for (const Fence& fence : fences) {
     SCOPED_TRACE(to_string(fence.kind));
@@ -153,6 +156,48 @@ TEST(AllocRegression, RestartedFreshStartRunsStayUnderEachAlgorithmsCeiling) {
     EXPECT_LE(allocs, fence.ceiling)
         << allocs << " allocations over " << kRestartedRuns
         << " restarted runs; the ceiling is " << fence.ceiling;
+  }
+}
+
+// A fault model draws its next event by counting, never by listing the
+// candidates: 1,000 events of each random model over a fragmented N=64
+// world (eight components to start with) allocate nothing, each draw with
+// its application to the GCS.  The world runs simple majority, which sends
+// nothing, so no protocol traffic is counted; the geometric model takes
+// crashes and recoveries too.
+TEST(AllocRegression, FaultModelDrawsAreAllocationFree) {
+  if (!alloc_hook_linked()) {
+    GTEST_SKIP() << "dv_alloc_hook not linked; allocation counts unavailable";
+  }
+  constexpr int kDraws = 1000;
+  const struct {
+    FaultModelKind kind;
+    double crash_fraction;
+  } models[] = {
+      {FaultModelKind::kGeometric, 0.25},
+      {FaultModelKind::kSleepy, 0.0},
+      {FaultModelKind::kRepairable, 0.0},
+  };
+  for (const auto& m : models) {
+    SCOPED_TRACE(to_string(m.kind));
+    FaultModelParams params;
+    params.kind = m.kind;
+    params.repair_capacity = 2;
+    Gcs gcs(AlgorithmKind::kSimpleMajority, kProcesses);
+    for (ProcessId first = 1; first < 8; ++first) {
+      ProcessSet moved(kProcesses);
+      for (ProcessId p = first; p < kProcesses; p += 8) moved.insert(p);
+      gcs.apply_partition(0, moved);
+    }
+    ASSERT_EQ(gcs.topology().component_count(), 8u);
+    const auto model =
+        make_fault_model(params, 24301, 4.0, m.crash_fraction, kProcesses);
+    const std::uint64_t before = thread_allocations();
+    for (int i = 0; i < kDraws; ++i) {
+      (void)model->next_gap();
+      model->apply_next(gcs);
+    }
+    EXPECT_EQ(thread_allocations() - before, 0u);
   }
 }
 

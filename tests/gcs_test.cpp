@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <utility>
@@ -460,8 +461,10 @@ TEST(GroupDelivery, MixedVariantsMatchPerMemberDelivery) {
 }
 
 // MR1p under churn: alone; with its two resolution policies alternating,
-// which form one group because neither tally reads the policy; and beside
-// YKD, a mixed group that falls back to per-member delivery.
+// which form one group because neither tally reads the policy (their
+// pending classes split by it); and beside YKD, a mixed group that falls
+// back to per-member delivery.  Then alone at N=64, where views of dozens
+// of members merge with several pending sessions among them.
 TEST(GroupDelivery, Mr1pChurnMatchesPerMemberDelivery) {
   constexpr std::size_t kN = 8;
   const Gcs::AlgorithmFactory policies =
@@ -490,22 +493,42 @@ TEST(GroupDelivery, Mr1pChurnMatchesPerMemberDelivery) {
       if (::testing::Test::HasFailure()) return;
     }
   }
+  SCOPED_TRACE("mr1p, N=64");
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TwinWorlds w(of_kind(AlgorithmKind::kMr1p), 64);
+    churn(w, seed, 24);
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
-/// Three fresh instances of `kind` in view 2 = {0,1,2} of a three-process
-/// world, and each one's first message: its round-1 state, or MR1p's
-/// proposal.
+/// Instances driven by hand, and each one's first message in the view it
+/// last installed: its round-1 state, or MR1p's proposal or pending query
+/// (empty if it had nothing to send).
 struct HandBuilt {
   std::vector<std::unique_ptr<PrimaryComponentAlgorithm>> algs;
   std::vector<Message> states;
 
+  /// Three fresh instances of `kind` in view 2 = {0,1,2} of a
+  /// three-process world.
   explicit HandBuilt(AlgorithmKind kind) {
     const View initial{1, ProcessSet::full(3)};
     for (ProcessId p = 0; p < 3; ++p) {
       algs.push_back(make_algorithm(kind, p, initial));
-      algs.back()->view_changed(View{2, ProcessSet::full(3)});
-      states.push_back(*algs.back()->outgoing_message_poll(Message::empty()));
     }
+    install(View{2, ProcessSet::full(3)});
+  }
+  explicit HandBuilt(std::vector<std::unique_ptr<PrimaryComponentAlgorithm>> a)
+      : algs(std::move(a)) {}
+
+  /// Installs `view` at its members and records their first messages.
+  void install(const View& view) {
+    states.resize(algs.size());
+    view.members.for_each([&](ProcessId p) {
+      algs[p]->view_changed(view);
+      states[p] = algs[p]->outgoing_message_poll(Message::empty())
+                      .value_or(Message::empty());
+    });
   }
 };
 
@@ -528,14 +551,19 @@ outcome(HandBuilt& world) {
   return out;
 }
 
-/// A message of view 2 carrying `payload`, the same object at every
+/// A message of view `id` carrying `payload`, the same object at every
 /// receiver.
 template <typename T>
-Message view2(PayloadRef<T> payload) {
-  payload->view_id = 2;
+Message in_view(ViewId id, PayloadRef<T> payload) {
+  payload->view_id = id;
   Message m;
   m.protocol = std::move(payload);
   return m;
+}
+
+template <typename T>
+Message view2(PayloadRef<T> payload) {
+  return in_view(2, std::move(payload));
 }
 
 /// What the hand-built batches below carry: a process's own round-1
@@ -549,15 +577,17 @@ enum class Kind {
   kMr1pAttempt,   // MR1p's <attempt,V> for view 2
   kMr1pPending,   // MR1p's round 1: a pending session of view 1
   kMr1pReply,     // MR1p's round 2: the sender never formed that session
+  kGiven,         // Item::given, the same message in both worlds
 };
 
 struct Item {
   ProcessId sender;
   Kind kind;
+  Message given = {};
 };
 
-/// One batch: `items` in order, handed to the members `to` (all three when
-/// empty).
+/// One batch: `items` in order, handed to the members `to` (every process
+/// when empty).
 struct Batch {
   std::vector<Item> items;
   std::vector<ProcessId> to = {};
@@ -609,15 +639,17 @@ const Message& shared_message(Kind kind) {
     case Kind::kMr1pAttempt: return mr1p_attempt;
     case Kind::kMr1pPending: return pending;
     case Kind::kMr1pReply: return reply;
-    case Kind::kState: break;
+    case Kind::kState:
+    case Kind::kGiven: break;
   }
-  DV_ASSERT_MSG(false, "a state is the sender's own message");
+  DV_ASSERT_MSG(false, "a state or a given message is the item's own");
   return gc;
 }
 
 const Message& message(const HandBuilt& world, const Item& item) {
-  return item.kind == Kind::kState ? world.states[item.sender]
-                                   : shared_message(item.kind);
+  if (item.kind == Kind::kState) return world.states[item.sender];
+  if (item.kind == Kind::kGiven) return item.given;
+  return shared_message(item.kind);
 }
 
 /// Hands each batch to its members in two copies of one hand-built world:
@@ -625,9 +657,10 @@ const Message& message(const HandBuilt& world, const Item& item) {
 /// by message to each member.  Both must then end alike.
 void expect_grouped_matches_single(HandBuilt& grouped, HandBuilt& single,
                                    const std::vector<Batch>& batches) {
+  std::vector<ProcessId> everyone(grouped.algs.size());
+  std::iota(everyone.begin(), everyone.end(), ProcessId{0});
   for (const Batch& b : batches) {
-    const std::vector<ProcessId> to =
-        b.to.empty() ? std::vector<ProcessId>{0, 1, 2} : b.to;
+    const std::vector<ProcessId>& to = b.to.empty() ? everyone : b.to;
     std::vector<PrimaryComponentAlgorithm*> group;
     for (ProcessId p : to) group.push_back(grouped.algs[p].get());
     std::vector<Delivery> batch;
@@ -749,6 +782,267 @@ TEST(GroupDelivery, Mr1pUnequalTalliesFallBack) {
     expect_grouped_matches_single(grouped, single, batches);
     EXPECT_NE(outcome(grouped)[0], outcome(grouped)[1])
         << "the round completed at all three";
+  }
+}
+
+// --- MR1p's pending classes ----------------------------------------------
+//
+// Six MR1p processes whose scripted histories leave them pending sessions
+// A and B (or none) before they meet in view 4, where the batches below
+// are delivered.  A and B are the sessions views 2 and 3 proposed; V is
+// view 4's own.
+
+const Session kA{2, ProcessSet(6, {0, 1, 2, 3})};
+const Session kB{3, ProcessSet(6, {2, 3, 4, 5})};
+const Session kV{4, ProcessSet::full(6)};
+
+/// How far a process got in one view of its history: it proposed the view,
+/// also received every member's proposal (and so attempted it), or also
+/// received a majority's attempts (and so formed it).
+enum class Reached { kProposed, kAttempted, kFormed };
+
+struct Step {
+  View view;
+  Reached reached;
+};
+
+/// A message of view `id` proposing or attempting its own session.
+template <typename T>
+Message of_view(const View& view) {
+  auto payload = make_payload<T>();
+  payload->proposal = Session{view.id, view.members};
+  return in_view(view.id, std::move(payload));
+}
+
+/// Six MR1p processes, even ids under `even` and odd ids under `odd`, each
+/// living through `history[p]` by hand; then the members of `last` install
+/// it.
+HandBuilt mr1p_world(const std::vector<std::vector<Step>>& history,
+                     Mr1pResolutionPolicy even, Mr1pResolutionPolicy odd,
+                     const View& last) {
+  std::vector<std::unique_ptr<PrimaryComponentAlgorithm>> algs;
+  for (ProcessId p = 0; p < 6; ++p) {
+    algs.push_back(std::make_unique<Mr1p>(
+        p, View{1, ProcessSet::full(6)},
+        Mr1pOptions{.policy = p % 2 == 0 ? even : odd}));
+    PrimaryComponentAlgorithm& alg = *algs.back();
+    for (const Step& step : history[p]) {
+      alg.view_changed(step.view);
+      const std::vector<ProcessId> members = step.view.members.members();
+      if (step.reached != Reached::kProposed) {
+        for (ProcessId q : members) {
+          (void)alg.incoming_message(of_view<Mr1pProposePayload>(step.view), q);
+        }
+      }
+      if (step.reached == Reached::kFormed) {
+        for (std::size_t i = 0; i < majority(members.size()); ++i) {
+          (void)alg.incoming_message(of_view<Mr1pAttemptPayload>(step.view),
+                                     members[i]);
+        }
+      }
+      while (alg.outgoing_message_poll(Message::empty())) {
+      }
+    }
+  }
+  HandBuilt world(std::move(algs));
+  world.install(last);
+  return world;
+}
+
+/// A merge of two sides that each left a session pending: 0 and 1 attempted
+/// A and 2 and 3 only proposed it before 2 and 3 moved to view 3, where 4
+/// and 5 proposed B.  In view 4, {0,1,2,3} hold A and {4,5} hold B.
+const std::vector<std::vector<Step>>& merge_history() {
+  static const std::vector<std::vector<Step>> history = [] {
+    const View a{2, kA.members};
+    const View b{3, kB.members};
+    return std::vector<std::vector<Step>>{
+        {{a, Reached::kAttempted}},
+        {{a, Reached::kAttempted}},
+        {{a, Reached::kProposed}, {b, Reached::kProposed}},
+        {{a, Reached::kProposed}, {b, Reached::kProposed}},
+        {{b, Reached::kProposed}},
+        {{b, Reached::kProposed}}};
+  }();
+  return history;
+}
+
+/// Messages of view 4 for the hand-built batches.
+Item reply(ProcessId sender, std::vector<Mr1pReplyItem> items) {
+  auto payload = make_payload<Mr1pReplyPayload>();
+  payload->replies = std::move(items);
+  return {sender, Kind::kGiven, in_view(4, std::move(payload))};
+}
+Item resolve(ProcessId sender, const Session& about, Mr1pVerdict call) {
+  auto payload = make_payload<Mr1pResolvePayload>();
+  payload->about = about;
+  payload->call = call;
+  return {sender, Kind::kGiven, in_view(4, std::move(payload))};
+}
+Item proposes(ProcessId sender, const View& view) {
+  return {sender, Kind::kGiven, of_view<Mr1pProposePayload>(view)};
+}
+Item attempts(ProcessId sender, const View& view) {
+  return {sender, Kind::kGiven, of_view<Mr1pAttemptPayload>(view)};
+}
+
+/// Round 1 of the merge: every process's pending query, in id order.
+std::vector<Item> queries() {
+  std::vector<Item> out;
+  for (ProcessId p = 0; p < 6; ++p) out.push_back({p, Kind::kState});
+  return out;
+}
+
+/// Round 2 of the merge as the processes would send it: 0 and 1 echo A at
+/// the attempt stage, 2 and 3 echo it as sent and abort B (they belong to
+/// it and never formed it), 4 and 5 echo B.
+std::vector<Item> merge_replies() {
+  const Mr1pReplyItem a_attempt{kA, Mr1pVerdict::kStatusAttempt, 2};
+  const Mr1pReplyItem a_sent{kA, Mr1pVerdict::kStatusSent, 1};
+  const Mr1pReplyItem b_aborted{kB, Mr1pVerdict::kAborted, 0};
+  const Mr1pReplyItem b_sent{kB, Mr1pVerdict::kStatusSent, 1};
+  return {reply(0, {a_attempt}),           reply(1, {a_attempt}),
+          reply(2, {a_sent, b_aborted}),   reply(3, {a_sent, b_aborted}),
+          reply(4, {b_sent}),              reply(5, {b_sent})};
+}
+
+/// V's try-fail calls from 0, 1, 2 and 4: a majority of view 4.
+std::vector<Item> v_tryfails() {
+  return {resolve(0, kV, Mr1pVerdict::kStatusTryFail),
+          resolve(1, kV, Mr1pVerdict::kStatusTryFail),
+          resolve(2, kV, Mr1pVerdict::kStatusTryFail),
+          resolve(4, kV, Mr1pVerdict::kStatusTryFail)};
+}
+
+// Hand-built batches for pending classes, each compared with handing every
+// member every message itself:
+//  * the merge's rounds 1-5: A and B in one view, B aborted by 2's reply,
+//    A called try-fail and abandoned, then V proposed, attempted and
+//    formed; once with one policy, once with the two alternating (classes
+//    split by policy, and the adopt-on-attempt class adopts A mid-reply);
+//  * A's echoes split over two batches, so the members meet the second
+//    with the echo state the first left the class's leader;
+//  * one pending session whose members hold unequal echo senders (0 heard
+//    itself, the others heard 1: one class would be wrong), and then
+//    unequal try-fail callers;
+//  * unequal query lists at batch start (2 was queried about B first);
+//  * six members that each heard a different echo: more classes than a
+//    batch follows, so the last two receive rounds 2 and 3 on their own;
+//  * a class ended mid-batch by a formed reply, an aborted reply, a
+//    try-fail majority in round 3, and adopt-on-attempt in rounds 2 and 3;
+//    each is followed by more replies and resolves in the batch, which
+//    reach the class's members through their new pending session V (in
+//    round 2, the adopting reply itself reports V formed);
+//  * members with nothing pending beside two classes.
+// Each case also pins the primary process 0 ends with, since a step both
+// paths share would move both alike.
+TEST(GroupDelivery, Mr1pPendingClassesMatchPerMessageDelivery) {
+  using enum Mr1pVerdict;
+  constexpr auto kConservative = Mr1pResolutionPolicy::kConservative;
+  constexpr auto kAdopt = Mr1pResolutionPolicy::kAdoptOnAttempt;
+  const View v{4, ProcessSet::full(6)};
+  std::vector<Item> a_tryfails;
+  for (ProcessId p = 0; p < 4; ++p) {
+    a_tryfails.push_back(resolve(p, kA, kStatusTryFail));
+  }
+  std::vector<Item> forms;
+  for (ProcessId p = 0; p < 6; ++p) forms.push_back(proposes(p, v));
+  for (ProcessId p = 0; p < 6; ++p) forms.push_back(attempts(p, v));
+  const std::vector<Item> r = merge_replies();
+  const Mr1pReplyItem a_sent{kA, kStatusSent, 1};
+  const Mr1pReplyItem v_formed{kV, kFormed, 0};
+
+  // Members of A without a pending session beside them: 1 formed A, so
+  // view {1,2,4,5} (half of A, without its lowest member) leaves it none;
+  // 2 still holds A, and 4 and 5 propose the view, session W.
+  const View w_view{4, ProcessSet(6, {1, 2, 4, 5})};
+  const Session kW{4, w_view.members};
+  const View a_view{2, kA.members};
+  const std::vector<std::vector<Step>> beside = {
+      {{a_view, Reached::kAttempted}}, {{a_view, Reached::kFormed}},
+      {{a_view, Reached::kAttempted}}, {{a_view, Reached::kProposed}},
+      {},                              {}};
+
+  const Session genesis{0, ProcessSet::full(6)};
+  const struct {
+    const char* name;
+    std::vector<std::vector<Step>> history;
+    Mr1pResolutionPolicy even;
+    Mr1pResolutionPolicy odd;
+    View last;
+    std::vector<Batch> batches;
+    Session primary_of_0;
+  } cases[] = {
+      {"two pending sessions",
+       merge_history(), kConservative, kConservative, v,
+       {{queries()}, {r}, {a_tryfails}, {forms}}, kV},
+      {"two pending sessions, policies alternating",
+       merge_history(), kConservative, kAdopt, v,
+       {{queries()}, {r}, {a_tryfails}, {forms}}, kV},
+      {"echoes split over two batches",
+       merge_history(), kConservative, kConservative, v,
+       {{queries()}, {{r[0], r[1]}}, {{r[2], r[3]}}, {a_tryfails}}, genesis},
+      {"unequal echo senders",
+       merge_history(), kConservative, kConservative, v,
+       {{queries()}, {{r[0]}, {0}}, {{r[1]}, {1, 2, 3}},
+        {{r[1], r[2], r[3]}}}, genesis},
+      {"unequal try-fail callers",
+       merge_history(), kConservative, kConservative, v,
+       {{queries()}, {r}, {{a_tryfails[0]}, {2, 3}},
+        {{a_tryfails[1]}, {0, 1}}, {{a_tryfails[0], a_tryfails[2]}}},
+       genesis},
+      {"unequal query lists",
+       merge_history(), kConservative, kConservative, v,
+       {{{{4, Kind::kState}}, {2}}, {queries()}, {r}}, genesis},
+      {"more classes than a batch follows",
+       merge_history(), kConservative, kConservative, v,
+       {{queries()}, {{r[0]}, {0}}, {{r[1]}, {1}}, {{r[2]}, {2}},
+        {{r[3]}, {3}}, {{r[4]}, {4}}, {{r[5]}, {5}}, {r}, {a_tryfails}},
+       genesis},
+      {"ended by a formed reply",
+       merge_history(), kConservative, kConservative, v,
+       {{queries()},
+        {concat({{reply(1, {{kA, kFormed, 0}}), r[2],
+                  reply(3, {{kV, kStatusSent, 1}})},
+                 v_tryfails(), {reply(5, {v_formed})}})}}, kA},
+      {"ended by an aborted reply",
+       merge_history(), kConservative, kConservative, v,
+       {{queries()},
+        {concat({{reply(2, {{kA, kAborted, 0}}), reply(3, {v_formed})},
+                 v_tryfails()})}}, kV},
+      {"ended by a try-fail majority",
+       merge_history(), kConservative, kConservative, v,
+       {{queries()}, {r},
+        {concat({{a_tryfails[0], a_tryfails[1], a_tryfails[2]},
+                 {reply(3, {v_formed}), a_tryfails[3]}, v_tryfails()})}},
+       kV},
+      {"ended by adopt-on-attempt in round 2",
+       merge_history(), kAdopt, kAdopt, v,
+       {{queries()},
+        {concat({{r[0], r[1], reply(2, {a_sent, v_formed}), r[3]},
+                 v_tryfails()})}}, kV},
+      {"ended by adopt-on-attempt in round 3",
+       merge_history(), kAdopt, kAdopt, v,
+       {{queries()}, {{r[2]}},
+        {concat({{resolve(1, kA, kStatusAttempt), reply(4, {v_formed})},
+                 v_tryfails()})}}, kV},
+      {"nothing pending beside two classes",
+       beside, kConservative, kConservative, w_view,
+       {{{{2, Kind::kState}, {4, Kind::kState}, {5, Kind::kState}},
+         {1, 2, 4, 5}},
+        {{reply(1, {{kA, kFormed, 0}}),
+          reply(2, {{kA, kStatusAttempt, 2}}),
+          resolve(1, kW, kStatusTryFail), resolve(2, kW, kStatusTryFail),
+          resolve(4, kW, kStatusTryFail), reply(5, {{kW, kFormed, 0}})},
+         {1, 2, 4, 5}}},
+       genesis},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    HandBuilt grouped = mr1p_world(c.history, c.even, c.odd, c.last);
+    HandBuilt single = mr1p_world(c.history, c.even, c.odd, c.last);
+    expect_grouped_matches_single(grouped, single, c.batches);
+    EXPECT_EQ(grouped.algs[0]->last_primary_session(), c.primary_of_0);
   }
 }
 

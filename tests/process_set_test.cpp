@@ -2,6 +2,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/process_set.hpp"
 #include "util/assert.hpp"
@@ -61,6 +62,18 @@ TEST(ProcessSet, LowestFindsFirstMemberAcrossWords) {
   EXPECT_EQ(s.lowest(), 77u);
   s.insert(3);
   EXPECT_EQ(s.lowest(), 3u);
+}
+
+// nth_member ranks members in ascending order, across both words, the
+// same order members() lists them in.
+TEST(ProcessSet, NthMemberRanksMembersAcrossWords) {
+  const ProcessSet s(128, {3, 63, 64, 77, 127});
+  const std::vector<ProcessId> listed = s.members();
+  for (std::size_t rank = 0; rank < listed.size(); ++rank) {
+    EXPECT_EQ(s.nth_member(rank), listed[rank]) << "rank " << rank;
+  }
+  EXPECT_THROW((void)s.nth_member(listed.size()), PreconditionViolation);
+  EXPECT_THROW((void)ProcessSet(8).nth_member(0), PreconditionViolation);
 }
 
 TEST(ProcessSet, SetAlgebra) {

@@ -10,8 +10,6 @@ TEST(Topology, StartsFullyConnected) {
   Topology t(8);
   EXPECT_EQ(t.component_count(), 1u);
   EXPECT_EQ(t.component(0), ProcessSet::full(8));
-  EXPECT_TRUE(t.can_partition());
-  EXPECT_FALSE(t.can_merge());
 }
 
 TEST(Topology, SplitMovesSubsetToNewComponent) {
@@ -22,7 +20,6 @@ TEST(Topology, SplitMovesSubsetToNewComponent) {
   EXPECT_EQ(t.component(1), ProcessSet(8, {5, 6, 7}));
   EXPECT_EQ(t.component_of(6), 1u);
   EXPECT_EQ(t.component_of(0), 0u);
-  EXPECT_TRUE(t.can_merge());
 }
 
 TEST(Topology, MergeReunitesComponents) {
@@ -51,25 +48,6 @@ TEST(Topology, MergeValidatesArguments) {
   Topology t(4);
   EXPECT_THROW(t.merge(0, 0), PreconditionViolation);
   EXPECT_THROW(t.merge(0, 1), PreconditionViolation);
-}
-
-TEST(Topology, CanPartitionRequiresAComponentOfTwo) {
-  Topology t(3);
-  t.split(0, ProcessSet(3, {0}));
-  t.split(0, ProcessSet(3, {1}));
-  // Components are {2}, {0}, {1}: all singletons.
-  EXPECT_FALSE(t.can_partition());
-  EXPECT_TRUE(t.can_merge());
-  EXPECT_TRUE(t.splittable_components().empty());
-  t.merge(0, 1);
-  EXPECT_TRUE(t.can_partition());
-  EXPECT_EQ(t.splittable_components(), (std::vector<std::size_t>{0}));
-}
-
-TEST(Topology, SingleProcessHasNoFeasibleChange) {
-  Topology t(1);
-  EXPECT_FALSE(t.can_partition());
-  EXPECT_FALSE(t.can_merge());
 }
 
 }  // namespace
